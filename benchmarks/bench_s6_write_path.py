@@ -4,17 +4,18 @@ PR 3 rebuilt the write path: per-(table, partition) striped locks
 replace the cluster-wide ``_op_lock``, ``write_batch`` commits rows in
 replica-set groups (one store-lock acquisition and one epoch bump per
 batch), and memtable flushes build their SSTable outside the writer's
-critical section.  This bench measures the three claims:
+critical section.  This bench measures batched against per-row
+commits, three ways:
 
 * **batched vs per-row** — ``write_batch`` over an S2-style event
   workload must be at least 3x faster than the same rows through the
   per-row ``insert`` loop;
 * **concurrent disjoint writers** — N threads writing disjoint hour
-  partitions through the new path (striped locks + batched commits)
-  must beat the same rows through the old path (single global lock,
-  per-row writes); the striping-only effect is reported for visibility
-  (pure-Python writes are GIL-bound, so striping mostly removes
-  lock-handoff overhead rather than adding parallelism);
+  partitions with one ``write_batch`` each must beat the same threads
+  looping over ``insert`` (pure-Python writes are GIL-bound, so the win
+  is fewer lock handoffs, not parallelism; the last measured ratio
+  against the retired single global lock is under "Retired baselines"
+  in docs/performance.md);
 * **model fan-out** — ``LogDataModel.write_events`` (the dual-view
   eight-table fan-out) in one batched call vs per-event calls.
 
@@ -71,8 +72,8 @@ def _event_rows(events):
     return rows
 
 
-def _fresh_cluster(**kw) -> Cluster:
-    cluster = Cluster(4, replication_factor=2, **kw)
+def _fresh_cluster() -> Cluster:
+    cluster = Cluster(4, replication_factor=2)
     cluster.create_table(TABLE_SCHEMAS["event_by_time"])
     return cluster
 
@@ -98,9 +99,8 @@ def run_batched_vs_per_row(rows, rounds=3):
 
 
 def run_concurrent_disjoint(rows, threads=6, rounds=3):
-    """N threads, disjoint hour partitions: old path (one global lock,
-    per-row) vs new path (striped locks, batched), plus the
-    striping-only effect (striped locks, still per-row)."""
+    """N threads, disjoint hour partitions: per-row ``insert`` loops
+    vs one ``write_batch`` per thread."""
     # Remap each thread's share onto its own hour so partitions are
     # disjoint by construction (same row count and shape as the input).
     shares = []
@@ -125,30 +125,22 @@ def run_concurrent_disjoint(rows, threads=6, rounds=3):
             t.join()
         assert not errors, errors
 
-    def global_lock_per_row():
-        cluster = _fresh_cluster(write_stripes=1)
-        _run_threads(lambda share: [
-            cluster.insert("event_by_time", v) for v in share])
-
-    def striped_per_row():
+    def per_row():
         cluster = _fresh_cluster()
         _run_threads(lambda share: [
             cluster.insert("event_by_time", v) for v in share])
 
-    def striped_batched():
+    def batched():
         cluster = _fresh_cluster()
         _run_threads(
             lambda share: cluster.write_batch("event_by_time", share))
 
-    t_old = _best(global_lock_per_row, rounds)
-    t_striped = _best(striped_per_row, rounds)
-    t_new = _best(striped_batched, rounds)
+    t_row = _best(per_row, rounds)
+    t_batch = _best(batched, rounds)
     return {
-        "global_lock_s": t_old, "striped_per_row_s": t_striped,
-        "striped_batched_s": t_new, "threads": threads,
+        "per_row_s": t_row, "batched_s": t_batch, "threads": threads,
         "rows": per * threads,
-        "speedup": t_old / t_new if t_new else float("inf"),
-        "striping_only_speedup": t_old / t_striped if t_striped else float("inf"),
+        "speedup": t_row / t_batch if t_batch else float("inf"),
     }
 
 
@@ -196,10 +188,8 @@ def _report_all(results):
          f"{bp['per_row_s']:.4f}s per-row",
          f"{bp['batched_s']:.4f}s batched", f"{bp['speedup']:.2f}x"),
         (f"{cd['threads']} disjoint writers ({cd['rows']} rows)",
-         f"{cd['global_lock_s']:.4f}s global lock",
-         f"{cd['striped_batched_s']:.4f}s striped+batched",
-         f"{cd['speedup']:.2f}x "
-         f"(striping alone {cd['striping_only_speedup']:.2f}x)"),
+         f"{cd['per_row_s']:.4f}s per-row",
+         f"{cd['batched_s']:.4f}s batched", f"{cd['speedup']:.2f}x"),
         (f"model dual-view fan-out ({mf['events']} events)",
          f"{mf['per_event_s']:.4f}s per-event",
          f"{mf['batched_s']:.4f}s batched", f"{mf['speedup']:.2f}x"),
@@ -226,7 +216,7 @@ class TestWritePath:
         r = run_batched_vs_per_row(_event_rows(workload), rounds=3)
         assert r["speedup"] >= 3.0, r
 
-    def test_striped_batched_beats_global_lock(self, workload):
+    def test_concurrent_batched_beats_per_row(self, workload):
         r = run_concurrent_disjoint(_event_rows(workload), rounds=3)
         assert r["speedup"] > 1.0, r
 

@@ -56,9 +56,9 @@ from .vector import (
     select_rows,
 )
 
-# Default number of write-lock stripes: enough that concurrent writers
-# to disjoint partitions rarely collide, small enough that acquiring
-# every stripe (repair) stays cheap.
+# Number of write-lock stripes: enough that concurrent writers to
+# disjoint partitions rarely collide, small enough that acquiring every
+# stripe (repair) stays cheap.
 DEFAULT_WRITE_STRIPES = 32
 
 __all__ = ["Consistency", "Cluster"]
@@ -132,9 +132,7 @@ class Cluster:
         keyspace: str = "logs",
         flush_threshold: int = 50_000,
         max_sstables: int = 8,
-        write_stripes: int = DEFAULT_WRITE_STRIPES,
         retry_policy: RetryPolicy | None = None,
-        columnar: bool = True,
     ):
         if isinstance(node_ids, int):
             node_ids = [f"node{i:02d}" for i in range(node_ids)]
@@ -145,28 +143,25 @@ class Cluster:
         self.ring = HashRing(
             node_ids, vnodes=vnodes, replication_factor=replication_factor
         )
-        # columnar=False is the row-at-a-time escape hatch: every store
-        # keeps plain row lists, so one bench run can compare layouts.
-        self.columnar = columnar
         self.nodes: dict[str, StorageNode] = {
             nid: StorageNode(
                 nid, flush_threshold=flush_threshold,
-                max_sstables=max_sstables, columnar=columnar,
+                max_sstables=max_sstables,
                 hints_provider=self._block_hints_for,
             )
             for nid in node_ids
         }
         self._write_ts = itertools.count(_now_us())
         # Write-path coordination is *striped*: each (table, partition)
-        # hashes to one of ``write_stripes`` locks, so writers to
+        # hashes to one of DEFAULT_WRITE_STRIPES locks, so writers to
         # disjoint partitions commit concurrently while replica-set
         # application + hint buffering stays atomic per partition.  The
         # *read* path runs lock-free at this layer — each TableStore
         # snapshots its runs under its own lock.  Repair acquires every
-        # stripe (in index order, as does the batched group path, so
-        # lock ordering is total and deadlock-free).
+        # stripe (in index order, as does the group commit, so lock
+        # ordering is total and deadlock-free).
         self._write_locks = tuple(
-            threading.RLock() for _ in range(max(1, write_stripes))
+            threading.RLock() for _ in range(DEFAULT_WRITE_STRIPES)
         )
         # Aggregate coordinator counters (S1 bench reads these).
         self.coordinator_writes = 0
@@ -287,7 +282,7 @@ class Cluster:
         return self.keyspace.table(table)
 
     def _block_hints_for(self, table: str) -> BlockHints | None:
-        """Schema-derived columnar knobs for a node's table store
+        """Schema-derived column-block hints for a node's table store
         (index interval, dictionary columns); None when the table has
         no registered schema."""
         try:
@@ -499,64 +494,21 @@ class Cluster:
     def _replicated_write(
         self, table: str, partition_key: str, row: Row, consistency: Consistency
     ) -> None:
+        """Commit one row (or tombstone marker) as a write group of one."""
         start = time.perf_counter()
+        replicas = tuple(self.ring.replicas(partition_key))
+        items = [(partition_key, row)]
+        stripes = [self._stripe_index(partition_key)]
         with obs.get_tracer().span(
             "cassdb.write", table=table, partition=partition_key
         ):
-            def attempt() -> None:
-                gate = self.chaos_gate
-                if gate is not None:
-                    gate.on_coordinator_op(self)
-                with self._write_locks[self._stripe_index(partition_key)]:
-                    self._replicated_write_locked(
-                        table, partition_key, row, consistency)
-
-            self._retrying("write", attempt)
-        self._m_write_latency.observe((time.perf_counter() - start) * 1000.0)
-
-    def _replicated_write_locked(
-        self, table: str, partition_key: str, row: Row, consistency: Consistency
-    ) -> None:
-        replicas = self.ring.replicas(partition_key)
-        required = consistency.required(len(replicas))
-        alive = [r for r in replicas if self._replica_up(r)]
-        if len(alive) < required:
-            # Nothing was applied: counters, the table epoch and the
-            # layered result caches must stay untouched.
-            self._m_consistency_failures.inc()
-            raise UnavailableError(required, len(alive))
-        coordinator = self.nodes[alive[0]]
-        acks = 0
-        for replica_id in replicas:
-            replica = self.nodes[replica_id]
-            if self._replica_up(replica_id):
-                try:
-                    replica.write(table, partition_key, row)
-                except NodeDownError:
-                    # Crashed but not yet convicted: no ack, hint it.
-                    self._breaker_failure(replica_id)
-                else:
-                    self._breaker_success(replica_id)
-                    acks += 1
-                    continue
-            coordinator.buffer_hint(
-                Hint(replica_id, table, partition_key, row)
-            )
-            with self._counter_lock:
-                self.hinted_writes += 1
-            self._m_hints_buffered.inc()
-        if acks < required:
-            # Some replicas may have applied the row: the epoch must
-            # advance so layered caches drop what is now stale — but the
-            # success counters stay untouched.
-            self._m_consistency_failures.inc()
-            if acks:
-                self._bump_epoch(table)
-            raise WriteTimeoutError(required, acks)
+            self._retrying("write", lambda: self._write_group(
+                table, replicas, items, stripes, consistency))
         with self._counter_lock:
             self.coordinator_writes += 1
         self._m_writes.inc()
         self._bump_epoch(table)
+        self._m_write_latency.observe((time.perf_counter() - start) * 1000.0)
 
     # -- batched write path --------------------------------------------------
 
@@ -659,12 +611,17 @@ class Cluster:
         stripes: list[int],
         consistency: Consistency,
     ) -> None:
-        """Commit one replica-set group of a batch atomically.
+        """Commit one replica-set group atomically — the one place rows
+        are applied to a replica set, acks counted and hints buffered
+        (a single-row write is a group of one).
 
         *stripes* is the sorted set of stripe indices the group's
-        partitions hash to (precomputed while grouping); acquiring them
-        in index order keeps lock ordering total across concurrent
-        batches, per-row writes and repair.
+        partitions hash to; acquiring them in index order keeps lock
+        ordering total across concurrent batches, per-row writes and
+        repair.  A failed group leaves the success counters untouched:
+        ``UnavailableError`` means nothing was applied; on
+        ``WriteTimeoutError`` some replicas may hold the rows, so the
+        table epoch advances and layered caches drop what is now stale.
         """
         gate = self.chaos_gate
         if gate is not None:
@@ -864,7 +821,7 @@ class Cluster:
         built and no rows cross the coordinator boundary, only the
         (small) partial each fold returns.  *source* is a
         :class:`~repro.cassdb.vector.BlockView` when the partition lives
-        in one columnar run (the vectorized fold kernels consume it
+        in one SSTable run (the vectorized fold kernels consume it
         without materializing rows) and a list of live :class:`Row`
         objects otherwise.  Partials come back in input order; merging
         them is the caller's job (the query engine's MergePartials
@@ -1107,8 +1064,9 @@ class Cluster:
 
         The serial analog of :meth:`aggregate_partitions` for unrouted
         aggregates — each partition is folded at its first alive replica
-        (a :class:`BlockView` when columnar, live rows otherwise) and
-        only the partials are yielded, in sorted partition-key order.
+        (a :class:`BlockView` when it lives in one SSTable run, live rows
+        otherwise) and only the partials are yielded, in sorted
+        partition-key order.
         """
         schema = self.schema(table)
         for pk in sorted(self.partition_keys(table)):

@@ -56,14 +56,13 @@ class StorageNode:
     """
 
     def __init__(self, node_id: str, *, flush_threshold: int = 50_000,
-                 max_sstables: int = 8, columnar: bool = True,
+                 max_sstables: int = 8,
                  hints_provider: "Callable[[str], BlockHints | None] | None" = None):
         self.node_id = node_id
         self.process_up = True
         self.routing_up = True
         self._flush_threshold = flush_threshold
         self._max_sstables = max_sstables
-        self._columnar = columnar
         # Maps table name -> BlockHints (index interval, dictionary
         # columns) at store creation; the cluster wires this to the
         # keyspace so schema knobs reach the storage layer.
@@ -118,7 +117,6 @@ class StorageNode:
             store = self.tables[table] = TableStore(
                 flush_threshold=self._flush_threshold,
                 max_sstables=self._max_sstables,
-                columnar=self._columnar,
                 hints=hints,
             )
             store.flush_hook = self._flush_hook
@@ -188,7 +186,7 @@ class StorageNode:
         limit: int | None = None,
     ) -> "BlockView | list[Row]":
         """:meth:`read_partition` without forced row materialization —
-        a :class:`BlockView` when the partition lives in one columnar
+        a :class:`BlockView` when the partition lives in one SSTable
         run, a merged row list otherwise."""
         self._check_up()
         _M_NODE_READS.inc()
@@ -210,11 +208,8 @@ class StorageNode:
 
     # -- hinted handoff ----------------------------------------------------
 
-    def buffer_hint(self, hint: Hint) -> None:
-        self.hints.append(hint)
-
     def buffer_hints(self, hints: Iterable[Hint]) -> None:
-        """Buffer a write-batch group's hints for one down replica."""
+        """Buffer a write group's hints for one down replica."""
         self.hints.extend(hints)
 
     def drain_hints_for(self, target_node: str) -> Iterator[Hint]:

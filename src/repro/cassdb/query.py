@@ -75,20 +75,17 @@ class Session:
 
     ``sparklet`` (a :class:`SparkletContext`) lets unrouted aggregate
     queries compile to DAG jobs; without one they fall back to a serial
-    table scan.  ``disabled_rules`` switches off optimizer passes by
-    name — the S9 benchmark uses it to measure the pushdown win.
+    table scan.
     """
 
     def __init__(self, cluster: Cluster,
                  consistency: Consistency = Consistency.ONE,
                  plan_cache_size: int = 256, *,
-                 sparklet: Any = None,
-                 disabled_rules: frozenset[str] = frozenset()):
+                 sparklet: Any = None):
         self.cluster = cluster
         self.consistency = consistency
         self.plan_cache_size = plan_cache_size
-        self.engine = QueryEngine(
-            cluster, sparklet=sparklet, disabled_rules=disabled_rules)
+        self.engine = QueryEngine(cluster, sparklet=sparklet)
         self._plan_cache: OrderedDict[str, Prepared] = OrderedDict()
         self._plan_lock = threading.Lock()
 

@@ -6,16 +6,15 @@ absent partitions return without touching the data ("data is retrieved
 by row key and range within a row, which guarantees a fast and efficient
 search" — paper §II-A).
 
-Since the columnar rewrite, each partition is physically a
+Each partition is physically a
 :class:`~repro.cassdb.vector.ColumnBlock` — per-column value arrays,
 dictionary-encoded low-cardinality strings, a liveness bitmap — and the
 sparse clustering index maps straight onto block offsets.  Scans hand
 out :class:`~repro.cassdb.vector.BlockView` selections that the
 vectorized kernels filter/project/fold without building ``Row`` objects;
-:attr:`SSTable.partitions` stays a mapping-of-row-lists view (lazily
+:attr:`SSTable.partitions` is a mapping-of-row-lists view (lazily
 materialized) so compaction, repair, and tests keep their row-form
-contract.  ``columnar=False`` is the escape hatch: the same API over
-plain row lists, kept for benchmarks comparing the two layouts.
+contract.
 
 SSTables here live in memory (the cluster is simulated in-process) but
 preserve the two properties the rest of the system depends on:
@@ -36,15 +35,12 @@ from repro import obs
 from .bloom import BloomFilter
 from .memtable import Memtable
 from .row import ClusteringBound, Row, merge_rows
-from .vector import BlockHints, BlockView, ColumnBlock, merge_views
+from .vector import BlockHints, BlockView, ColumnBlock
 
 __all__ = [
-    "COLUMNAR_DEFAULT",
     "INDEX_INTERVAL",
     "SSTable",
-    "merge_row_slices",
     "merge_sstables",
-    "scan_partition",
     "slice_bounds",
     "slice_bounds_keys",
 ]
@@ -58,9 +54,6 @@ _generation_counter = itertools.count(1)
 # via BlockHints); this module constant is only the fallback default.
 INDEX_INTERVAL = 64
 
-# New SSTables are columnar unless the store says otherwise.
-COLUMNAR_DEFAULT = True
-
 _CLUSTERING = operator.attrgetter("clustering")
 
 # Same counter the store layer bumps: every bloom-filter rejection that
@@ -69,12 +62,12 @@ _M_BLOOM_SKIPS = obs.get_registry().counter("cassdb.store.bloom_skips")
 
 
 class _BlockPartitions(MutableMapping):
-    """Row-form mapping view over columnar partitions.
+    """Row-form mapping view over an SSTable's column blocks.
 
     ``partitions[pk]`` lazily materializes (and block-caches) the row
     list; deleting a key drops the underlying block, so simulated data
-    loss (tests, fault injection) is visible to the vectorized read path
-    too.  Assignment re-encodes the rows into a fresh block.
+    loss (tests, fault injection) is visible to the read path too.
+    Assignment re-encodes the rows into a fresh block.
     """
 
     __slots__ = ("_blocks", "_hints")
@@ -105,16 +98,12 @@ class SSTable:
 
     def __init__(self, partitions: dict[str, list[Row]],
                  generation: int | None = None, *,
-                 columnar: bool | None = None,
                  hints: BlockHints | None = None,
                  clusterings: dict[str, list[tuple]] | None = None):
         # Rows per partition must already be sorted by clustering key.
         # *clusterings* optionally passes pre-extracted clustering-key
         # lists (the memtable already has them) so block builds skip
         # one pass over the rows.
-        if columnar is None:
-            columnar = COLUMNAR_DEFAULT
-        self.columnar = columnar
         self.hints = hints
         self.index_interval = (
             hints.index_interval if hints is not None else INDEX_INTERVAL)
@@ -123,38 +112,26 @@ class SSTable:
             generation if generation is not None else next(_generation_counter)
         )
         self.bloom = BloomFilter.from_keys(partitions.keys())
+        blocks: dict[str, ColumnBlock] = {}
+        for pk, rows in partitions.items():
+            keys = clusterings.get(pk) if clusterings else None
+            blocks[pk] = ColumnBlock.from_rows(rows, hints=hints,
+                                               clustering=keys)
+        self._blocks = blocks
+        self.partitions: MutableMapping[str, list[Row]] = (
+            _BlockPartitions(blocks, hints))
+        self.row_count = sum(b.n for b in blocks.values())
         # Sparse clustering index: every index_interval-th clustering key
-        # per partition (only for partitions big enough to benefit).  The
-        # role index blocks play in Cassandra's -Index.db component; for
-        # columnar blocks the samples are offsets into the key array.
-        if columnar:
-            blocks: dict[str, ColumnBlock] = {}
-            for pk, rows in partitions.items():
-                keys = clusterings.get(pk) if clusterings else None
-                blocks[pk] = ColumnBlock.from_rows(rows, hints=hints,
-                                                   clustering=keys)
-            self._blocks = blocks
-            self.partitions: MutableMapping[str, list[Row]] = (
-                _BlockPartitions(blocks, hints))
-            self.row_count = sum(b.n for b in blocks.values())
-            self.index: dict[str, list[tuple]] = {
-                pk: block.clustering[::interval]
-                for pk, block in blocks.items() if block.n > interval
-            }
-        else:
-            self._blocks = None
-            self.partitions = partitions
-            self.row_count = sum(len(rows) for rows in partitions.values())
-            self.index = {
-                pk: [rows[i].clustering
-                     for i in range(0, len(rows), interval)]
-                for pk, rows in partitions.items()
-                if len(rows) > interval
-            }
+        # per partition (only for partitions big enough to benefit) — the
+        # role index blocks play in Cassandra's -Index.db component.  The
+        # samples are offsets into the block's key array.
+        self.index: dict[str, list[tuple]] = {
+            pk: block.clustering[::interval]
+            for pk, block in blocks.items() if block.n > interval
+        }
 
     @classmethod
     def from_memtable(cls, memtable: Memtable, *,
-                      columnar: bool | None = None,
                       hints: BlockHints | None = None) -> "SSTable":
         parts: dict[str, list[Row]] = {}
         clusterings: dict[str, list[tuple]] = {}
@@ -162,78 +139,39 @@ class SSTable:
             keys, rows = partition.sorted_items()
             parts[pk] = rows
             clusterings[pk] = keys
-        return cls(parts, columnar=columnar, hints=hints,
-                   clusterings=clusterings)
+        return cls(parts, hints=hints, clusterings=clusterings)
 
     def maybe_contains(self, partition_key: str) -> bool:
         """Bloom-filter check; False means *definitely* absent."""
         return partition_key in self.bloom
-
-    def _bloom_admits(self, partition_key: str) -> bool:
-        """Counted bloom check: a rejection is a saved partition probe."""
-        if partition_key in self.bloom:
-            return True
-        _M_BLOOM_SKIPS.inc()
-        return False
-
-    def get_partition(self, partition_key: str) -> list[Row] | None:
-        if not self._bloom_admits(partition_key):
-            return None
-        if self._blocks is not None:
-            block = self._blocks.get(partition_key)
-            return None if block is None else block.rows()
-        return self.partitions.get(partition_key)
-
-    def slice_partition(
-        self,
-        partition_key: str,
-        lower: ClusteringBound | None = None,
-        upper: ClusteringBound | None = None,
-    ) -> tuple[list[Row], int] | None:
-        """The in-bounds slice of a partition plus the pruned-row count.
-
-        Bloom-checked, then bisected into the run via the sparse
-        clustering index, so only the in-range rows are ever copied out;
-        ``None`` when the partition is absent from this run.
-        """
-        sliced = self.slice_partition_view(partition_key, lower, upper)
-        if sliced is None:
-            return None
-        source, pruned = sliced
-        if isinstance(source, BlockView):
-            return source.to_rows(), pruned
-        return source, pruned
 
     def slice_partition_view(
         self,
         partition_key: str,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
-    ) -> tuple[BlockView | list[Row], int] | None:
-        """Like :meth:`slice_partition` but without materializing rows:
-        columnar runs return a :class:`BlockView` over the in-bounds
-        offset range (row-form runs still return the list slice)."""
-        if not self._bloom_admits(partition_key):
+    ) -> tuple[BlockView, int] | None:
+        """The in-bounds slice of a partition plus the pruned-row count.
+
+        Bloom-checked, then bisected into the block via the sparse
+        clustering index; the result is a :class:`BlockView` over the
+        in-bounds offset range, so no row is materialized.  ``None``
+        when the partition is absent from this run.
+        """
+        if partition_key not in self.bloom:
+            _M_BLOOM_SKIPS.inc()  # a rejection is a saved partition probe
             return None
-        if self._blocks is not None:
-            block = self._blocks.get(partition_key)
-            if block is None:
-                return None
-            lo, hi = slice_bounds_keys(block.clustering, lower, upper,
-                                       samples=self.index.get(partition_key),
-                                       interval=self.index_interval)
-            return BlockView(block, range(lo, hi)), block.n - (hi - lo)
-        rows = self.partitions.get(partition_key)
-        if rows is None:
+        block = self._blocks.get(partition_key)
+        if block is None:
             return None
-        lo, hi = slice_bounds(rows, lower, upper,
-                              samples=self.index.get(partition_key),
-                              interval=self.index_interval)
-        return rows[lo:hi], len(rows) - (hi - lo)
+        lo, hi = slice_bounds_keys(block.clustering, lower, upper,
+                                   samples=self.index.get(partition_key),
+                                   interval=self.index_interval)
+        return BlockView(block, range(lo, hi)), block.n - (hi - lo)
 
     def block(self, partition_key: str) -> ColumnBlock | None:
-        """The raw column block for a partition (None in row mode)."""
-        return None if self._blocks is None else self._blocks.get(partition_key)
+        """The raw column block for a partition (None when absent)."""
+        return self._blocks.get(partition_key)
 
     def partition_keys(self) -> Iterator[str]:
         return iter(self.partitions)
@@ -302,7 +240,7 @@ def slice_bounds_keys(
 ) -> tuple[int, int]:
     """:func:`slice_bounds` over a bare clustering-key array.
 
-    The columnar path stores clustering keys as their own array
+    Blocks store clustering keys as their own array
     (``ColumnBlock.clustering``), so the bisect runs on tuples directly —
     no attribute indirection per comparison — with identical semantics.
     """
@@ -322,41 +260,6 @@ def slice_bounds_keys(
         while hi > lo and not upper.admits_upper(keys[hi - 1]):
             hi -= 1
     return lo, max(lo, hi)
-
-
-def scan_partition(
-    rows: list[Row],
-    lower: ClusteringBound | None = None,
-    upper: ClusteringBound | None = None,
-    reverse: bool = False,
-) -> list[Row]:
-    """Range-scan a sorted row list by clustering bounds."""
-    if not rows:
-        return []
-    lo, hi = slice_bounds(rows, lower, upper)
-    selected = rows[lo:hi]
-    return selected[::-1] if reverse else selected
-
-
-def merge_row_slices(
-    slices: list[list[Row]],
-    reverse: bool = False,
-    limit: int | None = None,
-) -> list[Row]:
-    """k-way heap merge of sorted, bounds-pruned row slices.
-
-    Rows with equal clustering keys across runs are reconciled with
-    :func:`merge_rows` (cell-timestamp last-write-wins); rows whose merged
-    state is tombstoned are skipped and do not count toward *limit*.  The
-    merge consumes its inputs lazily and stops as soon as *limit* live
-    rows are produced — on a ``LIMIT k`` scan the trailing rows of every
-    run are never even compared.
-
-    Thin wrapper over :func:`~repro.cassdb.vector.merge_views`, which
-    additionally accepts :class:`~repro.cassdb.vector.BlockView` sources
-    and defers row materialization to the merge winners.
-    """
-    return merge_views(slices, reverse=reverse, limit=limit)
 
 
 class _Greatest:
@@ -395,7 +298,6 @@ def _merge_sorted_rows(row_lists: list[list[Row]]) -> list[Row]:
 
 def merge_sstables(tables: Iterable[SSTable],
                    drop_tombstones: bool = True, *,
-                   columnar: bool | None = None,
                    hints: BlockHints | None = None) -> SSTable:
     """Compaction: merge several runs into one, reconciling duplicates.
 
@@ -406,13 +308,10 @@ def merge_sstables(tables: Iterable[SSTable],
 
     The output is built in sorted partition-key order, so the merged
     run's partition iteration order (``partition_keys()``, full scans)
-    is deterministic whatever order the inputs arrived in.  Layout and
-    hints are inherited from the inputs unless overridden.
+    is deterministic whatever order the inputs arrived in.  Hints are
+    inherited from the inputs unless overridden.
     """
     tables = list(tables)
-    if columnar is None:
-        columnar = (any(t.columnar for t in tables) if tables
-                    else COLUMNAR_DEFAULT)
     if hints is None:
         hints = next((t.hints for t in tables if t.hints is not None), None)
     all_keys: set[str] = set()
@@ -426,4 +325,4 @@ def merge_sstables(tables: Iterable[SSTable],
             rows = [r for r in rows if r.is_live]
         if rows:
             out[pk] = rows
-    return SSTable(out, columnar=columnar, hints=hints)
+    return SSTable(out, hints=hints)

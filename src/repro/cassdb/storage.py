@@ -24,12 +24,7 @@ from repro import obs
 
 from .memtable import Memtable
 from .row import ClusteringBound, Row
-from .sstable import (
-    COLUMNAR_DEFAULT,
-    SSTable,
-    merge_sstables,
-    slice_bounds,
-)
+from .sstable import SSTable, merge_sstables, slice_bounds
 from .vector import BlockHints, BlockView, merge_views
 
 __all__ = ["StoreStats", "TableStore"]
@@ -73,11 +68,8 @@ class TableStore:
 
     flush_threshold: int = 50_000
     max_sstables: int = 8
-    # Columnar layout knobs: SSTables built by this store are column
-    # blocks unless *columnar* is off (the row-at-a-time escape hatch
-    # the S10 bench compares against); *hints* carries the table
-    # schema's index_interval / dictionary-encoding hints.
-    columnar: bool = COLUMNAR_DEFAULT
+    # The table schema's index_interval / dictionary-encoding hints for
+    # the column blocks this store's SSTables are built from.
     hints: BlockHints | None = None
     memtable: Memtable = field(default_factory=Memtable)
     # Sealed memtables whose SSTable build is in flight; readers treat
@@ -155,13 +147,7 @@ class TableStore:
         if hook is not None:
             hook()
         with obs.get_tracer().span("cassdb.store.flush", rows=flushed_rows):
-            # Only pass non-default layout knobs: the bare call is the
-            # stable seam tests monkeypatch to throttle builds.
-            if self.hints is not None or self.columnar != COLUMNAR_DEFAULT:
-                sst = SSTable.from_memtable(sealed, columnar=self.columnar,
-                                            hints=self.hints)
-            else:
-                sst = SSTable.from_memtable(sealed)
+            sst = SSTable.from_memtable(sealed, hints=self.hints)
         with self.lock:
             self.frozen.remove(sealed)
             self.sstables.append(sst)
@@ -190,8 +176,7 @@ class TableStore:
         if len(runs) <= 1:
             return
         with obs.get_tracer().span("cassdb.store.compact", runs=len(runs)):
-            merged = merge_sstables(runs, columnar=self.columnar,
-                                    hints=self.hints)
+            merged = merge_sstables(runs, hints=self.hints)
         with self.lock:
             if self.sstables[:len(runs)] != runs:
                 return  # lost the race to a concurrent compaction
@@ -233,7 +218,7 @@ class TableStore:
     ) -> BlockView | list[Row]:
         """:meth:`read_partition` without forced row materialization.
 
-        When every stored copy of the partition lives in one columnar
+        When every stored copy of the partition lives in one SSTable
         run — the steady state after flush/compaction — the result is a
         :class:`BlockView` over that run's live, in-bounds offsets, and
         the vectorized kernels can filter/project/fold it without ever

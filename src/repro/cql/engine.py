@@ -35,7 +35,7 @@ from .ast import (
 from .errors import CQLPlanningError
 from .lexer import normalize_cql
 from .logical import lower_delete, lower_insert, lower_select
-from .optimizer import RULE_NAMES, optimize
+from .optimizer import optimize
 from .parser import parse_statement
 from .physical import PhysicalOp, Runtime, compile_plan
 
@@ -82,18 +82,9 @@ class QueryEngine:
     """Plans and executes CQL against a cassdb cluster, optionally
     routing full-scan aggregations through a sparklet context."""
 
-    def __init__(self, cluster: Cluster, *, sparklet: Any = None,
-                 disabled_rules: frozenset[str] = frozenset()):
-        unknown = set(disabled_rules) - set(RULE_NAMES)
-        if unknown:
-            raise ValueError(f"unknown optimizer rules: {sorted(unknown)}")
-        if "partition_key_routing" in disabled_rules:
-            # Without routing no scan is executable; the rule is the
-            # planner's correctness gate, not an optional optimization.
-            raise ValueError("partition_key_routing cannot be disabled")
+    def __init__(self, cluster: Cluster, *, sparklet: Any = None):
         self.cluster = cluster
         self.sparklet = sparklet
-        self.disabled_rules = frozenset(disabled_rules)
 
     # -- planning ----------------------------------------------------------
 
@@ -126,7 +117,7 @@ class QueryEngine:
         else:  # pragma: no cover - parser only emits the types above
             raise CQLPlanningError(
                 f"unplannable statement {type(stmt).__name__}")
-        logical, rules = optimize(logical, self.disabled_rules)
+        logical, rules = optimize(logical)
         physical = compile_plan(logical, self.sparklet is not None)
         return Prepared(
             text=text, ast=stmt, kind=kind, physical=physical,

@@ -228,14 +228,11 @@ _RULE_COUNTERS = {
 }
 
 
-def optimize(plan: LogicalNode, disabled: frozenset[str] = frozenset()
-             ) -> tuple[LogicalNode, dict[str, int]]:
-    """Run every enabled rule once, in order; returns the optimized plan
-    and the per-rule application counts (only rules that fired)."""
+def optimize(plan: LogicalNode) -> tuple[LogicalNode, dict[str, int]]:
+    """Run every rule once, in order; returns the optimized plan and
+    the per-rule application counts (only rules that fired)."""
     applied: dict[str, int] = {}
     for name, rule in _RULES:
-        if name in disabled:
-            continue
         plan, count = rule(plan)
         if count:
             applied[name] = count

@@ -34,7 +34,6 @@ __all__ = [
     "DeleteExec",
     "FilterExec",
     "FullScanAggregateExec",
-    "HashAggregateExec",
     "InsertExec",
     "LimitExec",
     "MergePartialsExec",
@@ -192,8 +191,8 @@ def _finalize_groups(groups: dict, group_by: Sequence[str],
 def _fold_dicts(rows: Iterable[dict], group_by: Sequence[str],
                 aggs: Sequence[AggregateCall],
                 residual: Sequence[tuple[str, str, Any]] = ()) -> dict:
-    """Fold plain row dicts into a partial group map (sparklet tasks,
-    serial full scans and the row-shipping aggregate all share this)."""
+    """Fold plain row dicts into a partial group map (the sparklet
+    full-scan tasks' fold)."""
     groups: dict = {}
     agg_cols = [a.column for a in aggs]
     for r in rows:
@@ -290,8 +289,7 @@ def _make_partition_fold(
     def partial(pk_values: dict, bucket: list[Row]) -> list:
         # One group's partial state: extract each aggregate's column
         # once and reduce it with builtins, rather than paying a
-        # Python accumulator call per row — this loop is the hot
-        # half of the pushdown win over row-shipping.
+        # Python accumulator call per row.
         n = len(bucket)
         acc = []
         for a, src in zip(aggs, sources):
@@ -580,30 +578,6 @@ class MergePartialsExec(PhysicalOp):
                 "aggregates": [a.render() for a in self.aggregates]}
 
 
-class HashAggregateExec(PhysicalOp):
-    """Row-shipping aggregation: the child materializes full rows on the
-    coordinator, which then groups and folds (the pre-pushdown shape —
-    kept both as the optimizer-off baseline and for plans whose
-    aggregate cannot be pushed)."""
-
-    name = "HashAggregate"
-
-    def __init__(self, group_by: list[str],
-                 aggregates: list[AggregateCall], child: PhysicalOp):
-        self.group_by = group_by
-        self.aggregates = aggregates
-        self.children = (child,)
-
-    def execute(self, rt: Runtime) -> list[dict]:
-        rows = self.children[0].execute(rt)
-        groups = _fold_dicts(rows, self.group_by, self.aggregates)
-        return _finalize_groups(groups, self.group_by, self.aggregates)
-
-    def explain_attrs(self) -> dict[str, Any]:
-        return {"group_by": list(self.group_by),
-                "aggregates": [a.render() for a in self.aggregates]}
-
-
 class FullScanAggregateExec(PhysicalOp):
     """Unrouted aggregation over a whole table.
 
@@ -857,14 +831,12 @@ def compile_plan(plan, sparklet_available: bool) -> PhysicalOp:
                 group_by=node.group_by, aggregates=node.aggregates,
                 engine="sparklet" if sparklet_available else "serial",
             )
-        if node.partial and isinstance(scan, LogicalScan):
-            partial = PartialAggregateScanExec(
-                scan.table, scan.schema, scan.key_specs,
-                scan.lower, scan.upper, residual=residual,
-                group_by=node.group_by, aggregates=node.aggregates,
-            )
-            return MergePartialsExec(node.group_by, node.aggregates, partial)
-        return HashAggregateExec(node.group_by, node.aggregates,
-                                 compile_node(child))
+        # Every routed aggregate was marked partial by aggregate_pushdown.
+        partial = PartialAggregateScanExec(
+            scan.table, scan.schema, scan.key_specs,
+            scan.lower, scan.upper, residual=residual,
+            group_by=node.group_by, aggregates=node.aggregates,
+        )
+        return MergePartialsExec(node.group_by, node.aggregates, partial)
 
     return compile_node(plan)

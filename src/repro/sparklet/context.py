@@ -50,17 +50,6 @@ class SparkletContext:
         rerun on untried workers up to ``max_task_retries`` times, and
         a worker accumulating ``blacklist_after`` failures stops
         receiving tasks.
-    fuse_narrow:
-        Compile chains of adjacent per-record transformations
-        (``map``/``filter``/``flatMap`` and derivatives) into one
-        per-partition sweep per op instead of nested generator frames.
-        ``False`` restores the layer-at-a-time execution (the S11
-        fusion baseline).
-    serialize_jobs:
-        ``True`` restores the legacy single-job scheduler: one global
-        lock around every job, shuffle stages materialized sequentially.
-        Exists as the measured baseline for concurrent-scheduler
-        benchmarks and tests; leave ``False`` for real use.
     """
 
     def __init__(
@@ -74,8 +63,6 @@ class SparkletContext:
         max_threads: int | None = None,
         max_task_retries: int = 0,
         blacklist_after: int = 3,
-        fuse_narrow: bool = True,
-        serialize_jobs: bool = False,
     ):
         if cluster is not None:
             worker_ids = sorted(cluster.nodes)
@@ -90,9 +77,8 @@ class SparkletContext:
                                max_task_retries=max_task_retries,
                                blacklist_after=blacklist_after)
         self.default_parallelism = default_parallelism or len(worker_ids)
-        self.fuse_narrow = fuse_narrow
         self.metrics = EngineMetrics()
-        self.scheduler = DAGScheduler(self, serialize_jobs=serialize_jobs)
+        self.scheduler = DAGScheduler(self)
         self._rdd_ids = itertools.count()
         self._shuffle_ids = itertools.count()
         self._bc_ids = itertools.count()

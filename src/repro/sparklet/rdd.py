@@ -28,8 +28,6 @@ expressions, dropping their per-record wrapper-lambda call.  A cached
 layer, or any ``mapPartitions``-level transformation, is a fusion
 barrier: its iterator is still consulted so caching semantics are
 byte-identical.
-``SparkletContext(fuse_narrow=False)`` disables fusion and restores the
-nested-generator execution unchanged (the measured S11 baseline).
 """
 
 from __future__ import annotations
@@ -855,7 +853,7 @@ class MapPartitionsRDD(RDD):
         return self.parent.preferred_worker(index)
 
     def compute(self, index, tc):
-        if self.op is not None and self.ctx.fuse_narrow:
+        if self.op is not None:
             # Collapse the chain of adjacent per-record layers below us.
             # A cached layer breaks the chain: its iterator must run so
             # its memoized partitions are populated and reused.

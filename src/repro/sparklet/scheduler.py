@@ -16,7 +16,7 @@ stage.  This mirrors Spark's ``DAGScheduler``:
   pool's placement policy decides whether that preference is honoured
   (the Fig-4 / S4 locality story).
 
-Three properties distinguish this from the original serialized design:
+Three properties shape the scheduler:
 
 **Concurrent jobs.**  ``run_job`` holds no global lock.  Each shuffle's
 materialization is guarded by its own :class:`_ShuffleState`: the first
@@ -40,10 +40,6 @@ the blocks are freed and the ``sparklet.shuffle.live`` /
 ``.records_held`` gauges step back down.  While the RDD lives, repeated
 actions keep reusing the materialized outputs (Spark's stage reuse).
 ``clear_shuffle_state`` remains as an explicit flush for experiments.
-
-``DAGScheduler(serialize_jobs=True)`` restores the legacy behaviour —
-one global lock, stages materialized sequentially — and exists as the
-measured baseline for ``benchmarks/bench_s11_scheduler.py``.
 """
 
 from __future__ import annotations
@@ -124,16 +120,13 @@ class _ShuffleState:
 class DAGScheduler:
     """Materializes shuffle stages and runs result stages."""
 
-    def __init__(self, ctx: "SparkletContext", *,
-                 serialize_jobs: bool = False):
+    def __init__(self, ctx: "SparkletContext"):
         self.ctx = ctx
-        self.serialize_jobs = serialize_jobs
         # shuffle_id -> _ShuffleState; guarded by _lock.  RLock because
         # the weakref release callback can fire from a GC triggered
         # while the owning thread already holds the lock.
         self._states: dict[int, _ShuffleState] = {}
         self._lock = threading.RLock()
-        self._job_lock = threading.RLock()     # legacy whole-job lock
         self._metrics_lock = threading.Lock()  # EngineMetrics writers
 
     # -- public API ---------------------------------------------------------
@@ -145,9 +138,6 @@ class DAGScheduler:
             "sparklet.job", rdd=type(rdd).__name__,
             partitions=rdd.num_partitions,
         ):
-            if self.serialize_jobs:
-                with self._job_lock:
-                    return self._run_job(rdd, indices)
             return self._run_job(rdd, indices)
 
     def fetch_shuffle(self, shuffle_id: int, reduce_index: int) -> list[list]:
@@ -276,10 +266,9 @@ class DAGScheduler:
             finally:
                 state.event.set()
 
-        if self.serialize_jobs or len(owned) <= 1:
-            # Inline: parents must run before children (no stage threads
-            # to overlap the waits).
-            for shuffle_id in self._topo_order(owned, plan):
+        if len(owned) <= 1:
+            # Inline: one stage has nothing to overlap with.
+            for shuffle_id in owned:
                 work(shuffle_id)
         else:
             threads = [
@@ -310,28 +299,6 @@ class DAGScheduler:
                             and self._states.get(shuffle_id) is state):
                         self._release(shuffle_id)
             raise failed
-
-    @staticmethod
-    def _topo_order(owned: list[int],
-                    plan: dict[int, tuple["ShuffledRDD", set[int]]]
-                    ) -> list[int]:
-        """Parents-first order over the owned subset of the plan."""
-        order: list[int] = []
-        seen: set[int] = set()
-
-        def visit(shuffle_id: int) -> None:
-            if shuffle_id in seen:
-                return
-            seen.add(shuffle_id)
-            for parent_id in sorted(plan[shuffle_id][1]):
-                if parent_id in plan:
-                    visit(parent_id)
-            order.append(shuffle_id)
-
-        for shuffle_id in sorted(owned):
-            visit(shuffle_id)
-        wanted = set(owned)
-        return [sid for sid in order if sid in wanted]
 
     # -- shuffle lifecycle ----------------------------------------------------
 

@@ -2,7 +2,15 @@
 
 from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import Cell, ClusteringBound, Row
-from repro.cassdb.sstable import SSTable, merge_sstables, scan_partition
+from repro.cassdb.sstable import SSTable, merge_sstables, slice_bounds
+from repro.cassdb.vector import merge_views
+
+
+def scan_partition(rows, lower=None, upper=None, reverse=False):
+    """Range-scan a sorted row list the way the store reads one source:
+    bisect to the in-bounds slice, then merge (which orders it)."""
+    lo, hi = slice_bounds(rows, lower, upper)
+    return merge_views([rows[lo:hi]], reverse=reverse)
 
 
 def _row(ts, seq=0, ts_write=1, **cols):
@@ -83,7 +91,8 @@ class TestSSTable:
 
     def test_get_absent_partition(self):
         sst = self._sstable(10)
-        assert sst.get_partition("definitely-absent-partition") is None
+        assert sst.slice_partition_view("definitely-absent-partition") is None
+        assert sst.block("definitely-absent-partition") is None
 
     def test_generations_increase(self):
         a, b = self._sstable(5), self._sstable(5)

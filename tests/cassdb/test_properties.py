@@ -7,8 +7,9 @@ from repro.cassdb import Cluster, TableSchema
 from repro.cassdb.bloom import BloomFilter
 from repro.cassdb.hashring import HashRing
 from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import scan_partition
 from repro.cassdb.storage import TableStore
+
+from .test_memtable_sstable import scan_partition
 
 keys = st.text(min_size=1, max_size=20)
 node_sets = st.lists(

@@ -7,11 +7,8 @@ degenerate empty inputs.
 """
 
 from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import (
-    merge_row_slices,
-    slice_bounds,
-    slice_bounds_keys,
-)
+from repro.cassdb.sstable import slice_bounds, slice_bounds_keys
+from repro.cassdb.vector import merge_views
 
 
 def _row(ts, seq=0, write_ts=1, **cols):
@@ -101,23 +98,22 @@ class TestReverseLimitWithTombstones:
         # any live row; they must be skipped, not counted.
         live = [_row(float(i)) for i in range(5)]
         dead = [_dead(float(i)) for i in range(5, 8)]
-        out = merge_row_slices([live + dead], reverse=True, limit=2)
+        out = merge_views([live + dead], reverse=True, limit=2)
         assert [r.clustering[0] for r in out] == [4.0, 3.0]
 
     def test_reverse_limit_with_cross_slice_shadowing(self):
         older = [_row(1.0, v=1), _row(2.0, v=2), _row(3.0, v=3)]
         newer = [_dead(3.0, tombstone_ts=8)]
-        out = merge_row_slices([newer, older], reverse=True, limit=2)
+        out = merge_views([newer, older], reverse=True, limit=2)
         assert [r.clustering[0] for r in out] == [2.0, 1.0]
 
     def test_all_rows_dead_yields_nothing(self):
-        out = merge_row_slices([[_dead(1.0), _dead(2.0)]], reverse=True,
-                               limit=5)
+        out = merge_views([[_dead(1.0), _dead(2.0)]], reverse=True, limit=5)
         assert out == []
 
     def test_limit_zero(self):
-        assert merge_row_slices([[_row(1.0)]], limit=0) == []
-        assert merge_row_slices([[_row(1.0)]], reverse=True, limit=0) == []
+        assert merge_views([[_row(1.0)]], limit=0) == []
+        assert merge_views([[_row(1.0)]], reverse=True, limit=0) == []
 
 
 class TestEmptyInputs:
@@ -127,12 +123,12 @@ class TestEmptyInputs:
         assert slice_bounds_keys([], ClusteringBound((1.0,)), None) == (0, 0)
 
     def test_merge_no_slices(self):
-        assert merge_row_slices([]) == []
-        assert merge_row_slices([], reverse=True, limit=3) == []
+        assert merge_views([]) == []
+        assert merge_views([], reverse=True, limit=3) == []
 
     def test_merge_empty_slices(self):
-        assert merge_row_slices([[], []]) == []
-        assert merge_row_slices([[], [_row(1.0)], []])[0].clustering == (1.0, 0)
+        assert merge_views([[], []]) == []
+        assert merge_views([[], [_row(1.0)], []])[0].clustering == (1.0, 0)
 
     def test_disjoint_bounds_give_empty_range(self):
         rows = [_row(float(i)) for i in range(8)]

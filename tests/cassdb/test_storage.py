@@ -1,8 +1,9 @@
 """Unit tests for the per-node LSM table store."""
 
 from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import SSTable, merge_row_slices, slice_bounds
+from repro.cassdb.sstable import SSTable, slice_bounds
 from repro.cassdb.storage import TableStore
+from repro.cassdb.vector import merge_views
 
 
 def _row(ts, seq=0, write_ts=1, **cols):
@@ -216,7 +217,7 @@ class TestSparseIndexAndMerge:
              for i in range(0, 10, 2)]
         b = [Row.from_values((float(i), 0), {"v": "b"}, write_ts=2)
              for i in range(0, 10, 3)]
-        merged = merge_row_slices([a, b])
+        merged = merge_views([a, b])
         assert [r.clustering[0] for r in merged] == [
             0.0, 2.0, 3.0, 4.0, 6.0, 8.0, 9.0]
         by_key = {r.clustering[0]: r.value("v") for r in merged}
@@ -227,5 +228,5 @@ class TestSparseIndexAndMerge:
     def test_merge_row_slices_reverse_limit(self):
         a = [_row(float(i), seq=0, write_ts=1) for i in range(0, 20, 2)]
         b = [_row(float(i), seq=0, write_ts=1) for i in range(1, 20, 2)]
-        out = merge_row_slices([a, b], reverse=True, limit=4)
+        out = merge_views([a, b], reverse=True, limit=4)
         assert [r.clustering[0] for r in out] == [19.0, 18.0, 17.0, 16.0]

@@ -10,6 +10,8 @@ PR 3's write-path contract in one place:
   result cache untouched;
 * writers to disjoint partitions commit concurrently (striped locks,
   no cluster-wide lock);
+* a single-row ``insert`` / ``delete_row`` commits as a write group of
+  one, with per-row counters, epochs, typed errors and hints;
 * a memtable flush builds its SSTable outside the store lock — readers
   see the sealed rows for the whole build, writers keep committing.
 """
@@ -24,6 +26,7 @@ from repro.cassdb import (
     Consistency,
     TableSchema,
     UnavailableError,
+    WriteTimeoutError,
 )
 from repro.cassdb.row import Row
 from repro.cassdb.sstable import SSTable
@@ -221,10 +224,47 @@ class TestConcurrentDisjointWriters:
             assert len(rows) == 100
         assert cluster.table_epoch("event_by_time") == 6
 
-    def test_single_stripe_still_correct(self):
-        cluster = make_cluster(4, rf=2, write_stripes=1)
-        cluster.write_batch("event_by_time", event_rows(40))
-        assert len(cluster.select_partition("event_by_time", (0, "MCE"))) == 40
+
+class TestSingleRowGroupCommit:
+    """``insert`` / ``delete_row`` ride the batch path's group commit;
+    what a caller can observe under faults is the per-row contract."""
+
+    VALUES = {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0, "v": 1}
+    # fault on one replica, consistency -> error, hinted, writes, epochs
+    SCENARIOS = {
+        "down_replica_at_one":
+            ("kill_node", Consistency.ONE, None, 1, 1, 1),
+        "too_few_replicas_at_quorum":
+            ("kill_node", Consistency.QUORUM, UnavailableError, 0, 0, 0),
+        # Routed to, refuses the write: one ack short, partially applied.
+        "crashed_unconvicted_replica":
+            ("crash_node", Consistency.QUORUM, WriteTimeoutError, 1, 0, 1),
+    }
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("op", ["insert", "delete_row"])
+    def test_fault_accounting(self, op, scenario):
+        fault, consistency, error, hinted, writes, epochs = (
+            self.SCENARIOS[scenario])
+        cluster = make_cluster(4, rf=2)
+        pk = EVENTS.partition_key_of(self.VALUES)
+        survivor, victim = cluster.ring.replicas(pk)
+        getattr(cluster, fault)(victim)
+        write = getattr(cluster, op)
+        if error is None:
+            write("event_by_time", self.VALUES, consistency)
+        else:
+            with pytest.raises(error) as raised:
+                write("event_by_time", self.VALUES, consistency)
+            assert type(raised.value) is error  # not a Batch* subclass
+        assert cluster.hinted_writes == hinted
+        assert cluster.coordinator_writes == writes
+        assert cluster.table_epoch("event_by_time") == epochs
+        hints = [(nid, h.target_node, h.table, h.partition_key,
+                  h.row.clustering, h.row.is_live)
+                 for nid, node in cluster.nodes.items() for h in node.hints]
+        assert hints == ([(survivor, victim, "event_by_time", pk, (1.0, 0),
+                           op == "insert")] if hinted else [])
 
 
 def _row(ts, seq=0, write_ts=1, **cols):
@@ -241,10 +281,10 @@ class TestFlushOutsideLock:
         release_build = threading.Event()
         real_build = SSTable.from_memtable
 
-        def slow_build(memtable):
+        def slow_build(memtable, **kwargs):
             build_started.set()
             assert release_build.wait(5.0)
-            return real_build(memtable)
+            return real_build(memtable, **kwargs)
 
         monkeypatch.setattr(SSTable, "from_memtable", slow_build)
         flusher = threading.Thread(target=store.flush)

@@ -4,8 +4,17 @@ full-table scans, and engine configuration."""
 import pytest
 
 from repro.cassdb import Cluster, InvalidQueryError, Session
-from repro.cql import CQLPlanningError, QueryEngine
+from repro.cql import CQLPlanningError
 from repro.sparklet import SparkletContext
+from tests.oracle import eval_select
+
+# The fixture's data as the oracle sees it; every fourth row has no
+# 'amount' cell at all.
+ROWS = [
+    {"hour": hour, "type": "MCE", "ts": float(i), "seq": i,
+     "source": f"n{i % 3}", **({} if i % 4 == 3 else {"amount": i * 10})}
+    for hour in (0, 1) for i in range(12)
+]
 
 
 @pytest.fixture
@@ -22,16 +31,10 @@ def session(cluster):
         "CREATE TABLE ev (hour int, type text, ts double, seq int,"
         " source text, amount int, PRIMARY KEY ((hour, type), ts, seq))"
     )
-    for hour in (0, 1):
-        for i in range(12):
-            cols = "hour, type, ts, seq, source, amount"
-            vals = (hour, "MCE", float(i), i, f"n{i % 3}", i * 10)
-            if i % 4 == 3:  # rows with no 'amount' cell at all
-                cols = "hour, type, ts, seq, source"
-                vals = vals[:-1]
-            s.execute(
-                f"INSERT INTO ev ({cols}) VALUES "
-                f"({', '.join('?' * len(vals))})", vals)
+    for row in ROWS:
+        s.execute(
+            f"INSERT INTO ev ({', '.join(row)}) VALUES "
+            f"({', '.join('?' * len(row))})", tuple(row.values()))
     return s
 
 
@@ -116,28 +119,40 @@ class TestAggregateExecution:
 
 
 class TestPushdownParity:
-    """The pushed-down plan and the row-shipping plan must agree."""
+    """The pushed-down plan must agree with the reference evaluation,
+    whether the replicas fold memtable rows or flushed column blocks."""
 
-    QUERIES = [
+    MCE = ("type", "=", "MCE")
+    # (query, params, oracle arguments)
+    CASES = [
         ("SELECT source, count(*), sum(amount), avg(amount) FROM ev"
-         " WHERE hour IN (0, 1) AND type = 'MCE' GROUP BY source", ()),
+         " WHERE hour IN (0, 1) AND type = 'MCE' GROUP BY source", (),
+         dict(predicates=[("hour", "in", (0, 1)), MCE], group_by=["source"],
+              aggregates=[("count", None), ("sum", "amount"),
+                          ("avg", "amount")])),
         ("SELECT count(*), min(ts), max(amount) FROM ev"
-         " WHERE hour = 0 AND type = 'MCE' AND ts >= 3.0", ()),
+         " WHERE hour = 0 AND type = 'MCE' AND ts >= 3.0", (),
+         dict(predicates=[("hour", "=", 0), MCE, ("ts", ">=", 3.0)],
+              aggregates=[("count", None), ("min", "ts"),
+                          ("max", "amount")])),
         ("SELECT count(amount) FROM ev WHERE hour = ? AND type = ?"
-         " AND source = 'n2'", (1, "MCE")),
+         " AND source = 'n2'", (1, "MCE"),
+         dict(predicates=[("hour", "=", 1), MCE, ("source", "=", "n2")],
+              aggregates=[("count", "amount")])),
     ]
+    ORACLE_ARGS = {query: args for query, _params, args in CASES}
 
-    @pytest.mark.parametrize("query,params", QUERIES)
+    @pytest.mark.parametrize(
+        "query,params", [(query, params) for query, params, _ in CASES])
     def test_parity(self, cluster, session, query, params):
-        shipping = Session(cluster,
-                           disabled_rules=frozenset({"aggregate_pushdown"}))
-        pushed = session.execute(query, params)
-        shipped = shipping.execute(query, params)
-        assert pushed == shipped
+        expected = eval_select(ROWS, **self.ORACLE_ARGS[query])
+        assert session.execute(query, params) == expected  # memtable rows
+        cluster.flush_all()
+        assert session.execute(query, params) == expected  # column blocks
         plan = session.explain(query)
         assert plan["plan"]["children"][0]["op"] == "MergePartials"
-        ship_plan = shipping.explain(query)
-        assert ship_plan["plan"]["children"][0]["op"] == "HashAggregate"
+        assert (plan["plan"]["children"][0]["children"][0]["op"]
+                == "PartialAggregateScan")
 
 
 class TestFullScanAggregates:
@@ -174,16 +189,6 @@ class TestFullScanAggregates:
 
 
 class TestEngineConfig:
-    def test_unknown_disabled_rule_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            QueryEngine(cluster, disabled_rules=frozenset({"nope"}))
-
-    def test_routing_rule_cannot_be_disabled(self, cluster):
-        with pytest.raises(ValueError):
-            QueryEngine(
-                cluster,
-                disabled_rules=frozenset({"partition_key_routing"}))
-
     def test_limit_placeholder_still_rejected(self, session):
         with pytest.raises(CQLPlanningError):
             session.execute(

@@ -1,8 +1,8 @@
 """The concurrent DAG scheduler: overlap without wrong answers.
 
-Property under test: removing the whole-job lock changes *when* work
-runs, never *what* it computes — concurrent jobs agree with the
-``serialize_jobs=True`` baseline, shared shuffle lineage materializes
+Property under test: running jobs concurrently changes *when* work
+runs, never *what* it computes — concurrent jobs agree with the same
+jobs run one at a time, shared shuffle lineage materializes
 exactly once, failures propagate to every sharer and un-stick for
 retries, and shuffle outputs are freed when their RDD dies.
 """
@@ -27,9 +27,10 @@ def _word_count(ctx, seed):
 
 class TestConcurrentJobs:
     def test_concurrent_jobs_match_serialized_baseline(self):
-        with SparkletContext(4, serialize_jobs=True) as baseline, \
+        with SparkletContext(4) as one_at_a_time, \
                 SparkletContext(4) as conc:
-            expected = [sorted(_word_count(baseline, s)) for s in range(1, 7)]
+            expected = [sorted(_word_count(one_at_a_time, s))
+                        for s in range(1, 7)]
             with ThreadPoolExecutor(max_workers=6) as pool:
                 futures = [pool.submit(_word_count, conc, s)
                            for s in range(1, 7)]
@@ -81,7 +82,7 @@ class TestConcurrentJobs:
 
     def test_diamond_join_no_deadlock_under_concurrency(self):
         """Both reduce sides of a join, raced by several driver threads."""
-        with SparkletContext(4, serialize_jobs=True) as baseline, \
+        with SparkletContext(4) as one_at_a_time, \
                 SparkletContext(4) as sc:
             def diamond(ctx):
                 base = ctx.parallelize(range(400), 2)
@@ -91,7 +92,7 @@ class TestConcurrentJobs:
                          .reduceByKey(lambda a, b: a + b, 2))
                 return sorted(left.join(right, 2).collect())
 
-            expected = diamond(baseline)
+            expected = diamond(one_at_a_time)
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [pool.submit(diamond, sc) for _ in range(4)]
                 results = [f.result(timeout=30) for f in futures]

@@ -1,9 +1,9 @@
 """Narrow-chain fusion: fused execution must be invisible.
 
-Every test here runs the same RDD program under the default compiled
-fusion and under ``fuse_narrow=False`` (layer-at-a-time generators) and
-requires identical results — plus the barriers (caching, raw
-mapPartitions) and metric accounting fusion must respect.
+Every chain here runs through the compiled fusion and through the
+list-backed reference evaluation (``tests/oracle``) and must give
+identical results — plus the barriers (caching, raw mapPartitions) and
+metric accounting fusion must respect.
 """
 
 import pytest
@@ -11,15 +11,13 @@ import pytest
 from repro import obs
 from repro.sparklet import SparkletContext
 from repro.sparklet.rdd import _FUSED_CODE_CACHE, _compile_ops
+from tests.oracle import ListRDD
 
 
 @pytest.fixture()
-def contexts():
-    fused = SparkletContext(4)
-    plain = SparkletContext(4, fuse_narrow=False)
-    yield fused, plain
-    fused.stop()
-    plain.stop()
+def sc():
+    with SparkletContext(4) as ctx:
+        yield ctx
 
 
 DATA = list(range(500))
@@ -64,89 +62,74 @@ KV_CHAINS = {
 
 class TestFusionParity:
     @pytest.mark.parametrize("name", sorted(CHAINS))
-    def test_chain_matrix(self, contexts, name):
-        fused, plain = contexts
+    def test_chain_matrix(self, sc, name):
         build = CHAINS[name]
-        assert (build(fused.parallelize(DATA, 4)).collect()
-                == build(plain.parallelize(DATA, 4)).collect())
+        assert (build(sc.parallelize(DATA, 4)).collect()
+                == build(ListRDD(DATA)).collect())
 
     @pytest.mark.parametrize("name", sorted(KV_CHAINS))
-    def test_kv_chain_matrix(self, contexts, name):
-        fused, plain = contexts
+    def test_kv_chain_matrix(self, sc, name):
         build = KV_CHAINS[name]
-        assert (build(fused.parallelize(KV_DATA, 3)).collect()
-                == build(plain.parallelize(KV_DATA, 3)).collect())
+        assert (build(sc.parallelize(KV_DATA, 3)).collect()
+                == build(ListRDD(KV_DATA)).collect())
 
-    def test_empty_partitions(self, contexts):
-        fused, plain = contexts
+    def test_empty_partitions(self, sc):
         build = CHAINS["long-mixed"]
         # 2 records across 8 partitions: most partitions are empty.
-        assert (build(fused.parallelize([1, 2], 8)).collect()
-                == build(plain.parallelize([1, 2], 8)).collect())
-        assert build(fused.parallelize([], 4)).collect() == []
+        assert (build(sc.parallelize([1, 2], 8)).collect()
+                == build(ListRDD([1, 2])).collect())
+        assert build(sc.parallelize([], 4)).collect() == []
 
-    def test_shuffle_on_top_of_fused_chain(self, contexts):
-        fused, plain = contexts
-
-        def build(r):
-            return (r.map(lambda x: x + 1)
-                    .filter(lambda x: x % 2 == 0)
-                    .keyBy(lambda x: x % 8)
-                    .reduceByKey(lambda a, b: a + b, 3)
-                    .sortBy(lambda kv: kv[0]))
-
-        assert (build(fused.parallelize(DATA, 4)).collect()
-                == build(plain.parallelize(DATA, 4)).collect())
+    def test_shuffle_on_top_of_fused_chain(self, sc):
+        got = (sc.parallelize(DATA, 4)
+               .map(lambda x: x + 1)
+               .filter(lambda x: x % 2 == 0)
+               .keyBy(lambda x: x % 8)
+               .reduceByKey(lambda a, b: a + b, 3)
+               .sortBy(lambda kv: kv[0])
+               .collect())
+        sums = {}
+        for x in DATA:
+            if (x + 1) % 2 == 0:
+                sums[(x + 1) % 8] = sums.get((x + 1) % 8, 0) + x + 1
+        assert got == sorted(sums.items())
 
 
 class TestFusionBarriers:
-    def test_cached_intermediate_is_a_barrier(self, contexts):
-        fused, plain = contexts
-        f_mid = fused.parallelize(DATA, 4).map(lambda x: x * 2).cache()
-        p_mid = plain.parallelize(DATA, 4).map(lambda x: x * 2).cache()
-        f_top = f_mid.filter(lambda x: x % 3 == 0).map(lambda x: x + 1)
-        p_top = p_mid.filter(lambda x: x % 3 == 0).map(lambda x: x + 1)
-        assert f_top.collect() == p_top.collect()
+    def test_cached_intermediate_is_a_barrier(self, sc):
+        mid = sc.parallelize(DATA, 4).map(lambda x: x * 2).cache()
+        top = mid.filter(lambda x: x % 3 == 0).map(lambda x: x + 1)
+        assert top.collect() == [x * 2 + 1 for x in DATA if x * 2 % 3 == 0]
         # The cache below the fused chain must still be populated —
         # fusion may not reach through a cached layer.
-        assert f_mid.is_fully_cached
-        assert f_mid.collect() == p_mid.collect()
+        assert mid.is_fully_cached
+        assert mid.collect() == [x * 2 for x in DATA]
 
-    def test_raw_map_partitions_is_a_barrier(self, contexts):
-        fused, plain = contexts
+    def test_raw_map_partitions_is_a_barrier(self, sc):
+        base = sc.parallelize(DATA, 4)
+        got = (base.map(lambda x: x + 1)
+               .mapPartitions(lambda it: [sum(it)])
+               .map(lambda x: x * 2)
+               .collect())
+        assert got == [sum(x + 1 for x in part) * 2
+                       for part in base.glom().collect()]
 
-        def build(r):
-            return (r.map(lambda x: x + 1)
-                    .mapPartitions(lambda it: [sum(it)])
-                    .map(lambda x: x * 2))
-
-        assert (build(fused.parallelize(DATA, 4)).collect()
-                == build(plain.parallelize(DATA, 4)).collect())
-
-    def test_records_read_preserved(self, tmp_path, contexts):
-        fused, plain = contexts
+    def test_records_read_preserved(self, tmp_path, sc):
         path = tmp_path / "lines.txt"
         path.write_text("".join(f"line {i}\n" for i in range(120)))
-
-        def run(ctx):
-            ctx.reset_metrics()
-            out = (ctx.textFile(str(path), 4)
-                   .map(str.strip)
-                   .filter(lambda s: not s.endswith("7"))
-                   .map(len)
-                   .collect())
-            return out, ctx.metrics.records_read
-
-        f_out, f_read = run(fused)
-        p_out, p_read = run(plain)
-        assert f_out == p_out
-        assert f_read == p_read == 120
+        sc.reset_metrics()
+        out = (sc.textFile(str(path), 4)
+               .map(str.strip)
+               .filter(lambda s: not s.endswith("7"))
+               .map(len)
+               .collect())
+        assert out == [len(f"line {i}") for i in range(120) if i % 10 != 7]
+        assert sc.metrics.records_read == 120
 
 
 class TestFusionMachinery:
-    def test_codegen_cached_by_shape(self, contexts):
-        fused, _ = contexts
-        rdd = (fused.parallelize(DATA, 2)
+    def test_codegen_cached_by_shape(self, sc):
+        rdd = (sc.parallelize(DATA, 2)
                .map(lambda x: x + 1)
                .filter(lambda x: x % 2 == 0))
         rdd.collect()
@@ -179,14 +162,3 @@ class TestFusionMachinery:
              .collect())
         assert chains.value == c0 + 2          # one chain per partition
         assert ops.value == o0 + 6             # 3 ops x 2 partitions
-
-    def test_fuse_narrow_false_disables_codegen(self):
-        reg = obs.get_registry()
-        chains = reg.counter("sparklet.fusion.chains")
-        c0 = chains.value
-        with SparkletContext(2, fuse_narrow=False) as sc:
-            (sc.parallelize(range(100), 2)
-             .map(lambda x: x + 1)
-             .map(lambda x: x * 2)
-             .collect())
-        assert chains.value == c0
