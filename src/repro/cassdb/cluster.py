@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import random
 import threading
@@ -82,21 +83,27 @@ class Consistency(Enum):
         return replication_factor
 
 
-def _classify_predicates(
-    schema: TableSchema, predicates: Sequence[tuple[str, str, Any]]
-) -> list[tuple[tuple[str, Any], str, Any]]:
-    """Resolve ``(column, op, value)`` residuals against a schema into
-    the ``((kind, ref), op, value)`` sources the vector kernels take."""
-    ck = schema.clustering_key
-    out = []
-    for col, op, value in predicates:
-        if col in schema.partition_key:
-            out.append((("pk", col), op, value))
-        elif col in ck:
-            out.append((("ck", ck.index(col)), op, value))
-        else:
-            out.append((("cell", col), op, value))
-    return out
+def _partition_of(
+    schema: TableSchema, partition_values: Sequence[Any] | Mapping[str, Any]
+) -> tuple[str, dict[str, Any]]:
+    """Ring key and ``column -> value`` mapping of one partition, from
+    positional or named partition-key values."""
+    if isinstance(partition_values, Mapping):
+        return (schema.partition_key_of(partition_values),
+                {c: partition_values[c] for c in schema.partition_key})
+    return (schema.partition_key_from_tuple(partition_values),
+            dict(zip(schema.partition_key, partition_values)))
+
+
+def _dicts(
+    schema: TableSchema, pk_values: Mapping[str, Any],
+    source: "BlockView | list[Row]",
+) -> list[dict[str, Any]]:
+    """Every column of a partition read, as plain dicts."""
+    if isinstance(source, BlockView):
+        return materialize_dicts(source, schema, pk_values, None)
+    return [schema.rehydrate(pk_values, r.clustering, r.as_dict())
+            for r in source]
 
 
 def _filter_dicts(
@@ -114,6 +121,19 @@ def _filter_dicts(
              if all(scalar_matches(d.get(col), op, value)
                     for col, op, value in predicates)]
     return dicts if limit is None else dicts[:limit]
+
+
+def _merge_copies(copies: Iterable[list[Row]]) -> dict[tuple, Row]:
+    """Every replica's copy of a partition merged by clustering key
+    (cell-level last-write-wins)."""
+    merged: dict[tuple, Row] = {}
+    for rows in copies:
+        for row in rows:
+            existing = merged.get(row.clustering)
+            merged[row.clustering] = (
+                row if existing is None else merge_rows(existing, row)
+            )
+    return merged
 
 
 def _now_us() -> int:
@@ -270,7 +290,10 @@ class Cluster:
 
     # -- schema -----------------------------------------------------------
 
-    def create_table(self, schema: TableSchema) -> TableSchema:
+    def create_table(self, schema: TableSchema,
+                     if_not_exists: bool = False) -> TableSchema:
+        if if_not_exists and schema.name in self.keyspace.tables:
+            return self.keyspace.tables[schema.name]
         return self.keyspace.create_table(schema)
 
     def drop_table(self, name: str) -> None:
@@ -523,8 +546,8 @@ class Cluster:
         The batched commit the ingest pipelines ride (§III-D: Spark
         micro-batches into the backend):
 
-        * keys are extracted by the schema's precompiled
-          :attr:`~repro.cassdb.schema.TableSchema.row_extractor`;
+        * rows are built by the schema's precompiled
+          :attr:`~repro.cassdb.schema.TableSchema.row_builder`;
         * rows are grouped by replica set, each group sorted by
           partition key and applied with **one** stripe-lock
           acquisition, one ``TableStore`` lock per replica, and one
@@ -698,48 +721,29 @@ class Cluster:
         predicates present, *limit* counts matching rows.
         """
         schema = self.schema(table)
-        if isinstance(partition_values, Mapping):
-            pk = schema.partition_key_of(partition_values)
-            pk_values: Mapping[str, Any] = {
-                c: partition_values[c] for c in schema.partition_key
-            }
-        else:
-            pk = schema.partition_key_from_tuple(partition_values)
-            pk_values = dict(zip(schema.partition_key, partition_values))
+        pk, pk_values = _partition_of(schema, partition_values)
         # A limit must count post-filter rows, so it cannot be pushed to
         # the replica read when predicates will drop some of them.
         store_limit = None if predicates else limit
         source = self._replicated_read(
-            table, pk, lower, upper, reverse, store_limit, consistency,
-            as_view=True,
-        )
+            table, pk, lower, upper, reverse, store_limit, consistency)
         if isinstance(source, BlockView):
             if predicates:
                 source = select_rows(
-                    source, _classify_predicates(schema, predicates),
+                    source,
+                    [(schema.column_source(col), op, value)
+                     for col, op, value in predicates],
                     pk_values)
                 if limit is not None:
                     source = source.ordered(False, limit)
             return materialize_dicts(source, schema, pk_values, columns)
-        rows = source
         if columns is None:
-            out = [
-                schema.rehydrate(pk_values, r.clustering, r.as_dict())
-                for r in rows
-            ]
-            return _filter_dicts(out, predicates, limit)
+            return _filter_dicts(_dicts(schema, pk_values, source),
+                                 predicates, limit)
         # Classify each projected column once, not once per row.
-        ck = schema.clustering_key
-        sources: list[tuple[str, Any]] = []
-        for col in columns:
-            if col in schema.partition_key:
-                sources.append(("pk", col))
-            elif col in ck:
-                sources.append(("ck", ck.index(col)))
-            else:
-                sources.append(("cell", col))
+        sources = [schema.column_source(col) for col in columns]
         out: list[dict[str, Any]] = []
-        for r in rows:
+        for r in source:
             d: dict[str, Any] = {}
             for (kind, ref), col in zip(sources, columns):
                 if kind == "cell":
@@ -773,29 +777,64 @@ class Cluster:
         input order** — Cassandra's multi-partition IN semantics, minus
         the serial round-trips.  Single-key calls stay inline.
         """
-        if len(partition_values_list) <= 1:
-            return [
-                self.select_partition(
-                    table, pv, lower=lower, upper=upper, reverse=reverse,
-                    limit=limit, columns=columns, predicates=predicates,
-                    consistency=consistency,
-                )
-                for pv in partition_values_list
-            ]
+        def read_one(pv: Sequence[Any] | Mapping[str, Any]):
+            return self.select_partition(
+                table, pv, lower=lower, upper=upper, reverse=reverse,
+                limit=limit, columns=columns, predicates=predicates,
+                consistency=consistency,
+            )
+
+        return self._scatter(read_one, partition_values_list,
+                             "cassdb.scatter_gather", table)
+
+    def select_window(
+        self,
+        table: str,
+        t0: float,
+        t1: float,
+        rest: Sequence[Any] | None = None,
+    ) -> list[dict[str, Any]]:
+        """Rows of a time-bucketed table stamped in ``[t0, t1)``, in
+        (bucket, partition, clustering) order.
+
+        *rest* is the partition-key values after the bucket column;
+        ``None`` reads every partition present in the covered buckets.
+        The table must cluster on the timestamp first: the window is
+        pushed to the store as clustering bounds, so the store prunes
+        instead of the caller filtering.
+        """
+        schema = self.schema(table)
+        buckets = schema.buckets(t0, t1)
+        if rest is not None:
+            partitions = [(bucket, *rest) for bucket in buckets]
+        else:
+            partitions = sorted(
+                values for values in (
+                    tuple(schema.partition_values_from_key(pk).values())
+                    for pk in self.partition_keys(table)
+                ) if values[0] in buckets
+            )
+        parts = self.select_partitions(
+            table, partitions, lower=ClusteringBound((t0,)),
+            upper=ClusteringBound((t1,), inclusive=False),
+        )
+        return [row for rows in parts for row in rows]
+
+    def _scatter(self, fn: Callable[[Any], Any], items: Sequence[Any],
+                 span_name: str, table: str) -> list[Any]:
+        """``[fn(item) for item in items]`` in input order: inline for
+        at most one item, fanned out on the coordinator pool under one
+        *span_name* span otherwise."""
+        if len(items) <= 1:
+            return [fn(item) for item in items]
         self._m_scatter_gathers.inc()
         pool = self._scatter_pool
         with obs.get_tracer().span(
-            "cassdb.scatter_gather", table=table,
-            partitions=len(partition_values_list),
+            span_name, table=table, partitions=len(items),
         ):
             futures = [
-                pool.submit(
-                    contextvars.copy_context().run, self.select_partition,
-                    table, pv, lower=lower, upper=upper, reverse=reverse,
-                    limit=limit, columns=columns, predicates=predicates,
-                    consistency=consistency,
-                )
-                for pv in partition_values_list
+                pool.submit(contextvars.copy_context().run, fn, item)
+                for item in items
             ]
             try:
                 return [f.result() for f in futures]
@@ -832,36 +871,13 @@ class Cluster:
         self._m_agg_pushdown_partitions.inc(len(partition_values_list))
 
         def fold_one(pv: Sequence[Any] | Mapping[str, Any]) -> Any:
-            if isinstance(pv, Mapping):
-                pk = schema.partition_key_of(pv)
-                pk_values = {c: pv[c] for c in schema.partition_key}
-            else:
-                pk = schema.partition_key_from_tuple(pv)
-                pk_values = dict(zip(schema.partition_key, pv))
+            pk, pk_values = _partition_of(schema, pv)
             source = self._replicated_read(
-                table, pk, lower, upper, False, None, consistency,
-                as_view=True,
-            )
+                table, pk, lower, upper, False, None, consistency)
             return fold(pk_values, source)
 
-        if len(partition_values_list) <= 1:
-            return [fold_one(pv) for pv in partition_values_list]
-        self._m_scatter_gathers.inc()
-        pool = self._scatter_pool
-        with obs.get_tracer().span(
-            "cassdb.aggregate_scatter", table=table,
-            partitions=len(partition_values_list),
-        ):
-            futures = [
-                pool.submit(contextvars.copy_context().run, fold_one, pv)
-                for pv in partition_values_list
-            ]
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                for f in futures:
-                    f.cancel()
-                raise
+        return self._scatter(fold_one, partition_values_list,
+                             "cassdb.aggregate_scatter", table)
 
     def _replicated_read(
         self,
@@ -872,7 +888,6 @@ class Cluster:
         reverse: bool,
         limit: int | None,
         consistency: Consistency,
-        as_view: bool = False,
     ) -> "BlockView | list[Row]":
         start = time.perf_counter()
         with obs.get_tracer().span(
@@ -880,7 +895,7 @@ class Cluster:
         ) as span:
             rows = self._retrying("read", lambda: self._coordinate_read(
                 table, partition_key, lower, upper, reverse, limit,
-                consistency, as_view,
+                consistency,
             ))
             span.set(rows=len(rows))
         self._m_read_latency.observe((time.perf_counter() - start) * 1000.0)
@@ -895,7 +910,6 @@ class Cluster:
         reverse: bool,
         limit: int | None,
         consistency: Consistency,
-        as_view: bool = False,
     ) -> "BlockView | list[Row]":
         with self._counter_lock:
             self.coordinator_reads += 1
@@ -910,6 +924,25 @@ class Cluster:
             self._m_consistency_failures.inc()
             raise UnavailableError(required, len(alive))
         targets, spares = self._read_targets(alive, required)
+        if len(targets) == 1:
+            # Vectorized fast path (the CL=ONE steady state): hand the
+            # replica's BlockView straight through — the store already
+            # dropped dead rows and applied reverse/limit, and a single
+            # response needs no reconciliation.
+            rid = targets[0]
+            g = self.chaos_gate
+            if g is not None:
+                g.before_replica_read(rid)
+            try:
+                source = self.nodes[rid].read_partition_view(
+                    table, partition_key, lower, upper, reverse, limit
+                )
+            except NodeDownError:
+                self._breaker_failure(rid)
+                self._m_consistency_failures.inc()
+                raise ReadTimeoutError(required, 0)
+            self._breaker_success(rid)
+            return source
         responses: dict[str, list[Row]] = {}
 
         def read_replica(replica_id: str) -> list[Row] | None:
@@ -926,64 +959,40 @@ class Cluster:
             self._breaker_success(replica_id)
             return rows
 
-        if len(targets) == 1:
-            if as_view:
-                # Vectorized fast path (the CL=ONE steady state): hand
-                # the replica's BlockView straight through — the store
-                # already dropped dead rows and applied reverse/limit,
-                # and a single response needs no reconciliation.
-                rid = targets[0]
-                g = self.chaos_gate
-                if g is not None:
-                    g.before_replica_read(rid)
-                try:
-                    source = self.nodes[rid].read_partition_view(
-                        table, partition_key, lower, upper, reverse, limit
-                    )
-                except NodeDownError:
-                    self._breaker_failure(rid)
-                    self._m_consistency_failures.inc()
-                    raise ReadTimeoutError(required, 0)
-                self._breaker_success(rid)
-                return source
-            rows = read_replica(targets[0])
-            if rows is not None:
-                responses[targets[0]] = rows
-        else:
-            # QUORUM/ALL: query every required replica concurrently and
-            # gather — digest latency is max(replicas), not sum.
-            self._m_parallel_replica_reads.inc()
-            pool = self._replica_pool
-            futures = {
-                pool.submit(
-                    contextvars.copy_context().run, read_replica, rid): rid
-                for rid in targets
-            }
-            policy = self.retry_policy
-            threshold = (None if policy is None
-                         else policy.speculative_threshold_ms)
-            hedged: set[str] = set()
-            if threshold is not None and spares:
-                # Speculative retry: replicas still silent past the
-                # threshold each get a hedged duplicate on a spare.
-                _, pending = wait(futures, timeout=threshold / 1000.0)
-                if pending:
-                    for rid in spares[:len(pending)]:
-                        hedged.add(rid)
-                        futures[pool.submit(
-                            contextvars.copy_context().run,
-                            read_replica, rid)] = rid
-                    self._m_spec_reads.inc(len(hedged))
-            for future in as_completed(futures):
-                rid = futures[future]
-                rows = future.result()
-                if rows is not None and rid not in responses:
-                    responses[rid] = rows
-                    if len(responses) >= required:
-                        break
-            for rid in responses:
-                if rid in hedged:
-                    self._m_spec_wins.inc()
+        # QUORUM/ALL: query every required replica concurrently and
+        # gather — digest latency is max(replicas), not sum.
+        self._m_parallel_replica_reads.inc()
+        pool = self._replica_pool
+        futures = {
+            pool.submit(
+                contextvars.copy_context().run, read_replica, rid): rid
+            for rid in targets
+        }
+        policy = self.retry_policy
+        threshold = (None if policy is None
+                     else policy.speculative_threshold_ms)
+        hedged: set[str] = set()
+        if threshold is not None and spares:
+            # Speculative retry: replicas still silent past the
+            # threshold each get a hedged duplicate on a spare.
+            _, pending = wait(futures, timeout=threshold / 1000.0)
+            if pending:
+                for rid in spares[:len(pending)]:
+                    hedged.add(rid)
+                    futures[pool.submit(
+                        contextvars.copy_context().run,
+                        read_replica, rid)] = rid
+                self._m_spec_reads.inc(len(hedged))
+        for future in as_completed(futures):
+            rid = futures[future]
+            rows = future.result()
+            if rows is not None and rid not in responses:
+                responses[rid] = rows
+                if len(responses) >= required:
+                    break
+        for rid in responses:
+            if rid in hedged:
+                self._m_spec_wins.inc()
         if len(responses) < required:
             self._m_consistency_failures.inc()
             raise ReadTimeoutError(required, len(responses))
@@ -998,16 +1007,7 @@ class Cluster:
     def _reconcile_reads(
         self, table: str, partition_key: str, responses: dict[str, list[Row]]
     ) -> list[Row]:
-        if len(responses) == 1:
-            rows = next(iter(responses.values()))
-            return [r for r in rows if r.is_live]
-        merged: dict[tuple, Row] = {}
-        for rows in responses.values():
-            for row in rows:
-                existing = merged.get(row.clustering)
-                merged[row.clustering] = (
-                    row if existing is None else merge_rows(existing, row)
-                )
+        merged = _merge_copies(responses.values())
         # Read repair: push the reconciled row back to replicas that
         # returned a stale or missing copy.
         for replica_id, rows in responses.items():
@@ -1026,6 +1026,21 @@ class Cluster:
 
     # -- full scans & placement introspection ---------------------------------
 
+    def _first_alive_view(
+        self, table: str, partition_key: str
+    ) -> "BlockView | list[Row] | None":
+        """One partition as its first alive replica holds it; None when
+        every replica is down."""
+        for replica_id in self.ring.replicas(partition_key):
+            node = self.nodes[replica_id]
+            if not node.up:
+                continue
+            try:
+                return node.read_partition_view(table, partition_key)
+            except NodeDownError:  # crashed but unconvicted: next replica
+                continue
+        return None
+
     def scan_table(self, table: str) -> Iterable[dict[str, Any]]:
         """Yield every live row of a table (analytics full-scan path).
 
@@ -1034,26 +1049,9 @@ class Cluster:
         ``cassandraTable`` uses :meth:`partitions_by_node` to do the same
         scan with locality.
         """
-        schema = self.schema(table)
-        for pk in sorted(self.partition_keys(table)):
-            pk_values = schema.partition_values_from_key(pk)
-            replicas = self.ring.replicas(pk)
-            for replica_id in replicas:
-                node = self.nodes[replica_id]
-                if not node.up:
-                    continue
-                try:
-                    source = node.read_partition_view(table, pk)
-                except NodeDownError:  # crashed but unconvicted: next replica
-                    continue
-                if isinstance(source, BlockView):
-                    yield from materialize_dicts(source, schema, pk_values,
-                                                 None)
-                else:
-                    for row in source:
-                        yield schema.rehydrate(pk_values, row.clustering,
-                                               row.as_dict())
-                break
+        to_dicts = functools.partial(_dicts, self.schema(table))
+        for rows in self.fold_table_partitions(table, to_dicts):
+            yield from rows
 
     def fold_table_partitions(
         self,
@@ -1070,17 +1068,9 @@ class Cluster:
         """
         schema = self.schema(table)
         for pk in sorted(self.partition_keys(table)):
-            pk_values = schema.partition_values_from_key(pk)
-            for replica_id in self.ring.replicas(pk):
-                node = self.nodes[replica_id]
-                if not node.up:
-                    continue
-                try:
-                    source = node.read_partition_view(table, pk)
-                except NodeDownError:  # crashed but unconvicted: next replica
-                    continue
-                yield fold(pk_values, source)
-                break
+            source = self._first_alive_view(table, pk)
+            if source is not None:
+                yield fold(schema.partition_values_from_key(pk), source)
 
     def partition_keys(self, table: str) -> set[str]:
         keys: set[str] = set()
@@ -1111,31 +1101,15 @@ class Cluster:
         with obs.get_tracer().span(
             "cassdb.read", table=table, partition=partition_key, locality=True
         ) as span:
-            rows = self._read_partition_raw_impl(table, partition_key)
+            schema = self.schema(table)
+            pk_values = schema.partition_values_from_key(partition_key)
+            source = self._first_alive_view(table, partition_key)
+            if source is None:
+                raise UnavailableError(1, 0)
+            rows = _dicts(schema, pk_values, source)
             span.set(rows=len(rows))
         self._m_read_latency.observe((time.perf_counter() - start) * 1000.0)
         return rows
-
-    def _read_partition_raw_impl(
-        self, table: str, partition_key: str
-    ) -> list[dict[str, Any]]:
-        schema = self.schema(table)
-        pk_values = schema.partition_values_from_key(partition_key)
-        for replica_id in self.ring.replicas(partition_key):
-            node = self.nodes[replica_id]
-            if not node.up:
-                continue
-            try:
-                source = node.read_partition_view(table, partition_key)
-            except NodeDownError:  # crashed but unconvicted: next replica
-                continue
-            if isinstance(source, BlockView):
-                return materialize_dicts(source, schema, pk_values, None)
-            return [
-                schema.rehydrate(pk_values, r.clustering, r.as_dict())
-                for r in source
-            ]
-        raise UnavailableError(1, 0)
 
     # -- anti-entropy repair -----------------------------------------------
 
@@ -1185,14 +1159,7 @@ class Cluster:
                 }
                 if len(set(digests.values())) == 1:
                     continue
-                merged: dict[tuple, Row] = {}
-                for rows in copies.values():
-                    for row in rows:
-                        existing = merged.get(row.clustering)
-                        merged[row.clustering] = (
-                            row if existing is None
-                            else merge_rows(existing, row)
-                        )
+                merged = _merge_copies(copies.values())
                 for rid in replicas:
                     have = {r.clustering: r for r in copies[rid]}
                     node = self.nodes[rid]

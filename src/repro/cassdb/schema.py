@@ -53,6 +53,12 @@ class TableSchema:
     column_types:
         Declared ``(column, type)`` pairs from ``CREATE TABLE`` (advisory
         — the store stays schema-flexible; undeclared columns are legal).
+    time_bucket:
+        ``(column, width_seconds)`` for a time-bucketed table: the first
+        partition-key column is ``floor(ts / width)``, e.g. ``("hour",
+        3600.0)``.  The single source of the bucket width — writers call
+        :meth:`bucket_of`, readers :meth:`buckets` — and bucket ids are
+        ints, so the column's ring-key codec is implied.
     dict_columns:
         Columns to force dictionary encoding for in column blocks,
         whatever cardinality one block happens to see (event ``type``,
@@ -69,11 +75,12 @@ class TableSchema:
     # Optional converters applied when a partition key is *parsed back*
     # from its ring-key string (full scans, locality reads).  Keys are
     # partition-key column names, values are callables str -> value,
-    # e.g. {"hour": int}.  Unlisted columns come back as strings.
+    # e.g. (("apid", int),).  Unlisted columns come back as strings.
     key_codecs: tuple[tuple[str, Callable[[str], Any]], ...] = ()
     index_interval: int = 64
     column_types: tuple[tuple[str, str], ...] = ()
     dict_columns: tuple[str, ...] = ()
+    time_bucket: tuple[str, float] | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -87,6 +94,14 @@ class TableSchema:
         if self.index_interval < 1:
             raise SchemaError(
                 f"table {self.name!r}: index_interval must be >= 1"
+            )
+        if self.time_bucket is not None and (
+            self.time_bucket[0] != self.partition_key[0]
+            or not self.time_bucket[1] > 0
+        ):
+            raise SchemaError(
+                f"table {self.name!r}: time_bucket must name the first "
+                "partition key column and a positive width"
             )
         overlap = set(self.partition_key) & set(self.clustering_key)
         if overlap:
@@ -104,6 +119,31 @@ class TableSchema:
             dict_columns=frozenset(self.dict_columns),
             column_types=dict(self.column_types) or None,
         )
+
+    # -- time buckets ---------------------------------------------------
+
+    def bucket_of(self, ts: float) -> int:
+        """The bucket-column value of a row stamped *ts*."""
+        return int(ts // self.time_bucket[1])
+
+    def buckets(self, t0: float, t1: float) -> range:
+        """The buckets ``[t0, t1)`` overlaps: ``floor(t0/W) … ceil(t1/W)``
+        (floor division is exact, so a window ending on a bucket edge
+        never reaches into the next bucket)."""
+        if t1 <= t0:
+            return range(0)
+        width = self.time_bucket[1]
+        return range(int(t0 // width), -int(-t1 // width))
+
+    def column_source(self, column: str) -> tuple[str, Any]:
+        """Where a column's value lives, as the ``(kind, ref)`` source
+        the vector kernels take: ``("pk", name)``, ``("ck", index)`` or
+        ``("cell", name)``."""
+        if column in self.partition_key:
+            return ("pk", column)
+        if column in self.clustering_key:
+            return ("ck", self.clustering_key.index(column))
+        return ("cell", column)
 
     # -- key extraction -------------------------------------------------
 
@@ -144,18 +184,18 @@ class TableSchema:
         return tuple(out)
 
     @cached_property
-    def row_extractor(
+    def row_builder(
         self,
-    ) -> Callable[[Mapping[str, Any]], tuple[str, tuple, dict[str, Any]]]:
-        """Precompiled ``values -> (ring key, clustering, regular cells)``.
+    ) -> Callable[[Mapping[str, Any], int], tuple[str, Row]]:
+        """Precompiled ``(values, write_ts) -> (ring key, Row)``.
 
-        The batched write path calls this once per row, so the column
-        tuples, key-column set and separator are bound into the closure
-        up front instead of being re-derived from the schema on every
-        call (``partition_key_of`` + ``clustering_of`` +
-        ``regular_columns`` re-walk the schema each time).  Semantics
-        are identical, including the :class:`SchemaError` on a missing
-        key column.
+        The per-row unit of work on the hot write path (``insert`` and
+        ``write_batch``): the column tuples, key-column set and
+        separator are bound into the closure up front instead of being
+        re-derived from the schema on every call, and the non-key
+        columns go straight into :class:`~repro.cassdb.row.Cell`
+        objects in a single comprehension.  A missing key column is a
+        :class:`SchemaError`.
 
         (``cached_property`` writes straight into ``__dict__``, which a
         frozen dataclass permits — only ``__setattr__`` is blocked.)
@@ -168,50 +208,6 @@ class TableSchema:
         prefix = name + sep
         # itemgetter runs the column lookups in C; arity 1 returns a
         # bare value, 2+ a tuple, hence the three shapes below.
-        pk_get = itemgetter(*pk_cols)
-        single_pk = len(pk_cols) == 1
-        ck_get = itemgetter(*ck_cols) if ck_cols else None
-        single_ck = len(ck_cols) == 1
-
-        def extract(values: Mapping[str, Any]):
-            try:
-                if single_pk:
-                    pk = prefix + str(pk_get(values))
-                else:
-                    pk = prefix + sep.join(map(str, pk_get(values)))
-                if ck_get is None:
-                    clustering: tuple = ()
-                elif single_ck:
-                    clustering = (ck_get(values),)
-                else:
-                    clustering = ck_get(values)
-            except KeyError as exc:
-                raise SchemaError(
-                    f"table {name!r}: missing key column {exc.args[0]!r}"
-                ) from None
-            cells = {k: v for k, v in values.items() if k not in key_cols}
-            return pk, clustering, cells
-
-        return extract
-
-    @cached_property
-    def row_builder(
-        self,
-    ) -> Callable[[Mapping[str, Any], int], tuple[str, Row]]:
-        """Precompiled ``(values, write_ts) -> (ring key, Row)``.
-
-        One step further than :attr:`row_extractor`: the non-key columns
-        go straight into :class:`~repro.cassdb.row.Cell` objects in a
-        single comprehension, skipping the intermediate plain-dict the
-        extractor returns.  This is the per-row unit of work on the hot
-        write path (``insert`` and ``write_batch``).
-        """
-        name = self.name
-        pk_cols = self.partition_key
-        ck_cols = self.clustering_key
-        key_cols = frozenset(pk_cols) | frozenset(ck_cols)
-        sep = _KEY_SEPARATOR
-        prefix = name + sep
         pk_get = itemgetter(*pk_cols)
         single_pk = len(pk_cols) == 1
         ck_get = itemgetter(*ck_cols) if ck_cols else None
@@ -241,11 +237,6 @@ class TableSchema:
 
         return build
 
-    def regular_columns(self, values: Mapping[str, Any]) -> dict[str, Any]:
-        """The non-key columns of a row (stored as cells)."""
-        keys = set(self.partition_key) | set(self.clustering_key)
-        return {k: v for k, v in values.items() if k not in keys}
-
     def rehydrate(self, partition_values: Mapping[str, Any], clustering: tuple,
                   cells: Mapping[str, Any]) -> dict[str, Any]:
         """Reassemble a full ``column -> value`` row for query results."""
@@ -258,7 +249,7 @@ class TableSchema:
         """Invert :meth:`partition_key_of`.
 
         Values come back as strings unless a codec was declared for the
-        column in ``key_codecs`` (e.g. ``(("hour", int),)``).
+        column in ``key_codecs``; the ``time_bucket`` column is an int.
         """
         parts = ring_key.split(_KEY_SEPARATOR)
         if parts[0] != self.name or len(parts) != len(self.partition_key) + 1:
@@ -267,6 +258,8 @@ class TableSchema:
         for col, codec in self.key_codecs:
             if col in out:
                 out[col] = codec(out[col])
+        if self.time_bucket is not None:
+            out[self.time_bucket[0]] = int(out[self.time_bucket[0]])
         return out
 
 

@@ -326,7 +326,7 @@ def _cmd_analyze(args) -> int:
             print(fw.render_word_bubbles(ctx, n=10))
     else:  # synopsis
         fw.refresh_synopsis()
-        hours = range(int(ctx.t0 // 3600), int((ctx.t1 - 1e-9) // 3600) + 1)
+        hours = fw.cluster.schema("eventsynopsis").buckets(ctx.t0, ctx.t1)
         rows = [r for h in hours for r in fw.model.synopsis_for_hour(h)]
         print(json.dumps(rows, indent=None if args.as_json else 2))
     fw.stop()

@@ -51,6 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["TABLE_SCHEMAS", "LogDataModel"]
 
 
+# The four hour-bucketed tables declare ``time_bucket``; it is the only
+# place the bucket width is written (see docs/data-model.md).
 TABLE_SCHEMAS: dict[str, TableSchema] = {
     "nodeinfos": TableSchema(
         "nodeinfos",
@@ -66,28 +68,28 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
         "eventsynopsis",
         partition_key=("hour",),
         clustering_key=("type",),
-        key_codecs=(("hour", int),),
+        time_bucket=("hour", 3600.0),
         description="Per-hour per-type occurrence summary",
     ),
     "event_by_time": TableSchema(
         "event_by_time",
         partition_key=("hour", "type"),
         clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),),
+        time_bucket=("hour", 3600.0),
         description="Events viewed by time: partition (hour, type)",
     ),
     "event_by_location": TableSchema(
         "event_by_location",
         partition_key=("hour", "source"),
         clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),),
+        time_bucket=("hour", 3600.0),
         description="Events viewed by location: partition (hour, source)",
     ),
     "application_by_time": TableSchema(
         "application_by_time",
         partition_key=("hour",),
         clustering_key=("start", "apid"),
-        key_codecs=(("hour", int),),
+        time_bucket=("hour", 3600.0),
         description="Application runs viewed by hour",
     ),
     "application_by_user": TableSchema(
@@ -103,6 +105,10 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
         description="Application runs viewed by node",
     ),
 }
+
+_BY_TIME = TABLE_SCHEMAS["event_by_time"]
+_BY_LOCATION = TABLE_SCHEMAS["event_by_location"]
+_RUNS_BY_TIME = TABLE_SCHEMAS["application_by_time"]
 
 
 class LogDataModel:
@@ -164,9 +170,11 @@ class LogDataModel:
         bumps) rather than two per-row writes per event.
         """
         rows: list[dict[str, Any]] = []
+        # Both views bucket by the same hour column.
+        hour_of = _BY_TIME.bucket_of
         for event in events:
             seq = next(self._seq)
-            hour = int(event.ts // 3600)
+            hour = hour_of(event.ts)
             attrs_json = json.dumps(event.attrs, sort_keys=True) if event.attrs else None
             row = {
                 "ts": float(event.ts),
@@ -215,9 +223,10 @@ class LogDataModel:
                 "nodes": json.dumps(run.nodes),
                 "exit_status": run.exit_status,
             }
-            first_hour = int(run.start // 3600)
-            last_hour = int(max(run.start, run.end - 1e-9) // 3600)
-            for hour in range(first_hour, last_hour + 1):
+            # A zero-length run still appears in its start hour.
+            first_hour = _RUNS_BY_TIME.bucket_of(run.start)
+            for hour in (_RUNS_BY_TIME.buckets(run.start, run.end)
+                         or (first_hour,)):
                 by_time.append(
                     {**common, "hour": hour, "is_start": hour == first_hour}
                 )
@@ -236,9 +245,7 @@ class LogDataModel:
     def events_of_type(self, event_type: str, t0: float, t1: float
                        ) -> Iterator[dict[str, Any]]:
         """Events of one type in [t0, t1): one partition read per hour."""
-        if t1 <= t0:
-            return
-        for hour in range(int(t0 // 3600), int((t1 - 1e-9) // 3600) + 1):
+        for hour in _BY_TIME.buckets(t0, t1):
             yield from self.cluster.select_partition(
                 "event_by_time", (hour, event_type),
                 lower=ClusteringBound((t0,)),
@@ -248,9 +255,7 @@ class LogDataModel:
     def events_at_location(self, source: str, t0: float, t1: float
                            ) -> Iterator[dict[str, Any]]:
         """All events at one component in [t0, t1), any type."""
-        if t1 <= t0:
-            return
-        for hour in range(int(t0 // 3600), int((t1 - 1e-9) // 3600) + 1):
+        for hour in _BY_LOCATION.buckets(t0, t1):
             yield from self.cluster.select_partition(
                 "event_by_location", (hour, source),
                 lower=ClusteringBound((t0,)),
@@ -272,10 +277,8 @@ class LogDataModel:
 
     def runs_in_interval(self, t0: float, t1: float) -> list[dict[str, Any]]:
         """Runs overlapping [t0, t1), deduplicated across hour partitions."""
-        if t1 <= t0:
-            return []
         rows: list[dict[str, Any]] = []
-        for hour in range(int(t0 // 3600), int((t1 - 1e-9) // 3600) + 1):
+        for hour in _RUNS_BY_TIME.buckets(t0, t1):
             rows.extend(
                 self.cluster.select_partition("application_by_time", (hour,))
             )
@@ -286,7 +289,7 @@ class LogDataModel:
     def runs_running_at(self, ts: float) -> list[dict[str, Any]]:
         """Placement snapshot: runs active at *ts* (Fig 6, bottom)."""
         rows = self.cluster.select_partition(
-            "application_by_time", (int(ts // 3600),)
+            "application_by_time", (_RUNS_BY_TIME.bucket_of(ts),)
         )
         return self._dedupe_runs(
             r for r in rows if r["start"] <= ts < r["end"]

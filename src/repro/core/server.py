@@ -228,6 +228,16 @@ class AnalyticsServer:
 
     # -- helpers --------------------------------------------------------------
 
+    @staticmethod
+    def _require(request: dict[str, Any], field: str,
+                 source: dict[str, Any] | None = None) -> Any:
+        """The required *field* of the request (or of *source*, an
+        object nested in it); absent, None or empty is a typed error."""
+        value = (request if source is None else source).get(field)
+        if value is None or value == "" or value == []:
+            raise ValueError(f"{request['op']} requires '{field}'")
+        return value
+
     def _context(self, request: dict[str, Any]) -> Context:
         payload = request.get("context")
         if not isinstance(payload, dict):
@@ -243,9 +253,7 @@ class AnalyticsServer:
         return self.framework.model.event_types()
 
     def _op_nodeinfo(self, request):
-        cname = request.get("cname")
-        if not cname:
-            raise ValueError("nodeinfo requires 'cname'")
+        cname = self._require(request, "cname")
         info = self.framework.model.nodeinfo(cname)
         if info is None:
             raise KeyError(f"unknown node: {cname}")
@@ -260,15 +268,11 @@ class AnalyticsServer:
         return self.framework.runs(self._context(request))
 
     def _op_synopsis(self, request):
-        hour = request.get("hour")
-        if hour is None:
-            raise ValueError("synopsis requires 'hour'")
-        return self.framework.model.synopsis_for_hour(int(hour))
+        return self.framework.model.synopsis_for_hour(
+            int(self._require(request, "hour")))
 
     def _op_cql(self, request):
-        statement = request.get("statement")
-        if not statement:
-            raise ValueError("cql requires 'statement'")
+        statement = self._require(request, "statement")
         params = tuple(request.get("params", ()))
         session = self.framework.session
         plan = session.plan(statement)
@@ -303,10 +307,8 @@ class AnalyticsServer:
     def _op_explain(self, request):
         """The optimized plan for a statement as a stable JSON tree
         (works with or without a leading ``EXPLAIN`` keyword)."""
-        statement = request.get("statement")
-        if not statement:
-            raise ValueError("explain requires 'statement'")
-        return self.framework.session.explain(statement)
+        return self.framework.session.explain(
+            self._require(request, "statement"))
 
     # -- observability ops ----------------------------------------------------
 
@@ -345,16 +347,8 @@ class AnalyticsServer:
 
     # -- self-ingested telemetry ops (repro.obs.export) -----------------------
 
-    def _require_telemetry_table(self, table: str) -> None:
-        from repro.cassdb.errors import SchemaError
-
-        try:
-            self.framework.cluster.schema(table)
-        except SchemaError:
-            raise LookupError(
-                f"{table} not provisioned — attach a TelemetryPipeline "
-                "(repro.obs.export) so telemetry self-ingests"
-            ) from None
+    _TELEMETRY_HINT = ("attach a TelemetryPipeline (repro.obs.export) so "
+                       "telemetry self-ingests")
 
     @staticmethod
     def _telemetry_window(request) -> tuple[float, float]:
@@ -366,73 +360,31 @@ class AnalyticsServer:
             raise ValueError("telemetry window requires t0 < t1")
         return t0, t1
 
-    def _op_telemetry_series(self, request):
-        """Time-windowed series of one metric from ``metrics_by_time``:
-        one partition read per (minute, name), exactly how event
-        contexts read ``event_by_time``."""
-        name = request.get("name")
-        if not name:
-            raise ValueError("telemetry_series requires 'name'")
+    def _window_rows(self, request, table: str, rest=None, *,
+                     hint: str = _TELEMETRY_HINT
+                     ) -> tuple[float, float, list[dict]]:
+        """The request's ``[t0, t1)`` and the rows of time-bucketed
+        *table* in it (bucket column dropped) — one partition read per
+        covered bucket, exactly how event contexts read
+        ``event_by_time``.  *rest* as in ``Cluster.select_window``."""
         t0, t1 = self._telemetry_window(request)
-        self._require_telemetry_table("metrics_by_time")
         cluster = self.framework.cluster
-        partitions = [
-            (minute, name)
-            for minute in range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        ]
-        want = request.get("labels") or {}
-        points = []
-        for rows in cluster.select_partitions("metrics_by_time", partitions):
-            for row in rows:
-                if not t0 <= row["ts"] < t1:
-                    continue
-                labels = (json.loads(row["labels"])
-                          if row.get("labels") else {})
-                if want and any(labels.get(k) != v for k, v in want.items()):
-                    continue
-                point = {k: v for k, v in row.items()
-                         if k not in ("minute_bucket", "metric_name",
-                                      "labels")}
-                if labels:
-                    point["labels"] = labels
-                if point.get("exemplars"):
-                    # Stored JSON-encoded; surface as structured objects
-                    # so dashboards can link straight to the trace.
-                    point["exemplars"] = json.loads(point["exemplars"])
-                points.append(point)
-        points.sort(key=lambda p: (p["ts"], p.get("seq", 0)))
-        return {"name": name, "t0": t0, "t1": t1, "points": points}
+        if table not in cluster.keyspace.tables:
+            raise LookupError(f"{table} not provisioned — {hint}")
+        bucket = cluster.schema(table).time_bucket[0]
+        rows = cluster.select_window(table, t0, t1, rest)
+        for row in rows:
+            del row[bucket]
+        return t0, t1, rows
 
-    def _op_telemetry_spans(self, request):
-        """Slowest spans in a window from ``spans_by_time``,
-        reconstructed as trees via their parent links."""
-        t0, t1 = self._telemetry_window(request)
-        limit = int(request.get("limit", 20))
-        component = request.get("component")
-        self._require_telemetry_table("spans_by_time")
-        cluster = self.framework.cluster
-        minutes = range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        if component:
-            partitions = [(minute, component) for minute in minutes]
-        else:
-            schema = cluster.schema("spans_by_time")
-            wanted = set(minutes)
-            partitions = sorted(
-                (values["minute_bucket"], values["component"])
-                for values in (
-                    schema.partition_values_from_key(pk)
-                    for pk in cluster.partition_keys("spans_by_time")
-                )
-                if values["minute_bucket"] in wanted
-            )
+    @staticmethod
+    def _span_forest(rows: list[dict]) -> tuple[int, list[dict]]:
+        """Re-link span rows into trees via their parent ids; returns
+        (distinct spans, roots) — a root's parent is not among *rows*."""
         by_id: dict[int, dict] = {}
-        for rows in cluster.select_partitions("spans_by_time", partitions):
-            for row in rows:
-                if t0 <= row["ts"] < t1:
-                    node = {k: v for k, v in row.items()
-                            if k != "minute_bucket"}
-                    node["children"] = []
-                    by_id[node["span_id"]] = node
+        for row in rows:
+            row["children"] = []
+            by_id[row["span_id"]] = row
         roots = []
         for node in by_id.values():
             parent = by_id.get(node.get("parent_id"))
@@ -442,44 +394,55 @@ class AnalyticsServer:
                 roots.append(node)
         for node in by_id.values():
             node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
+        return len(by_id), roots
+
+    def _op_telemetry_series(self, request):
+        """Time-windowed series of one metric from ``metrics_by_time``."""
+        name = self._require(request, "name")
+        t0, t1, rows = self._window_rows(
+            request, "metrics_by_time", (name,))
+        want = request.get("labels") or {}
+        points = []
+        for point in rows:
+            del point["metric_name"]
+            labels = json.loads(point.pop("labels", None) or "{}")
+            if want and any(labels.get(k) != v for k, v in want.items()):
+                continue
+            if labels:
+                point["labels"] = labels
+            if point.get("exemplars"):
+                # Stored JSON-encoded; surface as structured objects
+                # so dashboards can link straight to the trace.
+                point["exemplars"] = json.loads(point["exemplars"])
+            points.append(point)
+        points.sort(key=lambda p: (p["ts"], p.get("seq", 0)))
+        return {"name": name, "t0": t0, "t1": t1, "points": points}
+
+    def _op_telemetry_spans(self, request):
+        """Slowest spans in a window from ``spans_by_time``,
+        reconstructed as trees via their parent links."""
+        limit = int(request.get("limit", 20))
+        component = request.get("component")
+        t0, t1, rows = self._window_rows(
+            request, "spans_by_time", (component,) if component else None)
+        spans, roots = self._span_forest(rows)
         roots.sort(key=lambda n: -n["duration_ms"])
-        return {"t0": t0, "t1": t1, "spans": len(by_id),
-                "trees": roots[:limit]}
+        return {"t0": t0, "t1": t1, "spans": spans, "trees": roots[:limit]}
 
     def _op_profile_flame(self, request):
         """Windowed flame data from ``profiles_by_time``: folded stacks
         (flamegraph.pl-compatible, component-rooted) plus the top hot
-        functions by exclusive samples — one partition read per
-        (minute, component), the event-table read path verbatim."""
+        functions by exclusive samples."""
         from repro.obs.profile import hot_functions
 
-        t0, t1 = self._telemetry_window(request)
         component = request.get("component")
         top = int(request.get("top", 10))
-        self._require_telemetry_table("profiles_by_time")
-        cluster = self.framework.cluster
-        minutes = range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        if component:
-            partitions = [(minute, component) for minute in minutes]
-        else:
-            schema = cluster.schema("profiles_by_time")
-            wanted = set(minutes)
-            partitions = sorted(
-                (values["minute_bucket"], values["component"])
-                for values in (
-                    schema.partition_values_from_key(pk)
-                    for pk in cluster.partition_keys("profiles_by_time")
-                )
-                if values["minute_bucket"] in wanted
-            )
+        t0, t1, rows = self._window_rows(
+            request, "profiles_by_time", (component,) if component else None)
         by_stack: dict[tuple[str, str], int] = {}
-        for rows in cluster.select_partitions("profiles_by_time",
-                                              partitions):
-            for row in rows:
-                if not t0 <= row["ts"] < t1:
-                    continue
-                key = (row["component"], row["stack"])
-                by_stack[key] = by_stack.get(key, 0) + row["samples"]
+        for row in rows:
+            key = (row["component"], row["stack"])
+            by_stack[key] = by_stack.get(key, 0) + row["samples"]
         folded = sorted(
             f"{comp};{stack} {count}"
             for (comp, stack), count in by_stack.items()
@@ -520,77 +483,32 @@ class AnalyticsServer:
         return critical_path(tree)
 
     def _trace_from_store(self, request, trace_id: int):
-        self._require_telemetry_table("spans_by_time")
-        t0, t1 = self._telemetry_window(request)
-        cluster = self.framework.cluster
-        schema = cluster.schema("spans_by_time")
-        wanted = set(range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1))
-        partitions = sorted(
-            (values["minute_bucket"], values["component"])
-            for values in (
-                schema.partition_values_from_key(pk)
-                for pk in cluster.partition_keys("spans_by_time")
-            )
-            if values["minute_bucket"] in wanted
-        )
-        by_id: dict[int, dict] = {}
-        for rows in cluster.select_partitions("spans_by_time", partitions):
-            for row in rows:
-                if row.get("trace_id") != trace_id:
-                    continue
-                node = {k: v for k, v in row.items() if k != "minute_bucket"}
-                node["children"] = []
-                by_id[node["span_id"]] = node
-        root = None
-        for node in by_id.values():
-            parent = by_id.get(node.get("parent_id"))
-            if parent is not None:
-                parent["children"].append(node)
-            elif root is None or node["duration_ms"] > root["duration_ms"]:
-                root = node
-        for node in by_id.values():
-            node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
-        return root
+        _, _, rows = self._window_rows(request, "spans_by_time")
+        _, roots = self._span_forest(
+            [row for row in rows if row.get("trace_id") == trace_id])
+        return max(roots, key=lambda n: n["duration_ms"], default=None)
 
     # -- detection alerts (repro.detect) --------------------------------------
 
     def _alert_rows(self, request) -> tuple[float, float, list[dict]]:
-        """Windowed, filtered rows of ``alerts_by_time``: one partition
-        read per covered minute, the same scatter ``telemetry_series``
-        does — plus optional severity/detector equality filters."""
-        from repro.cassdb.errors import SchemaError
-
-        t0, t1 = self._telemetry_window(request)
-        try:
-            self.framework.cluster.schema("alerts_by_time")
-        except SchemaError:
-            raise LookupError(
-                "alerts_by_time not provisioned — attach a "
-                "DetectionPipeline (repro.detect) so alerts land"
-            ) from None
+        """Windowed rows of ``alerts_by_time``, with optional
+        severity/detector equality filters."""
+        t0, t1, rows = self._window_rows(
+            request, "alerts_by_time", (),
+            hint="attach a DetectionPipeline (repro.detect) so alerts land")
         severity = request.get("severity")
         detector = request.get("detector")
-        partitions = [
-            (minute,)
-            for minute in range(int(t0 // 60), int((t1 - 1e-9) // 60) + 1)
-        ]
-        rows: list[dict] = []
-        for part in self.framework.cluster.select_partitions(
-                "alerts_by_time", partitions):
-            for row in part:
-                if not t0 <= row["ts"] < t1:
-                    continue
-                if severity and row.get("severity") != severity:
-                    continue
-                if detector and row.get("detector") != detector:
-                    continue
-                alert = {k: v for k, v in row.items()
-                         if k != "minute_bucket"}
-                if alert.get("evidence"):
-                    alert["evidence"] = json.loads(alert["evidence"])
-                rows.append(alert)
-        rows.sort(key=lambda a: (a["ts"], a.get("seq", 0)))
-        return t0, t1, rows
+        alerts = []
+        for alert in rows:
+            if severity and alert.get("severity") != severity:
+                continue
+            if detector and alert.get("detector") != detector:
+                continue
+            if alert.get("evidence"):
+                alert["evidence"] = json.loads(alert["evidence"])
+            alerts.append(alert)
+        alerts.sort(key=lambda a: (a["ts"], a.get("seq", 0)))
+        return t0, t1, alerts
 
     def _op_alerts(self, request):
         """Tail of the alert stream in a window (newest last)."""
@@ -697,7 +615,8 @@ class AnalyticsServer:
     def _op_transfer_entropy(self, request):
         result = self.framework.transfer_entropy(
             self._context(request),
-            request["source_type"], request["target_type"],
+            self._require(request, "source_type"),
+            self._require(request, "target_type"),
             bin_seconds=request.get("bin_seconds", 60.0),
             n_shuffles=request.get("n_shuffles", 100),
         )
@@ -706,7 +625,8 @@ class AnalyticsServer:
     def _op_cross_correlation(self, request):
         return self.framework.cross_correlation(
             self._context(request),
-            request["type_a"], request["type_b"],
+            self._require(request, "type_a"),
+            self._require(request, "type_b"),
             bin_seconds=request.get("bin_seconds", 60.0),
             max_lag=request.get("max_lag", 10),
         )
@@ -727,10 +647,8 @@ class AnalyticsServer:
         return [asdict(r) for r in rules]
 
     def _op_placement(self, request):
-        ts = request.get("ts")
-        if ts is None:
-            raise ValueError("placement requires 'ts'")
-        runs = self.framework.model.runs_running_at(float(ts))
+        runs = self.framework.model.runs_running_at(
+            float(self._require(request, "ts")))
         return [
             {"apid": r["apid"], "app": r["app"], "user": r["user"],
              "nodes": self.framework.model.run_nodes(r)}
@@ -758,13 +676,12 @@ class AnalyticsServer:
 
         definitions = [
             CompositeEventDef(
-                name=d["name"], sequence=tuple(d["sequence"]),
-                window=float(d["window"]),
+                name=self._require(request, "name", d),
+                sequence=tuple(self._require(request, "sequence", d)),
+                window=float(self._require(request, "window", d)),
             )
-            for d in request.get("definitions", [])
+            for d in self._require(request, "definitions")
         ]
-        if not definitions:
-            raise ValueError("materialize_composites requires 'definitions'")
         matches = self.framework.materialize_composites(
             self._context(request), definitions)
         return [

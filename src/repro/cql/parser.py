@@ -45,6 +45,7 @@ from repro.cassdb.schema import TableSchema
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _COMPARISON_OPS = ("=", "<", "<=", ">", ">=")
+_KEY_CODECS = {"int": int, "bigint": int, "float": float, "double": float}
 
 
 class _Parser:
@@ -194,12 +195,18 @@ class _Parser:
             self.expect(")")
         if not saw_primary:
             raise self.error(f"CREATE TABLE {name}: PRIMARY KEY required")
+        # Partition-key values are parsed back from ring-key strings on
+        # full scans; numeric declared types say how.
+        declared = dict(types)
         return CreateTable(
             TableSchema(
                 name=name,
                 partition_key=tuple(partition),
                 clustering_key=tuple(clustering),
                 clustering_order=order,
+                key_codecs=tuple(
+                    (col, _KEY_CODECS[declared[col]]) for col in partition
+                    if declared.get(col) in _KEY_CODECS),
                 column_types=tuple(types),
             ),
             if_not_exists=if_not_exists,

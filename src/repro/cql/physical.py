@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.cassdb.cluster import Cluster, Consistency
-from repro.cassdb.errors import SchemaError
 from repro.cassdb.row import ClusteringBound, Row
 from repro.cassdb.schema import TableSchema
 from repro.cassdb.vector import BlockView, fold_view, select_rows
@@ -212,15 +211,6 @@ def _fold_dicts(rows: Iterable[dict], group_by: Sequence[str],
     return groups
 
 
-def _classify_column(schema: TableSchema, column: str) -> tuple[str, Any]:
-    """Classify a column: partition key, clustering index or cell."""
-    if column in schema.partition_key:
-        return ("pk", column)
-    if column in schema.clustering_key:
-        return ("ck", schema.clustering_key.index(column))
-    return ("cell", column)
-
-
 def _make_partition_fold(
     schema: TableSchema,
     residual_specs: Sequence[tuple[str, str, Any]],
@@ -243,9 +233,9 @@ def _make_partition_fold(
     :func:`_fold_dicts` which never saw the partition at all).
     """
     sources = [None if a.column is None
-               else _classify_column(schema, a.column) for a in aggs]
-    group_sources = [_classify_column(schema, c) for c in group_by]
-    residual = [(_classify_column(schema, c), op, value)
+               else schema.column_source(a.column) for a in aggs]
+    group_sources = [schema.column_source(c) for c in group_by]
+    residual = [(schema.column_source(c), op, value)
                 for c, op, value in residual_specs]
     fns = [a.fn for a in aggs]
 
@@ -719,11 +709,7 @@ class CreateTableExec(PhysicalOp):
         self.if_not_exists = if_not_exists
 
     def execute(self, rt: Runtime) -> list[dict]:
-        try:
-            rt.cluster.create_table(self.schema)
-        except SchemaError:
-            if not self.if_not_exists:
-                raise
+        rt.cluster.create_table(self.schema, self.if_not_exists)
         return []
 
     def explain_attrs(self) -> dict[str, Any]:

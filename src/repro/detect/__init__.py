@@ -14,7 +14,6 @@ from .alerts import (
     Alert,
     AlertIngestor,
     AlertPublisher,
-    ensure_alert_tables,
 )
 from .detectors import (
     Detector,
@@ -34,7 +33,6 @@ __all__ = [
     "Alert",
     "AlertIngestor",
     "AlertPublisher",
-    "ensure_alert_tables",
     "Detector",
     "EWMARateDetector",
     "LeadLagDetector",

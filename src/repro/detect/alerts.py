@@ -5,8 +5,8 @@ severity-tagged, scored claim about one (detector, key, window).  The
 engine publishes alerts to the dedicated ``alerts`` bus topic exactly
 like event producers publish occurrences; an :class:`AlertIngestor`
 consumer group lands them in the minute-bucketed ``alerts_by_time``
-cassdb table via ``write_batch`` — the same streaming-ingest shape
-events and self-ingested telemetry already ride, so alerts are
+cassdb table via ``write_batch`` — the one streaming-ingest loop
+events and self-ingested telemetry ride, so alerts are
 queryable (``alerts`` / ``alert_summary`` server ops) the moment the
 open micro-batch flushes.
 
@@ -22,8 +22,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, TYPE_CHECKING
 
+from repro import obs
+from repro.bus import Producer
 from repro.cassdb import TableSchema
-from repro.cassdb.errors import SchemaError
+from repro.ingest.streaming import TopicIngestor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bus import MessageBus
@@ -34,15 +36,12 @@ __all__ = [
     "ALERTS_TOPIC",
     "ALERT_SCHEMAS",
     "SEVERITIES",
-    "ensure_alert_tables",
     "Alert",
     "AlertPublisher",
     "AlertIngestor",
 ]
 
 ALERTS_TOPIC = "alerts"
-
-MINUTE = 60.0
 
 # Ordered least to most severe; "info" is structure worth a look
 # (lead-lag findings, storm all-clears), "critical" is an incident.
@@ -53,20 +52,11 @@ ALERT_SCHEMAS: dict[str, TableSchema] = {
         "alerts_by_time",
         partition_key=("minute_bucket",),
         clustering_key=("ts", "seq"),
-        key_codecs=(("minute_bucket", int),),
+        time_bucket=("minute_bucket", 60.0),
         description="Detection alerts: partition minute_bucket, "
                     "clustered by (ts, seq)",
     ),
 }
-
-
-def ensure_alert_tables(cluster: "Cluster") -> None:
-    """Create ``alerts_by_time`` if absent (idempotent)."""
-    for schema in ALERT_SCHEMAS.values():
-        try:
-            cluster.create_table(schema)
-        except SchemaError:
-            pass  # already provisioned
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,9 +112,6 @@ class AlertPublisher:
     """
 
     def __init__(self, bus: "MessageBus", topic: str = ALERTS_TOPIC):
-        from repro import obs
-        from repro.bus import Producer
-
         bus.ensure_topic(topic)
         self.topic = topic
         self._producer = Producer(bus, default_topic=topic)
@@ -144,70 +131,35 @@ class AlertPublisher:
         return self._producer.sent
 
 
-class AlertIngestor:
+class AlertIngestor(TopicIngestor):
     """Consumer side: the ``alerts`` topic into ``alerts_by_time``.
 
-    The same micro-batch shape as event and telemetry ingest: a
-    consumer group polls, records ride a sparklet
-    :class:`~repro.sparklet.streaming.StreamingContext`, one closed
-    batch becomes one ``write_batch``.  Alert timestamps are event time
-    (simulation seconds), so the logical clock needs no epoch rebasing;
-    the batch interval defaults to one minute because alerts are sparse
-    and the table is minute-bucketed anyway.
+    The shared streaming-ingest loop with one record→row mapper.  Alert
+    timestamps are event time (simulation seconds), so the logical
+    clock is not rebased; the batch interval defaults to one minute
+    because alerts are sparse and the table is minute-bucketed anyway.
     """
 
     def __init__(self, bus: "MessageBus", topic: str, cluster: "Cluster",
-                 sc: "SparkletContext", *, batch_interval: float = MINUTE,
+                 sc: "SparkletContext", *, batch_interval: float = 60.0,
                  group_id: str = "alert-ingest"):
-        from repro.bus import ConsumerGroup
-        from repro.sparklet.streaming import StreamingContext
-
-        ensure_alert_tables(cluster)
-        self.cluster = cluster
-        self.rows_written = 0
+        super().__init__(bus, topic, sc, batch_interval=batch_interval,
+                         group_id=group_id)
         self._seq = itertools.count()
-        bus.ensure_topic(topic)
-        self._group = ConsumerGroup(bus, group_id, topic)
-        self._consumer = self._group.join()
-        self.ssc = StreamingContext(sc, batch_interval)
-        self._input = self.ssc.input_stream()
-        self._input.foreachRDD(self._write_batch)
+        self._land(cluster, ALERT_SCHEMAS.values(), self._to_row)
 
-    def _write_batch(self, rdd) -> None:
-        from repro import obs
+    def _to_row(self, record: Mapping[str, Any]):
+        row = {k: v for k, v in record.items() if k != "evidence"}
+        row["seq"] = next(self._seq)
+        if record.get("evidence"):
+            row["evidence"] = json.dumps(record["evidence"],
+                                         sort_keys=True, default=str)
+        return "alerts_by_time", row
 
-        records = rdd.collect()
-        rows = []
-        for record in records:
-            row = {k: v for k, v in record.items() if k != "evidence"}
-            row["minute_bucket"] = int(record["ts"] // MINUTE)
-            row["seq"] = next(self._seq)
-            if record.get("evidence"):
-                row["evidence"] = json.dumps(record["evidence"],
-                                             sort_keys=True, default=str)
-            rows.append(row)
-        if rows:
-            written = self.cluster.write_batch("alerts_by_time", rows)
-            self.rows_written += written
-            obs.get_registry().counter("detect.alerts_ingested").inc(written)
-
-    def process_available(self, max_records: int = 100_000) -> int:
-        """Poll, run complete batches, commit; returns records polled."""
-        records = self._consumer.poll(max_records)
-        if not records:
-            return 0
-        latest = 0.0
-        for record in records:
-            self._input.push(record.value, record.timestamp)
-            latest = max(latest, record.timestamp)
-        self.ssc.advance_to(latest)
-        self._consumer.commit()
-        return len(records)
-
-    def flush(self) -> None:
-        """Force the open micro-batch out (freshness over batching)."""
-        self.ssc.advance(1)
+    def _landed(self, table: str, written: int) -> None:
+        super()._landed(table, written)
+        obs.get_registry().counter("detect.alerts_ingested").inc(written)
 
     @property
-    def lag(self) -> int:
-        return self._group.lag()
+    def rows_written(self) -> int:
+        return self.rows_landed["alerts_by_time"]

@@ -14,6 +14,10 @@ Composition::
                                                  │ poll (consumer group)
     StreamingIngestor ◀──────────────────────────┘
         └─ InputDStream → map → reduceByKey (1 s window) → sink
+
+The poll → push → advance → commit loop is :class:`TopicIngestor`; the
+event stream, self-ingested telemetry (``repro.obs.export``) and
+detection alerts (``repro.detect.alerts``) are its three subclasses.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from .parsers import LineParser, ParsedEvent, default_parser
 from .sink import EventSink
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cassdb import Cluster
     from repro.sparklet import SparkletContext
 
-__all__ = ["LogProducer", "StreamingIngestor", "StreamStats"]
+__all__ = ["LogProducer", "TopicIngestor", "StreamingIngestor",
+           "StreamStats"]
 
 
 class LogProducer:
@@ -85,20 +91,128 @@ class StreamStats:
         return self.polled - self.written
 
 
-class StreamingIngestor:
+class TopicIngestor:
+    """One bus topic drained through sparklet micro-batches (§III-D).
+
+    Owns the loop every stream rides: a consumer group polls the topic,
+    records are pushed onto a :class:`~repro.sparklet.streaming.
+    StreamingContext` input stream stamped with their bus timestamp, the
+    logical clock advances to the latest one seen, and offsets commit.
+    What a closed batch *does* is the subclass's business: it registers
+    outputs on ``self._input`` — or, for a topic that lands in
+    time-bucketed tables, calls :meth:`_land` with a record→row mapper.
+    """
+
+    def __init__(self, bus: MessageBus, topic: str, sc: "SparkletContext",
+                 *, batch_interval: float, group_id: str):
+        from repro.sparklet.streaming import StreamingContext
+
+        bus.ensure_topic(topic)
+        self._group = ConsumerGroup(bus, group_id, topic)
+        self._consumer = self._group.join()
+        self.ssc = StreamingContext(sc, batch_interval)
+        self._input = self.ssc.input_stream()
+
+    # -- what a subclass may say about its stream ---------------------------
+
+    def _epoch(self, records) -> float:
+        """Offset subtracted from bus timestamps before they reach the
+        logical clock.  Event-time streams are not rebased: coalescing
+        and detector windows are keyed by event time."""
+        return 0.0
+
+    def _poll_span(self, records):
+        """Context manager (a span) held around one poll's batches."""
+        return obs.NULL_SPAN
+
+    def _account(self, polled: int, batches: int) -> None:
+        """Called after every poll and flush with what it moved."""
+
+    # -- the loop -----------------------------------------------------------
+
+    def process_available(self, max_records: int = 100_000) -> int:
+        """Poll, run every complete batch, commit.  Returns records polled.
+
+        The logical streaming clock advances to the latest timestamp
+        seen, so all batches strictly before it are finalized; records
+        in the still-open batch remain buffered for the next call.
+        """
+        records = self._consumer.poll(max_records)
+        batches = 0
+        if records:
+            with self._poll_span(records) as span:
+                epoch = self._epoch(records)
+                push = self._input.push
+                latest = 0.0
+                for record in records:
+                    ts = record.timestamp - epoch
+                    push(record.value, ts)
+                    latest = max(latest, ts)
+                before = self.ssc.batches_run
+                self.ssc.advance_to(latest)
+                batches = self.ssc.batches_run - before
+                self._consumer.commit()
+                span.set(records=len(records), batches=batches)
+        self._account(len(records), batches)
+        return len(records)
+
+    def flush(self) -> None:
+        """Force the open batch out (end of stream, or freshness over
+        batching)."""
+        before = self.ssc.batches_run
+        self.ssc.advance(1)
+        self._account(0, self.ssc.batches_run - before)
+
+    @property
+    def lag(self) -> int:
+        return self._group.lag()
+
+    # -- topic → time-bucketed tables ---------------------------------------
+
+    def _land(self, cluster: "Cluster", schemas, to_row) -> None:
+        """Land each closed batch in *schemas*' tables (created if
+        absent), one ``write_batch`` per table.
+
+        ``to_row(record)`` maps a bus record to ``(table, row)``, or
+        None to skip it; the row's bucket column is stamped here from
+        its ``ts``, so a mapper never knows the bucket width.  Rows
+        landed are tallied per table in ``self.rows_landed``.
+        """
+        by_name = {schema.name: schema for schema in schemas}
+        for schema in by_name.values():
+            cluster.create_table(schema, if_not_exists=True)
+        self.cluster = cluster
+        self.rows_landed = dict.fromkeys(by_name, 0)
+
+        def write(rdd) -> None:
+            batch: dict[str, list[dict]] = {name: [] for name in by_name}
+            for record in rdd.collect():
+                landed = to_row(record)
+                if landed is not None:
+                    table, row = landed
+                    schema = by_name[table]
+                    row[schema.time_bucket[0]] = schema.bucket_of(row["ts"])
+                    batch[table].append(row)
+            for table, rows in batch.items():
+                if rows:
+                    self._landed(table, cluster.write_batch(table, rows))
+
+        self._input.foreachRDD(write)
+
+    def _landed(self, table: str, written: int) -> None:
+        self.rows_landed[table] += written
+
+
+class StreamingIngestor(TopicIngestor):
     """Subscribes to an event topic and ingests with 1 s coalescing."""
 
     def __init__(self, bus: MessageBus, topic: str, sink: EventSink,
                  sc: "SparkletContext", *, batch_interval: float = 1.0,
                  group_id: str = "analytics-ingest"):
-        from repro.sparklet.streaming import StreamingContext
-
+        super().__init__(bus, topic, sc, batch_interval=batch_interval,
+                         group_id=group_id)
         self.sink = sink
         self.stats = StreamStats()
-        self._group = ConsumerGroup(bus, group_id, topic)
-        self._consumer = self._group.join()
-        self.ssc = StreamingContext(sc, batch_interval)
-        self._input = self.ssc.input_stream()
         interval = batch_interval
 
         # Window observers (repro.detect's DetectionEngine): called with
@@ -145,68 +259,35 @@ class StreamingIngestor:
         write.  Empty windows are never observed."""
         self._observers.append(observer)
 
-    def process_available(self, max_records: int = 100_000) -> int:
-        """Poll, run every complete batch, commit.  Returns events polled.
-
-        The logical streaming clock advances to the latest event time
-        seen, so all batches strictly before it are finalized; events in
-        the still-open batch remain buffered for the next call.
-        """
+    def _poll_span(self, records):
         tracer = obs.get_tracer()
-        records = self._consumer.poll(max_records)
-        if not records:
-            # Still refresh the gauges: a drained stream should read
-            # lag 0 on the dashboard, not its last nonzero value.
-            self._export_gauges()
-            return 0
         if tracer.current_span() is not None:
-            span_cm = tracer.span("ingest.stream.poll")
-        else:
-            # Consumer side of the broker: no active trace here, but the
-            # records carry the publishing span's (trace_id, span_id) —
-            # continue that trace so both halves export as one tree
-            # instead of the poll span orphaning (or vanishing) here.
-            link = next((r.trace for r in records if r.trace), None)
-            span_cm = tracer.root_span(
-                "ingest.stream.poll",
-                trace_id=link[0] if link else None,
-                parent_id=link[1] if link else None,
-            )
-        with span_cm as span:
-            latest = 0.0
-            for record in records:
-                self._input.push(record.value, record.timestamp)
-                latest = max(latest, record.timestamp)
-            self.stats.polled += len(records)
-            before = self.ssc.batches_run
-            self.ssc.advance_to(latest)
-            batches = self.ssc.batches_run - before
-            self.stats.batches += batches
-            self._consumer.commit()
-            span.set(records=len(records), batches=batches)
-        registry = obs.get_registry()
-        registry.counter("ingest.stream.polled").inc(len(records))
-        registry.counter("ingest.stream.batches").inc(batches)
-        self._export_gauges()
-        return len(records)
+            return tracer.span("ingest.stream.poll")
+        # Consumer side of the broker: no active trace here, but the
+        # records carry the publishing span's (trace_id, span_id) —
+        # continue that trace so both halves export as one tree
+        # instead of the poll span orphaning (or vanishing) here.
+        link = next((r.trace for r in records if r.trace), None)
+        return tracer.root_span(
+            "ingest.stream.poll",
+            trace_id=link[0] if link else None,
+            parent_id=link[1] if link else None,
+        )
 
-    def _export_gauges(self) -> None:
-        """Publish lag and the StreamStats picture as ``ingest.stream.*``
-        gauges — the pipeline's health, readable without a handle on
-        this object (``repro top``, Prometheus exposition)."""
+    def _account(self, polled: int, batches: int) -> None:
+        """Fold a poll or flush into :class:`StreamStats` and publish
+        lag and the stats picture as ``ingest.stream.*`` series — the
+        pipeline's health, readable without a handle on this object
+        (``repro top``, Prometheus exposition).  The gauges refresh even
+        on an empty poll: a drained stream should read lag 0 on the
+        dashboard, not its last nonzero value."""
+        self.stats.polled += polled
+        self.stats.batches += batches
         registry = obs.get_registry()
+        if polled:
+            registry.counter("ingest.stream.polled").inc(polled)
+            registry.counter("ingest.stream.batches").inc(batches)
         registry.gauge("ingest.stream.lag").set(self._group.lag())
         registry.gauge("ingest.stream.written").set(self.stats.written)
         registry.gauge("ingest.stream.coalesced_away").set(
             self.stats.coalesced_away)
-
-    def flush(self) -> None:
-        """Force the open batch out (end of stream)."""
-        before = self.ssc.batches_run
-        self.ssc.advance(1)
-        self.stats.batches += self.ssc.batches_run - before
-        self._export_gauges()
-
-    @property
-    def lag(self) -> int:
-        return self._group.lag()

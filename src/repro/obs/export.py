@@ -23,8 +23,8 @@ Three groups of moving parts:
   records).
 * **Self-ingestion** — :class:`TelemetryPublisher` puts the records on
   a dedicated bus topic; :class:`TelemetryIngestor` consumes them
-  through a sparklet :class:`~repro.sparklet.streaming.
-  StreamingContext` micro-batch pipeline into ``metrics_by_time``
+  through the one :class:`~repro.ingest.streaming.TopicIngestor`
+  micro-batch loop the event stream rides into ``metrics_by_time``
   (partition ``(minute_bucket, metric_name)``) and ``spans_by_time``
   (partition ``(minute_bucket, component)``) — the paper's
   ``(hour, type)`` partition scheme at telemetry's natural cadence.
@@ -44,7 +44,7 @@ import time
 from typing import Any, Iterable, Iterator, Mapping, TYPE_CHECKING
 
 from repro.cassdb import TableSchema
-from repro.cassdb.errors import SchemaError
+from repro.ingest.streaming import TopicIngestor
 
 from .metrics import MetricsRegistry
 from .trace import Tracer
@@ -57,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TELEMETRY_TOPIC",
     "TELEMETRY_SCHEMAS",
-    "ensure_telemetry_tables",
     "prometheus_name",
     "render_prometheus",
     "iter_spans",
@@ -71,8 +70,6 @@ __all__ = [
 
 TELEMETRY_TOPIC = "telemetry"
 
-MINUTE = 60.0
-
 # Telemetry's own tables, mirroring the event tables' partition scheme
 # (§II-B: hash by (time bucket, type), cluster by timestamp) at the
 # minute granularity dashboards read.  ``seq``/``span_id`` disambiguate
@@ -83,7 +80,7 @@ TELEMETRY_SCHEMAS: dict[str, TableSchema] = {
         "metrics_by_time",
         partition_key=("minute_bucket", "metric_name"),
         clustering_key=("ts", "seq"),
-        key_codecs=(("minute_bucket", int),),
+        time_bucket=("minute_bucket", 60.0),
         description="Self-ingested metric deltas: partition "
                     "(minute_bucket, metric_name)",
     ),
@@ -91,7 +88,7 @@ TELEMETRY_SCHEMAS: dict[str, TableSchema] = {
         "spans_by_time",
         partition_key=("minute_bucket", "component"),
         clustering_key=("ts", "span_id"),
-        key_codecs=(("minute_bucket", int),),
+        time_bucket=("minute_bucket", 60.0),
         description="Self-ingested trace spans: partition "
                     "(minute_bucket, component)",
     ),
@@ -99,20 +96,11 @@ TELEMETRY_SCHEMAS: dict[str, TableSchema] = {
         "profiles_by_time",
         partition_key=("minute_bucket", "component"),
         clustering_key=("ts", "seq"),
-        key_codecs=(("minute_bucket", int),),
+        time_bucket=("minute_bucket", 60.0),
         description="Self-ingested profiler flame-table deltas: "
                     "partition (minute_bucket, component)",
     ),
 }
-
-
-def ensure_telemetry_tables(cluster: "Cluster") -> None:
-    """Create the telemetry tables if absent (idempotent)."""
-    for schema in TELEMETRY_SCHEMAS.values():
-        try:
-            cluster.create_table(schema)
-        except SchemaError:
-            pass  # already provisioned
 
 
 # ---------------------------------------------------------------------------
@@ -436,104 +424,56 @@ class TelemetryPublisher:
         return self._producer.sent
 
 
-class TelemetryIngestor:
-    """Consumes the telemetry topic into the two telemetry tables.
+class TelemetryIngestor(TopicIngestor):
+    """Consumes the telemetry topic into the three telemetry tables.
 
-    Exactly the streaming-ingest shape (§III-D): a consumer group polls
-    the topic, records ride a :class:`~repro.sparklet.streaming.
-    StreamingContext` micro-batch graph, and each closed batch becomes
-    one :meth:`~repro.cassdb.Cluster.write_batch` per table.
+    The shared streaming-ingest loop (§III-D) with telemetry's own
+    parts: the record→row mapper per record type, and a rebased clock.
     """
 
     def __init__(self, bus: "MessageBus", topic: str, cluster: "Cluster",
                  sc: "SparkletContext", *, batch_interval: float = 1.0,
                  group_id: str = "telemetry-ingest"):
-        from repro.bus import ConsumerGroup
-        from repro.sparklet.streaming import StreamingContext
-
-        ensure_telemetry_tables(cluster)
-        self.cluster = cluster
-        self.metrics_rows = 0
-        self.spans_rows = 0
-        self.profiles_rows = 0
+        super().__init__(bus, topic, sc, batch_interval=batch_interval,
+                         group_id=group_id)
         self._seq = itertools.count()
-        # Logical-clock epoch: record timestamps are wall clock (~1.7e9
-        # s) but the streaming clock starts at batch 0 and advances one
-        # batch at a time — rebase to the first timestamp seen so the
-        # clock never has billions of empty batches to grind through.
-        self._epoch: float | None = None
-        bus.ensure_topic(topic)
-        self._group = ConsumerGroup(bus, group_id, topic)
-        self._consumer = self._group.join()
-        self.ssc = StreamingContext(sc, batch_interval)
-        self._input = self.ssc.input_stream()
-        self._input.foreachRDD(self._write_batch)
+        self._first_ts: float | None = None
+        self._land(cluster, TELEMETRY_SCHEMAS.values(), self._to_row)
 
-    def _write_batch(self, rdd) -> None:
-        records = rdd.collect()
-        metric_rows: list[dict[str, Any]] = []
-        span_rows: list[dict[str, Any]] = []
-        profile_rows: list[dict[str, Any]] = []
-        for record in records:
-            rtype = record.get("rtype")
-            if rtype == "metric":
-                row = {k: v for k, v in record.items()
-                       if k not in ("rtype", "labels", "name", "exemplars")}
-                row["minute_bucket"] = int(record["ts"] // MINUTE)
-                row["metric_name"] = record["name"]
-                row["seq"] = next(self._seq)
-                if record.get("labels"):
-                    row["labels"] = json.dumps(record["labels"],
-                                               sort_keys=True)
-                if record.get("exemplars"):
-                    row["exemplars"] = json.dumps(record["exemplars"],
-                                                  sort_keys=True)
-                metric_rows.append(row)
-            elif rtype == "span":
-                row = {k: v for k, v in record.items()
-                       if k not in ("rtype", "attrs")}
-                row["minute_bucket"] = int(record["ts"] // MINUTE)
-                if record.get("attrs"):
-                    row["attrs"] = json.dumps(record["attrs"], sort_keys=True,
-                                              default=str)
-                span_rows.append(row)
-            elif rtype == "profile":
-                row = {k: v for k, v in record.items() if k != "rtype"}
-                row["minute_bucket"] = int(record["ts"] // MINUTE)
-                row["seq"] = next(self._seq)
-                profile_rows.append(row)
-        if metric_rows:
-            self.metrics_rows += self.cluster.write_batch(
-                "metrics_by_time", metric_rows)
-        if span_rows:
-            self.spans_rows += self.cluster.write_batch(
-                "spans_by_time", span_rows)
-        if profile_rows:
-            self.profiles_rows += self.cluster.write_batch(
-                "profiles_by_time", profile_rows)
+    def _epoch(self, records) -> float:
+        # Record timestamps are wall clock (~1.7e9 s) but the streaming
+        # clock starts at batch 0 and advances one batch at a time —
+        # rebase to the first timestamp seen so the clock never has
+        # billions of empty batches to grind through.
+        if self._first_ts is None:
+            self._first_ts = float(int(min(r.timestamp for r in records)))
+        return self._first_ts
 
-    def process_available(self, max_records: int = 100_000) -> int:
-        """Poll, run complete batches, commit; returns records polled."""
-        records = self._consumer.poll(max_records)
-        if not records:
-            return 0
-        if self._epoch is None:
-            self._epoch = float(int(min(r.timestamp for r in records)))
-        latest = 0.0
-        for record in records:
-            self._input.push(record.value, record.timestamp - self._epoch)
-            latest = max(latest, record.timestamp - self._epoch)
-        self.ssc.advance_to(latest)
-        self._consumer.commit()
-        return len(records)
-
-    def flush(self) -> None:
-        """Force the open micro-batch out (freshness over batching)."""
-        self.ssc.advance(1)
-
-    @property
-    def lag(self) -> int:
-        return self._group.lag()
+    def _to_row(self, record: Mapping[str, Any]):
+        rtype = record.get("rtype")
+        if rtype == "metric":
+            row = {k: v for k, v in record.items()
+                   if k not in ("rtype", "labels", "name", "exemplars")}
+            row["metric_name"] = record["name"]
+            row["seq"] = next(self._seq)
+            if record.get("labels"):
+                row["labels"] = json.dumps(record["labels"], sort_keys=True)
+            if record.get("exemplars"):
+                row["exemplars"] = json.dumps(record["exemplars"],
+                                              sort_keys=True)
+            return "metrics_by_time", row
+        if rtype == "span":
+            row = {k: v for k, v in record.items()
+                   if k not in ("rtype", "attrs")}
+            if record.get("attrs"):
+                row["attrs"] = json.dumps(record["attrs"], sort_keys=True,
+                                          default=str)
+            return "spans_by_time", row
+        if rtype == "profile":
+            row = {k: v for k, v in record.items() if k != "rtype"}
+            row["seq"] = next(self._seq)
+            return "profiles_by_time", row
+        return None
 
 
 class TelemetryPipeline:
@@ -577,14 +517,15 @@ class TelemetryPipeline:
         polled = self.ingestor.process_available()
         if polled:
             self.ingestor.flush()
+        landed = self.ingestor.rows_landed
         return {
             "metric_records": len(metrics),
             "span_records": len(spans),
             "published": published,
             "ingested": polled,
-            "metrics_rows": self.ingestor.metrics_rows,
-            "spans_rows": self.ingestor.spans_rows,
-            "profiles_rows": self.ingestor.profiles_rows,
+            "metrics_rows": landed["metrics_by_time"],
+            "spans_rows": landed["spans_by_time"],
+            "profiles_rows": landed["profiles_by_time"],
         }
 
 

@@ -9,6 +9,8 @@ from repro.cassdb.hashring import HashRing
 from repro.cassdb.row import ClusteringBound, Row
 from repro.cassdb.storage import TableStore
 
+from tests.oracle import eval_select
+
 from .test_memtable_sstable import scan_partition
 
 keys = st.text(min_size=1, max_size=20)
@@ -148,3 +150,58 @@ class TestClusterProperties:
                     for r in cluster.select_partition("t", (hour, type_))
                 ]
                 assert got == expected
+
+
+@st.composite
+def windows(draw):
+    """(width, t0, t1, row timestamps): a window on a quarter-bucket grid
+    — so t0/t1 land exactly on bucket edges a quarter of the time — at
+    simulation (0) or wall-clock (1.7e9) magnitude, with rows anywhere
+    in the two buckets either side of it.  Widths are dyadic or
+    integral, so every grid point is an exact float."""
+    width = draw(st.sampled_from([0.5, 1.0, 60.0, 3600.0]))
+    base = draw(st.sampled_from([0.0, round(1.7e9 / width) * width]))
+    quarter = width / 4
+    a = draw(st.integers(8, 30))
+    b = draw(st.integers(a + 1, 32))
+    stamps = draw(st.lists(
+        st.floats(0, 40, allow_nan=False).map(lambda q: base + q * quarter),
+        max_size=40))
+    return width, base + a * quarter, base + b * quarter, stamps
+
+
+class TestWindowProperties:
+    @given(windows())
+    def test_buckets_cover_exactly_the_window(self, window):
+        width, t0, t1, _ = window
+        schema = TableSchema("w", partition_key=("bucket",),
+                             time_bucket=("bucket", width))
+        buckets = schema.buckets(t0, t1)
+        assert buckets[0] == schema.bucket_of(t0)
+        # No bucket whose span [b*W, (b+1)*W) is disjoint from [t0, t1):
+        # the `(t1 - 1e-9) // W` idiom read one too many at 1.7e9.
+        assert all(b * width < t1 and (b + 1) * width > t0 for b in buckets)
+        assert not schema.buckets(t1, t0) and not schema.buckets(t0, t0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(windows(), st.data())
+    def test_select_window_matches_oracle(self, window, data):
+        width, t0, t1, stamps = window
+        schema = TableSchema(
+            "w", partition_key=("bucket", "part"),
+            clustering_key=("ts", "seq"), time_bucket=("bucket", width))
+        cluster = Cluster(3, flush_threshold=7)  # memtable + SSTable reads
+        cluster.create_table(schema)
+        rows = [
+            {"bucket": schema.bucket_of(ts), "ts": ts, "seq": seq, "v": seq,
+             "part": data.draw(st.sampled_from(["a", "b"]))}
+            for seq, ts in enumerate(stamps)
+        ]
+        cluster.write_batch("w", rows)
+        rows.sort(key=lambda r: (r["bucket"], r["part"], r["ts"], r["seq"]))
+        in_window = [("ts", ">=", t0), ("ts", "<", t1)]
+        assert cluster.select_window("w", t0, t1) == eval_select(
+            rows, in_window)
+        for part in "ab":
+            assert cluster.select_window("w", t0, t1, (part,)) == eval_select(
+                rows, in_window + [("part", "=", part)])

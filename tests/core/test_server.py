@@ -48,6 +48,44 @@ class TestRouting:
         assert server.errors == errors + 1
 
 
+_DEFN = {"name": "X", "sequence": ["MCE", "OOM"], "window": 60.0}
+_MISSING_FIELD_CASES = [
+    ({"op": "nodeinfo"}, "cname"),
+    ({"op": "synopsis"}, "hour"),
+    ({"op": "cql", "statement": ""}, "statement"),
+    ({"op": "explain"}, "statement"),
+    ({"op": "telemetry_series"}, "name"),
+    ({"op": "placement"}, "ts"),
+    ({"op": "transfer_entropy", "target_type": "OOM"}, "source_type"),
+    ({"op": "transfer_entropy", "source_type": "MCE"}, "target_type"),
+    ({"op": "cross_correlation", "type_b": "OOM"}, "type_a"),
+    ({"op": "cross_correlation", "type_a": "MCE"}, "type_b"),
+    ({"op": "materialize_composites", "definitions": []}, "definitions"),
+] + [
+    ({"op": "materialize_composites", "definitions": [
+        {k: v for k, v in _DEFN.items() if k != missing}]}, missing)
+    for missing in _DEFN
+]
+
+
+class TestRequiredFields:
+    """Every missing required field is the same typed error — none
+    leaks out of the server boundary as a bare KeyError."""
+
+    @pytest.mark.parametrize(
+        "request_,field", _MISSING_FIELD_CASES,
+        ids=[f"{r['op']}-{f}" for r, f in _MISSING_FIELD_CASES])
+    def test_missing_field_is_a_value_error(self, server, fw, request_, field):
+        r = server.handle_sync({"context": _ctx(fw), **request_})
+        assert not r["ok"]
+        assert r["error"] == (
+            f"ValueError: {request_['op']} requires '{field}'")
+
+    def test_zero_is_a_value_not_a_missing_field(self, server):
+        assert server.handle_sync({"op": "synopsis", "hour": 0})["ok"]
+        assert server.handle_sync({"op": "placement", "ts": 0})["ok"]
+
+
 class TestSimpleOps:
     def test_event_types(self, server):
         r = server.handle_sync({"op": "event_types"})

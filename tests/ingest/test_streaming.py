@@ -135,3 +135,70 @@ class TestStreamingIngestor:
         assert ingestor.stats.polled == 1000
         assert ingestor.stats.written < 150
         assert sum(e.amount for e in sink.events) == 1000
+
+
+# -- one contract, three ingestors ------------------------------------------
+
+STAMPS = (3.25, 61.0, 125.5)
+
+
+def _events(bus, sc, cluster, base):
+    sink = ListSink()
+    ingestor = StreamingIngestor(bus, "t", sink, sc)
+    LogProducer(bus, "t").publish_events(
+        [_ev(base + ts, comp=f"c0-0c0s0n{i}") for i, ts in enumerate(STAMPS)])
+    return ingestor, lambda: len(sink.events)
+
+
+def _telemetry(bus, sc, cluster, base):
+    from repro.obs.export import TelemetryIngestor, TelemetryPublisher
+
+    ingestor = TelemetryIngestor(bus, "t", cluster, sc)
+    TelemetryPublisher(bus, "t").publish([
+        {"rtype": "metric", "kind": "gauge", "name": "m", "labels": {},
+         "ts": base + ts, "value": 1.0} for ts in STAMPS])
+    return ingestor, lambda: len(cluster.select_window(
+        "metrics_by_time", base, base + 200.0, ("m",)))
+
+
+def _alerts(bus, sc, cluster, base):
+    from repro.detect import Alert, AlertIngestor, AlertPublisher
+
+    ingestor = AlertIngestor(bus, "t", cluster, sc)
+    AlertPublisher(bus, "t").publish([
+        Alert(ts=base + ts, severity="info", detector="d", key="k",
+              window_start=base + ts - 1.0, window_end=base + ts, score=1.0)
+        for ts in STAMPS])
+    return ingestor, lambda: len(cluster.select_window(
+        "alerts_by_time", base, base + 200.0, ()))
+
+
+class TestIngestorContract:
+    """The poll → push → advance → commit loop is one class; each
+    stream must honour the same contract through it."""
+
+    # (builder, timestamp base, rebased?) — only telemetry is wall clock.
+    CASES = [(_events, 0.0, False), (_alerts, 0.0, False),
+             (_telemetry, 1.7e9, True)]
+
+    @pytest.mark.parametrize("build,base,rebased", CASES,
+                             ids=["events", "alerts", "telemetry"])
+    def test_contract(self, build, base, rebased):
+        from repro.cassdb import Cluster
+
+        ingestor, readable = build(
+            MessageBus(), SparkletContext(2), Cluster(2), base)
+        assert ingestor.lag == len(STAMPS)
+        assert ingestor.process_available() == len(STAMPS)
+        ingestor.flush()
+        assert readable() == len(STAMPS)
+        assert ingestor.lag == 0
+        assert ingestor.process_available() == 0
+        # An event-time stream is not rebased: its clock ran every batch
+        # from 0 to the latest event; the wall-clock one started at its
+        # first record (then one flush each).
+        interval = ingestor.ssc.batch_interval
+        from_zero = int((base + STAMPS[-1]) // interval) + 1
+        from_first = int((STAMPS[-1] - int(STAMPS[0])) // interval) + 1
+        assert ingestor.ssc.batches_run == (
+            from_first if rebased else from_zero)
