@@ -161,9 +161,9 @@ class LineParser:
 
     @staticmethod
     def parse_timestamp(stamp: str) -> float:
-        dt = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%S.%f").replace(
-            tzinfo=timezone.utc
-        )
+        """Seconds since simulation start of a ``YYYY-MM-DDTHH:MM:SS.mmm``
+        stamp (the shape ``_HEADER_RE`` pins), read as UTC."""
+        dt = datetime.fromisoformat(stamp).replace(tzinfo=timezone.utc)
         return dt.timestamp() - EPOCH
 
     def parse_line(self, line: str) -> ParsedEvent | None:

@@ -361,11 +361,8 @@ class TelemetrySnapshotter:
                         })
         span_records: list[dict[str, Any]] = []
         newest = self._last_trace_id
-        for trace in self.tracer.traces():
-            tid = trace.get("trace_id", 0)
-            if tid <= self._last_trace_id:
-                continue
-            newest = max(newest, tid)
+        for trace in self.tracer.traces(after=self._last_trace_id):
+            newest = max(newest, trace["trace_id"])
             span_records.extend(iter_spans(trace))
         self._last_trace_id = newest
         self.exports += 1

@@ -20,9 +20,10 @@ Cost discipline:
 * every trace is bounded (*max_spans_per_trace*, *max_children* per
   span, *max_attrs* per span); overflow increments drop counters
   instead of allocating;
-* completed traces land in a bounded ring (*max_traces*), exported as
-  plain dicts by :meth:`Tracer.last_trace` / :meth:`Tracer.traces` —
-  the payload of the server's ``trace`` op.
+* completed traces land in a bounded ring (*max_traces*) as their root
+  spans and are exported as plain dicts only when read, by
+  :meth:`Tracer.last_trace` / :meth:`Tracer.traces` — the payload of
+  the server's ``trace`` op.
 """
 
 from __future__ import annotations
@@ -181,6 +182,8 @@ class Span:
             out["dropped_children"] = self.dropped_children
         if self.dropped_attrs:
             out["dropped_attrs"] = self.dropped_attrs
+        if self._root is self:
+            out["spans"] = self._span_budget
         return out
 
     def depth(self) -> int:
@@ -214,7 +217,7 @@ class Tracer:
         # by Span.__enter__/__exit__ for the sampling profiler (which
         # cannot read another thread's contextvars).
         self._thread_spans: dict[int, Span] = {}
-        self._traces: deque[dict[str, Any]] = deque(maxlen=max_traces)
+        self._traces: deque[Span] = deque(maxlen=max_traces)
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
 
@@ -297,20 +300,21 @@ class Tracer:
     # -- completed traces -------------------------------------------------
 
     def _finish_trace(self, root: Span) -> None:
-        exported = root.to_dict()
-        exported["spans"] = root._span_budget
         with self._lock:
-            self._traces.append(exported)
+            self._traces.append(root)
 
     def last_trace(self) -> dict[str, Any] | None:
         """The most recently completed trace (a plain span-tree dict)."""
         with self._lock:
-            return self._traces[-1] if self._traces else None
+            root = self._traces[-1] if self._traces else None
+        return None if root is None else root.to_dict()
 
-    def traces(self) -> list[dict[str, Any]]:
-        """All retained traces, oldest first."""
+    def traces(self, after: int = 0) -> list[dict[str, Any]]:
+        """Retained traces with a trace id above *after* (all of them by
+        default), oldest first."""
         with self._lock:
-            return list(self._traces)
+            roots = [r for r in self._traces if r.trace_id > after]
+        return [root.to_dict() for root in roots]
 
     def reset(self) -> None:
         with self._lock:

@@ -27,7 +27,7 @@ import itertools
 import random
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -171,7 +171,8 @@ class WorkerPool:
         ``contextvars`` context, so the obs trace active at submit time
         (the stage span) keeps propagating into the long-lived pool
         threads — the server → job → stage → task span chain survives
-        the thread hop.
+        the thread hop.  A single task runs on the submitting thread
+        itself; placement, span, chaos gate and retry loop are the same.
 
         A failed task is retried up to ``max_task_retries`` times on a
         worker it has not tried yet (its failures still count toward
@@ -194,9 +195,17 @@ class WorkerPool:
             tried[i].add(worker)
             tc = TaskContext(worker=worker, partition=idx)
             contexts[i] = tc
-            return self._pool.submit(
-                contextvars.copy_context().run, _run_task, fn, tc, gate
-            )
+            run = contextvars.copy_context().run
+            if n > 1:
+                return self._pool.submit(run, _run_task, fn, tc, gate)
+            # One task has nothing to overlap with: run it here and
+            # settle the same kind of future the loop below reads.
+            future: Future = Future()
+            try:
+                future.set_result(run(_run_task, fn, tc, gate))
+            except Exception as exc:  # noqa: BLE001 - stored, read below
+                future.set_exception(exc)
+            return future
 
         pending: dict = {submit(i): i for i in range(n)}
         while pending:

@@ -32,6 +32,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 import threading
@@ -245,8 +246,6 @@ class RDD:
     ) -> "RDD":
         # ``zero`` may be mutable (e.g. a list); copy per key via the
         # create_combiner closure to avoid shared-state aliasing.
-        import copy
-
         return self.combineByKey(
             lambda v: seq_func(copy.deepcopy(zero), v),
             seq_func,
@@ -947,26 +946,29 @@ class ShuffledRDD(RDD):
         return self.partitioner.num_partitions
 
     def compute(self, index, tc):
-        import copy
-
         blocks = self.ctx.scheduler.fetch_shuffle(self.shuffle_id, index)
         tc.metrics.shuffle_records_read += sum(len(b) for b in blocks)
         if self.aggregator is None:
             for block in blocks:
                 yield from block
             return
+        merge = self.aggregator.merge_combiners
         merged: dict = {}
+        private: set = set()
         for block in blocks:
             for key, combiner in block:
-                if key in merged:
-                    # Spark's contract: merge_combiners may mutate its
-                    # FIRST argument only.  `merged[key]` is always a
-                    # private copy (below), while `combiner` still lives
-                    # in the cached shuffle block and must stay intact
-                    # for re-computation — hence the copy on first sight.
-                    merged[key] = self.aggregator.merge_combiners(
-                        merged[key], combiner
-                    )
-                else:
-                    merged[key] = copy.deepcopy(combiner)
+                if key not in merged:
+                    # Adopted as is: a key seen once is handed on still
+                    # aliasing the cached shuffle block, as RDD.iterator
+                    # hands out cached partitions.
+                    merged[key] = combiner
+                    continue
+                # Spark's contract: merge_combiners may mutate its FIRST
+                # argument only.  Both combiners live in cached shuffle
+                # blocks that must stay intact for re-computation, so
+                # the first one is copied once, before its first merge.
+                if key not in private:
+                    private.add(key)
+                    merged[key] = copy.deepcopy(merged[key])
+                merged[key] = merge(merged[key], combiner)
         yield from merged.items()

@@ -44,6 +44,7 @@ actions keep reusing the materialized outputs (Spark's stage reuse).
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import weakref
 from dataclasses import dataclass
@@ -59,6 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["EngineMetrics", "DAGScheduler"]
 
+_M_JOBS = obs.get_registry().counter("sparklet.jobs")
+_M_STAGES = obs.get_registry().counter("sparklet.stages")
+_M_PARTITIONS = obs.get_registry().counter("sparklet.partitions_processed")
+_M_RECORDS_READ = obs.get_registry().counter("sparklet.records_read")
 _M_SHUFFLE_LIVE = obs.get_registry().gauge("sparklet.shuffle.live")
 _M_SHUFFLE_RECORDS = obs.get_registry().gauge("sparklet.shuffle.records_held")
 _M_SHUFFLE_MATERIALIZED = obs.get_registry().counter(
@@ -172,7 +177,7 @@ class DAGScheduler:
             self._materialize(plan)
             with self._metrics_lock:
                 self.ctx.metrics.jobs += 1
-            obs.get_registry().counter("sparklet.jobs").inc()
+            _M_JOBS.inc()
             if indices is None:
                 indices = range(rdd.num_partitions)
             return self._run_stage(rdd, list(indices))
@@ -271,8 +276,11 @@ class DAGScheduler:
             for shuffle_id in owned:
                 work(shuffle_id)
         else:
+            # Each under a copy of this thread's context, as run_tasks
+            # does for tasks: the stage spans stay in the job's trace.
             threads = [
-                threading.Thread(target=work, args=(shuffle_id,),
+                threading.Thread(target=contextvars.copy_context().run,
+                                 args=(work, shuffle_id),
                                  name=f"sparklet-stage-{shuffle_id}",
                                  daemon=True)
                 for shuffle_id in owned
@@ -387,11 +395,9 @@ class DAGScheduler:
     # -- metrics ----------------------------------------------------------------
 
     def _record_stage(self, tasks, contexts: list[TaskContext]) -> None:
-        registry = obs.get_registry()
-        registry.counter("sparklet.stages").inc()
-        registry.counter("sparklet.partitions_processed").inc(len(tasks))
-        registry.counter("sparklet.records_read").inc(
-            sum(tc.metrics.records_read for tc in contexts))
+        _M_STAGES.inc()
+        _M_PARTITIONS.inc(len(tasks))
+        _M_RECORDS_READ.inc(sum(tc.metrics.records_read for tc in contexts))
         with self._metrics_lock:
             m = self.ctx.metrics
             m.stages += 1

@@ -9,7 +9,10 @@ occurrences (§III-D).  This module provides that machinery:
   so pipelines are deterministic (no wall-clock races);
 * :class:`DStream` nodes form an operator graph; each batch interval the
   graph turns buffered input records into an RDD per stream and runs
-  the registered outputs;
+  the registered outputs.  A batch has one partition per block its
+  receiver cut (Spark Streaming's rule) and ours cuts one per interval,
+  so every RDD minted for a batch is one partition and a keyed shuffle
+  is as wide as the batch it receives: one map task, one result task;
 * windows (``window``, ``reduceByKeyAndWindow``, ``countByWindow``) and
   per-key state (``updateStateByKey``) cover the online-analytics hooks
   §III-D says the framework will grow.
@@ -40,7 +43,6 @@ class DStream:
     def __init__(self, ssc: "StreamingContext", parents: list["DStream"]):
         self.ssc = ssc
         self.parents = parents
-        ssc._register(self)
 
     # -- per-batch computation (overridden by subclasses) ------------------
 
@@ -68,10 +70,10 @@ class DStream:
         return self.transform(lambda rdd: rdd.mapPartitions(f))
 
     def reduceByKey(self, f) -> "DStream":
-        return self.transform(lambda rdd: rdd.reduceByKey(f))
+        return self.transform(lambda r: r.reduceByKey(f, r.num_partitions))
 
     def groupByKey(self) -> "DStream":
-        return self.transform(lambda rdd: rdd.groupByKey())
+        return self.transform(lambda r: r.groupByKey(r.num_partitions))
 
     def count(self) -> "DStream":
         return self.transform(
@@ -118,6 +120,7 @@ class InputDStream(DStream):
     def __init__(self, ssc: "StreamingContext"):
         super().__init__(ssc, parents=[])
         self._buckets: dict[int, list] = defaultdict(list)
+        ssc._inputs.append(self)
 
     def push(self, record: Any, timestamp: float) -> None:
         """Deliver one record stamped with its event time (seconds).
@@ -145,7 +148,7 @@ class InputDStream(DStream):
             records = self._buckets.pop(batch_index, None)
         if not records:
             return None
-        return self.ssc.sc.parallelize(records)
+        return self.ssc.sc.parallelize(records, 1)
 
 
 class TransformedDStream(DStream):
@@ -180,6 +183,7 @@ class WindowedDStream(DStream):
         super().__init__(parent.ssc, [parent])
         self.window_batches = window_batches
         self.slide_batches = slide_batches
+        self.ssc._window = max(self.ssc._window, window_batches)
 
     def compute(self, batch_index: int) -> RDD | None:
         if (batch_index + 1) % self.slide_batches != 0:
@@ -204,6 +208,7 @@ class StateDStream(DStream):
         super().__init__(parent.ssc, [parent])
         self.update = update
         self._state: dict[Any, Any] = {}
+        self.ssc._stateful.append(self)
 
     def compute(self, batch_index: int) -> RDD | None:
         rdd = self._parent_rdd(batch_index)
@@ -218,7 +223,7 @@ class StateDStream(DStream):
             if new is not None:
                 next_state[key] = new
         self._state = next_state
-        return self.ssc.sc.parallelize(list(next_state.items()))
+        return self.ssc.sc.parallelize(list(next_state.items()), 1)
 
 
 class StreamingContext:
@@ -229,19 +234,22 @@ class StreamingContext:
             raise ValueError("batch_interval must be positive")
         self.sc = sc
         self.batch_interval = batch_interval
-        self._streams: list[DStream] = []
         self._outputs: list[tuple[DStream, Callable[[RDD], None]]] = []
+        # Kept by the streams as they are built: where records buffer,
+        # whose state advances every batch, the widest window in batches.
+        self._inputs: list[InputDStream] = []
+        self._stateful: list[StateDStream] = []
+        self._window = 1
         self._next_batch = 0
-        self._batch_cache: dict[tuple[int, int], RDD | None] = {}
+        # batch index -> id(stream) -> that batch's RDD (None: nothing).
+        self._batch_cache: dict[int, dict[int, RDD | None]] = {}
+        self._last_live = -math.inf  # newest batch that cached an RDD
         self.batches_run = 0
         # Guards _next_batch and every InputDStream's buckets: receiver
         # threads push() concurrently with the driver's batch loop.
         self._clock_lock = threading.Lock()
 
     # -- graph management -----------------------------------------------------
-
-    def _register(self, stream: DStream) -> None:
-        self._streams.append(stream)
 
     def _add_output(self, stream: DStream, f: Callable[[RDD], None]) -> None:
         self._outputs.append((stream, f))
@@ -261,10 +269,13 @@ class StreamingContext:
     # -- execution ----------------------------------------------------------------
 
     def _rdd_for(self, stream: DStream, batch_index: int) -> RDD | None:
-        key = (id(stream), batch_index)
-        if key not in self._batch_cache:
-            self._batch_cache[key] = stream.compute(batch_index)
-        return self._batch_cache[key]
+        batch = self._batch_cache.setdefault(batch_index, {})
+        key = id(stream)
+        if key not in batch:
+            rdd = batch[key] = stream.compute(batch_index)
+            if rdd is not None and batch_index > self._last_live:
+                self._last_live = batch_index
+        return batch[key]
 
     def run_batch(self) -> int:
         """Process exactly one batch; returns its index."""
@@ -274,17 +285,17 @@ class StreamingContext:
         with self._clock_lock:
             index = self._next_batch
             self._next_batch = index + 1
-        # Outputs pull their stream's RDD; stateful/windowed streams also
-        # need their compute() invoked every batch to advance state.
-        for stream in self._streams:
-            if isinstance(stream, StateDStream):
-                self._rdd_for(stream, index)
+        # Outputs pull their stream's RDD; stateful streams also need
+        # their compute() invoked every batch to advance state.
+        for stream in self._stateful:
+            self._rdd_for(stream, index)
         for stream, callback in self._outputs:
             rdd = self._rdd_for(stream, index)
             if rdd is not None:
                 callback(rdd)
         self.batches_run += 1
-        self._gc_cache(index)
+        # Keep a window's worth of history; this batch pushed one out.
+        self._batch_cache.pop(index - self._window, None)
         return index
 
     def advance(self, num_batches: int = 1) -> None:
@@ -293,19 +304,33 @@ class StreamingContext:
             self.run_batch()
 
     def advance_to(self, timestamp: float) -> None:
-        """Process every batch whose interval ends at or before *timestamp*."""
+        """Process every batch whose interval ends at or before *timestamp*.
+
+        Same outputs, state and ``batches_run`` as stepping one batch at
+        a time, but a stretch in which nothing can fire is passed in one
+        jump to the earliest buffered bucket (or the target): no stateful
+        stream (it emits its state every batch) and no cached RDD that a
+        window still reaches, so every stream would compute None.
+        """
+        target = int(timestamp // self.batch_interval)
+        if target * self.batch_interval > timestamp:  # float guard
+            target -= 1
         while (self._next_batch + 1) * self.batch_interval <= timestamp:
-            self.run_batch()
+            if not self._skip_idle(target):
+                self.run_batch()
 
-    def _gc_cache(self, done_index: int) -> None:
-        # Keep a window's worth of history; drop older cached batch RDDs.
-        horizon = done_index - self._max_window() + 1
-        for key in [k for k in self._batch_cache if k[1] < horizon]:
-            del self._batch_cache[key]
-
-    def _max_window(self) -> int:
-        widths = [
-            s.window_batches for s in self._streams
-            if isinstance(s, WindowedDStream)
-        ]
-        return max(widths, default=1)
+    def _skip_idle(self, target: int) -> bool:
+        if self._stateful or self._next_batch - self._last_live < self._window:
+            return False
+        with self._clock_lock:  # atomic against push(), like run_batch
+            if any(self._next_batch in s._buckets for s in self._inputs):
+                return False
+            skipped = min(
+                [target] + [min(s._buckets) for s in self._inputs if s._buckets]
+            ) - self._next_batch
+            if skipped <= 0:
+                return False
+            self._next_batch += skipped
+        self.batches_run += skipped
+        self._batch_cache.clear()
+        return True

@@ -1,9 +1,13 @@
 """Property-based tests for ETL invariants."""
 
+from datetime import datetime, timezone
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ingest import ParsedEvent, coalesce_events
+from repro.genlog.templates import EPOCH
+from repro.ingest import LineParser, ParsedEvent, coalesce_events
 from repro.titan import LogSource
 
 event_lists = st.lists(
@@ -75,3 +79,31 @@ class TestCoalesceProperties:
     @given(events=event_lists)
     def test_never_grows(self, events):
         assert len(coalesce_events(events, 1.0)) <= len(events)
+
+
+class TestParseTimestamp:
+    @staticmethod
+    def _strptime(stamp):
+        """The expression parse_timestamp used before fromisoformat."""
+        dt = datetime.strptime(stamp, "%Y-%m-%dT%H:%M:%S.%f").replace(
+            tzinfo=timezone.utc)
+        return dt.timestamp() - EPOCH
+
+    @settings(max_examples=300, deadline=None)
+    @given(when=st.datetimes(min_value=datetime(1970, 1, 1),
+                             max_value=datetime(9999, 12, 31, 23, 59, 59)),
+           millis=st.integers(0, 999))
+    def test_bit_identical_to_strptime(self, when, millis):
+        stamp = when.strftime("%Y-%m-%dT%H:%M:%S") + f".{millis:03d}"
+        assert LineParser.parse_timestamp(stamp) == self._strptime(stamp)
+
+    @pytest.mark.parametrize("stamp", [
+        "2017-13-45T00:00:00.000",   # digit-valid, no such month/day
+        "2017-02-30T00:00:00.000",
+        "2017-03-01T00:61:00.000",
+    ])
+    def test_impossible_date_still_raises(self, stamp):
+        with pytest.raises(ValueError):
+            LineParser.parse_timestamp(stamp)
+        with pytest.raises(ValueError):
+            self._strptime(stamp)

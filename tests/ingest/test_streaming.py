@@ -136,6 +136,37 @@ class TestStreamingIngestor:
         assert ingestor.stats.written < 150
         assert sum(e.amount for e in sink.events) == 1000
 
+    def test_window_costs_two_tasks_and_an_idle_day_costs_none(self):
+        """The fixed cost of a window, counted: one map task plus one
+        result task per closed window, and a day with no events between
+        two windows enters ``run_batch`` for neither of its seconds."""
+        bus = MessageBus()
+        producer = LogProducer(bus, "events")
+        sink = ListSink()
+        sc = SparkletContext(4)
+        ingestor = StreamingIngestor(bus, "events", sink, sc)
+        entered = []
+        run_batch = ingestor.ssc.run_batch
+        ingestor.ssc.run_batch = lambda: entered.append(run_batch())
+
+        day = 86_400.0
+        producer.publish_events(
+            [_ev(day + w + 0.01 * i, comp=f"c0-0c0s0n{i % 3}")
+             for w in range(100) for i in range(17)])
+        ingestor.process_available()
+        ingestor.flush()
+        assert entered == [int(day) + w for w in range(100)]
+        assert ingestor.stats.batches == int(day) + 100
+        assert ingestor.stats.written == 300
+        assert sc.metrics.jobs == 100
+        assert sc.metrics.tasks == 2 * sc.metrics.jobs
+
+        producer.publish_events([_ev(3 * day + 0.5)])
+        ingestor.process_available()
+        ingestor.flush()
+        assert entered[100:] == [int(3 * day)]
+        assert ingestor.stats.batches == int(3 * day) + 1
+
 
 # -- one contract, three ingestors ------------------------------------------
 

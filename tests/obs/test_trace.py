@@ -205,3 +205,51 @@ class TestTraceIdentity:
         assert root.wall_start is not None
         assert trace["wall_time"] == root.wall_start
         assert trace["children"][0]["wall_time"] >= trace["wall_time"]
+
+
+class TestExportOnRead:
+    """Finished traces sit in the ring as root spans; the dict tree is
+    built when ``last_trace()`` / ``traces()`` is read."""
+
+    def _traced(self, tracer):
+        with tracer.root_span("request", op="heatmap") as root:
+            with tracer.span("framework", rows=3):
+                try:
+                    with tracer.span("cassdb.read"):
+                        raise RuntimeError("boom")
+                except RuntimeError:
+                    pass
+            with tracer.span("server.shape"):
+                pass
+        return root
+
+    def test_read_equals_export_at_finish(self):
+        eager = []
+
+        class EagerTracer(Tracer):
+            def _finish_trace(self, root):
+                eager.append(root.to_dict())   # what finish used to keep
+                super()._finish_trace(root)
+
+        tracer = EagerTracer()
+        self._traced(tracer)
+        assert tracer.last_trace() == eager[0]
+        assert tracer.traces() == eager
+        assert tracer.last_trace() == tracer.last_trace()
+        assert eager[0]["spans"] == 4
+        json.dumps(tracer.traces())
+
+    def test_reads_hand_out_fresh_dicts(self):
+        tracer = Tracer()
+        self._traced(tracer)
+        tracer.last_trace()["children"].clear()
+        assert len(tracer.last_trace()["children"]) == 2
+
+    def test_ring_still_caps_and_resets(self):
+        tracer = Tracer(max_traces=3)
+        for _ in range(7):
+            self._traced(tracer)
+        assert len(tracer.traces()) == 3
+        assert [t["trace_id"] for t in tracer.traces()] == [5, 6, 7]
+        tracer.reset()
+        assert tracer.traces() == [] and tracer.last_trace() is None

@@ -99,6 +99,33 @@ class TestConcurrentJobs:
             assert all(r == expected for r in results)
 
 
+class TestStageThreadsKeepTheTrace:
+    def test_two_shuffle_job_is_one_connected_tree(self):
+        """A job owning >= 2 shuffles runs its map stages on their own
+        driver threads; their spans must stay in the job's trace."""
+        tracer = obs.get_tracer()
+        with SparkletContext(2) as ctx, tracer.root_span("test.root"):
+            left = ctx.parallelize([(i % 3, i) for i in range(12)], 2)
+            right = ctx.parallelize([(i % 3, -i) for i in range(6)], 2)
+            joined = (left.reduceByKey(lambda a, b: a + b, 2)
+                      .union(right.reduceByKey(lambda a, b: a + b, 2)))
+            assert sorted(joined.collect()) == [
+                (0, -3), (0, 18), (1, -5), (1, 22), (2, -7), (2, 26)]
+        trace = tracer.last_trace()
+        (job,) = trace["children"]
+        assert job["name"] == "sparklet.job"
+        stages = job["children"]
+        assert [s["name"] for s in stages] == ["sparklet.stage"] * 3
+        assert sorted(s["attrs"]["kind"] for s in stages) == [
+            "result", "shuffle_map", "shuffle_map"]
+        for stage in stages:
+            assert stage["parent_id"] == job["span_id"]
+            assert [t["name"] for t in stage["children"]] == (
+                ["sparklet.task"] * stage["attrs"]["tasks"])
+        # job + 3 stages + (2 + 2 + 4) tasks under one root
+        assert trace["spans"] == 1 + 1 + 3 + 8
+
+
 class TestShuffleLifecycle:
     def test_outputs_freed_when_rdd_dies(self):
         with SparkletContext(4) as sc:

@@ -134,6 +134,51 @@ class TestSchedulerMetrics:
             sc.parallelize(["a", "b", "c"], 3))
         assert zipped.collect() == [(1, "a"), (2, "b"), (3, "c")]
 
+    def test_mutating_merge_leaves_shuffle_blocks_intact(self):
+        """merge_combiners may mutate its first argument: with >= 2 map
+        partitions every key merges on the reduce side, and the blocks
+        the first action left behind must read the same a second time."""
+        sc = SparkletContext(3)
+
+        def merge(a, b):
+            a.extend(b)
+            return a
+
+        summed = sc.parallelize(
+            [(i % 4, i) for i in range(40)], 4
+        ).combineByKey(lambda v: [v], lambda acc, v: acc + [v], merge, 2)
+        first = sorted((k, sorted(v)) for k, v in summed.collect())
+        assert first == [(k, list(range(k, 40, 4))) for k in range(4)]
+        assert sorted((k, sorted(v)) for k, v in summed.collect()) == first
+
+    def test_combiner_copied_on_first_merge_not_first_sight(self):
+        copies = []
+
+        class Tally:
+            def __init__(self, n):
+                self.n = n
+
+            def __deepcopy__(self, memo):
+                copies.append(self.n)
+                return Tally(self.n)
+
+        def merge(a, b):
+            a.n += b.n
+            return a
+
+        sc = SparkletContext(2)
+        # Keys 0..3 sit in both map partitions (merged on the reduce
+        # side); keys 10..13 sit in one (seen once, never merged).
+        data = ([(k, 1) for k in range(4)] + [(k + 10, 1) for k in range(4)]
+                + [(k, 1) for k in range(4)])
+        tallied = sc.parallelize(data, 2).combineByKey(
+            Tally, lambda acc, v: merge(acc, Tally(v)), merge, 3)
+        for _ in range(2):
+            assert sorted((k, t.n) for k, t in tallied.collect()) == (
+                [(k, 2) for k in range(4)] + [(k + 10, 1) for k in range(4)])
+        # One private copy per merged key per action; none for the rest.
+        assert copies == [1] * 8
+
     def test_reset_metrics(self):
         sc = SparkletContext(2)
         sc.range(10).count()

@@ -259,6 +259,54 @@ class TestPushThreadSafety:
                 == sorted((r, i) for r in range(receivers)
                           for i in range(per_receiver)))
 
+    def test_receivers_push_while_the_clock_jumps(self, sc):
+        """advance_to() jumps over empty stretches under the same clock
+        lock push() clamps under: a record pushed mid-jump lands in a
+        bucket the clock has not passed — never lost, never duplicated —
+        and the clock never runs ahead of a buffered bucket."""
+        import sys
+        import threading
+
+        ssc = StreamingContext(sc, batch_interval=1.0)
+        inp = ssc.input_stream()
+        out = []
+        inp.collect_batches(out)
+
+        receivers, per_receiver = 6, 150
+        start = threading.Barrier(receivers + 1)
+
+        def receive(rid):
+            start.wait()
+            for i in range(per_receiver):
+                # Sparse stamps: gaps of ~1000 empty batches to jump.
+                inp.push((rid, i), timestamp=1_000.0 * i + rid)
+
+        threads = [threading.Thread(target=receive, args=(r,))
+                   for r in range(receivers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            start.wait()
+            horizon = 0.0
+            while any(t.is_alive() for t in threads):
+                horizon += 7_000.0
+                ssc.advance_to(horizon)
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        ssc.advance_to(max(horizon, 1_000.0 * per_receiver) + 10.0)
+        ssc.advance(1)   # late records clamped into the open batch
+
+        got = [record for batch in out for record in batch]
+        assert sorted(got) == sorted((r, i) for r in range(receivers)
+                                     for i in range(per_receiver))
+        assert not inp._buckets
+        assert ssc.batches_run == ssc._next_batch
+
     def test_late_push_lands_in_next_unprocessed_batch(self, sc):
         ssc = StreamingContext(sc, batch_interval=1.0)
         inp = ssc.input_stream()
@@ -268,3 +316,126 @@ class TestPushThreadSafety:
         inp.push("late", timestamp=0.5)
         ssc.advance(1)
         assert out == [["late"]]
+
+
+class TestBlockPerBatch:
+    """One receiver block per interval: a batch RDD is one partition and
+    the keyed shuffles are as wide as the batch they receive."""
+
+    def _widths(self, stream):
+        widths = []
+        stream.foreachRDD(lambda rdd: widths.append(rdd.num_partitions))
+        return widths
+
+    def test_input_and_state_batches_are_one_partition(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        pairs = inp.map(lambda e: (e, 1))
+        raw = self._widths(inp)
+        reduced = self._widths(pairs.reduceByKey(lambda a, b: a + b))
+        grouped = self._widths(pairs.groupByKey())
+        state = self._widths(pairs.updateStateByKey(
+            lambda new, old: (old or 0) + sum(new)))
+        inp.push_many([(i % 5, 0.01 * i) for i in range(50)])
+        ssc.advance(1)
+        assert raw == reduced == grouped == state == [1]
+
+    def test_window_union_is_as_wide_as_its_batches(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        widths = self._widths(
+            inp.map(lambda e: (e, 1)).reduceByKeyAndWindow(
+                lambda a, b: a + b, 3))
+        inp.push_many([("a", 0.5), ("a", 1.5), ("a", 2.5), ("a", 4.5)])
+        ssc.advance(5)
+        assert widths == [1, 2, 3, 2, 2]   # batch 3 is empty
+
+    def test_a_window_is_one_map_task_and_one_result_task(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        out = []
+        inp.map(lambda e: (e % 7, 1)).reduceByKey(
+            lambda a, b: a + b).collect_batches(out)
+        inp.push_many([(i, 0.001 * i) for i in range(100)])
+        sc.reset_metrics()
+        ssc.advance(1)
+        assert sorted(out[0]) == [(k, len(range(k, 100, 7))) for k in range(7)]
+        assert (sc.metrics.jobs, sc.metrics.stages, sc.metrics.tasks) == (
+            1, 2, 2)
+
+
+class TestClockJump:
+    @staticmethod
+    def _count_batches(ssc):
+        calls = []
+        run_batch = ssc.run_batch
+
+        def counted():
+            calls.append(ssc.batches_run)
+            return run_batch()
+
+        ssc.run_batch = counted
+        return calls
+
+    def test_empty_day_is_jumped_not_walked(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        out = []
+        inp.collect_batches(out)
+        calls = self._count_batches(ssc)
+        inp.push("x", 86_400.5)
+        ssc.advance_to(86_402.0)
+        assert out == [["x"]]
+        assert ssc.batches_run == 86_402
+        assert calls == [86_400]   # one batch entered, the one with data
+
+    def test_jump_stops_at_every_buffered_bucket(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        out = []
+        inp.foreachRDD(lambda rdd: out.append((ssc.batches_run,
+                                               rdd.collect())))
+        calls = self._count_batches(ssc)
+        inp.push_many([("c", 5_000.2), ("a", 10.5), ("b", 10.7)])
+        ssc.advance_to(1e6)
+        assert out == [(10, ["a", "b"]), (5_000, ["c"])]
+        assert calls == [10, 5_000]
+        assert ssc.batches_run == 1_000_000
+
+    def test_window_keeps_stepping_while_an_rdd_is_in_reach(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        out = []
+        win = inp.window(3)
+        win.foreachRDD(lambda rdd: out.append((ssc.batches_run,
+                                               rdd.collect())))
+        calls = self._count_batches(ssc)
+        inp.push("a", 100.5)
+        ssc.advance_to(10_000.0)
+        assert out == [(100, ["a"]), (101, ["a"]), (102, ["a"])]
+        # The union minted at 102 is itself in reach (of a window over
+        # this window) for two more batches; then the clock jumps.
+        assert calls == [100, 101, 102, 103, 104]
+        assert ssc.batches_run == 10_000
+
+    def test_stateful_graph_never_jumps(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        out = []
+        inp.map(lambda e: (e, 1)).updateStateByKey(
+            lambda new, old: (old or 0) + sum(new)).collect_batches(out)
+        inp.push("a", 3.5)
+        ssc.advance_to(50.0)
+        assert len(out) == ssc.batches_run == 50
+        assert out[2] == [] and out[3] == out[-1] == [("a", 1)]
+
+    def test_push_after_a_jump_is_late_data(self, sc):
+        ssc = StreamingContext(sc)
+        inp = ssc.input_stream()
+        out = []
+        inp.collect_batches(out)
+        ssc.advance_to(1_000.0)
+        inp.push("late", 12.0)
+        ssc.advance(1)
+        assert out == [["late"]]
+        assert ssc.batches_run == 1_001
