@@ -205,7 +205,7 @@ class LogAnalyticsFramework:
         topic = ALERTS_TOPIC if topic is None else topic
         engine = DetectionEngine(
             self.topology, bus, topic=topic, detectors=detectors,
-            interval=ingestor.ssc.batch_interval, sc=self.sc,
+            interval=ingestor.ssc.batch_interval,
         ).attach(ingestor)
         return DetectionPipeline(engine, bus, self.cluster, self.sc,
                                  topic=topic, group_id=group_id)

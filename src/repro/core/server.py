@@ -238,6 +238,14 @@ class AnalyticsServer:
             raise ValueError(f"{request['op']} requires '{field}'")
         return value
 
+    @staticmethod
+    def _given(request: dict[str, Any], *fields: str) -> dict[str, Any]:
+        """The optional *fields* the request carries, as keyword
+        arguments: an omitted (or null) one is not forwarded, so its
+        default is the framework's, declared once."""
+        return {f: request[f] for f in fields
+                if request.get(f) is not None}
+
     def _context(self, request: dict[str, Any]) -> Context:
         payload = request.get("context")
         if not isinstance(payload, dict):
@@ -581,8 +589,7 @@ class AnalyticsServer:
 
     def _op_heatmap(self, request):
         return self.framework.heatmap(
-            self._context(request), request.get("granularity", "node")
-        )
+            self._context(request), **self._given(request, "granularity"))
 
     def _op_heatmap_grid(self, request):
         counts = self.framework.heatmap(self._context(request), "node")
@@ -590,8 +597,7 @@ class AnalyticsServer:
 
     def _op_distribution(self, request):
         return self.framework.distribution(
-            self._context(request), request.get("granularity", "cabinet")
-        )
+            self._context(request), **self._given(request, "granularity"))
 
     def _op_distribution_by_application(self, request):
         return self.framework.distribution_by_application(
@@ -600,16 +606,13 @@ class AnalyticsServer:
 
     def _op_histogram(self, request):
         edges, counts = self.framework.time_histogram(
-            self._context(request), request.get("num_bins", 48)
-        )
+            self._context(request), **self._given(request, "num_bins"))
         return {"edges": edges, "counts": counts}
 
     def _op_hotspots(self, request):
         hotspots = self.framework.hotspots(
             self._context(request),
-            request.get("granularity", "node"),
-            request.get("z_threshold", 4.0),
-        )
+            **self._given(request, "granularity", "z_threshold"))
         return [asdict(h) for h in hotspots]
 
     def _op_transfer_entropy(self, request):
@@ -617,9 +620,7 @@ class AnalyticsServer:
             self._context(request),
             self._require(request, "source_type"),
             self._require(request, "target_type"),
-            bin_seconds=request.get("bin_seconds", 60.0),
-            n_shuffles=request.get("n_shuffles", 100),
-        )
+            **self._given(request, "bin_seconds", "n_shuffles"))
         return asdict(result)
 
     def _op_cross_correlation(self, request):
@@ -627,23 +628,18 @@ class AnalyticsServer:
             self._context(request),
             self._require(request, "type_a"),
             self._require(request, "type_b"),
-            bin_seconds=request.get("bin_seconds", 60.0),
-            max_lag=request.get("max_lag", 10),
-        )
+            **self._given(request, "bin_seconds", "max_lag"))
 
     def _op_keywords(self, request):
         return self.framework.keywords(
-            self._context(request), request.get("n", 10),
-            request.get("use_tf_idf", True),
-        )
+            self._context(request),
+            **self._given(request, "n", "use_tf_idf"))
 
     def _op_association_rules(self, request):
         rules = self.framework.association_rules(
             self._context(request),
-            window_seconds=request.get("window_seconds", 120.0),
-            min_support=request.get("min_support", 0.001),
-            min_confidence=request.get("min_confidence", 0.3),
-        )
+            **self._given(request, "window_seconds", "min_support",
+                          "min_confidence"))
         return [asdict(r) for r in rules]
 
     def _op_placement(self, request):
@@ -661,9 +657,7 @@ class AnalyticsServer:
     def _op_mine_precursors(self, request):
         rules = self.framework.mine_precursors(
             self._context(request),
-            lead_window=request.get("lead_window", 120.0),
-            min_support=request.get("min_support", 3),
-        )
+            **self._given(request, "lead_window", "min_support"))
         return [asdict(r) for r in rules]
 
     def _op_application_profiles(self, request):

@@ -6,13 +6,9 @@ reduceByKey graph).  The engine registers a **window observer** on the
 ingestor, so every closed window's coalesced events are handed to it —
 the same objects the sink writes, with no second collect and no extra
 per-window job.  The observer folds the window into per-(event_type,
-cabinet) counts; for small windows (the overwhelmingly common case at a
-1 s interval) the fold is a driver-side loop, while windows of
-``job_threshold``\\+ events are folded as a sparklet
-``parallelize → map → reduceByKey`` job through the PR 8 concurrent
-scheduler — the same escape hatch every other analytic uses when a
-window is too big for one thread.  The counts are offered to every
-detector; resulting alerts go out through an
+cabinet) counts with a driver-side loop (a 1 s window is tens of
+events; a job launch would cost more than the fold).  The counts are
+offered to every detector; resulting alerts go out through an
 :class:`~repro.detect.alerts.AlertPublisher` onto the ``alerts`` topic.
 
 Observability: ``detect.windows`` / ``detect.window_events`` /
@@ -48,20 +44,15 @@ class DetectionEngine:
     def __init__(self, topology: TitanTopology, bus: "MessageBus", *,
                  topic: str = ALERTS_TOPIC,
                  detectors: Sequence[Detector] | None = None,
-                 interval: float = 1.0,
-                 sc: "SparkletContext | None" = None,
-                 job_threshold: int = 20_000):
+                 interval: float = 1.0):
         self.topology = topology
         self.interval = interval
         self.detectors: list[Detector] = (
             list(detectors) if detectors is not None
             else default_detectors(topology, interval=interval))
         self.publisher = AlertPublisher(bus, topic)
-        self.sc = sc
-        self.job_threshold = job_threshold
         self.windows_seen = 0
         self.alerts_emitted = 0
-        self.jobs_run = 0
         self._registry = obs.get_registry()
         self._m_windows = self._registry.counter("detect.windows")
         self._m_events = self._registry.counter("detect.window_events")
@@ -76,18 +67,9 @@ class DetectionEngine:
         ingestor.add_observer(self._on_window)
         return self
 
-    def _fold(self, events) -> dict[tuple[str, str], int]:
+    @staticmethod
+    def _fold(events) -> dict[tuple[str, str], int]:
         """Per-(type, cabinet) counts for one window's events."""
-        if self.sc is not None and len(events) >= self.job_threshold:
-            # Monster window: fold as a sparklet job on the shared
-            # concurrent scheduler instead of a driver-side loop.
-            self.jobs_run += 1
-            return dict(
-                self.sc.parallelize(events)
-                .map(lambda e: ((e.type, cabinet_of(e.component)),
-                                e.amount))
-                .reduceByKey(lambda a, b: a + b)
-                .collect())
         counts: dict[tuple[str, str], int] = {}
         for e in events:
             key = (e.type, cabinet_of(e.component))

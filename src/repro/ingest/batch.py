@@ -33,7 +33,8 @@ from .sink import EventSink
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparklet import SparkletContext
 
-__all__ = ["IngestStats", "serial_ingest", "batch_ingest", "coalesce_events"]
+__all__ = ["IngestStats", "serial_ingest", "batch_ingest", "coalesce_events",
+           "merge_events"]
 
 
 @dataclass
@@ -62,14 +63,23 @@ def _record_ingest(stats: "IngestStats", mode: str, elapsed_s: float) -> None:
             stats.lines / elapsed_s)
 
 
+def merge_events(a: ParsedEvent, b: ParsedEvent) -> ParsedEvent:
+    """The coalescing merge of two occurrences of one (type, component,
+    window): amounts add; the merged event keeps the earliest timestamp
+    and the first occurrence's attributes."""
+    return ParsedEvent(
+        ts=min(a.ts, b.ts), type=a.type, component=a.component,
+        source=a.source, amount=a.amount + b.amount, attrs=a.attrs,
+        raw=a.raw)
+
+
 def coalesce_events(events: Iterable[ParsedEvent],
                     window_seconds: float = 1.0) -> list[ParsedEvent]:
     """Merge same-(type, component) events within a time window.
 
     "Event occurrences of the same type and same location are coalesced
     into a single event if they are timestamped the same", with the
-    window set to one second (§III-D).  Amounts add; the merged event
-    keeps the earliest timestamp and the first occurrence's attributes.
+    window set to one second (§III-D), by :func:`merge_events`.
     """
     if window_seconds <= 0:
         return list(events)
@@ -77,18 +87,7 @@ def coalesce_events(events: Iterable[ParsedEvent],
     for event in events:
         key = (event.type, event.component, int(event.ts // window_seconds))
         kept = merged.get(key)
-        if kept is None:
-            merged[key] = event
-        else:
-            merged[key] = ParsedEvent(
-                ts=min(kept.ts, event.ts),
-                type=kept.type,
-                component=kept.component,
-                source=kept.source,
-                amount=kept.amount + event.amount,
-                attrs=kept.attrs,
-                raw=kept.raw,
-            )
+        merged[key] = event if kept is None else merge_events(kept, event)
     return sorted(merged.values(), key=lambda e: (e.ts, e.type, e.component))
 
 
@@ -166,10 +165,7 @@ def _batch_ingest_traced(sc: "SparkletContext", paths: Sequence[str],
             events_rdd
             .map(lambda e: (
                 (e.type, e.component, int(e.ts // coalesce_seconds)), e))
-            .reduceByKey(lambda a, b: ParsedEvent(
-                ts=min(a.ts, b.ts), type=a.type, component=a.component,
-                source=a.source, amount=a.amount + b.amount, attrs=a.attrs,
-                raw=a.raw))
+            .reduceByKey(merge_events)
             .values()
         )
     events_rdd.mapPartitions(sink_partition).collect()

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro import obs
 from repro.bus import ConsumerGroup, MessageBus, Producer
 
+from .batch import merge_events
 from .parsers import LineParser, ParsedEvent, default_parser
 from .sink import EventSink
 
@@ -226,10 +227,7 @@ class StreamingIngestor(TopicIngestor):
         self.coalesced = (
             self._input
             .map(lambda e: ((e.type, e.component, int(e.ts // interval)), e))
-            .reduceByKey(lambda a, b: ParsedEvent(
-                ts=min(a.ts, b.ts), type=a.type, component=a.component,
-                source=a.source, amount=a.amount + b.amount, attrs=a.attrs,
-                raw=a.raw))
+            .reduceByKey(merge_events)
             .map(lambda kv: kv[1])
         )
         self.coalesced.foreachRDD(self._write_batch)

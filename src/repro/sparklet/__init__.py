@@ -3,8 +3,8 @@
 Implements the paper's "big data processing unit": lazy RDDs with
 MapReduce-style transformations, a DAG scheduler that splits jobs into
 stages at shuffle boundaries, locality-aware task placement against the
-cassdb replica map, broadcast variables, accumulators, and micro-batch
-stream processing (``repro.sparklet.streaming``).
+cassdb replica map, accumulators, and micro-batch stream processing
+(``repro.sparklet.streaming``).
 
 Quick use::
 
@@ -21,26 +21,22 @@ Quick use::
 """
 
 from .accumulator import Accumulator
-from .broadcast import Broadcast
 from .context import SparkletContext
 from .executor import TaskContext, TaskMetrics, WorkerPool
-from .partitioner import HashPartitioner, Partitioner, RangePartitioner
-from .rdd import RDD, StatCounter
+from .partitioner import HashPartitioner, Partitioner
+from .rdd import RDD
 from .scheduler import DAGScheduler, EngineMetrics
 from .sources import CassandraTableRDD, TextFileRDD
 
 __all__ = [
     "Accumulator",
-    "Broadcast",
     "CassandraTableRDD",
     "DAGScheduler",
     "EngineMetrics",
     "HashPartitioner",
     "Partitioner",
     "RDD",
-    "RangePartitioner",
     "SparkletContext",
-    "StatCounter",
     "TaskContext",
     "TaskMetrics",
     "TextFileRDD",

@@ -1,7 +1,7 @@
 """SparkletContext — the engine's entry point (PySpark's ``SparkContext``).
 
 A context owns the worker pool, the DAG scheduler, and the factories
-for input RDDs, broadcasts and accumulators.  Attach it to a cassdb
+for input RDDs and accumulators.  Attach it to a cassdb
 :class:`~repro.cassdb.cluster.Cluster` to get the paper's co-located
 deployment: one worker per database node, with ``cassandraTable``
 scans preferring the replica-local worker.
@@ -14,7 +14,6 @@ import threading
 from typing import Any, Callable, Iterable, Sequence
 
 from .accumulator import Accumulator
-from .broadcast import Broadcast
 from .executor import WorkerPool
 from .rdd import RDD, ParallelCollectionRDD, UnionRDD
 from .scheduler import DAGScheduler, EngineMetrics
@@ -81,7 +80,6 @@ class SparkletContext:
         self.scheduler = DAGScheduler(self)
         self._rdd_ids = itertools.count()
         self._shuffle_ids = itertools.count()
-        self._bc_ids = itertools.count()
         self._acc_ids = itertools.count()
         self._id_lock = threading.Lock()
 
@@ -104,12 +102,6 @@ class SparkletContext:
             self, data, num_partitions or self.default_parallelism
         )
 
-    def emptyRDD(self) -> RDD:
-        return ParallelCollectionRDD(self, [], 1)
-
-    def range(self, n: int, num_partitions: int | None = None) -> RDD:
-        return self.parallelize(range(n), num_partitions)
-
     def cassandraTable(self, table: str, split_factor: int = 1,
                        where: Callable[[dict], bool] | None = None
                        ) -> CassandraTableRDD:
@@ -131,10 +123,6 @@ class SparkletContext:
         return UnionRDD(self, list(rdds))
 
     # -- shared variables ------------------------------------------------------
-
-    def broadcast(self, value: Any) -> Broadcast:
-        with self._id_lock:
-            return Broadcast(value, next(self._bc_ids))
 
     def accumulator(self, initial: Any,
                     merge: Callable[[Any, Any], Any] | None = None

@@ -1,20 +1,19 @@
 """Partitioners: how shuffled (key, value) records map to reduce tasks.
 
-Mirrors Spark's ``HashPartitioner`` / ``RangePartitioner``.  The hash
-variant uses the same stable MD5-derived token as the cassdb ring so
-results are reproducible across runs (Python's builtin ``hash`` is
-salted per process, which would make shuffle placement — and therefore
-any placement-sensitive test — nondeterministic).
+Mirrors Spark's ``HashPartitioner``, on the same stable MD5-derived
+token as the cassdb ring so results are reproducible across runs
+(Python's builtin ``hash`` is salted per process, which would make
+shuffle placement — and therefore any placement-sensitive test —
+nondeterministic).
 """
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Sequence
+from typing import Any
 
 from repro.cassdb.hashring import token_for_key
 
-__all__ = ["Partitioner", "HashPartitioner", "RangePartitioner"]
+__all__ = ["Partitioner", "HashPartitioner"]
 
 
 class Partitioner:
@@ -41,37 +40,3 @@ class HashPartitioner(Partitioner):
     def partition(self, key: Any) -> int:
         return token_for_key(repr(key)) % self.num_partitions
 
-
-class RangePartitioner(Partitioner):
-    """Range partitioning over sorted split points (used by ``sortBy``).
-
-    ``bounds`` are the upper bounds of the first ``n-1`` partitions; keys
-    greater than every bound go to the last partition.  This gives
-    globally sorted output when each partition is sorted locally.
-    """
-
-    def __init__(self, bounds: Sequence[Any]):
-        super().__init__(len(bounds) + 1)
-        self.bounds = list(bounds)
-
-    @classmethod
-    def from_sample(cls, sample: Sequence[Any], num_partitions: int
-                    ) -> "RangePartitioner":
-        """Choose split points from a sample of keys (Spark's approach)."""
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        ordered = sorted(sample)
-        if num_partitions == 1 or len(ordered) < num_partitions:
-            return cls(ordered[: max(0, num_partitions - 1)])
-        step = len(ordered) / num_partitions
-        bounds = [ordered[int(step * i) - 1] for i in range(1, num_partitions)]
-        return cls(bounds)
-
-    def partition(self, key: Any) -> int:
-        return bisect.bisect_left(self.bounds, key)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RangePartitioner) and self.bounds == other.bounds
-
-    def __hash__(self) -> int:
-        return hash(("RangePartitioner", tuple(map(repr, self.bounds))))

@@ -13,9 +13,8 @@ occurrences (§III-D).  This module provides that machinery:
   receiver cut (Spark Streaming's rule) and ours cuts one per interval,
   so every RDD minted for a batch is one partition and a keyed shuffle
   is as wide as the batch it receives: one map task, one result task;
-* windows (``window``, ``reduceByKeyAndWindow``, ``countByWindow``) and
-  per-key state (``updateStateByKey``) cover the online-analytics hooks
-  §III-D says the framework will grow.
+* ``window`` unions the last *k* batches — the hook for the online
+  analytics §III-D says the framework will grow.
 
 Timestamps are plain floats (seconds).  A record pushed at time *t*
 belongs to the batch covering ``[k·interval, (k+1)·interval)`` with
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import defaultdict
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from .rdd import RDD
 
@@ -40,17 +39,15 @@ __all__ = ["StreamingContext", "DStream", "InputDStream"]
 class DStream:
     """A discretized stream: one RDD per batch interval."""
 
-    def __init__(self, ssc: "StreamingContext", parents: list["DStream"]):
+    def __init__(self, ssc: "StreamingContext",
+                 parent: "DStream | None" = None):
         self.ssc = ssc
-        self.parents = parents
+        self.parent = parent    # None for an input stream
 
     # -- per-batch computation (overridden by subclasses) ------------------
 
     def compute(self, batch_index: int) -> RDD | None:
         raise NotImplementedError
-
-    def _parent_rdd(self, batch_index: int) -> RDD | None:
-        return self.ssc._rdd_for(self.parents[0], batch_index)
 
     # -- transformations ------------------------------------------------------
 
@@ -60,49 +57,14 @@ class DStream:
     def map(self, f) -> "DStream":
         return self.transform(lambda rdd: rdd.map(f))
 
-    def flatMap(self, f) -> "DStream":
-        return self.transform(lambda rdd: rdd.flatMap(f))
-
-    def filter(self, f) -> "DStream":
-        return self.transform(lambda rdd: rdd.filter(f))
-
-    def mapPartitions(self, f) -> "DStream":
-        return self.transform(lambda rdd: rdd.mapPartitions(f))
-
     def reduceByKey(self, f) -> "DStream":
         return self.transform(lambda r: r.reduceByKey(f, r.num_partitions))
-
-    def groupByKey(self) -> "DStream":
-        return self.transform(lambda r: r.groupByKey(r.num_partitions))
-
-    def count(self) -> "DStream":
-        return self.transform(
-            lambda rdd: rdd.ctx.parallelize([rdd.count()], 1)
-        )
-
-    def union(self, other: "DStream") -> "DStream":
-        return UnionDStream(self, other)
 
     def window(self, window_batches: int, slide_batches: int = 1) -> "DStream":
         """Union of the last *window_batches* batches, every
         *slide_batches* batches (sizes in batch counts, like Spark's
         durations must be multiples of the batch interval)."""
         return WindowedDStream(self, window_batches, slide_batches)
-
-    def reduceByKeyAndWindow(self, f, window_batches: int,
-                             slide_batches: int = 1) -> "DStream":
-        return self.window(window_batches, slide_batches).reduceByKey(f)
-
-    def countByWindow(self, window_batches: int,
-                      slide_batches: int = 1) -> "DStream":
-        return self.window(window_batches, slide_batches).count()
-
-    def updateStateByKey(
-        self, update: Callable[[list, Any | None], Any | None]
-    ) -> "DStream":
-        """Stateful per-key stream: ``update(new_values, old_state)``
-        returns the new state (or None to drop the key)."""
-        return StateDStream(self, update)
 
     # -- outputs -----------------------------------------------------------------
 
@@ -118,7 +80,7 @@ class InputDStream(DStream):
     """Entry point: records pushed by a receiver, bucketed by timestamp."""
 
     def __init__(self, ssc: "StreamingContext"):
-        super().__init__(ssc, parents=[])
+        super().__init__(ssc)
         self._buckets: dict[int, list] = defaultdict(list)
         ssc._inputs.append(self)
 
@@ -139,10 +101,6 @@ class InputDStream(DStream):
                 index = self.ssc._next_batch
             self._buckets[index].append(record)
 
-    def push_many(self, records: Iterable[tuple[Any, float]]) -> None:
-        for record, ts in records:
-            self.push(record, ts)
-
     def compute(self, batch_index: int) -> RDD | None:
         with self.ssc._clock_lock:
             records = self._buckets.pop(batch_index, None)
@@ -153,34 +111,19 @@ class InputDStream(DStream):
 
 class TransformedDStream(DStream):
     def __init__(self, parent: DStream, f: Callable[[RDD], RDD]):
-        super().__init__(parent.ssc, [parent])
+        super().__init__(parent.ssc, parent)
         self.f = f
 
     def compute(self, batch_index: int) -> RDD | None:
-        rdd = self._parent_rdd(batch_index)
+        rdd = self.ssc._rdd_for(self.parent, batch_index)
         return None if rdd is None else self.f(rdd)
-
-
-class UnionDStream(DStream):
-    def __init__(self, a: DStream, b: DStream):
-        super().__init__(a.ssc, [a, b])
-
-    def compute(self, batch_index: int) -> RDD | None:
-        rdds = [
-            r for r in (
-                self.ssc._rdd_for(p, batch_index) for p in self.parents
-            ) if r is not None
-        ]
-        if not rdds:
-            return None
-        return self.ssc.sc.union(rdds)
 
 
 class WindowedDStream(DStream):
     def __init__(self, parent: DStream, window_batches: int, slide_batches: int):
         if window_batches < 1 or slide_batches < 1:
             raise ValueError("window/slide must be >= 1 batch")
-        super().__init__(parent.ssc, [parent])
+        super().__init__(parent.ssc, parent)
         self.window_batches = window_batches
         self.slide_batches = slide_batches
         self.ssc._window = max(self.ssc._window, window_batches)
@@ -192,38 +135,12 @@ class WindowedDStream(DStream):
         for i in range(batch_index - self.window_batches + 1, batch_index + 1):
             if i < 0:
                 continue
-            rdd = self.ssc._rdd_for(self.parents[0], i)
+            rdd = self.ssc._rdd_for(self.parent, i)
             if rdd is not None:
                 rdds.append(rdd)
         if not rdds:
             return None
         return self.ssc.sc.union(rdds)
-
-
-class StateDStream(DStream):
-    """Running per-key state folded over batches."""
-
-    def __init__(self, parent: DStream,
-                 update: Callable[[list, Any | None], Any | None]):
-        super().__init__(parent.ssc, [parent])
-        self.update = update
-        self._state: dict[Any, Any] = {}
-        self.ssc._stateful.append(self)
-
-    def compute(self, batch_index: int) -> RDD | None:
-        rdd = self._parent_rdd(batch_index)
-        batch: dict[Any, list] = defaultdict(list)
-        if rdd is not None:
-            for key, value in rdd.collect():
-                batch[key].append(value)
-        # Keys with new values OR existing state are re-evaluated.
-        next_state: dict[Any, Any] = {}
-        for key in set(batch) | set(self._state):
-            new = self.update(batch.get(key, []), self._state.get(key))
-            if new is not None:
-                next_state[key] = new
-        self._state = next_state
-        return self.ssc.sc.parallelize(list(next_state.items()), 1)
 
 
 class StreamingContext:
@@ -235,10 +152,9 @@ class StreamingContext:
         self.sc = sc
         self.batch_interval = batch_interval
         self._outputs: list[tuple[DStream, Callable[[RDD], None]]] = []
-        # Kept by the streams as they are built: where records buffer,
-        # whose state advances every batch, the widest window in batches.
+        # Kept by the streams as they are built: where records buffer
+        # and the widest window in batches.
         self._inputs: list[InputDStream] = []
-        self._stateful: list[StateDStream] = []
         self._window = 1
         self._next_batch = 0
         # batch index -> id(stream) -> that batch's RDD (None: nothing).
@@ -285,10 +201,6 @@ class StreamingContext:
         with self._clock_lock:
             index = self._next_batch
             self._next_batch = index + 1
-        # Outputs pull their stream's RDD; stateful streams also need
-        # their compute() invoked every batch to advance state.
-        for stream in self._stateful:
-            self._rdd_for(stream, index)
         for stream, callback in self._outputs:
             rdd = self._rdd_for(stream, index)
             if rdd is not None:
@@ -306,11 +218,11 @@ class StreamingContext:
     def advance_to(self, timestamp: float) -> None:
         """Process every batch whose interval ends at or before *timestamp*.
 
-        Same outputs, state and ``batches_run`` as stepping one batch at
-        a time, but a stretch in which nothing can fire is passed in one
-        jump to the earliest buffered bucket (or the target): no stateful
-        stream (it emits its state every batch) and no cached RDD that a
-        window still reaches, so every stream would compute None.
+        Same outputs and ``batches_run`` as stepping one batch at a
+        time, but a stretch in which nothing can fire is passed in one
+        jump to the earliest buffered bucket (or the target): no cached
+        RDD that a window still reaches, so every stream would compute
+        None.
         """
         target = int(timestamp // self.batch_interval)
         if target * self.batch_interval > timestamp:  # float guard
@@ -320,7 +232,7 @@ class StreamingContext:
                 self.run_batch()
 
     def _skip_idle(self, target: int) -> bool:
-        if self._stateful or self._next_batch - self._last_live < self._window:
+        if self._next_batch - self._last_live < self._window:
             return False
         with self._clock_lock:  # atomic against push(), like run_batch
             if any(self._next_batch in s._buckets for s in self._inputs):

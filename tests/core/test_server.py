@@ -2,11 +2,12 @@
 
 import asyncio
 import json
+from dataclasses import asdict
 
 import pytest
 
 from repro.core import AnalyticsServer
-from repro.core.server import COMPLEX_OPS, SIMPLE_OPS
+from repro.core.server import COMPLEX_OPS, SIMPLE_OPS, _jsonable
 
 from .conftest import HORIZON
 
@@ -84,6 +85,56 @@ class TestRequiredFields:
     def test_zero_is_a_value_not_a_missing_field(self, server):
         assert server.handle_sync({"op": "synopsis", "hour": 0})["ok"]
         assert server.handle_sync({"op": "placement", "ts": 0})["ok"]
+
+
+def _records(items):
+    return [asdict(item) for item in items]
+
+
+# A coupled pair: its permutation p-value moves with the shuffle count.
+_PAIR = {"source_type": "DRAM_UE", "target_type": "HEARTBEAT_FAULT"}
+_TYPES = {"type_a": "DRAM_UE", "type_b": "HEARTBEAT_FAULT"}
+
+_MCE = {"event_types": ("MCE",)}
+
+# (op, context filter, required fields, the framework call with NO
+# keyword argument, shaped the way the handler shapes it)
+_DEFAULTED_OPS = [
+    ("heatmap", _MCE, {}, lambda fw, c: fw.heatmap(c)),
+    ("distribution", _MCE, {}, lambda fw, c: fw.distribution(c)),
+    ("histogram", _MCE, {}, lambda fw, c: dict(
+        zip(("edges", "counts"), fw.time_histogram(c)))),
+    ("hotspots", _MCE, {}, lambda fw, c: _records(fw.hotspots(c))),
+    ("transfer_entropy", {}, _PAIR, lambda fw, c: asdict(
+        fw.transfer_entropy(c, *_PAIR.values()))),
+    ("cross_correlation", {}, _TYPES, lambda fw, c: fw.cross_correlation(
+        c, *_TYPES.values())),
+    ("keywords", _MCE, {}, lambda fw, c: fw.keywords(c)),
+    ("association_rules", {}, {}, lambda fw, c: _records(
+        fw.association_rules(c))),
+    ("mine_precursors", {}, {}, lambda fw, c: _records(
+        fw.mine_precursors(c))),
+]
+
+
+class TestOneDefaultPerParameter:
+    """A handler forwards only the fields a request carries, so every
+    analytic parameter has one default: the framework's."""
+
+    @pytest.mark.parametrize("op,filters,required,direct", _DEFAULTED_OPS,
+                             ids=[op for op, *_ in _DEFAULTED_OPS])
+    def test_omitted_fields_take_the_framework_defaults(
+            self, server, fw, op, filters, required, direct):
+        context = fw.context(0, HORIZON, **filters)
+        r = server.handle_sync(
+            {"op": op, "context": context.to_json(), **required})
+        assert r["ok"], r
+        assert r["result"] == _jsonable(direct(fw, context))
+
+    def test_a_null_field_is_an_omitted_field(self, server, fw):
+        request = {"op": "distribution", "context": _ctx(fw, **_MCE)}
+        assert (server.handle_sync({**request, "granularity": None})["result"]
+                == server.handle_sync(request)["result"])
 
 
 class TestSimpleOps:

@@ -10,6 +10,7 @@ from repro.ingest import (
     coalesce_events,
     serial_ingest,
 )
+from repro.ingest.batch import merge_events
 from repro.sparklet import SparkletContext
 from repro.titan import LogSource, TitanTopology
 
@@ -61,6 +62,21 @@ class TestCoalesceEvents:
     def test_output_sorted(self):
         merged = coalesce_events([_ev(9.0), _ev(1.0), _ev(5.0)])
         assert [e.ts for e in merged] == [1.0, 5.0, 9.0]
+
+    def test_merge_keeps_earliest_ts_and_first_payload(self):
+        """The one merge under coalesce_events, the batch-ETL job and
+        the streaming window."""
+        first = ParsedEvent(ts=5.7, type="MCE", component="n0",
+                            source=LogSource.CONSOLE, amount=2,
+                            attrs={"bank": 1}, raw="first line")
+        later = ParsedEvent(ts=5.2, type="MCE", component="n0",
+                            source=LogSource.CONSOLE, amount=3,
+                            attrs={"bank": 4}, raw="second line")
+        merged = merge_events(first, later)
+        assert merged == ParsedEvent(
+            ts=5.2, type="MCE", component="n0", source=LogSource.CONSOLE,
+            amount=5, attrs={"bank": 1}, raw="first line")
+        assert coalesce_events([first, later]) == [merged]
 
 
 class TestListSink:

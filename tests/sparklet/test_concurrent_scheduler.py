@@ -71,7 +71,8 @@ class TestConcurrentJobs:
 
             def action():
                 barrier.wait()  # maximize racing on the claim
-                return shuffled.map(lambda kv: kv[1]).sum()
+                return shuffled.map(lambda kv: kv[1]).reduce(
+                    lambda a, b: a + b)
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = [f.result()

@@ -97,9 +97,9 @@ class TestStreamingIngestMatchesCoalesce:
         assert ingestor.lag == 0
 
 
-# The stepped reference walks every empty batch (a stateful graph runs a
-# job in each), so gaps stop at 10^3 here; TestClockJump in
-# test_streaming.py and the ingest property above cover 10^4..10^6.
+# The stepped reference walks every empty batch, so gaps stop at 10^3
+# here; TestClockJump in test_streaming.py and the ingest property above
+# cover 10^4..10^6.
 graph_steps = st.lists(
     st.tuples(_gaps(3), _JITTER, st.sampled_from("abc"),
               st.booleans()),                       # advance_to after this
@@ -107,7 +107,7 @@ graph_steps = st.lists(
 )
 
 
-def _run_graph(steps, window, slide, stateful, interval, jump):
+def _run_graph(steps, window, slide, interval, jump):
     """Drive one graph over *steps*; returns (outputs, batches_run)."""
     with SparkletContext(2) as sc:
         ssc = StreamingContext(sc, batch_interval=interval)
@@ -122,11 +122,8 @@ def _run_graph(steps, window, slide, stateful, interval, jump):
 
         record("raw", inp)
         record("window", inp.window(window, slide))
-        record("counts", pairs.reduceByKeyAndWindow(
-            lambda a, b: a + b, window, slide))
-        if stateful:
-            record("state", pairs.updateStateByKey(
-                lambda new, old: (old or 0) + sum(new)))
+        record("counts", pairs.window(window, slide).reduceByKey(
+            lambda a, b: a + b))
 
         def advance_to(ts):
             if jump:
@@ -147,10 +144,10 @@ def _run_graph(steps, window, slide, stateful, interval, jump):
 class TestJumpingEqualsStepping:
     @settings(max_examples=20, deadline=None)
     @given(steps=graph_steps, window=st.integers(1, 4),
-           slide=st.integers(1, 3), stateful=st.booleans(),
+           slide=st.integers(1, 3),
            interval=st.sampled_from([0.5, 1.0]))
-    def test_same_outputs_state_and_batches_run(self, steps, window, slide,
-                                                stateful, interval):
-        jumped = _run_graph(steps, window, slide, stateful, interval, True)
-        stepped = _run_graph(steps, window, slide, stateful, interval, False)
+    def test_same_outputs_and_batches_run(self, steps, window, slide,
+                                          interval):
+        jumped = _run_graph(steps, window, slide, interval, True)
+        stepped = _run_graph(steps, window, slide, interval, False)
         assert jumped == stepped

