@@ -52,8 +52,8 @@ from .schema import Keyspace, TableSchema
 from .vector import (
     BlockHints,
     BlockView,
+    filter_rows,
     materialize_dicts,
-    scalar_matches,
     select_rows,
 )
 
@@ -104,23 +104,6 @@ def _dicts(
         return materialize_dicts(source, schema, pk_values, None)
     return [schema.rehydrate(pk_values, r.clustering, r.as_dict())
             for r in source]
-
-
-def _filter_dicts(
-    dicts: list[dict[str, Any]],
-    predicates: Sequence[tuple[str, str, Any]] | None,
-    limit: int | None,
-) -> list[dict[str, Any]]:
-    """Row-form fallback for pushed-down predicates: filter result
-    dicts (absent/None never matches), then apply the post-filter
-    limit.  Without predicates the limit was already applied at the
-    replica read, so this is a no-op."""
-    if not predicates:
-        return dicts
-    dicts = [d for d in dicts
-             if all(scalar_matches(d.get(col), op, value)
-                    for col, op, value in predicates)]
-    return dicts if limit is None else dicts[:limit]
 
 
 def _merge_copies(copies: Iterable[list[Row]]) -> dict[tuple, Row]:
@@ -716,7 +699,7 @@ class Cluster:
 
         ``predicates`` is the filter-pushdown hook: ``(column, op,
         value)`` residuals evaluated per-column on column blocks before
-        any row dict is built (the row-form fallback filters dicts with
+        any row dict is built (the row-form fallback filters rows with
         identical semantics — absent/None never matches).  With
         predicates present, *limit* counts matching rows.
         """
@@ -737,9 +720,14 @@ class Cluster:
                 if limit is not None:
                     source = source.ordered(False, limit)
             return materialize_dicts(source, schema, pk_values, columns)
+        if predicates:
+            # Filter on the whole row, then project: a predicate may
+            # name a column the projection drops.
+            source = filter_rows(source, schema, pk_values, predicates)
+            if limit is not None:
+                source = source[:limit]
         if columns is None:
-            return _filter_dicts(_dicts(schema, pk_values, source),
-                                 predicates, limit)
+            return _dicts(schema, pk_values, source)
         # Classify each projected column once, not once per row.
         sources = [schema.column_source(col) for col in columns]
         out: list[dict[str, Any]] = []
@@ -755,7 +743,7 @@ class Cluster:
                 else:
                     d[col] = pk_values[ref]
             out.append(d)
-        return _filter_dicts(out, predicates, limit)
+        return out
 
     def select_partitions(
         self,

@@ -12,11 +12,12 @@ This module stores each SSTable partition *column-major* instead
 (:class:`ColumnBlock`) and evaluates pushed-down predicates,
 projections, and aggregate folds one column at a time over selection
 indices (:func:`select_rows`, :func:`materialize_dicts`,
-:func:`fold_view`), so rows are only built for the survivors — and for
-aggregates, never at all.  Low-cardinality string columns (event type,
-cabinet/location, component — §II-B's categorical fields) are
-dictionary-encoded: a predicate is evaluated once per *dictionary
-entry*, then rows are matched by integer code.
+:func:`fold_view`, :func:`column_lists`), so rows are only built for
+the survivors — and for aggregates and column reads, never at all.
+Low-cardinality string columns (event type, cabinet/location,
+component — §II-B's categorical fields) are dictionary-encoded: a
+predicate is evaluated once per *dictionary entry*, then rows are
+matched by integer code.
 
 Row materialization (:meth:`ColumnBlock.row_at`) stays byte-faithful —
 cells keep their write timestamps, tombstones their deletion marker —
@@ -42,6 +43,8 @@ __all__ = [
     "Column",
     "ColumnBlock",
     "DICT_MAX_CARDINALITY",
+    "column_lists",
+    "filter_rows",
     "fold_view",
     "materialize_dicts",
     "merge_views",
@@ -57,6 +60,7 @@ _M_FILTER_SCANS = _REG.counter("cassdb.vector.filter_scans")
 _M_ROWS_SELECTED = _REG.counter("cassdb.vector.rows_selected")
 _M_AGG_FOLDS = _REG.counter("cassdb.vector.agg_folds")
 _M_ROWS_MATERIALIZED = _REG.counter("cassdb.vector.rows_materialized")
+_M_COLUMN_CELLS = _REG.counter("cassdb.vector.column_cells")
 
 # A string column is auto-dictionary-encoded when its distinct-value
 # count stays at or below this cap (cabinet ids, event types, component
@@ -494,6 +498,91 @@ def materialize_dicts(view: BlockView, schema,
                 if pres is None or pres[i]:
                     d[name] = vals[i]
         out.append(d)
+    return out
+
+
+# -- column reads ------------------------------------------------------------
+
+def _row_values(rows: Sequence[Row], source: tuple[str, Any],
+                pk_values: Mapping[str, Any]) -> list:
+    """One column of row-form data (None where a cell is absent)."""
+    kind, ref = source
+    if kind == "cell":
+        return [None if (cell := row.cells.get(ref)) is None else cell.value
+                for row in rows]
+    if kind == "ck":
+        return [row.clustering[ref] for row in rows]
+    return [pk_values.get(ref)] * len(rows)
+
+
+def filter_rows(rows: list[Row], schema,
+                pk_values: Mapping[str, Any],
+                predicates: Sequence[tuple[str, str, Any]]) -> list[Row]:
+    """:func:`select_rows` for row-form sources: the rows every
+    ``(column, op, value)`` predicate admits, one column sweep per
+    predicate over a shrinking list."""
+    for column, op, value in predicates:
+        if not rows:
+            break
+        vals = _row_values(rows, schema.column_source(column), pk_values)
+        rows = [row for row, val in zip(rows, vals)
+                if scalar_matches(val, op, value)]
+    return rows
+
+
+def column_lists(source: "BlockView | list[Row]", schema,
+                 pk_values: Mapping[str, Any], columns: Sequence[str],
+                 predicates: Sequence[tuple[str, str, Any]] | None = None
+                 ) -> list[list]:
+    """Column read: one value list per requested column, aligned, in
+    clustering order, ``None`` where a cell is absent — no row or dict
+    is built.  *predicates* are ``(column, op, value)`` with
+    ``Cluster.select_partition``'s semantics.
+
+    While a block selection is still a contiguous ``range`` (every
+    bounds-pruned scan) a plain column is a slice of the stored list
+    and a dictionary column one decode pass over the sliced code array;
+    once predicates have punched holes the kernel gathers by index.
+    Row-form sources are swept once per column.
+    """
+    specs = [schema.column_source(name) for name in columns]
+    if not isinstance(source, BlockView):
+        rows = (filter_rows(source, schema, pk_values, predicates)
+                if predicates else source)
+        _M_COLUMN_CELLS.inc(len(rows) * len(specs))
+        return [_row_values(rows, spec, pk_values) for spec in specs]
+    if predicates:
+        source = select_rows(
+            source, [(schema.column_source(column), op, value)
+                     for column, op, value in predicates], pk_values)
+    block, order = source.block, source.order
+    n = len(order)
+    _M_COLUMN_CELLS.inc(n * len(specs))
+    if isinstance(order, range) and order.step == 1:
+        window = slice(order.start, order.stop)
+
+        def take(seq):
+            return seq[window]
+    else:
+        def take(seq):
+            return [seq[i] for i in order]
+    out = []
+    for kind, ref in specs:
+        if kind == "pk":
+            out.append([pk_values.get(ref)] * n)
+        elif kind == "ck":
+            out.append([key[ref] for key in take(block.clustering)])
+        elif (col := block.columns.get(ref)) is None:
+            out.append([None] * n)
+        elif col.codes is None:
+            out.append(take(col.values))
+        elif col.present is None:
+            out.append(list(map(col.dictionary.__getitem__,
+                                take(col.codes))))
+        else:
+            dictionary = col.dictionary
+            out.append([None if code < 0 else dictionary[code]
+                        for code in take(col.codes)])
     return out
 
 

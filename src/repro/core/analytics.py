@@ -15,7 +15,8 @@ Implements §III-B/C's "basic statistics about event occurrences":
 Heavy aggregations run as sparklet jobs over the event tables (that is
 the paper's division of labour: "the heat map representation and
 various distributions … are computed by the big data processing");
-light ones come straight off context reads.
+light ones fold the two or three columns they need straight off the
+context's column read (:meth:`Context.columns`) — no event is built.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .context import Context
+from .model import LogDataModel, event_amounts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparklet import SparkletContext
-
-    from .model import LogDataModel
 
 __all__ = [
     "group_key",
@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 _GRANULARITIES = ("node", "blade", "cabinet")
+
+
+def _check_granularity(granularity: str) -> None:
+    if granularity not in _GRANULARITIES:
+        raise ValueError(f"granularity must be one of {_GRANULARITIES}")
 
 
 def _cabinet_of(component: str) -> str:
@@ -67,8 +72,7 @@ def group_key(component: str, granularity: str) -> str:
     Works for node cnames and for Gemini ids (``…g0``); unrecognized
     formats aggregate under themselves.
     """
-    if granularity not in _GRANULARITIES:
-        raise ValueError(f"granularity must be one of {_GRANULARITIES}")
+    _check_granularity(granularity)
     if granularity == "node":
         return component
     if granularity == "cabinet":
@@ -82,11 +86,18 @@ def heatmap(model: "LogDataModel", context: Context,
 
     Sums event ``amount`` so coalesced events weigh correctly.
     """
+    _check_granularity(granularity)  # before any read: empty contexts too
+    sources, amounts = context.columns(model, "source", "amount")
+    per_source: dict[str, int] = {}
+    count_of = per_source.get
+    for source, amount in zip(sources, event_amounts(amounts)):
+        per_source[source] = count_of(source, 0) + amount
+    if granularity == "node":
+        return per_source
+    # One key computation per distinct source, not per event.
     counts: Counter[str] = Counter()
-    for row in context.events(model):
-        counts[group_key(row["source"], granularity)] += int(
-            row.get("amount", 1)
-        )
+    for source, count in per_source.items():
+        counts[group_key(source, granularity)] += count
     return dict(counts)
 
 
@@ -95,8 +106,7 @@ def heatmap_engine(sc: "SparkletContext", event_type: str,
                    granularity: str = "node") -> dict[str, int]:
     """Same heat map as an engine job over the full ``event_by_time``
     table (the big-data path for long intervals)."""
-    if granularity not in _GRANULARITIES:
-        raise ValueError(f"granularity must be one of {_GRANULARITIES}")
+    _check_granularity(granularity)
 
     def keyer(row):
         if granularity == "node":
@@ -132,7 +142,6 @@ def distribution_by_application(model: "LogDataModel", context: Context
 
     Events on nodes with no active run land under ``"(idle)"``.
     """
-    events = context.events(model)
     runs = model.runs_in_interval(context.t0, context.t1)
     # Interval index: node -> list of (start, end, app), few runs per node.
     per_node: dict[str, list[tuple[float, float, str]]] = {}
@@ -141,14 +150,16 @@ def distribution_by_application(model: "LogDataModel", context: Context
             per_node.setdefault(cname, []).append(
                 (run["start"], run["end"], run["app"])
             )
+    sources, stamps, amounts = context.columns(
+        model, "source", "ts", "amount")
     counts: Counter[str] = Counter()
-    for event in events:
+    for source, ts, amount in zip(sources, stamps, event_amounts(amounts)):
         app = "(idle)"
-        for start, end, name in per_node.get(event["source"], ()):
-            if start <= event["ts"] < end:
+        for start, end, name in per_node.get(source, ()):
+            if start <= ts < end:
                 app = name
                 break
-        counts[app] += int(event.get("amount", 1))
+        counts[app] += amount
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -163,9 +174,15 @@ def time_histogram(model: "LogDataModel", context: Context,
     edges = np.linspace(context.t0, context.t1, num_bins + 1)
     counts = np.zeros(num_bins, dtype=np.int64)
     width = (context.t1 - context.t0) / num_bins
-    for row in context.events(model):
-        idx = min(int((row["ts"] - context.t0) / width), num_bins - 1)
-        counts[idx] += int(row.get("amount", 1))
+    stamps, amounts = context.columns(model, "ts", "amount")
+    if stamps:
+        # The row loop's ``min(int((ts - t0) / width), num_bins - 1)``,
+        # one array at a time: same IEEE division, same truncation.
+        idx = ((np.array(stamps, dtype=float) - context.t0)
+               / width).astype(np.int64)
+        np.minimum(idx, num_bins - 1, out=idx)
+        np.add.at(counts, idx,
+                  np.array(event_amounts(amounts), dtype=np.int64))
     return edges, counts
 
 

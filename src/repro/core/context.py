@@ -5,17 +5,21 @@ selected on the basis of event type, application, location, user, time
 period, or a combination of these, over which the system status is
 defined and examined."
 
-A :class:`Context` is a declarative filter; :meth:`Context.events` and
-:meth:`Context.runs` resolve it against a :class:`~repro.core.model.
-LogDataModel` choosing the cheapest access path the data model offers
-(type-partitioned read, location-partitioned read, or per-view
-application read) and post-filtering the rest — exactly what the
-paper's query engine does when translating frontend JSON into CQL.
+A :class:`Context` is a declarative filter.  It is resolved against a
+:class:`~repro.core.model.LogDataModel` once — the cheapest access
+path the data model offers (type-partitioned or location-partitioned
+read), the clustering window, and the rest as a predicate the store
+evaluates — exactly what the paper's query engine does when
+translating frontend JSON into CQL.  The resolution is read in one of
+two shapes: :meth:`Context.events`, whole events in time order, and
+:meth:`Context.columns`, only the named columns, for the folds that
+look at two of them and do not care about order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,12 +98,20 @@ class Context:
 
     # -- resolution against the data model --------------------------------------
 
-    def events(self, model: "LogDataModel") -> list[dict[str, Any]]:
-        """Materialize the context's events, cheapest path first.
+    def _resolve(self, model: "LogDataModel"
+                 ) -> tuple[str, tuple[str, ...], float, float,
+                            list[tuple[str, str, Any]] | None] | None:
+        """How the data model answers this context, decided once for
+        both read shapes: ``(view, keys, t0, t1, where)`` — the event
+        view to read, the partitions of it (its key after the hour),
+        the clustering window, and the dimension the partitioning does
+        not cover as a store predicate.  ``None`` when an app/user
+        scope leaves nothing to read.
 
         * few sources, any types  → ``event_by_location`` partitions;
         * few types               → ``event_by_time`` partitions;
-        * app/user set            → restrict to the app's nodes & window.
+        * app/user set            → restrict to the app's nodes & window;
+        * unconstrained           → every type in the catalogue.
         """
         app_nodes, app_window = self._application_scope(model)
         sources = self.sources
@@ -111,29 +123,51 @@ class Context:
         if app_window is not None:
             t0, t1 = max(t0, app_window[0]), min(t1, app_window[1])
             if t1 <= t0:
-                return []
-
-        rows: list[dict[str, Any]] = []
+                return None
+        types = self.event_types
         if sources is not None and (
-            self.event_types is None or len(sources) <= len(self.event_types)
+            types is None or len(sources) <= len(types)
         ):
-            for source in sources:
-                rows.extend(model.events_at_location(source, t0, t1))
-            if self.event_types is not None:
-                wanted = set(self.event_types)
-                rows = [r for r in rows if r["type"] in wanted]
-        elif self.event_types is not None:
-            for etype in self.event_types:
-                rows.extend(model.events_of_type(etype, t0, t1))
-            if sources is not None:
-                wanted_src = set(sources)
-                rows = [r for r in rows if r["source"] in wanted_src]
-        else:
-            # Fully unconstrained: every type in the catalogue.
-            for etype in (t["name"] for t in model.event_types()):
-                rows.extend(model.events_of_type(etype, t0, t1))
-        rows.sort(key=lambda r: (r["ts"], r["type"], r["source"]))
+            where = (None if types is None
+                     else [("type", "in", frozenset(types))])
+            return "event_by_location", sources, t0, t1, where
+        if types is None:
+            types = tuple(t["name"] for t in model.event_types())
+        where = (None if sources is None
+                 else [("source", "in", frozenset(sources))])
+        return "event_by_time", types, t0, t1, where
+
+    def events(self, model: "LogDataModel") -> list[dict[str, Any]]:
+        """Materialize the context's events (every column), sorted by
+        ``(ts, type, source)``."""
+        plan = self._resolve(model)
+        if plan is None:
+            return []
+        view, keys, t0, t1, where = plan
+        read = (model.events_at_location if view == "event_by_location"
+                else model.events_of_type)
+        rows: list[dict[str, Any]] = []
+        for key in keys:
+            rows.extend(read(key, t0, t1, where))
+        rows.sort(key=itemgetter("ts", "type", "source"))
         return rows
+
+    def columns(self, model: "LogDataModel", *names: str) -> list[list]:
+        """The named columns of the context's events, for folds that do
+        not depend on event order: one value list per name, aligned
+        with each other (``None`` where an event lacks the cell), in
+        store order — partition after partition, not time order.  No
+        row is built."""
+        out: list[list] = [[] for _ in names]
+        plan = self._resolve(model)
+        if plan is not None:
+            view, keys, t0, t1, where = plan
+            for key in keys:
+                for chunk in model.event_columns(view, key, t0, t1, names,
+                                                 where):
+                    for column, part in zip(out, chunk):
+                        column += part
+        return out
 
     def runs(self, model: "LogDataModel") -> list[dict[str, Any]]:
         """Materialize the context's application runs."""

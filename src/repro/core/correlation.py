@@ -6,8 +6,9 @@ whether one event type's history helps predict another's (a directed,
 model-free coupling measure), e.g. whether uncorrectable memory errors
 drive kernel panics.
 
-Pipeline: context events → fixed-width binned count series →
-``transfer_entropy`` / ``cross_correlation``.  A surrogate-shuffle
+Pipeline: the ``ts``/``amount`` columns of a context's events →
+fixed-width binned count series → ``transfer_entropy`` /
+``cross_correlation``.  A surrogate-shuffle
 significance test guards against reading noise as causality.
 
 Definitions (base-2 logs, bits):
@@ -28,12 +29,14 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .model import LogDataModel, event_amounts
+
 if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
-    from .model import LogDataModel
 
 __all__ = [
     "binned_series",
+    "context_series",
     "cross_correlation",
     "transfer_entropy",
     "te_significance",
@@ -43,9 +46,9 @@ __all__ = [
 ]
 
 
-def binned_series(events: Iterable[dict], t0: float, t1: float,
-                  bin_seconds: float) -> np.ndarray:
-    """Event rows → per-bin total ``amount`` counts on [t0, t1).
+def _bin_counts(ts: np.ndarray, amounts: np.ndarray, t0: float, t1: float,
+                bin_seconds: float) -> np.ndarray:
+    """Per-bin total of *amounts* on [t0, t1) for events at *ts*.
 
     Vectorized scatter-add (``np.add.at``) — the hot path of every TE
     computation over a long window.
@@ -56,19 +59,33 @@ def binned_series(events: Iterable[dict], t0: float, t1: float,
         raise ValueError("t1 must exceed t0")
     n = int(np.ceil((t1 - t0) / bin_seconds))
     series = np.zeros(n, dtype=np.int64)
-    rows = list(events)
-    if not rows:
-        return series
-    ts = np.fromiter((row["ts"] for row in rows), dtype=float,
-                     count=len(rows))
-    amounts = np.fromiter((row.get("amount", 1) for row in rows),
-                          dtype=np.int64, count=len(rows))
     idx = ((ts - t0) / bin_seconds).astype(np.int64)
     # Floor-toward-negative for the rare ts slightly below t0.
     idx = np.where(ts < t0, -1, idx)
     mask = (idx >= 0) & (idx < n)
     np.add.at(series, idx[mask], amounts[mask])
     return series
+
+
+def binned_series(events: Iterable[dict], t0: float, t1: float,
+                  bin_seconds: float) -> np.ndarray:
+    """Event rows → per-bin total ``amount`` counts on [t0, t1)."""
+    rows = list(events)
+    ts = np.fromiter((row["ts"] for row in rows), dtype=float,
+                     count=len(rows))
+    amounts = np.fromiter((row.get("amount", 1) for row in rows),
+                          dtype=np.int64, count=len(rows))
+    return _bin_counts(ts, amounts, t0, t1, bin_seconds)
+
+
+def context_series(model: "LogDataModel", context: "Context",
+                   bin_seconds: float) -> np.ndarray:
+    """:func:`binned_series` of a context's events over its own
+    interval, off the two columns it needs."""
+    stamps, amounts = context.columns(model, "ts", "amount")
+    return _bin_counts(np.array(stamps, dtype=float),
+                       np.array(event_amounts(amounts), dtype=np.int64),
+                       context.t0, context.t1, bin_seconds)
 
 
 def cross_correlation(x: Sequence[float], y: Sequence[float],
@@ -185,14 +202,10 @@ def te_pair(model: "LogDataModel", context: "Context",
             bin_seconds: float = 60.0, levels: int = 2,
             n_shuffles: int = 200) -> TransferEntropyResult:
     """Fig 7 (top): TE between two event types within a context window."""
-    sx = binned_series(
-        context.with_event_types(source_type).events(model),
-        context.t0, context.t1, bin_seconds,
-    )
-    sy = binned_series(
-        context.with_event_types(target_type).events(model),
-        context.t0, context.t1, bin_seconds,
-    )
+    sx = context_series(model, context.with_event_types(source_type),
+                        bin_seconds)
+    sy = context_series(model, context.with_event_types(target_type),
+                        bin_seconds)
     return TransferEntropyResult(
         source_type=source_type,
         target_type=target_type,
@@ -209,10 +222,7 @@ def te_matrix(model: "LogDataModel", context: "Context",
               levels: int = 2) -> np.ndarray:
     """Pairwise TE(row → column) between event types (no significance)."""
     series = [
-        binned_series(
-            context.with_event_types(t).events(model),
-            context.t0, context.t1, bin_seconds,
-        )
+        context_series(model, context.with_event_types(t), bin_seconds)
         for t in types
     ]
     n = len(types)

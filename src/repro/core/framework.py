@@ -44,7 +44,7 @@ from .frontend import (
     render_table,
     render_word_bubbles,
 )
-from .model import LogDataModel
+from .model import LogDataModel, event_amounts
 
 __all__ = ["LogAnalyticsFramework"]
 
@@ -242,10 +242,8 @@ class LogAnalyticsFramework:
     def raw_messages(self, context: Context) -> list[str]:
         """The retained raw messages of a context (text-mining corpus)."""
         self._check_ready()
-        return [
-            row["msg"] for row in context.events(self.model)
-            if row.get("msg")
-        ]
+        (messages,) = context.columns(self.model, "msg")
+        return [msg for msg in messages if msg]
 
     # -- analytics ------------------------------------------------------------------
 
@@ -302,12 +300,10 @@ class LogAnalyticsFramework:
                           *, bin_seconds: float = 60.0, max_lag: int = 10
                           ) -> np.ndarray:
         self._check_ready()
-        sa = correlation.binned_series(
-            context.with_event_types(type_a).events(self.model),
-            context.t0, context.t1, bin_seconds)
-        sb = correlation.binned_series(
-            context.with_event_types(type_b).events(self.model),
-            context.t0, context.t1, bin_seconds)
+        sa = correlation.context_series(
+            self.model, context.with_event_types(type_a), bin_seconds)
+        sb = correlation.context_series(
+            self.model, context.with_event_types(type_b), bin_seconds)
         return correlation.cross_correlation(sa, sb, max_lag)
 
     @_traced
@@ -327,10 +323,9 @@ class LogAnalyticsFramework:
                           ) -> list[mining.Rule]:
         """Event co-occurrence rules within the context (§II-A, §V)."""
         self._check_ready()
-        transactions = mining.windowed_transactions(
-            context.events(self.model), context.t0, context.t1,
-            window_seconds,
-        )
+        transactions = mining.window_baskets(
+            *context.columns(self.model, "ts", "source", "type"),
+            context.t0, context.t1, window_seconds)
         frequent = mining.apriori(transactions, min_support)
         return mining.association_rules(frequent, min_confidence)
 
@@ -424,9 +419,10 @@ class LogAnalyticsFramework:
         # Drop any type narrowing: the map shows the whole catalogue.
         full = Context(context.t0, context.t1, sources=context.sources,
                        app=context.app, user=context.user)
+        types, amounts = full.columns(self.model, "type", "amount")
         counts: Counter[str] = Counter()
-        for row in full.events(self.model):
-            counts[row["type"]] += int(row.get("amount", 1))
+        for etype, amount in zip(types, event_amounts(amounts)):
+            counts[etype] += amount
         return render_event_type_map(self.model.event_types(), counts)
 
     # -- raw CQL escape hatch -------------------------------------------------------------

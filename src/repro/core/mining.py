@@ -4,9 +4,10 @@
 meant to support, and §V plans "event mining techniques rather than
 text pattern matching".  This module supplies the standard pipeline:
 
-1. :func:`windowed_transactions` — slice a context's events into
-   fixed-width windows (optionally per component) and form the set of
-   event types seen in each: the transaction database;
+1. :func:`window_baskets` (:func:`windowed_transactions` over rows) —
+   slice a context's events into fixed-width windows (optionally per
+   component) and form the set of event types seen in each: the
+   transaction database;
 2. :func:`apriori` — frequent itemsets by level-wise search;
 3. :func:`association_rules` — rules ``antecedent ⇒ consequent`` with
    support, confidence and lift.
@@ -25,14 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
     from .model import LogDataModel
 
-__all__ = ["windowed_transactions", "apriori", "association_rules", "Rule"]
+__all__ = ["window_baskets", "windowed_transactions", "apriori",
+           "association_rules", "Rule"]
 
 
-def windowed_transactions(events: Iterable[dict], t0: float, t1: float,
-                          window_seconds: float,
-                          per_component: bool = True
-                          ) -> list[frozenset[str]]:
-    """Event rows → transactions (sets of event types per window).
+def window_baskets(stamps: Iterable[float], sources: Iterable[str],
+                   types: Iterable[str], t0: float, t1: float,
+                   window_seconds: float, per_component: bool = True
+                   ) -> list[frozenset[str]]:
+    """Aligned ``ts``/``source``/``type`` columns → transactions (sets
+    of event types per window).
 
     ``per_component`` scopes windows to a single component — the right
     granularity for cause/effect on one node; global windows capture
@@ -41,13 +44,25 @@ def windowed_transactions(events: Iterable[dict], t0: float, t1: float,
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
     baskets: dict[tuple, set[str]] = {}
-    for row in events:
-        if not (t0 <= row["ts"] < t1):
+    for ts, source, etype in zip(stamps, sources, types):
+        if not (t0 <= ts < t1):
             continue
-        window = int((row["ts"] - t0) // window_seconds)
-        key = (window, row["source"]) if per_component else (window,)
-        baskets.setdefault(key, set()).add(row["type"])
+        window = int((ts - t0) // window_seconds)
+        key = (window, source) if per_component else (window,)
+        baskets.setdefault(key, set()).add(etype)
     return [frozenset(types) for types in baskets.values()]
+
+
+def windowed_transactions(events: Iterable[dict], t0: float, t1: float,
+                          window_seconds: float,
+                          per_component: bool = True
+                          ) -> list[frozenset[str]]:
+    """:func:`window_baskets` over event rows."""
+    rows = list(events)
+    return window_baskets(
+        [row["ts"] for row in rows], [row["source"] for row in rows],
+        [row["type"] for row in rows], t0, t1, window_seconds,
+        per_component)
 
 
 def apriori(transactions: Sequence[frozenset[str]], min_support: float,

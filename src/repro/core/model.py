@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from repro.cassdb import Cluster, ClusteringBound, TableSchema
+from repro.cassdb.vector import column_lists
 from repro.genlog.jobs import ApplicationRun
 from repro.genlog.templates import render_line
 from repro.titan.events import EventRegistry
@@ -48,7 +49,7 @@ from repro.titan.topology import NodeLocation, TitanTopology
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparklet import SparkletContext
 
-__all__ = ["TABLE_SCHEMAS", "LogDataModel"]
+__all__ = ["TABLE_SCHEMAS", "LogDataModel", "event_amounts"]
 
 
 # The four hour-bucketed tables declare ``time_bucket``; it is the only
@@ -109,6 +110,18 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
 _BY_TIME = TABLE_SCHEMAS["event_by_time"]
 _BY_LOCATION = TABLE_SCHEMAS["event_by_location"]
 _RUNS_BY_TIME = TABLE_SCHEMAS["application_by_time"]
+
+# (column, op, value) residuals a read hands to the store.
+Predicates = Sequence[tuple[str, str, Any]]
+
+
+def event_amounts(column: list) -> list[int]:
+    """An ``amount`` column read by :meth:`LogDataModel.event_columns`
+    as the weights every fold sums: an event without the cell counts
+    once, exactly as ``int(row.get("amount", 1))`` reads a row."""
+    if set(map(type, column)) <= {int}:
+        return column
+    return [1 if amount is None else int(amount) for amount in column]
 
 
 class LogDataModel:
@@ -242,17 +255,21 @@ class LogDataModel:
 
     # -- event queries ------------------------------------------------------------
 
-    def events_of_type(self, event_type: str, t0: float, t1: float
+    def events_of_type(self, event_type: str, t0: float, t1: float,
+                       where: Predicates | None = None
                        ) -> Iterator[dict[str, Any]]:
-        """Events of one type in [t0, t1): one partition read per hour."""
+        """Events of one type in [t0, t1): one partition read per hour.
+        The store applies the *where* residuals before it builds rows."""
         for hour in _BY_TIME.buckets(t0, t1):
             yield from self.cluster.select_partition(
                 "event_by_time", (hour, event_type),
                 lower=ClusteringBound((t0,)),
                 upper=ClusteringBound((t1,), inclusive=False),
+                predicates=where,
             )
 
-    def events_at_location(self, source: str, t0: float, t1: float
+    def events_at_location(self, source: str, t0: float, t1: float,
+                           where: Predicates | None = None
                            ) -> Iterator[dict[str, Any]]:
         """All events at one component in [t0, t1), any type."""
         for hour in _BY_LOCATION.buckets(t0, t1):
@@ -260,7 +277,30 @@ class LogDataModel:
                 "event_by_location", (hour, source),
                 lower=ClusteringBound((t0,)),
                 upper=ClusteringBound((t1,), inclusive=False),
+                predicates=where,
             )
+
+    def event_columns(self, view: str, key: str, t0: float, t1: float,
+                      names: Sequence[str], where: Predicates | None = None
+                      ) -> Iterator[list[list]]:
+        """The column read of an event view (``event_by_time`` keyed by
+        type, ``event_by_location`` by source): per hour partition of
+        *key* in [t0, t1), one value list per name in *names*, aligned,
+        in clustering order, ``None`` where an event lacks the cell.
+
+        Extracting columns is a fold at the replica read, so it enters
+        the coordinator as one: no row is built on the way.
+        """
+        schema = TABLE_SCHEMAS[view]
+
+        def fold(pk_values, source):
+            return column_lists(source, schema, pk_values, names, where)
+
+        lower = ClusteringBound((t0,))
+        upper = ClusteringBound((t1,), inclusive=False)
+        for hour in schema.buckets(t0, t1):
+            yield from self.cluster.aggregate_partitions(
+                view, [(hour, key)], lower=lower, upper=upper, fold=fold)
 
     # -- application queries ----------------------------------------------------------
 

@@ -27,6 +27,7 @@ import contextvars
 import json
 import time
 from dataclasses import asdict
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -76,8 +77,46 @@ class _PreSerialized:
         self.payload = payload
 
 
+# Exact types that are JSON as they stand.  Membership is by ``type()``,
+# not ``isinstance``: ``np.float64`` subclasses ``float`` and must still
+# be converted.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_CONTAINERS = frozenset({dict, list})
+_STR = frozenset({str})
+
+
+def _is_plain(value: Any) -> bool:
+    """Whether *value* is JSON as it stands: exact ``dict``/``list``
+    containers, string keys, exact scalar types.  Checked one nesting
+    level at a time, so a reply of a thousand cells is a few C-speed
+    sweeps over their types and no Python call per cell."""
+    level = [value]
+    while True:
+        kinds = set(map(type, level)) - _SCALARS
+        if not kinds:
+            return True
+        if not kinds <= _CONTAINERS:
+            return False
+        dicts = [v for v in level if type(v) is dict]
+        if not _STR.issuperset(map(type, chain.from_iterable(dicts))):
+            return False
+        level = list(chain(
+            chain.from_iterable(map(dict.values, dicts)),
+            chain.from_iterable(v for v in level if type(v) is list)))
+
+
 def _jsonable(value: Any) -> Any:
-    """Coerce numpy/containers into plain JSON-serializable types."""
+    """Coerce numpy/containers into plain JSON-serializable types.
+
+    What the store and most handlers return is plain already; it is
+    handed back *unchanged*, not copied, so a reply may share structure
+    with the handler's result (handlers do not return containers that
+    outlive the request).  Anything else is rebuilt.
+    """
+    return value if _is_plain(value) else _rebuild(value)
+
+
+def _rebuild(value: Any) -> Any:
     if isinstance(value, _PreSerialized):
         return value.payload
     if isinstance(value, np.ndarray):
@@ -87,9 +126,9 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (np.floating,)):
         return float(value)
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): _rebuild(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_rebuild(v) for v in value]
     if isinstance(value, frozenset):
         return sorted(value)
     return value
@@ -613,7 +652,10 @@ class AnalyticsServer:
         hotspots = self.framework.hotspots(
             self._context(request),
             **self._given(request, "granularity", "z_threshold"))
-        return [asdict(h) for h in hotspots]
+        # Four scalar fields: asdict() would deep-copy each of them.
+        return [{"component": h.component, "count": h.count,
+                 "expected": h.expected, "z_score": h.z_score}
+                for h in hotspots]
 
     def _op_transfer_entropy(self, request):
         result = self.framework.transfer_entropy(

@@ -17,6 +17,7 @@ single JSON row instead of executing it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -72,7 +73,9 @@ class _ExplainExec(PhysicalOp):
         self.plan_json = plan_json
 
     def execute(self, rt: Runtime) -> list[dict[str, Any]]:
-        return [self.plan_json]
+        # A copy: the operator lives in the plan cache, and callers (the
+        # server's replies among them) own the rows they are handed.
+        return [copy.deepcopy(self.plan_json)]
 
     def explain_attrs(self) -> dict[str, Any]:
         return {"of": self.plan_json["kind"]}
@@ -156,7 +159,7 @@ class QueryEngine:
         if prepared.kind == "explain":
             root = prepared.physical
             assert isinstance(root, _ExplainExec)
-            return root.plan_json
+            return copy.deepcopy(root.plan_json)
         return self._explain_json(prepared)
 
 

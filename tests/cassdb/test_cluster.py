@@ -123,6 +123,31 @@ class TestWriteReadRoundtrip:
         assert n == 7
 
 
+class TestProjectionWithPredicates:
+    """A pushed-down predicate may name a column the projection drops;
+    the row-form read used to project first and then find nothing to
+    filter on."""
+
+    @pytest.mark.parametrize("flushed", ["memtable", "sstable", "both"])
+    def test_predicate_column_outside_projection(self, flushed):
+        cluster = make_cluster()
+        insert_events(cluster, n=10)
+        if flushed != "memtable":
+            cluster.flush_all()
+        if flushed == "both":
+            insert_events(cluster, n=20)        # rewrites 0-9, adds 10-19
+        n = 10 if flushed != "both" else 20
+        want = [{"ts": float(i)} for i in range(n) if i % 4 == 1]
+        got = cluster.select_partition(
+            "event_by_time", (0, "MCE"), columns=("ts",),
+            predicates=[("source", "=", "c0-0c0s0n1")])
+        assert got == want
+        assert cluster.select_partition(
+            "event_by_time", (0, "MCE"), columns=("ts",), limit=2,
+            predicates=[("source", "in", {"c0-0c0s0n1"}), ("hour", "=", 0)],
+        ) == want[:2]
+
+
 class TestFailureModes:
     def test_unavailable_when_all_replicas_down(self):
         cluster = make_cluster(4, rf=2)

@@ -10,6 +10,7 @@ from repro.cassdb.vector import (
     BlockHints,
     BlockView,
     ColumnBlock,
+    column_lists,
     fold_view,
     materialize_dicts,
     merge_views,
@@ -186,6 +187,79 @@ class TestMaterializeDicts:
         block, _ = _block()
         assert materialize_dicts(BlockView(block, []), self._schema(),
                                  {}, None) == []
+
+
+class TestColumnLists:
+    """The column read: the block kernel, the row-form sweep and the
+    reference SELECT agree, whatever the selection looks like."""
+
+    PK = {"hour": 7}
+    COLUMNS = ["hour", "ts", "seq", "type", "amount", "tag", "load",
+               "nowhere"]
+
+    def _schema(self):
+        from repro.cassdb.schema import TableSchema
+        return TableSchema("ev", partition_key=("hour",),
+                           clustering_key=("ts", "seq"))
+
+    def _block(self):
+        # type: dictionary, every cell present; tag: dictionary with
+        # absent cells; load: plain with absent cells; one dead row.
+        rows = []
+        for i in range(12):
+            cols = {"type": TYPES[i % 10], "amount": i * 10}
+            if i % 3:
+                cols["tag"] = "odd" if i % 2 else "even"
+            if i % 4 == 0:
+                cols["load"] = i / 2
+            rows.append(_row(float(i), write_ts=i + 1, **cols))
+        rows[6] = _dead(6.0)
+        block = ColumnBlock.from_rows(rows)
+        assert block.columns["tag"].codes is not None
+        assert block.columns["tag"].present is not None
+        assert block.columns["load"].codes is None
+        return block
+
+    @pytest.mark.parametrize("predicates", [
+        None,
+        [("type", "in", frozenset({"warn", "info"}))],
+        [("amount", ">", 20), ("ts", "<", 9.0)],
+        [("tag", "=", "odd")],
+        [("hour", "=", 7), ("load", ">=", 2.0)],
+        [("hour", "=", 8)],
+        [("nowhere", "=", 1)],
+    ])
+    @pytest.mark.parametrize("order", [
+        None, range(2, 9), range(5, 5), [1, 4, 5, 8, 11]])
+    def test_block_rows_and_oracle_agree(self, order, predicates):
+        schema = self._schema()
+        view = BlockView(self._block(), order).live()
+        got = column_lists(view, schema, self.PK, self.COLUMNS, predicates)
+        assert got == column_lists(view.to_rows(), schema, self.PK,
+                                   self.COLUMNS, predicates)
+        dicts = materialize_dicts(view, schema, self.PK, None)
+        want = eval_select(dicts, predicates or (), columns=self.COLUMNS)
+        assert got == [[row[c] for row in want] for c in self.COLUMNS]
+
+    def test_contiguous_plain_column_is_a_slice_copy(self):
+        block, _ = _block()
+        (amounts,) = column_lists(BlockView(block, range(2, 5)),
+                                  self._schema(), self.PK, ["amount"])
+        assert amounts == [20, 30, 40]
+        amounts.append(0)       # the caller owns what it was handed
+        assert block.columns["amount"].values[2:6] == [20, 30, 40, 50]
+
+    def test_counts_cells_not_rows(self):
+        from repro.obs import get_registry
+        reg = get_registry()
+        cells = reg.counter("cassdb.vector.column_cells")
+        built = reg.counter("cassdb.vector.rows_materialized")
+        block, _ = _block()
+        before = cells.value, built.value
+        column_lists(BlockView(block), self._schema(), self.PK,
+                     ["ts", "amount"], [("type", "=", "warn")])
+        assert cells.value - before[0] == 2 * TYPES.count("warn")
+        assert built.value == before[1]
 
 
 class TestFoldView:

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+from collections import Counter
 from dataclasses import asdict
 
 import pytest
@@ -137,6 +138,76 @@ class TestOneDefaultPerParameter:
                 == server.handle_sync(request)["result"])
 
 
+class TestGranularityIsCheckedByTheCall:
+    """Not by the first event: an interval with no events used to
+    answer ``{}`` / ``[]`` / a leaked KeyError for a granularity that
+    raises on any interval with events."""
+
+    @pytest.mark.parametrize("op", ["heatmap", "distribution", "hotspots"])
+    @pytest.mark.parametrize("t0", [0.0, HORIZON + 36_000.0],
+                             ids=["events", "no-events"])
+    def test_unknown_granularity(self, server, op, t0):
+        r = server.handle_sync({
+            "op": op, "granularity": "rack",
+            "context": {"t0": t0, "t1": t0 + 3600.0,
+                        "event_types": ["MCE"]}})
+        assert not r["ok"]
+        assert r["error"] == ("ValueError: granularity must be one of "
+                              "('node', 'blade', 'cabinet')")
+
+    @pytest.mark.parametrize("op,empty", [
+        ("heatmap", {}), ("distribution", []), ("hotspots", [])])
+    def test_no_events_is_still_an_answer(self, server, op, empty):
+        r = server.handle_sync({
+            "op": op, "granularity": "blade",
+            "context": {"t0": HORIZON + 36_000.0, "t1": HORIZON + 39_600.0,
+                        "event_types": ["MCE"]}})
+        assert r["ok"] and r["result"] == empty
+
+
+class TestFoldsBuildNoRows:
+    """Over a flushed store a fold request reads column cells; not one
+    row object or row dict is built for it."""
+
+    @pytest.fixture(scope="class")
+    def flushed(self):
+        from repro.core import LogAnalyticsFramework
+        from repro.genlog import LogGenerator
+        from repro.titan import TitanTopology
+
+        topo = TitanTopology(rows=1, cols=1)
+        events = LogGenerator(topo, seed=3, rate_multiplier=40).generate(2)
+        with LogAnalyticsFramework(topo, db_nodes=3).setup() as fw:
+            fw.ingest_events(events)
+            fw.cluster.flush_all()
+            common = [t for t, _ in Counter(
+                e.type for e in events).most_common(3)]
+            yield AnalyticsServer(fw), common
+
+    @pytest.mark.parametrize("op", [
+        "heatmap", "histogram", "hotspots", "distribution", "keywords",
+        "association_rules", "transfer_entropy", "cross_correlation"])
+    def test_rows_materialized_stands_still(self, flushed, op):
+        from repro import obs
+
+        server, common = flushed
+        extra = {
+            "transfer_entropy": {"source_type": common[0],
+                                 "target_type": common[1], "n_shuffles": 5},
+            "cross_correlation": {"type_a": common[0], "type_b": common[1]},
+        }.get(op, {})
+        registry = obs.get_registry()
+        built = registry.counter("cassdb.vector.rows_materialized")
+        cells = registry.counter("cassdb.vector.column_cells")
+        before = built.value, cells.value
+        r = server.handle_sync({
+            "op": op, **extra,
+            "context": {"t0": 0.0, "t1": 7200.0, "event_types": common}})
+        assert r["ok"], r
+        assert built.value == before[0]
+        assert cells.value > before[1]
+
+
 class TestSimpleOps:
     def test_event_types(self, server):
         r = server.handle_sync({"op": "event_types"})
@@ -250,6 +321,15 @@ class TestComplexOps:
         assert r["ok"]
         found = {h["component"] for h in r["result"]}
         assert set(generator.ground_truth.hot_nodes["MCE"]) <= found
+
+    def test_hotspot_records_are_the_dataclass_fields(self, server, fw):
+        context = fw.context(0, HORIZON, event_types=("MCE",))
+        r = server.handle_sync({
+            "op": "hotspots", "context": context.to_json(),
+            "granularity": "blade", "z_threshold": 1.0})
+        want = [asdict(h) for h in fw.hotspots(context, "blade", 1.0)]
+        assert want and r["result"] == want
+        assert [list(h) for h in r["result"]] == [list(h) for h in want]
 
     def test_transfer_entropy(self, server, fw):
         r = server.handle_sync({
