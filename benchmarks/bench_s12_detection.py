@@ -13,8 +13,11 @@ and publishes typed alerts through the ``alerts`` topic into
 * **precision** — critical alerts outside any injected storm interval
   are false alarms, reported (and a quiet Poisson run with nothing
   injected must emit zero warning/critical alerts);
-* **throughput overhead** — streaming ingest with the detection
-  workload attached must stay within 10% of ingest without it.
+* **detection cost** — what attaching the detection workload adds to
+  streaming ingest, per micro-batch window, must stay within
+  ``DETECTION_BUDGET_US`` (10% of what a window cost to ingest when the
+  gate was frozen; an absolute budget, so that a faster ingest path
+  cannot fail a detector that did not change).
 
 Runs standalone for the CI detect-smoke job::
 
@@ -45,6 +48,11 @@ from conftest import report
 SEED = 2017
 INTERVAL = 1.0
 LATENCY_WINDOWS = 3.0
+# Bare streaming ingest cost 784-840 us per window here (588 windows in
+# 0.46 s quick, 943 in 0.79 s full) at the commit that froze the gate;
+# detection may add a tenth of that.  Same unit as the end-to-end
+# benchmark's ``detect.observe_us_per_window``.
+DETECTION_BUDGET_US = 80.0
 
 STORMY = dict(rate_multiplier=40.0, storms_per_day=96.0,
               storm_events_per_node=30.0)
@@ -186,21 +194,26 @@ def run_throughput_overhead(hours, rounds=3):
     _gen, parsed = _events(topo, hours, STORMY)
 
     times = {False: [], True: []}
+    windows = 0
     for _ in range(rounds):
         for detect in (False, True):
             gc.collect()
-            fw, _d, _s, elapsed = _stream(topo, parsed, detect=detect)
+            fw, _d, stats, elapsed = _stream(topo, parsed, detect=detect)
             fw.stop()
             times[detect].append(elapsed)
+            if detect:
+                windows = stats["windows"]
 
     t_bare = min(times[False])
     t_detect = min(times[True])
     return {
         "events": len(parsed),
         "rounds": rounds,
+        "windows": windows,
         "bare_s": t_bare,
         "with_detection_s": t_detect,
         "overhead_pct": (t_detect - t_bare) / t_bare * 100.0,
+        "detection_us_per_window": (t_detect - t_bare) / windows * 1e6,
         "events_per_s": len(parsed) / t_detect if t_detect else 0.0,
     }
 
@@ -223,7 +236,8 @@ def gates(results):
             q["mean_latency_windows"] <= LATENCY_WINDOWS,
         "quiet run silent": (quiet["warning_alerts"] == 0
                              and quiet["critical_alerts"] == 0),
-        "overhead <= 10%": ov["overhead_pct"] <= 10.0,
+        f"detection <= {DETECTION_BUDGET_US:.0f} us/window":
+            ov["detection_us_per_window"] <= DETECTION_BUDGET_US,
     }
 
 
@@ -246,8 +260,10 @@ def _report_all(results):
          f"{quiet['warning_alerts']}+{quiet['critical_alerts']} "
          "warn+crit",
          f"{quiet['events']} events, {quiet['windows']} windows"),
-        ("ingest overhead", f"{ov['overhead_pct']:+.2f}%",
-         f"{ov['bare_s']:.3f}s bare vs {ov['with_detection_s']:.3f}s, "
+        ("detection cost",
+         f"{ov['detection_us_per_window']:+.1f} us/window",
+         f"{ov['bare_s']:.3f}s bare vs {ov['with_detection_s']:.3f}s over "
+         f"{ov['windows']} windows ({ov['overhead_pct']:+.2f}%), "
          f"{ov['events_per_s']:.0f} ev/s"),
     ])
 
@@ -305,9 +321,9 @@ class TestQuietTraffic:
 class TestOverhead:
     def test_within_budget(self):
         r = run_throughput_overhead(HOURS_PYTEST, rounds=3)
-        # CI smoke holds the 10% line; under pytest give scheduler
-        # noise more headroom on the small sample.
-        assert r["overhead_pct"] <= 20.0, r
+        # CI smoke holds the budget; under pytest give scheduler noise
+        # twice the headroom on the small sample.
+        assert r["detection_us_per_window"] <= 2 * DETECTION_BUDGET_US, r
 
 
 class TestDeterminism:

@@ -38,6 +38,7 @@ from repro import obs
 from .errors import (
     BatchUnavailableError,
     BatchWriteTimeoutError,
+    CassDBError,
     NodeDownError,
     ReadTimeoutError,
     SchemaError,
@@ -102,7 +103,7 @@ def _dicts(
     """Every column of a partition read, as plain dicts."""
     if isinstance(source, BlockView):
         return materialize_dicts(source, schema, pk_values, None)
-    return [schema.rehydrate(pk_values, r.clustering, r.as_dict())
+    return [schema.rehydrate(pk_values, r.clustering, r.values)
             for r in source]
 
 
@@ -117,6 +118,14 @@ def _merge_copies(copies: Iterable[list[Row]]) -> dict[tuple, Row]:
                 row if existing is None else merge_rows(existing, row)
             )
     return merged
+
+
+# What a failed group of ``write_batch`` raises, by the per-row error
+# ``_commit_groups`` names.
+_BATCH_ERRORS = {
+    UnavailableError: BatchUnavailableError,
+    WriteTimeoutError: BatchWriteTimeoutError,
+}
 
 
 def _now_us() -> int:
@@ -161,7 +170,7 @@ class Cluster:
         # application + hint buffering stays atomic per partition.  The
         # *read* path runs lock-free at this layer — each TableStore
         # snapshots its runs under its own lock.  Repair acquires every
-        # stripe (in index order, as does the group commit, so lock
+        # stripe (in index order, as does the batch commit, so lock
         # ordering is total and deadlock-free).
         self._write_locks = tuple(
             threading.RLock() for _ in range(DEFAULT_WRITE_STRIPES)
@@ -338,6 +347,8 @@ class Cluster:
             for hint in peer.drain_hints_for(node_id):
                 node.write(hint.table, hint.partition_key, hint.row)
                 self._m_hints_replayed.inc()
+            if not peer.process_up:
+                continue  # crashed, not yet convicted: its own revival replays
             for hint in node.drain_hints_for(peer_id):
                 peer.write(hint.table, hint.partition_key, hint.row)
                 self._m_hints_replayed.inc()
@@ -419,8 +430,8 @@ class Cluster:
         """Bulk upsert; returns the number of rows written.
 
         Routed through :meth:`write_batch`: rows are grouped by replica
-        set and applied with one lock acquisition per (group, store),
-        not one per row.
+        set and applied with one lock acquisition per storage node, not
+        one per row.
         """
         return self.write_batch(table, rows, consistency)
 
@@ -435,7 +446,7 @@ class Cluster:
         pk = schema.partition_key_of(values)
         clustering = schema.clustering_of(values)
         ts = self.next_write_ts()
-        marker = Row(clustering=clustering, cells={}, tombstone_ts=ts)
+        marker = Row(clustering, {}, tombstone_ts=ts)
         self._replicated_write(table, pk, marker, consistency)
 
     # -- write-lock striping -------------------------------------------------
@@ -500,16 +511,22 @@ class Cluster:
     def _replicated_write(
         self, table: str, partition_key: str, row: Row, consistency: Consistency
     ) -> None:
-        """Commit one row (or tombstone marker) as a write group of one."""
+        """Commit one row (or tombstone marker) as a batch of one group."""
         start = time.perf_counter()
-        replicas = tuple(self.ring.replicas(partition_key))
-        items = [(partition_key, row)]
+        pending = [(tuple(self.ring.replicas(partition_key)),
+                    [(partition_key, row)])]
         stripes = [self._stripe_index(partition_key)]
+
+        def attempt() -> None:
+            failed = self._commit_groups(table, pending, stripes, consistency)
+            if failed is not None:
+                _group, error, required, got = failed
+                raise error(required, got)
+
         with obs.get_tracer().span(
             "cassdb.write", table=table, partition=partition_key
         ):
-            self._retrying("write", lambda: self._write_group(
-                table, replicas, items, stripes, consistency))
+            self._retrying("write", attempt)
         with self._counter_lock:
             self.coordinator_writes += 1
         self._m_writes.inc()
@@ -524,79 +541,85 @@ class Cluster:
         rows: Iterable[Mapping[str, Any]],
         consistency: Consistency = Consistency.ONE,
     ) -> int:
-        """Bulk upsert one table in replica-set groups; returns rows written.
+        """Bulk upsert one table; returns rows written.
 
         The batched commit the ingest pipelines ride (§III-D: Spark
-        micro-batches into the backend):
+        micro-batches into the backend) — routed by replica set,
+        applied by node:
 
         * rows are built by the schema's precompiled
-          :attr:`~repro.cassdb.schema.TableSchema.row_builder`;
-        * rows are grouped by replica set, each group sorted by
-          partition key and applied with **one** stripe-lock
-          acquisition, one ``TableStore`` lock per replica, and one
-          hint-buffer extend per down replica;
+          :attr:`~repro.cassdb.schema.TableSchema.row_builder` and
+          grouped by replica set — the unit availability, acks and
+          hints are decided for;
+        * the batch takes the union of its stripe locks once, checks
+          every group's availability before anything is applied, and
+          then applies each storage node's share of all groups with
+          **one** ``StorageNode.write_rows`` call (one ``TableStore``
+          lock, one span per node, not per group and replica);
         * the table epoch is bumped **once** for the whole batch (the
           server's result cache sees one invalidation, not one per row);
         * one ``cassdb.write_batch`` trace span and one set of
           ``cassdb.write.batch_*`` observations cover the call.
 
-        Like Cassandra's unlogged ``BATCH``, atomicity is per replica-set
-        group, not across the whole call: if a group fails its
-        availability check (``UnavailableError``), previously applied
-        groups stay applied — and the epoch still advances so caches
+        A batch with an unavailable group applies nothing and raises
+        :class:`BatchUnavailableError`.  Past that check atomicity is,
+        like Cassandra's unlogged ``BATCH``, per replica-set group: when
+        a replica refuses its share and a group ends short of its acks
+        (:class:`BatchWriteTimeoutError`), the groups that met their
+        level stay committed — and the epoch still advances so caches
         never serve the partial batch as fresh.
         """
         schema = self.schema(table)
         build = schema.row_builder
         next_ts = self.next_write_ts
         n_stripes = len(self._write_locks)
-        # replica-set tuple -> (items, stripe indices touched).  Per-pk
-        # routing (ring lookup + stripe hash) runs once per *distinct*
-        # partition; ``items_of`` jumps straight from pk to the group's
-        # item list for every later row of that partition.
-        groups: dict[tuple[str, ...], tuple[list[tuple[str, Row]], set[int]]] = {}
+        # replica-set tuple -> items.  Per-pk routing (ring lookup +
+        # stripe hash) runs once per *distinct* partition; ``items_of``
+        # jumps straight from pk to the group's item list for every
+        # later row of that partition.
+        groups: dict[tuple[str, ...], list[tuple[str, Row]]] = {}
         items_of: dict[str, list[tuple[str, Row]]] = {}
+        stripes: set[int] = set()
         n = 0
         for values in rows:
             pk, row = build(values, next_ts())
             items = items_of.get(pk)
             if items is None:
                 replicas = tuple(self.ring.replicas(pk))
-                entry = groups.get(replicas)
-                if entry is None:
-                    entry = groups[replicas] = ([], set())
-                entry[1].add(hash(pk) % n_stripes)
-                items = items_of[pk] = entry[0]
+                items = groups.get(replicas)
+                if items is None:
+                    items = groups[replicas] = []
+                items_of[pk] = items
+                stripes.add(hash(pk) % n_stripes)
             items.append((pk, row))
             n += 1
         if not n:
             return 0
         start = time.perf_counter()
-        applied = 0
+        pending = list(groups.items())
+        ordered = sorted(stripes)
         gate = self.chaos_gate
         if gate is not None:
             gate.on_coordinator_op(self)
+
+        def committed() -> int:
+            return n - sum(len(items) for _replicas, items in pending)
+
+        def attempt() -> None:
+            failed = self._commit_groups(table, pending, ordered, consistency)
+            if failed is not None:
+                (replicas, items), error, required, got = failed
+                raise _BATCH_ERRORS[error](
+                    required, got, table=table, group=replicas,
+                    group_rows=len(items), applied_rows=committed())
+
         try:
             with obs.get_tracer().span(
                 "cassdb.write_batch", table=table, rows=n, groups=len(groups)
             ):
-                for replicas, (items, stripes) in groups.items():
-                    ordered = sorted(stripes)
-                    try:
-                        self._retrying("write", lambda: self._write_group(
-                            table, replicas, items, ordered, consistency))
-                    except UnavailableError as exc:
-                        raise BatchUnavailableError(
-                            exc.required, exc.alive, table=table,
-                            group=replicas, group_rows=len(items),
-                            applied_rows=applied) from exc
-                    except WriteTimeoutError as exc:
-                        raise BatchWriteTimeoutError(
-                            exc.required, exc.received, table=table,
-                            group=replicas, group_rows=len(items),
-                            applied_rows=applied) from exc
-                    applied += len(items)
+                self._retrying("write", attempt)
         finally:
+            applied = committed()
             if applied:
                 with self._counter_lock:
                     self.coordinator_writes += applied
@@ -609,69 +632,110 @@ class Cluster:
                 (time.perf_counter() - start) * 1000.0)
         return n
 
-    def _write_group(
+    def _commit_groups(
         self,
         table: str,
-        replica_ids: tuple[str, ...],
-        items: list[tuple[str, Row]],
+        pending: list[tuple[tuple[str, ...], list[tuple[str, Row]]]],
         stripes: list[int],
         consistency: Consistency,
-    ) -> None:
-        """Commit one replica-set group atomically — the one place rows
-        are applied to a replica set, acks counted and hints buffered
-        (a single-row write is a group of one).
+    ) -> "tuple[tuple, type[CassDBError], int, int] | None":
+        """Commit replica-set groups: route by set, apply by node — the
+        one place rows reach a replica, acks are counted and hints are
+        buffered (a single-row write is one group of one row).
 
-        *stripes* is the sorted set of stripe indices the group's
-        partitions hash to; acquiring them in index order keeps lock
-        ordering total across concurrent batches, per-row writes and
-        repair.  A failed group leaves the success counters untouched:
-        ``UnavailableError`` means nothing was applied; on
-        ``WriteTimeoutError`` some replicas may hold the rows, so the
-        table epoch advances and layered caches drop what is now stale.
+        *pending* is ``(replica ids, items)`` per group and is pruned in
+        place of every group that met its consistency level, so a retry
+        re-sends only the rest.  *stripes* is the sorted set of stripe
+        indices the partitions hash to; acquiring them in index order
+        keeps lock ordering total across concurrent batches, per-row
+        writes and repair.
+
+        Returns None when every group committed, else ``(group, error
+        class, required, got)`` for the first group that did not:
+        :class:`UnavailableError` from the availability check, which
+        runs for every group before anything is applied (nothing was
+        applied, nothing pruned); :class:`WriteTimeoutError` when a
+        routed-to replica refused its share and left the group short of
+        acks — rows may sit on the replicas that did apply, so the table
+        epoch advances and layered caches drop what is now stale.
         """
         gate = self.chaos_gate
-        if gate is not None:
-            gate.on_coordinator_op(self)
-        required = consistency.required(len(replica_ids))
-        # Sorting by partition key groups same-partition rows into runs
-        # (memtable bulk-upsert locality); write timestamps, not
-        # application order, decide last-write-wins, so this is safe.
-        items.sort(key=itemgetter(0))
         with contextlib.ExitStack() as stack:
             for idx in stripes:
                 stack.enter_context(self._write_locks[idx])
-            alive = [r for r in replica_ids if self._replica_up(r)]
-            if len(alive) < required:
-                self._m_consistency_failures.inc()
-                raise UnavailableError(required, len(alive))
-            coordinator = self.nodes[alive[0]]
-            acks = 0
-            hinted = 0
-            for replica_id in replica_ids:
-                replica = self.nodes[replica_id]
-                if self._replica_up(replica_id):
-                    try:
-                        replica.write_rows(table, items)
-                    except NodeDownError:
-                        # Crashed but unconvicted: no ack, hint the group.
-                        self._breaker_failure(replica_id)
+            # Route: one gate tick and one liveness reading per group.
+            routes: list[tuple[list[str], int]] = []
+            for group in pending:
+                if gate is not None:
+                    gate.on_coordinator_op(self)
+                replica_ids = group[0]
+                routed = [r for r in replica_ids if self._replica_up(r)]
+                required = consistency.required(len(replica_ids))
+                if len(routed) < required:
+                    self._m_consistency_failures.inc()
+                    return group, UnavailableError, required, len(routed)
+                routes.append((routed, required))
+            # Apply: each node's share of every group in one call.
+            shares: dict[str, list[tuple[str, Row]]] = {}
+            for (_replica_ids, items), (routed, _) in zip(pending, routes):
+                for replica_id in routed:
+                    share = shares.get(replica_id)
+                    if share is None:
+                        shares[replica_id] = list(items)
                     else:
-                        self._breaker_success(replica_id)
-                        acks += 1
-                        continue
-                coordinator.buffer_hints(
-                    Hint(replica_id, table, pk, row) for pk, row in items
-                )
-                hinted += len(items)
+                        share.extend(items)
+            applied: set[str] = set()
+            for replica_id, share in shares.items():
+                # Sorting by partition key groups same-partition rows
+                # into runs (memtable bulk-upsert locality); write
+                # timestamps, not application order, decide
+                # last-write-wins, so this is safe.
+                share.sort(key=itemgetter(0))
+                try:
+                    self.nodes[replica_id].write_rows(table, share)
+                except NodeDownError:
+                    # Crashed but unconvicted: no ack for any group.
+                    self._breaker_failure(replica_id)
+                else:
+                    self._breaker_success(replica_id)
+                    applied.add(replica_id)
+            # Settle: acks and hints per group, from the node outcomes.
+            short: list = []
+            failed = None
+            hinted = 0
+            partial = False
+            for group, (routed, required) in zip(pending, routes):
+                replica_ids, items = group
+                acked = [r for r in routed if r in applied]
+                if acked and len(acked) < len(replica_ids):
+                    # A replica that applied the write holds the hints
+                    # for those that did not; a group nobody applied has
+                    # no holder (and no ack, so it fails its level).
+                    holder = self.nodes[acked[0]]
+                    for replica_id in replica_ids:
+                        if replica_id not in acked:
+                            holder.buffer_hints(
+                                Hint(replica_id, table, pk, row)
+                                for pk, row in items)
+                            hinted += len(items)
+                if len(acked) < required:
+                    short.append(group)
+                    partial = partial or bool(acked)
+                    if failed is None:
+                        failed = (group, WriteTimeoutError, required,
+                                  len(acked))
             if hinted:
                 with self._counter_lock:
                     self.hinted_writes += hinted
                 self._m_hints_buffered.inc(hinted)
-            if acks < required:
-                self._m_consistency_failures.inc()
-                if acks:
+            if short:
+                self._m_consistency_failures.inc(len(short))
+                if partial:
                     self._bump_epoch(table)
-                raise WriteTimeoutError(required, acks)
+                pending[:] = short
+            else:
+                pending.clear()
+            return failed
 
     # -- read path ------------------------------------------------------------
 
@@ -735,9 +799,8 @@ class Cluster:
             d: dict[str, Any] = {}
             for (kind, ref), col in zip(sources, columns):
                 if kind == "cell":
-                    cell = r.cells.get(ref)
-                    if cell is not None:
-                        d[col] = cell.value
+                    if ref in r.values:
+                        d[col] = r.values[ref]
                 elif kind == "ck":
                     d[col] = r.clustering[ref]
                 else:
@@ -1002,7 +1065,7 @@ class Cluster:
             have = {r.clustering: r for r in rows}
             for clustering, row in merged.items():
                 stale = have.get(clustering)
-                if stale is None or stale.cells != row.cells:
+                if stale is None or not stale.same_cells(row):
                     try:
                         self.nodes[replica_id].write(table, partition_key, row)
                     except NodeDownError:
@@ -1111,11 +1174,11 @@ class Cluster:
         for row in rows:
             h.update(repr(row.clustering).encode())
             h.update(repr(row.tombstone_ts).encode())
-            for name in sorted(row.cells):
-                cell = row.cells[name]
+            stamps = row.timestamps()
+            for name in sorted(row.values):
                 h.update(name.encode())
-                h.update(repr(cell.value).encode())
-                h.update(str(cell.write_ts).encode())
+                h.update(repr(row.values[name]).encode())
+                h.update(str(stamps[name]).encode())
         return h.hexdigest()
 
     def repair(self, table: str) -> int:

@@ -80,10 +80,14 @@ class NodeDownError(CassDBError):
 class BatchGroupFailure:
     """Mixin carrying which replica-set group of a ``write_batch`` failed.
 
-    ``write_batch`` commits one replica-set group at a time; when a group
-    cannot meet its consistency level the error must say *which* group
-    (its replica set, its row count) and how many rows of earlier groups
-    were already applied — a partial batch is not a silent drop.
+    ``write_batch`` routes rows by replica set; when a group cannot meet
+    its consistency level the error must say *which* group (its replica
+    set, its row count) and how many rows of the batch did commit — a
+    partial batch is not a silent drop.  ``applied_rows`` counts the
+    rows of the groups that met their level: always 0 for an
+    unavailable batch (availability is checked for every group before
+    anything is applied) unless a retry follows a partly committed
+    attempt.
     """
 
     table: str
@@ -99,7 +103,7 @@ class BatchGroupFailure:
         self.applied_rows = applied_rows
         return (f" [batch on {table!r}: group {list(group)} "
                 f"({group_rows} rows) failed; {applied_rows} rows of "
-                f"earlier groups applied]")
+                f"other groups committed]")
 
 
 class BatchUnavailableError(BatchGroupFailure, UnavailableError):

@@ -45,7 +45,7 @@ class MemPartition:
     def delete(self, clustering: tuple, tombstone_ts: int) -> int:
         """Write a row tombstone (deletes survive flush/merge); returns
         the row-count delta (0 or 1 — tombstones are buffered rows)."""
-        marker = Row(clustering=clustering, cells={}, tombstone_ts=tombstone_ts)
+        marker = Row(clustering, {}, tombstone_ts=tombstone_ts)
         existing = self.rows.get(clustering)
         if existing is None:
             self.rows[clustering] = marker
@@ -95,10 +95,11 @@ class Memtable:
     def upsert_many(self, items: Iterable[tuple[str, Row]]) -> None:
         """Bulk upsert of ``(partition key, row)`` pairs.
 
-        One method call for a whole write-batch group; the per-pair work
-        is the same as :meth:`upsert` with the partition lookup hoisted
-        for runs of pairs sharing a key (batched ingest writes whole
-        per-(hour, type) groups at once, pre-sorted by partition key).
+        One method call for a node's share of a write batch; the
+        per-pair work is the same as :meth:`upsert` with the partition
+        lookup hoisted for runs of pairs sharing a key (batched ingest
+        writes whole per-(hour, type) groups at once, pre-sorted by
+        partition key).
         """
         partitions = self.partitions
         last_key: str | None = None

@@ -142,8 +142,8 @@ class StorageNode:
             self.ensure_table(table).write(partition_key, row)
 
     def write_rows(self, table: str, items: Sequence[tuple[str, Row]]) -> None:
-        """Apply a write-batch group: one table lookup, one store-lock
-        acquisition and one trace span for the whole group."""
+        """Apply this node's share of a write batch: one table lookup,
+        one store-lock acquisition and one trace span for all of it."""
         self._check_up()
         _M_NODE_WRITES.inc(len(items))
         with obs.get_tracer().span("cassdb.node.write_rows", node=self.node_id,
@@ -209,7 +209,8 @@ class StorageNode:
     # -- hinted handoff ----------------------------------------------------
 
     def buffer_hints(self, hints: Iterable[Hint]) -> None:
-        """Buffer a write group's hints for one down replica."""
+        """Buffer a write group's hints for one replica that missed it
+        (called on a replica that applied the group)."""
         self.hints.extend(hints)
 
     def drain_hints_for(self, target_node: str) -> Iterator[Hint]:

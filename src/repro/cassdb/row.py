@@ -3,26 +3,34 @@
 A *partition* (paper Fig 1) is a wide data row addressed by a hashed
 partition key; inside it live many CQL rows ordered by clustering key
 (for the event tables, the event timestamp).  Each row is a flexible
-mapping of column name to :class:`Cell` — flexible because, as §II-B
-notes, "each application run may include columns unique to it".
+mapping of column name to value — flexible because, as §II-B notes,
+"each application run may include columns unique to it".
 
-Cells carry a write timestamp so replicas can reconcile divergent
-copies with last-write-wins, the same conflict-resolution rule
-Cassandra uses; the cluster layer's read-repair relies on
-:func:`merge_rows`.
+Every cell carries a write timestamp so replicas can reconcile
+divergent copies with last-write-wins, the same conflict-resolution
+rule Cassandra uses; the cluster layer's read-repair relies on
+:func:`merge_rows`.  A write stamps all of its cells alike, so the
+timestamp is stored once on the :class:`Row`; only a row that merged
+writes made at different times names the cells that differ
+(``cell_ts``).  An ingested log row is therefore one object holding a
+dict of scalars, which the cyclic collector does not track.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Collection, Iterator, Mapping
 
 __all__ = ["Cell", "Row", "ClusteringBound", "merge_rows"]
 
 
 @dataclass(frozen=True, slots=True)
 class Cell:
-    """A single column value plus its write timestamp (microseconds)."""
+    """A single column value plus its write timestamp (microseconds).
+
+    The reconciliation value type: what :attr:`Row.cells` hands cold
+    callers (repair digests, tests).  No stored row holds one.
+    """
 
     value: Any
     write_ts: int = 0
@@ -39,27 +47,61 @@ class Cell:
         return other if repr(other.value) > repr(self.value) else self
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Row:
-    """A CQL row: a clustering key plus named cells.
+    """A CQL row: a clustering key plus named column values.
 
     ``clustering`` is a tuple so rows order naturally inside a partition;
     the event tables cluster on ``(timestamp, seq)`` giving the one-hour
     time series layout of Fig 1.
+
+    ``write_ts`` is the write timestamp of every cell not named in
+    ``cell_ts`` (``column -> write_ts``), which exists only on a row
+    that merged writes made at different times.  Rows are immutable
+    once built: merges and block reads share ``values`` dicts.
     """
 
     clustering: tuple
-    cells: dict[str, Cell] = field(default_factory=dict)
+    values: dict[str, Any]
+    write_ts: int = 0
     tombstone_ts: int | None = None  # row-level deletion marker
+    cell_ts: dict[str, int] | None = None
 
     @classmethod
     def from_values(
         cls, clustering: tuple, values: Mapping[str, Any], write_ts: int = 0
     ) -> "Row":
-        return cls(
-            clustering=tuple(clustering),
-            cells={name: Cell(val, write_ts) for name, val in values.items()},
+        return cls(tuple(clustering), dict(values), write_ts)
+
+    @classmethod
+    def from_cells(
+        cls, clustering: tuple, cells: Mapping[str, Cell],
+        tombstone_ts: int | None = None,
+    ) -> "Row":
+        """A row from per-column :class:`Cell` objects — the spelling
+        for tests and reference models that think cell by cell."""
+        return cls.from_stamps(
+            tuple(clustering),
+            {name: cell.value for name, cell in cells.items()},
+            [cell.write_ts for cell in cells.values()],
+            tombstone_ts,
         )
+
+    @classmethod
+    def from_stamps(
+        cls, clustering: tuple, values: dict[str, Any],
+        stamps: Collection[int], tombstone_ts: int | None = None,
+    ) -> "Row":
+        """A row from values and their write timestamps, aligned with
+        ``values``' iteration order.  The one spelling of a
+        mixed-timestamp row: the newest timestamp sits on the row,
+        older cells are named in ``cell_ts``."""
+        write_ts = max(stamps, default=0)
+        cell_ts = None
+        if stamps and min(stamps) != write_ts:
+            cell_ts = {name: ts for name, ts in zip(values, stamps)
+                       if ts != write_ts}
+        return cls(clustering, values, write_ts, tombstone_ts, cell_ts)
 
     @property
     def is_deleted(self) -> bool:
@@ -71,45 +113,79 @@ class Row:
         tombstone (after :func:`merge_rows`, surviving cells are exactly
         those) or was never deleted.  A later INSERT therefore resurrects
         a deleted row, as in Cassandra."""
-        return bool(self.cells) or self.tombstone_ts is None
+        return bool(self.values) or self.tombstone_ts is None
 
     def value(self, column: str, default: Any = None) -> Any:
-        cell = self.cells.get(column)
-        return default if cell is None else cell.value
+        return self.values.get(column, default)
 
     def as_dict(self) -> dict[str, Any]:
         """Plain ``column -> value`` view (no timestamps), for query results."""
-        return {name: cell.value for name, cell in self.cells.items()}
+        return dict(self.values)
 
     def columns(self) -> Iterator[str]:
-        return iter(self.cells)
+        return iter(self.values)
+
+    def timestamps(self) -> dict[str, int]:
+        """``column -> write_ts`` for every cell of the row."""
+        stamps = dict.fromkeys(self.values, self.write_ts)
+        if self.cell_ts:
+            stamps.update(self.cell_ts)
+        return stamps
+
+    @property
+    def cells(self) -> dict[str, Cell]:
+        """Derived, read-only ``column -> Cell`` view, built per call —
+        for cold callers only; the write, flush, merge and scan paths
+        read ``values`` / ``write_ts`` directly."""
+        stamps = self.timestamps()
+        return {name: Cell(val, stamps[name])
+                for name, val in self.values.items()}
+
+    def same_cells(self, other: "Row") -> bool:
+        """Do both rows hold the same ``(value, write_ts)`` per column?
+        (The representation — which timestamp sits on the row and which
+        in ``cell_ts`` — is not compared.)"""
+        if self.values != other.values:
+            return False
+        if self.cell_ts is None and other.cell_ts is None:
+            return self.write_ts == other.write_ts or not self.values
+        return self.timestamps() == other.timestamps()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Row:
+            return NotImplemented
+        return (self.clustering == other.clustering
+                and self.tombstone_ts == other.tombstone_ts
+                and self.same_cells(other))
 
 
 def merge_rows(a: Row, b: Row) -> Row:
     """Reconcile two replica copies of the same row (same clustering key).
 
-    Column-wise last-write-wins; a row tombstone shadows any cell written
-    at or before the tombstone's timestamp.
+    Column-wise last-write-wins (equal timestamps break on the greater
+    ``repr(value)``); a row tombstone shadows any cell written at or
+    before the tombstone's timestamp.
     """
     if a.clustering != b.clustering:
         raise ValueError("cannot merge rows with different clustering keys")
-    tombstone = max(
-        (ts for ts in (a.tombstone_ts, b.tombstone_ts) if ts is not None),
-        default=None,
-    )
-    merged: dict[str, Cell] = {}
-    for name in a.cells.keys() | b.cells.keys():
-        ca, cb = a.cells.get(name), b.cells.get(name)
-        if ca is None:
-            cell = cb
-        elif cb is None:
-            cell = ca
-        else:
-            cell = ca.reconcile(cb)
-        assert cell is not None
-        if tombstone is None or cell.write_ts > tombstone:
-            merged[name] = cell
-    return Row(clustering=a.clustering, cells=merged, tombstone_ts=tombstone)
+    ta, tb = a.tombstone_ts, b.tombstone_ts
+    tombstone = ta if tb is None else tb if ta is None else max(ta, tb)
+    values = dict(a.values)
+    stamps = a.timestamps()
+    theirs = b.timestamps()
+    for name, val in b.values.items():
+        ts = theirs[name]
+        if name in values:
+            mine = stamps[name]
+            if ts < mine or (ts == mine
+                             and not repr(val) > repr(values[name])):
+                continue
+        values[name] = val
+        stamps[name] = ts
+    if tombstone is not None:
+        for name in [n for n, ts in stamps.items() if ts <= tombstone]:
+            del values[name], stamps[name]
+    return Row.from_stamps(a.clustering, values, stamps.values(), tombstone)
 
 
 @dataclass(frozen=True, slots=True)

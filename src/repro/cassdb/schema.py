@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import SchemaError
-from .row import Cell, Row
+from .row import Row
 from .vector import BlockHints
 
 __all__ = ["TableSchema", "Keyspace"]
@@ -193,8 +193,9 @@ class TableSchema:
         ``write_batch``): the column tuples, key-column set and
         separator are bound into the closure up front instead of being
         re-derived from the schema on every call, and the non-key
-        columns go straight into :class:`~repro.cassdb.row.Cell`
-        objects in a single comprehension.  A missing key column is a
+        columns go into the row's ``values`` dict in a single
+        comprehension — no per-column object, and a dict of scalars is
+        invisible to the cyclic collector.  A missing key column is a
         :class:`SchemaError`.
 
         (``cached_property`` writes straight into ``__dict__``, which a
@@ -229,11 +230,11 @@ class TableSchema:
                 raise SchemaError(
                     f"table {name!r}: missing key column {exc.args[0]!r}"
                 ) from None
-            cells = {
-                k: Cell(v, write_ts)
-                for k, v in values.items() if k not in key_cols
-            }
-            return pk, Row(clustering=clustering, cells=cells)
+            return pk, Row(
+                clustering,
+                {k: v for k, v in values.items() if k not in key_cols},
+                write_ts,
+            )
 
         return build
 

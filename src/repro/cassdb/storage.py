@@ -97,12 +97,13 @@ class TableStore:
             self._build_sstable(sealed)
 
     def write_rows(self, items: Sequence[tuple[str, Row]]) -> None:
-        """Apply a write-batch group: one lock acquisition for all rows.
+        """Apply a node's share of a write batch: one lock acquisition
+        for all rows.
 
         The batched coordinator path lands here — the store lock is
-        taken once per group instead of once per row, and the flush
-        check runs once after the group (the memtable may overshoot the
-        threshold by up to one group; the next group flushes it).
+        taken once per batch instead of once per row, and the flush
+        check runs once after it (the memtable may overshoot the
+        threshold by up to one batch; the next one flushes it).
         """
         with self.lock:
             self.memtable.upsert_many(items)

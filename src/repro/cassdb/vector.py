@@ -1,9 +1,9 @@
 """Columnar partition blocks and vectorized scan kernels.
 
 The row-at-a-time read path materializes a :class:`~repro.cassdb.row.Row`
-(one dict of :class:`Cell` objects) for every stored row a scan touches,
-then re-shapes each into a result dict, then filters/folds those dicts
-one by one.  For analytics scans — the workload the paper cares about —
+(one ``values`` dict) for every stored row a scan touches, then
+re-shapes each into a result dict, then filters/folds those dicts one
+by one.  For analytics scans — the workload the paper cares about —
 almost all of that work is thrown away: a filtered scan keeps a few
 percent of the rows it decodes, and a pushed-down ``GROUP BY`` reduces
 thousands of rows to a handful of partial states.
@@ -20,7 +20,7 @@ predicate is evaluated once per *dictionary entry*, then rows are
 matched by integer code.
 
 Row materialization (:meth:`ColumnBlock.row_at`) stays byte-faithful —
-cells keep their write timestamps, tombstones their deletion marker —
+every cell keeps its write timestamp, tombstones their deletion marker —
 so writes, hinted handoff, read repair, and compaction reconcile
 columnar and row-form data interchangeably.
 """
@@ -35,7 +35,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.obs import get_registry
 
-from .row import Cell, Row, merge_rows
+from .row import Row, merge_rows
 
 __all__ = [
     "BlockHints",
@@ -138,12 +138,6 @@ class _ColumnBuilder:
         self.present = bytearray(n)
         self.count = 0
 
-    def set(self, i: int, cell: Cell) -> None:
-        self.values[i] = cell.value
-        self.write_ts[i] = cell.write_ts
-        self.present[i] = 1
-        self.count += 1
-
     def finalize(self, n: int, force_dict: bool) -> Column:
         present = None if self.count == n else self.present
         values = self.values
@@ -228,16 +222,21 @@ class ColumnBlock:
         for i, row in enumerate(rows):
             if row.tombstone_ts is not None:
                 tombstones[i] = row.tombstone_ts
-                if not row.cells:
+                if not row.values:
                     if live is None:
                         live = bytearray(b"\x01" * n)
                     live[i] = 0
                     n_dead += 1
-            for name, cell in row.cells.items():
+            write_ts, cell_ts = row.write_ts, row.cell_ts
+            for name, value in row.values.items():
                 builder = builders.get(name)
                 if builder is None:
                     builder = builders[name] = _ColumnBuilder(name, n)
-                builder.set(i, cell)
+                builder.values[i] = value
+                builder.write_ts[i] = (write_ts if cell_ts is None
+                                       else cell_ts.get(name, write_ts))
+                builder.present[i] = 1
+                builder.count += 1
         forced = hints.dict_columns if hints is not None else frozenset()
         columns = {name: b.finalize(n, name in forced)
                    for name, b in builders.items()}
@@ -249,12 +248,16 @@ class ColumnBlock:
         """Materialize the exact Row stored at offset *i* (timestamps,
         tombstone marker and all) — the compatibility boundary for
         repair, hints, and compaction."""
-        cells: dict[str, Cell] = {}
+        values: dict[str, Any] = {}
+        stamps: list[int] = []
         for col in self.columns.values():
             if col.present is None or col.present[i]:
-                cells[col.name] = Cell(col.value_at(i), col.write_ts[i])
-        return Row(clustering=self.clustering[i], cells=cells,
-                   tombstone_ts=self.tombstones.get(i))
+                # (a present cell's code is never -1)
+                values[col.name] = (col.values[i] if col.codes is None
+                                    else col.dictionary[col.codes[i]])
+                stamps.append(col.write_ts[i])
+        return Row.from_stamps(self.clustering[i], values, stamps,
+                               self.tombstones.get(i))
 
     def rows(self) -> list[Row]:
         """Full materialization (cached): every row, dead ones included,
@@ -508,8 +511,7 @@ def _row_values(rows: Sequence[Row], source: tuple[str, Any],
     """One column of row-form data (None where a cell is absent)."""
     kind, ref = source
     if kind == "cell":
-        return [None if (cell := row.cells.get(ref)) is None else cell.value
-                for row in rows]
+        return [row.values.get(ref) for row in rows]
     if kind == "ck":
         return [row.clustering[ref] for row in rows]
     return [pk_values.get(ref)] * len(rows)

@@ -242,8 +242,7 @@ def _make_partition_fold(
     def get(src, pk_values: dict, row: Row) -> Any:
         kind, ref = src
         if kind == "cell":
-            cell = row.cells.get(ref)
-            return None if cell is None else cell.value
+            return row.values.get(ref)
         if kind == "ck":
             return row.clustering[ref]
         return pk_values.get(ref)
@@ -289,9 +288,8 @@ def _make_partition_fold(
                 continue
             kind, ref = src
             if kind == "cell":
-                vals = [c.value for r in bucket
-                        if (c := r.cells.get(ref)) is not None
-                        and c.value is not None]
+                vals = [v for r in bucket
+                        if (v := r.values.get(ref)) is not None]
             elif kind == "ck":
                 vals = [v for r in bucket
                         if (v := r.clustering[ref]) is not None]
@@ -346,8 +344,7 @@ def _make_partition_fold(
         if single_cell_key:  # the common GROUP BY <cell> shape
             ref = group_sources[0][1]
             for row in rows:
-                c = row.cells.get(ref)
-                key = (None if c is None else c.value,)
+                key = (row.values.get(ref),)
                 b = buckets.get(key)
                 if b is None:
                     buckets[key] = [row]

@@ -32,7 +32,9 @@ The four detectors mirror the paper's analytics, turned online:
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from collections import deque
 from typing import Iterable, Mapping
@@ -607,9 +609,13 @@ class LeadLagDetector(Detector):
             etype for etype, series in self._series.items()
             if sum(1 for x in series if x > 0) >= self.min_occurrences
         )
+        indicators = {etype: [1 if x > 0 else 0 for x in self._series[etype]]
+                      for etype in active}
+        follows = {etype: self._follows(sb)
+                   for etype, sb in indicators.items()}
         alerts: list[Alert] = []
         for a in active:
-            sa = [1 if x > 0 else 0 for x in self._series[a]]
+            sa = indicators[a]
             for b in active:
                 if a == b:
                     continue
@@ -617,7 +623,7 @@ class LeadLagDetector(Detector):
                 if (last is not None
                         and self._checks - last < self.cooldown_checks):
                     continue
-                corr, lag = self._precedence(sa, self._series[b])
+                corr, lag = self._precedence(sa, indicators[b], follows[b])
                 if corr >= self.min_corr:
                     alerts.append(self._alert(
                         severity="info",
@@ -631,19 +637,25 @@ class LeadLagDetector(Detector):
                     self._last_reported[(a, b)] = self._checks
         return alerts
 
-    def _precedence(self, sa: list[int], series_b: deque[int]
+    def _follows(self, sb: list[int]) -> list[int]:
+        """``follows[t] = 1`` iff any B fires in ``(t, t + max_lag]``,
+        for every ``t`` with a full look-ahead — a property of the
+        follower alone, so one running count per type and evaluation
+        serves every leader it is paired with."""
+        fired = list(itertools.accumulate(sb, initial=0))
+        lag = self.max_lag
+        return [1 if fired[t + 1 + lag] > fired[t + 1] else 0
+                for t in range(len(sb) - lag)]
+
+    def _precedence(self, sa: list[int], sb: list[int], follows: list[int]
                     ) -> tuple[float, int]:
         """Peak windowed cross-correlation of A's indicator against
         "B within (0, lag]", and the median observed lead time."""
-        sb = [1 if x > 0 else 0 for x in series_b]
         n = min(len(sa), len(sb)) - self.max_lag
         if n < 2 * self.min_occurrences:
             return 0.0, 0
-        # follows[t] = 1 iff any B fires in (t, t + max_lag].
-        follows = [1 if any(sb[t + 1:t + 1 + self.max_lag]) else 0
-                   for t in range(n)]
         lead = sa[:n]
-        corr = self._phi(lead, follows)
+        corr = self._phi(lead, follows[:n])
         if corr < self.min_corr:
             return corr, 0
         lags = []
@@ -662,7 +674,7 @@ class LeadLagDetector(Detector):
     def _phi(x: list[int], y: list[int]) -> float:
         n = len(x)
         sx, sy = sum(x), sum(y)
-        sxy = sum(a * b for a, b in zip(x, y))
+        sxy = sum(map(operator.mul, x, y))
         num = n * sxy - sx * sy
         den = math.sqrt(sx * (n - sx)) * math.sqrt(sy * (n - sy))
         if den == 0:

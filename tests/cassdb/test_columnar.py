@@ -24,7 +24,7 @@ def _row(ts, seq=0, write_ts=1, **cols):
 
 
 def _dead(ts, seq=0, tombstone_ts=9):
-    return Row(clustering=(ts, seq), cells={}, tombstone_ts=tombstone_ts)
+    return Row((ts, seq), {}, tombstone_ts=tombstone_ts)
 
 
 TYPES = ["warn", "error", "info", "warn", "error", "warn", "info", "warn",

@@ -37,7 +37,7 @@ class TestRow:
 
     def test_is_deleted(self):
         assert not Row.from_values((1,), {}).is_deleted
-        assert Row(clustering=(1,), cells={}, tombstone_ts=5).is_deleted
+        assert Row((1,), {}, tombstone_ts=5).is_deleted
 
 
 class TestMergeRows:
@@ -46,27 +46,27 @@ class TestMergeRows:
             merge_rows(Row.from_values((1,), {}), Row.from_values((2,), {}))
 
     def test_column_wise_lww(self):
-        a = Row(clustering=(1,), cells={"x": Cell(1, 10), "y": Cell("old", 10)})
-        b = Row(clustering=(1,), cells={"y": Cell("new", 20), "z": Cell(3, 5)})
+        a = Row.from_cells((1,), {"x": Cell(1, 10), "y": Cell("old", 10)})
+        b = Row.from_cells((1,), {"y": Cell("new", 20), "z": Cell(3, 5)})
         m = merge_rows(a, b)
         assert m.as_dict() == {"x": 1, "y": "new", "z": 3}
 
     def test_merge_commutative(self):
-        a = Row(clustering=(1,), cells={"x": Cell(1, 10), "y": Cell(2, 30)})
-        b = Row(clustering=(1,), cells={"x": Cell(9, 20), "y": Cell(8, 25)})
+        a = Row.from_cells((1,), {"x": Cell(1, 10), "y": Cell(2, 30)})
+        b = Row.from_cells((1,), {"x": Cell(9, 20), "y": Cell(8, 25)})
         ab, ba = merge_rows(a, b), merge_rows(b, a)
         assert ab.as_dict() == ba.as_dict()
 
     def test_tombstone_shadows_older_cells(self):
-        data = Row(clustering=(1,), cells={"x": Cell(1, 10)})
-        tomb = Row(clustering=(1,), cells={}, tombstone_ts=15)
+        data = Row.from_cells((1,), {"x": Cell(1, 10)})
+        tomb = Row((1,), {}, tombstone_ts=15)
         m = merge_rows(data, tomb)
         assert m.is_deleted
         assert m.as_dict() == {}
 
     def test_newer_write_survives_tombstone(self):
-        tomb = Row(clustering=(1,), cells={}, tombstone_ts=15)
-        newer = Row(clustering=(1,), cells={"x": Cell(7, 20)})
+        tomb = Row((1,), {}, tombstone_ts=15)
+        newer = Row.from_cells((1,), {"x": Cell(7, 20)})
         m = merge_rows(tomb, newer)
         assert m.as_dict() == {"x": 7}
         # Row remains marked deleted but the resurrecting cell survives;

@@ -1,8 +1,9 @@
-"""Property-style resilience test: random seeded kill/revive
-interleavings never lose an acknowledged write.
+"""Property-style resilience test: random seeded kill/revive and
+crash/recover/revive interleavings never lose an acknowledged write.
 
-For each seed, a scripted adversary interleaves node kills and revivals
-with a write workload.  Whatever the interleaving, the contract is:
+For each seed, a scripted adversary interleaves node kills, silent
+crashes (routed to, refusing writes), process restarts and revivals with
+a write workload.  Whatever the interleaving, the contract is:
 
 * every *acknowledged* write survives (readable at ALL once the cluster
   heals — hint replay on revival must cover missed replicas), and
@@ -30,14 +31,32 @@ def _adversary_run(seed):
     acked = []
     failed = 0
     seq = 0
+    # What the adversary did to each node that it has not undone yet:
+    # "killed", "crashed", or "restarted" (a crashed node whose process
+    # is back but whose revival — the hint replay — is still to come).
+    out: dict[str, str] = {}
+
+    def heal(node_id):
+        if out[node_id] == "crashed":
+            cluster.recover_node(node_id)
+            out[node_id] = "restarted"
+        else:
+            cluster.revive_node(node_id)
+            del out[node_id]
+
     for _ in range(STEPS):
         roll = rng.random()
-        down = sorted(n for n, node in cluster.nodes.items() if not node.up)
-        up = sorted(n for n, node in cluster.nodes.items() if node.up)
-        if roll < 0.15 and up:
-            cluster.kill_node(rng.choice(up))
-        elif roll < 0.30 and down:
-            cluster.revive_node(rng.choice(down))
+        healthy = sorted(set(cluster.nodes) - set(out))
+        if roll < 0.10 and healthy:
+            victim = rng.choice(healthy)
+            cluster.kill_node(victim)
+            out[victim] = "killed"
+        elif roll < 0.20 and healthy:
+            victim = rng.choice(healthy)
+            cluster.crash_node(victim)
+            out[victim] = "crashed"
+        elif roll < 0.40 and out:
+            heal(rng.choice(sorted(out)))
         else:
             row = {"pk": f"p{seq % 12}", "ck": seq, "v": seq}
             try:
@@ -48,9 +67,8 @@ def _adversary_run(seed):
                 acked.append((f"p{seq % 12}", seq))
             seq += 1
     # Heal: every node back up; revival replays buffered hints.
-    for node_id, node in sorted(cluster.nodes.items()):
-        if not node.up:
-            cluster.revive_node(node_id)
+    while out:
+        heal(min(out))
     return cluster, acked, failed
 
 

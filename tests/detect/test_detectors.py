@@ -1,6 +1,7 @@
 """Unit tests for the online detectors in :mod:`repro.detect.detectors`."""
 
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.detect import (
     cabinet_of,
 )
 from repro.titan import TitanTopology
+
+from tests.oracle import leadlag as leadlag_oracle
 
 
 class TestCabinetOf:
@@ -295,3 +298,114 @@ class TestLeadLagDetector:
             b = clone.observe(w, {("A", "c0-0"): 3})
             assert [x.to_record() for x in a] == [x.to_record() for x in b]
         assert clone.state() == det.state()
+
+
+class _PerPairLeadLag(LeadLagDetector):
+    """The evaluation as it stood before the follower's look-ahead was
+    shared: every ordered pair goes through the reference
+    ``precedence`` in ``tests/oracle/leadlag.py``."""
+
+    def _evaluate(self, window_start):
+        active = sorted(
+            etype for etype, series in self._series.items()
+            if sum(1 for x in series if x > 0) >= self.min_occurrences
+        )
+        alerts = []
+        for a in active:
+            sa = [1 if x > 0 else 0 for x in self._series[a]]
+            for b in active:
+                if a == b:
+                    continue
+                last = self._last_reported.get((a, b))
+                if (last is not None
+                        and self._checks - last < self.cooldown_checks):
+                    continue
+                corr, lag = leadlag_oracle.precedence(
+                    sa, self._series[b], max_lag=self.max_lag,
+                    min_occurrences=self.min_occurrences,
+                    min_corr=self.min_corr)
+                if corr >= self.min_corr:
+                    alerts.append(self._alert(
+                        severity="info",
+                        key=f"{a}->{b}",
+                        window_start=window_start,
+                        score=round(corr, 3),
+                        evidence={"lag_windows": lag,
+                                  "lag_seconds": lag * self.interval,
+                                  "leader_occurrences": sum(sa)},
+                    ))
+                    self._last_reported[(a, b)] = self._checks
+        return alerts
+
+
+def _lead_lag_windows(seed, n):
+    """*n* windows of ``{(type, cabinet): count}``: background types at
+    different rates, leader→follower pairs with fixed and jittered lags,
+    dense storms in which everything fires, and silent gaps."""
+    rng = random.Random(seed)
+    background = {"MCE": 0.08, "OOM": 0.03, "GPU_XID": 0.15, "KPANIC": 0.01}
+    couples = [("LNET", "LUSTRE", 3, 0), ("LINK", "HWERR", 12, 4),
+               ("LUSTRE", "APP_ABORT", 25, 3)]
+    pending = {}
+    out = []
+    widx = 0
+    storm_left = 0
+    while len(out) < n:
+        if rng.random() < 0.004:
+            widx += rng.randrange(2, 90)        # nothing observed at all
+        if storm_left == 0 and rng.random() < 0.01:
+            storm_left = rng.randrange(20, 120)
+        counts = {}
+        for etype, rate in background.items():
+            if rng.random() < (0.9 if storm_left else rate):
+                counts[(etype, f"c{rng.randrange(4)}-0")] = rng.randrange(1, 9)
+        for leader, follower, lag, jitter in couples:
+            if rng.random() < (0.5 if storm_left else 0.06):
+                counts[(leader, "c0-0")] = rng.randrange(1, 5)
+                due = widx + lag + rng.randint(-jitter, jitter)
+                pending.setdefault(due, []).append(follower)
+        for follower in pending.pop(widx, ()):
+            key = (follower, "c1-0")
+            counts[key] = counts.get(key, 0) + 1
+        if counts:
+            out.append((float(widx), counts))
+        storm_left = max(0, storm_left - 1)
+        widx += 1
+    return out
+
+
+class TestLeadLagMatchesPerPairReference:
+    """One look-ahead per follower and a C-level dot product are integer
+    arithmetic: alert keys, scores, lags and evidence must be the
+    per-pair evaluation's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_same_alert_stream_over_3000_windows(self, seed):
+        det, ref = LeadLagDetector(), _PerPairLeadLag()
+        got, want = [], []
+        windows = _lead_lag_windows(seed, 3000)
+        for i, (start, counts) in enumerate(windows):
+            if i == 1500:
+                # Restart both from JSON state, with one series cut
+                # short and one cut to under the look-ahead — lengths a
+                # running detector never produces but load_state accepts.
+                state = json.loads(json.dumps(det.state()))
+                assert state == json.loads(json.dumps(ref.state()))
+                state["series"]["LNET"] = state["series"]["LNET"][40:]
+                state["series"]["OOM"] = state["series"]["OOM"][-20:]
+                det, ref = LeadLagDetector(), _PerPairLeadLag()
+                det.load_state(state)
+                ref.load_state(state)
+                lengths = {len(s) for s in det._series.values()}
+                assert len(lengths) == 3
+            got.extend(a.to_record() for a in det.observe(start, counts))
+            want.extend(a.to_record() for a in ref.observe(start, counts))
+        assert got == want
+        assert det.state() == ref.state()
+        # The stream must exercise the detector on both sides of the
+        # restart, storms included: several distinct pairs, found
+        # before and after window 1500.
+        restart = windows[1500][0]
+        assert len({a["key"] for a in got}) >= 3
+        assert any(a["window_start"] < restart for a in got)
+        assert any(a["window_start"] > restart for a in got)
