@@ -96,6 +96,11 @@ def _partition_of(
             dict(zip(schema.partition_key, partition_values)))
 
 
+# ``fold(partition_values, source)``: what a replica-side read returns
+# for one partition, *source* as the replica holds it.
+PartitionFold = Callable[[dict[str, Any], BlockView | list[Row]], Any]
+
+
 def _dicts(
     schema: TableSchema, pk_values: Mapping[str, Any],
     source: "BlockView | list[Row]",
@@ -901,7 +906,7 @@ class Cluster:
         *,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
-        fold: "Callable[[dict[str, Any], BlockView | list[Row]], Any]",
+        fold: PartitionFold,
         consistency: Consistency = Consistency.ONE,
     ) -> list[Any]:
         """Aggregate-pushdown read: fold each partition at the replica read.
@@ -1078,16 +1083,19 @@ class Cluster:
     # -- full scans & placement introspection ---------------------------------
 
     def _first_alive_view(
-        self, table: str, partition_key: str
+        self, table: str, partition_key: str,
+        lower: ClusteringBound | None = None,
+        upper: ClusteringBound | None = None,
     ) -> "BlockView | list[Row] | None":
-        """One partition as its first alive replica holds it; None when
-        every replica is down."""
+        """One partition, within clustering bounds, as its first alive
+        replica holds it; None when every replica is down."""
         for replica_id in self.ring.replicas(partition_key):
             node = self.nodes[replica_id]
             if not node.up:
                 continue
             try:
-                return node.read_partition_view(table, partition_key)
+                return node.read_partition_view(table, partition_key,
+                                                lower, upper)
             except NodeDownError:  # crashed but unconvicted: next replica
                 continue
         return None
@@ -1100,26 +1108,32 @@ class Cluster:
         ``cassandraTable`` uses :meth:`partitions_by_node` to do the same
         scan with locality.
         """
-        to_dicts = functools.partial(_dicts, self.schema(table))
-        for rows in self.fold_table_partitions(table, to_dicts):
+        for rows in self.fold_table_partitions(table, self.row_fold(table)):
             yield from rows
+
+    def row_fold(self, table: str) -> PartitionFold:
+        """The fold of a row scan: every column of a partition read as
+        plain dicts."""
+        return functools.partial(_dicts, self.schema(table))
 
     def fold_table_partitions(
         self,
         table: str,
-        fold: "Callable[[dict[str, Any], BlockView | list[Row]], Any]",
+        fold: PartitionFold,
+        lower: ClusteringBound | None = None,
+        upper: ClusteringBound | None = None,
     ) -> Iterable[Any]:
         """Full-scan aggregate pushdown: fold every partition in place.
 
         The serial analog of :meth:`aggregate_partitions` for unrouted
-        aggregates — each partition is folded at its first alive replica
-        (a :class:`BlockView` when it lives in one SSTable run, live rows
-        otherwise) and only the partials are yielded, in sorted
-        partition-key order.
+        aggregates — each partition is folded, within the clustering
+        bounds, at its first alive replica (a :class:`BlockView` when it
+        lives in one SSTable run, live rows otherwise) and only the
+        partials are yielded, in sorted partition-key order.
         """
         schema = self.schema(table)
         for pk in sorted(self.partition_keys(table)):
-            source = self._first_alive_view(table, pk)
+            source = self._first_alive_view(table, pk, lower, upper)
             if source is not None:
                 yield fold(schema.partition_values_from_key(pk), source)
 
@@ -1143,24 +1157,30 @@ class Cluster:
         return out
 
     def read_partition_raw(
-        self, table: str, partition_key: str
-    ) -> list[dict[str, Any]]:
-        """Locality read: fetch one partition by ring key from any alive
-        replica, rehydrated to plain dicts (sparklet task input)."""
+        self, table: str, partition_key: str, *,
+        lower: ClusteringBound | None = None,
+        upper: ClusteringBound | None = None,
+        fold: PartitionFold | None = None,
+    ) -> Any:
+        """Locality read (sparklet task input): one partition by ring
+        key, within clustering bounds, folded as its first alive replica
+        holds it — ``fold(partition_values, source)`` as in
+        :meth:`aggregate_partitions`; by default the :meth:`row_fold`."""
         start = time.perf_counter()
         self._m_locality_reads.inc()
         with obs.get_tracer().span(
             "cassdb.read", table=table, partition=partition_key, locality=True
         ) as span:
             schema = self.schema(table)
-            pk_values = schema.partition_values_from_key(partition_key)
-            source = self._first_alive_view(table, partition_key)
+            source = self._first_alive_view(table, partition_key,
+                                            lower, upper)
             if source is None:
                 raise UnavailableError(1, 0)
-            rows = _dicts(schema, pk_values, source)
-            span.set(rows=len(rows))
+            span.set(rows=len(source))
+            value = (fold or self.row_fold(table))(
+                schema.partition_values_from_key(partition_key), source)
         self._m_read_latency.observe((time.perf_counter() - start) * 1000.0)
-        return rows
+        return value
 
     # -- anti-entropy repair -----------------------------------------------
 

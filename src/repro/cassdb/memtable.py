@@ -60,9 +60,6 @@ class MemPartition:
             self._dirty = False
         return self._sorted_keys
 
-    def sorted_rows(self) -> list[Row]:
-        return [self.rows[k] for k in self.sorted_keys()]
-
     def sorted_items(self) -> tuple[list[tuple], list[Row]]:
         """Sorted clustering keys and their rows, as parallel lists.
 

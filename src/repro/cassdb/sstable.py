@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import operator
 from collections.abc import MutableMapping
 from typing import Iterable, Iterator
 
@@ -41,7 +40,6 @@ __all__ = [
     "INDEX_INTERVAL",
     "SSTable",
     "merge_sstables",
-    "slice_bounds",
     "slice_bounds_keys",
 ]
 
@@ -54,7 +52,6 @@ _generation_counter = itertools.count(1)
 # via BlockHints); this module constant is only the fallback default.
 INDEX_INTERVAL = 64
 
-_CLUSTERING = operator.attrgetter("clustering")
 
 # Same counter the store layer bumps: every bloom-filter rejection that
 # saved a partition probe, wherever the check ran.
@@ -193,43 +190,6 @@ def _narrowed(samples: list[tuple] | None, key: tuple, interval: int,
     return max(0, (i - 1) * interval), min(n, i * interval)
 
 
-def slice_bounds(
-    rows: list[Row],
-    lower: ClusteringBound | None = None,
-    upper: ClusteringBound | None = None,
-    *,
-    samples: list[tuple] | None = None,
-    interval: int = INDEX_INTERVAL,
-) -> tuple[int, int]:
-    """The ``[lo, hi)`` index range of *rows* admitted by the bounds.
-
-    Bisects directly over the row objects (no key-list materialization),
-    then applies the (prefix-aware) bound predicates to the edge elements
-    only — O(log n + edge) for the probe.  With *samples* (a sparse
-    clustering index: every *interval*-th key) each bisect is first
-    narrowed to a single sample block, so it inspects O(log(n/interval)
-    + log(interval)) keys of a large partition.
-    """
-    n = len(rows)
-    lo, hi = 0, n
-    if not n:
-        return 0, 0
-    if lower is not None:
-        blo, bhi = _narrowed(samples, lower.key, interval, n, right=False)
-        lo = bisect.bisect_left(rows, lower.key, blo, bhi, key=_CLUSTERING)
-        while lo < n and not lower.admits_lower(rows[lo].clustering):
-            lo += 1
-    if upper is not None:
-        # Pad the bound so that every clustering tuple sharing the prefix
-        # sorts below the sentinel, then walk back over rejected edges.
-        padded = upper.key + (_Greatest(),)
-        blo, bhi = _narrowed(samples, padded, interval, n, right=True)
-        hi = bisect.bisect_right(rows, padded, blo, bhi, key=_CLUSTERING)
-        while hi > lo and not upper.admits_upper(rows[hi - 1].clustering):
-            hi -= 1
-    return lo, max(lo, hi)
-
-
 def slice_bounds_keys(
     keys: list[tuple],
     lower: ClusteringBound | None = None,
@@ -238,11 +198,16 @@ def slice_bounds_keys(
     samples: list[tuple] | None = None,
     interval: int = INDEX_INTERVAL,
 ) -> tuple[int, int]:
-    """:func:`slice_bounds` over a bare clustering-key array.
+    """The ``[lo, hi)`` index range of sorted clustering *keys* admitted
+    by the bounds.
 
-    Blocks store clustering keys as their own array
-    (``ColumnBlock.clustering``), so the bisect runs on tuples directly —
-    no attribute indirection per comparison — with identical semantics.
+    Bisects the key array (``ColumnBlock.clustering``, or a memtable
+    partition's sorted key list), then applies the (prefix-aware) bound
+    predicates to the edge elements only — O(log n + edge) for the
+    probe.  With *samples* (a sparse clustering index: every
+    *interval*-th key) each bisect is first narrowed to a single sample
+    block, so it inspects O(log(n/interval) + log(interval)) keys of a
+    large partition.
     """
     n = len(keys)
     lo, hi = 0, n
@@ -254,6 +219,8 @@ def slice_bounds_keys(
         while lo < n and not lower.admits_lower(keys[lo]):
             lo += 1
     if upper is not None:
+        # Pad the bound so that every clustering tuple sharing the prefix
+        # sorts below the sentinel, then walk back over rejected edges.
         padded = upper.key + (_Greatest(),)
         blo, bhi = _narrowed(samples, padded, interval, n, right=True)
         hi = bisect.bisect_right(keys, padded, blo, bhi)

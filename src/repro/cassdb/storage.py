@@ -24,7 +24,7 @@ from repro import obs
 
 from .memtable import Memtable
 from .row import ClusteringBound, Row
-from .sstable import SSTable, merge_sstables, slice_bounds
+from .sstable import SSTable, merge_sstables, slice_bounds_keys
 from .vector import BlockHints, BlockView, merge_views
 
 __all__ = ["StoreStats", "TableStore"]
@@ -235,11 +235,13 @@ class TableStore:
                 mem_part = mem.get_partition(partition_key)
                 if mem_part is None:
                     continue
-                rows = mem_part.sorted_rows()
-                lo, hi = slice_bounds(rows, lower, upper)
-                pruned += len(rows) - (hi - lo)
+                # Bisect the key list; build only the in-bounds rows.
+                keys = mem_part.sorted_keys()
+                lo, hi = slice_bounds_keys(keys, lower, upper)
+                pruned += len(keys) - (hi - lo)
                 if hi > lo:
-                    sources.append(rows[lo:hi])
+                    rows = mem_part.rows
+                    sources.append([rows[k] for k in keys[lo:hi]])
             for sst in self.sstables:
                 if not sst.maybe_contains(partition_key):
                     self.stats.bloom_skips += 1

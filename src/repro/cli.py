@@ -280,11 +280,8 @@ def _cmd_ingest(args) -> int:
 
 def _data_horizon(fw, t0: float) -> float:
     """End of data: latest event time (+1 s) across the full store."""
-    return max(
-        (r["ts"] for r in fw.sc.cassandraTable("event_by_time")
-         .map(lambda r: {"ts": r["ts"]}).collect()),
-        default=t0,
-    ) + 1.0
+    (row,) = fw.session.execute("SELECT max(ts) FROM event_by_time")
+    return (t0 if row["max_ts"] is None else row["max_ts"]) + 1.0
 
 
 def _cmd_analyze(args) -> int:

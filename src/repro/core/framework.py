@@ -213,7 +213,7 @@ class LogAnalyticsFramework:
     @_traced
     def refresh_synopsis(self) -> int:
         self._check_ready()
-        return self.model.refresh_synopsis(self.sc)
+        return self.model.refresh_synopsis(self.session)
 
     # -- contexts ----------------------------------------------------------------
 

@@ -47,7 +47,7 @@ from repro.titan.events import EventRegistry
 from repro.titan.topology import NodeLocation, TitanTopology
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sparklet import SparkletContext
+    from repro.cassdb import Session
 
 __all__ = ["TABLE_SCHEMAS", "LogDataModel", "event_amounts"]
 
@@ -110,6 +110,9 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
 _BY_TIME = TABLE_SCHEMAS["event_by_time"]
 _BY_LOCATION = TABLE_SCHEMAS["event_by_location"]
 _RUNS_BY_TIME = TABLE_SCHEMAS["application_by_time"]
+
+_SYNOPSIS_CQL = ("SELECT hour, type, count(*), count(amount), sum(amount)"
+                 " FROM event_by_time GROUP BY hour, type")
 
 # (column, op, value) residuals a read hands to the store.
 Predicates = Sequence[tuple[str, str, Any]]
@@ -356,21 +359,19 @@ class LogDataModel:
 
     # -- synopsis ----------------------------------------------------------------------
 
-    def refresh_synopsis(self, sc: "SparkletContext") -> int:
+    def refresh_synopsis(self, session: "Session") -> int:
         """Recompute ``eventsynopsis`` from ``event_by_time`` with an
-        engine aggregation job; returns rows written."""
-        rows = (
-            sc.cassandraTable("event_by_time")
-            .map(lambda r: ((r["hour"], r["type"]),
-                            (1, r.get("amount", 1))))
-            .reduceByKey(lambda a, b: (a[0] + b[0], a[1] + b[1]))
-            .map(lambda kv: {
-                "hour": kv[0][0], "type": kv[0][1],
-                "occurrences": kv[1][0], "total_amount": kv[1][1],
-            })
-            .collect()
-        )
-        return self.cluster.insert_many("eventsynopsis", rows)
+        engine aggregation job (*session*'s unrouted aggregate: one
+        group per partition, folded where it lives); returns rows
+        written."""
+        # An event without an ``amount`` cell counts once, as in
+        # :func:`event_amounts`.
+        return self.cluster.insert_many("eventsynopsis", [
+            {"hour": r["hour"], "type": r["type"],
+             "occurrences": r["count"],
+             "total_amount": ((r["sum_amount"] or 0)
+                              + r["count"] - r["count_amount"])}
+            for r in session.execute(_SYNOPSIS_CQL)])
 
     def synopsis_for_hour(self, hour: int) -> list[dict[str, Any]]:
         return self.cluster.select_partition("eventsynopsis", (hour,))

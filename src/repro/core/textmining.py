@@ -32,6 +32,8 @@ __all__ = ["tokenize", "word_count", "tf_idf", "top_terms", "storm_keywords"]
 # '@' intentionally splits tokens: Lustre targets like
 # ``atlas-OST01dc@10.36.226.77@o2ib`` must yield the OST id on its own.
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.\-]{2,}")
+_NUMERIC_RE = re.compile(r"[\d.]+")
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d{2}-\d{2}t")
 
 # Boilerplate present in virtually every line of a given log family —
 # stopwords for system-log text mining (the "properly filtered" step of
@@ -61,10 +63,10 @@ def tokenize(message: str, keep_numbers: bool = False) -> list[str]:
         # "b" would vanish on a second pass otherwise).
         if len(token) < 2 or token in _STOPWORDS:
             continue
-        if not keep_numbers and re.fullmatch(r"[\d.]+", token):
+        if not keep_numbers and _NUMERIC_RE.fullmatch(token):
             continue  # plain numbers and dotted numerics (IP addresses)
         # Timestamps (2017-03-01T…) are line metadata, not content.
-        if re.match(r"^\d{4}-\d{2}-\d{2}t", token):
+        if _TIMESTAMP_RE.match(token):
             continue
         tokens.append(token)
     return tokens
@@ -89,13 +91,15 @@ def tf_idf(sc: "SparkletContext", documents: Sequence[str],
     ``tf`` is raw term frequency within a document; ``idf`` is the
     smoothed ``log(N / (1 + df)) + 1``.
     """
-    docs = sc.parallelize(list(enumerate(documents)), num_partitions).cache()
     n_docs = len(documents)
     if n_docs == 0:
         return []
+    # Tokenized once; both passes below read the cached token lists.
+    docs = (sc.parallelize(list(enumerate(documents)), num_partitions)
+            .map(lambda kv: (kv[0], tokenize(kv[1]))).cache())
     # Document frequency per token.
     df = dict(
-        docs.flatMap(lambda kv: {(t, 1) for t in set(tokenize(kv[1]))})
+        docs.flatMap(lambda kv: {(t, 1) for t in set(kv[1])})
         .reduceByKey(lambda a, b: a + b)
         .collect()
     )
@@ -104,8 +108,7 @@ def tf_idf(sc: "SparkletContext", documents: Sequence[str],
         for token, count in df.items()
     }
     vectors = (
-        docs.map(lambda kv: (kv[0], tokenize(kv[1])))
-        .map(lambda kv: (kv[0], {
+        docs.map(lambda kv: (kv[0], {
             token: kv[1].count(token) * idf[token]
             for token in set(kv[1])
         }))

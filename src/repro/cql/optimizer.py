@@ -12,7 +12,10 @@ regressions show up in metrics, not just in the golden tests.
   "simple queries to Cassandra, complex ones to Spark" split.
 * ``predicate_pushdown`` — range/equality terms on the first clustering
   column become clustering bounds, feeding the sparse-index SSTable
-  slice scans (out-of-range rows are pruned before any merge work).
+  slice scans (out-of-range rows are pruned before any merge work) —
+  of a routed scan and of an unrouted aggregate's full scan alike.  At
+  most one lower and one upper bound are pushed; further terms on the
+  column stay in the residual filter.
 * ``projection_pushdown`` — only columns the rest of the plan actually
   references are materialized out of the store.
 * ``limit_pushdown`` — a LIMIT over a bare single-partition scan is
@@ -127,7 +130,7 @@ def _rule_partition_key_routing(plan: LogicalNode
 
 def _rule_predicate_pushdown(plan: LogicalNode) -> tuple[LogicalNode, int]:
     scan = _find(plan, LogicalScan)
-    if scan is None or scan.full_scan:
+    if scan is None:
         return plan, 0
     filt = _find(plan, LogicalFilter)
     if filt is None:
@@ -139,16 +142,21 @@ def _rule_predicate_pushdown(plan: LogicalNode) -> tuple[LogicalNode, int]:
     pushed = 0
     remaining: list[Predicate] = []
     for p in filt.predicates:
-        if p.column != first_ck or p.op == "in":
+        lower = p.op in ("=", ">", ">=")
+        upper = p.op in ("=", "<", "<=")
+        # A value may be a placeholder, so two bounds on one side cannot
+        # be intersected here: the first takes the side, later ones
+        # stay in the filter.
+        if (p.column != first_ck or not (lower or upper)
+                or lower and scan.lower is not None
+                or upper and scan.upper is not None):
             remaining.append(p)
             continue
-        if p.op == "=":
-            scan.lower = (p.value, True)
-            scan.upper = (p.value, True)
-        elif p.op in (">", ">="):
-            scan.lower = (p.value, p.op == ">=")
-        else:  # '<' | '<='
-            scan.upper = (p.value, p.op == "<=")
+        bound = (p.value, p.op not in ("<", ">"))
+        if lower:
+            scan.lower = bound
+        if upper:
+            scan.upper = bound
         pushed += 1
     if not pushed:
         return plan, 0

@@ -5,9 +5,9 @@ dict`` (a stable JSON node: ``{"op": ..., <details>, "children":
 [...]}``).  Reads run against the cassdb coordinator; pushed-down
 aggregations fold partials inside the replica read
 (:meth:`Cluster.aggregate_partitions`); full-table aggregations compile
-to a sparklet DAG job (``cassandraTable → mapPartitions(fold) →
-merge``) — the paper's routing of complex queries to the big-data
-engine.
+to a sparklet DAG job (``cassandraTable(fold, bounds) → merge``: the
+same fold, run by the scan tasks inside their locality reads) — the
+paper's routing of complex queries to the big-data engine.
 
 Bind parameters are resolved per execution from the :class:`Runtime`,
 so one physical plan is shared by every execution of a cached
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.cassdb.cluster import Cluster, Consistency
 from repro.cassdb.row import ClusteringBound, Row
@@ -121,28 +121,6 @@ def _agg_init(aggs: Sequence[AggregateCall]) -> list:
     return out
 
 
-def _agg_add(acc: list, aggs: Sequence[AggregateCall],
-             values: Sequence[Any]) -> None:
-    for i, a in enumerate(aggs):
-        v = values[i]
-        fn = a.fn
-        if fn == "count":
-            if a.column is None or v is not None:
-                acc[i] += 1
-        elif v is None:
-            continue
-        elif fn == "avg":
-            pair = acc[i]
-            pair[0] += v
-            pair[1] += 1
-        elif fn == "sum":
-            acc[i] = v if acc[i] is None else acc[i] + v
-        elif fn == "min":
-            acc[i] = v if acc[i] is None or v < acc[i] else acc[i]
-        else:  # max
-            acc[i] = v if acc[i] is None or v > acc[i] else acc[i]
-
-
 def _agg_merge(acc: list, other: list, aggs: Sequence[AggregateCall]) -> None:
     for i, a in enumerate(aggs):
         v = other[i]
@@ -187,28 +165,19 @@ def _finalize_groups(groups: dict, group_by: Sequence[str],
     return rows
 
 
-def _fold_dicts(rows: Iterable[dict], group_by: Sequence[str],
-                aggs: Sequence[AggregateCall],
-                residual: Sequence[tuple[str, str, Any]] = ()) -> dict:
-    """Fold plain row dicts into a partial group map (the sparklet
-    full-scan tasks' fold)."""
-    groups: dict = {}
-    agg_cols = [a.column for a in aggs]
-    for r in rows:
-        ok = True
-        for column, op, value in residual:
-            if not _matches(r, column, op, value):
-                ok = False
-                break
-        if not ok:
-            continue
-        key = tuple(r.get(c) for c in group_by)
-        acc = groups.get(key)
-        if acc is None:
-            acc = groups[key] = _agg_init(aggs)
-        _agg_add(acc, aggs, [None if c is None else r.get(c)
-                             for c in agg_cols])
-    return groups
+def _merge_partials(partials: Iterable[dict], group_by: Sequence[str],
+                    aggs: Sequence[AggregateCall]) -> list[dict]:
+    """Merge per-partition partial group maps and finalize
+    (avg = sum/count)."""
+    merged: dict = {}
+    for part in partials:
+        for key, acc in part.items():
+            mine = merged.get(key)
+            if mine is None:
+                merged[key] = acc
+            else:
+                _agg_merge(mine, acc, aggs)
+    return _finalize_groups(merged, group_by, aggs)
 
 
 def _make_partition_fold(
@@ -220,7 +189,7 @@ def _make_partition_fold(
     keep_empty: bool,
 ) -> "Callable[[dict, BlockView | list[Row]], dict]":
     """Build the replica-side fold shared by routed partial-aggregate
-    scans and serial full-table scans.
+    scans and full-table scans (either engine).
 
     The fold receives ``(partition_values, source)`` where *source* is a
     :class:`BlockView` (columnar run: folded per-column, no Row ever
@@ -229,8 +198,8 @@ def _make_partition_fold(
     already-resolved ``(column, op, value)`` predicates; *keep_empty*
     decides whether an all-partition-key group key still emits a
     zero-count partial when no rows survive (routed scans do — the
-    queried partition exists even if empty — full scans don't, matching
-    :func:`_fold_dicts` which never saw the partition at all).
+    queried partition exists even if empty — full scans don't: a
+    partition with no row inside the bounds is one the scan never saw).
     """
     sources = [None if a.column is None
                else schema.column_source(a.column) for a in aggs]
@@ -396,8 +365,18 @@ def _render_bounds(schema: TableSchema, lower, upper) -> str | None:
     return " AND ".join(parts)
 
 
+def _bind(rt: Runtime, predicates: Sequence[Predicate]
+          ) -> list[tuple[str, str, Any]]:
+    """*predicates* as ``(column, op, value)`` with this execution's
+    parameters bound."""
+    return [(p.column, p.op,
+             [rt.resolve(v) for v in p.value] if p.op == "in"
+             else rt.resolve(p.value))
+            for p in predicates]
+
+
 class _ScanBase(PhysicalOp):
-    """Shared routing/bounds resolution for the two scan operators."""
+    """Shared routing/bounds resolution for the scan operators."""
 
     def __init__(self, table: str, schema: TableSchema,
                  key_specs: list[tuple[str, str, Any]],
@@ -508,15 +487,12 @@ class PartialAggregateScanExec(_ScanBase):
     # -- replica-side fold -------------------------------------------------
 
     def _make_fold(self, rt: Runtime) -> "Callable[[dict, BlockView | list[Row]], dict]":
-        residual = [(p.column, p.op,
-                     [rt.resolve(v) for v in p.value] if p.op == "in"
-                     else rt.resolve(p.value))
-                    for p in self.residual]
         # keep_empty: group columns all from the partition key mean one
         # group per queried partition, kept even when empty so empty
         # partitions still report their zero counts.
-        return _make_partition_fold(self.schema, residual, self.group_by,
-                                    self.aggregates, keep_empty=True)
+        return _make_partition_fold(
+            self.schema, _bind(rt, self.residual), self.group_by,
+            self.aggregates, keep_empty=True)
 
     def execute(self, rt: Runtime) -> list[dict]:
         lower, upper = self._bounds(rt)
@@ -550,82 +526,62 @@ class MergePartialsExec(PhysicalOp):
         self.children = (child,)
 
     def execute(self, rt: Runtime) -> list[dict]:
-        merged: dict = {}
-        for part in self.children[0].execute(rt):
-            for key, acc in part.items():
-                mine = merged.get(key)
-                if mine is None:
-                    merged[key] = acc
-                else:
-                    _agg_merge(mine, acc, self.aggregates)
-        return _finalize_groups(merged, self.group_by, self.aggregates)
+        return _merge_partials(self.children[0].execute(rt),
+                               self.group_by, self.aggregates)
 
     def explain_attrs(self) -> dict[str, Any]:
         return {"group_by": list(self.group_by),
                 "aggregates": [a.render() for a in self.aggregates]}
 
 
-class FullScanAggregateExec(PhysicalOp):
+class FullScanAggregateExec(_ScanBase):
     """Unrouted aggregation over a whole table.
 
-    With a sparklet context attached this compiles to a DAG job —
-    ``cassandraTable`` (locality-placed partition tasks) →
-    ``mapPartitions(fold)`` → collect + merge — instead of a hand-written
-    job; without one it degrades to a serial ``scan_table`` fold."""
+    Every partition is read within the pushed clustering bounds and
+    folded in place, as its replica holds it, by the fold routed scans
+    use; ``engine`` only decides who walks the partitions.  With a
+    sparklet context attached it is a DAG job — ``cassandraTable``
+    (locality-placed scan tasks) carrying fold and bounds, collected
+    and merged — without one, a serial walk of the table."""
 
     name = "FullScanAggregate"
 
-    def __init__(self, table: str, schema: TableSchema, *,
+    def __init__(self, table: str, schema: TableSchema, lower, upper, *,
                  residual: list[Predicate], group_by: list[str],
                  aggregates: list[AggregateCall], engine: str):
-        self.table = table
-        self.schema = schema
+        super().__init__(table, schema, [], lower, upper)
+        self.access = "full_scan"
         self.residual = residual
         self.group_by = group_by
         self.aggregates = aggregates
         self.engine = engine  # 'sparklet' | 'serial'
 
     def execute(self, rt: Runtime) -> list[dict]:
-        residual = [(p.column, p.op,
-                     [rt.resolve(v) for v in p.value] if p.op == "in"
-                     else rt.resolve(p.value))
-                    for p in self.residual]
-        group_by, aggs = self.group_by, self.aggregates
+        fold = _make_partition_fold(
+            self.schema, _bind(rt, self.residual), self.group_by,
+            self.aggregates, keep_empty=False)
+        lower, upper = self._bounds(rt)
         if self.engine == "sparklet" and rt.sparklet is not None:
-            def fold_partition(it: Iterator[dict]) -> list[dict]:
-                return [_fold_dicts(it, group_by, aggs, residual)]
-
-            partials = (rt.sparklet.cassandraTable(self.table)
-                        .mapPartitions(fold_partition)
-                        .collect())
+            partials = rt.sparklet.cassandraTable(
+                self.table, fold=fold, lower=lower, upper=upper).collect()
         else:
-            # Serial engine: fold each partition in place at its replica
-            # (vectorized on columnar runs) instead of materializing the
-            # whole table as dicts through scan_table.  keep_empty=False
-            # matches _fold_dicts, which never saw empty partitions.
-            fold = _make_partition_fold(self.schema, residual, group_by,
-                                        aggs, keep_empty=False)
-            partials = list(rt.cluster.fold_table_partitions(self.table,
-                                                             fold))
-        merged: dict = {}
-        for part in partials:
-            for key, acc in part.items():
-                mine = merged.get(key)
-                if mine is None:
-                    merged[key] = acc
-                else:
-                    _agg_merge(mine, acc, aggs)
-        return _finalize_groups(merged, group_by, aggs)
+            partials = rt.cluster.fold_table_partitions(
+                self.table, fold, lower, upper)
+        return _merge_partials(partials, self.group_by, self.aggregates)
 
     def explain_attrs(self) -> dict[str, Any]:
-        return {
+        attrs = {
             "table": self.table,
-            "access": "full_scan",
+            "access": self.access,
             "engine": self.engine,
             "group_by": list(self.group_by),
             "aggregates": [a.render() for a in self.aggregates],
             "residual": [p.render() for p in self.residual],
         }
+        bounds = _render_bounds(self.schema, self.lower, self.upper)
+        if bounds is not None:
+            attrs["clustering_range"] = bounds
+        return attrs
 
 
 # --------------------------------------------------------------------------
@@ -642,10 +598,7 @@ class FilterExec(PhysicalOp):
         self.children = (child,)
 
     def execute(self, rt: Runtime) -> list[dict]:
-        bound = [(p.column, p.op,
-                  [rt.resolve(v) for v in p.value] if p.op == "in"
-                  else rt.resolve(p.value))
-                 for p in self.predicates]
+        bound = _bind(rt, self.predicates)
         child = self.children[0]
         if isinstance(child, PartitionScanExec) and child.limit is None:
             # Runtime fusion: push the bound predicates into the scan so
@@ -810,7 +763,8 @@ def compile_plan(plan, sparklet_available: bool) -> PhysicalOp:
             scan = scan.child
         if isinstance(scan, LogicalScan) and scan.full_scan:
             return FullScanAggregateExec(
-                scan.table, scan.schema, residual=residual,
+                scan.table, scan.schema, scan.lower, scan.upper,
+                residual=residual,
                 group_by=node.group_by, aggregates=node.aggregates,
                 engine="sparklet" if sparklet_available else "serial",
             )

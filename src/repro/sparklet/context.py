@@ -103,13 +103,17 @@ class SparkletContext:
         )
 
     def cassandraTable(self, table: str, split_factor: int = 1,
-                       where: Callable[[dict], bool] | None = None
+                       where: Callable[[dict], bool] | None = None,
+                       *, fold=None, lower=None, upper=None
                        ) -> CassandraTableRDD:
-        """Scan a table of the attached cluster with data locality."""
+        """Scan a table of the attached cluster with data locality;
+        *fold*, *lower* and *upper* are the plan pushed into the replica
+        read (see :class:`CassandraTableRDD`)."""
         if self.cluster is None:
             raise RuntimeError("context is not attached to a cassdb cluster")
         return CassandraTableRDD(self, self.cluster, table,
-                                 split_factor=split_factor, where=where)
+                                 split_factor=split_factor, where=where,
+                                 fold=fold, lower=lower, upper=upper)
 
     def textFile(self, path: str, min_partitions: int | None = None) -> RDD:
         """Lines of a local file (the batch-ETL input path)."""

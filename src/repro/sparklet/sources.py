@@ -12,12 +12,13 @@ remote traffic (and optionally charged a simulated per-record cost).
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .rdd import RDD
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cassdb.cluster import Cluster
+    from repro.cassdb.row import ClusteringBound
 
     from .context import SparkletContext
 
@@ -36,6 +37,13 @@ class CassandraTableRDD(RDD):
     where:
         Optional row predicate pushed into the scan (applied per row
         while reading, before any transformation).
+    fold / lower / upper:
+        The pushed plan (the connector's ``select``/``where``): each DB
+        partition is read within the clustering bounds and the RDD
+        holds one ``fold(partition_values, source)`` value per DB
+        partition — *source* as the replica holds it, see
+        :meth:`Cluster.aggregate_partitions` — instead of one dict per
+        row.  Without a fold it is a row scan.
     """
 
     def __init__(
@@ -45,13 +53,23 @@ class CassandraTableRDD(RDD):
         table: str,
         split_factor: int = 1,
         where: Callable[[dict], bool] | None = None,
+        *,
+        fold: Callable[[dict, Any], Any] | None = None,
+        lower: "ClusteringBound | None" = None,
+        upper: "ClusteringBound | None" = None,
     ):
         super().__init__(ctx, deps=[])
         if split_factor < 1:
             raise ValueError("split_factor must be >= 1")
+        if fold is not None and where is not None:
+            raise ValueError("where= filters the rows of a row scan; "
+                             "a fold takes its predicates itself")
         self.cluster = cluster
         self.table = table
         self.where = where
+        self.fold = fold
+        self.lower = lower
+        self.upper = upper
         # Snapshot placement at construction: each split is (node_id,
         # [partition keys]) with keys sorted for determinism.
         self._splits: list[tuple[str, list[str]]] = []
@@ -76,18 +94,30 @@ class CassandraTableRDD(RDD):
     def compute(self, index: int, tc):
         node_id, pks = self._splits[index]
         remote = tc.worker != node_id
+        fold = self.fold or self.cluster.row_fold(self.table)
+        read = 0  # rows the replica handed the fold
+
+        def counted(pk_values, source):
+            nonlocal read
+            read = len(source)
+            return fold(pk_values, source)
+
         for pk in pks:
-            rows = self.cluster.read_partition_raw(self.table, pk)
-            tc.metrics.records_read += len(rows)
+            value = self.cluster.read_partition_raw(
+                self.table, pk, lower=self.lower, upper=self.upper,
+                fold=counted)
+            tc.metrics.records_read += read
             if remote:
-                tc.metrics.remote_records += len(rows)
+                tc.metrics.remote_records += read
                 cost = self.ctx.remote_read_cost
                 if cost > 0.0:
-                    time.sleep(cost * len(rows))
-            if self.where is None:
-                yield from rows
+                    time.sleep(cost * read)
+            if self.fold is not None:
+                yield value
+            elif self.where is None:
+                yield from value
             else:
-                yield from (r for r in rows if self.where(r))
+                yield from (r for r in value if self.where(r))
 
 
 class TextFileRDD(RDD):

@@ -2,14 +2,14 @@
 
 from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import Cell, ClusteringBound, Row
-from repro.cassdb.sstable import SSTable, merge_sstables, slice_bounds
+from repro.cassdb.sstable import SSTable, merge_sstables, slice_bounds_keys
 from repro.cassdb.vector import merge_views
 
 
 def scan_partition(rows, lower=None, upper=None, reverse=False):
     """Range-scan a sorted row list the way the store reads one source:
     bisect to the in-bounds slice, then merge (which orders it)."""
-    lo, hi = slice_bounds(rows, lower, upper)
+    lo, hi = slice_bounds_keys([r.clustering for r in rows], lower, upper)
     return merge_views([rows[lo:hi]], reverse=reverse)
 
 
@@ -23,7 +23,9 @@ class TestMemtable:
         for ts in (5.0, 1.0, 3.0):
             mt.upsert("pk", _row(ts))
         part = mt.get_partition("pk")
-        assert [r.clustering[0] for r in part.sorted_rows()] == [1.0, 3.0, 5.0]
+        keys, rows = part.sorted_items()
+        assert [r.clustering for r in rows] == keys
+        assert [key[0] for key in keys] == [1.0, 3.0, 5.0]
 
     def test_upsert_same_key_merges(self):
         mt = Memtable()

@@ -7,7 +7,7 @@ degenerate empty inputs.
 """
 
 from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import slice_bounds, slice_bounds_keys
+from repro.cassdb.sstable import slice_bounds_keys
 from repro.cassdb.vector import merge_views
 
 
@@ -24,20 +24,18 @@ def _samples(keys, interval):
 
 
 def _check(rows, lower, upper, interval):
-    """slice_bounds with a sparse index must equal the brute-force scan,
-    and slice_bounds_keys must agree with slice_bounds exactly."""
+    """slice_bounds_keys with a sparse index must equal the brute-force
+    scan."""
     keys = [r.clustering for r in rows]
     samples = _samples(keys, interval)
-    lo, hi = slice_bounds(rows, lower, upper, samples=samples,
-                          interval=interval)
+    lo, hi = slice_bounds_keys(keys, lower, upper, samples=samples,
+                               interval=interval)
     want = [
         k for k in keys
         if (lower is None or lower.admits_lower(k))
         and (upper is None or upper.admits_upper(k))
     ]
     assert keys[lo:hi] == want
-    assert slice_bounds_keys(keys, lower, upper, samples=samples,
-                             interval=interval) == (lo, hi)
 
 
 class TestDuplicatePrefixStraddlingSampleBlocks:
@@ -118,8 +116,8 @@ class TestReverseLimitWithTombstones:
 
 class TestEmptyInputs:
     def test_slice_bounds_empty_rows(self):
-        assert slice_bounds([], ClusteringBound((1.0,)),
-                            ClusteringBound((2.0,))) == (0, 0)
+        assert slice_bounds_keys([], ClusteringBound((1.0,)),
+                                 ClusteringBound((2.0,))) == (0, 0)
         assert slice_bounds_keys([], ClusteringBound((1.0,)), None) == (0, 0)
 
     def test_merge_no_slices(self):
@@ -131,7 +129,7 @@ class TestEmptyInputs:
         assert merge_views([[], [_row(1.0)], []])[0].clustering == (1.0, 0)
 
     def test_disjoint_bounds_give_empty_range(self):
-        rows = [_row(float(i)) for i in range(8)]
-        lo, hi = slice_bounds(rows, ClusteringBound((6.0,)),
-                              ClusteringBound((2.0,)))
-        assert lo >= hi or rows[lo:hi] == []
+        keys = [(float(i), 0) for i in range(8)]
+        lo, hi = slice_bounds_keys(keys, ClusteringBound((6.0,)),
+                                   ClusteringBound((2.0,)))
+        assert lo >= hi or keys[lo:hi] == []

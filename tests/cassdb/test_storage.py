@@ -1,7 +1,7 @@
 """Unit tests for the per-node LSM table store."""
 
 from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import SSTable, slice_bounds
+from repro.cassdb.sstable import SSTable, slice_bounds_keys
 from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import merge_views
 
@@ -187,6 +187,82 @@ class TestBoundsPruning:
         assert [r.clustering[0] for r in rows] == [1.0, 3.0, 5.0, 7.0, 9.0, 10.0]
 
 
+class TestBoundedMemtableRead:
+    """A bounded read bisects a memtable partition's key list and builds
+    only the rows inside the bounds: what it returns, and what it
+    reports pruned, are those of the unbounded read, filtered."""
+
+    # 250 timestamps, four rows each: clustering (ts, seq) = (i // 4, i).
+    KEYS = [(i // 4, i) for i in range(1000)]
+    BOUNDS = [
+        (ClusteringBound((100,)), ClusteringBound((120,))),
+        (ClusteringBound((100,), False), ClusteringBound((120,), False)),
+        # Both clustering columns named: a bound inside one timestamp.
+        (ClusteringBound((100, 401)), ClusteringBound((120, 481), False)),
+        (ClusteringBound((100,)), None),
+        (None, ClusteringBound((3,), False)),
+        (ClusteringBound((300,)), None),                      # past the end
+        (ClusteringBound((120,)), ClusteringBound((100,))),   # empty window
+        (None, None),
+    ]
+
+    @staticmethod
+    def _write(store, keys, write_ts=1):
+        store.write_rows([
+            ("pk", Row.from_values(key, {"v": key[1]}, write_ts=write_ts))
+            for key in keys])
+
+    def _check_every_bound(self, store, buffered):
+        """*buffered*: the clustering key of every row a memtable holds,
+        tombstones included, once per memtable holding it."""
+        full = [(r.clustering, r.as_dict()) for r in store.read_partition("pk")]
+        for lower, upper in self.BOUNDS:
+            def admitted(key):
+                return ((lower is None or lower.admits_lower(key))
+                        and (upper is None or upper.admits_upper(key)))
+
+            before = store.stats.rows_pruned
+            bounded = store.read_partition("pk", lower, upper)
+            assert [(r.clustering, r.as_dict()) for r in bounded] == [
+                (key, values) for key, values in full if admitted(key)]
+            assert store.stats.rows_pruned - before == sum(
+                not admitted(key) for key in buffered)
+
+    def test_equals_the_unbounded_read_filtered(self):
+        store = TableStore()
+        self._write(store, self.KEYS)
+        assert not store.sstables and store.memtable.row_count == 1000
+        self._check_every_bound(store, self.KEYS)
+
+    def test_tombstoned_row_inside_the_window(self):
+        store = TableStore()
+        self._write(store, self.KEYS)
+        for key in ((100, 400), (110, 441), (120, 483), (7, 28)):
+            store.delete("pk", key, tombstone_ts=5)
+        assert len(store.read_partition("pk")) == 996
+        # A tombstone is a buffered row: pruned when outside, dropped by
+        # the merge when inside.
+        self._check_every_bound(store, self.KEYS)
+
+    def test_frozen_memtable_beside_the_live_one(self):
+        store = TableStore()
+        self._write(store, self.KEYS[:600])
+        rewritten = self.KEYS[380:420]
+        checked = []
+
+        def while_the_build_runs():
+            # The sealed memtable is on ``frozen``; these land in the
+            # fresh one, some of them on keys the frozen one holds.
+            self._write(store, self.KEYS[600:] + rewritten, write_ts=2)
+            assert len(store.frozen) == 1 and store.memtable.row_count == 440
+            self._check_every_bound(store, self.KEYS + rewritten)
+            checked.append(True)
+
+        store.flush_hook = while_the_build_runs
+        store.flush()
+        assert checked == [True]
+
+
 class TestSparseIndexAndMerge:
     def test_sparse_index_built_for_large_partitions(self):
         rows = [_row(float(i), seq=i) for i in range(200)]
@@ -198,6 +274,7 @@ class TestSparseIndexAndMerge:
 
     def test_slice_bounds_with_and_without_samples_agree(self):
         rows = [_row(float(i // 3), seq=i) for i in range(500)]
+        keys = [r.clustering for r in rows]
         sst = SSTable({"pk": rows})
         for lo_v, hi_v, lo_inc, hi_inc in [
             (10.0, 50.0, True, True), (0.0, 0.0, True, True),
@@ -206,10 +283,10 @@ class TestSparseIndexAndMerge:
         ]:
             lower = ClusteringBound((lo_v,), lo_inc)
             upper = ClusteringBound((hi_v,), hi_inc)
-            plain = slice_bounds(rows, lower, upper)
-            indexed = slice_bounds(rows, lower, upper,
-                                   samples=sst.index["pk"],
-                                   interval=sst.index_interval)
+            plain = slice_bounds_keys(keys, lower, upper)
+            indexed = slice_bounds_keys(keys, lower, upper,
+                                        samples=sst.index["pk"],
+                                        interval=sst.index_interval)
             assert plain == indexed
 
     def test_merge_row_slices_reconciles_and_orders(self):

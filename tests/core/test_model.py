@@ -1,5 +1,7 @@
 """Tests for the eight-table data model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cassdb import Cluster
@@ -185,6 +187,62 @@ class TestSynopsis:
                 expected = sum(e.amount for e in events
                                if e.type == "DRAM_CE" and e.hour == 1)
                 assert row["total_amount"] == expected
+
+
+class TestSynopsisIsTheFoldedAggregate:
+    """``refresh_synopsis`` is the unrouted ``GROUP BY hour, type``
+    aggregate: one group per partition, folded where it lives."""
+
+    @pytest.fixture(params=[False, True], ids=["memtable", "flushed"])
+    def loaded(self, request):
+        from repro.core import LogAnalyticsFramework
+        from repro.genlog import LogGenerator
+
+        topo = TitanTopology(rows=1, cols=1)
+        events = LogGenerator(topo, seed=3, rate_multiplier=40).generate(3)
+        occurrences = Counter((e.hour, e.type) for e in events)
+        amounts = Counter()
+        for e in events:
+            amounts[e.hour, e.type] += e.amount
+        with LogAnalyticsFramework(topo, db_nodes=3).setup() as fw:
+            fw.ingest_events(events)
+            # Rows written without an ``amount`` cell count once each.
+            for seq, (hour, etype) in enumerate(
+                    [(0, "MCE"), (0, "MCE"), (2, "MCE"), (7, "NO_AMOUNTS")]):
+                fw.cluster.insert("event_by_time", {
+                    "hour": hour, "type": etype, "ts": hour * 3600.0 + 0.5,
+                    "seq": 10_000_000 + seq, "source": "c0-0c0s0n0"})
+                occurrences[hour, etype] += 1
+                amounts[hour, etype] += 1
+            if request.param:
+                fw.cluster.flush_all()
+            yield fw, occurrences, amounts
+
+    def test_equals_a_counter_over_the_events(self, loaded):
+        fw, occurrences, amounts = loaded
+        assert fw.refresh_synopsis() == len(occurrences)
+        got = {(r["hour"], r["type"]): (r["occurrences"], r["total_amount"])
+               for hour in {hour for hour, _ in occurrences}
+               for r in fw.model.synopsis_for_hour(hour)}
+        assert got == {key: (occurrences[key], amounts[key])
+                       for key in occurrences}
+        assert all(type(v) is int for pair in got.values() for v in pair)
+
+    def test_builds_no_row_and_reads_each_partition_once(self, loaded,
+                                                         monkeypatch):
+        from repro import obs
+        from tests.cql.test_pushed_scan import count_locality_reads
+
+        fw, occurrences, _ = loaded
+        built = obs.get_registry().counter("cassdb.vector.rows_materialized")
+        entered = count_locality_reads(monkeypatch)
+        before = built.value
+        fw.refresh_synopsis()
+        assert built.value == before
+        assert sorted(entered) == sorted(
+            ("event_by_time", pk)
+            for pk in fw.cluster.partition_keys("event_by_time"))
+        assert len(entered) == len(occurrences)
 
 
 class TestWriteEventsFlexibility:

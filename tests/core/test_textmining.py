@@ -1,8 +1,14 @@
 """Tests for tokenizing, word count, TF-IDF and storm keywords (Fig 7)."""
 
+import math
+import re
+from collections import Counter
+
 import pytest
 
 from repro.core import storm_keywords, tf_idf, tokenize, top_terms, word_count
+from repro.core.textmining import _STOPWORDS, _TOKEN_RE
+from repro.genlog.templates import render_line
 from repro.sparklet import SparkletContext
 
 from .conftest import HORIZON
@@ -78,6 +84,83 @@ class TestTfIdf:
 
     def test_empty(self, sc):
         assert tf_idf(sc, []) == []
+
+
+def _reference_tokenize(message):
+    tokens = []
+    for raw in _TOKEN_RE.findall(message):
+        token = raw.lower().strip(".-")
+        if len(token) < 2 or token in _STOPWORDS:
+            continue
+        if re.fullmatch(r"[\d.]+", token):
+            continue
+        if re.match(r"^\d{4}-\d{2}-\d{2}t", token):
+            continue
+        tokens.append(token)
+    return tokens
+
+
+def _reference_tf_idf(documents):
+    """Two plain passes over the corpus, tokenizing in each."""
+    df = Counter()
+    for doc in documents:
+        df.update(set(_reference_tokenize(doc)))
+    idf = {token: math.log(len(documents) / (1.0 + count)) + 1.0
+           for token, count in df.items()}
+    vectors = []
+    for doc in documents:
+        tokens = _reference_tokenize(doc)
+        vectors.append({t: tokens.count(t) * idf[t] for t in set(tokens)})
+    return vectors
+
+
+def _reference_keywords(messages, n, use_tf_idf=True, background=None):
+    counts = Counter(t for m in messages for t in _reference_tokenize(m))
+    if background:
+        bg_df = Counter()
+        for doc in background:
+            bg_df.update(set(_reference_tokenize(doc)))
+        scores = {t: c * (math.log(len(background) / (1.0 + bg_df[t])) + 1.0)
+                  for t, c in counts.items()}
+    elif not use_tf_idf:
+        scores = {t: float(c) for t, c in counts.items()}
+    else:
+        scores = {}
+        for vector in _reference_tf_idf(messages):
+            for token, score in vector.items():
+                scores[token] = scores.get(token, 0.0) + score
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+
+
+class TestAgainstTwoPassReference:
+    """Vectors, scores and ranking bit for bit those of the plain
+    reference, over generated Lustre and MCE console lines."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, events):
+        lines = [render_line(e) for e in events
+                 if e.type in ("LUSTRE_ERR", "MCE")]
+        assert len(lines) > 300
+        # Whole lines (timestamp and component included) and the
+        # retained message part, as the data model stores it.
+        return lines[:150] + [l.split(": ", 1)[-1] for l in lines[150:450]]
+
+    def test_tokenize(self, corpus):
+        for line in corpus:
+            assert tokenize(line) == _reference_tokenize(line)
+
+    def test_tf_idf_vectors(self, sc, corpus):
+        assert tf_idf(sc, corpus) == _reference_tf_idf(corpus)
+        assert tf_idf(sc, corpus, 3) == _reference_tf_idf(corpus)
+
+    @pytest.mark.parametrize("mode", ["tf_idf", "counts", "background"])
+    def test_storm_keywords(self, sc, corpus, mode):
+        window, quiet = corpus[:200], corpus[200:]
+        kwargs = {"tf_idf": {}, "counts": {"use_tf_idf": False},
+                  "background": {"background": quiet}}[mode]
+        got = storm_keywords(sc, window, 25, **kwargs)
+        assert got == _reference_keywords(window, 25, **kwargs)
+        assert len(got) == 25
 
 
 class TestTopTerms:

@@ -205,6 +205,45 @@ class TestCassandraTableRDD:
         n = sc.cassandraTable("ev", where=lambda r: r["hour"] == "3").count()
         assert n == 10
 
+    @pytest.mark.parametrize("placement", ["locality", "random"])
+    def test_folded_scan_accounts_the_rows_it_read(self, placement):
+        """A scan carrying a fold yields one value per DB partition and
+        counts the rows the replica handed the fold — what the row scan
+        counts, under either placement."""
+        cluster = _event_cluster(hours=24)
+        for node in list(cluster.nodes.values())[:2]:
+            node.tables["ev"].flush()       # column blocks and memtables
+        accounted = []
+        for fold in (None, lambda pk_values, source: len(source)):
+            sc = SparkletContext(cluster=cluster, placement=placement)
+            values = sc.cassandraTable("ev", fold=fold).collect()
+            accounted.append((sc.metrics.records_read,
+                              sc.metrics.remote_records))
+            sc.stop()
+        assert values == [10] * 24
+        assert accounted[0] == accounted[1]
+        assert accounted[0][0] == 240
+        assert (accounted[0][1] > 0) == (placement == "random")
+
+    def test_bounds_are_pushed_into_the_read(self):
+        from repro.cassdb import ClusteringBound
+
+        cluster = _event_cluster()
+        sc = SparkletContext(cluster=cluster)
+        rows = sc.cassandraTable(
+            "ev", lower=ClusteringBound((3600.0 + 5,)),
+            upper=ClusteringBound((2 * 3600.0 + 5,), inclusive=False),
+            where=lambda r: r["hour"] == "2").collect()
+        assert [r["ts"] for r in rows] == [7200.0 + i for i in range(5)]
+        # Rows outside the bounds never left the store.
+        assert sc.metrics.records_read == 5 + 5
+
+    def test_a_fold_takes_no_row_predicate(self):
+        sc = SparkletContext(cluster=_event_cluster())
+        with pytest.raises(ValueError, match="row scan"):
+            sc.cassandraTable("ev", where=lambda r: True,
+                              fold=lambda pk_values, source: len(source))
+
     def test_split_factor_increases_partitions(self):
         cluster = _event_cluster(hours=24)
         sc = SparkletContext(cluster=cluster)
