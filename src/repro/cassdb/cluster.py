@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import itertools
 import random
 import threading
@@ -53,7 +52,7 @@ from .schema import Keyspace, TableSchema
 from .vector import (
     BlockHints,
     BlockView,
-    filter_rows,
+    ColumnBlock,
     materialize_dicts,
     select_rows,
 )
@@ -96,20 +95,10 @@ def _partition_of(
             dict(zip(schema.partition_key, partition_values)))
 
 
-# ``fold(partition_values, source)``: what a replica-side read returns
-# for one partition, *source* as the replica holds it.
-PartitionFold = Callable[[dict[str, Any], BlockView | list[Row]], Any]
-
-
-def _dicts(
-    schema: TableSchema, pk_values: Mapping[str, Any],
-    source: "BlockView | list[Row]",
-) -> list[dict[str, Any]]:
-    """Every column of a partition read, as plain dicts."""
-    if isinstance(source, BlockView):
-        return materialize_dicts(source, schema, pk_values, None)
-    return [schema.rehydrate(pk_values, r.clustering, r.values)
-            for r in source]
+# ``fold(partition_values, view)``: what a replica-side read returns for
+# one partition, *view* the partition's live in-bounds rows as the
+# vectorized kernels take them.
+PartitionFold = Callable[[dict[str, Any], BlockView], Any]
 
 
 def _merge_copies(copies: Iterable[list[Row]]) -> dict[tuple, Row]:
@@ -767,51 +756,27 @@ class Cluster:
         omitted, so ``row.get(col)`` reads as None downstream).
 
         ``predicates`` is the filter-pushdown hook: ``(column, op,
-        value)`` residuals evaluated per-column on column blocks before
-        any row dict is built (the row-form fallback filters rows with
-        identical semantics — absent/None never matches).  With
-        predicates present, *limit* counts matching rows.
+        value)`` residuals evaluated per-column before any row dict is
+        built (absent/None never matches); a predicate may name a column
+        the projection drops.  With predicates present, *limit* counts
+        matching rows.
         """
         schema = self.schema(table)
         pk, pk_values = _partition_of(schema, partition_values)
         # A limit must count post-filter rows, so it cannot be pushed to
         # the replica read when predicates will drop some of them.
         store_limit = None if predicates else limit
-        source = self._replicated_read(
+        view = self._replicated_read(
             table, pk, lower, upper, reverse, store_limit, consistency)
-        if isinstance(source, BlockView):
-            if predicates:
-                source = select_rows(
-                    source,
-                    [(schema.column_source(col), op, value)
-                     for col, op, value in predicates],
-                    pk_values)
-                if limit is not None:
-                    source = source.ordered(False, limit)
-            return materialize_dicts(source, schema, pk_values, columns)
         if predicates:
-            # Filter on the whole row, then project: a predicate may
-            # name a column the projection drops.
-            source = filter_rows(source, schema, pk_values, predicates)
+            view = select_rows(
+                view,
+                [(schema.column_source(col), op, value)
+                 for col, op, value in predicates],
+                pk_values)
             if limit is not None:
-                source = source[:limit]
-        if columns is None:
-            return _dicts(schema, pk_values, source)
-        # Classify each projected column once, not once per row.
-        sources = [schema.column_source(col) for col in columns]
-        out: list[dict[str, Any]] = []
-        for r in source:
-            d: dict[str, Any] = {}
-            for (kind, ref), col in zip(sources, columns):
-                if kind == "cell":
-                    if ref in r.values:
-                        d[col] = r.values[ref]
-                elif kind == "ck":
-                    d[col] = r.clustering[ref]
-                else:
-                    d[col] = pk_values[ref]
-            out.append(d)
-        return out
+                view = view.ordered(False, limit)
+        return materialize_dicts(view, schema, pk_values, columns)
 
     def select_partitions(
         self,
@@ -911,26 +876,25 @@ class Cluster:
     ) -> list[Any]:
         """Aggregate-pushdown read: fold each partition at the replica read.
 
-        ``fold(partition_values, source)`` is applied to each partition's
+        ``fold(partition_values, view)`` is applied to each partition's
         live data *before* anything is shipped back — no row dicts are
         built and no rows cross the coordinator boundary, only the
-        (small) partial each fold returns.  *source* is a
-        :class:`~repro.cassdb.vector.BlockView` when the partition lives
-        in one SSTable run (the vectorized fold kernels consume it
-        without materializing rows) and a list of live :class:`Row`
-        objects otherwise.  Partials come back in input order; merging
-        them is the caller's job (the query engine's MergePartials
-        operator).  Multi-partition calls scatter-gather on the
-        coordinator pool like :meth:`select_partitions`.
+        (small) partial each fold returns.  *view* is the
+        :class:`~repro.cassdb.vector.BlockView` the replica read
+        answers, whichever tiers hold the partition; the vectorized
+        kernels fold it a column at a time.  Partials come back in
+        input order; merging them is the caller's job (the query
+        engine's MergePartials operator).  Multi-partition calls
+        scatter-gather on the coordinator pool like
+        :meth:`select_partitions`.
         """
         schema = self.schema(table)
         self._m_agg_pushdown_partitions.inc(len(partition_values_list))
 
         def fold_one(pv: Sequence[Any] | Mapping[str, Any]) -> Any:
             pk, pk_values = _partition_of(schema, pv)
-            source = self._replicated_read(
-                table, pk, lower, upper, False, None, consistency)
-            return fold(pk_values, source)
+            return fold(pk_values, self._replicated_read(
+                table, pk, lower, upper, False, None, consistency))
 
         return self._scatter(fold_one, partition_values_list,
                              "cassdb.aggregate_scatter", table)
@@ -944,7 +908,7 @@ class Cluster:
         reverse: bool,
         limit: int | None,
         consistency: Consistency,
-    ) -> "BlockView | list[Row]":
+    ) -> BlockView:
         start = time.perf_counter()
         with obs.get_tracer().span(
             "cassdb.read", table=table, partition=partition_key
@@ -966,7 +930,7 @@ class Cluster:
         reverse: bool,
         limit: int | None,
         consistency: Consistency,
-    ) -> "BlockView | list[Row]":
+    ) -> BlockView:
         with self._counter_lock:
             self.coordinator_reads += 1
         self._m_reads.inc()
@@ -981,10 +945,10 @@ class Cluster:
             raise UnavailableError(required, len(alive))
         targets, spares = self._read_targets(alive, required)
         if len(targets) == 1:
-            # Vectorized fast path (the CL=ONE steady state): hand the
-            # replica's BlockView straight through — the store already
-            # dropped dead rows and applied reverse/limit, and a single
-            # response needs no reconciliation.
+            # The CL=ONE steady state: hand the replica's view straight
+            # through — the store already dropped dead rows and applied
+            # reverse/limit, and a single response needs no
+            # reconciliation.
             rid = targets[0]
             g = self.chaos_gate
             if g is not None:
@@ -1055,10 +1019,8 @@ class Cluster:
         merged = self._reconcile_reads(table, partition_key, responses)
         # Re-apply ordering and limit after reconciliation: replicas may
         # have returned different row subsets.
-        merged.sort(key=lambda r: r.clustering, reverse=reverse)
-        if limit is not None:
-            merged = merged[:limit]
-        return merged
+        merged.sort(key=lambda r: r.clustering)
+        return BlockView(ColumnBlock.over_rows(merged)).ordered(reverse, limit)
 
     def _reconcile_reads(
         self, table: str, partition_key: str, responses: dict[str, list[Row]]
@@ -1086,7 +1048,7 @@ class Cluster:
         self, table: str, partition_key: str,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
-    ) -> "BlockView | list[Row] | None":
+    ) -> BlockView | None:
         """One partition, within clustering bounds, as its first alive
         replica holds it; None when every replica is down."""
         for replica_id in self.ring.replicas(partition_key):
@@ -1114,7 +1076,9 @@ class Cluster:
     def row_fold(self, table: str) -> PartitionFold:
         """The fold of a row scan: every column of a partition read as
         plain dicts."""
-        return functools.partial(_dicts, self.schema(table))
+        schema = self.schema(table)
+        return lambda pk_values, view: materialize_dicts(
+            view, schema, pk_values, None)
 
     def fold_table_partitions(
         self,
@@ -1127,9 +1091,8 @@ class Cluster:
 
         The serial analog of :meth:`aggregate_partitions` for unrouted
         aggregates — each partition is folded, within the clustering
-        bounds, at its first alive replica (a :class:`BlockView` when it
-        lives in one SSTable run, live rows otherwise) and only the
-        partials are yielded, in sorted partition-key order.
+        bounds, at its first alive replica and only the partials are
+        yielded, in sorted partition-key order.
         """
         schema = self.schema(table)
         for pk in sorted(self.partition_keys(table)):
@@ -1164,7 +1127,7 @@ class Cluster:
     ) -> Any:
         """Locality read (sparklet task input): one partition by ring
         key, within clustering bounds, folded as its first alive replica
-        holds it — ``fold(partition_values, source)`` as in
+        holds it — ``fold(partition_values, view)`` as in
         :meth:`aggregate_partitions`; by default the :meth:`row_fold`."""
         start = time.perf_counter()
         self._m_locality_reads.inc()
@@ -1250,4 +1213,5 @@ class Cluster:
 
     def total_rows(self, table: str) -> int:
         """Live rows in *table* counted once (via scan; O(data))."""
-        return sum(1 for _ in self.scan_table(table))
+        return sum(self.fold_table_partitions(
+            table, lambda _pk_values, view: len(view)))

@@ -18,7 +18,7 @@ from repro import obs
 from .errors import NodeDownError
 from .row import ClusteringBound, Row
 from .storage import TableStore
-from .vector import BlockHints, BlockView
+from .vector import BlockHints, BlockView, ColumnBlock
 
 __all__ = ["Hint", "StorageNode"]
 
@@ -164,17 +164,8 @@ class StorageNode:
         reverse: bool = False,
         limit: int | None = None,
     ) -> list[Row]:
-        self._check_up()
-        _M_NODE_READS.inc()
-        store = self.tables.get(table)
-        if store is None:
-            return []
-        with obs.get_tracer().span("cassdb.node.read", node=self.node_id,
-                                   table=table) as span:
-            rows = store.read_partition(partition_key, lower, upper,
-                                        reverse, limit)
-            span.set(rows=len(rows))
-        return rows
+        return self.read_partition_view(
+            table, partition_key, lower, upper, reverse, limit).to_rows()
 
     def read_partition_view(
         self,
@@ -184,21 +175,21 @@ class StorageNode:
         upper: ClusteringBound | None = None,
         reverse: bool = False,
         limit: int | None = None,
-    ) -> "BlockView | list[Row]":
-        """:meth:`read_partition` without forced row materialization —
-        a :class:`BlockView` when the partition lives in one SSTable
-        run, a merged row list otherwise."""
+    ) -> BlockView:
+        """The live rows of one partition within clustering bounds, as
+        the view :meth:`TableStore.read_partition_view` answers (the
+        empty view when this node has no such table)."""
         self._check_up()
         _M_NODE_READS.inc()
         store = self.tables.get(table)
         if store is None:
-            return []
+            return BlockView(ColumnBlock.over_rows([]))
         with obs.get_tracer().span("cassdb.node.read", node=self.node_id,
                                    table=table) as span:
-            source = store.read_partition_view(partition_key, lower, upper,
-                                               reverse, limit)
-            span.set(rows=len(source))
-        return source
+            view = store.read_partition_view(partition_key, lower, upper,
+                                             reverse, limit)
+            span.set(rows=len(view))
+        return view
 
     def partition_keys(self, table: str) -> set[str]:
         """Partitions of *table* replicated on this node (liveness ignored:

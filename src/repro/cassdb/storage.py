@@ -25,7 +25,7 @@ from repro import obs
 from .memtable import Memtable
 from .row import ClusteringBound, Row
 from .sstable import SSTable, merge_sstables, slice_bounds_keys
-from .vector import BlockHints, BlockView, merge_views
+from .vector import BlockHints, BlockView, ColumnBlock, merge_views
 
 __all__ = ["StoreStats", "TableStore"]
 
@@ -205,9 +205,8 @@ class TableStore:
         Sealed memtables awaiting their SSTable build count as sources,
         so an in-flight flush never hides rows.
         """
-        source = self.read_partition_view(partition_key, lower, upper,
-                                          reverse, limit)
-        return source.to_rows() if isinstance(source, BlockView) else source
+        return self.read_partition_view(partition_key, lower, upper,
+                                        reverse, limit).to_rows()
 
     def read_partition_view(
         self,
@@ -216,18 +215,21 @@ class TableStore:
         upper: ClusteringBound | None = None,
         reverse: bool = False,
         limit: int | None = None,
-    ) -> BlockView | list[Row]:
-        """:meth:`read_partition` without forced row materialization.
+    ) -> BlockView:
+        """:meth:`read_partition` as the view the vectorized kernels
+        filter, project and fold.
 
         When every stored copy of the partition lives in one SSTable
-        run — the steady state after flush/compaction — the result is a
-        :class:`BlockView` over that run's live, in-bounds offsets, and
-        the vectorized kernels can filter/project/fold it without ever
-        building a ``Row``.  With multiple sources (memtable deltas,
-        un-compacted runs) the k-way merge reconciles them and returns
-        rows; either way dead rows are gone and *limit* is applied.
+        run — the steady state after flush/compaction — the view is over
+        that run's block: its live, in-bounds offsets, no ``Row`` built.
+        With several sources (memtable deltas, un-compacted runs) the
+        k-way merge reconciles them and the view is over a row-backed
+        block of what it emitted.  Either way dead rows are gone, the
+        block ascends and *reverse*/*limit* are the view's order.
         """
-        sources: list[BlockView | list[Row]] = []
+        # Memtable slices are row lists, SSTable slices are views:
+        # merge_views takes either.
+        sources: list = []
         pruned = 0
         with self.lock:
             self.stats.reads += 1
@@ -259,11 +261,13 @@ class TableStore:
                 self.stats.rows_pruned += pruned
         if pruned:
             _M_ROWS_PRUNED.inc(pruned)
-        if not sources:
-            return []
         if len(sources) == 1 and isinstance(sources[0], BlockView):
             return sources[0].live().ordered(reverse, limit)
-        return merge_views(sources, reverse=reverse, limit=limit)
+        # The merge stops at *limit* and, reversed, emits descending.
+        rows = merge_views(sources, reverse=reverse, limit=limit)
+        if reverse:
+            rows.reverse()
+        return BlockView(ColumnBlock.over_rows(rows)).ordered(reverse)
 
     def partition_keys(self) -> set[str]:
         """Every partition key present on this node (memtable + runs)."""

@@ -1,23 +1,25 @@
 """Columnar partition blocks and vectorized scan kernels.
 
-The row-at-a-time read path materializes a :class:`~repro.cassdb.row.Row`
-(one ``values`` dict) for every stored row a scan touches, then
-re-shapes each into a result dict, then filters/folds those dicts one
-by one.  For analytics scans — the workload the paper cares about —
-almost all of that work is thrown away: a filtered scan keeps a few
-percent of the rows it decodes, and a pushed-down ``GROUP BY`` reduces
-thousands of rows to a handful of partial states.
+A partition read has one shape: a :class:`BlockView` — a
+:class:`ColumnBlock` plus an ordered selection of its row offsets.  An
+SSTable stores each partition *column-major* (an eager block, built at
+flush); what a merge of several sources emits (memtable deltas,
+un-compacted runs, a QUORUM reconcile) is wrapped in a *row-backed*
+block whose columns are transposed out of the rows on first use
+(:meth:`ColumnBlock.over_rows`).  Either way pushed-down predicates,
+projections and aggregate folds run one column at a time over the
+selection (:func:`select_rows`, :func:`materialize_dicts`,
+:func:`fold_view`, :func:`column_lists`), so result dicts are built only
+for the survivors — and for aggregates and column reads, never at all.
+For analytics scans — the workload the paper cares about — that is
+almost all of the work: a filtered scan keeps a few percent of the rows
+it touches, and a pushed-down ``GROUP BY`` reduces thousands of rows to
+a handful of partial states.
 
-This module stores each SSTable partition *column-major* instead
-(:class:`ColumnBlock`) and evaluates pushed-down predicates,
-projections, and aggregate folds one column at a time over selection
-indices (:func:`select_rows`, :func:`materialize_dicts`,
-:func:`fold_view`, :func:`column_lists`), so rows are only built for
-the survivors — and for aggregates and column reads, never at all.
-Low-cardinality string columns (event type, cabinet/location,
-component — §II-B's categorical fields) are dictionary-encoded: a
-predicate is evaluated once per *dictionary entry*, then rows are
-matched by integer code.
+Low-cardinality string columns of an eager block (event type,
+cabinet/location, component — §II-B's categorical fields) are
+dictionary-encoded: a predicate is evaluated once per *dictionary
+entry*, then rows are matched by integer code.
 
 Row materialization (:meth:`ColumnBlock.row_at`) stays byte-faithful —
 every cell keeps its write timestamp, tombstones their deletion marker —
@@ -44,7 +46,6 @@ __all__ = [
     "ColumnBlock",
     "DICT_MAX_CARDINALITY",
     "column_lists",
-    "filter_rows",
     "fold_view",
     "materialize_dicts",
     "merge_views",
@@ -99,13 +100,16 @@ class Column:
       absent cell) indexing into ``dictionary``; ``code_of`` inverts it.
 
     ``write_ts`` keeps the per-cell write timestamp (0 at absent slots)
-    so :meth:`ColumnBlock.row_at` rebuilds cells exactly.
+    so :meth:`ColumnBlock.row_at` rebuilds cells exactly; a column
+    transposed out of a row-backed block has none, because the block's
+    rows still hold the stamps.
     """
 
     __slots__ = ("name", "values", "write_ts", "present", "codes",
                  "dictionary", "code_of")
 
-    def __init__(self, name: str, values: list | None, write_ts: array,
+    def __init__(self, name: str, values: list | None,
+                 write_ts: array | None,
                  present: bytearray | None, codes: array | None = None,
                  dictionary: list | None = None,
                  code_of: dict | None = None):
@@ -191,21 +195,65 @@ class ColumnBlock:
     to :class:`Column`; ``live`` is a liveness bitmap (``None`` when no
     row is tombstone-shadowed); ``tombstones`` keeps the sparse
     ``offset -> tombstone_ts`` map so dead rows round-trip exactly.
+
+    A block is either *eager* (:meth:`from_rows`: every column encoded
+    when the block is built — what an SSTable stores) or *row-backed*
+    (:meth:`over_rows`: the rows a merge emitted stay the store of
+    record and :meth:`column` transposes a column out of them the first
+    time a kernel names it).  Kernels see the same :class:`Column`
+    either way.
     """
 
-    __slots__ = ("clustering", "n", "columns", "live", "n_dead",
-                 "tombstones", "_rows")
+    __slots__ = ("_clustering", "n", "columns", "live", "n_dead",
+                 "tombstones", "_rows", "row_backed")
 
     def __init__(self, clustering: list[tuple], columns: dict[str, Column],
                  live: bytearray | None, n_dead: int,
                  tombstones: dict[int, int]):
-        self.clustering = clustering
+        self._clustering = clustering
         self.n = len(clustering)
         self.columns = columns
         self.live = live
         self.n_dead = n_dead
         self.tombstones = tombstones
         self._rows: list[Row] | None = None
+        self.row_backed = False
+
+    @classmethod
+    def over_rows(cls, rows: list[Row]) -> "ColumnBlock":
+        """A block over *rows* as they are: live, in ascending clustering
+        order — what :func:`merge_views` or a replica reconcile emits.
+        Nothing is encoded; a read that names no cell column (a count, a
+        rehydration) never transposes one."""
+        block = cls((), {}, None, 0, {})
+        block._clustering = None  # read off the rows when first named
+        block.n = len(rows)
+        block._rows = rows
+        block.row_backed = True
+        return block
+
+    @property
+    def clustering(self) -> list[tuple]:
+        """The ascending clustering-key array."""
+        if self._clustering is None:
+            self._clustering = [r.clustering for r in self._rows]
+        return self._clustering
+
+    def column(self, name: str) -> Column | None:
+        """The cell column *name*; None when an eager block stores no
+        such cell.  (A row-backed block answers an all-absent column
+        instead, which every kernel reads the same way.)"""
+        col = self.columns.get(name)
+        if col is None and self.row_backed:
+            rows = self._rows
+            present = None
+            try:  # one sweep when every row has the cell
+                values = [r.values[name] for r in rows]
+            except KeyError:
+                values = [r.values.get(name) for r in rows]
+                present = bytearray(name in r.values for r in rows)
+            col = self.columns[name] = Column(name, values, None, present)
+        return col
 
     @classmethod
     def from_rows(cls, rows: Sequence[Row],
@@ -248,6 +296,8 @@ class ColumnBlock:
         """Materialize the exact Row stored at offset *i* (timestamps,
         tombstone marker and all) — the compatibility boundary for
         repair, hints, and compaction."""
+        if self._rows is not None:
+            return self._rows[i]
         values: dict[str, Any] = {}
         stamps: list[int] = []
         for col in self.columns.values():
@@ -272,6 +322,16 @@ class ColumnBlock:
 
 
 _EMPTY_ORDER = range(0)
+
+
+def _take(seq, order):
+    """``[seq[i] for i in order]`` — one slice while the selection is
+    still a ``range`` (step ±1: bounds, ``reverse`` and ``limit`` only
+    ever slice it)."""
+    if isinstance(order, range):
+        stop = order.stop if order.stop >= 0 else None  # reversed to 0
+        return seq[order.start:stop:order.step]
+    return [seq[i] for i in order]
 
 
 class BlockView:
@@ -314,8 +374,7 @@ class BlockView:
     def to_rows(self) -> list[Row]:
         block = self.block
         if block._rows is not None:
-            rows = block._rows
-            return [rows[i] for i in self.order]
+            return _take(block._rows, self.order)
         _M_ROWS_MATERIALIZED.inc(len(self.order))
         return [block.row_at(i) for i in self.order]
 
@@ -324,7 +383,7 @@ class BlockView:
 
 def scalar_matches(val: Any, op: str, value: Any) -> bool:
     """One predicate against one value; absent/None never matches
-    (CQL three-valued logic collapsed to False, same as the row path)."""
+    (CQL three-valued logic collapsed to False)."""
     if val is None:
         return False
     if op == "=":
@@ -376,7 +435,7 @@ def select_rows(view: BlockView,
             order = [i for i in order
                      if scalar_matches(cl[i][ref], op, value)]
         else:
-            col = block.columns.get(ref)
+            col = block.column(ref)
             if col is None:
                 order = _EMPTY_ORDER
             elif col.codes is not None:
@@ -436,21 +495,24 @@ def materialize_dicts(view: BlockView, schema,
                       columns: Sequence[str] | None) -> list[dict]:
     """Late materialization: selected rows straight to result dicts.
 
-    Mirrors the row path's projection semantics exactly: with *columns*
-    given, absent cells are omitted (not None-filled); without, the
-    result is the full rehydrated mapping.  Only the projected columns'
-    arrays are ever touched.
+    With *columns* given, absent cells are omitted (not None-filled)
+    and only the projected columns' arrays are touched; without, the
+    result is the full rehydrated mapping (from the rows themselves
+    where they back the block).
     """
     block = view.block
     order = view.order
     if not len(order):
         return []
     _M_ROWS_MATERIALIZED.inc(len(order))
+    if columns is None and block.row_backed:
+        return [schema.rehydrate(pk_values, r.clustering, r.values)
+                for r in view.to_rows()]
     cl = block.clustering
     ck_names = schema.clustering_key
     if columns is None:
         # Column order is preserved so full-row dicts iterate the same
-        # way the row path's rehydrate() output does.
+        # way ``schema.rehydrate`` output does.
         cols = [(c.name, c.values, c.present, c.codes, c.dictionary)
                 for c in block.columns.values()]
         out = []
@@ -476,7 +538,7 @@ def materialize_dicts(view: BlockView, schema,
         elif name in ck_names:
             specs.append(("ck", name, ck_names.index(name)))
         else:
-            col = block.columns.get(name)
+            col = block.column(name)
             if col is None:
                 continue  # absent everywhere -> omitted everywhere
             if col.codes is not None:
@@ -506,33 +568,7 @@ def materialize_dicts(view: BlockView, schema,
 
 # -- column reads ------------------------------------------------------------
 
-def _row_values(rows: Sequence[Row], source: tuple[str, Any],
-                pk_values: Mapping[str, Any]) -> list:
-    """One column of row-form data (None where a cell is absent)."""
-    kind, ref = source
-    if kind == "cell":
-        return [row.values.get(ref) for row in rows]
-    if kind == "ck":
-        return [row.clustering[ref] for row in rows]
-    return [pk_values.get(ref)] * len(rows)
-
-
-def filter_rows(rows: list[Row], schema,
-                pk_values: Mapping[str, Any],
-                predicates: Sequence[tuple[str, str, Any]]) -> list[Row]:
-    """:func:`select_rows` for row-form sources: the rows every
-    ``(column, op, value)`` predicate admits, one column sweep per
-    predicate over a shrinking list."""
-    for column, op, value in predicates:
-        if not rows:
-            break
-        vals = _row_values(rows, schema.column_source(column), pk_values)
-        rows = [row for row, val in zip(rows, vals)
-                if scalar_matches(val, op, value)]
-    return rows
-
-
-def column_lists(source: "BlockView | list[Row]", schema,
+def column_lists(view: BlockView, schema,
                  pk_values: Mapping[str, Any], columns: Sequence[str],
                  predicates: Sequence[tuple[str, str, Any]] | None = None
                  ) -> list[list]:
@@ -541,50 +577,36 @@ def column_lists(source: "BlockView | list[Row]", schema,
     is built.  *predicates* are ``(column, op, value)`` with
     ``Cluster.select_partition``'s semantics.
 
-    While a block selection is still a contiguous ``range`` (every
+    While the selection is still a contiguous ``range`` (every
     bounds-pruned scan) a plain column is a slice of the stored list
     and a dictionary column one decode pass over the sliced code array;
     once predicates have punched holes the kernel gathers by index.
-    Row-form sources are swept once per column.
     """
     specs = [schema.column_source(name) for name in columns]
-    if not isinstance(source, BlockView):
-        rows = (filter_rows(source, schema, pk_values, predicates)
-                if predicates else source)
-        _M_COLUMN_CELLS.inc(len(rows) * len(specs))
-        return [_row_values(rows, spec, pk_values) for spec in specs]
     if predicates:
-        source = select_rows(
-            source, [(schema.column_source(column), op, value)
-                     for column, op, value in predicates], pk_values)
-    block, order = source.block, source.order
+        view = select_rows(
+            view, [(schema.column_source(column), op, value)
+                   for column, op, value in predicates], pk_values)
+    block, order = view.block, view.order
     n = len(order)
     _M_COLUMN_CELLS.inc(n * len(specs))
-    if isinstance(order, range) and order.step == 1:
-        window = slice(order.start, order.stop)
-
-        def take(seq):
-            return seq[window]
-    else:
-        def take(seq):
-            return [seq[i] for i in order]
     out = []
     for kind, ref in specs:
         if kind == "pk":
             out.append([pk_values.get(ref)] * n)
         elif kind == "ck":
-            out.append([key[ref] for key in take(block.clustering)])
-        elif (col := block.columns.get(ref)) is None:
+            out.append([key[ref] for key in _take(block.clustering, order)])
+        elif (col := block.column(ref)) is None:
             out.append([None] * n)
         elif col.codes is None:
-            out.append(take(col.values))
+            out.append(_take(col.values, order))
         elif col.present is None:
             out.append(list(map(col.dictionary.__getitem__,
-                                take(col.codes))))
+                                _take(col.codes, order))))
         else:
             dictionary = col.dictionary
             out.append([None if code < 0 else dictionary[code]
-                        for code in take(col.codes)])
+                        for code in _take(col.codes, order)])
     return out
 
 
@@ -597,7 +619,7 @@ def _column_values(block: ColumnBlock, order, source,
     if kind == "ck":
         cl = block.clustering
         return [v for i in order if (v := cl[i][ref]) is not None]
-    col = block.columns.get(ref)
+    col = block.column(ref)
     if col is None:
         return []
     if col.codes is not None:
@@ -612,8 +634,8 @@ def _column_values(block: ColumnBlock, order, source,
 def _partial(block: ColumnBlock, order, n: int,
              agg_sources: Sequence, fns: Sequence[str],
              pk_values: Mapping[str, Any]) -> list:
-    """One group's partial accumulator list, byte-compatible with the
-    row path's partials (count:int, avg:[sum,n], min/max/sum:val|None)."""
+    """One group's partial accumulator list, in the form the query
+    engine merges (count:int, avg:[sum,n], min/max/sum:val|None)."""
     acc: list = []
     shared: dict = {}  # column sweep shared by aggregates on one source
     for source, fn in zip(agg_sources, fns):
@@ -623,9 +645,7 @@ def _partial(block: ColumnBlock, order, n: int,
         kind, ref = source
         if kind == "pk":
             # Partition-key aggregate input: constant across the block,
-            # so the fold is arithmetic on (value, n) — and computed with
-            # the same expressions as the row path so partials match
-            # bit-for-bit.
+            # so the fold is arithmetic on (value, n).
             v = pk_values.get(ref)
             absent = v is None or not n
             if fn == "count":
@@ -687,7 +707,7 @@ def fold_view(view: BlockView,
     if n == 0:
         return {}
     if len(group_sources) == 1 and group_sources[0][0] == "cell":
-        col = block.columns.get(group_sources[0][1])
+        col = block.column(group_sources[0][1])
         if col is None:
             return {(None,): _partial(block, order, n, agg_sources, fns,
                                       pk_values)}
@@ -713,7 +733,7 @@ def fold_view(view: BlockView,
             elif kind == "ck":
                 getters.append(lambda i, cl=cl, idx=ref: cl[i][idx])
             else:
-                col = block.columns.get(ref)
+                col = block.column(ref)
                 if col is None:
                     getters.append(lambda i: None)
                 else:

@@ -273,15 +273,17 @@ class LogAnalyticsFramework:
     @_traced
     def hotspots(self, context: Context, granularity: str = "node",
                  z_threshold: float = 4.0) -> list[analytics.Hotspot]:
-        """Components with abnormally high occurrence counts (Fig 5)."""
+        """Components with abnormally high occurrence counts (Fig 5).
+
+        The population is the machine's components at *granularity*;
+        sources outside it (Gemini routers at node granularity, any
+        non-node source) take no part in the z-score."""
         self._check_ready()
         counts = self.heatmap(context, granularity)
-        num = {
-            "node": self.topology.num_nodes,
-            "blade": self.topology.num_cabinets * 24,
-            "cabinet": self.topology.num_cabinets,
-        }[granularity]
-        return analytics.detect_hotspots(counts, num, z_threshold)
+        population = self.topology.components(granularity)
+        return analytics.detect_hotspots(
+            {c: n for c, n in counts.items() if c in population},
+            len(population), z_threshold)
 
     @_traced
     def transfer_entropy(self, context: Context, source_type: str,

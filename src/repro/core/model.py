@@ -296,8 +296,8 @@ class LogDataModel:
         """
         schema = TABLE_SCHEMAS[view]
 
-        def fold(pk_values, source):
-            return column_lists(source, schema, pk_values, names, where)
+        def fold(pk_values, view):
+            return column_lists(view, schema, pk_values, names, where)
 
         lower = ClusteringBound((t0,))
         upper = ClusteringBound((t1,), inclusive=False)

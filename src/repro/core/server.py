@@ -468,7 +468,7 @@ class AnalyticsServer:
     def _op_telemetry_spans(self, request):
         """Slowest spans in a window from ``spans_by_time``,
         reconstructed as trees via their parent links."""
-        limit = int(request.get("limit", 20))
+        limit = int(self._given(request, "limit").get("limit", 20))
         component = request.get("component")
         t0, t1, rows = self._window_rows(
             request, "spans_by_time", (component,) if component else None)
@@ -483,7 +483,7 @@ class AnalyticsServer:
         from repro.obs.profile import hot_functions
 
         component = request.get("component")
-        top = int(request.get("top", 10))
+        top = int(self._given(request, "top").get("top", 10))
         t0, t1, rows = self._window_rows(
             request, "profiles_by_time", (component,) if component else None)
         by_stack: dict[tuple[str, str], int] = {}
@@ -559,7 +559,7 @@ class AnalyticsServer:
 
     def _op_alerts(self, request):
         """Tail of the alert stream in a window (newest last)."""
-        limit = int(request.get("limit", 100))
+        limit = int(self._given(request, "limit").get("limit", 100))
         t0, t1, rows = self._alert_rows(request)
         return {"t0": t0, "t1": t1, "total": len(rows),
                 "alerts": rows[-limit:] if limit else rows}

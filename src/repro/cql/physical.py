@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cassdb.cluster import Cluster, Consistency
-from repro.cassdb.row import ClusteringBound, Row
+from repro.cassdb.row import ClusteringBound
 from repro.cassdb.schema import TableSchema
 from repro.cassdb.vector import BlockView, fold_view, select_rows
 
@@ -187,16 +187,15 @@ def _make_partition_fold(
     aggs: Sequence[AggregateCall],
     *,
     keep_empty: bool,
-) -> "Callable[[dict, BlockView | list[Row]], dict]":
+) -> "Callable[[dict, BlockView], dict]":
     """Build the replica-side fold shared by routed partial-aggregate
     scans and full-table scans (either engine).
 
-    The fold receives ``(partition_values, source)`` where *source* is a
-    :class:`BlockView` (columnar run: folded per-column, no Row ever
-    built) or a list of :class:`Row` (merged multi-run partitions: the
-    bucket-and-reduce path below).  *residual_specs* carries
-    already-resolved ``(column, op, value)`` predicates; *keep_empty*
-    decides whether an all-partition-key group key still emits a
+    The fold receives ``(partition_values, view)``: the residual filter,
+    the grouping and the aggregate reduction all run per column inside
+    the view's block.  *residual_specs* carries already-resolved
+    ``(column, op, value)`` predicates; *keep_empty* decides whether
+    an all-partition-key group key still emits a
     zero-count partial when no rows survive (routed scans do — the
     queried partition exists even if empty — full scans don't: a
     partition with no row inside the bounds is one the scan never saw).
@@ -208,127 +207,11 @@ def _make_partition_fold(
                 for c, op, value in residual_specs]
     fns = [a.fn for a in aggs]
 
-    def get(src, pk_values: dict, row: Row) -> Any:
-        kind, ref = src
-        if kind == "cell":
-            return row.values.get(ref)
-        if kind == "ck":
-            return row.clustering[ref]
-        return pk_values.get(ref)
-
-    def row_ok(pk_values: dict, row: Row) -> bool:
-        for src, op, value in residual:
-            val = get(src, pk_values, row)
-            if val is None:
-                return False
-            if op == "=":
-                if val != value:
-                    return False
-            elif op == "in":
-                if val not in value:
-                    return False
-            elif op == "<":
-                if not val < value:
-                    return False
-            elif op == "<=":
-                if not val <= value:
-                    return False
-            elif op == ">":
-                if not val > value:
-                    return False
-            elif not val >= value:
-                return False
-        return True
-
-    constant_key = all(kind == "pk" for kind, _ in group_sources)
-    single_cell_key = (len(group_sources) == 1
-                       and group_sources[0][0] == "cell")
-
-    def partial(pk_values: dict, bucket: list[Row]) -> list:
-        # One group's partial state: extract each aggregate's column
-        # once and reduce it with builtins, rather than paying a
-        # Python accumulator call per row.
-        n = len(bucket)
-        acc = []
-        for a, src in zip(aggs, sources):
-            fn = a.fn
-            if src is None:  # count(*)
-                acc.append(n)
-                continue
-            kind, ref = src
-            if kind == "cell":
-                vals = [v for r in bucket
-                        if (v := r.values.get(ref)) is not None]
-            elif kind == "ck":
-                vals = [v for r in bucket
-                        if (v := r.clustering[ref]) is not None]
-            else:  # pk: constant across the whole partition
-                v = pk_values.get(ref)
-                absent = v is None or not n
-                if fn == "count":
-                    acc.append(0 if absent else n)
-                elif fn == "avg":
-                    acc.append([0.0, 0] if absent
-                               else [v * n + 0.0, n])
-                elif absent:
-                    acc.append(None)
-                elif fn == "sum":
-                    acc.append(v * n)
-                else:  # min / max of a constant
-                    acc.append(v)
-                continue
-            if fn == "count":
-                acc.append(len(vals))
-            elif fn == "avg":
-                acc.append([sum(vals, 0.0), len(vals)])
-            elif not vals:
-                acc.append(None)
-            elif fn == "sum":
-                acc.append(sum(vals))
-            elif fn == "min":
-                acc.append(min(vals))
-            else:  # max
-                acc.append(max(vals))
-        return acc
-
-    def fold(pk_values: dict, source: "BlockView | list[Row]") -> dict:
-        if isinstance(source, BlockView):
-            # Columnar run: residual filter, grouping and aggregate
-            # reduction all run per-column inside the block.
-            if residual:
-                source = select_rows(source, residual, pk_values)
-            return fold_view(source, group_sources, sources, fns,
-                             pk_values, keep_empty=keep_empty)
-        rows = source
+    def fold(pk_values: dict, view: BlockView) -> dict:
         if residual:
-            rows = [r for r in rows if row_ok(pk_values, r)]
-        if constant_key:
-            # Group columns all come from the partition key: one group
-            # per partition.
-            if not rows and not keep_empty:
-                return {}
-            key = tuple(pk_values.get(ref) for _, ref in group_sources)
-            return {key: partial(pk_values, rows)}
-        buckets: dict = {}
-        if single_cell_key:  # the common GROUP BY <cell> shape
-            ref = group_sources[0][1]
-            for row in rows:
-                key = (row.values.get(ref),)
-                b = buckets.get(key)
-                if b is None:
-                    buckets[key] = [row]
-                else:
-                    b.append(row)
-        else:
-            for row in rows:
-                key = tuple(get(s, pk_values, row)
-                            for s in group_sources)
-                b = buckets.get(key)
-                if b is None:
-                    buckets[key] = [row]
-                else:
-                    b.append(row)
-        return {k: partial(pk_values, b) for k, b in buckets.items()}
+            view = select_rows(view, residual, pk_values)
+        return fold_view(view, group_sources, sources, fns, pk_values,
+                         keep_empty=keep_empty)
 
     return fold
 
@@ -486,7 +369,7 @@ class PartialAggregateScanExec(_ScanBase):
 
     # -- replica-side fold -------------------------------------------------
 
-    def _make_fold(self, rt: Runtime) -> "Callable[[dict, BlockView | list[Row]], dict]":
+    def _make_fold(self, rt: Runtime) -> "Callable[[dict, BlockView], dict]":
         # keep_empty: group columns all from the partition key mean one
         # group per queried partition, kept even when empty so empty
         # partitions still report their zero counts.

@@ -40,8 +40,8 @@ class CassandraTableRDD(RDD):
     fold / lower / upper:
         The pushed plan (the connector's ``select``/``where``): each DB
         partition is read within the clustering bounds and the RDD
-        holds one ``fold(partition_values, source)`` value per DB
-        partition — *source* as the replica holds it, see
+        holds one ``fold(partition_values, view)`` value per DB
+        partition — *view* as the replica read answers it, see
         :meth:`Cluster.aggregate_partitions` — instead of one dict per
         row.  Without a fold it is a row scan.
     """
@@ -97,10 +97,10 @@ class CassandraTableRDD(RDD):
         fold = self.fold or self.cluster.row_fold(self.table)
         read = 0  # rows the replica handed the fold
 
-        def counted(pk_values, source):
+        def counted(pk_values, view):
             nonlocal read
-            read = len(source)
-            return fold(pk_values, source)
+            read = len(view)
+            return fold(pk_values, view)
 
         for pk in pks:
             value = self.cluster.read_partition_raw(

@@ -147,6 +147,7 @@ class TitanTopology:
             raise ValueError(f"cols must be in 1..{COLS}")
         self.rows = rows
         self.cols = cols
+        self._components: dict[str, frozenset[str]] = {}
 
     @property
     def num_cabinets(self) -> int:
@@ -176,6 +177,16 @@ class TitanTopology:
 
     def cnames(self) -> Iterator[str]:
         return (loc.cname for loc in self.nodes())
+
+    def components(self, granularity: str) -> frozenset[str]:
+        """Id of every ``"node"``, ``"blade"`` or ``"cabinet"`` of this
+        machine (enumerated once per granularity)."""
+        found = self._components.get(granularity)
+        if found is None:
+            attr = "cname" if granularity == "node" else granularity
+            found = self._components[granularity] = frozenset(
+                getattr(loc, attr) for loc in self.nodes())
+        return found
 
     def nodes_in_cabinet(self, cabinet: str) -> Iterator[NodeLocation]:
         col, row = self.parse_cabinet(cabinet)

@@ -235,7 +235,8 @@ class TestColumnLists:
         schema = self._schema()
         view = BlockView(self._block(), order).live()
         got = column_lists(view, schema, self.PK, self.COLUMNS, predicates)
-        assert got == column_lists(view.to_rows(), schema, self.PK,
+        row_backed = BlockView(ColumnBlock.over_rows(view.to_rows()))
+        assert got == column_lists(row_backed, schema, self.PK,
                                    self.COLUMNS, predicates)
         dicts = materialize_dicts(view, schema, self.PK, None)
         want = eval_select(dicts, predicates or (), columns=self.COLUMNS)

@@ -3,11 +3,20 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cassdb import Cluster, Session, TableSchema
+from repro.cassdb import Cluster, Consistency, Session, TableSchema
 from repro.cassdb.bloom import BloomFilter
 from repro.cassdb.hashring import HashRing
 from repro.cassdb.row import ClusteringBound, Row
 from repro.cassdb.storage import TableStore
+from repro.cassdb.vector import (
+    BlockHints,
+    BlockView,
+    ColumnBlock,
+    column_lists,
+    fold_view,
+    materialize_dicts,
+    select_rows,
+)
 
 from tests.oracle import eval_select
 
@@ -226,6 +235,158 @@ class TestSelectProperties:
             + (" ORDER BY ts DESC" if reverse else "")
             + (f" LIMIT {limit}" if limit is not None else ""))
         assert Session(cluster).execute(statement) == want
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amounts=st.lists(st.one_of(st.none(), st.integers(0, 5)),
+                         min_size=4, max_size=24),
+        flush_at=st.integers(1, 3),
+        predicates=st.lists(
+            st.tuples(st.just("amount"), st.sampled_from(["<", ">="]),
+                      st.integers(0, 5)), max_size=1),
+        columns=st.one_of(st.none(), st.just(["ts", "amount"])),
+        limit=st.integers(0, 6),
+        store=st.sampled_from(["memtable", "half-flushed", "quorum"]),
+    )
+    def test_reverse_limit_over_merged_reads(self, amounts, flush_at,
+                                             predicates, columns, limit,
+                                             store):
+        """``reverse=True`` + ``limit`` + predicates where the read is a
+        merge: memtable only, SSTable + memtable, and a QUORUM reconcile
+        of three replicas."""
+        cluster = Cluster(3, replication_factor=3)
+        cluster.create_table(TableSchema(
+            "t", partition_key=("hour",), clustering_key=("ts", "seq")))
+        rows = []
+        for ts, amount in enumerate(amounts):
+            if ts == flush_at and store != "memtable":
+                cluster.flush_all()
+            row = {"hour": 0, "ts": ts, "seq": 0}
+            if amount is not None:
+                row["amount"] = amount
+            cluster.insert("t", row)
+            rows.append(row)
+        consistency = (Consistency.QUORUM if store == "quorum"
+                       else Consistency.ONE)
+        got = cluster.select_partition(
+            "t", (0,), columns=columns, predicates=predicates,
+            reverse=True, limit=limit, consistency=consistency)
+        if columns is not None:  # the store omits absent cells
+            got = [{c: row.get(c) for c in columns} for row in got]
+        assert got == eval_select(rows, predicates, columns=columns,
+                                  reverse=True, limit=limit)
+
+
+_ABSENT = object()  # a cell the row does not have (None is a stored null)
+
+
+@st.composite
+def live_rows(draw):
+    """Live rows ``ts = 0…n-1`` of one partition as (Row, result dict)
+    pairs: ``kind``/``amount`` cells absent, null or valued; one write
+    timestamp a row or an older one on ``kind``; some rows under a
+    tombstone older than their cells."""
+    out = []
+    for ts in range(draw(st.integers(0, 20))):
+        values = {}
+        kind = draw(st.sampled_from([_ABSENT, None, "a", "b", "c"]))
+        if kind is not _ABSENT:
+            values["kind"] = kind
+        amount = draw(st.one_of(st.just(_ABSENT), st.none(),
+                                st.integers(0, 5)))
+        if amount is not _ABSENT:
+            values["amount"] = amount
+        write_ts = draw(st.integers(2, 9))
+        mixed = "kind" in values and draw(st.booleans())
+        shadowed = bool(values) and draw(st.booleans())
+        row = Row((ts, 0), values, write_ts, 0 if shadowed else None,
+                  {"kind": write_ts - 1} if mixed else None)
+        assert row.is_live
+        out.append((row, {"hour": 7, "ts": ts, "seq": 0, **values}))
+    return out
+
+
+class TestOneBlockShape:
+    """What a kernel answers does not depend on which block backs the
+    view: an eager block, a row-backed block over the same rows and the
+    reference SELECT agree."""
+
+    SCHEMA = TableSchema("t", partition_key=("hour",),
+                         clustering_key=("ts", "seq"))
+    PK = {"hour": 7}
+    COLUMNS = ["hour", "ts", "kind", "amount", "nowhere"]
+    HINTS = BlockHints(dict_columns=frozenset({"kind"}))
+    AGGS = [("count", None), ("count", "amount"), ("sum", "amount"),
+            ("min", "amount"), ("max", "amount"), ("avg", "amount")]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pairs=live_rows(),
+        selection=st.sampled_from(["all", "slice", "reversed", "holes"]),
+        predicates=st.lists(st.one_of(
+            st.tuples(st.just("kind"), st.just("in"),
+                      st.frozensets(st.sampled_from(["a", "b", "c"]))),
+            st.tuples(st.just("kind"), st.just("="),
+                      st.sampled_from(["a", "z"])),
+            st.tuples(st.just("amount"),
+                      st.sampled_from(["=", "<", ">="]), st.integers(0, 5)),
+            st.tuples(st.just("ts"), st.sampled_from([">", "<="]),
+                      st.integers(0, 20)),
+            st.tuples(st.just("hour"), st.just("="), st.integers(6, 7)),
+            st.tuples(st.just("nowhere"), st.just("="), st.just(1)),
+        ), max_size=2),
+        columns=st.lists(st.sampled_from(COLUMNS), min_size=1, unique=True),
+        group_by=st.sampled_from([
+            (), ("hour",), ("kind",), ("amount",), ("kind", "ts"),
+            ("hour", "kind", "amount")]),
+        keep_empty=st.booleans(),
+    )
+    def test_eager_row_backed_and_oracle_agree(
+            self, pairs, selection, predicates, columns, group_by,
+            keep_empty):
+        schema, pk = self.SCHEMA, self.PK
+        rows = [row for row, _ in pairs]
+        n = len(rows)
+        order = {"all": None, "slice": range(n // 3, n - n // 4),
+                 "reversed": range(n)[::-1],
+                 "holes": [i for i in range(n) if i % 3 != 1]}[selection]
+        dicts = [pairs[i][1] for i in (range(n) if order is None else order)]
+        sources = [(schema.column_source(c), op, v)
+                   for c, op, v in predicates]
+        kept = eval_select(dicts, predicates)
+        projected = eval_select(dicts, predicates, columns=columns)
+        # One group per distinct key, each group's aggregates from the
+        # reference (its own GROUP BY sorts keys, and None sorts with
+        # nothing).
+        groups: dict = {}
+        for d in kept:
+            groups.setdefault(
+                tuple(d.get(c) for c in group_by), []).append(d)
+        if keep_empty and not kept and all(c == "hour" for c in group_by):
+            groups[tuple(pk[c] for c in group_by)] = []
+        want_groups = {
+            key: list(eval_select(g, aggregates=self.AGGS)[0].values())
+            for key, g in groups.items()}
+        for block in (ColumnBlock.from_rows(rows, self.HINTS),
+                      ColumnBlock.over_rows(rows)):
+            view = BlockView(block, order)
+            assert view.to_rows() == [rows[i] for i in view.order]
+            selected = select_rows(view, sources, pk)
+            assert materialize_dicts(selected, schema, pk, None) == kept
+            # Exactly the cells each row has: a stored null is there,
+            # an absent cell is not.
+            assert materialize_dicts(selected, schema, pk, columns) == [
+                {c: d[c] for c in columns if c in d} for d in kept]
+            assert column_lists(view, schema, pk, columns, predicates) == [
+                [d[c] for d in projected] for c in columns]
+            partials = fold_view(
+                selected, [schema.column_source(c) for c in group_by],
+                [c and schema.column_source(c) for _, c in self.AGGS],
+                [fn for fn, _ in self.AGGS], pk, keep_empty=keep_empty)
+            assert {
+                key: acc[:5] + [acc[5][0] / acc[5][1] if acc[5][1] else None]
+                for key, acc in partials.items()} == want_groups
 
 
 @st.composite

@@ -137,6 +137,69 @@ class TestOneDefaultPerParameter:
         assert (server.handle_sync({**request, "granularity": None})["result"]
                 == server.handle_sync(request)["result"])
 
+    @pytest.mark.parametrize("op,field,table,row", [
+        ("telemetry_spans", "limit", "spans_by_time",
+         {"component": "cql", "span_id": 1, "duration_ms": 2.0}),
+        ("alerts", "limit", "alerts_by_time",
+         {"seq": 1, "severity": "info", "detector": "d"}),
+        ("profile_flame", "top", "profiles_by_time",
+         {"component": "cql", "seq": 1, "stack": "a;b", "samples": 3}),
+    ])
+    def test_a_null_limit_is_an_omitted_limit(self, op, field, table, row):
+        from repro.core import LogAnalyticsFramework
+        from repro.detect.alerts import ALERT_SCHEMAS
+        from repro.obs.export import TELEMETRY_SCHEMAS
+
+        with LogAnalyticsFramework(db_nodes=2).setup(
+                load_nodeinfos=False) as fw:
+            fw.cluster.create_table({**TELEMETRY_SCHEMAS,
+                                     **ALERT_SCHEMAS}[table])
+            fw.cluster.insert(table, {"minute_bucket": 0, "ts": 1.0, **row})
+            request = {"op": op, "t0": 0.0, "t1": 60.0}
+            omitted = AnalyticsServer(fw).handle_sync(request)
+            null = AnalyticsServer(fw).handle_sync({**request, field: None})
+        assert omitted["ok"], omitted
+        assert null["ok"], null
+        assert null["result"] == omitted["result"]
+        assert len(next(v for v in omitted["result"].values()
+                        if isinstance(v, list))) == 1
+
+
+class TestHotspotsOverEverySource:
+    """An unfiltered context counts Gemini routers beside the nodes;
+    once every node has reported there are more reporting sources than
+    nodes, and ``hotspots`` used to refuse to answer."""
+
+    @pytest.fixture(scope="class")
+    def crowded(self):
+        from repro.core import LogAnalyticsFramework
+        from repro.genlog import LogGenerator
+        from repro.titan import TitanTopology
+
+        topo = TitanTopology(rows=1, cols=2)
+        events = LogGenerator(topo, seed=7, rate_multiplier=200).generate(2)
+        with LogAnalyticsFramework(topo, db_nodes=3).setup() as fw:
+            fw.ingest_events(events)
+            yield fw
+
+    @pytest.mark.parametrize("granularity", ["node", "blade", "cabinet"])
+    def test_routers_are_left_out_of_the_population(self, crowded,
+                                                    granularity):
+        fw = crowded
+        context = fw.context(0.0, 7200.0)
+        reporting = fw.heatmap(context)
+        nodes = set(fw.topology.cnames())
+        assert nodes <= set(reporting) and len(reporting) > len(nodes)
+        r = AnalyticsServer(fw).handle_sync({
+            "op": "hotspots", "granularity": granularity,
+            "z_threshold": 1.0, "context": context.to_json()})
+        assert r["ok"], r
+        population = fw.topology.components(granularity)
+        assert len(population) == {"node": 192, "blade": 48,
+                                   "cabinet": 2}[granularity]
+        assert r["result"]
+        assert {h["component"] for h in r["result"]} <= population
+
 
 class TestGranularityIsCheckedByTheCall:
     """Not by the first event: an interval with no events used to

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.cassdb import Cluster, Session
+from repro.cassdb import Cluster, Consistency, Session
+from repro.cassdb.vector import BlockView
 from repro.sparklet import SparkletContext
 from tests.oracle import eval_select
 
@@ -298,3 +299,86 @@ class TestFoldedScanMechanism:
         before = pruned.value
         Session(cluster, sparklet=sc).execute(self.QUERY)
         assert pruned.value - before == sum(r["ts"] < 10 for r in rows)
+
+
+class TestHalfFlushedFoldMechanism:
+    """A fold sees only blocks and builds no row, whichever tiers hold
+    the partition: hour 0 sits in an SSTable, hour 1 in an SSTable and
+    the memtable, hour 2 in the memtable."""
+
+    ROUTED = ("SELECT source, count(*), sum(amount) FROM event_by_time"
+              " WHERE hour = 1 AND type = ? GROUP BY source")
+    UNROUTED = ("SELECT type, count(*), sum(amount) FROM event_by_time"
+                " WHERE ts >= 600 GROUP BY type")
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        from repro.core import LogAnalyticsFramework
+        from repro.genlog import LogGenerator
+        from repro.titan import TitanTopology
+
+        topo = TitanTopology(rows=1, cols=1)
+        events = LogGenerator(topo, seed=3, rate_multiplier=40).generate(3)
+        early = [e for e in events if e.ts < 5400.0]
+        late = [e for e in events if e.ts >= 5400.0]
+        common = max(set(e.type for e in late),
+                     key=[e.type for e in events].count)
+        with LogAnalyticsFramework(topo, db_nodes=3).setup() as flushed, \
+                LogAnalyticsFramework(topo, db_nodes=3).setup() as half:
+            for fw in (flushed, half):
+                fw.ingest_events(early)
+            half.cluster.flush_all()
+            for fw in (flushed, half):
+                fw.ingest_events(late)
+            flushed.cluster.flush_all()
+            yield flushed, half, common
+
+    @pytest.mark.parametrize("request_", [
+        "heatmap", "histogram", "routed", "unrouted", "refresh_synopsis"])
+    def test_builds_what_the_flushed_store_builds(self, stores, request_):
+        flushed, half, common = stores
+        built = obs.get_registry().counter("cassdb.vector.rows_materialized")
+
+        def run(fw):
+            # Untyped: the event-type catalogue read is the one
+            # dict-building read of the two analytics ops.
+            context = fw.context(0.0, 10_800.0)
+            before = built.value
+            answer = {
+                "heatmap": lambda: fw.heatmap(context),
+                "histogram": lambda: [
+                    list(part) for part in fw.time_histogram(context, 12)],
+                "routed": lambda: fw.cql(self.ROUTED, [common]),
+                "unrouted": lambda: fw.cql(self.UNROUTED),
+                "refresh_synopsis": fw.refresh_synopsis,
+            }[request_]()
+            return answer, built.value - before
+
+        want, flushed_built = run(flushed)
+        got, half_built = run(half)
+        assert got == want and want
+        assert half_built == flushed_built
+        if request_ in ("routed", "unrouted", "refresh_synopsis"):
+            assert half_built == 0
+
+    @pytest.mark.parametrize("consistency", [Consistency.ONE,
+                                             Consistency.QUORUM])
+    def test_a_fold_receives_a_block_view(self, stores, consistency):
+        _, half, common = stores
+        cluster = half.cluster
+        seen = []
+
+        def recording(pk_values, view):
+            seen.append(type(view))
+            return len(view)
+
+        counts = cluster.aggregate_partitions(
+            "event_by_time", [(hour, common) for hour in range(4)],
+            fold=recording, consistency=consistency)
+        assert counts[1] and counts[2] and not counts[3]
+        scanned = list(cluster.fold_table_partitions(
+            "event_by_time", recording))
+        for pk in cluster.partition_keys("event_by_time"):
+            cluster.read_partition_raw("event_by_time", pk, fold=recording)
+        assert len(seen) == 4 + 2 * len(scanned)
+        assert set(seen) == {BlockView}
