@@ -87,9 +87,6 @@ class Topic:
     def read(self, partition: int, offset: int, max_records: int) -> list[Record]:
         return self.partitions[partition][offset:offset + max_records]
 
-    def total_records(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
 
 class MessageBus:
     """Broker: topics plus per-group committed offsets."""

@@ -33,17 +33,3 @@ class Producer:
         record = self.bus.publish(target, value, key=key, timestamp=timestamp)
         self.sent += 1
         return record
-
-    def send_batch(self, values, *, topic: str | None = None,
-                   key_func=None, ts_func=None) -> int:
-        """Publish an iterable of messages; returns the count sent."""
-        n = 0
-        for value in values:
-            self.send(
-                value,
-                key=key_func(value) if key_func else None,
-                timestamp=ts_func(value) if ts_func else 0.0,
-                topic=topic,
-            )
-            n += 1
-        return n

@@ -8,8 +8,10 @@ Cassandra node runs:
 * writes go to all replicas of the partition key; the coordinator waits
   for ``consistency`` acks and buffers *hints* for replicas that are
   down (hinted handoff, replayed when the replica recovers);
-* reads query ``consistency`` replicas, reconcile divergent rows by
-  cell timestamp and write repaired rows back (read repair);
+* reads query ``consistency`` replicas; more than one answer with
+  their whole in-bounds copy, tombstone markers kept, the coordinator
+  reconciles the copies by cell timestamp and writes back what a
+  replica lacks — a missed delete included (read repair);
 * ``UnavailableError`` / ``WriteTimeoutError`` / ``ReadTimeoutError``
   reproduce the driver-visible failure modes.
 
@@ -47,13 +49,14 @@ from .errors import (
 from .hashring import HashRing
 from .node import Hint, StorageNode
 from .resilience import CircuitBreaker, RetryPolicy
-from .row import ClusteringBound, Row, merge_rows
+from .row import ClusteringBound, Row
 from .schema import Keyspace, TableSchema
 from .vector import (
     BlockHints,
     BlockView,
     ColumnBlock,
     materialize_dicts,
+    merge_views,
     select_rows,
 )
 
@@ -99,19 +102,6 @@ def _partition_of(
 # one partition, *view* the partition's live in-bounds rows as the
 # vectorized kernels take them.
 PartitionFold = Callable[[dict[str, Any], BlockView], Any]
-
-
-def _merge_copies(copies: Iterable[list[Row]]) -> dict[tuple, Row]:
-    """Every replica's copy of a partition merged by clustering key
-    (cell-level last-write-wins)."""
-    merged: dict[tuple, Row] = {}
-    for rows in copies:
-        for row in rows:
-            existing = merged.get(row.clustering)
-            merged[row.clustering] = (
-                row if existing is None else merge_rows(existing, row)
-            )
-    return merged
 
 
 # What a failed group of ``write_batch`` raises, by the per-row error
@@ -970,8 +960,10 @@ class Cluster:
             if g is not None:
                 g.before_replica_read(replica_id)
             try:
-                rows = self.nodes[replica_id].read_partition(
-                    table, partition_key, lower, upper, reverse, limit
+                # The whole in-bounds copy, markers kept: *limit* is
+                # applied after the reconcile, never below it.
+                rows = self.nodes[replica_id].exchange_partition(
+                    table, partition_key, lower, upper
                 )
             except NodeDownError:  # raced with a kill; treat as no response
                 self._breaker_failure(replica_id)
@@ -1016,31 +1008,39 @@ class Cluster:
         if len(responses) < required:
             self._m_consistency_failures.inc()
             raise ReadTimeoutError(required, len(responses))
-        merged = self._reconcile_reads(table, partition_key, responses)
-        # Re-apply ordering and limit after reconciliation: replicas may
-        # have returned different row subsets.
-        merged.sort(key=lambda r: r.clustering)
-        return BlockView(ColumnBlock.over_rows(merged)).ordered(reverse, limit)
+        # Read repair rides the reconcile; what is served is the live
+        # part of it, ordered and limited here.
+        merged, pushed = self._reconcile_copies(
+            table, partition_key, responses)
+        if pushed:
+            with self._counter_lock:
+                self.read_repairs += pushed
+            self._m_read_repairs.inc(pushed)
+        live = [row for row in merged if row.is_live]
+        return BlockView(ColumnBlock.over_rows(live)).ordered(reverse, limit)
 
-    def _reconcile_reads(
-        self, table: str, partition_key: str, responses: dict[str, list[Row]]
-    ) -> list[Row]:
-        merged = _merge_copies(responses.values())
-        # Read repair: push the reconciled row back to replicas that
-        # returned a stale or missing copy.
-        for replica_id, rows in responses.items():
-            have = {r.clustering: r for r in rows}
-            for clustering, row in merged.items():
-                stale = have.get(clustering)
-                if stale is None or not stale.same_cells(row):
+    def _reconcile_copies(
+        self, table: str, partition_key: str, copies: dict[str, list[Row]]
+    ) -> tuple[list[Row], int]:
+        """Merge the replicas' exchanged copies of a partition (cell-level
+        last-write-wins, tombstone markers kept) and push back to each
+        replica every row it lacks or holds stale.  Returns the merged
+        rows, ascending, dead ones included, and the count pushed —
+        read repair and :meth:`repair` are this one loop."""
+        merged = merge_views(list(copies.values()), keep_dead=True)
+        pushed = 0
+        for replica_id, rows in copies.items():
+            have = {row.clustering: row for row in rows}
+            node = self.nodes[replica_id]
+            for row in merged:
+                mine = have.get(row.clustering)
+                if mine is None or mine != row:
                     try:
-                        self.nodes[replica_id].write(table, partition_key, row)
+                        node.write(table, partition_key, row)
                     except NodeDownError:
-                        continue  # crashed after answering; repair later
-                    with self._counter_lock:
-                        self.read_repairs += 1
-                    self._m_read_repairs.inc()
-        return [r for r in merged.values() if r.is_live]
+                        break  # crashed after answering; repair later
+                    pushed += 1
+        return merged, pushed
 
     # -- full scans & placement introspection ---------------------------------
 
@@ -1168,9 +1168,11 @@ class Cluster:
         """Full anti-entropy repair of one table.
 
         For every partition, compare the content digests of all live
-        replicas; where they diverge, merge every copy (cell-level
-        last-write-wins) and write the merged partition back to each
-        replica.  Returns the number of partitions that needed repair.
+        replicas' copies — tombstone markers included, so a delete one
+        replica missed is a divergence; where they diverge, merge every
+        copy and push each replica what it lacks
+        (:meth:`_reconcile_copies`).  Returns the number of partitions
+        that needed repair.
         Unlike read repair this covers data nobody has queried —
         Cassandra's ``nodetool repair``.
         """
@@ -1184,24 +1186,13 @@ class Cluster:
                 if len(replicas) < 2:
                     continue
                 copies = {
-                    rid: self.nodes[rid].read_partition(table, pk)
+                    rid: self.nodes[rid].exchange_partition(table, pk)
                     for rid in replicas
                 }
-                digests = {
-                    rid: self._partition_digest(rows)
-                    for rid, rows in copies.items()
-                }
-                if len(set(digests.values())) == 1:
+                if len({self._partition_digest(rows)
+                        for rows in copies.values()}) == 1:
                     continue
-                merged = _merge_copies(copies.values())
-                for rid in replicas:
-                    have = {r.clustering: r for r in copies[rid]}
-                    node = self.nodes[rid]
-                    for clustering, row in merged.items():
-                        mine = have.get(clustering)
-                        if mine is None or self._partition_digest(
-                                [mine]) != self._partition_digest([row]):
-                            node.write(table, pk, row)
+                self._reconcile_copies(table, pk, copies)
                 repaired += 1
             return repaired
 

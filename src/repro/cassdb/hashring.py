@@ -165,21 +165,3 @@ class HashRing:
         for key in sample_keys:
             counts[self.primary(key)] += 1
         return counts
-
-    def token_ownership_fraction(self) -> dict[str, float]:
-        """Fraction of the token space owned by each node (exact).
-
-        Each vnode token owns the arc from the previous token (exclusive)
-        to itself (inclusive); the first token also owns the wrap-around
-        arc.  With enough vnodes these fractions concentrate near
-        ``1/len(nodes)``.
-        """
-        if not self._tokens:
-            return {}
-        fractions: dict[str, float] = {node: 0.0 for node in self._nodes}
-        space = float(1 << _TOKEN_BITS)
-        prev = self._tokens[-1] - (1 << _TOKEN_BITS)  # wrap-around arc
-        for tok in self._tokens:
-            fractions[self._token_owner[tok]] += (tok - prev) / space
-            prev = tok
-        return fractions

@@ -191,6 +191,23 @@ class StorageNode:
             span.set(rows=len(view))
         return view
 
+    def exchange_partition(self, table: str, partition_key: str,
+                           lower: ClusteringBound | None = None,
+                           upper: ClusteringBound | None = None) -> list[Row]:
+        """This replica's copy of one partition as replicas exchange it
+        (:meth:`TableStore.exchange_partition`: tombstone markers kept),
+        for a coordinator that reconciles copies."""
+        self._check_up()
+        _M_NODE_READS.inc()
+        store = self.tables.get(table)
+        if store is None:
+            return []
+        with obs.get_tracer().span("cassdb.node.read", node=self.node_id,
+                                   table=table) as span:
+            rows = store.exchange_partition(partition_key, lower, upper)
+            span.set(rows=len(rows))
+        return rows
+
     def partition_keys(self, table: str) -> set[str]:
         """Partitions of *table* replicated on this node (liveness ignored:
         used for placement introspection, not serving reads)."""

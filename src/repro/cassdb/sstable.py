@@ -11,10 +11,11 @@ Each partition is physically a
 dictionary-encoded low-cardinality strings, a liveness bitmap — and the
 sparse clustering index maps straight onto block offsets.  Scans hand
 out :class:`~repro.cassdb.vector.BlockView` selections that the
-vectorized kernels filter/project/fold without building ``Row`` objects;
-:attr:`SSTable.partitions` is a mapping-of-row-lists view (lazily
-materialized) so compaction, repair, and tests keep their row-form
-contract.
+vectorized kernels filter/project/fold without building ``Row`` objects,
+and :attr:`SSTable.partitions` is the plain ``partition key -> block``
+dict (dropping a key is the simulated loss of that partition).
+Compaction (:func:`merge_sstables`) reconciles the runs' blocks through
+:func:`~repro.cassdb.vector.merge_views`, the same merge a read runs.
 
 SSTables here live in memory (the cluster is simulated in-process) but
 preserve the two properties the rest of the system depends on:
@@ -26,15 +27,14 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import MutableMapping
 from typing import Iterable, Iterator
 
 from repro import obs
 
 from .bloom import BloomFilter
 from .memtable import Memtable
-from .row import ClusteringBound, Row, merge_rows
-from .vector import BlockHints, BlockView, ColumnBlock
+from .row import ClusteringBound, Row
+from .vector import BlockHints, BlockView, ColumnBlock, merge_views
 
 __all__ = [
     "INDEX_INTERVAL",
@@ -56,38 +56,6 @@ INDEX_INTERVAL = 64
 # Same counter the store layer bumps: every bloom-filter rejection that
 # saved a partition probe, wherever the check ran.
 _M_BLOOM_SKIPS = obs.get_registry().counter("cassdb.store.bloom_skips")
-
-
-class _BlockPartitions(MutableMapping):
-    """Row-form mapping view over an SSTable's column blocks.
-
-    ``partitions[pk]`` lazily materializes (and block-caches) the row
-    list; deleting a key drops the underlying block, so simulated data
-    loss (tests, fault injection) is visible to the read path too.
-    Assignment re-encodes the rows into a fresh block.
-    """
-
-    __slots__ = ("_blocks", "_hints")
-
-    def __init__(self, blocks: dict[str, ColumnBlock],
-                 hints: BlockHints | None):
-        self._blocks = blocks
-        self._hints = hints
-
-    def __getitem__(self, pk: str) -> list[Row]:
-        return self._blocks[pk].rows()
-
-    def __setitem__(self, pk: str, rows: list[Row]) -> None:
-        self._blocks[pk] = ColumnBlock.from_rows(rows, hints=self._hints)
-
-    def __delitem__(self, pk: str) -> None:
-        del self._blocks[pk]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._blocks)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
 
 
 class SSTable:
@@ -114,9 +82,7 @@ class SSTable:
             keys = clusterings.get(pk) if clusterings else None
             blocks[pk] = ColumnBlock.from_rows(rows, hints=hints,
                                                clustering=keys)
-        self._blocks = blocks
-        self.partitions: MutableMapping[str, list[Row]] = (
-            _BlockPartitions(blocks, hints))
+        self.partitions: dict[str, ColumnBlock] = blocks
         self.row_count = sum(b.n for b in blocks.values())
         # Sparse clustering index: every index_interval-th clustering key
         # per partition (only for partitions big enough to benefit) — the
@@ -158,7 +124,7 @@ class SSTable:
         if partition_key not in self.bloom:
             _M_BLOOM_SKIPS.inc()  # a rejection is a saved partition probe
             return None
-        block = self._blocks.get(partition_key)
+        block = self.partitions.get(partition_key)
         if block is None:
             return None
         lo, hi = slice_bounds_keys(block.clustering, lower, upper,
@@ -168,7 +134,7 @@ class SSTable:
 
     def block(self, partition_key: str) -> ColumnBlock | None:
         """The raw column block for a partition (None when absent)."""
-        return self._blocks.get(partition_key)
+        return self.partitions.get(partition_key)
 
     def partition_keys(self) -> Iterator[str]:
         return iter(self.partitions)
@@ -245,33 +211,18 @@ class _Greatest:
         return hash("_Greatest")
 
 
-def _merge_sorted_rows(row_lists: list[list[Row]]) -> list[Row]:
-    """k-way merge of sorted row lists, reconciling equal clustering keys.
-
-    Later lists take precedence only via cell timestamps (merge_rows), so
-    the caller's ordering of *row_lists* does not matter.
-    """
-    if len(row_lists) == 1:
-        return list(row_lists[0])
-    merged: dict[tuple, Row] = {}
-    for rows in row_lists:
-        for row in rows:
-            existing = merged.get(row.clustering)
-            merged[row.clustering] = (
-                row if existing is None else merge_rows(existing, row)
-            )
-    return [merged[k] for k in sorted(merged)]
-
-
-def merge_sstables(tables: Iterable[SSTable],
-                   drop_tombstones: bool = True, *,
+def merge_sstables(tables: Iterable[SSTable], *,
                    hints: BlockHints | None = None) -> SSTable:
     """Compaction: merge several runs into one, reconciling duplicates.
 
-    With ``drop_tombstones`` the merged output garbage-collects rows whose
-    latest state is a deletion (safe here because compaction covers *all*
-    runs of the table, i.e. there is no older run left that the tombstone
-    still needs to shadow).
+    Each partition is :func:`~repro.cassdb.vector.merge_views` over the
+    runs' full blocks, live rows only: a row whose latest state is a
+    deletion is garbage-collected, its marker with it.  That is safe
+    against the runs — compaction covers *all* of the table's, so no
+    older run is left for the tombstone to shadow — but not against a
+    write still in a memtable, a hint buffer or another replica and
+    stamped at or before the tombstone: delivered after this
+    compaction, it resurrects the row (there is no ``gc_grace``).
 
     The output is built in sorted partition-key order, so the merged
     run's partition iteration order (``partition_keys()``, full scans)
@@ -283,13 +234,11 @@ def merge_sstables(tables: Iterable[SSTable],
         hints = next((t.hints for t in tables if t.hints is not None), None)
     all_keys: set[str] = set()
     for t in tables:
-        all_keys.update(t.partitions.keys())
+        all_keys.update(t.partitions)
     out: dict[str, list[Row]] = {}
     for pk in sorted(all_keys):
-        lists = [t.partitions[pk] for t in tables if pk in t.partitions]
-        rows = _merge_sorted_rows(lists)
-        if drop_tombstones:
-            rows = [r for r in rows if r.is_live]
+        rows = merge_views([BlockView(block) for t in tables
+                            if (block := t.partitions.get(pk)) is not None])
         if rows:
             out[pk] = rows
     return SSTable(out, hints=hints)

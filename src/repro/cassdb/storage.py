@@ -227,8 +227,31 @@ class TableStore:
         block of what it emitted.  Either way dead rows are gone, the
         block ascends and *reverse*/*limit* are the view's order.
         """
-        # Memtable slices are row lists, SSTable slices are views:
-        # merge_views takes either.
+        sources = self._slices(partition_key, lower, upper)
+        if len(sources) == 1 and isinstance(sources[0], BlockView):
+            return sources[0].live().ordered(reverse, limit)
+        # The merge stops at *limit* and, reversed, emits descending.
+        rows = merge_views(sources, reverse=reverse, limit=limit)
+        if reverse:
+            rows.reverse()
+        return BlockView(ColumnBlock.over_rows(rows)).ordered(reverse)
+
+    def exchange_partition(self, partition_key: str,
+                           lower: ClusteringBound | None = None,
+                           upper: ClusteringBound | None = None) -> list[Row]:
+        """This node's copy of a partition within clustering bounds, as
+        replicas exchange it: memtables and runs reconciled, ascending,
+        dead rows *kept* — a delete reaches a replica that missed it
+        only as the tombstone marker.  No *reverse*/*limit*: a limit cut
+        below a reconcile across replicas is a short read."""
+        return merge_views(self._slices(partition_key, lower, upper),
+                           keep_dead=True)
+
+    def _slices(self, partition_key: str, lower: ClusteringBound | None,
+                upper: ClusteringBound | None) -> list:
+        """Every tier's in-bounds slice of a partition, as
+        :func:`merge_views` takes them: memtable slices are row lists,
+        SSTable slices are views."""
         sources: list = []
         pruned = 0
         with self.lock:
@@ -261,13 +284,7 @@ class TableStore:
                 self.stats.rows_pruned += pruned
         if pruned:
             _M_ROWS_PRUNED.inc(pruned)
-        if len(sources) == 1 and isinstance(sources[0], BlockView):
-            return sources[0].live().ordered(reverse, limit)
-        # The merge stops at *limit* and, reversed, emits descending.
-        rows = merge_views(sources, reverse=reverse, limit=limit)
-        if reverse:
-            rows.reverse()
-        return BlockView(ColumnBlock.over_rows(rows)).ordered(reverse)
+        return sources
 
     def partition_keys(self) -> set[str]:
         """Every partition key present on this node (memtable + runs)."""

@@ -121,9 +121,6 @@ class Column:
         self.dictionary = dictionary
         self.code_of = code_of
 
-    def is_present(self, i: int) -> bool:
-        return self.present is None or bool(self.present[i])
-
     def value_at(self, i: int) -> Any:
         """The cell value at row offset *i* (None when absent)."""
         if self.codes is not None:
@@ -830,26 +827,37 @@ def _as_row(payload) -> Row:
 
 
 def merge_views(sources: list, reverse: bool = False,
-                limit: int | None = None) -> list[Row]:
-    """k-way merge of sorted sources (row lists and/or block views).
+                limit: int | None = None, *,
+                keep_dead: bool = False) -> list[Row]:
+    """The store's one reconcile: k-way merge of sorted copies of a
+    partition (row lists and/or block views).
 
     Compares on the blocks' clustering arrays and materializes a Row
-    only for keys that actually collide across sources or survive into
-    the output — with a ``LIMIT k`` the trailing rows of every run are
-    never decoded at all.  Equal keys reconcile via :func:`merge_rows`
-    (so a tombstone in any one run shadows the rest); dead rows are
-    skipped and do not count toward *limit*.
+    only for keys that collide across sources or reach the output —
+    with a ``LIMIT k`` the trailing rows of every run are never decoded.
+    Equal keys reconcile via :func:`merge_rows` (a tombstone in any one
+    copy shadows the rest).  A serving read
+    (``TableStore.read_partition_view``) and compaction
+    (``merge_sstables``) take live rows only: dead ones are skipped —
+    on the liveness bitmap, undecoded, where one block alone holds the
+    key — and do not count toward *limit*.  An exchange
+    (``TableStore.exchange_partition``; the coordinator over replicas'
+    slices for a QUORUM/ALL read and ``repair``) fixes ``keep_dead=True``
+    where it calls: a delete reaches a copy that missed it only as the
+    tombstone marker.
     """
     if limit is not None and limit <= 0:
         return []
     if len(sources) == 1:
         source = sources[0]
         if isinstance(source, BlockView):
-            return source.live().ordered(reverse, limit).to_rows()
+            if not keep_dead:
+                source = source.live()
+            return source.ordered(reverse, limit).to_rows()
         ordered = source[::-1] if reverse else source
         out = []
         for row in ordered:
-            if row.is_live:
+            if row.is_live or keep_dead:
                 out.append(row)
                 if limit is not None and len(out) >= limit:
                     break
@@ -879,17 +887,18 @@ def merge_views(sources: list, reverse: bool = False,
                 if nxt is not None:
                     heapq.heappush(
                         heap, (make_key(nxt[0]), sid2, nxt[1], it2))
-            if not row.is_live:
+            if not row.is_live and not keep_dead:
                 continue
         elif type(payload) is tuple:
             # Sole owner of this key: check liveness on the bitmap and
-            # materialize only if the row is served.
+            # materialize only if the row is emitted.
             block, i = payload
-            if block.live is not None and not block.live[i]:
+            if (block.live is not None and not block.live[i]
+                    and not keep_dead):
                 continue
             row = block.row_at(i)
         else:
-            if not payload.is_live:
+            if not payload.is_live and not keep_dead:
                 continue
             row = payload
         out.append(row)

@@ -13,7 +13,9 @@ query engine inline, and **complex** operations (heat maps, transfer
 entropy, text mining — anything that fans out over the data) through
 ``asyncio.to_thread`` so the event loop stays responsive, the same
 non-blocking property Tornado gives the real system for "numerous
-users, who may require long-lived connections".
+users, who may require long-lived connections".  Which ops exist, what
+serves each and which of the two ways it runs is one table, filled by
+the ``@_op`` decorator on each handler.
 
 Responses are JSON-serializable dicts: ``{"ok": true, "result": …,
 "elapsed_ms": …}`` — "Query results are sent in JSON object format to
@@ -28,7 +30,7 @@ import json
 import time
 from dataclasses import asdict
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .context import Context
 from .framework import LogAnalyticsFramework
 from .result_cache import ResultCache
 
-__all__ = ["AnalyticsServer", "SIMPLE_OPS", "COMPLEX_OPS"]
+__all__ = ["AnalyticsServer"]
 
 # Per-request cache outcome for the response's "cache" field.  A
 # ContextVar (not an instance attribute) because handle_many interleaves
@@ -48,18 +50,19 @@ __all__ = ["AnalyticsServer", "SIMPLE_OPS", "COMPLEX_OPS"]
 _CACHE_STATUS: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "server_cache_status", default=None)
 
-SIMPLE_OPS = frozenset({
-    "ping", "event_types", "nodeinfo", "events", "runs", "synopsis", "cql",
-    "explain", "metrics", "trace", "slow_queries",
-    "telemetry_series", "telemetry_spans", "health",
-    "alerts", "alert_summary", "profile_flame", "critical_path",
-})
-COMPLEX_OPS = frozenset({
-    "heatmap", "heatmap_grid", "distribution", "distribution_by_application",
-    "histogram", "hotspots", "transfer_entropy", "cross_correlation",
-    "keywords", "association_rules", "placement", "refresh_synopsis",
-    "mine_precursors", "application_profiles", "materialize_composites",
-})
+# op name -> (handler, offload): the one entry ``handle`` reads for
+# whether an op exists, what serves it, and whether it runs inline or
+# leaves the event loop through ``asyncio.to_thread``.
+_OPS: dict[str, tuple[Callable, bool]] = {}
+
+
+def _op(handler: Callable | None = None, *, offload: bool = False):
+    """Enter ``_op_<name>`` in the op table; ``@_op(offload=True)`` for
+    a complex op."""
+    if handler is None:
+        return lambda fn: _op(fn, offload=offload)
+    _OPS[handler.__name__.removeprefix("_op_")] = (handler, offload)
+    return handler
 
 
 class _PreSerialized:
@@ -204,19 +207,16 @@ class AnalyticsServer:
         cache_token = _CACHE_STATUS.set(None)
         with self.tracer.root_span("server.request", op=op_name) as span:
             try:
-                if not isinstance(op, str) or (
-                    op not in SIMPLE_OPS and op not in COMPLEX_OPS
-                ):
+                entry = _OPS.get(op) if isinstance(op, str) else None
+                if entry is None:
                     raise ValueError(f"unknown op: {op!r}")
                 gate = self.chaos_gate
                 if gate is not None:
                     # May stall or raise FaultInjected — which flows
                     # through the normal error-response path below.
                     gate.on_request(op_name)
-                handler = getattr(self, f"_op_{op}")
-                if op in SIMPLE_OPS:
-                    result = handler(request)
-                else:
+                handler, offload = entry
+                if offload:
                     # Complex analytics leave the event loop free
                     # (Tornado's non-blocking I/O property); to_thread
                     # copies the context, so the span tree follows.
@@ -224,7 +224,9 @@ class AnalyticsServer:
                     # run as truly concurrent jobs: the DAG scheduler
                     # admits them in parallel and materializes any
                     # shared shuffle lineage exactly once.
-                    result = await asyncio.to_thread(handler, request)
+                    result = await asyncio.to_thread(handler, self, request)
+                else:
+                    result = handler(self, request)
                 response = {"ok": True, "result": _jsonable(result)}
             except Exception as exc:  # noqa: BLE001 - server boundary
                 outcome = "error"
@@ -285,6 +287,21 @@ class AnalyticsServer:
         return {f: request[f] for f in fields
                 if request.get(f) is not None}
 
+    @staticmethod
+    def _count(request: dict[str, Any], field: str,
+               default: int | None = None) -> int | None:
+        """The optional row-count *field* (``limit``, ``top``): *default*
+        when omitted or null, else a non-negative ``int`` — a negative,
+        a bool, a string or a float is a typed error naming the field,
+        not a wrong slice."""
+        value = request.get(field)
+        if value is None:
+            return default
+        if type(value) is not int or value < 0:  # bool subclasses int
+            raise ValueError(
+                f"{request['op']}: '{field}' must be a non-negative integer")
+        return value
+
     def _context(self, request: dict[str, Any]) -> Context:
         payload = request.get("context")
         if not isinstance(payload, dict):
@@ -293,12 +310,15 @@ class AnalyticsServer:
 
     # -- simple ops -------------------------------------------------------------
 
+    @_op
     def _op_ping(self, request):
         return "pong"
 
+    @_op
     def _op_event_types(self, request):
         return self.framework.model.event_types()
 
+    @_op
     def _op_nodeinfo(self, request):
         cname = self._require(request, "cname")
         info = self.framework.model.nodeinfo(cname)
@@ -306,18 +326,22 @@ class AnalyticsServer:
             raise KeyError(f"unknown node: {cname}")
         return info
 
+    @_op
     def _op_events(self, request):
+        limit = self._count(request, "limit")
         rows = self.framework.events(self._context(request))
-        limit = request.get("limit")
         return rows[:limit] if limit else rows
 
+    @_op
     def _op_runs(self, request):
         return self.framework.runs(self._context(request))
 
+    @_op
     def _op_synopsis(self, request):
         return self.framework.model.synopsis_for_hour(
             int(self._require(request, "hour")))
 
+    @_op
     def _op_cql(self, request):
         statement = self._require(request, "statement")
         params = tuple(request.get("params", ()))
@@ -351,6 +375,7 @@ class AnalyticsServer:
         _CACHE_STATUS.set("miss")
         return _PreSerialized(payload)
 
+    @_op
     def _op_explain(self, request):
         """The optimized plan for a statement as a stable JSON tree
         (works with or without a leading ``EXPLAIN`` keyword)."""
@@ -359,6 +384,7 @@ class AnalyticsServer:
 
     # -- observability ops ----------------------------------------------------
 
+    @_op
     def _op_metrics(self, request):
         """Prometheus-style snapshot of every metric series."""
         prefix = request.get("prefix")
@@ -368,6 +394,7 @@ class AnalyticsServer:
                         if k.startswith(prefix)}
         return snapshot
 
+    @_op
     def _op_trace(self, request):
         """The most recently *completed* trace (this request's own trace
         finishes after the handler returns, so it is never included)."""
@@ -378,6 +405,7 @@ class AnalyticsServer:
             raise LookupError("no completed traces yet")
         return trace
 
+    @_op
     def _op_slow_queries(self, request):
         """The slow-query ring; ``stable: true`` strips the wall-clock,
         timing and trace-id fields (trace ids are process-global
@@ -443,6 +471,7 @@ class AnalyticsServer:
             node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
         return len(by_id), roots
 
+    @_op
     def _op_telemetry_series(self, request):
         """Time-windowed series of one metric from ``metrics_by_time``."""
         name = self._require(request, "name")
@@ -465,10 +494,11 @@ class AnalyticsServer:
         points.sort(key=lambda p: (p["ts"], p.get("seq", 0)))
         return {"name": name, "t0": t0, "t1": t1, "points": points}
 
+    @_op
     def _op_telemetry_spans(self, request):
         """Slowest spans in a window from ``spans_by_time``,
         reconstructed as trees via their parent links."""
-        limit = int(self._given(request, "limit").get("limit", 20))
+        limit = self._count(request, "limit", 20)
         component = request.get("component")
         t0, t1, rows = self._window_rows(
             request, "spans_by_time", (component,) if component else None)
@@ -476,6 +506,7 @@ class AnalyticsServer:
         roots.sort(key=lambda n: -n["duration_ms"])
         return {"t0": t0, "t1": t1, "spans": spans, "trees": roots[:limit]}
 
+    @_op
     def _op_profile_flame(self, request):
         """Windowed flame data from ``profiles_by_time``: folded stacks
         (flamegraph.pl-compatible, component-rooted) plus the top hot
@@ -483,7 +514,7 @@ class AnalyticsServer:
         from repro.obs.profile import hot_functions
 
         component = request.get("component")
-        top = int(self._given(request, "top").get("top", 10))
+        top = self._count(request, "top", 10)
         t0, t1, rows = self._window_rows(
             request, "profiles_by_time", (component,) if component else None)
         by_stack: dict[tuple[str, str], int] = {}
@@ -502,6 +533,7 @@ class AnalyticsServer:
             "hot": hot_functions(by_stack, top=top),
         }
 
+    @_op
     def _op_critical_path(self, request):
         """Per-component exclusive-time attribution for one request.
 
@@ -557,13 +589,15 @@ class AnalyticsServer:
         alerts.sort(key=lambda a: (a["ts"], a.get("seq", 0)))
         return t0, t1, alerts
 
+    @_op
     def _op_alerts(self, request):
         """Tail of the alert stream in a window (newest last)."""
-        limit = int(self._given(request, "limit").get("limit", 100))
+        limit = self._count(request, "limit", 100)
         t0, t1, rows = self._alert_rows(request)
         return {"t0": t0, "t1": t1, "total": len(rows),
                 "alerts": rows[-limit:] if limit else rows}
 
+    @_op
     def _op_alert_summary(self, request):
         """Aggregate alert picture for a window: counts by severity and
         detector, the busiest keys, and the newest alert's timestamp."""
@@ -586,6 +620,7 @@ class AnalyticsServer:
             "latest_ts": rows[-1]["ts"] if rows else None,
         }
 
+    @_op
     def _op_health(self, request):
         """Per-node liveness/breaker state plus a ring summary — the
         one-op answer to "is the backend healthy right now?"."""
@@ -626,28 +661,34 @@ class AnalyticsServer:
 
     # -- complex ops (big data processing unit) -------------------------------------
 
+    @_op(offload=True)
     def _op_heatmap(self, request):
         return self.framework.heatmap(
             self._context(request), **self._given(request, "granularity"))
 
+    @_op(offload=True)
     def _op_heatmap_grid(self, request):
         counts = self.framework.heatmap(self._context(request), "node")
         return self.framework.system_map.to_json(counts)
 
+    @_op(offload=True)
     def _op_distribution(self, request):
         return self.framework.distribution(
             self._context(request), **self._given(request, "granularity"))
 
+    @_op(offload=True)
     def _op_distribution_by_application(self, request):
         return self.framework.distribution_by_application(
             self._context(request)
         )
 
+    @_op(offload=True)
     def _op_histogram(self, request):
         edges, counts = self.framework.time_histogram(
             self._context(request), **self._given(request, "num_bins"))
         return {"edges": edges, "counts": counts}
 
+    @_op(offload=True)
     def _op_hotspots(self, request):
         hotspots = self.framework.hotspots(
             self._context(request),
@@ -657,6 +698,7 @@ class AnalyticsServer:
                  "expected": h.expected, "z_score": h.z_score}
                 for h in hotspots]
 
+    @_op(offload=True)
     def _op_transfer_entropy(self, request):
         result = self.framework.transfer_entropy(
             self._context(request),
@@ -665,6 +707,7 @@ class AnalyticsServer:
             **self._given(request, "bin_seconds", "n_shuffles"))
         return asdict(result)
 
+    @_op(offload=True)
     def _op_cross_correlation(self, request):
         return self.framework.cross_correlation(
             self._context(request),
@@ -672,11 +715,13 @@ class AnalyticsServer:
             self._require(request, "type_b"),
             **self._given(request, "bin_seconds", "max_lag"))
 
+    @_op(offload=True)
     def _op_keywords(self, request):
         return self.framework.keywords(
             self._context(request),
             **self._given(request, "n", "use_tf_idf"))
 
+    @_op(offload=True)
     def _op_association_rules(self, request):
         rules = self.framework.association_rules(
             self._context(request),
@@ -684,6 +729,7 @@ class AnalyticsServer:
                           "min_confidence"))
         return [asdict(r) for r in rules]
 
+    @_op(offload=True)
     def _op_placement(self, request):
         runs = self.framework.model.runs_running_at(
             float(self._require(request, "ts")))
@@ -693,20 +739,24 @@ class AnalyticsServer:
             for r in runs
         ]
 
+    @_op(offload=True)
     def _op_refresh_synopsis(self, request):
         return self.framework.refresh_synopsis()
 
+    @_op(offload=True)
     def _op_mine_precursors(self, request):
         rules = self.framework.mine_precursors(
             self._context(request),
             **self._given(request, "lead_window", "min_support"))
         return [asdict(r) for r in rules]
 
+    @_op(offload=True)
     def _op_application_profiles(self, request):
         profiles = self.framework.application_profiles(
             self._context(request))
         return {app: p.as_dict() for app, p in profiles.items()}
 
+    @_op(offload=True)
     def _op_materialize_composites(self, request):
         from .composite import CompositeEventDef
 

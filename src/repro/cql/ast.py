@@ -112,12 +112,6 @@ class Select(Statement):
     aggregates: list[AggregateCall] | None = None
     group_by: list[str] = field(default_factory=list)
 
-    @property
-    def count_star(self) -> bool:
-        """Back-compat: a bare ``SELECT COUNT(*)`` (no grouping)."""
-        return (self.aggregates is not None and not self.group_by
-                and self.aggregates == [AggregateCall("count", None)])
-
 
 @dataclass
 class Delete(Statement):

@@ -89,19 +89,6 @@ class Alert:
             "evidence": dict(self.evidence),
         }
 
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "Alert":
-        return cls(
-            ts=float(record["ts"]),
-            severity=record["severity"],
-            detector=record["detector"],
-            key=record["key"],
-            window_start=float(record["window_start"]),
-            window_end=float(record["window_end"]),
-            score=float(record["score"]),
-            evidence=dict(record.get("evidence", {})),
-        )
-
 
 class AlertPublisher:
     """Producer side: alerts onto the ``alerts`` topic.

@@ -151,14 +151,6 @@ class LineParser:
         self.parsed = 0
         self.unparsed = 0
 
-    def add_pattern(self, event_type: str, regex: str,
-                    converters: dict[str, Callable[[str], Any]] | None = None,
-                    amount_group: str | None = None) -> None:
-        self.patterns.append(_Pattern(
-            event_type, re.compile(regex),
-            tuple((converters or {}).items()), amount_group,
-        ))
-
     @staticmethod
     def parse_timestamp(stamp: str) -> float:
         """Seconds since simulation start of a ``YYYY-MM-DDTHH:MM:SS.mmm``

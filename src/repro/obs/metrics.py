@@ -290,10 +290,6 @@ class MetricsRegistry:
             name, labels, lambda: Histogram(buckets=buckets, window=window)
         )
 
-    def series_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._series)
-
     def collect(self) -> list[tuple[str, dict[str, Any], Any]]:
         """Structured export: sorted ``(name, labels, metric)`` triples.
 

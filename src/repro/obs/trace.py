@@ -186,10 +186,6 @@ class Span:
             out["spans"] = self._span_budget
         return out
 
-    def depth(self) -> int:
-        """Nesting levels of the subtree rooted here (leaf = 1)."""
-        return 1 + max((c.depth() for c in self.children), default=0)
-
 
 class Tracer:
     """Produces spans, tracks the current one, rings completed traces."""

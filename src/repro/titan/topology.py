@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 __all__ = [
@@ -204,14 +203,6 @@ class TitanTopology:
 
     # -- node selection ------------------------------------------------------------
 
-    def node_by_index(self, index: int) -> NodeLocation:
-        loc = NodeLocation.from_index(index)
-        if loc not in self:
-            raise ValueError(
-                f"index {index} maps to {loc.cname}, outside this topology"
-            )
-        return loc
-
     def contiguous_allocation(self, start_index: int, size: int
                               ) -> list[NodeLocation]:
         """A job allocation of *size* nodes starting at a flat index,
@@ -252,8 +243,3 @@ class TitanTopology:
                 "cpu": _CPU_MODEL,
                 "gpu": _GPU_MODEL,
             }
-
-
-@lru_cache(maxsize=4096)
-def _cached_from_cname(cname: str) -> NodeLocation:  # pragma: no cover
-    return NodeLocation.from_cname(cname)

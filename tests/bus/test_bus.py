@@ -50,7 +50,7 @@ class TestTopics:
     def test_total_records(self, bus):
         for i in range(7):
             bus.publish("events", i)
-        assert bus.topic("events").total_records() == 7
+        assert sum(map(len, bus.topic("events").partitions)) == 7
 
 
 class TestProducer:
@@ -64,16 +64,6 @@ class TestProducer:
     def test_send_requires_topic(self, bus):
         with pytest.raises(ValueError):
             Producer(bus).send("x")
-
-    def test_send_batch(self, bus):
-        prod = Producer(bus, default_topic="events")
-        n = prod.send_batch(
-            [{"src": "a", "t": 1.0}, {"src": "b", "t": 2.0}],
-            key_func=lambda v: v["src"],
-            ts_func=lambda v: v["t"],
-        )
-        assert n == 2
-        assert bus.topic("events").total_records() == 2
 
 
 class TestConsumerGroups:

@@ -218,6 +218,67 @@ class TestFailureModes:
         assert len(stale_now) == 5
 
 
+class TestDeletesCrossReplicas:
+    """A delete that one of three replicas missed reaches it by
+    reconciliation: replicas exchange tombstone markers, so R + W > N
+    holds for deletes as it does for writes."""
+
+    KEY = {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0}
+
+    def missed_delete(self, hint="holder down"):
+        """(cluster, ring key, the replica still holding the row): a row
+        written at ALL, deleted at QUORUM while one replica was down,
+        which came back without its hint — the hint's holder is down
+        too, or (``hint="dropped"``) the buffer was lost."""
+        cluster = make_cluster(4, rf=3)
+        cluster.insert("event_by_time", {**self.KEY, "amount": 1},
+                       Consistency.ALL)
+        pk = EVENTS.partition_key_of(self.KEY)
+        stale, *others = cluster.ring.replicas(pk)
+        cluster.kill_node(stale)
+        cluster.delete_row("event_by_time", self.KEY, Consistency.QUORUM)
+        holders = [rid for rid in others if cluster.nodes[rid].hints]
+        assert len(holders) == 1
+        if hint == "dropped":
+            cluster.nodes[holders[0]].hints.clear()
+        else:
+            cluster.kill_node(holders[0])
+        cluster.revive_node(stale)
+        assert len(self.alone(cluster, stale, pk)) == 1
+        return cluster, pk, stale
+
+    @staticmethod
+    def alone(cluster, node_id, pk):
+        return cluster.nodes[node_id].read_partition("event_by_time", pk)
+
+    def test_quorum_read_does_not_answer_the_deleted_row(self):
+        cluster, _pk, _stale = self.missed_delete()
+        assert cluster.select_partition(
+            "event_by_time", (0, "MCE"), consistency=Consistency.QUORUM) == []
+
+    def test_quorum_read_repair_delivers_the_tombstone(self):
+        cluster, pk, stale = self.missed_delete()
+        cluster.select_partition(
+            "event_by_time", (0, "MCE"), consistency=Consistency.QUORUM)
+        assert cluster.read_repairs == 1
+        assert self.alone(cluster, stale, pk) == []
+
+    def test_repair_delivers_the_delete_once(self):
+        cluster, pk, _stale = self.missed_delete()
+        assert cluster.repair("event_by_time") == 1
+        assert cluster.repair("event_by_time") == 0
+        for node_id in cluster.ring.replicas(pk):
+            if cluster.nodes[node_id].up:
+                assert self.alone(cluster, node_id, pk) == []
+
+    def test_at_all_with_the_hint_dropped_and_every_replica_up(self):
+        cluster, pk, stale = self.missed_delete(hint="dropped")
+        assert cluster.select_partition(
+            "event_by_time", (0, "MCE"), consistency=Consistency.ALL) == []
+        assert self.alone(cluster, stale, pk) == []
+        assert cluster.repair("event_by_time") == 0
+
+
 class TestConsistencyRequired:
     @pytest.mark.parametrize(
         "cl,rf,expected",

@@ -469,6 +469,6 @@ class TestSSTableColumnar:
         mt = Memtable()
         mt.upsert("pk", _row(1.0, v="a"))
         sst = SSTable.from_memtable(mt)
-        sst.partitions["pk"] = [_row(2.0, v="b")]
+        sst.partitions["pk"] = ColumnBlock.from_rows([_row(2.0, v="b")])
         assert sst.block("pk").clustering == [(2.0, 0)]
-        assert sst.partitions["pk"][0].cells["v"].value == "b"
+        assert sst.partitions["pk"].rows()[0].cells["v"].value == "b"

@@ -11,20 +11,23 @@ of it:
   {ONE, QUORUM, ALL} × the victim first or second in its replica lists;
 * one ``write_batch`` enters ``StorageNode.write_rows`` at most once per
   node, whatever the batch size;
-* generated histories of writes, deletes, batches, flushes and node
-  failures agree with a dict of last-write-wins once every node is back.
+* generated histories of writes, deletes, batches, flushes, reads,
+  repairs and node failures agree with a dict of last-write-wins: at
+  every read whose level overlaps every write's acks (R + W > N), and
+  on every replica once every node is back.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cassdb import (
     CassDBError,
     Cluster,
     Consistency,
+    ReadTimeoutError,
     RetryPolicy,
     TableSchema,
     UnavailableError,
@@ -310,6 +313,8 @@ _cks = st.integers(0, 3)
 _vals = st.integers(0, 99)
 _nodes = st.sampled_from(NODES)
 _levels = st.sampled_from([Consistency.ONE, Consistency.QUORUM])
+_read_levels = st.sampled_from(
+    [Consistency.ONE, Consistency.QUORUM, Consistency.ALL])
 _ops = st.one_of(
     st.tuples(st.just("insert"), _pks, _cks, _vals, _levels),
     st.tuples(st.just("delete"), _pks, _cks, _levels),
@@ -317,36 +322,61 @@ _ops = st.one_of(
               st.lists(st.tuples(_pks, _cks, _vals), min_size=1, max_size=8),
               _levels),
     st.tuples(st.just("flush")),
+    st.tuples(st.just("read"), _pks, _read_levels),
+    st.tuples(st.just("repair")),
     st.tuples(st.just("kill"), _nodes),
     st.tuples(st.just("crash"), _nodes),
     st.tuples(st.just("heal"), _nodes),
 )
+# A delete one of three replicas misses, its hint held by a replica that
+# is down when it comes back: only reconciliation can deliver it.
+_MISSED, _HOLDER, _ = Cluster(4, replication_factor=3).ring.replicas(
+    ring_key("p0"))
+_MISSED_DELETE = [
+    ("insert", "p0", 0, 1, Consistency.QUORUM),
+    ("kill", _MISSED),
+    ("delete", "p0", 0, Consistency.QUORUM),
+    ("kill", _HOLDER),
+    ("heal", _MISSED),
+    ("read", "p0", Consistency.QUORUM),
+    ("repair",),
+]
 
 
 class TestCommitHistories:
-    """insert / delete_row / write_batch / flush_all under kills and
-    silent crashes, against a dict of last-write-wins.
+    """insert / delete_row / write_batch / flush_all / select_partition
+    / repair under kills and silent crashes, over two or three replicas
+    a partition, against a dict of last-write-wins.
 
     The reference knows one thing about the commit: a batch with an
     unavailable group writes nothing, and otherwise a row is written
     wherever one of its replicas took it (a group short of its acks has
-    failed, but its hints still carry the rows to the others)."""
+    failed, but its hints still carry the rows to the others).  And one
+    thing about a read: it answers the reference whenever its level and
+    the fewest acks any write to the partition got add up to more than
+    the replica count — deletes included, whichever replicas answer."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(ops=st.lists(_ops, min_size=1, max_size=40), retry=st.booleans())
-    def test_replicas_converge_on_the_reference(self, ops, retry):
+    @given(ops=st.lists(_ops, min_size=1, max_size=40), retry=st.booleans(),
+           rf=st.sampled_from([2, 3]))
+    @example(ops=_MISSED_DELETE, retry=False, rf=3)
+    @example(ops=_MISSED_DELETE[:5] + _MISSED_DELETE[6:], retry=False, rf=3)
+    def test_replicas_converge_on_the_reference(self, ops, retry, rf):
         policy = RetryPolicy(max_attempts=2, base_delay_ms=0.0, jitter=0.0,
                              breaker_failures=0) if retry else None
         # No compaction: it collects tombstones one replica at a time.
-        cluster = make_cluster(retry_policy=policy, max_sstables=64)
+        cluster = Cluster(4, replication_factor=rf, retry_policy=policy,
+                          max_sstables=64)
+        cluster.create_table(SCHEMA)
         reference: dict[tuple[str, int], int | None] = {}
+        fewest_acks: dict[str, int] = {}    # over a partition's writes
         killed: set[str] = set()
         crashed: set[str] = set()
 
         def outcome(pks, level):
             """(raises, partitions written) for a write to *pks*."""
-            written, raises = set(), False
+            acked, raises = {}, False
             for pk in pks:
                 replicas = cluster.ring.replicas(ring_key(pk))
                 routed = [r for r in replicas if r not in killed]
@@ -354,10 +384,20 @@ class TestCommitHistories:
                     return True, set()          # unavailable: all or nothing
                 acks = [r for r in routed if r not in crashed]
                 if acks:
-                    written.add(pk)
+                    acked[pk] = len(acks)
                 if len(acks) < level.required(len(replicas)):
                     raises = True
-            return raises, written
+            for pk, acks in acked.items():
+                fewest_acks[pk] = min(acks, fewest_acks.get(pk, rf))
+            return raises, set(acked)
+
+        def expected(pk):
+            return [{"pk": pk, "ck": ck, "v": v}
+                    for (p, ck), v in sorted(reference.items())
+                    if p == pk and v is not None]
+
+        def alone(nid, pk):
+            return cluster.nodes[nid].read_partition("t", ring_key(pk))
 
         def attempt(call, pks, level):
             raises, written = outcome(pks, level)
@@ -395,6 +435,25 @@ class TestCommitHistories:
                             reference[pk, ck] = v
                 elif kind == "flush":
                     cluster.flush_all()
+                elif kind == "read":
+                    _, pk, level = op
+                    try:
+                        got = cluster.select_partition(
+                            "t", (pk,), consistency=level)
+                    except (UnavailableError, ReadTimeoutError):
+                        assert (killed | crashed) & set(
+                            cluster.ring.replicas(ring_key(pk)))
+                    else:
+                        if level.required(rf) + fewest_acks.get(pk, rf) > rf:
+                            assert got == expected(pk), (pk, level)
+                elif kind == "repair":
+                    cluster.repair("t")
+                    for pk in {pk for pk, _ck in reference}:
+                        replicas = cluster.ring.replicas(ring_key(pk))
+                        copies = [alone(nid, pk) for nid in replicas
+                                  if nid not in killed | crashed]
+                        assert all(c == copies[0] for c in copies), pk
+                    assert cluster.repair("t") == 0
                 elif kind == "kill":
                     cluster.kill_node(op[1])
                     killed.add(op[1])
@@ -412,10 +471,7 @@ class TestCommitHistories:
                 cluster.recover_node(nid)
                 cluster.revive_node(nid)
 
-            live = {key: v for key, v in reference.items() if v is not None}
-            want = {pk: [{"pk": pk, "ck": ck, "v": v}
-                         for (p, ck), v in sorted(live.items()) if p == pk]
-                    for pk, _ck in reference}
+            want = {pk: expected(pk) for pk, _ck in reference}
             # Each replica alone first: a read at ALL would repair them.
             for pk, rows in want.items():
                 for nid in cluster.ring.replicas(ring_key(pk)):

@@ -83,8 +83,8 @@ class TestSSTable:
 
     def test_rows_sorted_within_partition(self):
         sst = self._sstable(50)
-        for rows in sst.partitions.values():
-            keys = [r.clustering for r in rows]
+        for block in sst.partitions.values():
+            keys = [r.clustering for r in block.rows()]
             assert keys == sorted(keys)
 
     def test_bloom_no_false_negative(self):
@@ -153,7 +153,7 @@ class TestMergeSSTables:
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
-        assert merged.partitions["pk"][0].value("v") == "new"
+        assert merged.partitions["pk"].rows()[0].value("v") == "new"
 
     def test_union_of_partitions(self):
         mt1, mt2 = Memtable(), Memtable()
@@ -179,7 +179,7 @@ class TestMergeSSTables:
         mt2.upsert("pk", Row.from_values((1.0, 0), {"v": "b"}, write_ts=3))
         s1, s2 = SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)
         assert (
-            merge_sstables([s1, s2]).partitions["pk"][0].value("v")
-            == merge_sstables([s2, s1]).partitions["pk"][0].value("v")
+            merge_sstables([s1, s2]).partitions["pk"].rows()[0].value("v")
+            == merge_sstables([s2, s1]).partitions["pk"].rows()[0].value("v")
             == "a"
         )

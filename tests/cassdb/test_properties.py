@@ -7,6 +7,7 @@ from repro.cassdb import Cluster, Consistency, Session, TableSchema
 from repro.cassdb.bloom import BloomFilter
 from repro.cassdb.hashring import HashRing
 from repro.cassdb.row import ClusteringBound, Row
+from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import (
     BlockHints,
@@ -15,12 +16,15 @@ from repro.cassdb.vector import (
     column_lists,
     fold_view,
     materialize_dicts,
+    merge_views,
     select_rows,
 )
 
 from tests.oracle import eval_select
+from tests.oracle import row as row_oracle
 
 from .test_memtable_sstable import scan_partition
+from .test_row_model import merged_rows, to_oracle, to_store
 
 keys = st.text(min_size=1, max_size=20)
 node_sets = st.lists(
@@ -277,6 +281,49 @@ class TestSelectProperties:
         assert got == eval_select(rows, predicates, columns=columns,
                                   reverse=True, limit=limit)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        writes=st.lists(
+            st.tuples(st.integers(0, 5),
+                      st.one_of(st.none(), st.integers(0, 5)),  # None: delete
+                      st.one_of(st.none(), st.integers(0, 2))),  # missed by
+            min_size=1, max_size=20),
+        limit=st.integers(1, 4),
+        level=st.sampled_from([Consistency.QUORUM, Consistency.ALL]),
+    )
+    def test_reverse_limit_over_diverged_replicas(self, writes, limit, level):
+        """``reverse=True`` + ``limit`` where the replicas disagree: each
+        write or delete at QUORUM may be missed by one of the three (it
+        was down, its hint was lost).  A limit cut replica by replica
+        would answer rows another replica holds a tombstone for, or too
+        few; the reconcile takes whole copies and the limit cuts what it
+        leaves."""
+        cluster = Cluster(3, replication_factor=3)
+        cluster.create_table(TableSchema(
+            "t", partition_key=("hour",), clustering_key=("ts", "seq")))
+        nodes = sorted(cluster.nodes)
+        reference: dict[int, dict] = {}
+        for ts, amount, misses in writes:
+            if misses is not None:
+                cluster.kill_node(nodes[misses])
+            key = {"hour": 0, "ts": ts, "seq": 0}
+            if amount is None:
+                cluster.delete_row("t", key, Consistency.QUORUM)
+                reference.pop(ts, None)
+            else:
+                cluster.insert("t", {**key, "amount": amount},
+                               Consistency.QUORUM)
+                reference[ts] = {**key, "amount": amount}
+            if misses is not None:
+                for node in cluster.nodes.values():
+                    node.hints.clear()
+                cluster.revive_node(nodes[misses])
+        got = cluster.select_partition(
+            "t", (0,), reverse=True, limit=limit, consistency=level)
+        assert got == eval_select([reference[ts] for ts in sorted(reference)],
+                                  reverse=True, limit=limit)
+        cluster.close()
+
 
 _ABSENT = object()  # a cell the row does not have (None is a stored null)
 
@@ -387,6 +434,49 @@ class TestOneBlockShape:
             assert {
                 key: acc[:5] + [acc[5][0] / acc[5][1] if acc[5][1] else None]
                 for key, acc in partials.items()} == want_groups
+
+
+@st.composite
+def sorted_runs(draw):
+    """Up to four runs of one partition: overlapping keys, rows that
+    merged writes of different stamps, tombstones older and newer than
+    a row's cells (``test_row_model.merged_rows``)."""
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+        runs.append([draw(merged_rows((ck,))) for ck in sorted(keys)])
+    return runs
+
+
+class TestOneMerge:
+    """Compaction, a node's read and a replica exchange are one
+    reconcile: ``merge_sstables`` and ``merge_views`` over the same runs
+    agree with ``tests/oracle/row.py`` folded key by key."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs=sorted_runs())
+    def test_compaction_and_merge_match_the_oracle_fold(self, runs):
+        folded: dict[tuple, row_oracle.Row] = {}
+        for run in runs:
+            for row in run:
+                seen = folded.get(row.clustering)
+                folded[row.clustering] = (
+                    row if seen is None else row_oracle.merge_rows(seen, row))
+        every = [folded[key] for key in sorted(folded)]
+        live = [row for row in every if row.is_live]
+        tables = [SSTable({"pk": list(map(to_store, run))} if run else {})
+                  for run in runs]
+        for ordered in (tables, tables[::-1]):
+            compacted = merge_sstables(ordered).partitions.get("pk")
+            assert [to_oracle(row) for row in
+                    (compacted.rows() if compacted else [])] == live
+            views = [BlockView(block) for table in ordered
+                     if (block := table.block("pk")) is not None]
+            assert [to_oracle(row) for row in merge_views(views)] == live
+            assert [to_oracle(row) for row in
+                    merge_views(views, keep_dead=True)] == every
+            assert [to_oracle(row) for row in
+                    merge_views(views, reverse=True)] == live[::-1]
 
 
 @st.composite

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.core import AnalyticsServer
-from repro.core.server import COMPLEX_OPS, SIMPLE_OPS, _jsonable
+from repro.core.server import _OPS, _jsonable
 
 from .conftest import HORIZON
 
@@ -37,7 +37,13 @@ class TestRouting:
         assert not server.handle_sync({})["ok"]
 
     def test_ops_partitioned(self):
-        assert not (SIMPLE_OPS & COMPLEX_OPS)
+        # One table: it names exactly the ``_op_*`` handlers, each either
+        # inline or offloaded.
+        handlers = {name.removeprefix("_op_"): fn
+                    for name, fn in vars(AnalyticsServer).items()
+                    if name.startswith("_op_")}
+        assert {op: fn for op, (fn, _offload) in _OPS.items()} == handlers
+        assert {type(offload) for _fn, offload in _OPS.values()} == {bool}
 
     def test_latencies_recorded(self, server):
         before = len(server.latencies_ms.get("ping", []))
@@ -163,6 +169,32 @@ class TestOneDefaultPerParameter:
         assert null["result"] == omitted["result"]
         assert len(next(v for v in omitted["result"].values()
                         if isinstance(v, list))) == 1
+
+
+class TestRowCountFields:
+    """``limit`` / ``top`` are non-negative integers or a typed error
+    naming the field — never a slice that silently drops the newest or
+    the oldest row."""
+
+    @pytest.mark.parametrize("value", [-1, True, "2", 2.5])
+    @pytest.mark.parametrize("op,field", [
+        ("events", "limit"), ("alerts", "limit"),
+        ("telemetry_spans", "limit"), ("profile_flame", "top")])
+    def test_anything_else_is_a_value_error(self, server, fw, op, field,
+                                            value):
+        r = server.handle_sync(
+            {"op": op, "context": _ctx(fw, **_MCE), field: value})
+        assert not r["ok"]
+        assert r["error"] == (
+            f"ValueError: {op}: '{field}' must be a non-negative integer")
+
+    def test_zero_still_means_every_event(self, server, fw):
+        request = {"op": "events", "context": _ctx(fw, **_MCE)}
+        every = server.handle_sync(request)["result"]
+        assert len(every) > 1
+        assert server.handle_sync({**request, "limit": 0})["result"] == every
+        assert (server.handle_sync({**request, "limit": 1})["result"]
+                == every[:1])
 
 
 class TestHotspotsOverEverySource:

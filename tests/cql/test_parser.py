@@ -17,7 +17,7 @@ class TestAggregates:
     def test_count_star(self):
         stmt = parse_statement("SELECT COUNT(*) FROM t WHERE a = 1")
         assert stmt.aggregates == [AggregateCall("count", None)]
-        assert stmt.count_star
+        assert not stmt.group_by
         assert stmt.columns is None
 
     def test_mixed_aggregates(self):

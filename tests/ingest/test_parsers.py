@@ -114,18 +114,6 @@ class TestPerTypePatterns:
         assert event.attrs["ip"] == 0x400
 
 
-class TestExtensibility:
-    def test_add_pattern(self):
-        parser = default_parser()
-        parser.add_pattern(
-            "FAN_FAIL", r"fan (?P<fan>\d+) failure", {"fan": int}
-        )
-        line = "2017-03-01T01:00:00.000 c0-0c0s0n0 console: fan 3 failure"
-        event = parser.parse_line(line)
-        assert event.type == "FAN_FAIL"
-        assert event.attrs["fan"] == 3
-
-
 class TestFullRoundTrip:
     def test_generated_corpus_fully_parsed(self):
         topo = TitanTopology(rows=1, cols=1)

@@ -38,7 +38,7 @@ class TestLogProducer:
         n = producer.publish_lines([line, "garbage"])
         assert n == 1
         assert producer.published == 1
-        assert bus.topic("events").total_records() == 1
+        assert sum(map(len, bus.topic("events").partitions)) == 1
 
     def test_publish_events(self, pipeline):
         _, producer, _, _ = pipeline

@@ -118,7 +118,7 @@ class TestRegistry:
         for i in range(50):
             reg.counter("m", shard=str(i)).inc()
         # 3 real series + 1 overflow series, never 50.
-        names = [k for k in reg.series_names() if k.startswith("m{")]
+        names = [k for k in reg.snapshot() if k.startswith("m{")]
         assert len(names) == 4
         assert "m{overflow=true}" in names
         snap = reg.snapshot()

@@ -144,9 +144,3 @@ class TestTitanTopology:
         topo = TitanTopology(rows=2, cols=3)
         alloc = topo.contiguous_allocation(100, 300)
         assert all(loc in topo for loc in alloc)
-
-    def test_node_by_index_respects_bounds(self):
-        topo = TitanTopology(rows=1, cols=1)
-        assert topo.node_by_index(0).cname == "c0-0c0s0n0"
-        with pytest.raises(ValueError):
-            topo.node_by_index(200)  # inside Titan, outside this topology
