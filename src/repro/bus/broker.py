@@ -184,13 +184,6 @@ class MessageBus:
         obs.get_registry().gauge(
             "bus.consumer_lag", group=group, topic=topic).set(lag)
 
-    def reset_group(self, group: str, topic: str) -> None:
-        """Rewind a group to the beginning of the topic (replay)."""
-        with self._lock:
-            t = self.topic(topic)
-            for p in range(t.num_partitions):
-                self._offsets[(group, topic, p)] = 0
-
     def lag(self, group: str, topic: str) -> int:
         """Total records the group has not yet committed past."""
         with self._lock:

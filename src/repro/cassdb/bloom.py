@@ -78,9 +78,3 @@ class BloomFilter:
     def __len__(self) -> int:
         """Number of insertions performed (not distinct keys)."""
         return self._count
-
-    @property
-    def fill_ratio(self) -> float:
-        """Fraction of bits set; a saturation diagnostic for compaction."""
-        set_bits = sum(bin(b).count("1") for b in self._bits)
-        return set_bits / self.num_bits

@@ -1016,8 +1016,8 @@ class Cluster:
             with self._counter_lock:
                 self.read_repairs += pushed
             self._m_read_repairs.inc(pushed)
-        live = [row for row in merged if row.is_live]
-        return BlockView(ColumnBlock.over_rows(live)).ordered(reverse, limit)
+        merged_view = BlockView(ColumnBlock.over_rows(merged))
+        return merged_view.live().ordered(reverse, limit)
 
     def _reconcile_copies(
         self, table: str, partition_key: str, copies: dict[str, list[Row]]
@@ -1027,7 +1027,9 @@ class Cluster:
         replica every row it lacks or holds stale.  Returns the merged
         rows, ascending, dead ones included, and the count pushed —
         read repair and :meth:`repair` are this one loop."""
-        merged = merge_views(list(copies.values()), keep_dead=True)
+        merged = merge_views(
+            [BlockView(ColumnBlock.over_rows(rows))
+             for rows in copies.values()], keep_dead=True)
         pushed = 0
         for replica_id, rows in copies.items():
             have = {row.clustering: row for row in rows}

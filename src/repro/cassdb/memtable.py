@@ -10,13 +10,22 @@ Rows within a partition are kept as a dict keyed by clustering tuple plus
 a lazily-sorted key list — upserts are O(1), and the sorted view is
 materialized once per flush/scan instead of on every write, which matches
 the write-heavy access pattern of log ingestion.
+
+A memtable is read through the face a run has,
+:meth:`Memtable.slice_partition_view`: the in-bounds rows as a
+row-backed block whose clustering array is the bisected key slice.  The
+store asks every tier that one question; a flush asks it without
+bounds.  A delete is not a separate entry point: it is the upsert of a
+marker row (``Row(ck, {}, tombstone_ts=ts)``), which
+:func:`~repro.cassdb.row.merge_rows` lets shadow what it covers.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .row import Row, merge_rows
+from .row import ClusteringBound, Row, merge_rows, slice_bounds_keys
+from .vector import BlockView, ColumnBlock
 
 __all__ = ["MemPartition", "Memtable"]
 
@@ -42,35 +51,11 @@ class MemPartition:
         rows[row.clustering] = merge_rows(existing, row)
         return 0
 
-    def delete(self, clustering: tuple, tombstone_ts: int) -> int:
-        """Write a row tombstone (deletes survive flush/merge); returns
-        the row-count delta (0 or 1 — tombstones are buffered rows)."""
-        marker = Row(clustering, {}, tombstone_ts=tombstone_ts)
-        existing = self.rows.get(clustering)
-        if existing is None:
-            self.rows[clustering] = marker
-            self._dirty = True
-            return 1
-        self.rows[clustering] = merge_rows(existing, marker)
-        return 0
-
     def sorted_keys(self) -> list[tuple]:
         if self._dirty or len(self._sorted_keys) != len(self.rows):
             self._sorted_keys = sorted(self.rows)
             self._dirty = False
         return self._sorted_keys
-
-    def sorted_items(self) -> tuple[list[tuple], list[Row]]:
-        """Sorted clustering keys and their rows, as parallel lists.
-
-        The flush path hands both straight to the SSTable build: the key
-        list becomes the column block's clustering array, so the build
-        skips re-extracting one tuple per row.  The sealed memtable is
-        discarded after the flush, so sharing the internal key list is
-        safe.
-        """
-        keys = self.sorted_keys()
-        return keys, [self.rows[k] for k in keys]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -111,14 +96,32 @@ class Memtable:
             count += part.upsert(row)
         self._row_count += count
 
-    def delete(self, partition_key: str, clustering: tuple, tombstone_ts: int) -> None:
+    def slice_partition_view(
+        self,
+        partition_key: str,
+        lower: ClusteringBound | None = None,
+        upper: ClusteringBound | None = None,
+    ) -> tuple[BlockView, int] | None:
+        """The in-bounds slice of a partition plus the pruned-row count;
+        ``None`` when the partition is absent — the contract of
+        :meth:`SSTable.slice_partition_view`.
+
+        The sorted key list is bisected and only the in-bounds rows are
+        gathered, into a row-backed block built for this one read (the
+        caller holds off writers while it is built, not after).
+        """
         part = self.partitions.get(partition_key)
         if part is None:
-            part = self.partitions[partition_key] = MemPartition()
-        self._row_count += part.delete(clustering, tombstone_ts)
-
-    def get_partition(self, partition_key: str) -> MemPartition | None:
-        return self.partitions.get(partition_key)
+            return None
+        keys = part.sorted_keys()
+        lo, hi = slice_bounds_keys(keys, lower, upper)
+        rows = part.rows
+        if hi - lo < len(keys):
+            keys = keys[lo:hi]
+        # (The whole key list is shared, not copied: a re-sort replaces
+        # it, nothing edits it, and a flush keeps it as the block's.)
+        block = ColumnBlock.over_rows([rows[k] for k in keys], keys)
+        return BlockView(block), len(rows) - len(keys)
 
     def partition_keys(self) -> Iterator[str]:
         return iter(self.partitions)
@@ -130,6 +133,3 @@ class Memtable:
 
     def __len__(self) -> int:
         return self._row_count
-
-    def items(self) -> Iterable[tuple[str, MemPartition]]:
-        return self.partitions.items()

@@ -150,11 +150,6 @@ class StorageNode:
                                    table=table, rows=len(items)):
             self.ensure_table(table).write_rows(items)
 
-    def delete(self, table: str, partition_key: str, clustering: tuple,
-               tombstone_ts: int) -> None:
-        self._check_up()
-        self.ensure_table(table).delete(partition_key, clustering, tombstone_ts)
-
     def read_partition(
         self,
         table: str,

@@ -14,14 +14,19 @@ timestamp is stored once on the :class:`Row`; only a row that merged
 writes made at different times names the cells that differ
 (``cell_ts``).  An ingested log row is therefore one object holding a
 dict of scalars, which the cyclic collector does not track.
+
+A range read names a lower and an upper :class:`ClusteringBound`;
+:func:`slice_bounds_keys` applies them to a sorted clustering-key
+array, which is how every tier — memtable and run — cuts its slice.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Any, Collection, Iterator, Mapping
 
-__all__ = ["Cell", "Row", "ClusteringBound", "merge_rows"]
+__all__ = ["Cell", "Row", "ClusteringBound", "merge_rows", "slice_bounds_keys"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,10 +107,6 @@ class Row:
             cell_ts = {name: ts for name, ts in zip(values, stamps)
                        if ts != write_ts}
         return cls(clustering, values, write_ts, tombstone_ts, cell_ts)
-
-    @property
-    def is_deleted(self) -> bool:
-        return self.tombstone_ts is not None
 
     @property
     def is_live(self) -> bool:
@@ -218,3 +219,71 @@ class ClusteringBound:
             return prefix < self.key
         # Prefix matches the bound: inclusive admits it, exclusive rejects.
         return self.inclusive
+
+
+def _narrowed(samples: list[tuple] | None, key: tuple, interval: int,
+              n: int, right: bool) -> tuple[int, int]:
+    """Bisect the sparse samples to confine the exact bisect to one
+    sample block: ``[blo, bhi)``."""
+    if not samples:
+        return 0, n
+    if right:
+        j = bisect.bisect_right(samples, key)
+        return max(0, (j - 1) * interval), min(n, j * interval)
+    i = bisect.bisect_left(samples, key)
+    return max(0, (i - 1) * interval), min(n, i * interval)
+
+
+def slice_bounds_keys(
+    keys: list[tuple],
+    lower: ClusteringBound | None = None,
+    upper: ClusteringBound | None = None,
+    *,
+    samples: list[tuple] | None = None,
+    interval: int = 0,
+) -> tuple[int, int]:
+    """The ``[lo, hi)`` index range of sorted clustering *keys* admitted
+    by the bounds.
+
+    Bisects the key array (``ColumnBlock.clustering``, or a memtable
+    partition's sorted key list), then applies the (prefix-aware) bound
+    predicates to the edge elements only — O(log n + edge) for the
+    probe.  With *samples* (a run's sparse clustering index: every
+    *interval*-th key, both given) each bisect is first narrowed to a
+    single sample block, so it inspects O(log(n/interval) +
+    log(interval)) keys of a large partition.
+    """
+    n = len(keys)
+    lo, hi = 0, n
+    if not n:
+        return 0, 0
+    if lower is not None:
+        blo, bhi = _narrowed(samples, lower.key, interval, n, right=False)
+        lo = bisect.bisect_left(keys, lower.key, blo, bhi)
+        while lo < n and not lower.admits_lower(keys[lo]):
+            lo += 1
+    if upper is not None:
+        # Pad the bound so that every clustering tuple sharing the prefix
+        # sorts below the sentinel, then walk back over rejected edges.
+        padded = upper.key + (_Greatest(),)
+        blo, bhi = _narrowed(samples, padded, interval, n, right=True)
+        hi = bisect.bisect_right(keys, padded, blo, bhi)
+        while hi > lo and not upper.admits_upper(keys[hi - 1]):
+            hi -= 1
+    return lo, max(lo, hi)
+
+
+class _Greatest:
+    """Sentinel comparing greater than any value (for prefix upper bounds)."""
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __gt__(self, other) -> bool:
+        return True
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Greatest)
+
+    def __hash__(self) -> int:
+        return hash("_Greatest")

@@ -45,7 +45,9 @@ class TableSchema:
         Column names forming the in-partition sort order.  May be empty
         for single-row-per-partition tables (e.g. ``nodeinfos``).
     clustering_order:
-        ``"asc"`` or ``"desc"``; the event tables use ascending timestamp.
+        ``"asc"`` or ``"desc"``: the direction a CQL ``SELECT`` without
+        ``ORDER BY`` reads a partition in (rows are stored ascending
+        either way); the event tables use ascending timestamp.
     index_interval:
         Sparse-clustering-index density for this table's SSTables: one
         key sampled per this many rows.  Wide telemetry tables can use a
@@ -117,7 +119,6 @@ class TableSchema:
         return BlockHints(
             index_interval=self.index_interval,
             dict_columns=frozenset(self.dict_columns),
-            column_types=dict(self.column_types) or None,
         )
 
     # -- time buckets ---------------------------------------------------

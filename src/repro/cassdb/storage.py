@@ -1,9 +1,12 @@
 """Per-node, per-table LSM storage engine.
 
 Ties together the write path (memtable → flush → SSTables → compaction)
-and the read path (newest-to-oldest merge across memtable and SSTables,
-then a clustering-range scan).  One :class:`TableStore` exists per table
-per storage node.
+and the read path: every tier — the active memtable, sealed ones, each
+run — is asked the same ``slice_partition_view(pk, lower, upper)`` and
+answers a :class:`~repro.cassdb.vector.BlockView`; one answer is served
+as it is, several are merged.  A delete arrives as any write does, as a
+tombstone marker row.  One :class:`TableStore` exists per table per
+storage node.
 
 Concurrency model: the store lock guards *pointer swaps* (memtable
 upserts, sealing a memtable, publishing an SSTable), never bulk work.
@@ -24,7 +27,7 @@ from repro import obs
 
 from .memtable import Memtable
 from .row import ClusteringBound, Row
-from .sstable import SSTable, merge_sstables, slice_bounds_keys
+from .sstable import SSTable, merge_sstables
 from .vector import BlockHints, BlockView, ColumnBlock, merge_views
 
 __all__ = ["StoreStats", "TableStore"]
@@ -108,14 +111,6 @@ class TableStore:
         with self.lock:
             self.memtable.upsert_many(items)
             self.stats.writes += len(items)
-            sealed = self._maybe_seal_locked()
-        if sealed is not None:
-            self._build_sstable(sealed)
-
-    def delete(self, partition_key: str, clustering: tuple, tombstone_ts: int) -> None:
-        with self.lock:
-            self.memtable.delete(partition_key, clustering, tombstone_ts)
-            self.stats.writes += 1
             sealed = self._maybe_seal_locked()
         if sealed is not None:
             self._build_sstable(sealed)
@@ -219,16 +214,18 @@ class TableStore:
         """:meth:`read_partition` as the view the vectorized kernels
         filter, project and fold.
 
-        When every stored copy of the partition lives in one SSTable
-        run — the steady state after flush/compaction — the view is over
-        that run's block: its live, in-bounds offsets, no ``Row`` built.
-        With several sources (memtable deltas, un-compacted runs) the
-        k-way merge reconciles them and the view is over a row-backed
-        block of what it emitted.  Either way dead rows are gone, the
-        block ascends and *reverse*/*limit* are the view's order.
+        When one tier alone holds the partition — one SSTable run, the
+        steady state after flush/compaction, or one memtable, a
+        partition written since the last flush — the view is that
+        tier's slice, dead rows dropped: no merge runs and, over a run,
+        no ``Row`` is built.  With several sources (memtable deltas,
+        un-compacted runs) the k-way merge reconciles them and the view
+        is over a row-backed block of what it emitted.  Either way dead
+        rows are gone, the block ascends and *reverse*/*limit* are the
+        view's order.
         """
         sources = self._slices(partition_key, lower, upper)
-        if len(sources) == 1 and isinstance(sources[0], BlockView):
+        if len(sources) == 1:
             return sources[0].live().ordered(reverse, limit)
         # The merge stops at *limit* and, reversed, emits descending.
         rows = merge_views(sources, reverse=reverse, limit=limit)
@@ -248,33 +245,26 @@ class TableStore:
                            keep_dead=True)
 
     def _slices(self, partition_key: str, lower: ClusteringBound | None,
-                upper: ClusteringBound | None) -> list:
-        """Every tier's in-bounds slice of a partition, as
-        :func:`merge_views` takes them: memtable slices are row lists,
-        SSTable slices are views."""
-        sources: list = []
+                upper: ClusteringBound | None) -> list[BlockView]:
+        """Every tier's non-empty in-bounds slice of a partition, newest
+        tier first.  Memtables (active, then sealed ones awaiting their
+        build) and runs answer the same ``slice_partition_view``; a run
+        is asked only if its bloom filter — probed once — lets it be."""
+        sources: list[BlockView] = []
         pruned = 0
         with self.lock:
             self.stats.reads += 1
-            for mem in (self.memtable, *self.frozen):
-                mem_part = mem.get_partition(partition_key)
-                if mem_part is None:
-                    continue
-                # Bisect the key list; build only the in-bounds rows.
-                keys = mem_part.sorted_keys()
-                lo, hi = slice_bounds_keys(keys, lower, upper)
-                pruned += len(keys) - (hi - lo)
-                if hi > lo:
-                    rows = mem_part.rows
-                    sources.append([rows[k] for k in keys[lo:hi]])
+            tiers: list[Memtable | SSTable] = [self.memtable, *self.frozen]
             for sst in self.sstables:
-                if not sst.maybe_contains(partition_key):
+                if sst.maybe_contains(partition_key):
+                    self.stats.sstable_probes += 1
+                    _M_SSTABLE_PROBES.inc()
+                    tiers.append(sst)
+                else:
                     self.stats.bloom_skips += 1
                     _M_BLOOM_SKIPS.inc()
-                    continue
-                self.stats.sstable_probes += 1
-                _M_SSTABLE_PROBES.inc()
-                sliced = sst.slice_partition_view(partition_key, lower, upper)
+            for tier in tiers:
+                sliced = tier.slice_partition_view(partition_key, lower, upper)
                 if sliced is not None:
                     source, skipped = sliced
                     pruned += skipped

@@ -3,18 +3,20 @@
 A partition read has one shape: a :class:`BlockView` — a
 :class:`ColumnBlock` plus an ordered selection of its row offsets.  An
 SSTable stores each partition *column-major* (an eager block, built at
-flush); what a merge of several sources emits (memtable deltas,
-un-compacted runs, a QUORUM reconcile) is wrapped in a *row-backed*
-block whose columns are transposed out of the rows on first use
-(:meth:`ColumnBlock.over_rows`).  Either way pushed-down predicates,
-projections and aggregate folds run one column at a time over the
-selection (:func:`select_rows`, :func:`materialize_dicts`,
-:func:`fold_view`, :func:`column_lists`), so result dicts are built only
-for the survivors — and for aggregates and column reads, never at all.
-For analytics scans — the workload the paper cares about — that is
-almost all of the work: a filtered scan keeps a few percent of the rows
-it touches, and a pushed-down ``GROUP BY`` reduces thousands of rows to
-a handful of partial states.
+flush or compaction and handed to the run); a memtable answers a slice,
+and a merge of several sources (memtable deltas, un-compacted runs, a
+QUORUM reconcile) emits its rows, as a *row-backed* block whose columns
+are transposed out of the rows on first use
+(:meth:`ColumnBlock.over_rows`).  Both kinds report their dead rows the
+same way, so :func:`merge_views` takes views and nothing else.  Either
+way pushed-down predicates, projections and aggregate folds run one
+column at a time over the selection (:func:`select_rows`,
+:func:`materialize_dicts`, :func:`fold_view`, :func:`column_lists`), so
+result dicts are built only for the survivors — and for aggregates and
+column reads, never at all.  For analytics scans — the workload the
+paper cares about — that is almost all of the work: a filtered scan
+keeps a few percent of the rows it touches, and a pushed-down ``GROUP
+BY`` reduces thousands of rows to a handful of partial states.
 
 Low-cardinality string columns of an eager block (event type,
 cabinet/location, component — §II-B's categorical fields) are
@@ -85,7 +87,6 @@ class BlockHints:
 
     index_interval: int = 64
     dict_columns: frozenset[str] = frozenset()
-    column_types: Mapping[str, str] | None = None
 
 
 class Column:
@@ -195,10 +196,11 @@ class ColumnBlock:
 
     A block is either *eager* (:meth:`from_rows`: every column encoded
     when the block is built — what an SSTable stores) or *row-backed*
-    (:meth:`over_rows`: the rows a merge emitted stay the store of
-    record and :meth:`column` transposes a column out of them the first
-    time a kernel names it).  Kernels see the same :class:`Column`
-    either way.
+    (:meth:`over_rows`: a memtable's slice or the rows a merge emitted
+    stay the store of record and :meth:`column` transposes a column out
+    of them the first time a kernel names it).  Kernels see the same
+    :class:`Column`, and the merge the same ``live``/``n_dead``, either
+    way.
     """
 
     __slots__ = ("_clustering", "n", "columns", "live", "n_dead",
@@ -217,14 +219,26 @@ class ColumnBlock:
         self.row_backed = False
 
     @classmethod
-    def over_rows(cls, rows: list[Row]) -> "ColumnBlock":
-        """A block over *rows* as they are: live, in ascending clustering
-        order — what :func:`merge_views` or a replica reconcile emits.
-        Nothing is encoded; a read that names no cell column (a count, a
-        rehydration) never transposes one."""
-        block = cls((), {}, None, 0, {})
-        block._clustering = None  # read off the rows when first named
-        block.n = len(rows)
+    def over_rows(cls, rows: list[Row],
+                  clustering: list[tuple] | None = None) -> "ColumnBlock":
+        """A block over *rows* as they are, in ascending clustering
+        order: a memtable's slice (which passes the key slice it
+        bisected as *clustering*), what :func:`merge_views` emitted, a
+        copy replicas exchanged.  Dead rows are reported as an eager
+        block reports them (``n_dead``/``live``); nothing is encoded, and
+        a read that names no cell column (a count, a rehydration) never
+        transposes one."""
+        n = len(rows)
+        dead = [i for i, r in enumerate(rows)
+                if not r.values and r.tombstone_ts is not None]
+        live = None
+        if dead:
+            live = bytearray(b"\x01" * n)
+            for i in dead:
+                live[i] = 0
+        block = cls((), {}, live, len(dead), {})
+        block._clustering = clustering  # None: read off the rows when named
+        block.n = n
         block._rows = rows
         block.row_backed = True
         return block
@@ -804,33 +818,21 @@ class _RevKey:
         return isinstance(other, _RevKey) and self.key == other.key
 
 
-def _entries(source, reverse: bool):
-    """Yield (clustering_key, payload) lazily; payload is a Row for
-    row-list sources or a (block, offset) pair for block views."""
-    if isinstance(source, BlockView):
-        block = source.block
-        order = source.order[::-1] if reverse else source.order
-        cl = block.clustering
-        for i in order:
-            yield cl[i], (block, i)
-    else:
-        rows = reversed(source) if reverse else source
-        for row in rows:
-            yield row.clustering, row
+def _entries(view: "BlockView", reverse: bool):
+    """Yield (clustering_key, offset) over a view's selection, lazily."""
+    order = view.order[::-1] if reverse else view.order
+    cl = view.block.clustering
+    for i in order:
+        yield cl[i], i
 
 
-def _as_row(payload) -> Row:
-    if type(payload) is tuple:
-        block, i = payload
-        return block.row_at(i)
-    return payload
-
-
-def merge_views(sources: list, reverse: bool = False,
+def merge_views(sources: list[BlockView], reverse: bool = False,
                 limit: int | None = None, *,
                 keep_dead: bool = False) -> list[Row]:
     """The store's one reconcile: k-way merge of sorted copies of a
-    partition (row lists and/or block views).
+    partition, each a :class:`BlockView` — a memtable's slice, a run's
+    slice, a copy a replica exchanged (the coordinator wraps it with
+    :meth:`ColumnBlock.over_rows`).
 
     Compares on the blocks' clustering arrays and materializes a Row
     only for keys that collide across sources or reach the output —
@@ -849,20 +851,10 @@ def merge_views(sources: list, reverse: bool = False,
     if limit is not None and limit <= 0:
         return []
     if len(sources) == 1:
-        source = sources[0]
-        if isinstance(source, BlockView):
-            if not keep_dead:
-                source = source.live()
-            return source.ordered(reverse, limit).to_rows()
-        ordered = source[::-1] if reverse else source
-        out = []
-        for row in ordered:
-            if row.is_live or keep_dead:
-                out.append(row)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
+        source = sources[0] if keep_dead else sources[0].live()
+        return source.ordered(reverse, limit).to_rows()
     make_key = _RevKey if reverse else (lambda k: k)
+    blocks = [source.block for source in sources]
     heap = []
     for sid, source in enumerate(sources):
         it = _entries(source, reverse)
@@ -872,35 +864,31 @@ def merge_views(sources: list, reverse: bool = False,
     heapq.heapify(heap)
     out: list[Row] = []
     while heap:
-        key, _sid, payload, it = heapq.heappop(heap)
+        key, sid, i, it = heapq.heappop(heap)
         nxt = next(it, None)
         if nxt is not None:
-            heapq.heappush(heap, (make_key(nxt[0]), _sid, nxt[1], it))
+            heapq.heappush(heap, (make_key(nxt[0]), sid, nxt[1], it))
+        block = blocks[sid]
         if heap and heap[0][0] == key:
-            # Collision: reconcile every run's copy before liveness —
+            # Collision: reconcile every source's copy before liveness —
             # a tombstone in one run may shadow the others' cells.
-            row = _as_row(payload)
+            row = block.row_at(i)
             while heap and heap[0][0] == key:
-                _k, sid2, payload2, it2 = heapq.heappop(heap)
-                row = merge_rows(row, _as_row(payload2))
+                _k, sid2, i2, it2 = heapq.heappop(heap)
+                row = merge_rows(row, blocks[sid2].row_at(i2))
                 nxt = next(it2, None)
                 if nxt is not None:
                     heapq.heappush(
                         heap, (make_key(nxt[0]), sid2, nxt[1], it2))
             if not row.is_live and not keep_dead:
                 continue
-        elif type(payload) is tuple:
+        else:
             # Sole owner of this key: check liveness on the bitmap and
             # materialize only if the row is emitted.
-            block, i = payload
             if (block.live is not None and not block.live[i]
                     and not keep_dead):
                 continue
             row = block.row_at(i)
-        else:
-            if not payload.is_live and not keep_dead:
-                continue
-            row = payload
         out.append(row)
         if limit is not None and len(out) >= limit:
             break

@@ -136,6 +136,10 @@ def lower_select(stmt: Select, schema: TableSchema) -> LogicalNode:
     if stmt.predicates:
         plan = LogicalFilter(list(stmt.predicates), child=plan)
 
+    if stmt.aggregates is None:
+        # The table's declared clustering order is the scan's default
+        # direction; an explicit ORDER BY overrides it.
+        scan.reverse = schema.clustering_order == "desc"
     if stmt.order_by is not None:
         col, direction = stmt.order_by
         if not schema.clustering_key or col != schema.clustering_key[0]:

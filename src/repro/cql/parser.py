@@ -175,9 +175,8 @@ class _Parser:
             else:
                 col = self.identifier()
                 # Column type: advisory — the store stays
-                # schema-flexible, but the declared types reach
-                # TableSchema.column_types (and from there the columnar
-                # block hints).
+                # schema-flexible; the declared types are kept on
+                # TableSchema.column_types.
                 types.append((col, self.identifier()))
             if self.accept(")"):
                 break

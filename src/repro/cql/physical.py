@@ -80,23 +80,6 @@ class PhysicalOp:
         return node
 
 
-def _matches(row: dict, column: str, op: str, value: Any) -> bool:
-    val = row.get(column)
-    if val is None:
-        return False
-    if op == "=":
-        return val == value
-    if op == "in":
-        return val in value
-    if op == "<":
-        return val < value
-    if op == "<=":
-        return val <= value
-    if op == ">":
-        return val > value
-    return val >= value
-
-
 def _sorted_group_keys(groups: dict) -> list:
     try:
         return sorted(groups)
@@ -472,27 +455,26 @@ class FullScanAggregateExec(_ScanBase):
 # --------------------------------------------------------------------------
 
 class FilterExec(PhysicalOp):
-    """Residual (post-scan) predicate evaluation over row dicts."""
+    """Residual predicates, evaluated inside the scan below.
+
+    The planner only ever puts a ``Filter`` directly over an unlimited
+    ``PartitionScan`` (``limit_pushdown`` fires only once the filter has
+    been spliced out), so executing it *is* the fused call: the bound
+    predicates go into the scan and replicas filter per-column before
+    any row dict exists.  The plan tree (and EXPLAIN) keeps the
+    Filter→PartitionScan shape.
+    """
 
     name = "Filter"
 
-    def __init__(self, predicates: list[Predicate], child: PhysicalOp):
+    def __init__(self, predicates: list[Predicate],
+                 child: "PartitionScanExec"):
         self.predicates = predicates
         self.children = (child,)
 
     def execute(self, rt: Runtime) -> list[dict]:
-        bound = _bind(rt, self.predicates)
-        child = self.children[0]
-        if isinstance(child, PartitionScanExec) and child.limit is None:
-            # Runtime fusion: push the bound predicates into the scan so
-            # columnar replicas filter per-column before materializing
-            # row dicts.  The plan tree (and EXPLAIN) keeps the
-            # Filter→PartitionScan shape.
-            return child.execute(rt, predicates=bound)
-        return [
-            r for r in child.execute(rt)
-            if all(_matches(r, c, op, v) for c, op, v in bound)
-        ]
+        return self.children[0].execute(
+            rt, predicates=_bind(rt, self.predicates))
 
     def explain_attrs(self) -> dict[str, Any]:
         return {"predicates": [p.render() for p in self.predicates]}

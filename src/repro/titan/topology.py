@@ -187,13 +187,6 @@ class TitanTopology:
                 getattr(loc, attr) for loc in self.nodes())
         return found
 
-    def nodes_in_cabinet(self, cabinet: str) -> Iterator[NodeLocation]:
-        col, row = self.parse_cabinet(cabinet)
-        for cage in range(CAGES_PER_CABINET):
-            for slot in range(SLOTS_PER_CAGE):
-                for node in range(NODES_PER_SLOT):
-                    yield NodeLocation(col, row, cage, slot, node)
-
     @staticmethod
     def parse_cabinet(cabinet: str) -> tuple[int, int]:
         m = re.match(r"^c(\d+)-(\d+)$", cabinet)

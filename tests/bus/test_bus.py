@@ -112,18 +112,6 @@ class TestConsumerGroups:
         c1.commit()
         assert len(c2.poll()) == 3  # unaffected by g1's commit
 
-    def test_reset_group_rewinds(self, bus):
-        for i in range(4):
-            bus.publish("events", i)
-        group = ConsumerGroup(bus, "g1", "events")
-        c = group.join()
-        c.poll()
-        c.commit()
-        bus.reset_group("g1", "events")
-        c2 = group.join()  # rebalance resets positions
-        total = len(c.poll()) + len(c2.poll())
-        assert total == 4
-
     def test_poll_respects_max_records(self, bus):
         for i in range(100):
             bus.publish("events", i, key="k")

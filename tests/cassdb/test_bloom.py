@@ -49,13 +49,6 @@ class TestMembership:
         bf.add("a")
         assert len(bf) == 2
 
-    def test_fill_ratio_monotone(self):
-        bf = BloomFilter(1000)
-        r0 = bf.fill_ratio
-        for i in range(500):
-            bf.add(str(i))
-        assert bf.fill_ratio > r0
-
     def test_from_keys_empty(self):
         bf = BloomFilter.from_keys([])
         assert "x" not in bf

@@ -349,7 +349,8 @@ class TestMergeViews:
 
     def test_collision_reconciled_by_timestamp(self):
         a = self._view([_row(1.0, write_ts=5, v="new")])
-        b = [_row(1.0, write_ts=1, v="old"), _row(2.0, write_ts=1, v="x")]
+        b = BlockView(ColumnBlock.over_rows(
+            [_row(1.0, write_ts=1, v="old"), _row(2.0, write_ts=1, v="x")]))
         out = merge_views([a, b])
         assert out[0].cells["v"].value == "new"
         assert len(out) == 2
@@ -361,7 +362,7 @@ class TestMergeViews:
 
     def test_mixed_view_and_row_sources_interleave(self):
         a = self._view([_row(1.0), _row(4.0)])
-        b = [_row(2.0), _row(3.0)]
+        b = BlockView(ColumnBlock.over_rows([_row(2.0), _row(3.0)]))
         out = merge_views([a, b])
         assert [r.clustering[0] for r in out] == [1.0, 2.0, 3.0, 4.0]
 
@@ -451,7 +452,7 @@ class TestSSTableColumnar:
         for i in range(10):
             mt.upsert("pk", _row(float(i), type=TYPES[i]))
         sst = SSTable.from_memtable(mt)
-        block = sst.block("pk")
+        block = sst.partitions.get("pk")
         assert isinstance(block, ColumnBlock)
         assert block.columns["type"].codes is not None
 
@@ -463,12 +464,12 @@ class TestSSTableColumnar:
         sst = SSTable.from_memtable(mt)
         sst.partitions.pop("pk", None)
         assert sst.slice_partition_view("pk", None, None) is None
-        assert sst.block("pk") is None
+        assert sst.partitions.get("pk") is None
 
     def test_partition_setitem_reencodes(self):
         mt = Memtable()
         mt.upsert("pk", _row(1.0, v="a"))
         sst = SSTable.from_memtable(mt)
         sst.partitions["pk"] = ColumnBlock.from_rows([_row(2.0, v="b")])
-        assert sst.block("pk").clustering == [(2.0, 0)]
+        assert sst.partitions.get("pk").clustering == [(2.0, 0)]
         assert sst.partitions["pk"].rows()[0].cells["v"].value == "b"

@@ -1,16 +1,17 @@
 """Unit tests for the memtable and SSTable layers."""
 
 from repro.cassdb.memtable import Memtable
-from repro.cassdb.row import Cell, ClusteringBound, Row
-from repro.cassdb.sstable import SSTable, merge_sstables, slice_bounds_keys
-from repro.cassdb.vector import merge_views
+from repro.cassdb.row import Cell, ClusteringBound, Row, slice_bounds_keys
+from repro.cassdb.sstable import SSTable, merge_sstables
+from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
 
 
 def scan_partition(rows, lower=None, upper=None, reverse=False):
     """Range-scan a sorted row list the way the store reads one source:
     bisect to the in-bounds slice, then merge (which orders it)."""
     lo, hi = slice_bounds_keys([r.clustering for r in rows], lower, upper)
-    return merge_views([rows[lo:hi]], reverse=reverse)
+    return merge_views([BlockView(ColumnBlock.over_rows(rows[lo:hi]))],
+                       reverse=reverse)
 
 
 def _row(ts, seq=0, ts_write=1, **cols):
@@ -22,17 +23,18 @@ class TestMemtable:
         mt = Memtable()
         for ts in (5.0, 1.0, 3.0):
             mt.upsert("pk", _row(ts))
-        part = mt.get_partition("pk")
-        keys, rows = part.sorted_items()
-        assert [r.clustering for r in rows] == keys
+        view, pruned = mt.slice_partition_view("pk")
+        keys = view.block.clustering
+        assert [r.clustering for r in view.to_rows()] == keys
         assert [key[0] for key in keys] == [1.0, 3.0, 5.0]
+        assert pruned == 0
 
     def test_upsert_same_key_merges(self):
         mt = Memtable()
         mt.upsert("pk", Row.from_values((1.0, 0), {"a": 1}, write_ts=1))
         mt.upsert("pk", Row.from_values((1.0, 0), {"b": 2}, write_ts=2))
         assert mt.row_count == 1
-        row = mt.get_partition("pk").rows[(1.0, 0)]
+        row = mt.partitions["pk"].rows[(1.0, 0)]
         assert row.as_dict() == {"a": 1, "b": 2}
 
     def test_row_count_across_partitions(self):
@@ -46,23 +48,23 @@ class TestMemtable:
     def test_delete_writes_tombstone(self):
         mt = Memtable()
         mt.upsert("pk", _row(1.0, ts_write=1))
-        mt.delete("pk", (1.0, 0), tombstone_ts=2)
-        row = mt.get_partition("pk").rows[(1.0, 0)]
+        mt.upsert("pk", Row((1.0, 0), {}, tombstone_ts=2))
+        row = mt.partitions["pk"].rows[(1.0, 0)]
         assert not row.is_live
 
     def test_delete_before_insert(self):
         mt = Memtable()
-        mt.delete("pk", (9.0, 0), tombstone_ts=5)
+        mt.upsert("pk", Row((9.0, 0), {}, tombstone_ts=5))
         assert mt.row_count == 1
-        assert not mt.get_partition("pk").rows[(9.0, 0)].is_live
+        assert not mt.partitions["pk"].rows[(9.0, 0)].is_live
 
     def test_missing_partition(self):
-        assert Memtable().get_partition("nope") is None
+        assert Memtable().slice_partition_view("nope") is None
 
     def test_sorted_keys_cache_invalidation(self):
         mt = Memtable()
         mt.upsert("pk", _row(2.0))
-        part = mt.get_partition("pk")
+        part = mt.partitions["pk"]
         assert part.sorted_keys() == [(2.0, 0)]
         mt.upsert("pk", _row(1.0))
         assert part.sorted_keys() == [(1.0, 0), (2.0, 0)]
@@ -94,7 +96,7 @@ class TestSSTable:
     def test_get_absent_partition(self):
         sst = self._sstable(10)
         assert sst.slice_partition_view("definitely-absent-partition") is None
-        assert sst.block("definitely-absent-partition") is None
+        assert sst.partitions.get("definitely-absent-partition") is None
 
     def test_generations_increase(self):
         a, b = self._sstable(5), self._sstable(5)
@@ -167,7 +169,7 @@ class TestMergeSSTables:
     def test_tombstones_collected(self):
         mt1, mt2 = Memtable(), Memtable()
         mt1.upsert("pk", Row.from_values((1.0, 0), {"v": 1}, write_ts=1))
-        mt2.delete("pk", (1.0, 0), tombstone_ts=2)
+        mt2.upsert("pk", Row((1.0, 0), {}, tombstone_ts=2))
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )

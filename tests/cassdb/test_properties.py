@@ -1,11 +1,14 @@
 """Property-based tests (hypothesis) for cassdb invariants."""
 
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cassdb import Cluster, Consistency, Session, TableSchema
 from repro.cassdb.bloom import BloomFilter
 from repro.cassdb.hashring import HashRing
+from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import ClusteringBound, Row
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.storage import TableStore
@@ -125,7 +128,7 @@ class TestStorageModel:
                 store.write("pk", Row.from_values((key,), {"v": val}, write_ts=ts))
                 model[(key,)] = val
             elif op == "delete":
-                store.delete("pk", (key,), tombstone_ts=ts)
+                store.write("pk", Row((key,), {}, tombstone_ts=ts))
                 model.pop((key,), None)
             elif op == "flush":
                 store.flush()
@@ -134,6 +137,56 @@ class TestStorageModel:
                 store.compact()
         got = {r.clustering: r.value("v") for r in store.read_partition("pk")}
         assert got == model
+
+    bounds = st.one_of(st.none(), st.builds(
+        ClusteringBound, st.tuples(st.integers(-1, 16)), st.booleans()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=ops, data=st.data())
+    def test_memtable_and_run_answer_the_same_slice(self, ops, data):
+        """One read face.  Before every flush and compaction of a
+        history, and at its end, the active memtable's slice for random
+        bounds is the slice of the run a flush would build from it —
+        the same rows, markers included, the same live rows, the same
+        pruned count — and the store's read of those bounds is the
+        model's."""
+        store = TableStore(flush_threshold=1000, max_sstables=3)
+        model: dict[tuple, int] = {}
+
+        def check():
+            lower, upper = data.draw(self.bounds), data.draw(self.bounds)
+            memtable = store.memtable
+            run = SSTable.from_memtable(memtable)
+            mine = memtable.slice_partition_view("pk", lower, upper)
+            theirs = run.slice_partition_view("pk", lower, upper)
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                assert mine[1] == theirs[1]
+                assert mine[0].to_rows() == theirs[0].to_rows()
+                assert (mine[0].live().to_rows()
+                        == theirs[0].live().to_rows())
+            got = {r.clustering: r.value("v")
+                   for r in store.read_partition("pk", lower, upper)}
+            assert got == {
+                key: val for key, val in model.items()
+                if (lower is None or lower.admits_lower(key))
+                and (upper is None or upper.admits_upper(key))}
+
+        ts = 0
+        for op, key, val in ops:
+            ts += 1
+            if op == "write":
+                store.write("pk", Row.from_values((key,), {"v": val}, write_ts=ts))
+                model[(key,)] = val
+            elif op == "delete":
+                store.write("pk", Row((key,), {}, tombstone_ts=ts))
+                model.pop((key,), None)
+            else:
+                check()
+                store.flush()
+                if op == "compact":
+                    store.compact()
+        check()
 
 
 class TestClusterProperties:
@@ -329,13 +382,20 @@ _ABSENT = object()  # a cell the row does not have (None is a stored null)
 
 
 @st.composite
-def live_rows(draw):
-    """Live rows ``ts = 0…n-1`` of one partition as (Row, result dict)
-    pairs: ``kind``/``amount`` cells absent, null or valued; one write
-    timestamp a row or an older one on ``kind``; some rows under a
-    tombstone older than their cells."""
+def partition_rows(draw):
+    """Rows ``ts = 0…n-1`` of one partition as (Row, result dict) pairs,
+    the dict ``None`` for a dead row.  Live rows: ``kind``/``amount``
+    cells absent, null or valued; one write timestamp a row or an older
+    one on ``kind``; some deleted and then rewritten (a tombstone older
+    than every cell).  Dead rows are tombstone markers, as a delete
+    writes them and as a memtable or an exchanged copy holds them."""
     out = []
     for ts in range(draw(st.integers(0, 20))):
+        if draw(st.integers(0, 4)) == 0:
+            marker = Row((ts, 0), {}, tombstone_ts=draw(st.integers(1, 9)))
+            assert not marker.is_live
+            out.append((marker, None))
+            continue
         values = {}
         kind = draw(st.sampled_from([_ABSENT, None, "a", "b", "c"]))
         if kind is not _ABSENT:
@@ -346,8 +406,9 @@ def live_rows(draw):
             values["amount"] = amount
         write_ts = draw(st.integers(2, 9))
         mixed = "kind" in values and draw(st.booleans())
-        shadowed = bool(values) and draw(st.booleans())
-        row = Row((ts, 0), values, write_ts, 0 if shadowed else None,
+        rewritten = bool(values) and draw(st.booleans())
+        row = Row((ts, 0), values, write_ts,
+                  draw(st.integers(0, write_ts - 2)) if rewritten else None,
                   {"kind": write_ts - 1} if mixed else None)
         assert row.is_live
         out.append((row, {"hour": 7, "ts": ts, "seq": 0, **values}))
@@ -356,8 +417,9 @@ def live_rows(draw):
 
 class TestOneBlockShape:
     """What a kernel answers does not depend on which block backs the
-    view: an eager block, a row-backed block over the same rows and the
-    reference SELECT agree."""
+    view: an eager block, a row-backed block over the same rows — dead
+    markers among them, as in a memtable's slice — and the reference
+    SELECT agree."""
 
     SCHEMA = TableSchema("t", partition_key=("hour",),
                          clustering_key=("ts", "seq"))
@@ -369,7 +431,7 @@ class TestOneBlockShape:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        pairs=live_rows(),
+        pairs=partition_rows(),
         selection=st.sampled_from(["all", "slice", "reversed", "holes"]),
         predicates=st.lists(st.one_of(
             st.tuples(st.just("kind"), st.just("in"),
@@ -398,7 +460,8 @@ class TestOneBlockShape:
         order = {"all": None, "slice": range(n // 3, n - n // 4),
                  "reversed": range(n)[::-1],
                  "holes": [i for i in range(n) if i % 3 != 1]}[selection]
-        dicts = [pairs[i][1] for i in (range(n) if order is None else order)]
+        picked = list(range(n) if order is None else order)
+        dicts = [pairs[i][1] for i in picked if pairs[i][1] is not None]
         sources = [(schema.column_source(c), op, v)
                    for c, op, v in predicates]
         kept = eval_select(dicts, predicates)
@@ -417,8 +480,13 @@ class TestOneBlockShape:
             for key, g in groups.items()}
         for block in (ColumnBlock.from_rows(rows, self.HINTS),
                       ColumnBlock.over_rows(rows)):
-            view = BlockView(block, order)
-            assert view.to_rows() == [rows[i] for i in view.order]
+            whole = BlockView(block, order)
+            assert whole.to_rows() == [rows[i] for i in picked]
+            assert block.n_dead == sum(d is None for _, d in pairs)
+            assert (block.live is None) == (block.n_dead == 0)
+            view = whole.live()
+            assert view.to_rows() == [rows[i] for i in picked
+                                      if rows[i].is_live]
             selected = select_rows(view, sources, pk)
             assert materialize_dicts(selected, schema, pk, None) == kept
             # Exactly the cells each row has: a stored null is there,
@@ -453,9 +521,9 @@ class TestOneMerge:
     reconcile: ``merge_sstables`` and ``merge_views`` over the same runs
     agree with ``tests/oracle/row.py`` folded key by key."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(runs=sorted_runs())
-    def test_compaction_and_merge_match_the_oracle_fold(self, runs):
+    @staticmethod
+    def _oracle_fold(runs):
+        """(every row, the live ones): the runs folded key by key."""
         folded: dict[tuple, row_oracle.Row] = {}
         for run in runs:
             for row in run:
@@ -463,20 +531,58 @@ class TestOneMerge:
                 folded[row.clustering] = (
                     row if seen is None else row_oracle.merge_rows(seen, row))
         every = [folded[key] for key in sorted(folded)]
-        live = [row for row in every if row.is_live]
-        tables = [SSTable({"pk": list(map(to_store, run))} if run else {})
+        return every, [row for row in every if row.is_live]
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs=sorted_runs())
+    def test_compaction_and_merge_match_the_oracle_fold(self, runs):
+        every, live = self._oracle_fold(runs)
+        tables = [SSTable({"pk": ColumnBlock.from_rows(
+                      list(map(to_store, run)))} if run else {})
                   for run in runs]
         for ordered in (tables, tables[::-1]):
             compacted = merge_sstables(ordered).partitions.get("pk")
             assert [to_oracle(row) for row in
                     (compacted.rows() if compacted else [])] == live
             views = [BlockView(block) for table in ordered
-                     if (block := table.block("pk")) is not None]
+                     if (block := table.partitions.get("pk")) is not None]
             assert [to_oracle(row) for row in merge_views(views)] == live
             assert [to_oracle(row) for row in
                     merge_views(views, keep_dead=True)] == every
             assert [to_oracle(row) for row in
                     merge_views(views, reverse=True)] == live[::-1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=sorted_runs(), data=st.data())
+    def test_views_of_every_tier_in_every_order(self, runs, data):
+        """The merge takes views and nothing else: a memtable's slice, a
+        run's slice and a copy a replica exchanged reconcile alike,
+        whichever order they arrive in."""
+        every, live = self._oracle_fold(runs)
+        sources = []
+        for run in runs:
+            stored = list(map(to_store, run))
+            shape = data.draw(st.sampled_from(
+                ["memtable", "run", "exchanged"])) if stored else "exchanged"
+            if shape == "memtable":
+                memtable = Memtable()
+                memtable.upsert_many(("pk", row) for row in stored[::-1])
+                view, _ = memtable.slice_partition_view("pk")
+            elif shape == "run":
+                view, _ = SSTable({"pk": ColumnBlock.from_rows(stored)}
+                                  ).slice_partition_view("pk")
+            else:
+                view = BlockView(ColumnBlock.over_rows(stored))
+            sources.append(view)
+        limit = data.draw(st.integers(1, 6))
+        for ordered in itertools.permutations(sources):
+            views = list(ordered)
+            for keep_dead, want in ((False, live), (True, every)):
+                assert [to_oracle(row) for row in merge_views(
+                    views, keep_dead=keep_dead)] == want
+                assert [to_oracle(row) for row in merge_views(
+                    views, reverse=True, limit=limit, keep_dead=keep_dead)
+                    ] == want[::-1][:limit]
 
 
 @st.composite

@@ -35,10 +35,6 @@ class TestRow:
         row = Row.from_values((1,), {"a": 1, "b": "x"})
         assert row.as_dict() == {"a": 1, "b": "x"}
 
-    def test_is_deleted(self):
-        assert not Row.from_values((1,), {}).is_deleted
-        assert Row((1,), {}, tombstone_ts=5).is_deleted
-
 
 class TestMergeRows:
     def test_different_clustering_rejected(self):
@@ -61,7 +57,7 @@ class TestMergeRows:
         data = Row.from_cells((1,), {"x": Cell(1, 10)})
         tomb = Row((1,), {}, tombstone_ts=15)
         m = merge_rows(data, tomb)
-        assert m.is_deleted
+        assert m.tombstone_ts == 15
         assert m.as_dict() == {}
 
     def test_newer_write_survives_tombstone(self):

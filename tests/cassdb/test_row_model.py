@@ -178,7 +178,7 @@ class TestStoreMatchesFoldedReference:
             elif op[0] == "delete":
                 _, pk, ck = op
                 clock += 1
-                store.delete(pk, (ck,), clock)
+                store.write(pk, Row((ck,), {}, tombstone_ts=clock))
                 remember(pk, oracle.Row((ck,), {}, clock))
                 clock += 1
             elif op[0] == "flush":

@@ -6,9 +6,13 @@ sample-block boundary, reverse-with-limit scans that hit tombstones, and
 degenerate empty inputs.
 """
 
-from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import slice_bounds_keys
-from repro.cassdb.vector import merge_views
+from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
+from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
+
+
+def _view(rows):
+    """A sorted row list as the merge takes it: a row-backed view."""
+    return BlockView(ColumnBlock.over_rows(rows))
 
 
 def _row(ts, seq=0, write_ts=1, **cols):
@@ -96,22 +100,22 @@ class TestReverseLimitWithTombstones:
         # any live row; they must be skipped, not counted.
         live = [_row(float(i)) for i in range(5)]
         dead = [_dead(float(i)) for i in range(5, 8)]
-        out = merge_views([live + dead], reverse=True, limit=2)
+        out = merge_views([_view(live + dead)], reverse=True, limit=2)
         assert [r.clustering[0] for r in out] == [4.0, 3.0]
 
     def test_reverse_limit_with_cross_slice_shadowing(self):
         older = [_row(1.0, v=1), _row(2.0, v=2), _row(3.0, v=3)]
         newer = [_dead(3.0, tombstone_ts=8)]
-        out = merge_views([newer, older], reverse=True, limit=2)
+        out = merge_views([_view(newer), _view(older)], reverse=True, limit=2)
         assert [r.clustering[0] for r in out] == [2.0, 1.0]
 
     def test_all_rows_dead_yields_nothing(self):
-        out = merge_views([[_dead(1.0), _dead(2.0)]], reverse=True, limit=5)
+        out = merge_views([_view([_dead(1.0), _dead(2.0)])], reverse=True, limit=5)
         assert out == []
 
     def test_limit_zero(self):
-        assert merge_views([[_row(1.0)]], limit=0) == []
-        assert merge_views([[_row(1.0)]], reverse=True, limit=0) == []
+        assert merge_views([_view([_row(1.0)])], limit=0) == []
+        assert merge_views([_view([_row(1.0)])], reverse=True, limit=0) == []
 
 
 class TestEmptyInputs:
@@ -125,8 +129,8 @@ class TestEmptyInputs:
         assert merge_views([], reverse=True, limit=3) == []
 
     def test_merge_empty_slices(self):
-        assert merge_views([[], []]) == []
-        assert merge_views([[], [_row(1.0)], []])[0].clustering == (1.0, 0)
+        assert merge_views([_view([]), _view([])]) == []
+        assert merge_views([_view([]), _view([_row(1.0)]), _view([])])[0].clustering == (1.0, 0)
 
     def test_disjoint_bounds_give_empty_range(self):
         keys = [(float(i), 0) for i in range(8)]

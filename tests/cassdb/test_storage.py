@@ -1,9 +1,16 @@
 """Unit tests for the per-node LSM table store."""
 
-from repro.cassdb.row import ClusteringBound, Row
-from repro.cassdb.sstable import SSTable, slice_bounds_keys
+import pytest
+
+from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
+from repro.cassdb.sstable import SSTable
 from repro.cassdb.storage import TableStore
-from repro.cassdb.vector import merge_views
+from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
+
+
+def _view(rows):
+    """A sorted row list as the merge takes it: a row-backed view."""
+    return BlockView(ColumnBlock.over_rows(rows))
 
 
 def _row(ts, seq=0, write_ts=1, **cols):
@@ -87,14 +94,14 @@ class TestReadPath:
         store = TableStore(flush_threshold=2)
         store.write("pk", _row(1.0, write_ts=1))
         store.write("pk", _row(2.0, write_ts=1))
-        store.delete("pk", (1.0, 0), tombstone_ts=5)
+        store.write("pk", Row((1.0, 0), {}, tombstone_ts=5))
         rows = store.read_partition("pk")
         assert [r.clustering[0] for r in rows] == [2.0]
 
     def test_delete_survives_flush_and_compaction(self):
         store = TableStore(flush_threshold=1, max_sstables=2)
         store.write("pk", _row(1.0, write_ts=1))
-        store.delete("pk", (1.0, 0), tombstone_ts=5)
+        store.write("pk", Row((1.0, 0), {}, tombstone_ts=5))
         store.flush()
         store.compact()
         assert store.read_partition("pk") == []
@@ -102,7 +109,7 @@ class TestReadPath:
     def test_insert_after_delete_resurrects(self):
         store = TableStore(flush_threshold=1)
         store.write("pk", Row.from_values((1.0, 0), {"v": 1}, write_ts=1))
-        store.delete("pk", (1.0, 0), tombstone_ts=2)
+        store.write("pk", Row((1.0, 0), {}, tombstone_ts=2))
         store.write("pk", Row.from_values((1.0, 0), {"v": 2}, write_ts=3))
         rows = store.read_partition("pk")
         assert len(rows) == 1
@@ -182,7 +189,7 @@ class TestBoundsPruning:
         for i in range(30):
             store.write("pk", _row(float(i), seq=i, write_ts=1))
         for i in range(0, 10, 2):
-            store.delete("pk", (float(i), i), tombstone_ts=10)
+            store.write("pk", Row((float(i), i), {}, tombstone_ts=10))
         rows = store.read_partition("pk", limit=6)
         assert [r.clustering[0] for r in rows] == [1.0, 3.0, 5.0, 7.0, 9.0, 10.0]
 
@@ -238,7 +245,7 @@ class TestBoundedMemtableRead:
         store = TableStore()
         self._write(store, self.KEYS)
         for key in ((100, 400), (110, 441), (120, 483), (7, 28)):
-            store.delete("pk", key, tombstone_ts=5)
+            store.write("pk", Row(key, {}, tombstone_ts=5))
         assert len(store.read_partition("pk")) == 996
         # A tombstone is a buffered row: pruned when outside, dropped by
         # the merge when inside.
@@ -266,7 +273,8 @@ class TestBoundedMemtableRead:
 class TestSparseIndexAndMerge:
     def test_sparse_index_built_for_large_partitions(self):
         rows = [_row(float(i), seq=i) for i in range(200)]
-        sst = SSTable({"big": rows, "small": rows[:10]})
+        sst = SSTable({"big": ColumnBlock.from_rows(rows),
+                       "small": ColumnBlock.from_rows(rows[:10])})
         assert "big" in sst.index
         assert "small" not in sst.index
         assert len(sst.index["big"]) == (200 + sst.index_interval - 1) // \
@@ -275,7 +283,7 @@ class TestSparseIndexAndMerge:
     def test_slice_bounds_with_and_without_samples_agree(self):
         rows = [_row(float(i // 3), seq=i) for i in range(500)]
         keys = [r.clustering for r in rows]
-        sst = SSTable({"pk": rows})
+        sst = SSTable({"pk": ColumnBlock.from_rows(rows)})
         for lo_v, hi_v, lo_inc, hi_inc in [
             (10.0, 50.0, True, True), (0.0, 0.0, True, True),
             (42.0, 43.0, False, False), (165.0, 900.0, True, True),
@@ -294,7 +302,7 @@ class TestSparseIndexAndMerge:
              for i in range(0, 10, 2)]
         b = [Row.from_values((float(i), 0), {"v": "b"}, write_ts=2)
              for i in range(0, 10, 3)]
-        merged = merge_views([a, b])
+        merged = merge_views([_view(a), _view(b)])
         assert [r.clustering[0] for r in merged] == [
             0.0, 2.0, 3.0, 4.0, 6.0, 8.0, 9.0]
         by_key = {r.clustering[0]: r.value("v") for r in merged}
@@ -305,5 +313,67 @@ class TestSparseIndexAndMerge:
     def test_merge_row_slices_reverse_limit(self):
         a = [_row(float(i), seq=0, write_ts=1) for i in range(0, 20, 2)]
         b = [_row(float(i), seq=0, write_ts=1) for i in range(1, 20, 2)]
-        out = merge_views([a, b], reverse=True, limit=4)
+        out = merge_views([_view(a), _view(b)], reverse=True, limit=4)
         assert [r.clustering[0] for r in out] == [19.0, 18.0, 17.0, 16.0]
+
+
+class TestOneReadFace:
+    """Every tier answers ``slice_partition_view``; the mechanism, held
+    as counts: a partition one tier alone holds is served with no merge,
+    and a read probes each run's bloom filter exactly once."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_memtable_only_partition_read_runs_no_merge(self, monkeypatch):
+        from repro.cassdb import storage
+
+        store = TableStore()
+        for i in range(50):
+            store.write("flushed", _row(float(i)))
+        store.flush()
+        for i in range(50):
+            store.write("pk", _row(float(i), seq=i))
+        store.write("pk", Row((7.0, 7), {}, tombstone_ts=5))
+        merges = self._count_calls(monkeypatch, storage, "merge_views")
+        view = store.read_partition_view(
+            "pk", ClusteringBound((5.0,)), ClusteringBound((9.0,)),
+            reverse=True, limit=3)
+        assert [r.clustering[0] for r in view.to_rows()] == [9.0, 8.0, 6.0]
+        assert len(store.read_partition("pk")) == 49
+        assert len(store.read_partition("flushed")) == 50  # one run alone
+        assert merges == []
+        store.write("flushed", _row(99.0))                 # memtable + run
+        assert len(store.read_partition("flushed")) == 51
+        assert len(merges) == 1
+
+    @pytest.mark.parametrize("runs", [0, 1, 3, 6])
+    def test_a_read_over_k_runs_tests_k_bloom_filters(self, monkeypatch, runs):
+        from repro.cassdb.bloom import BloomFilter
+
+        store = TableStore(max_sstables=64)
+        for run in range(runs):
+            # Even runs hold the partition read below, odd ones do not.
+            pk = "pk" if run % 2 == 0 else "other"
+            for i in range(10):
+                store.write(pk, _row(float(run * 10 + i)))
+            store.flush()
+        store.write("pk", _row(1000.0))
+        assert len(store.sstables) == runs
+        probes = self._count_calls(monkeypatch, BloomFilter, "__contains__")
+        for pk in ("pk", "other", "absent"):
+            del probes[:]
+            before = store.stats.bloom_skips + store.stats.sstable_probes
+            store.read_partition(pk, ClusteringBound((5.0,)))
+            assert len(probes) == runs
+            assert (store.stats.bloom_skips + store.stats.sstable_probes
+                    - before) == runs

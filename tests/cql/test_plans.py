@@ -170,3 +170,57 @@ class TestExplainStability:
             "SELECT count(*) FROM ev WHERE hour = 1 AND type = 'MCE'"
             " AND ts >= 1.0 LIMIT 3")
         assert set(plan["rules"]) <= set(RULE_NAMES)
+
+
+def _explained_statements():
+    """Every literal statement a golden test of this module explains,
+    read off the module's own source so a new golden joins by itself."""
+    import ast
+    import pathlib
+
+    tree = ast.parse(pathlib.Path(__file__).read_text(encoding="utf-8"))
+    return sorted({
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "explain" and node.args
+        and isinstance(node.args[0], ast.Constant)})
+
+
+class TestFilterIsAlwaysFused:
+    """``FilterExec.execute`` hands its predicates to the scan below and
+    has no row loop of its own, so a ``Filter`` over anything but an
+    unlimited ``PartitionScan`` would silently mis-filter.  The planner
+    never builds one (``limit_pushdown`` fires only once the filter was
+    spliced out); a rule that breaks that fails here."""
+
+    # Shapes that put LIMIT, ORDER BY and projection beside a residual.
+    EXTRA = [
+        "SELECT ts FROM ev WHERE hour = 1 AND type = 'MCE'"
+        " AND source = 'n0' LIMIT 3",
+        "SELECT * FROM ev WHERE hour IN (1, 2) AND type = 'MCE'"
+        " AND amount > 5 ORDER BY ts DESC LIMIT 2",
+        "SELECT ts FROM ev WHERE hour = 1 AND type = 'MCE'"
+        " AND ts >= 1.0 AND ts >= 2.0 LIMIT 1",
+    ]
+
+    def test_every_filter_sits_on_an_unlimited_partition_scan(self, session):
+        import tests.cql.test_engine as engine_tests
+        from repro.cql.physical import FilterExec, PartitionScanExec
+
+        statements = _explained_statements() + self.EXTRA + [
+            query for query, _params, _args
+            in engine_tests.TestPushdownParity.CASES]
+        assert len(statements) > 20
+        filters = 0
+        for statement in statements:
+            stack = [session.prepare(statement).physical]
+            while stack:
+                op = stack.pop()
+                stack.extend(op.children)
+                if isinstance(op, FilterExec):
+                    filters += 1
+                    (child,) = op.children
+                    assert isinstance(child, PartitionScanExec), statement
+                    assert child.limit is None, statement
+        assert filters >= 3

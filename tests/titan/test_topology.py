@@ -104,12 +104,6 @@ class TestTitanTopology:
         topo = TitanTopology(rows=2, cols=2)
         assert list(topo.cabinets()) == ["c0-0", "c1-0", "c0-1", "c1-1"]
 
-    def test_nodes_in_cabinet(self):
-        topo = TitanTopology(rows=1, cols=1)
-        nodes = list(topo.nodes_in_cabinet("c0-0"))
-        assert len(nodes) == 96
-        assert len({n.cname for n in nodes}) == 96
-
     def test_parse_cabinet(self):
         assert TitanTopology.parse_cabinet("c7-24") == (7, 24)
         with pytest.raises(ValueError):
