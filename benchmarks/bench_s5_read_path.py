@@ -10,10 +10,7 @@ the composed effect:
   same mix with both caches cleared before every pass;
 * **bounds-pruned scans** — a windowed ``ts >= x LIMIT n`` SELECT must
   prune rows (``cassdb.store.rows_pruned`` delta > 0) and beat the
-  full-partition scan it replaces;
-* **IN-list scatter-gather** — multi-partition reads fan out across the
-  coordinator pool; reported for visibility (pure-Python reads are
-  GIL-bound, so wall-clock parity is acceptable, ordering is not).
+  full-partition scan it replaces.
 
 Runs standalone for the CI smoke job::
 
@@ -112,33 +109,15 @@ def run_bounds_pruning(fw, hours, rounds=3):
             "speedup": t_full / t_bounded if t_bounded else float("inf")}
 
 
-def run_scatter_gather(fw, hours, rounds=3):
-    keys = [(h, "MCE") for h in range(hours)]
-
-    def scattered():
-        return fw.cluster.select_partitions("event_by_time", keys, limit=100)
-
-    def sequential():
-        return [fw.cluster.select_partition("event_by_time", k, limit=100)
-                for k in keys]
-
-    assert scattered() == sequential()  # same rows, same order
-    return {"scatter_s": _best(scattered, rounds),
-            "sequential_s": _best(sequential, rounds),
-            "partitions": len(keys)}
-
-
 def run_all(fw, server, hours, rounds=3):
     return {
         "warm_vs_cold": run_warm_vs_cold(fw, server, hours, rounds),
         "bounds_pruning": run_bounds_pruning(fw, hours, rounds),
-        "scatter_gather": run_scatter_gather(fw, hours, rounds),
     }
 
 
 def _report_all(results):
-    wc, bp, sg = (results["warm_vs_cold"], results["bounds_pruning"],
-                  results["scatter_gather"])
+    wc, bp = results["warm_vs_cold"], results["bounds_pruning"]
     report("S5: hot read path", [
         ("experiment", "baseline", "optimised", "speedup / note"),
         ("server query mix", f"{wc['cold_s']:.4f}s cold",
@@ -146,9 +125,6 @@ def _report_all(results):
         ("partition scan", f"{bp['full_s']:.4f}s full",
          f"{bp['bounded_s']:.4f}s bounded",
          f"{bp['speedup']:.1f}x, {bp['rows_pruned']} rows pruned"),
-        ("IN-list fan-out", f"{sg['sequential_s']:.4f}s sequential",
-         f"{sg['scatter_s']:.4f}s scatter",
-         f"{sg['partitions']} partitions"),
     ])
 
 
@@ -184,13 +160,6 @@ class TestHotReadPath:
         r = run_bounds_pruning(fw, hours=3)
         assert r["rows_pruned"] > 0, r
         assert r["bounded_s"] < r["full_s"], r
-
-    def test_scatter_preserves_order(self, dense, benchmark):
-        fw, server = dense
-        r = benchmark.pedantic(lambda: run_scatter_gather(fw, hours=3),
-                               rounds=1, iterations=1)
-        _report_all(run_all(fw, server, hours=3))
-        assert r["partitions"] == 3
 
 
 # -- standalone entry point (CI bench-smoke job) -----------------------------

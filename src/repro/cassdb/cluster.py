@@ -8,10 +8,16 @@ Cassandra node runs:
 * writes go to all replicas of the partition key; the coordinator waits
   for ``consistency`` acks and buffers *hints* for replicas that are
   down (hinted handoff, replayed when the replica recovers);
-* reads query ``consistency`` replicas; more than one answer with
-  their whole in-bounds copy, tombstone markers kept, the coordinator
-  reconciles the copies by cell timestamp and writes back what a
-  replica lacks — a missed delete included (read repair);
+* reads query ``consistency`` replicas; more than one are asked at
+  once on the replica pool and answer with their whole in-bounds copy,
+  tombstone markers kept, the coordinator reconciles the copies by cell
+  timestamp and writes back what a replica lacks — a missed delete
+  included (read repair);
+* a read of several partitions (an ``IN`` list, a time window) walks
+  them on the calling thread, in order: the network is a method call,
+  so there is no round-trip for a fan-out to save.
+  :meth:`Cluster.window_partitions` is the one place a ``[t0, t1)``
+  window becomes partitions and clustering bounds;
 * ``UnavailableError`` / ``WriteTimeoutError`` / ``ReadTimeoutError``
   reproduce the driver-visible failure modes.
 
@@ -171,13 +177,10 @@ class Cluster:
         # subscribing to individual writes.
         self._table_epochs: dict[str, int] = {}
         self._epoch_lock = threading.Lock()
-        # Scatter-gather executors, created on first use.  Two pools, not
-        # one: a partition fan-out task may itself fan out to replicas,
-        # and nesting both on a single bounded pool can deadlock.
+        # The replica-read executor, created by the first read that asks
+        # more than one replica (see _replica_pool).
         self._pool_lock = threading.Lock()
-        self._scatter_pool_: ThreadPoolExecutor | None = None
         self._replica_pool_: ThreadPoolExecutor | None = None
-        self.scatter_width = min(8, max(2, len(node_ids)))
         # Process-wide obs series (shared across Cluster instances).
         registry = obs.get_registry()
         self._m_reads = registry.counter("cassdb.coordinator.reads")
@@ -192,8 +195,6 @@ class Cluster:
         self._m_consistency_failures = registry.counter(
             "cassdb.consistency.failures")
         self._m_locality_reads = registry.counter("cassdb.locality.reads")
-        self._m_scatter_gathers = registry.counter(
-            "cassdb.coordinator.scatter_gathers")
         self._m_agg_pushdown_partitions = registry.counter(
             "cassdb.coordinator.agg_pushdown_partitions")
         self._m_parallel_replica_reads = registry.counter(
@@ -232,37 +233,30 @@ class Cluster:
         self._m_breaker_skips = registry.counter(
             "cassdb.breaker.skipped_targets")
 
-    # -- scatter-gather pools ----------------------------------------------
-
-    def _pool(self, attr: str, prefix: str) -> ThreadPoolExecutor:
-        pool = getattr(self, attr)
-        if pool is None:
-            with self._pool_lock:
-                pool = getattr(self, attr)
-                if pool is None:
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.scatter_width,
-                        thread_name_prefix=prefix,
-                    )
-                    setattr(self, attr, pool)
-        return pool
-
-    @property
-    def _scatter_pool(self) -> ThreadPoolExecutor:
-        return self._pool("_scatter_pool_", "cassdb-scatter")
+    # -- replica pool -------------------------------------------------------
 
     @property
     def _replica_pool(self) -> ThreadPoolExecutor:
-        return self._pool("_replica_pool_", "cassdb-replica")
+        """Where a QUORUM/ALL read asks its replicas at once, so a slow
+        one overlaps the others and a hedged duplicate can overtake it.
+        A CL=ONE read never comes here: it starts no thread."""
+        pool = self._replica_pool_
+        if pool is None:
+            with self._pool_lock:
+                pool = self._replica_pool_
+                if pool is None:
+                    pool = self._replica_pool_ = ThreadPoolExecutor(
+                        max_workers=min(8, max(2, len(self.nodes))),
+                        thread_name_prefix="cassdb-replica",
+                    )
+        return pool
 
     def close(self) -> None:
-        """Shut down the scatter-gather pools (idempotent)."""
+        """Shut down the replica pool (idempotent)."""
         with self._pool_lock:
-            for attr in ("_scatter_pool_", "_replica_pool_"):
-                pool = getattr(self, attr)
-                if pool is not None:
-                    pool.shutdown(wait=True, cancel_futures=True)
-                    setattr(self, attr, None)
+            if self._replica_pool_ is not None:
+                self._replica_pool_.shutdown(wait=True, cancel_futures=True)
+                self._replica_pool_ = None
 
     # -- schema -----------------------------------------------------------
 
@@ -781,40 +775,47 @@ class Cluster:
         predicates: Sequence[tuple[str, str, Any]] | None = None,
         consistency: Consistency = Consistency.ONE,
     ) -> list[list[dict[str, Any]]]:
-        """Scatter-gather read of several partitions (IN-list fan-out).
-
-        Dispatches one :meth:`select_partition` per key tuple to the
-        coordinator pool and gathers the per-partition row lists **in
-        input order** — Cassandra's multi-partition IN semantics, minus
-        the serial round-trips.  Single-key calls stay inline.
+        """Read several partitions (the IN-list fan-out): one
+        :meth:`select_partition` per key tuple, on the calling thread,
+        the per-partition row lists **in input order** — Cassandra's
+        multi-partition IN semantics.  *limit* is per partition.
         """
-        def read_one(pv: Sequence[Any] | Mapping[str, Any]):
-            return self.select_partition(
+        return [
+            self.select_partition(
                 table, pv, lower=lower, upper=upper, reverse=reverse,
                 limit=limit, columns=columns, predicates=predicates,
                 consistency=consistency,
             )
+            for pv in partition_values_list
+        ]
 
-        return self._scatter(read_one, partition_values_list,
-                             "cassdb.scatter_gather", table)
-
-    def select_window(
+    def window_partitions(
         self,
         table: str,
         t0: float,
         t1: float,
         rest: Sequence[Any] | None = None,
-    ) -> list[dict[str, Any]]:
-        """Rows of a time-bucketed table stamped in ``[t0, t1)``, in
-        (bucket, partition, clustering) order.
+    ) -> tuple[list[tuple], ClusteringBound, ClusteringBound]:
+        """What a read of ``[t0, t1)`` touches in a time-bucketed table:
+        the partition-key tuples, in (bucket, partition) order, and the
+        ``ts >= t0`` / ``ts < t1`` clustering bounds that make the store
+        prune instead of the caller filtering.
 
         *rest* is the partition-key values after the bucket column;
-        ``None`` reads every partition present in the covered buckets.
-        The table must cluster on the timestamp first: the window is
-        pushed to the store as clustering bounds, so the store prunes
-        instead of the caller filtering.
+        ``None`` names every partition present in the covered buckets.
+        The table must declare ``time_bucket`` and cluster on ``ts``
+        first — the column its buckets are stamped from.
         """
         schema = self.schema(table)
+        if schema.time_bucket is None:
+            raise SchemaError(
+                f"table {table!r} has no time_bucket: a windowed read "
+                "needs a bucketed table")
+        if schema.clustering_key[:1] != ("ts",):
+            raise SchemaError(
+                f"table {table!r}: first clustering column is "
+                f"{next(iter(schema.clustering_key), None)!r}, not 'ts', "
+                "so a window cannot be pushed down as clustering bounds")
         buckets = schema.buckets(t0, t1)
         if rest is not None:
             partitions = [(bucket, *rest) for bucket in buckets]
@@ -825,34 +826,28 @@ class Cluster:
                     for pk in self.partition_keys(table)
                 ) if values[0] in buckets
             )
-        parts = self.select_partitions(
-            table, partitions, lower=ClusteringBound((t0,)),
-            upper=ClusteringBound((t1,), inclusive=False),
-        )
-        return [row for rows in parts for row in rows]
+        return (partitions, ClusteringBound((t0,)),
+                ClusteringBound((t1,), inclusive=False))
 
-    def _scatter(self, fn: Callable[[Any], Any], items: Sequence[Any],
-                 span_name: str, table: str) -> list[Any]:
-        """``[fn(item) for item in items]`` in input order: inline for
-        at most one item, fanned out on the coordinator pool under one
-        *span_name* span otherwise."""
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        self._m_scatter_gathers.inc()
-        pool = self._scatter_pool
-        with obs.get_tracer().span(
-            span_name, table=table, partitions=len(items),
-        ):
-            futures = [
-                pool.submit(contextvars.copy_context().run, fn, item)
-                for item in items
-            ]
-            try:
-                return [f.result() for f in futures]
-            except BaseException:
-                for f in futures:
-                    f.cancel()
-                raise
+    def select_window(
+        self,
+        table: str,
+        t0: float,
+        t1: float,
+        rest: Sequence[Any] | None = None,
+        *,
+        predicates: Sequence[tuple[str, str, Any]] | None = None,
+    ) -> list[dict[str, Any]]:
+        """Rows of a time-bucketed table stamped in ``[t0, t1)``, in
+        (bucket, partition, clustering) order: one
+        :meth:`select_partition` per partition of
+        :meth:`window_partitions`, *predicates* handed to each."""
+        partitions, lower, upper = self.window_partitions(table, t0, t1, rest)
+        rows: list[dict[str, Any]] = []
+        for pv in partitions:
+            rows += self.select_partition(
+                table, pv, lower=lower, upper=upper, predicates=predicates)
+        return rows
 
     def aggregate_partitions(
         self,
@@ -872,22 +867,19 @@ class Cluster:
         (small) partial each fold returns.  *view* is the
         :class:`~repro.cassdb.vector.BlockView` the replica read
         answers, whichever tiers hold the partition; the vectorized
-        kernels fold it a column at a time.  Partials come back in
-        input order; merging them is the caller's job (the query
-        engine's MergePartials operator).  Multi-partition calls
-        scatter-gather on the coordinator pool like
-        :meth:`select_partitions`.
+        kernels fold it a column at a time.  Partitions are walked on
+        the calling thread and partials come back in input order;
+        merging them is the caller's job (the query engine's
+        MergePartials operator).
         """
         schema = self.schema(table)
         self._m_agg_pushdown_partitions.inc(len(partition_values_list))
-
-        def fold_one(pv: Sequence[Any] | Mapping[str, Any]) -> Any:
+        partials = []
+        for pv in partition_values_list:
             pk, pk_values = _partition_of(schema, pv)
-            return fold(pk_values, self._replicated_read(
-                table, pk, lower, upper, False, None, consistency))
-
-        return self._scatter(fold_one, partition_values_list,
-                             "cassdb.aggregate_scatter", table)
+            partials.append(fold(pk_values, self._replicated_read(
+                table, pk, lower, upper, False, None, consistency)))
+        return partials
 
     def _replicated_read(
         self,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.cassdb import Cluster, ClusteringBound, TableSchema
 from repro.cassdb.vector import column_lists
@@ -108,7 +108,6 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
 }
 
 _BY_TIME = TABLE_SCHEMAS["event_by_time"]
-_BY_LOCATION = TABLE_SCHEMAS["event_by_location"]
 _RUNS_BY_TIME = TABLE_SCHEMAS["application_by_time"]
 
 _SYNOPSIS_CQL = ("SELECT hour, type, count(*), count(amount), sum(amount)"
@@ -260,50 +259,39 @@ class LogDataModel:
 
     def events_of_type(self, event_type: str, t0: float, t1: float,
                        where: Predicates | None = None
-                       ) -> Iterator[dict[str, Any]]:
+                       ) -> list[dict[str, Any]]:
         """Events of one type in [t0, t1): one partition read per hour.
         The store applies the *where* residuals before it builds rows."""
-        for hour in _BY_TIME.buckets(t0, t1):
-            yield from self.cluster.select_partition(
-                "event_by_time", (hour, event_type),
-                lower=ClusteringBound((t0,)),
-                upper=ClusteringBound((t1,), inclusive=False),
-                predicates=where,
-            )
+        return self.cluster.select_window(
+            "event_by_time", t0, t1, (event_type,), predicates=where)
 
     def events_at_location(self, source: str, t0: float, t1: float,
                            where: Predicates | None = None
-                           ) -> Iterator[dict[str, Any]]:
+                           ) -> list[dict[str, Any]]:
         """All events at one component in [t0, t1), any type."""
-        for hour in _BY_LOCATION.buckets(t0, t1):
-            yield from self.cluster.select_partition(
-                "event_by_location", (hour, source),
-                lower=ClusteringBound((t0,)),
-                upper=ClusteringBound((t1,), inclusive=False),
-                predicates=where,
-            )
+        return self.cluster.select_window(
+            "event_by_location", t0, t1, (source,), predicates=where)
 
     def event_columns(self, view: str, key: str, t0: float, t1: float,
                       names: Sequence[str], where: Predicates | None = None
-                      ) -> Iterator[list[list]]:
+                      ) -> list[list[list]]:
         """The column read of an event view (``event_by_time`` keyed by
         type, ``event_by_location`` by source): per hour partition of
         *key* in [t0, t1), one value list per name in *names*, aligned,
         in clustering order, ``None`` where an event lacks the cell.
 
-        Extracting columns is a fold at the replica read, so it enters
-        the coordinator as one: no row is built on the way.
+        Extracting columns is a fold at the replica read, so the whole
+        window enters the coordinator as one: no row is built on the way.
         """
         schema = TABLE_SCHEMAS[view]
 
         def fold(pk_values, view):
             return column_lists(view, schema, pk_values, names, where)
 
-        lower = ClusteringBound((t0,))
-        upper = ClusteringBound((t1,), inclusive=False)
-        for hour in schema.buckets(t0, t1):
-            yield from self.cluster.aggregate_partitions(
-                view, [(hour, key)], lower=lower, upper=upper, fold=fold)
+        partitions, lower, upper = self.cluster.window_partitions(
+            view, t0, t1, (key,))
+        return self.cluster.aggregate_partitions(
+            view, partitions, lower=lower, upper=upper, fold=fold)
 
     # -- application queries ----------------------------------------------------------
 

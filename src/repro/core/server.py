@@ -441,7 +441,7 @@ class AnalyticsServer:
         """The request's ``[t0, t1)`` and the rows of time-bucketed
         *table* in it (bucket column dropped) — one partition read per
         covered bucket, exactly how event contexts read
-        ``event_by_time``.  *rest* as in ``Cluster.select_window``."""
+        ``event_by_time``.  *rest* as in ``Cluster.window_partitions``."""
         t0, t1 = self._telemetry_window(request)
         cluster = self.framework.cluster
         if table not in cluster.keyspace.tables:

@@ -257,15 +257,17 @@ class _ScanBase(PhysicalOp):
                        if any(op == "in" for _, op, _ in key_specs)
                        else "single_partition")
 
-    def _pk_tuples(self, rt: Runtime) -> list[list[Any]]:
+    def _pk_tuples(self, rt: Runtime) -> list[tuple]:
         per_column = []
         for _col, op, v in self.key_specs:
             if op == "in":
                 per_column.append([rt.resolve(x) for x in v])
             else:
                 per_column.append([rt.resolve(v)])
-        # Cartesian product of per-column value lists, in IN-list order.
-        return [list(combo) for combo in itertools.product(*per_column)]
+        # Cartesian product of the bound per-column value lists, in
+        # IN-list order.  IN is set membership: a key tuple written
+        # twice names its partition once, where it first occurs.
+        return list(dict.fromkeys(itertools.product(*per_column)))
 
     def _bounds(self, rt: Runtime) -> tuple[ClusteringBound | None,
                                             ClusteringBound | None]:
@@ -289,8 +291,9 @@ class _ScanBase(PhysicalOp):
 
 
 class PartitionScanExec(_ScanBase):
-    """Routed partition read: scatter-gather over the IN fan-out, with
-    clustering bounds, projection and limit pushed into the store."""
+    """Routed partition read: one read per distinct key tuple of the IN
+    fan-out, in IN-list order on the calling thread, with clustering
+    bounds, projection and limit pushed into the store."""
 
     name = "PartitionScan"
 

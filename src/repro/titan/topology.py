@@ -194,29 +194,6 @@ class TitanTopology:
             raise ValueError(f"not a valid cabinet name: {cabinet!r}")
         return int(m.group(1)), int(m.group(2))
 
-    # -- node selection ------------------------------------------------------------
-
-    def contiguous_allocation(self, start_index: int, size: int
-                              ) -> list[NodeLocation]:
-        """A job allocation of *size* nodes starting at a flat index,
-        wrapping around the machine (simple contiguous placement)."""
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        if size > self.num_nodes:
-            raise ValueError("allocation larger than the machine")
-        total = self.num_nodes
-        return [
-            NodeLocation.from_index(self._local_to_global((start_index + i) % total))
-            for i in range(size)
-        ]
-
-    def _local_to_global(self, local_index: int) -> int:
-        """Map an index within this (possibly shrunk) topology onto the
-        global coordinate space (identity for the full machine)."""
-        cabinet_local, within = divmod(local_index, NODES_PER_CABINET)
-        row, col = divmod(cabinet_local, self.cols)
-        return (row * COLS + col) * NODES_PER_CABINET + within
-
     # -- nodeinfos table ----------------------------------------------------------
 
     def nodeinfo_rows(self) -> Iterator[dict]:

@@ -1,5 +1,7 @@
 """Unit tests for cluster coordination: replication, consistency, repair."""
 
+import threading
+
 import pytest
 
 from repro.cassdb import (
@@ -363,15 +365,29 @@ class TestScatterGather:
         assert scattered == sequential
         cluster.close()
 
-    def test_scatter_counter_increments_for_multi_key_only(self):
-        cluster = make_cluster(4, rf=2)
-        insert_events(cluster, 4, hour=0)
-        insert_events(cluster, 4, hour=1)
-        before = cluster._m_scatter_gathers.value
-        cluster.select_partitions("event_by_time", [(0, "MCE")])
-        assert cluster._m_scatter_gathers.value == before
-        cluster.select_partitions("event_by_time", [(0, "MCE"), (1, "MCE")])
-        assert cluster._m_scatter_gathers.value == before + 1
+    def test_cl_one_multi_partition_reads_start_no_thread(self):
+        """A read walks its partitions on the caller's thread; only a
+        read that asks several replicas at once builds the executor."""
+        windowed = TableSchema(
+            "w", partition_key=("bucket", "part"),
+            clustering_key=("ts", "seq"), time_bucket=("bucket", 60.0))
+        cluster = Cluster(4, replication_factor=2)
+        cluster.create_table(windowed)
+        cluster.write_batch("w", [
+            {"bucket": b, "part": "a", "ts": b * 60.0 + i, "seq": i, "v": i}
+            for b in range(8) for i in range(3)])
+        keys = [(b, "a") for b in range(8)]
+        threads = set(threading.enumerate())
+        assert [len(rows) for rows in
+                cluster.select_partitions("w", keys)] == [3] * 8
+        assert cluster.aggregate_partitions(
+            "w", keys, fold=lambda _pk_values, view: len(view)) == [3] * 8
+        assert len(cluster.select_window("w", 0.0, 480.0)) == 24
+        assert len(cluster.select_window("w", 0.0, 480.0, ("a",))) == 24
+        assert set(threading.enumerate()) <= threads
+        assert cluster._replica_pool_ is None
+        cluster.select_partitions("w", keys, consistency=Consistency.QUORUM)
+        assert cluster._replica_pool_ is not None
         cluster.close()
 
     def test_table_epoch_advances_on_writes(self):

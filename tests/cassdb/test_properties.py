@@ -589,11 +589,13 @@ class TestOneMerge:
 def windows(draw):
     """(width, t0, t1, row timestamps): a window on a quarter-bucket grid
     — so t0/t1 land exactly on bucket edges a quarter of the time — at
-    simulation (0) or wall-clock (1.7e9) magnitude, with rows anywhere
-    in the two buckets either side of it.  Widths are dyadic or
-    integral, so every grid point is an exact float."""
+    simulation (0) or wall-clock (1.7e9) magnitude or straddling zero
+    from five buckets below it, with rows anywhere in the two buckets
+    either side of it.  Widths are dyadic or integral, so every grid
+    point is an exact float."""
     width = draw(st.sampled_from([0.5, 1.0, 60.0, 3600.0]))
-    base = draw(st.sampled_from([0.0, round(1.7e9 / width) * width]))
+    base = draw(st.sampled_from(
+        [0.0, round(1.7e9 / width) * width, -5 * width]))
     quarter = width / 4
     a = draw(st.integers(8, 30))
     b = draw(st.integers(a + 1, 32))
@@ -601,6 +603,18 @@ def windows(draw):
         st.floats(0, 40, allow_nan=False).map(lambda q: base + q * quarter),
         max_size=40))
     return width, base + a * quarter, base + b * quarter, stamps
+
+
+# The residuals a windowed read hands the store: none, a regular
+# column, a clustering column, the partition key, a membership test.
+window_residuals = st.one_of(
+    st.none(),
+    st.integers(0, 40).map(lambda k: [("v", ">=", k)]),
+    st.integers(0, 40).map(lambda k: [("seq", "<", k)]),
+    st.sampled_from("ab").map(lambda part: [("part", "=", part)]),
+    st.frozensets(st.integers(0, 40), max_size=8).map(
+        lambda vs: [("v", "in", vs)]),
+)
 
 
 class TestWindowProperties:
@@ -616,9 +630,13 @@ class TestWindowProperties:
         assert all(b * width < t1 and (b + 1) * width > t0 for b in buckets)
         assert not schema.buckets(t1, t0) and not schema.buckets(t0, t0)
 
-    @settings(max_examples=40, deadline=None)
-    @given(windows(), st.data())
-    def test_select_window_matches_oracle(self, window, data):
+    @settings(max_examples=60, deadline=None)
+    @given(windows(), window_residuals, st.booleans(), st.data())
+    def test_select_window_matches_oracle(self, window, residual, flush,
+                                          data):
+        """A window read as rows and as a fold over its partitions, with
+        and without residuals, every partition of the buckets or one
+        *rest*, over a flushed and a half-flushed store."""
         width, t0, t1, stamps = window
         schema = TableSchema(
             "w", partition_key=("bucket", "part"),
@@ -631,10 +649,24 @@ class TestWindowProperties:
             for seq, ts in enumerate(stamps)
         ]
         cluster.write_batch("w", rows)
+        if flush:
+            cluster.flush_all()
         rows.sort(key=lambda r: (r["bucket"], r["part"], r["ts"], r["seq"]))
-        in_window = [("ts", ">=", t0), ("ts", "<", t1)]
-        assert cluster.select_window("w", t0, t1) == eval_select(
-            rows, in_window)
-        for part in "ab":
-            assert cluster.select_window("w", t0, t1, (part,)) == eval_select(
-                rows, in_window + [("part", "=", part)])
+        in_window = [("ts", ">=", t0), ("ts", "<", t1)] + (residual or [])
+        names = list(rows[0]) if rows else ["ts"]
+
+        def fold(pk_values, view):
+            return column_lists(view, schema, pk_values, names, residual)
+
+        for rest, scoped in [(None, in_window)] + [
+                ((part,), in_window + [("part", "=", part)])
+                for part in "ab"]:
+            want = eval_select(rows, scoped)
+            assert cluster.select_window(
+                "w", t0, t1, rest, predicates=residual) == want
+            partitions, lower, upper = cluster.window_partitions(
+                "w", t0, t1, rest)
+            chunks = cluster.aggregate_partitions(
+                "w", partitions, lower=lower, upper=upper, fold=fold)
+            assert [dict(zip(names, cells)) for chunk in chunks
+                    for cells in zip(*chunk)] == want

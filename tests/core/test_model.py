@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cassdb import Cluster
+from repro.cassdb import Cluster, ClusteringBound, SchemaError
 from repro.core import TABLE_SCHEMAS, LogDataModel
 from repro.core.model import LogDataModel as _LDM
 from repro.genlog.jobs import ApplicationRun
@@ -90,6 +90,46 @@ class TestEventQueries:
     def test_empty_interval(self, fw):
         assert list(fw.model.events_of_type("MCE", 5.0, 5.0)) == []
         assert list(fw.model.events_at_location("c0-0c0s0n0", 9.0, 3.0)) == []
+
+    @pytest.mark.parametrize("table, reason", [
+        ("nodeinfos", "no time_bucket"),
+        ("eventsynopsis", "'type', not 'ts'"),
+        ("application_by_time", "'start', not 'ts'"),
+    ])
+    def test_window_of_a_table_that_cannot_serve_it_is_typed(
+            self, fw, table, reason):
+        """Refused by name and reason, before anything is read (it was
+        a TypeError from inside the store)."""
+        reads = fw.cluster.coordinator_reads
+        with pytest.raises(SchemaError, match=table) as err:
+            fw.cluster.select_window(table, 0, 7200)
+        assert reason in str(err.value)
+        assert fw.cluster.coordinator_reads == reads
+
+    def test_column_read_of_a_window_is_one_coordinator_call(
+            self, fw, monkeypatch):
+        """A heat map over h hours hands the coordinator its h
+        partitions at once, under the window's clustering bounds."""
+        calls = []
+        real = Cluster.aggregate_partitions
+
+        def spy(self, table, partitions, **kwargs):
+            calls.append((table, list(partitions), kwargs["lower"],
+                          kwargs["upper"]))
+            return real(self, table, partitions, **kwargs)
+
+        monkeypatch.setattr(Cluster, "aggregate_partitions", spy)
+        t0, t1 = 1800.0, 4 * 3600.0
+        chunks = fw.model.event_columns(
+            "event_by_time", "MCE", t0, t1, ["ts", "source"])
+        assert calls == [(
+            "event_by_time", [(h, "MCE") for h in range(4)],
+            ClusteringBound((t0,)), ClusteringBound((t1,), inclusive=False))]
+        rows = fw.model.events_of_type("MCE", t0, t1)
+        assert [ts for stamps, _ in chunks for ts in stamps] == [
+            r["ts"] for r in rows]
+        assert [src for _, sources in chunks for src in sources] == [
+            r["source"] for r in rows]
 
     def test_dual_views_consistent(self, fw):
         """Every event in the time view appears in the location view."""

@@ -118,23 +118,3 @@ class TestTitanTopology:
         assert first["gemini"].endswith("g0")
         assert "Opteron" in first["cpu"]
         assert "K20X" in first["gpu"]
-
-    def test_contiguous_allocation_wraps(self):
-        topo = TitanTopology(rows=1, cols=1)
-        alloc = topo.contiguous_allocation(90, 10)
-        assert len(alloc) == 10
-        assert alloc[0].index % NODES_PER_CABINET == 90
-        # Wraps back to the first node of the cabinet.
-        assert alloc[-1].cname == "c0-0c0s0n3"
-
-    def test_allocation_size_validation(self):
-        topo = TitanTopology(rows=1, cols=1)
-        with pytest.raises(ValueError):
-            topo.contiguous_allocation(0, 0)
-        with pytest.raises(ValueError):
-            topo.contiguous_allocation(0, 97)
-
-    def test_shrunk_allocation_stays_inside(self):
-        topo = TitanTopology(rows=2, cols=3)
-        alloc = topo.contiguous_allocation(100, 300)
-        assert all(loc in topo for loc in alloc)
