@@ -85,16 +85,17 @@ class Context:
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "Context":
-        return cls(
-            t0=float(payload["t0"]),
-            t1=float(payload["t1"]),
-            event_types=tuple(payload["event_types"])
-            if payload.get("event_types") else None,
-            sources=tuple(payload["sources"])
-            if payload.get("sources") else None,
-            app=payload.get("app"),
-            user=payload.get("user"),
-        )
+        """``event_types``/``sources`` are lists (``[]``/null: "any");
+        a bare string is a typed error, not one name per character."""
+        names = {}
+        for field in ("event_types", "sources"):
+            value = payload.get(field)
+            if value is not None and type(value) is not list:
+                raise ValueError(f"context '{field}' must be a list")
+            names[field] = tuple(value) if value else None
+        return cls(t0=float(payload["t0"]), t1=float(payload["t1"]),
+                   app=payload.get("app"), user=payload.get("user"),
+                   **names)
 
     # -- resolution against the data model --------------------------------------
 

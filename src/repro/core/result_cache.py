@@ -8,7 +8,7 @@ statement, params)``.  Two staleness mechanisms compose:
 * **explicit invalidation** — a write statement routed through the
   server drops every cached entry touching the written table;
 * **epoch validation** — each entry records the backend's per-table
-  write epoch at fill time; a lookup whose epoch no longer matches is
+  write epoch read at the miss; a lookup whose epoch no longer matches is
   treated as a miss, which catches writes that bypass the server
   (batch/streaming ingestion straight into the cluster).  The epoch
   advances once per *commit* — a whole ``Cluster.write_batch`` bumps it
@@ -39,7 +39,7 @@ _MISSING = object()
 class _Entry:
     value: Any
     expires_at: float
-    epochs: dict[str, int]  # table -> backend write epoch at fill time
+    epochs: dict[str, int]  # table -> backend write epoch at the miss
 
 
 class ResultCache:

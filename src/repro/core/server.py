@@ -7,15 +7,15 @@ forwarded to the backend database, or the big data processing unit
 depending on the type of a user query."
 
 This module reproduces that division without a network socket: an
-:class:`AnalyticsServer` accepts JSON-shaped requests (dicts), routes
-**simple** operations (single-partition context reads, metadata) to the
-query engine inline, and **complex** operations (heat maps, transfer
-entropy, text mining — anything that fans out over the data) through
-``asyncio.to_thread`` so the event loop stays responsive, the same
-non-blocking property Tornado gives the real system for "numerous
-users, who may require long-lived connections".  Which ops exist, what
-serves each and which of the two ways it runs is one table, filled by
-the ``@_op`` decorator on each handler.
+:class:`AnalyticsServer` accepts JSON-shaped requests (dicts) and
+answers on the event loop every op the coordinator serves with
+partition reads and folds (contexts, heat maps, hot spots, metadata).
+Only work for the big-data unit — a sparklet job, or statistics and
+mining over what a request read — leaves the loop through
+``asyncio.to_thread``, the non-blocking property Tornado gives the real
+system for "numerous users, who may require long-lived connections".
+Which ops exist, what serves each and whether it leaves the loop is one
+table, filled by ``@_op``; a ``cql`` request goes by its prepared plan.
 
 Responses are JSON-serializable dicts: ``{"ok": true, "result": …,
 "elapsed_ms": …}`` — "Query results are sent in JSON object format to
@@ -29,6 +29,7 @@ import contextvars
 import json
 import time
 from dataclasses import asdict
+from functools import partial
 from itertools import chain
 from typing import Any, Callable
 
@@ -51,14 +52,14 @@ _CACHE_STATUS: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "server_cache_status", default=None)
 
 # op name -> (handler, offload): the one entry ``handle`` reads for
-# whether an op exists, what serves it, and whether it runs inline or
-# leaves the event loop through ``asyncio.to_thread``.
+# whether an op exists, what serves it, and whether it hands its work
+# to the big-data unit and so leaves the event loop.
 _OPS: dict[str, tuple[Callable, bool]] = {}
 
 
 def _op(handler: Callable | None = None, *, offload: bool = False):
     """Enter ``_op_<name>`` in the op table; ``@_op(offload=True)`` for
-    a complex op."""
+    an op whose work is the big-data unit's."""
     if handler is None:
         return lambda fn: _op(fn, offload=offload)
     _OPS[handler.__name__.removeprefix("_op_")] = (handler, offload)
@@ -199,14 +200,17 @@ class AnalyticsServer:
     # -- request entry points ------------------------------------------------
 
     async def handle(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Serve one JSON request asynchronously."""
+        """Serve one JSON request (any JSON value) asynchronously."""
         start = time.perf_counter()
-        op = request.get("op")
+        op = request.get("op") if isinstance(request, dict) else None
         op_name = op if isinstance(op, str) else "<invalid>"
         outcome = "ok"
         cache_token = _CACHE_STATUS.set(None)
         with self.tracer.root_span("server.request", op=op_name) as span:
             try:
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object, not "
+                                     f"{type(request).__name__}")
                 entry = _OPS.get(op) if isinstance(op, str) else None
                 if entry is None:
                     raise ValueError(f"unknown op: {op!r}")
@@ -217,7 +221,7 @@ class AnalyticsServer:
                     gate.on_request(op_name)
                 handler, offload = entry
                 if offload:
-                    # Complex analytics leave the event loop free
+                    # The big-data unit's work leaves the event loop free
                     # (Tornado's non-blocking I/O property); to_thread
                     # copies the context, so the span tree follows.
                     # Concurrent requests that reach the sparklet engine
@@ -227,6 +231,8 @@ class AnalyticsServer:
                     result = await asyncio.to_thread(handler, self, request)
                 else:
                     result = handler(self, request)
+                if isinstance(result, partial):  # a cql sparklet plan's run
+                    result = await asyncio.to_thread(result)
                 response = {"ok": True, "result": _jsonable(result)}
             except Exception as exc:  # noqa: BLE001 - server boundary
                 outcome = "error"
@@ -308,7 +314,7 @@ class AnalyticsServer:
             raise ValueError("request requires a 'context' object")
         return Context.from_json(payload)
 
-    # -- simple ops -------------------------------------------------------------
+    # -- metadata, context reads, CQL ------------------------------------------
 
     @_op
     def _op_ping(self, request):
@@ -343,10 +349,13 @@ class AnalyticsServer:
 
     @_op
     def _op_cql(self, request):
+        """The cache probe and ``cache`` status stay on the loop (a
+        ContextVar set in a thread is lost); a sparklet plan's run
+        leaves it as a ``partial``."""
         statement = self._require(request, "statement")
         params = tuple(request.get("params", ()))
-        session = self.framework.session
-        plan = session.plan(statement)
+        prepared = self.framework.session.prepare(statement)
+        plan = prepared.ast
         if isinstance(plan, (Insert, Delete)):
             result = self.framework.cql(statement, params)
             # A write through the server promptly frees entries for the
@@ -354,26 +363,35 @@ class AnalyticsServer:
             self.result_cache.invalidate_table(plan.table)
             _CACHE_STATUS.set("invalidate")
             return result
-        if not isinstance(plan, Select) or not self.result_cache.enabled:
+        key = None
+        if isinstance(plan, Select) and self.result_cache.enabled:
+            try:
+                key = (normalize_cql(statement), params)
+                hash(key)
+            except TypeError:  # unhashable params: serve uncached
+                key = None
+        if key is None:
             _CACHE_STATUS.set("bypass")
-            return self.framework.cql(statement, params)
-        try:
-            key = (normalize_cql(statement), params)
-            hash(key)
-        except TypeError:  # unhashable params: serve uncached
-            _CACHE_STATUS.set("bypass")
-            return self.framework.cql(statement, params)
-        epoch_of = self.framework.cluster.table_epoch
-        cached = self.result_cache.get(key, epoch_of=epoch_of)
-        if cached is not ResultCache.MISSING:
-            _CACHE_STATUS.set("hit")
-            return _PreSerialized(cached)
-        result = self.framework.cql(statement, params)
-        payload = _jsonable(result)
-        self.result_cache.put(key, payload, tables=(plan.table,),
-                              epoch_of=epoch_of)
-        _CACHE_STATUS.set("miss")
-        return _PreSerialized(payload)
+        else:
+            epoch_of = self.framework.cluster.table_epoch
+            cached = self.result_cache.get(key, epoch_of=epoch_of)
+            if cached is not ResultCache.MISSING:
+                _CACHE_STATUS.set("hit")
+                return _PreSerialized(cached)
+            _CACHE_STATUS.set("miss")
+            # Read before the run: a write landing while an offloaded
+            # scan runs leaves the entry stale, never stamped current.
+            epoch = epoch_of(plan.table)
+
+        def execute():
+            result = self.framework.cql(statement, params)
+            if key is None:
+                return result
+            payload = _jsonable(result)
+            self.result_cache.put(key, payload, tables=(plan.table,),
+                                  epoch_of=lambda _table: epoch)
+            return _PreSerialized(payload)
+        return partial(execute) if prepared.physical.on_sparklet else execute()
 
     @_op
     def _op_explain(self, request):
@@ -659,36 +677,36 @@ class AnalyticsServer:
             },
         }
 
-    # -- complex ops (big data processing unit) -------------------------------------
+    # -- coordinator folds (on the loop, like the context reads) -------------
 
-    @_op(offload=True)
+    @_op
     def _op_heatmap(self, request):
         return self.framework.heatmap(
             self._context(request), **self._given(request, "granularity"))
 
-    @_op(offload=True)
+    @_op
     def _op_heatmap_grid(self, request):
         counts = self.framework.heatmap(self._context(request), "node")
         return self.framework.system_map.to_json(counts)
 
-    @_op(offload=True)
+    @_op
     def _op_distribution(self, request):
         return self.framework.distribution(
             self._context(request), **self._given(request, "granularity"))
 
-    @_op(offload=True)
+    @_op
     def _op_distribution_by_application(self, request):
         return self.framework.distribution_by_application(
             self._context(request)
         )
 
-    @_op(offload=True)
+    @_op
     def _op_histogram(self, request):
         edges, counts = self.framework.time_histogram(
             self._context(request), **self._given(request, "num_bins"))
         return {"edges": edges, "counts": counts}
 
-    @_op(offload=True)
+    @_op
     def _op_hotspots(self, request):
         hotspots = self.framework.hotspots(
             self._context(request),
@@ -697,6 +715,18 @@ class AnalyticsServer:
         return [{"component": h.component, "count": h.count,
                  "expected": h.expected, "z_score": h.z_score}
                 for h in hotspots]
+
+    @_op
+    def _op_placement(self, request):
+        runs = self.framework.model.runs_running_at(
+            float(self._require(request, "ts")))
+        return [
+            {"apid": r["apid"], "app": r["app"], "user": r["user"],
+             "nodes": self.framework.model.run_nodes(r)}
+            for r in runs
+        ]
+
+    # -- the big-data processing unit (off the loop) --------------------------
 
     @_op(offload=True)
     def _op_transfer_entropy(self, request):
@@ -728,16 +758,6 @@ class AnalyticsServer:
             **self._given(request, "window_seconds", "min_support",
                           "min_confidence"))
         return [asdict(r) for r in rules]
-
-    @_op(offload=True)
-    def _op_placement(self, request):
-        runs = self.framework.model.runs_running_at(
-            float(self._require(request, "ts")))
-        return [
-            {"apid": r["apid"], "app": r["app"], "user": r["user"],
-             "nodes": self.framework.model.run_nodes(r)}
-            for r in runs
-        ]
 
     @_op(offload=True)
     def _op_refresh_synopsis(self, request):

@@ -73,6 +73,11 @@ class PhysicalOp:
     def explain_attrs(self) -> dict[str, Any]:
         return {}
 
+    @property
+    def on_sparklet(self) -> bool:
+        """Whether running the tree hands a job to the sparklet engine."""
+        return any(c.on_sparklet for c in self.children)
+
     def explain(self) -> dict[str, Any]:
         node: dict[str, Any] = {"op": self.name}
         node.update(self.explain_attrs())
@@ -424,6 +429,10 @@ class FullScanAggregateExec(_ScanBase):
         self.group_by = group_by
         self.aggregates = aggregates
         self.engine = engine  # 'sparklet' | 'serial'
+
+    @property
+    def on_sparklet(self) -> bool:
+        return self.engine == "sparklet"
 
     def execute(self, rt: Runtime) -> list[dict]:
         fold = _make_partition_fold(

@@ -6,6 +6,9 @@ invalidation, epoch-based staleness (writes that bypass the server),
 TTL expiry, and the ``cache`` response field.
 """
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.core import AnalyticsServer, LogAnalyticsFramework, ResultCache
@@ -125,6 +128,45 @@ class TestServerIntegration:
         fresh = _cql(server, q)
         assert fresh["cache"] == "miss"
         assert len(fresh["result"]) == 2
+
+    def test_a_write_during_an_offloaded_scan_leaves_it_stale(
+            self, server, small_fw, monkeypatch):
+        """An unrouted SELECT runs in a worker thread while a server
+        write runs on the loop.  The scan reads its rows, the INSERT
+        lands, then the scan is cached: stamped with the epoch read
+        before the scan, the entry is stale and never served."""
+        q = "SELECT count(*) FROM rc"
+        scanned, written = threading.Event(), threading.Event()
+        cql = small_fw.cql
+
+        def interleaved(statement, params=()):
+            if statement == q:  # the scan, in its worker thread
+                rows = cql(statement, params)
+                scanned.set()
+                assert written.wait(10)
+                return rows
+            assert scanned.wait(10)  # the write, on the loop
+            rows = cql(statement, params)
+            written.set()
+            return rows
+
+        monkeypatch.setattr(small_fw, "cql", interleaved)
+        scan, write = asyncio.run(server.handle_many([
+            {"op": "cql", "statement": q},
+            {"op": "cql",
+             "statement": "INSERT INTO rc (k, c, v) VALUES (6, 1, 1)"}]))
+        monkeypatch.undo()
+        assert scan["ok"] and write["ok"], (scan, write)
+        assert (scan["cache"], write["cache"]) == ("miss", "invalidate")
+        fresh = _cql(server, q)
+        assert fresh["cache"] == "miss"
+        assert fresh["result"] != scan["result"]
+
+    def test_a_miss_that_fails_replies_its_cache_status(self, server):
+        """The probe missed; the run then fails on its bind count."""
+        r = _cql(server, "SELECT * FROM rc WHERE k = ?")
+        assert not r["ok"] and "bind parameters" in r["error"]
+        assert r["cache"] == "miss"
 
     def test_create_table_bypasses_cache(self, server):
         r = _cql(server,

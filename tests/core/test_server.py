@@ -18,6 +18,14 @@ def server(fw):
     return AnalyticsServer(fw)
 
 
+# The ops whose work is the big-data unit's — a sparklet job, or
+# statistics and mining computed over what the request read — and
+# that alone leave the event loop.
+_THREAD_OPS = {"keywords", "refresh_synopsis", "transfer_entropy",
+               "cross_correlation", "association_rules", "mine_precursors",
+               "application_profiles", "materialize_composites"}
+
+
 def _ctx(fw, **kw):
     return fw.context(0, HORIZON, **kw).to_json()
 
@@ -38,12 +46,28 @@ class TestRouting:
 
     def test_ops_partitioned(self):
         # One table: it names exactly the ``_op_*`` handlers, each either
-        # inline or offloaded.
+        # inline or offloaded — and the offloaded ones are exactly the
+        # big-data unit's, so a new op is placed on purpose.
         handlers = {name.removeprefix("_op_"): fn
                     for name, fn in vars(AnalyticsServer).items()
                     if name.startswith("_op_")}
         assert {op: fn for op, (fn, _offload) in _OPS.items()} == handlers
         assert {type(offload) for _fn, offload in _OPS.values()} == {bool}
+        assert {op for op, (_fn, offload) in _OPS.items()
+                if offload} == _THREAD_OPS
+
+    @pytest.mark.parametrize("request_", ["ping", ["ping"], None, 7],
+                             ids=["str", "list", "null", "int"])
+    def test_a_request_that_is_not_an_object_is_an_error_reply(
+            self, server, request_):
+        errors = server.errors
+        before = len(server.latencies_ms.get("<invalid>", []))
+        r = server.handle_sync(request_)
+        assert not r["ok"]
+        assert r["error"] == ("ValueError: request must be a JSON object, "
+                              f"not {type(request_).__name__}")
+        assert server.errors == errors + 1
+        assert len(server.latencies_ms["<invalid>"]) == before + 1
 
     def test_latencies_recorded(self, server):
         before = len(server.latencies_ms.get("ping", []))
@@ -195,6 +219,37 @@ class TestRowCountFields:
         assert server.handle_sync({**request, "limit": 0})["result"] == every
         assert (server.handle_sync({**request, "limit": 1})["result"]
                 == every[:1])
+
+
+class TestContextNameLists:
+    """``event_types`` / ``sources`` are lists of names: a bare string
+    was split into characters and answered an empty result."""
+
+    @pytest.mark.parametrize("op", ["heatmap", "events"])
+    @pytest.mark.parametrize("field,value", [
+        ("event_types", "MCE"), ("sources", "c0-0c0s0n0")])
+    def test_a_bare_string_is_a_value_error(self, server, op, field, value):
+        r = server.handle_sync({"op": op, "context": {
+            "t0": 0.0, "t1": HORIZON, field: value}})
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: context '{field}' must be a list"
+
+    @pytest.mark.parametrize("field,value", [
+        ("event_types", "MCE"), ("sources", "c0-0c0s0n0")])
+    def test_the_list_of_one_name_answers(self, server, field, value):
+        r = server.handle_sync({"op": "heatmap", "context": {
+            "t0": 0.0, "t1": HORIZON, field: [value]}})
+        assert r["ok"] and r["result"]
+
+    @pytest.mark.parametrize("field", ["event_types", "sources"])
+    def test_empty_and_null_mean_any(self, server, field):
+        window = {"t0": 0.0, "t1": 3600.0}
+        answers = [server.handle_sync({"op": "heatmap", "context": context})
+                   for context in (window, {**window, field: []},
+                                   {**window, field: None})]
+        assert all(r["ok"] for r in answers)
+        assert answers[0]["result"]
+        assert all(r["result"] == answers[0]["result"] for r in answers)
 
 
 class TestHotspotsOverEverySource:
@@ -532,8 +587,8 @@ class TestConcurrency:
         assert [r["ok"] for r in responses] == [True] * 4
 
     def test_event_loop_not_blocked_by_complex_op(self, server, fw):
-        """While a complex op runs in a worker thread, simple ops must
-        complete — the Tornado non-blocking property."""
+        """While the big-data unit's work runs in a worker thread, the
+        loop's ops must complete — the Tornado non-blocking property."""
 
         async def scenario():
             slow = asyncio.create_task(server.handle({
@@ -553,3 +608,167 @@ class TestConcurrency:
         server.handle_sync({"op": "ping"})
         server.handle_sync({"op": "ping"})
         assert server.requests_served == before + 2
+
+
+# -- every op, one request each ---------------------------------------------
+
+_ONE_PARTITION = {"t0": 0.0, "t1": 3600.0, "event_types": ["MCE"]}
+_MANY_PARTITIONS = {"t0": 0.0, "t1": 3 * 3600.0}
+_WINDOW = {"t0": 0.0, "t1": 60.0}
+_ROUTED = "SELECT name FROM eventtypes WHERE name = 'MCE'"
+# No partition key: the plan is ``FullScanAggregate … engine: sparklet``.
+_UNROUTED = "SELECT type, count(*) FROM event_by_time GROUP BY type"
+
+# One minimal valid request per op (its fields after "op").
+_EVERY_OP = {
+    "ping": {}, "event_types": {}, "nodeinfo": {"cname": "c0-0c0s0n0"},
+    "events": {"context": _ONE_PARTITION},
+    "runs": {"context": _MANY_PARTITIONS},
+    "synopsis": {"hour": 0},
+    "cql": {"statement": _ROUTED}, "explain": {"statement": _UNROUTED},
+    "metrics": {"prefix": "server."}, "trace": {}, "slow_queries": {},
+    "telemetry_series": {"name": "server.requests", **_WINDOW},
+    "telemetry_spans": _WINDOW, "profile_flame": _WINDOW,
+    "critical_path": {}, "alerts": _WINDOW, "alert_summary": _WINDOW,
+    "health": {},
+    "heatmap": {"context": _ONE_PARTITION},
+    "heatmap_grid": {"context": _ONE_PARTITION},
+    "distribution": {"context": _ONE_PARTITION},
+    "distribution_by_application": {"context": _ONE_PARTITION},
+    "histogram": {"context": _ONE_PARTITION},
+    "hotspots": {"context": _ONE_PARTITION},
+    "placement": {"ts": 3600.0},
+    "transfer_entropy": {"context": _MANY_PARTITIONS, "source_type": "MCE",
+                         "target_type": "OOM", "n_shuffles": 5},
+    "cross_correlation": {"context": _MANY_PARTITIONS, "type_a": "MCE",
+                          "type_b": "OOM"},
+    "keywords": {"context": _ONE_PARTITION},
+    "association_rules": {"context": _MANY_PARTITIONS},
+    "refresh_synopsis": {},
+    "mine_precursors": {"context": _MANY_PARTITIONS},
+    "application_profiles": {"context": _MANY_PARTITIONS},
+    "materialize_composites": {"context": _ONE_PARTITION,
+                               "definitions": [_DEFN]},
+}
+
+# The coordinator folds, each over a context of many partitions.
+_FOLD_OPS = ["events", "heatmap", "heatmap_grid", "distribution",
+             "distribution_by_application", "histogram", "hotspots"]
+
+
+@pytest.fixture(scope="module")
+def every_op():
+    """A server over a small loaded store on which every op answers:
+    events, runs, the telemetry and alert tables, a completed trace."""
+    from repro.core import LogAnalyticsFramework
+    from repro.detect.alerts import ALERT_SCHEMAS
+    from repro.genlog import JobGenerator, LogGenerator
+    from repro.obs.export import TELEMETRY_SCHEMAS
+    from repro.titan import TitanTopology
+
+    topo = TitanTopology(rows=1, cols=1)
+    with LogAnalyticsFramework(topo, db_nodes=3).setup() as fw:
+        fw.ingest_events(
+            LogGenerator(topo, seed=3, rate_multiplier=20).generate(3))
+        fw.ingest_applications(JobGenerator(topo, seed=5).generate(3))
+        for schema in {**TELEMETRY_SCHEMAS, **ALERT_SCHEMAS}.values():
+            fw.cluster.create_table(schema)
+        server = AnalyticsServer(fw)
+        assert server.handle_sync({"op": "ping"})["ok"]
+        yield server
+
+
+@pytest.fixture
+def hops(monkeypatch):
+    """Every ``asyncio.to_thread`` call while the test runs."""
+    calls = []
+    to_thread = asyncio.to_thread
+
+    async def counted(fn, /, *args, **kwargs):
+        calls.append(fn)
+        return await to_thread(fn, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "to_thread", counted)
+    return calls
+
+
+class TestARequestRunsWhereItArrives:
+    """The coordinator answers its reads and folds on the event loop; a
+    request leaves the loop — one ``to_thread`` hop — only for work of
+    the big-data unit, and a ``cql`` request by its plan."""
+
+    def test_every_op_has_a_request(self):
+        assert set(_EVERY_OP) == set(_OPS)
+
+    @pytest.mark.parametrize("op", sorted(_EVERY_OP))
+    def test_hops_per_request(self, every_op, hops, op):
+        r = every_op.handle_sync({"op": op, **_EVERY_OP[op]})
+        assert r["ok"], r
+        assert len(hops) == (1 if op in _THREAD_OPS else 0)
+
+    @pytest.mark.parametrize("op", _FOLD_OPS)
+    def test_a_fold_over_many_partitions_stays_on_the_loop(
+            self, every_op, hops, op):
+        r = every_op.handle_sync({"op": op, "context": _MANY_PARTITIONS})
+        assert r["ok"] and r["result"], r
+        assert hops == []
+
+    @pytest.mark.parametrize("statement,miss_hops", [
+        (_ROUTED, 0), (_UNROUTED, 1)], ids=["routed", "unrouted"])
+    def test_a_cql_miss_hops_by_its_plan_and_a_hit_never(
+            self, every_op, hops, statement, miss_hops):
+        server = AnalyticsServer(every_op.framework)  # an empty cache
+        request = {"op": "cql", "statement": statement}
+        miss = server.handle_sync(request)
+        assert miss["ok"] and miss["cache"] == "miss"
+        assert len(hops) == miss_hops
+        hit = server.handle_sync(request)
+        assert hit["ok"] and hit["cache"] == "hit"
+        assert hit["result"] == miss["result"]
+        assert len(hops) == miss_hops
+
+    def test_the_loop_answers_a_ping_while_a_scan_runs(self, every_op):
+        from repro import obs
+
+        server = AnalyticsServer(every_op.framework, slow_log=obs.SlowQueryLog(
+            threshold_ms=0.0, capacity=8))
+        replies = asyncio.run(server.handle_many(
+            [{"op": "cql", "statement": _UNROUTED}, {"op": "ping"}]))
+        assert [r["ok"] for r in replies] == [True, True]
+        assert replies[0]["cache"] == "miss"
+        assert [e["op"] for e in server.slow_log.entries()] == ["ping", "cql"]
+
+
+class TestOneTracePerRequest:
+    """Every op's request is one trace rooted at ``server.request``, on
+    the loop and on the thread path (sparklet pool tasks included): no
+    span of it starts outside the trace, and each one it opens is in
+    the tree and closed before the reply."""
+
+    @pytest.mark.parametrize("op", sorted(_EVERY_OP))
+    def test_one_trace(self, every_op, monkeypatch, op):
+        from repro.obs.trace import NULL_SPAN
+
+        tracer = every_op.tracer
+        opened, orphans = [], []
+        span = tracer.span
+
+        def watched(name, **attrs):
+            if tracer.current_span() is None:
+                orphans.append(name)
+            child = span(name, **attrs)
+            if child is not NULL_SPAN:
+                opened.append(child)
+            return child
+
+        monkeypatch.setattr(tracer, "span", watched)
+        last = max((t["trace_id"] for t in tracer.traces()), default=0)
+        r = every_op.handle_sync({"op": op, **_EVERY_OP[op]})
+        assert r["ok"], r
+        traces = tracer.traces(after=last)
+        assert [(t["name"], t["attrs"]["op"]) for t in traces] == [
+            ("server.request", op)]
+        assert orphans == []
+        assert traces[0]["spans"] == 1 + len(opened)
+        assert all(s.trace_id == traces[0]["trace_id"] and s.end is not None
+                   for s in opened)
