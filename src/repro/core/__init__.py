@@ -43,7 +43,7 @@ from .frontend import (
     render_table,
     render_word_bubbles,
 )
-from .mining import Rule, apriori, association_rules, windowed_transactions
+from .mining import Rule, apriori, association_rules
 from .model import TABLE_SCHEMAS, LogDataModel
 from .prediction import (
     PrecursorPredictor,
@@ -60,7 +60,7 @@ from .profiles import (
 )
 from .result_cache import ResultCache
 from .server import AnalyticsServer
-from .textmining import storm_keywords, tf_idf, tokenize, top_terms, word_count
+from .textmining import storm_keywords, tokenize, top_terms
 
 __all__ = [
     "AnalyticsServer",
@@ -106,11 +106,8 @@ __all__ = [
     "te_matrix",
     "te_pair",
     "te_significance",
-    "tf_idf",
     "time_histogram",
     "tokenize",
     "top_terms",
     "transfer_entropy",
-    "windowed_transactions",
-    "word_count",
 ]

@@ -4,10 +4,9 @@
 meant to support, and §V plans "event mining techniques rather than
 text pattern matching".  This module supplies the standard pipeline:
 
-1. :func:`window_baskets` (:func:`windowed_transactions` over rows) —
-   slice a context's events into fixed-width windows (optionally per
-   component) and form the set of event types seen in each: the
-   transaction database;
+1. :func:`window_baskets` — slice a context's events into fixed-width
+   windows (optionally per component) and form the set of event types
+   seen in each: the transaction database;
 2. :func:`apriori` — frequent itemsets by level-wise search;
 3. :func:`association_rules` — rules ``antecedent ⇒ consequent`` with
    support, confidence and lift.
@@ -26,8 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .context import Context
     from .model import LogDataModel
 
-__all__ = ["window_baskets", "windowed_transactions", "apriori",
-           "association_rules", "Rule"]
+__all__ = ["window_baskets", "apriori", "association_rules", "Rule"]
 
 
 def window_baskets(stamps: Iterable[float], sources: Iterable[str],
@@ -51,18 +49,6 @@ def window_baskets(stamps: Iterable[float], sources: Iterable[str],
         key = (window, source) if per_component else (window,)
         baskets.setdefault(key, set()).add(etype)
     return [frozenset(types) for types in baskets.values()]
-
-
-def windowed_transactions(events: Iterable[dict], t0: float, t1: float,
-                          window_seconds: float,
-                          per_component: bool = True
-                          ) -> list[frozenset[str]]:
-    """:func:`window_baskets` over event rows."""
-    rows = list(events)
-    return window_baskets(
-        [row["ts"] for row in rows], [row["source"] for row in rows],
-        [row["type"] for row in rows], t0, t1, window_seconds,
-        per_component)
 
 
 def apriori(transactions: Sequence[frozenset[str]], min_support: float,

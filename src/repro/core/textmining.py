@@ -12,22 +12,26 @@ Pieces:
 * a tokenizer that keeps the tokens that matter in system logs
   (identifiers like ``atlas-OST0042``, hex codes, error codes) and
   drops log boilerplate;
-* engine-parallel ``word_count`` and ``tf_idf`` over message corpora;
 * :func:`storm_keywords` — the Fig-7 workflow: take the raw messages of
   a window, score tokens, return the "word bubbles" (token, weight)
-  list; the failing OST should rank at/near the top.
+  list; the failing OST should rank at/near the top.  One sparklet
+  stage folds ``(count, df)`` per token; summed TF-IDF is
+  ``Σ_d tf(t, d)·idf(t) = count(t)·idf(t)``, so the driver scores from
+  that fold alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sparklet import SparkletContext
 
-__all__ = ["tokenize", "word_count", "tf_idf", "top_terms", "storm_keywords"]
+__all__ = ["tokenize", "top_terms", "storm_keywords"]
 
 # '@' intentionally splits tokens: Lustre targets like
 # ``atlas-OST01dc@10.36.226.77@o2ib`` must yield the OST id on its own.
@@ -49,75 +53,47 @@ _STOPWORDS = frozenset({
 })
 
 
-def tokenize(message: str, keep_numbers: bool = False) -> list[str]:
-    """Split a raw log message into analysis tokens.
+def _kept(raw: str) -> str:
+    """The analysis token of one ``_TOKEN_RE`` match, ``""`` if dropped.
 
-    Lowercases, keeps identifier-ish tokens (letters, digits, ``_ @ . -``),
-    drops stopwords, timestamps, and (by default) pure numbers — the
-    "properly filtered" step of §III-C.
+    Lowercases and drops stopwords, pure numbers (dotted ones too: IP
+    addresses) and timestamps — the "properly filtered" step of §III-C.
     """
-    tokens = []
-    for raw in _TOKEN_RE.findall(message):
-        token = raw.lower().strip(".-")
-        # Post-strip length check keeps tokenization idempotent ("B." →
-        # "b" would vanish on a second pass otherwise).
-        if len(token) < 2 or token in _STOPWORDS:
-            continue
-        if not keep_numbers and _NUMERIC_RE.fullmatch(token):
-            continue  # plain numbers and dotted numerics (IP addresses)
-        # Timestamps (2017-03-01T…) are line metadata, not content.
-        if _TIMESTAMP_RE.match(token):
-            continue
-        tokens.append(token)
-    return tokens
+    token = raw.lower().strip(".-")
+    # Post-strip length check keeps tokenization idempotent ("B." →
+    # "b" would vanish on a second pass otherwise).
+    if (len(token) < 2 or token in _STOPWORDS
+            or _NUMERIC_RE.fullmatch(token)
+            # Timestamps (2017-03-01T…) are line metadata, not content.
+            or _TIMESTAMP_RE.match(token)):
+        return ""
+    return token
 
 
-def word_count(sc: "SparkletContext", messages: Iterable[str],
-               num_partitions: int | None = None) -> dict[str, int]:
-    """Parallel token counts over a message corpus."""
-    return dict(
-        sc.parallelize(messages, num_partitions)
-        .flatMap(tokenize)
-        .map(lambda token: (token, 1))
-        .reduceByKey(lambda a, b: a + b)
-        .collect()
-    )
+def tokenize(message: str) -> list[str]:
+    """Split a raw log message into analysis tokens (see :func:`_kept`)."""
+    return [t for t in map(_kept, _TOKEN_RE.findall(message)) if t]
 
 
-def tf_idf(sc: "SparkletContext", documents: Sequence[str],
-           num_partitions: int | None = None) -> list[dict[str, float]]:
-    """TF-IDF vectors, one dict per document (message == document).
+class _KeptMemo(dict):
+    """raw match → :func:`_kept` of it, filtered once per distinct raw."""
 
-    ``tf`` is raw term frequency within a document; ``idf`` is the
-    smoothed ``log(N / (1 + df)) + 1``.
-    """
-    n_docs = len(documents)
-    if n_docs == 0:
-        return []
-    # Tokenized once; both passes below read the cached token lists.
-    docs = (sc.parallelize(list(enumerate(documents)), num_partitions)
-            .map(lambda kv: (kv[0], tokenize(kv[1]))).cache())
-    # Document frequency per token.
-    df = dict(
-        docs.flatMap(lambda kv: {(t, 1) for t in set(kv[1])})
-        .reduceByKey(lambda a, b: a + b)
-        .collect()
-    )
-    idf = {
-        token: math.log(n_docs / (1.0 + count)) + 1.0
-        for token, count in df.items()
-    }
-    vectors = (
-        docs.map(lambda kv: (kv[0], {
-            token: kv[1].count(token) * idf[token]
-            for token in set(kv[1])
-        }))
-        .collect()
-    )
-    out: list[dict[str, float]] = [{} for _ in range(n_docs)]
-    for index, vector in vectors:
-        out[index] = vector
-    return out
+    def __missing__(self, raw: str) -> str:
+        token = self[raw] = _kept(raw)
+        return token
+
+
+def _fold(side: int, messages: Iterable[str]) -> list[tuple]:
+    """One task: ``count`` and ``df`` (messages holding it) per token,
+    tagged with the corpus (``side``) the partition belongs to."""
+    kept = _KeptMemo().__getitem__
+    count: Counter[str] = Counter()
+    df: Counter[str] = Counter()
+    for message in messages:
+        tokens = [t for t in map(kept, _TOKEN_RE.findall(message)) if t]
+        count.update(tokens)
+        df.update(set(tokens))
+    return [(side, count, df)]
 
 
 def top_terms(scores: dict[str, float], n: int = 10
@@ -132,35 +108,34 @@ def storm_keywords(sc: "SparkletContext", messages: Sequence[str],
                    ) -> list[tuple[str, float]]:
     """The Fig-7 word bubbles: rank tokens of a window's raw messages.
 
-    With ``use_tf_idf`` the per-document vectors are summed — tokens
-    that dominate many messages of the window (like the failing OST id)
-    rise; with plain counts the result is the §III-C "simple word
-    counts" variant.
+    With ``use_tf_idf`` a token scores ``count·(log(N/(1+df))+1)`` —
+    the sum of its per-message TF-IDF — so tokens that dominate many
+    messages of the window (like the failing OST id) rise; with plain
+    counts the result is the §III-C "simple word counts" variant.
 
     ``background`` (e.g. the same event type over a quiet period) makes
     the ranking *contrastive*: IDF is computed against the background
     corpus, so tokens common in normal operation are suppressed and
     window-specific identifiers — the failing OST — dominate.
+
+    Every variant is one sparklet job of one stage: the window (and the
+    background) folded per partition, the partials merged here.
     """
     if not messages:
         return []
+    corpora = [messages, background] if background else [messages]
+    totals = [(Counter(), Counter()) for _ in corpora]
+    for side, count, df in sc.union([
+            sc.parallelize(corpus).mapPartitions(partial(_fold, side))
+            for side, corpus in enumerate(corpora)]).collect():
+        totals[side][0].update(count)
+        totals[side][1].update(df)
+    (count, df), n_docs = totals[0], len(messages)
     if background:
-        counts = word_count(sc, messages)
-        bg_df: dict[str, int] = {}
-        for doc in background:
-            for token in set(tokenize(doc)):
-                bg_df[token] = bg_df.get(token, 0) + 1
-        n_bg = len(background)
-        scores = {
-            token: count * (math.log(n_bg / (1.0 + bg_df.get(token, 0))) + 1.0)
-            for token, count in counts.items()
-        }
-        return top_terms(scores, n)
-    if not use_tf_idf:
-        counts = word_count(sc, messages)
-        return top_terms({t: float(c) for t, c in counts.items()}, n)
-    totals: dict[str, float] = {}
-    for vector in tf_idf(sc, messages):
-        for token, score in vector.items():
-            totals[token] = totals.get(token, 0.0) + score
-    return top_terms(totals, n)
+        df, n_docs = totals[1][1], len(background)
+    elif not use_tf_idf:
+        return top_terms({t: float(c) for t, c in count.items()}, n)
+    return top_terms({
+        token: c * (math.log(n_docs / (1.0 + df[token])) + 1.0)
+        for token, c in count.items()
+    }, n)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import apriori, association_rules, windowed_transactions
-from repro.core.mining import Rule
+from repro.core import apriori, association_rules
+from repro.core.mining import Rule, window_baskets
 
 from .conftest import HORIZON
 
@@ -12,33 +12,40 @@ def _event(ts, type_, source="n0"):
     return {"ts": ts, "type": type_, "source": source}
 
 
+def _baskets(events, t0, t1, window_seconds, **kwargs):
+    """:func:`window_baskets` over event rows."""
+    return window_baskets([e["ts"] for e in events],
+                          [e["source"] for e in events],
+                          [e["type"] for e in events],
+                          t0, t1, window_seconds, **kwargs)
+
+
 class TestTransactions:
     def test_per_component_windows(self):
         events = [
             _event(1.0, "A", "n0"), _event(2.0, "B", "n0"),
             _event(1.5, "A", "n1"),
         ]
-        tx = windowed_transactions(events, 0.0, 10.0, 10.0)
+        tx = _baskets(events, 0.0, 10.0, 10.0)
         assert sorted(map(sorted, tx)) == [["A"], ["A", "B"]]
 
     def test_global_windows(self):
         events = [_event(1.0, "A", "n0"), _event(2.0, "B", "n1")]
-        tx = windowed_transactions(events, 0.0, 10.0, 10.0,
-                                   per_component=False)
+        tx = _baskets(events, 0.0, 10.0, 10.0, per_component=False)
         assert tx == [frozenset({"A", "B"})]
 
     def test_window_boundaries(self):
         events = [_event(0.5, "A"), _event(1.5, "B")]
-        tx = windowed_transactions(events, 0.0, 2.0, 1.0)
+        tx = _baskets(events, 0.0, 2.0, 1.0)
         assert len(tx) == 2
 
     def test_out_of_range_excluded(self):
-        tx = windowed_transactions([_event(99.0, "A")], 0.0, 10.0, 1.0)
+        tx = _baskets([_event(99.0, "A")], 0.0, 10.0, 1.0)
         assert tx == []
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            windowed_transactions([], 0.0, 10.0, 0.0)
+            _baskets([], 0.0, 10.0, 0.0)
 
 
 class TestApriori:

@@ -21,10 +21,10 @@ from repro.core import (
     group_key,
     tokenize,
     transfer_entropy,
-    windowed_transactions,
 )
 from repro.core.correlation import context_series
 from repro.core.frontend import render_event_type_map
+from repro.core.mining import window_baskets
 from repro.core.server import _PreSerialized, _jsonable
 from repro.genlog.jobs import ApplicationRun
 from repro.titan import TitanTopology
@@ -307,8 +307,9 @@ class TestFoldsMatchTheRowLoops:
             assert sorted(fw.raw_messages(ctx)) == sorted(
                 r["msg"] for r in rows)
 
-            want_rules = association_rules(apriori(windowed_transactions(
-                rows, ctx.t0, ctx.t1, 600.0), 0.05), 0.3)
+            want_rules = association_rules(apriori(window_baskets(
+                [r["ts"] for r in rows], [r["source"] for r in rows],
+                [r["type"] for r in rows], ctx.t0, ctx.t1, 600.0), 0.05), 0.3)
             got_rules = fw.association_rules(
                 ctx, window_seconds=600.0, min_support=0.05)
             as_map = lambda rules: {  # noqa: E731

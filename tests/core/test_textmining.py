@@ -1,17 +1,25 @@
-"""Tests for tokenizing, word count, TF-IDF and storm keywords (Fig 7)."""
+"""Tests for tokenizing and storm keywords (Fig 7): word counts, TF-IDF
+and background contrast, each one sparklet stage."""
 
 import math
-import re
-from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import storm_keywords, tf_idf, tokenize, top_terms, word_count
-from repro.core.textmining import _STOPWORDS, _TOKEN_RE
+from repro.core import storm_keywords, tokenize, top_terms
 from repro.genlog.templates import render_line
 from repro.sparklet import SparkletContext
 
-from .conftest import HORIZON
+from tests.oracle import textmining as oracle
+
+MODES = ("tf_idf", "counts", "background")
+
+
+def _kwargs(mode, background):
+    """storm_keywords' keyword arguments for one mode."""
+    return {"tf_idf": {}, "counts": {"use_tf_idf": False},
+            "background": {"background": background}}[mode]
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +47,6 @@ class TestTokenize:
         assert "10.36.226.77" not in tokens
         assert "code" in tokens
 
-    def test_keep_numbers_flag(self):
-        assert "1234" in tokenize("code 1234", keep_numbers=True)
-
     def test_lowercases(self):
         assert tokenize("Machine Check")[0] == "machine"
 
@@ -56,85 +61,49 @@ class TestTokenize:
 class TestWordCount:
     def test_counts(self, sc):
         messages = ["disk failure imminent", "disk ok", "failure disk"]
-        counts = word_count(sc, messages)
+        counts = dict(storm_keywords(sc, messages, 10, use_tf_idf=False))
         assert counts["disk"] == 3
         assert counts["failure"] == 2
         assert counts["ok"] == 1
 
     def test_empty_corpus(self, sc):
-        assert word_count(sc, []) == {}
+        assert storm_keywords(sc, [], 10, use_tf_idf=False) == []
 
 
 class TestTfIdf:
-    def test_shape(self, sc):
-        docs = ["alpha beta", "alpha gamma", "alpha beta beta"]
-        vectors = tf_idf(sc, docs)
-        assert len(vectors) == 3
-        assert set(vectors[0]) == {"alpha", "beta"}
-
     def test_rare_terms_weighted_higher(self, sc):
-        docs = ["common rare"] + ["common filler"] * 9
-        vectors = tf_idf(sc, docs)
-        assert vectors[0]["rare"] > vectors[0]["common"]
+        # Both occur twice; "rare" in one message, "common" in two.
+        docs = ["rare rare", "common filler", "common filler"] + \
+            ["filler"] * 7
+        scores = dict(storm_keywords(sc, docs, 10))
+        assert scores["rare"] > scores["common"]
 
     def test_term_frequency_scales(self, sc):
         docs = ["dup dup dup solo", "other words"]
-        vectors = tf_idf(sc, docs)
-        assert vectors[0]["dup"] == pytest.approx(3 * vectors[0]["solo"])
+        scores = dict(storm_keywords(sc, docs, 10))
+        assert scores["dup"] == pytest.approx(3 * scores["solo"])
 
     def test_empty(self, sc):
-        assert tf_idf(sc, []) == []
+        assert storm_keywords(sc, []) == []
 
 
-def _reference_tokenize(message):
-    tokens = []
-    for raw in _TOKEN_RE.findall(message):
-        token = raw.lower().strip(".-")
-        if len(token) < 2 or token in _STOPWORDS:
-            continue
-        if re.fullmatch(r"[\d.]+", token):
-            continue
-        if re.match(r"^\d{4}-\d{2}-\d{2}t", token):
-            continue
-        tokens.append(token)
-    return tokens
-
-
-def _reference_tf_idf(documents):
-    """Two plain passes over the corpus, tokenizing in each."""
-    df = Counter()
-    for doc in documents:
-        df.update(set(_reference_tokenize(doc)))
-    idf = {token: math.log(len(documents) / (1.0 + count)) + 1.0
-           for token, count in df.items()}
-    vectors = []
-    for doc in documents:
-        tokens = _reference_tokenize(doc)
-        vectors.append({t: tokens.count(t) * idf[t] for t in set(tokens)})
-    return vectors
-
-
-def _reference_keywords(messages, n, use_tf_idf=True, background=None):
-    counts = Counter(t for m in messages for t in _reference_tokenize(m))
-    if background:
-        bg_df = Counter()
-        for doc in background:
-            bg_df.update(set(_reference_tokenize(doc)))
-        scores = {t: c * (math.log(len(background) / (1.0 + bg_df[t])) + 1.0)
-                  for t, c in counts.items()}
-    elif not use_tf_idf:
-        scores = {t: float(c) for t, c in counts.items()}
-    else:
-        scores = {}
-        for vector in _reference_tf_idf(messages):
-            for token, score in vector.items():
-                scores[token] = scores.get(token, 0.0) + score
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+# Generated messages: log-ish words (identifiers, numbers, IPs,
+# timestamps, stopwords, trailing dots) and free text over the token
+# alphabet's edges.
+_WORDS = st.sampled_from([
+    "atlas-OST0042@10.36.226.77@o2ib", "OST01dc", "Machine", "Check",
+    "error", "LustreError:", "10.36.226.77", "1234", "2017-03-01T00:00:00",
+    "0xd012000100000000", "B.", "-.x", "dup", "a", "x1551", "disk",
+    "failure", "Disk", "(client.c:1123:ptlrpc_expire_one_request())",
+])
+_GENERATED = (st.lists(_WORDS, max_size=10).map(" ".join)
+              | st.text(alphabet="aAbZ09._- @:", max_size=30))
 
 
 class TestAgainstTwoPassReference:
-    """Vectors, scores and ranking bit for bit those of the plain
-    reference, over generated Lustre and MCE console lines."""
+    """The one-stage fold ranks and scores as the two-pass reference
+    does, over generated messages and rendered Lustre and MCE console
+    lines, with 1 and 3 partitions per corpus."""
 
     @pytest.fixture(scope="class")
     def corpus(self, events):
@@ -145,22 +114,49 @@ class TestAgainstTwoPassReference:
         # retained message part, as the data model stores it.
         return lines[:150] + [l.split(": ", 1)[-1] for l in lines[150:450]]
 
+    @pytest.fixture(scope="class")
+    def contexts(self):
+        ctxs = {parts: SparkletContext(2, default_parallelism=parts)
+                for parts in (1, 3)}
+        yield ctxs
+        for ctx in ctxs.values():
+            ctx.stop()
+
     def test_tokenize(self, corpus):
         for line in corpus:
-            assert tokenize(line) == _reference_tokenize(line)
+            assert tokenize(line) == oracle.tokenize(line)
 
-    def test_tf_idf_vectors(self, sc, corpus):
-        assert tf_idf(sc, corpus) == _reference_tf_idf(corpus)
-        assert tf_idf(sc, corpus, 3) == _reference_tf_idf(corpus)
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_storm_keywords(self, contexts, corpus, mode, data):
+        message = st.sampled_from(corpus) | _GENERATED
+        window = data.draw(st.lists(message, min_size=1, max_size=80))
+        quiet = data.draw(st.lists(message, min_size=1, max_size=80))
+        n = data.draw(st.integers(1, 30))
+        kwargs = _kwargs(mode, quiet)
+        want = oracle.top_terms(oracle.keyword_scores(window, **kwargs), n)
+        for ctx in contexts.values():
+            got = storm_keywords(ctx, window, n, **kwargs)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, score), (_, want_score) in zip(got, want):
+                assert math.isclose(score, want_score, rel_tol=1e-9)
+            assert got == sorted(got, key=lambda kv: (-kv[1], kv[0]))
 
-    @pytest.mark.parametrize("mode", ["tf_idf", "counts", "background"])
-    def test_storm_keywords(self, sc, corpus, mode):
-        window, quiet = corpus[:200], corpus[200:]
-        kwargs = {"tf_idf": {}, "counts": {"use_tf_idf": False},
-                  "background": {"background": quiet}}[mode]
-        got = storm_keywords(sc, window, 25, **kwargs)
-        assert got == _reference_keywords(window, 25, **kwargs)
-        assert len(got) == 25
+
+class TestKeywordsIsOneStage:
+    """One storm_keywords call moves the engine's job and stage counts
+    (the sparklet.jobs and sparklet.stages counters) by exactly one
+    each, in every mode: the window and the background are folded in
+    the same narrow stage, with no shuffle."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_job_one_stage(self, mode):
+        messages = ["atlas-OST0042 not responding", "disk ok", "OST0042"]
+        with SparkletContext(2) as ctx:
+            storm_keywords(ctx, messages, 5,
+                           **_kwargs(mode, ["disk ok", "all quiet"]))
+            assert (ctx.metrics.jobs, ctx.metrics.stages) == (1, 1)
 
 
 class TestTopTerms:
