@@ -54,7 +54,7 @@ from .errors import (
 )
 from .hashring import HashRing
 from .node import Hint, StorageNode
-from .resilience import CircuitBreaker, RetryPolicy
+from .resilience import BreakerState, CircuitBreaker, RetryPolicy
 from .row import ClusteringBound, Row
 from .schema import Keyspace, TableSchema
 from .vector import (
@@ -134,7 +134,7 @@ class Cluster:
         keyspace: str = "logs",
         flush_threshold: int = 50_000,
         max_sstables: int = 8,
-        retry_policy: RetryPolicy | None = None,
+        retry_policy: RetryPolicy = RetryPolicy(),
     ):
         if isinstance(node_ids, int):
             node_ids = [f"node{i:02d}" for i in range(node_ids)]
@@ -205,21 +205,19 @@ class Cluster:
             "cassdb.write.batch_rows", buckets=(10, 100, 1000, 10_000))
         self._m_batch_groups = registry.histogram(
             "cassdb.write.batch_groups", buckets=(1, 2, 4, 8, 16))
-        # Resilience hardening (PR 4).  With retry_policy=None every new
-        # code path is skipped — the pre-hardening coordinator exactly.
+        # Every coordinated op runs under the retry policy, and every
+        # replica has a circuit breaker.  The jitter RNG's seed is a
+        # constant, so a retry schedule is reproducible.
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(
-            retry_policy.seed if retry_policy else 0)
+        self._retry_rng = random.Random(2017)
         self._retry_lock = threading.Lock()
-        self._breakers: dict[str, CircuitBreaker] = {}
-        if retry_policy is not None and retry_policy.breaker_failures > 0:
-            self._breakers = {
-                nid: CircuitBreaker(
-                    failure_threshold=retry_policy.breaker_failures,
-                    cooldown_s=retry_policy.breaker_cooldown_s,
-                )
-                for nid in node_ids
-            }
+        self._breakers = {
+            nid: CircuitBreaker(
+                failure_threshold=retry_policy.breaker_failures,
+                cooldown_s=retry_policy.breaker_cooldown_s,
+            )
+            for nid in node_ids
+        }
         # Chaos injection point: a FaultGate armed by repro.chaos, or
         # None (the permanent default: one attribute check per op).
         self.chaos_gate = None
@@ -341,43 +339,47 @@ class Cluster:
 
     # -- circuit breakers ---------------------------------------------------
 
-    def breaker(self, node_id: str) -> CircuitBreaker | None:
-        """The replica's circuit breaker (None when breakers are off)."""
-        return self._breakers.get(node_id)
-
-    def _breaker_success(self, node_id: str) -> None:
-        if self._breakers:
-            self._breakers[node_id].record_success()
+    def breaker(self, node_id: str) -> CircuitBreaker:
+        """The replica's circuit breaker."""
+        return self._breakers[node_id]
 
     def _breaker_failure(self, node_id: str) -> None:
-        if self._breakers:
-            if self._breakers[node_id].record_failure():
-                self._m_breaker_opens.inc()
+        if self._breakers[node_id].record_failure():
+            self._m_breaker_opens.inc()
 
     def _read_targets(
         self, alive: list[str], required: int
     ) -> tuple[list[str], list[str]]:
         """Pick read targets among *alive* replicas, breaker-aware.
 
-        Replicas whose breaker is OPEN are deprioritized — they are only
-        read when too few healthy replicas remain to meet *required*.
-        Returns ``(targets, spares)``; spares are the healthy overflow
-        available for speculative (hedged) reads.
+        Targets are the first *required* replicas whose breaker allows a
+        read.  ``allow()`` is asked only until they are found: past its
+        cooldown an open breaker answers with the one probe, and a
+        replica granted the probe but never read would stay HALF_OPEN
+        for good.  Returns ``(targets, spares)``; spares, for
+        speculative (hedged) reads, are the replicas after the targets
+        whose breaker is CLOSED.  When too few breakers allow a read,
+        every alive replica is routed, refused ones last.
         """
-        if not self._breakers:
-            return alive[:required], alive[required:]
-        healthy = []
-        broken = []
-        for rid in alive:
-            (healthy if self._breakers[rid].allow() else broken).append(rid)
-        if len(healthy) < required:
+        targets: list[str] = []
+        broken: list[str] = []
+        rest = iter(alive)
+        for rid in rest:
+            if self._breakers[rid].allow():
+                targets.append(rid)
+                if len(targets) == required:
+                    break
+            else:
+                broken.append(rid)
+        else:
             # Not enough healthy replicas: route through open breakers
             # too rather than fail the read outright.
-            healthy = healthy + broken
-            broken = []
-        elif broken:
+            routed = targets + broken
+            return routed[:required], routed[required:]
+        if broken:
             self._m_breaker_skips.inc(len(broken))
-        return healthy[:required], healthy[required:]
+        return targets, [rid for rid in rest
+                         if self._breakers[rid].state == BreakerState.CLOSED]
 
     # -- write path ---------------------------------------------------------
 
@@ -452,7 +454,7 @@ class Cluster:
             return self._table_epochs.get(table, 0)
 
     def _retrying(self, kind: str, fn):
-        """Run *fn* under the retry policy (or once, with no policy).
+        """Run *fn* under the retry policy.
 
         Retries coordinator-level failures with exponential backoff and
         seeded jitter, within ``max_attempts`` and the per-operation
@@ -461,8 +463,6 @@ class Cluster:
         under last-write-wins.
         """
         policy = self.retry_policy
-        if policy is None:
-            return fn()
         retries = (self._m_write_retries if kind == "write"
                    else self._m_read_retries)
         start = time.perf_counter()
@@ -473,10 +473,8 @@ class Cluster:
             except (UnavailableError, WriteTimeoutError, ReadTimeoutError,
                     NodeDownError):
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
-                if attempt >= policy.max_attempts or (
-                    policy.request_timeout_ms is not None
-                    and elapsed_ms >= policy.request_timeout_ms
-                ):
+                if (attempt >= policy.max_attempts
+                        or elapsed_ms >= policy.request_timeout_ms):
                     self._m_retry_exhausted.inc()
                     raise
                 with self._retry_lock:
@@ -675,7 +673,7 @@ class Cluster:
                     # Crashed but unconvicted: no ack for any group.
                     self._breaker_failure(replica_id)
                 else:
-                    self._breaker_success(replica_id)
+                    self._breakers[replica_id].record_success()
                     applied.add(replica_id)
             # Settle: acks and hints per group, from the node outcomes.
             short: list = []
@@ -943,7 +941,7 @@ class Cluster:
                 self._breaker_failure(rid)
                 self._m_consistency_failures.inc()
                 raise ReadTimeoutError(required, 0)
-            self._breaker_success(rid)
+            self._breakers[rid].record_success()
             return source
         responses: dict[str, list[Row]] = {}
 
@@ -960,7 +958,7 @@ class Cluster:
             except NodeDownError:  # raced with a kill; treat as no response
                 self._breaker_failure(replica_id)
                 return None
-            self._breaker_success(replica_id)
+            self._breakers[replica_id].record_success()
             return rows
 
         # QUORUM/ALL: query every required replica concurrently and
@@ -972,14 +970,12 @@ class Cluster:
                 contextvars.copy_context().run, read_replica, rid): rid
             for rid in targets
         }
-        policy = self.retry_policy
-        threshold = (None if policy is None
-                     else policy.speculative_threshold_ms)
         hedged: set[str] = set()
-        if threshold is not None and spares:
+        if spares:
             # Speculative retry: replicas still silent past the
             # threshold each get a hedged duplicate on a spare.
-            _, pending = wait(futures, timeout=threshold / 1000.0)
+            _, pending = wait(futures, timeout=(
+                self.retry_policy.speculative_threshold_ms / 1000.0))
             if pending:
                 for rid in spares[:len(pending)]:
                     hedged.add(rid)

@@ -113,19 +113,6 @@ class HashRing:
                 bisect.insort(self._tokens, tok)
             self._token_owner[tok] = node_id
 
-    def remove_node(self, node_id: str) -> None:
-        """Remove a physical node and all of its vnode tokens."""
-        if node_id not in self._nodes:
-            raise ValueError(f"node not in ring: {node_id!r}")
-        self._nodes.discard(node_id)
-        for tok in self._vnode_tokens(node_id):
-            if self._token_owner.get(tok) != node_id:
-                continue
-            del self._token_owner[tok]
-            idx = bisect.bisect_left(self._tokens, tok)
-            if idx < len(self._tokens) and self._tokens[idx] == tok:
-                del self._tokens[idx]
-
     # -- placement ----------------------------------------------------
 
     def primary(self, key: str | bytes) -> str:

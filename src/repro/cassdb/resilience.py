@@ -7,16 +7,17 @@ failing.  This module holds those policies for the simulated cluster:
 
 * :class:`RetryPolicy` — how many attempts a coordinated read/write
   gets, the backoff curve between them, the per-operation time budget,
-  and the speculative-read threshold.  Jitter is drawn from a seeded
-  RNG so a chaos scenario's retry schedule is reproducible.
+  and the speculative-read threshold.  Jitter is drawn from an RNG the
+  cluster seeds with a constant, so a retry schedule is reproducible.
 * :class:`CircuitBreaker` — per-replica CLOSED → OPEN → HALF_OPEN state
   machine: after ``failure_threshold`` consecutive failures the breaker
   opens and the coordinator stops *preferring* that replica for reads;
   after ``cooldown_s`` one probe is allowed through (HALF_OPEN) and a
   success closes it again.
 
-A cluster built without a policy (the default) takes none of these code
-paths — the pre-hardening behaviour, byte for byte.
+Every cluster runs under a policy — ``RetryPolicy()`` unless it is
+given another — and holds one breaker per replica.
+``RetryPolicy(max_attempts=1)`` is how a caller says "no retry".
 """
 
 from __future__ import annotations
@@ -45,33 +46,32 @@ class RetryPolicy:
         0.5 = each delay drawn from [75%, 125%] of nominal).
     request_timeout_ms:
         Per-operation budget: no retry starts after this much wall time
-        has elapsed since the first attempt.  None = unlimited.
+        has elapsed since the first attempt.
     speculative_threshold_ms:
         On QUORUM/ALL reads, replicas that have not answered within
         this window get a duplicate (hedged) read on a spare replica.
-        None disables speculation.
     breaker_failures / breaker_cooldown_s:
-        Circuit-breaker tuning (see :class:`CircuitBreaker`);
-        ``breaker_failures=0`` disables breakers entirely.
-    seed:
-        Seeds the jitter RNG — chaos scenarios stay reproducible.
+        Circuit-breaker tuning (see :class:`CircuitBreaker`): the
+        consecutive failures that open a replica's breaker (>= 1), and
+        how long it stays open before a probe.
     """
 
     max_attempts: int = 4
     base_delay_ms: float = 2.0
     max_delay_ms: float = 50.0
     jitter: float = 0.5
-    request_timeout_ms: float | None = 2_000.0
-    speculative_threshold_ms: float | None = 10.0
+    request_timeout_ms: float = 2_000.0
+    speculative_threshold_ms: float = 10.0
     breaker_failures: int = 3
     breaker_cooldown_s: float = 0.05
-    seed: int = 2017
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if not (0.0 <= self.jitter <= 1.0):
             raise ValueError("jitter must be in [0, 1]")
+        if self.breaker_failures < 1:
+            raise ValueError("breaker_failures must be >= 1")
 
     def delay_ms(self, attempt: int, rng: random.Random) -> float:
         """Backoff before retry *attempt* (1-based: first retry is 1)."""

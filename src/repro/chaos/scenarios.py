@@ -52,9 +52,7 @@ _SCHEMA = TableSchema(TABLE, partition_key=("shard",), clustering_key=("seq",))
 
 # Zero-delay policy: retries are immediate (logical time only), so
 # scenario wall time stays in milliseconds and reports carry no timing.
-_FAST_RETRIES = dict(base_delay_ms=0.0, max_delay_ms=0.0, jitter=0.0,
-                     request_timeout_ms=None,
-                     speculative_threshold_ms=None, breaker_failures=0)
+_FAST_RETRIES = dict(base_delay_ms=0.0, max_delay_ms=0.0, jitter=0.0)
 
 
 def _write_workload(cluster: Cluster, n_rows: int, n_shards: int,
@@ -95,7 +93,7 @@ def scenario_quorum_crash(seed: int, quick: bool) -> dict:
     must converge (repair is a no-op afterwards)."""
     n_rows = 60 if quick else 240
     cluster = Cluster(5, replication_factor=3,
-                      retry_policy=RetryPolicy(seed=seed, **_FAST_RETRIES))
+                      retry_policy=RetryPolicy(**_FAST_RETRIES))
     cluster.create_table(_SCHEMA)
     plan = FaultPlan(seed=seed, crashes=(
         CrashWindow("node01", at_op=n_rows // 3,
@@ -132,7 +130,7 @@ def scenario_hint_replay(seed: int, quick: bool) -> dict:
     revival every row reads back at ALL and repair finds nothing."""
     n_rows = 48 if quick else 200
     cluster = Cluster(4, replication_factor=2,
-                      retry_policy=RetryPolicy(seed=seed, **_FAST_RETRIES))
+                      retry_policy=RetryPolicy(**_FAST_RETRIES))
     cluster.create_table(_SCHEMA)
     plan = FaultPlan(seed=seed, crashes=(
         CrashWindow("node02", at_op=n_rows // 4,
@@ -167,7 +165,7 @@ def scenario_replica_flap(seed: int, quick: bool) -> dict:
     """Three of five replicas flap in lockstep (down 6 of every 10 ops);
     the retrying coordinator must land every QUORUM write anyway."""
     n_rows = 60 if quick else 240
-    policy = RetryPolicy(seed=seed, max_attempts=8, **_FAST_RETRIES)
+    policy = RetryPolicy(max_attempts=8, **_FAST_RETRIES)
     cluster = Cluster(5, replication_factor=3, retry_policy=policy)
     cluster.create_table(_SCHEMA)
     plan = FaultPlan(seed=seed, flap=FlapSpec(
@@ -210,10 +208,8 @@ def scenario_slow_replica(seed: int, quick: bool) -> dict:
     QUORUM answers fast *and correct*.  The report excludes injection
     counts — how many stalls fire depends on hedge timing."""
     n_rows = 24 if quick else 96
-    policy = RetryPolicy(seed=seed, max_attempts=2, base_delay_ms=0.0,
-                         max_delay_ms=0.0, jitter=0.0,
-                         request_timeout_ms=None,
-                         speculative_threshold_ms=2.0, breaker_failures=0)
+    policy = RetryPolicy(max_attempts=2, speculative_threshold_ms=2.0,
+                         **_FAST_RETRIES)
     cluster = Cluster(4, replication_factor=3, retry_policy=policy)
     cluster.create_table(_SCHEMA)
     acked, failures = _write_workload(cluster, n_rows, 4, Consistency.ONE)

@@ -646,20 +646,17 @@ class AnalyticsServer:
         nodes = {}
         degraded = []
         for node_id, node in sorted(cluster.nodes.items()):
-            info = {
+            breaker = str(cluster.breaker(node_id).state)
+            nodes[node_id] = {
                 "process_up": node.process_up,
                 "routing_up": node.routing_up,
                 "hints_pending": len(node.hints),
                 "tables": len(node.tables),
+                "breaker": breaker,
             }
-            breaker = cluster.breaker(node_id)
-            if breaker is not None:
-                info["breaker"] = str(breaker.state)
-                if str(breaker.state) != "closed":
-                    degraded.append(node_id)
-            if not node.routing_up or not node.process_up:
+            if (breaker != "closed" or not node.routing_up
+                    or not node.process_up):
                 degraded.append(node_id)
-            nodes[node_id] = info
         alive = cluster.alive_nodes()
         return {
             "status": "ok" if not degraded else "degraded",

@@ -35,19 +35,6 @@ class TestMembership:
         with pytest.raises(ValueError):
             ring.add_node("a")
 
-    def test_remove_unknown_rejected(self):
-        ring = HashRing(["a"])
-        with pytest.raises(ValueError):
-            ring.remove_node("b")
-
-    def test_add_then_remove_restores(self):
-        ring = HashRing(["a", "b"], vnodes=16)
-        before = {k: ring.primary(k) for k in map(str, range(100))}
-        ring.add_node("c")
-        ring.remove_node("c")
-        after = {k: ring.primary(k) for k in map(str, range(100))}
-        assert before == after
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             HashRing(vnodes=0)

@@ -55,16 +55,6 @@ class TestRingProperties:
         r2 = HashRing(list(reversed(nodes)), vnodes=8)
         assert r1.primary(key) == r2.primary(key)
 
-    @given(nodes=node_sets, key=keys)
-    def test_remove_unrelated_node_keeps_placement(self, nodes, key):
-        ring = HashRing(nodes, vnodes=8)
-        owner = ring.primary(key)
-        victim = next((n for n in nodes if n != owner), None)
-        if victim is None:
-            return
-        ring.remove_node(victim)
-        assert ring.primary(key) == owner
-
 
 class TestBloomProperties:
     @given(st.lists(keys, max_size=200))

@@ -3,6 +3,7 @@ hardened coordinator's retry, breaker and speculative-read behaviour.
 """
 
 import random
+import time
 
 import pytest
 
@@ -20,9 +21,7 @@ from repro.chaos import FaultGate, FaultPlan, FlapSpec, LatencySpec
 
 SCHEMA = TableSchema("t", partition_key=("pk",), clustering_key=("ck",))
 
-FAST = dict(base_delay_ms=0.0, max_delay_ms=0.0, jitter=0.0,
-            request_timeout_ms=None, speculative_threshold_ms=None,
-            breaker_failures=0)
+FAST = dict(base_delay_ms=0.0, max_delay_ms=0.0, jitter=0.0)
 
 
 def _counter(name):
@@ -35,6 +34,12 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
+
+    @pytest.mark.parametrize("failures", [0, -1])
+    def test_breakers_cannot_be_switched_off(self, failures):
+        # A threshold of 0 would quietly mean "open on the first failure".
+        with pytest.raises(ValueError):
+            RetryPolicy(breaker_failures=failures)
 
     def test_backoff_curve_without_jitter(self):
         p = RetryPolicy(base_delay_ms=2.0, max_delay_ms=10.0, jitter=0.0)
@@ -125,9 +130,13 @@ def _fill(cluster, n=20, consistency=Consistency.QUORUM):
 
 class TestHardenedCoordinator:
     def test_no_policy_changes_nothing(self):
+        # A cluster given no policy runs under the default one, with a
+        # closed breaker on every node.
         cluster = Cluster(4, replication_factor=2)
-        assert cluster.retry_policy is None
-        assert cluster.breaker("node01") is None
+        assert cluster.retry_policy == RetryPolicy()
+        for node_id in cluster.nodes:
+            assert isinstance(cluster.breaker(node_id), CircuitBreaker)
+            assert cluster.breaker(node_id).state == BreakerState.CLOSED
         cluster.create_table(SCHEMA)
         _fill(cluster)
         cluster.close()
@@ -167,15 +176,70 @@ class TestHardenedCoordinator:
         assert _counter("cassdb.retry.exhausted").value == before + 1
         cluster.close()
 
+    def test_request_budget_stops_retries(self):
+        # A spent budget ends the op after its first attempt, however
+        # many attempts the policy allows.
+        policy = RetryPolicy(max_attempts=5, request_timeout_ms=0.0,
+                             base_delay_ms=0.0)
+        cluster = Cluster(4, replication_factor=3, retry_policy=policy)
+        cluster.create_table(SCHEMA)
+        cluster.kill_node("node01")
+        cluster.kill_node("node02")
+        counters = ("cassdb.retry.exhausted", "cassdb.retry.read_retries",
+                    "cassdb.retry.write_retries")
+        for op in (
+            lambda: cluster.insert("t", {"pk": "p0", "ck": 0, "v": 0},
+                                   Consistency.ALL),
+            lambda: cluster.select_partition("t", ("p0",),
+                                             consistency=Consistency.ALL),
+        ):
+            before = [_counter(name).value for name in counters]
+            with pytest.raises(UnavailableError):
+                op()
+            after = [_counter(name).value for name in counters]
+            assert after == [before[0] + 1, before[1], before[2]]
+        cluster.close()
+
+    def test_a_probe_goes_to_a_replica_that_is_read(self):
+        # A CL=ONE read asks the breakers of its target only.  Asking a
+        # spare's breaker past its cooldown hands the spare the probe;
+        # a spare is never read, so its breaker stayed HALF_OPEN for good
+        # and health reported the node degraded.
+        policy = RetryPolicy(breaker_failures=1, breaker_cooldown_s=0.01,
+                             **FAST)
+        cluster = Cluster(5, replication_factor=3, retry_policy=policy)
+        cluster.create_table(SCHEMA)
+        victim = "node02"
+
+        def where(position):
+            return [f"p{i}" for i in range(200)
+                    if cluster.ring.replicas(SCHEMA.partition_key_of(
+                        {"pk": f"p{i}"}))[position] == victim]
+
+        leads, second = where(0), where(1)
+        for pk in leads + second:
+            cluster.insert("t", {"pk": pk, "ck": 0, "v": 0}, Consistency.ALL)
+        cluster.crash_node(victim)
+        assert cluster.select_partition("t", (leads[0],)) == [
+            {"pk": leads[0], "ck": 0, "v": 0}]
+        assert cluster.breaker(victim).state == BreakerState.OPEN
+        cluster.recover_node(victim)
+        time.sleep(0.02)                      # past the cooldown
+        cluster.select_partition("t", (second[0],))
+        assert cluster.breaker(victim).state == BreakerState.OPEN
+        for i, pk in enumerate(leads[:10]):
+            if i == 5:
+                time.sleep(0.05)
+            cluster.select_partition("t", (pk,))
+        assert cluster.breaker(victim).state == BreakerState.CLOSED
+        cluster.close()
+
     def test_breaker_opens_on_crashed_replica_and_reads_route_around(self):
         # A crashed (process-down, not yet convicted) replica answers
         # reads with NodeDownError: the breaker opens and later reads
         # deprioritize it, so every read still succeeds.
         policy = RetryPolicy(max_attempts=4, breaker_failures=1,
-                             breaker_cooldown_s=60.0, base_delay_ms=0.0,
-                             max_delay_ms=0.0, jitter=0.0,
-                             request_timeout_ms=None,
-                             speculative_threshold_ms=None)
+                             breaker_cooldown_s=60.0, **FAST)
         cluster = Cluster(5, replication_factor=3, retry_policy=policy)
         cluster.create_table(SCHEMA)
         _fill(cluster, n=20)
@@ -193,11 +257,8 @@ class TestHardenedCoordinator:
         cluster.close()
 
     def test_speculative_read_hedges_a_slow_replica(self):
-        policy = RetryPolicy(max_attempts=2, base_delay_ms=0.0,
-                             max_delay_ms=0.0, jitter=0.0,
-                             request_timeout_ms=None,
-                             speculative_threshold_ms=1.0,
-                             breaker_failures=0)
+        policy = RetryPolicy(max_attempts=2, speculative_threshold_ms=1.0,
+                             **FAST)
         cluster = Cluster(5, replication_factor=3, retry_policy=policy)
         cluster.create_table(SCHEMA)
         _fill(cluster, n=10)

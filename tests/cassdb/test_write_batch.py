@@ -24,6 +24,7 @@ from repro import obs
 from repro.cassdb import (
     Cluster,
     Consistency,
+    RetryPolicy,
     TableSchema,
     UnavailableError,
     WriteTimeoutError,
@@ -246,7 +247,11 @@ class TestSingleRowGroupCommit:
     def test_fault_accounting(self, op, scenario):
         fault, consistency, error, hinted, writes, epochs = (
             self.SCENARIOS[scenario])
-        cluster = make_cluster(4, rf=2)
+        # A retry re-sends the row to the crashed replica and re-buffers
+        # its hint: the counts below are those of one attempt.
+        cluster = make_cluster(4, rf=2, retry_policy=(
+            RetryPolicy(max_attempts=1) if fault == "crash_node"
+            else RetryPolicy()))
         pk = EVENTS.partition_key_of(self.VALUES)
         survivor, victim = cluster.ring.replicas(pk)
         getattr(cluster, fault)(victim)

@@ -121,9 +121,8 @@ class TestRoundTrip:
         assert "spans_by_time" in result["ring"]["tables"]
         for info in result["nodes"].values():
             assert info["process_up"] and info["routing_up"]
-            # Breakers are optional cluster equipment; when armed they
-            # must report closed on a healthy ring.
-            assert info.get("breaker", "closed") == "closed"
+            # Every replica has a breaker; on a healthy ring it is closed.
+            assert info["breaker"] == "closed"
 
     def test_second_cycle_does_not_replay_spans(self, loop):
         before = set()
