@@ -7,16 +7,19 @@ when the memtable grows past a threshold the storage engine flushes it
 into an immutable :class:`~repro.cassdb.sstable.SSTable`.
 
 Rows within a partition are kept as a dict keyed by clustering tuple plus
-a lazily-sorted key list — upserts are O(1), and the sorted view is
-materialized once per flush/scan instead of on every write, which matches
-the write-heavy access pattern of log ingestion.
+a lazily-sorted key list — upserts are O(1), and the sort runs once per
+read or flush after a write instead of on every write, which matches the
+write-heavy access pattern of log ingestion.
 
 A memtable is read through the face a run has,
-:meth:`Memtable.slice_partition_view`: the in-bounds rows as a
-row-backed block whose clustering array is the bisected key slice.  The
-store asks every tier that one question; a flush asks it without
-bounds.  A delete is not a separate entry point: it is the upsert of a
-marker row (``Row(ck, {}, tombstone_ts=ts)``), which
+:meth:`Memtable.slice_partition_view`.  Each partition keeps one *face*:
+a row-backed block over all its rows in clustering order, built by the
+first read after a write and dropped by the next write.  A read bisects
+the face's clustering array and answers a view over the in-bounds range,
+so a column a kernel transposed stays for the next read.  A flush
+encodes each partition straight from its sorted rows and keeps no face.
+A delete is not a separate entry point: it is the upsert of a marker row
+(``Row(ck, {}, tombstone_ts=ts)``), which
 :func:`~repro.cassdb.row.merge_rows` lets shadow what it covers.
 """
 
@@ -31,17 +34,34 @@ __all__ = ["MemPartition", "Memtable"]
 
 
 class MemPartition:
-    """Mutable partition: clustering key -> row, sorted on demand."""
+    """Mutable partition: clustering key -> row, sorted on demand, read
+    through one kept face.
 
-    __slots__ = ("rows", "_sorted_keys", "_dirty")
+    The face is a row-backed :class:`ColumnBlock` over every row in
+    clustering order.  :meth:`face` builds it on the first read after a
+    write and :meth:`upsert` drops it — a new key, a merge into an
+    existing key and a tombstone marker alike — so a column a kernel
+    transposes out of it serves every read until the next write.
+
+    Concurrency: reads and upserts both run under the store lock, so a
+    face is built and dropped under it.  A view taken before a write
+    keeps its snapshot: nothing edits the face's row list, and
+    ``BlockView.to_rows`` copies.  Two kernels may transpose the same
+    lazy column at once; they compute equal values, and the store into
+    the block's column dict is atomic.
+    """
+
+    __slots__ = ("rows", "_sorted_keys", "_dirty", "_face")
 
     def __init__(self):
         self.rows: dict[tuple, Row] = {}
         self._sorted_keys: list[tuple] = []
         self._dirty = False
+        self._face: ColumnBlock | None = None
 
     def upsert(self, row: Row) -> int:
         """Insert/merge one row; returns the row-count delta (0 or 1)."""
+        self._face = None
         rows = self.rows
         existing = rows.get(row.clustering)
         if existing is None:
@@ -56,6 +76,20 @@ class MemPartition:
             self._sorted_keys = sorted(self.rows)
             self._dirty = False
         return self._sorted_keys
+
+    def sorted_rows(self) -> list[Row]:
+        rows = self.rows
+        return [rows[k] for k in self.sorted_keys()]
+
+    def face(self) -> ColumnBlock:
+        """The row-backed block over every row, kept until the next
+        upsert.  (The sorted key list is shared, not copied: a re-sort
+        replaces it and nothing edits it.)"""
+        face = self._face
+        if face is None:
+            face = self._face = ColumnBlock.over_rows(self.sorted_rows(),
+                                                      self.sorted_keys())
+        return face
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -106,22 +140,15 @@ class Memtable:
         ``None`` when the partition is absent — the contract of
         :meth:`SSTable.slice_partition_view`.
 
-        The sorted key list is bisected and only the in-bounds rows are
-        gathered, into a row-backed block built for this one read (the
-        caller holds off writers while it is built, not after).
+        The partition's face is bisected and the view is over the
+        in-bounds offset range of it, as over a run's block.
         """
         part = self.partitions.get(partition_key)
         if part is None:
             return None
-        keys = part.sorted_keys()
-        lo, hi = slice_bounds_keys(keys, lower, upper)
-        rows = part.rows
-        if hi - lo < len(keys):
-            keys = keys[lo:hi]
-        # (The whole key list is shared, not copied: a re-sort replaces
-        # it, nothing edits it, and a flush keeps it as the block's.)
-        block = ColumnBlock.over_rows([rows[k] for k in keys], keys)
-        return BlockView(block), len(rows) - len(keys)
+        face = part.face()
+        lo, hi = slice_bounds_keys(face.clustering, lower, upper)
+        return BlockView(face, range(lo, hi)), face.n - (hi - lo)
 
     def partition_keys(self) -> Iterator[str]:
         return iter(self.partitions)

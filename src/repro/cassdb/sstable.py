@@ -15,7 +15,7 @@ vectorized kernels filter/project/fold without building ``Row`` objects,
 and :attr:`SSTable.partitions` is the plain ``partition key -> block``
 dict (dropping a key is the simulated loss of that partition).  A run
 is built *from* blocks: flush (:meth:`SSTable.from_memtable`) encodes
-each partition's whole memtable slice, compaction
+each memtable partition's sorted rows, compaction
 (:func:`merge_sstables`) encodes what
 :func:`~repro.cassdb.vector.merge_views` — the same merge a read runs —
 emitted over the runs' blocks, and both hand the constructor the
@@ -87,15 +87,15 @@ class SSTable:
     @classmethod
     def from_memtable(cls, memtable: Memtable, *,
                       hints: BlockHints | None = None) -> "SSTable":
-        """Flush: each partition's whole slice, encoded column-major.
-        The memtable's sorted key list becomes the block's clustering
-        array as it is (the sealed memtable is discarded afterwards)."""
-        blocks: dict[str, ColumnBlock] = {}
-        for pk in memtable.partition_keys():
-            view, _ = memtable.slice_partition_view(pk)
-            blocks[pk] = ColumnBlock.from_rows(view.block.rows(), hints,
-                                               view.block.clustering)
-        return cls(blocks, hints=hints)
+        """Flush: each partition encoded column-major straight from its
+        sorted rows, not through a read face, so a sealed memtable keeps
+        no face while its flush runs.  The memtable's sorted key list
+        becomes the block's clustering array as it is (the sealed
+        memtable is discarded afterwards)."""
+        return cls({pk: ColumnBlock.from_rows(part.sorted_rows(), hints,
+                                              part.sorted_keys())
+                    for pk, part in memtable.partitions.items()},
+                   hints=hints)
 
     def maybe_contains(self, partition_key: str) -> bool:
         """Bloom-filter check; False means *definitely* absent.  The

@@ -196,11 +196,11 @@ class ColumnBlock:
 
     A block is either *eager* (:meth:`from_rows`: every column encoded
     when the block is built — what an SSTable stores) or *row-backed*
-    (:meth:`over_rows`: a memtable's slice or the rows a merge emitted
-    stay the store of record and :meth:`column` transposes a column out
-    of them the first time a kernel names it).  Kernels see the same
-    :class:`Column`, and the merge the same ``live``/``n_dead``, either
-    way.
+    (:meth:`over_rows`: a memtable partition's face or the rows a
+    merge emitted stay the store of record and :meth:`column`
+    transposes a column out of them the first time a kernel names it).
+    Kernels see the same :class:`Column`, and the merge the same
+    ``live``/``n_dead``, either way.
     """
 
     __slots__ = ("_clustering", "n", "columns", "live", "n_dead",
@@ -222,8 +222,8 @@ class ColumnBlock:
     def over_rows(cls, rows: list[Row],
                   clustering: list[tuple] | None = None) -> "ColumnBlock":
         """A block over *rows* as they are, in ascending clustering
-        order: a memtable's slice (which passes the key slice it
-        bisected as *clustering*), what :func:`merge_views` emitted, a
+        order: a memtable partition's face (which passes its sorted key
+        list as *clustering*), what :func:`merge_views` emitted, a
         copy replicas exchanged.  Dead rows are reported as an eager
         block reports them (``n_dead``/``live``); nothing is encoded, and
         a read that names no cell column (a count, a rehydration) never

@@ -8,13 +8,7 @@ through realistic templates, and a synthetic job history.
 
 from .generator import GeneratedEvent, GroundTruth, LogGenerator, StormInfo
 from .jobs import ApplicationRun, JobGenerator
-from .processes import (
-    burst_arrivals,
-    hotspot_weights,
-    poisson_arrivals,
-    weibull_arrivals,
-    zipf_weights,
-)
+from .processes import hotspot_weights, poisson_arrivals, weibull_arrivals
 from .templates import EPOCH, iso_ts, render_line
 
 __all__ = [
@@ -25,11 +19,9 @@ __all__ = [
     "JobGenerator",
     "LogGenerator",
     "StormInfo",
-    "burst_arrivals",
     "hotspot_weights",
     "iso_ts",
     "poisson_arrivals",
     "render_line",
     "weibull_arrivals",
-    "zipf_weights",
 ]

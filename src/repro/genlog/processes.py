@@ -7,7 +7,6 @@ paper's analytics are demonstrated on:
 * homogeneous Poisson baselines (independent background noise),
 * Weibull renewal processes with shape < 1 (bursty/clustered arrivals,
   the empirically observed pattern for HPC faults),
-* compound bursts (a trigger followed by a storm of correlated events),
 * skewed spatial weights (hot nodes / hot cabinets, so heat maps have
   something to find).
 
@@ -22,8 +21,6 @@ import numpy as np
 __all__ = [
     "poisson_arrivals",
     "weibull_arrivals",
-    "burst_arrivals",
-    "zipf_weights",
     "hotspot_weights",
 ]
 
@@ -76,47 +73,6 @@ def weibull_arrivals(rate: float, shape: float, t0: float, t1: float,
     if not times:
         return np.empty(0)
     return np.concatenate(times)
-
-
-def burst_arrivals(burst_rate: float, events_per_burst: float,
-                   burst_duration: float, t0: float, t1: float,
-                   rng: np.random.Generator
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Compound Poisson bursts.
-
-    Burst *triggers* arrive as a Poisson process (``burst_rate`` per
-    second); each burst emits ``Poisson(events_per_burst)`` events spread
-    exponentially over ``burst_duration`` seconds.  Returns
-    ``(event_times, burst_ids)`` so callers can keep per-burst context
-    (e.g. which OST failed).
-    """
-    triggers = poisson_arrivals(burst_rate, t0, t1, rng)
-    if triggers.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    counts = rng.poisson(events_per_burst, size=triggers.size)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    burst_ids = np.repeat(np.arange(triggers.size), counts)
-    offsets = rng.exponential(burst_duration / 3.0, size=total)
-    times = np.repeat(triggers, counts) + np.clip(offsets, 0, burst_duration)
-    order = np.argsort(times, kind="stable")
-    return times[order], burst_ids[order]
-
-
-def zipf_weights(n: int, exponent: float, rng: np.random.Generator
-                 ) -> np.ndarray:
-    """Normalized Zipf-like weights over *n* items, randomly permuted.
-
-    ``exponent == 0`` is uniform; larger exponents concentrate
-    probability on a few items (hot components).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ranks = np.arange(1, n + 1, dtype=float)
-    w = ranks ** (-exponent)
-    w /= w.sum()
-    return w[rng.permutation(n)]
 
 
 def hotspot_weights(n: int, num_hot: int, multiplier: float,

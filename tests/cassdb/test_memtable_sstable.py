@@ -69,6 +69,65 @@ class TestMemtable:
         mt.upsert("pk", _row(1.0))
         assert part.sorted_keys() == [(1.0, 0), (2.0, 0)]
 
+    def test_reads_between_writes_share_one_face(self):
+        mt = Memtable()
+        for ts in range(10):
+            mt.upsert("pk", _row(float(ts)))
+        first, _ = mt.slice_partition_view("pk", ClusteringBound((2.0,)))
+        column = first.block.column("v")
+        second, pruned = mt.slice_partition_view(
+            "pk", upper=ClusteringBound((5.0,), inclusive=False))
+        assert second.block is first.block
+        assert second.block.column("v") is column  # not transposed again
+        assert [r.clustering[0] for r in second.to_rows()] == [
+            0.0, 1.0, 2.0, 3.0, 4.0]
+        assert pruned == 5
+
+    def test_every_kind_of_write_drops_the_face(self):
+        mt = Memtable()
+        mt.upsert("pk", _row(1.0))
+        for write in (_row(2.0),                              # new key
+                      _row(1.0, ts_write=2, w=7),             # merge
+                      Row((2.0, 0), {}, tombstone_ts=3)):     # marker
+            before, _ = mt.slice_partition_view("pk")
+            mt.upsert("pk", write)
+            after, _ = mt.slice_partition_view("pk")
+            assert after.block is not before.block
+        assert [r.as_dict() for r in after.live().to_rows()] == [
+            {"v": 1.0, "w": 7}]
+
+    def test_a_view_taken_before_a_write_keeps_its_rows(self):
+        mt = Memtable()
+        mt.upsert("pk", _row(1.0))
+        mt.upsert("pk", _row(2.0))
+        view, _ = mt.slice_partition_view("pk")
+        mt.upsert("pk", _row(0.0))
+        mt.upsert("pk", _row(1.0, ts_write=2, v=-1))
+        mt.upsert("pk", Row((2.0, 0), {}, tombstone_ts=3))
+        assert [(r.clustering[0], r.value("v")) for r in view.to_rows()] == [
+            (1.0, 1.0), (2.0, 2.0)]
+        assert view.block.column("v").values == [1.0, 2.0]
+        now, _ = mt.slice_partition_view("pk")
+        assert [r.value("v") for r in now.live().to_rows()] == [0.0, -1]
+
+    def test_a_flush_builds_no_row_backed_block(self, monkeypatch):
+        mt = Memtable()
+        for i in range(20):
+            mt.upsert(f"pk{i % 3}", _row(float(i)))
+        mt.slice_partition_view("pk0")  # a face a read left behind
+        calls = []
+        over_rows = ColumnBlock.over_rows
+
+        def counted(rows, clustering=None):
+            calls.append(rows)
+            return over_rows(rows, clustering)
+
+        monkeypatch.setattr(ColumnBlock, "over_rows", counted)
+        sst = SSTable.from_memtable(mt)
+        assert calls == []
+        assert sst.row_count == 20
+        assert not any(b.row_backed for b in sst.partitions.values())
+
 
 class TestSSTable:
     def _sstable(self, n=100):

@@ -93,24 +93,50 @@ class TestScanProperties:
 
 
 # A compact model-based test: the LSM store must behave like a dict
-# keyed by clustering tuple, regardless of flush/compaction timing.
+# keyed by clustering tuple, regardless of flush/compaction timing.  A
+# read draws fresh bounds, or (``None``) repeats the previous read's,
+# so a memtable face kept since that read is what answers it.
+bounds = st.one_of(st.none(), st.builds(
+    ClusteringBound, st.tuples(st.integers(-1, 16)), st.booleans()))
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("write"), st.integers(0, 15), st.integers(0, 99)),
         st.tuples(st.just("delete"), st.integers(0, 15), st.just(0)),
         st.tuples(st.just("flush"), st.just(0), st.just(0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0)),
+        st.tuples(st.just("read"),
+                  st.one_of(st.none(), st.tuples(bounds, bounds)), st.just(0)),
     ),
     max_size=60,
 )
+
+_MODEL_SCHEMA = TableSchema("t", partition_key=("p",), clustering_key=("k",))
+
+
+def _read_matches_model(store, model, lower, upper):
+    """The store's read of *bounds* is the model's: the rows, and the
+    ``v`` column a kernel transposes out of the same read (a stale
+    column would not show in the rows)."""
+    want = {key: val for key, val in sorted(model.items())
+            if (lower is None or lower.admits_lower(key))
+            and (upper is None or upper.admits_upper(key))}
+    got = {r.clustering: r.value("v")
+           for r in store.read_partition("pk", lower, upper)}
+    assert got == want
+    view = store.read_partition_view("pk", lower, upper)
+    assert column_lists(view, _MODEL_SCHEMA, {}, ["k", "v"]) == [
+        [key[0] for key in want], list(want.values())]
 
 
 class TestStorageModel:
     @settings(max_examples=60, deadline=None)
     @given(ops=ops)
     def test_lsm_equivalent_to_dict(self, ops):
+        """Reads between the writes, flushes and compactions of a
+        history, and at its end, answer what the model holds."""
         store = TableStore(flush_threshold=5, max_sstables=3)
         model: dict[tuple, int] = {}
+        read_bounds = (None, None)
         ts = 0
         for op, key, val in ops:
             ts += 1
@@ -120,22 +146,22 @@ class TestStorageModel:
             elif op == "delete":
                 store.write("pk", Row((key,), {}, tombstone_ts=ts))
                 model.pop((key,), None)
+            elif op == "read":
+                if key is not None:
+                    read_bounds = key
+                _read_matches_model(store, model, *read_bounds)
             elif op == "flush":
                 store.flush()
             else:
                 store.flush()
                 store.compact()
-        got = {r.clustering: r.value("v") for r in store.read_partition("pk")}
-        assert got == model
-
-    bounds = st.one_of(st.none(), st.builds(
-        ClusteringBound, st.tuples(st.integers(-1, 16)), st.booleans()))
+        _read_matches_model(store, model, None, None)
 
     @settings(max_examples=60, deadline=None)
     @given(ops=ops, data=st.data())
     def test_memtable_and_run_answer_the_same_slice(self, ops, data):
-        """One read face.  Before every flush and compaction of a
-        history, and at its end, the active memtable's slice for random
+        """One read face.  At every read, before every flush and
+        compaction of a history, and at its end, the active memtable's slice for random
         bounds is the slice of the run a flush would build from it —
         the same rows, markers included, the same live rows, the same
         pruned count — and the store's read of those bounds is the
@@ -144,7 +170,7 @@ class TestStorageModel:
         model: dict[tuple, int] = {}
 
         def check():
-            lower, upper = data.draw(self.bounds), data.draw(self.bounds)
+            lower, upper = data.draw(bounds), data.draw(bounds)
             memtable = store.memtable
             run = SSTable.from_memtable(memtable)
             mine = memtable.slice_partition_view("pk", lower, upper)
@@ -155,12 +181,7 @@ class TestStorageModel:
                 assert mine[0].to_rows() == theirs[0].to_rows()
                 assert (mine[0].live().to_rows()
                         == theirs[0].live().to_rows())
-            got = {r.clustering: r.value("v")
-                   for r in store.read_partition("pk", lower, upper)}
-            assert got == {
-                key: val for key, val in model.items()
-                if (lower is None or lower.admits_lower(key))
-                and (upper is None or upper.admits_upper(key))}
+            _read_matches_model(store, model, lower, upper)
 
         ts = 0
         for op, key, val in ops:
@@ -171,6 +192,8 @@ class TestStorageModel:
             elif op == "delete":
                 store.write("pk", Row((key,), {}, tombstone_ts=ts))
                 model.pop((key,), None)
+            elif op == "read":
+                check()
             else:
                 check()
                 store.flush()

@@ -382,3 +382,54 @@ class TestHalfFlushedFoldMechanism:
             cluster.read_partition_raw("event_by_time", pk, fold=recording)
         assert len(seen) == 4 + 2 * len(scanned)
         assert set(seen) == {BlockView}
+
+
+class TestAMemtableFaceSurvivesTheRead:
+    """A memtable partition keeps its read face until it is written,
+    held as a count of faces built (row-backed blocks the memtable
+    builds): a full scan over unflushed partitions builds one face per
+    partition it reads, the same scan again builds none, and a write
+    batch into one partition makes the next scan build exactly one."""
+
+    QUERY = "SELECT type, count(*) FROM ev GROUP BY type"
+
+    def test_a_repeated_scan_builds_no_face(self, monkeypatch):
+        from repro.cassdb import memtable
+
+        built = []
+        over_rows = memtable.ColumnBlock.over_rows
+
+        class CountingBlock:
+            @staticmethod
+            def over_rows(rows, clustering=None):
+                built.append(len(rows))
+                return over_rows(rows, clustering)
+
+        cluster = Cluster(4, replication_factor=2)
+        Session(cluster).execute(
+            "CREATE TABLE ev (hour int, type text, ts int, amount int,"
+            " PRIMARY KEY ((hour, type), ts))")
+        rows = [{"hour": hour, "type": type_, "ts": ts, "amount": 1}
+                for hour in range(6) for type_ in "ab" for ts in range(25)]
+        cluster.insert_many("ev", rows)
+        sc = SparkletContext(cluster=cluster)
+        session = Session(cluster, sparklet=sc)
+        monkeypatch.setattr(memtable, "ColumnBlock", CountingBlock)
+        try:
+            builds = []
+            answers = []
+            for batch in ([], [], [{"hour": 0, "type": "a", "ts": 99,
+                                    "amount": 1}]):
+                if batch:
+                    cluster.write_batch("ev", batch)
+                del built[:]
+                answers.append(session.execute(self.QUERY))
+                builds.append(len(built))
+        finally:
+            sc.stop()
+            cluster.close()
+        assert builds == [len(cluster.partition_keys("ev")), 0, 1]
+        assert answers[0] == answers[1] == [
+            {"type": "a", "count": 150}, {"type": "b", "count": 150}]
+        assert answers[2] == [
+            {"type": "a", "count": 151}, {"type": "b", "count": 150}]

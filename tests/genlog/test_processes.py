@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.genlog.processes import (
-    burst_arrivals,
-    hotspot_weights,
-    poisson_arrivals,
-    weibull_arrivals,
-    zipf_weights,
-)
+from repro.genlog.processes import hotspot_weights, poisson_arrivals, weibull_arrivals
 
 
 @pytest.fixture
@@ -66,36 +60,7 @@ class TestWeibull:
         assert np.all(np.diff(times) >= 0)
 
 
-class TestBursts:
-    def test_events_tagged_by_burst(self, rng):
-        times, ids = burst_arrivals(1 / 500.0, 50, 60, 0, 50_000, rng)
-        assert times.size == ids.size
-        assert np.all(np.diff(times) >= 0)
-        # Every burst's events span at most burst_duration.
-        for b in np.unique(ids):
-            span = times[ids == b]
-            assert span.max() - span.min() <= 60.0
-
-    def test_no_triggers(self, rng):
-        times, ids = burst_arrivals(0.0, 10, 60, 0, 100, rng)
-        assert times.size == 0 and ids.size == 0
-
-
 class TestWeights:
-    def test_zipf_normalized(self, rng):
-        w = zipf_weights(100, 1.2, rng)
-        assert w.shape == (100,)
-        assert abs(w.sum() - 1.0) < 1e-12
-        assert np.all(w > 0)
-
-    def test_zipf_zero_exponent_uniform(self, rng):
-        w = zipf_weights(10, 0.0, rng)
-        assert np.allclose(w, 0.1)
-
-    def test_zipf_invalid(self, rng):
-        with pytest.raises(ValueError):
-            zipf_weights(0, 1.0, rng)
-
     def test_hotspot_weights_boost(self, rng):
         w, hot = hotspot_weights(100, 5, 20.0, rng)
         assert hot.size == 5
@@ -114,26 +79,3 @@ class TestWeights:
         with pytest.raises(ValueError):
             hotspot_weights(10, 1, 0.5, rng)
 
-
-class TestBurstDeterminism:
-    def test_same_seed_byte_identical(self):
-        args = dict(burst_rate=0.01, events_per_burst=6.0,
-                    burst_duration=120.0, t0=0.0, t1=7200.0)
-        t1, b1 = burst_arrivals(rng=np.random.default_rng(2017), **args)
-        t2, b2 = burst_arrivals(rng=np.random.default_rng(2017), **args)
-        assert t1.tobytes() == t2.tobytes()
-        assert b1.tobytes() == b2.tobytes()
-        assert b1.dtype == np.int64
-
-    def test_different_seed_differs(self):
-        args = dict(burst_rate=0.01, events_per_burst=6.0,
-                    burst_duration=120.0, t0=0.0, t1=7200.0)
-        t1, _ = burst_arrivals(rng=np.random.default_rng(2017), **args)
-        t2, _ = burst_arrivals(rng=np.random.default_rng(2018), **args)
-        assert t1.tobytes() != t2.tobytes()
-
-    def test_burst_ids_contiguous_and_sorted_times(self, rng):
-        times, ids = burst_arrivals(0.02, 8.0, 60.0, 0.0, 3600.0, rng)
-        assert np.all(np.diff(times) >= 0)
-        # ids reference actual trigger indices: dense in [0, max].
-        assert set(np.unique(ids)) <= set(range(int(ids.max()) + 1))
