@@ -63,6 +63,9 @@ _M_PLAN_MISSES = obs.get_registry().counter("cassdb.query.plan_cache_misses")
 _M_PLAN_EVICTIONS = obs.get_registry().counter(
     "cassdb.query.plan_cache_evictions")
 
+# Statements a session keeps planned (LRU beyond this).
+PLAN_CACHE_SIZE = 256
+
 
 class Session:
     """Statement-level facade over a :class:`Cluster` (driver session).
@@ -71,7 +74,6 @@ class Session:
     normalized statement text, so the frontend's repeated point-in-time
     SELECTs (same CQL, different ``?`` bindings) run the full
     tokenize → parse → plan → optimize → compile pipeline once.
-    ``plan_cache_size=0`` disables caching (benchmark baseline).
 
     ``sparklet`` (a :class:`SparkletContext`) lets unrouted aggregate
     queries compile to DAG jobs; without one they fall back to a serial
@@ -79,12 +81,10 @@ class Session:
     """
 
     def __init__(self, cluster: Cluster,
-                 consistency: Consistency = Consistency.ONE,
-                 plan_cache_size: int = 256, *,
+                 consistency: Consistency = Consistency.ONE, *,
                  sparklet: Any = None):
         self.cluster = cluster
         self.consistency = consistency
-        self.plan_cache_size = plan_cache_size
         self.engine = QueryEngine(cluster, sparklet=sparklet)
         self._plan_cache: OrderedDict[str, Prepared] = OrderedDict()
         self._plan_lock = threading.Lock()
@@ -98,8 +98,6 @@ class Session:
         and must be treated as immutable; parameter binding happens in a
         per-execution :class:`Runtime`, never on the plan.
         """
-        if self.plan_cache_size <= 0:
-            return self.engine.prepare(statement)
         key = normalize_cql(statement)
         with self._plan_lock:
             prepared = self._plan_cache.get(key)
@@ -112,7 +110,7 @@ class Session:
         with self._plan_lock:
             self._plan_cache[key] = prepared
             self._plan_cache.move_to_end(key)
-            while len(self._plan_cache) > self.plan_cache_size:
+            while len(self._plan_cache) > PLAN_CACHE_SIZE:
                 self._plan_cache.popitem(last=False)
                 _M_PLAN_EVICTIONS.inc()
         return prepared

@@ -573,11 +573,8 @@ def _render_top_frame(frame: dict) -> str:
     if sched:
         lines.append(
             f"scheduler: {sched['active_jobs']:g} active jobs   "
-            f"shuffles {sched['shuffles_live']:g} live "
-            f"({sched['shuffle_records_held']:g} records), "
-            f"{sched['shuffles_materialized']:g} materialized, "
-            f"{sched['shuffles_reused']:g} reused   "
-            f"fused chains {sched['fused_chains']:g}")
+            f"shuffles {sched['shuffles_materialized']:g} materialized, "
+            f"{sched['shuffles_reused']:g} reused")
     ingest = frame.get("ingest")
     if ingest:
         lines.append(
@@ -704,17 +701,13 @@ def _cmd_top(args) -> int:
                 return 0
             return row.get("value", row.get("count")) or 0
 
-        # Sparklet scheduler/shuffle/fusion gauges, read back (like every
+        # Sparklet scheduler/shuffle series, read back (like every
         # other number on the dashboard) from the self-ingested tables.
         scheduler = {
             "active_jobs": latest_value("sparklet.scheduler.active_jobs"),
-            "shuffles_live": latest_value("sparklet.shuffle.live"),
-            "shuffle_records_held":
-                latest_value("sparklet.shuffle.records_held"),
             "shuffles_materialized":
                 latest_value("sparklet.shuffle.materialized"),
             "shuffles_reused": latest_value("sparklet.shuffle.reused"),
-            "fused_chains": latest_value("sparklet.fusion.chains"),
         }
         ingest = {
             "lag": latest_value("ingest.stream.lag"),

@@ -85,17 +85,23 @@ class Context:
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "Context":
-        """``event_types``/``sources`` are lists (``[]``/null: "any");
-        a bare string is a typed error, not one name per character."""
+        """``t0``/``t1`` are numbers; ``event_types``/``sources`` are
+        lists (``[]``/null: "any").  Anything else is a typed error — a
+        bare string is not one name per character."""
+        bounds = {}
+        for field in ("t0", "t1"):
+            value = payload.get(field)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"context requires a numeric '{field}'")
+            bounds[field] = float(value)
         names = {}
         for field in ("event_types", "sources"):
             value = payload.get(field)
             if value is not None and type(value) is not list:
                 raise ValueError(f"context '{field}' must be a list")
             names[field] = tuple(value) if value else None
-        return cls(t0=float(payload["t0"]), t1=float(payload["t1"]),
-                   app=payload.get("app"), user=payload.get("user"),
-                   **names)
+        return cls(app=payload.get("app"), user=payload.get("user"),
+                   **bounds, **names)
 
     # -- resolution against the data model --------------------------------------
 

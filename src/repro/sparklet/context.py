@@ -79,7 +79,6 @@ class SparkletContext:
         self.metrics = EngineMetrics()
         self.scheduler = DAGScheduler(self)
         self._rdd_ids = itertools.count()
-        self._shuffle_ids = itertools.count()
         self._acc_ids = itertools.count()
         self._id_lock = threading.Lock()
 
@@ -88,10 +87,6 @@ class SparkletContext:
     def _next_rdd_id(self) -> int:
         with self._id_lock:
             return next(self._rdd_ids)
-
-    def _next_shuffle_id(self) -> int:
-        with self._id_lock:
-            return next(self._shuffle_ids)
 
     # -- RDD factories --------------------------------------------------------
 
@@ -138,7 +133,6 @@ class SparkletContext:
 
     def reset_metrics(self) -> None:
         self.metrics.reset()
-        self.scheduler.clear_shuffle_state()
 
     def stop(self) -> None:
         self.pool.shutdown()

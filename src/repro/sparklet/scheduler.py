@@ -1,52 +1,33 @@
-"""DAG scheduler: concurrent jobs, pipelined stages, managed shuffles.
+"""DAG scheduler: concurrent jobs, stages cut at shuffles.
 
 Walks an action's lineage graph, materializes every shuffle dependency
 (each shuffle's map side is one *stage*), then runs the final result
 stage.  This mirrors Spark's ``DAGScheduler``:
 
 * narrow transformations pipeline into a single task — no data touches
-  the "network" between a ``map`` and the ``filter`` above it (adjacent
-  ``map``/``filter``/``flatMap`` layers additionally *fuse* into one
-  per-partition loop, see ``rdd.py``);
+  the "network" between a ``map`` and the ``filter`` above it;
 * every :class:`~repro.sparklet.rdd.ShuffledRDD` cuts a stage boundary;
   its map stage partitions (and optionally map-side-combines) parent
-  records into per-reduce-partition blocks held by the managed shuffle
-  service;
+  records into per-reduce-partition blocks kept on the RDD itself;
 * tasks carry the preferred worker of their partition, and the worker
   pool's placement policy decides whether that preference is honoured
   (the Fig-4 / S4 locality story).
 
-Three properties shape the scheduler:
-
-**Concurrent jobs.**  ``run_job`` holds no global lock.  Each shuffle's
-materialization is guarded by its own :class:`_ShuffleState`: the first
-job to need an unmaterialized shuffle *claims* it (one atomic flag flip
-under a short registry lock) and computes the map stage; any concurrent
-job sharing that lineage blocks on the state's event instead of
-recomputing — every shuffle is materialized exactly once no matter how
-many server requests or streaming batches race over it.
-
-**Pipelined stage graph.**  The job plan records, per shuffle, the
-shuffles it directly depends on.  Every claimed map stage is submitted
-on its own driver thread and waits only on its *parents'* events, so
-independent stages — both pre-aggregations feeding a ``join``, say —
-run concurrently instead of in discovery order.
-
-**Managed shuffle lifecycle.**  Shuffle outputs are refcounted by
-liveness of their ``ShuffledRDD``: the registry holds only a weak
-reference, and when the RDD is garbage-collected (the job's lineage is
-no longer reachable — e.g. a streaming batch fell out of the window)
-the blocks are freed and the ``sparklet.shuffle.live`` /
-``.records_held`` gauges step back down.  While the RDD lives, repeated
-actions keep reusing the materialized outputs (Spark's stage reuse).
-``clear_shuffle_state`` remains as an explicit flush for experiments.
+``run_job`` holds no global lock, so jobs run concurrently.  A shuffle
+is materialized under its own ``ShuffledRDD.lock``, parents first: the
+first job to take the lock runs the map stage, and a job sharing that
+lineage blocks on the lock and then finds ``outputs`` set, so every
+shuffle is materialized exactly once no matter how many server requests
+or streaming batches race over it.  Locks are taken child before
+parent, so a DAG cannot deadlock.  A failed map stage leaves
+``outputs`` ``None`` and the next job over that lineage recomputes it.
+The outputs live as long as their ``ShuffledRDD``: repeated actions
+reuse them (Spark's stage reuse), and they are freed with the RDD.
 """
 
 from __future__ import annotations
 
-import contextvars
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -64,12 +45,9 @@ _M_JOBS = obs.get_registry().counter("sparklet.jobs")
 _M_STAGES = obs.get_registry().counter("sparklet.stages")
 _M_PARTITIONS = obs.get_registry().counter("sparklet.partitions_processed")
 _M_RECORDS_READ = obs.get_registry().counter("sparklet.records_read")
-_M_SHUFFLE_LIVE = obs.get_registry().gauge("sparklet.shuffle.live")
-_M_SHUFFLE_RECORDS = obs.get_registry().gauge("sparklet.shuffle.records_held")
 _M_SHUFFLE_MATERIALIZED = obs.get_registry().counter(
     "sparklet.shuffle.materialized")
 _M_SHUFFLE_REUSED = obs.get_registry().counter("sparklet.shuffle.reused")
-_M_SHUFFLE_RELEASED = obs.get_registry().counter("sparklet.shuffle.released")
 _M_SHUFFLE_WAITS = obs.get_registry().counter("sparklet.shuffle.waits")
 _M_ACTIVE_JOBS = obs.get_registry().gauge("sparklet.scheduler.active_jobs")
 _M_OVERLAPPED = obs.get_registry().counter(
@@ -91,7 +69,7 @@ class EngineMetrics:
     unplaced_tasks: int = 0   # no locality preference
     remote_records: int = 0   # records fetched across "the network"
     shuffles_materialized: int = 0  # map stages actually computed
-    shuffles_reused: int = 0        # found already materialized/in-flight
+    shuffles_reused: int = 0        # found already materialized
 
     def reset(self) -> None:
         for name in vars(self):
@@ -103,23 +81,23 @@ class EngineMetrics:
         return self.local_tasks / placed if placed else 1.0
 
 
-class _ShuffleState:
-    """One shuffle's lifecycle: claim flag, completion event, blocks.
+def _shuffles_below(rdd: "RDD") -> list["ShuffledRDD"]:
+    """The shuffles *rdd* reads through narrow dependencies only."""
+    from .rdd import ShuffledRDD
 
-    ``outputs``/``error`` are written once (by the claiming job's stage
-    thread) before ``event`` is set; every other access happens after a
-    successful ``event.wait()``, so no per-state lock is needed.
-    """
-
-    __slots__ = ("event", "outputs", "error", "claimed", "records", "ref")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.outputs: list[list[list]] | None = None
-        self.error: BaseException | None = None
-        self.claimed = False
-        self.records = 0
-        self.ref: weakref.ref | None = None
+    found: list[ShuffledRDD] = []
+    stack: list[RDD] = [rdd]
+    seen: set[int] = set()
+    while stack:
+        node = stack.pop()
+        if node.rdd_id in seen:
+            continue
+        seen.add(node.rdd_id)
+        if isinstance(node, ShuffledRDD):
+            found.append(node)
+        else:
+            stack.extend(node.deps)
+    return found
 
 
 class DAGScheduler:
@@ -127,11 +105,6 @@ class DAGScheduler:
 
     def __init__(self, ctx: "SparkletContext"):
         self.ctx = ctx
-        # shuffle_id -> _ShuffleState; guarded by _lock.  RLock because
-        # the weakref release callback can fire from a GC triggered
-        # while the owning thread already holds the lock.
-        self._states: dict[int, _ShuffleState] = {}
-        self._lock = threading.RLock()
         self._metrics_lock = threading.Lock()  # EngineMetrics writers
 
     # -- public API ---------------------------------------------------------
@@ -145,36 +118,16 @@ class DAGScheduler:
         ):
             return self._run_job(rdd, indices)
 
-    def fetch_shuffle(self, shuffle_id: int, reduce_index: int) -> list[list]:
-        """All map-output blocks destined for one reduce partition."""
-        with self._lock:
-            state = self._states.get(shuffle_id)
-        if state is None or state.outputs is None:
-            raise KeyError(f"shuffle {shuffle_id} is not materialized")
-        return [map_out[reduce_index] for map_out in state.outputs]
-
-    def clear_shuffle_state(self) -> None:
-        """Drop cached shuffle outputs (frees memory between experiments)."""
-        with self._lock:
-            for shuffle_id in list(self._states):
-                self._release(shuffle_id)
-
-    def shuffles_live(self) -> int:
-        """Number of shuffle outputs currently held (tests/benches)."""
-        with self._lock:
-            return sum(1 for s in self._states.values()
-                       if s.outputs is not None)
-
     # -- job execution ------------------------------------------------------
 
     def _run_job(self, rdd: "RDD", indices: Sequence[int] | None
                  ) -> list[list]:
-        plan = self._plan(rdd)
         _M_ACTIVE_JOBS.inc()
         if _M_ACTIVE_JOBS.value > 1:
             _M_OVERLAPPED.inc()
         try:
-            self._materialize(plan)
+            for shuffled in _shuffles_below(rdd):
+                self._materialize(shuffled)
             with self._metrics_lock:
                 self.ctx.metrics.jobs += 1
             _M_JOBS.inc()
@@ -184,152 +137,28 @@ class DAGScheduler:
         finally:
             _M_ACTIVE_JOBS.dec()
 
-    # -- stage construction -------------------------------------------------
-
-    def _plan(self, rdd: "RDD") -> dict[int, tuple["ShuffledRDD", set[int]]]:
-        """Map every unmaterialized-reachable shuffle below *rdd* to its
-        direct parent shuffles (the stage dependency graph).
-
-        The walk prunes at fully-cached RDDs: their partitions replay
-        from the cache, so nothing below them needs materializing.
-        """
-        from .rdd import ShuffledRDD
-
-        plan: dict[int, tuple[ShuffledRDD, set[int]]] = {}
-        pending: list[ShuffledRDD] = []
-
-        def scan(root: "RDD") -> set[int]:
-            """Shuffles reachable from *root* crossing no shuffle."""
-            found: set[int] = set()
-            stack: list[RDD] = [root]
-            seen: set[int] = set()
-            while stack:
-                node = stack.pop()
-                if node.rdd_id in seen:
-                    continue
-                seen.add(node.rdd_id)
-                if node.is_fully_cached:
-                    continue
-                if isinstance(node, ShuffledRDD):
-                    found.add(node.shuffle_id)
-                    if node.shuffle_id not in plan:
-                        plan[node.shuffle_id] = (node, set())
-                        pending.append(node)
-                    continue
-                stack.extend(node.deps)
-            return found
-
-        scan(rdd)
-        while pending:
-            shuffled = pending.pop()
-            plan[shuffled.shuffle_id] = (shuffled, scan(shuffled.parent))
-        return plan
-
-    def _materialize(self, plan: dict[int, tuple["ShuffledRDD", set[int]]]
-                     ) -> None:
-        """Materialize every planned shuffle, exactly once engine-wide."""
-        if not plan:
-            return
-        states: dict[int, _ShuffleState] = {}
-        owned: list[int] = []
-        with self._lock:
-            for shuffle_id, (shuffled, _parents) in plan.items():
-                state = self._states.get(shuffle_id)
-                if state is None:
-                    state = _ShuffleState()
-                    state.ref = weakref.ref(
-                        shuffled,
-                        lambda _r, sid=shuffle_id: self._on_rdd_collected(sid),
-                    )
-                    self._states[shuffle_id] = state
-                    _M_SHUFFLE_LIVE.inc()
-                states[shuffle_id] = state
-            for shuffle_id in plan:
-                state = states[shuffle_id]
-                if not state.claimed:
-                    state.claimed = True
-                    owned.append(shuffle_id)
-                else:
-                    _M_SHUFFLE_REUSED.inc()
-                    if not state.event.is_set():
-                        _M_SHUFFLE_WAITS.inc()
-                    with self._metrics_lock:
-                        self.ctx.metrics.shuffles_reused += 1
-
-        def work(shuffle_id: int) -> None:
-            shuffled, parents = plan[shuffle_id]
-            state = states[shuffle_id]
+    def _materialize(self, shuffled: "ShuffledRDD") -> None:
+        """Fill ``shuffled.outputs`` once, engine-wide, parents first."""
+        if shuffled.outputs is None:
+            lock = shuffled.lock
+            if not lock.acquire(blocking=False):
+                _M_SHUFFLE_WAITS.inc()
+                lock.acquire()
             try:
-                for parent_id in sorted(parents):
-                    parent_state = states[parent_id]
-                    parent_state.event.wait()
-                    if parent_state.error is not None:
-                        raise parent_state.error
-                self._run_map_stage(shuffled, state)
-            except BaseException as exc:  # noqa: BLE001 - must wake waiters
-                state.error = exc
+                if shuffled.outputs is None:
+                    for parent in _shuffles_below(shuffled.parent):
+                        self._materialize(parent)
+                    self._run_map_stage(shuffled)
+                    return
             finally:
-                state.event.set()
-
-        if len(owned) <= 1:
-            # Inline: one stage has nothing to overlap with.
-            for shuffle_id in owned:
-                work(shuffle_id)
-        else:
-            # Each under a copy of this thread's context, as run_tasks
-            # does for tasks: the stage spans stay in the job's trace.
-            threads = [
-                threading.Thread(target=contextvars.copy_context().run,
-                                 args=(work, shuffle_id),
-                                 name=f"sparklet-stage-{shuffle_id}",
-                                 daemon=True)
-                for shuffle_id in owned
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        # Wait for shuffles materialized by concurrent jobs, then surface
-        # the first failure (ours or theirs — shared lineage fails shared).
-        failed: BaseException | None = None
-        for shuffle_id in plan:
-            state = states[shuffle_id]
-            state.event.wait()
-            if failed is None and state.error is not None:
-                failed = state.error
-        if failed is not None:
-            # Un-stick errored states this job claimed so a later retry
-            # over the same lineage recomputes instead of re-raising.
-            with self._lock:
-                for shuffle_id in owned:
-                    state = states[shuffle_id]
-                    if (state.error is not None
-                            and self._states.get(shuffle_id) is state):
-                        self._release(shuffle_id)
-            raise failed
-
-    # -- shuffle lifecycle ----------------------------------------------------
-
-    def _on_rdd_collected(self, shuffle_id: int) -> None:
-        """Weakref callback: the ShuffledRDD died, free its blocks."""
-        with self._lock:
-            self._release(shuffle_id)
-
-    def _release(self, shuffle_id: int) -> None:
-        """Drop one shuffle's state.  Caller holds ``_lock``."""
-        state = self._states.pop(shuffle_id, None)
-        if state is None:
-            return
-        _M_SHUFFLE_LIVE.dec()
-        if state.outputs is not None:
-            state.outputs = None
-            _M_SHUFFLE_RECORDS.dec(state.records)
-            _M_SHUFFLE_RELEASED.inc()
+                lock.release()
+        _M_SHUFFLE_REUSED.inc()
+        with self._metrics_lock:
+            self.ctx.metrics.shuffles_reused += 1
 
     # -- stage execution ------------------------------------------------------
 
-    def _run_map_stage(self, shuffled: "ShuffledRDD",
-                       state: _ShuffleState) -> None:
+    def _run_map_stage(self, shuffled: "ShuffledRDD") -> None:
         parent = shuffled.parent
         partitioner = shuffled.partitioner
         aggregator = shuffled.aggregator
@@ -369,10 +198,7 @@ class DAGScheduler:
         with obs.get_tracer().span("sparklet.stage", kind="shuffle_map",
                                    tasks=len(tasks)):
             results, contexts = self.ctx.pool.run_tasks(tasks)
-        state.outputs = results
-        state.records = sum(len(block) for map_out in results
-                            for block in map_out)
-        _M_SHUFFLE_RECORDS.inc(state.records)
+        shuffled.outputs = results
         _M_SHUFFLE_MATERIALIZED.inc()
         with self._metrics_lock:
             self.ctx.metrics.shuffles_materialized += 1

@@ -3,13 +3,12 @@
 import pytest
 
 from repro import obs
-from repro.cassdb import Cluster, Session, normalize_cql
-from repro.cassdb.query import Select
+from repro.cassdb import Cluster, Session, normalize_cql, query
 
 
 @pytest.fixture
 def session():
-    s = Session(Cluster(2, replication_factor=1), plan_cache_size=4)
+    s = Session(Cluster(2, replication_factor=1))
     s.execute(
         "CREATE TABLE ev (hour int, type text, ts double, seq int,"
         " amount int, PRIMARY KEY ((hour, type), ts, seq))"
@@ -62,7 +61,8 @@ class TestPlanCache:
         assert hits.value == h0 + 2
         assert misses.value == m0 + 1
 
-    def test_lru_eviction_is_bounded(self, session):
+    def test_lru_eviction_is_bounded(self, session, monkeypatch):
+        monkeypatch.setattr(query, "PLAN_CACHE_SIZE", 4)
         evictions = obs.get_registry().counter(
             "cassdb.query.plan_cache_evictions")
         e0 = evictions.value
@@ -74,15 +74,6 @@ class TestPlanCache:
         assert evictions.value > e0
         # q0 was evicted: re-planning builds a fresh AST object.
         assert session.plan(q0) is not first
-
-    def test_zero_size_disables_cache(self):
-        s = Session(Cluster(2, replication_factor=1), plan_cache_size=0)
-        s.execute("CREATE TABLE t (a int, PRIMARY KEY (a))")
-        q = "SELECT * FROM t WHERE a = 1"
-        p1, p2 = s.plan(q), s.plan(q)
-        assert isinstance(p1, Select)
-        assert p1 is not p2
-        assert s.plan_cache_len == 0
 
     def test_cached_plan_rebinds_cleanly(self, session):
         """The shared AST must not leak bound values between executions."""

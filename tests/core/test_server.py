@@ -223,7 +223,8 @@ class TestRowCountFields:
 
 class TestContextNameLists:
     """``event_types`` / ``sources`` are lists of names: a bare string
-    was split into characters and answered an empty result."""
+    was split into characters and answered an empty result.  ``t0`` /
+    ``t1`` are numbers: a missing or mistyped bound is a typed error."""
 
     @pytest.mark.parametrize("op", ["heatmap", "events"])
     @pytest.mark.parametrize("field,value", [
@@ -250,6 +251,21 @@ class TestContextNameLists:
         assert all(r["ok"] for r in answers)
         assert answers[0]["result"]
         assert all(r["result"] == answers[0]["result"] for r in answers)
+
+    @pytest.mark.parametrize("field", ["t0", "t1"])
+    @pytest.mark.parametrize("value", [
+        "missing", None, True, [1], "0", {"at": 0}])
+    def test_a_bound_that_is_not_a_number_is_a_value_error(
+            self, server, field, value):
+        context = {"t0": 0.0, "t1": HORIZON}
+        if value == "missing":
+            del context[field]
+        else:
+            context[field] = value
+        r = server.handle_sync({"op": "heatmap", "context": context})
+        assert not r["ok"]
+        assert r["error"] == (
+            f"ValueError: context requires a numeric '{field}'")
 
 
 class TestHotspotsOverEverySource:

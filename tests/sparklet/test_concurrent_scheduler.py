@@ -10,6 +10,7 @@ retries, and shuffle outputs are freed when their RDD dies.
 import gc
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -102,8 +103,8 @@ class TestConcurrentJobs:
 
 class TestStageThreadsKeepTheTrace:
     def test_two_shuffle_job_is_one_connected_tree(self):
-        """A job owning >= 2 shuffles runs its map stages on their own
-        driver threads; their spans must stay in the job's trace."""
+        """A job over >= 2 shuffles runs every map stage under its job:
+        their spans stay in the job's trace."""
         tracer = obs.get_tracer()
         with SparkletContext(2) as ctx, tracer.root_span("test.root"):
             left = ctx.parallelize([(i % 3, i) for i in range(12)], 2)
@@ -129,48 +130,32 @@ class TestStageThreadsKeepTheTrace:
 
 class TestShuffleLifecycle:
     def test_outputs_freed_when_rdd_dies(self):
+        """The outputs live on the ShuffledRDD and the scheduler keeps no
+        reference to it, so they go when the RDD does."""
         with SparkletContext(4) as sc:
-            base = sc.scheduler.shuffles_live()
             shuffled = (sc.parallelize(range(200), 4)
                         .map(lambda x: (x % 5, x))
                         .reduceByKey(lambda a, b: a + b, 2))
             shuffled.collect()
-            assert sc.scheduler.shuffles_live() == base + 1
+            assert shuffled.outputs is not None
+            ref = weakref.ref(shuffled)
             del shuffled
             gc.collect()
-            assert sc.scheduler.shuffles_live() == base
+            assert ref() is None
 
     def test_reuse_while_rdd_alive_then_gauge_steps_down(self):
-        live = obs.get_registry().gauge("sparklet.shuffle.live")
-        held = obs.get_registry().gauge("sparklet.shuffle.records_held")
         with SparkletContext(4) as sc:
-            live0, held0 = live.value, held.value
             shuffled = (sc.parallelize(range(300), 4)
                         .map(lambda x: (x % 6, 1))
                         .reduceByKey(lambda a, b: a + b, 2))
             first = sorted(shuffled.collect())
             materialized = sc.metrics.shuffles_materialized
+            reused = sc.metrics.shuffles_reused
             second = sorted(shuffled.collect())
             assert first == second
             # Second action reused the outputs: no new map stage ran.
             assert sc.metrics.shuffles_materialized == materialized
-            assert live.value == live0 + 1
-            assert held.value > held0
-            del shuffled
-            gc.collect()
-            assert live.value == live0
-            assert held.value == held0
-
-    def test_clear_shuffle_state_forces_recompute(self):
-        with SparkletContext(4) as sc:
-            shuffled = (sc.parallelize(range(100), 2)
-                        .map(lambda x: (x % 3, x))
-                        .groupByKey(2))
-            shuffled.collect()
-            n = sc.metrics.shuffles_materialized
-            sc.scheduler.clear_shuffle_state()
-            shuffled.collect()
-            assert sc.metrics.shuffles_materialized == n + 1
+            assert sc.metrics.shuffles_reused == reused + 1
 
 
 class TestFailurePropagation:
@@ -197,7 +182,7 @@ class TestFailurePropagation:
 
     def test_failed_shuffle_unsticks_for_retry(self):
         """A shuffle whose map stage failed must not poison later jobs:
-        the errored state is released so a retry recomputes."""
+        its outputs stay unset so a retry recomputes."""
         with SparkletContext(4) as sc:
             fail = {"on": True}
 
@@ -215,8 +200,3 @@ class TestFailurePropagation:
             result = dict(shuffled.collect())
             assert result == {k: sum(x for x in range(80) if x % 4 == k)
                               for k in range(4)}
-
-    def test_fetch_unmaterialized_shuffle_raises(self):
-        with SparkletContext(2) as sc:
-            with pytest.raises(KeyError, match="not materialized"):
-                sc.scheduler.fetch_shuffle(10**9, 0)

@@ -1,16 +1,15 @@
-"""Narrow-chain fusion: fused execution must be invisible.
+"""Narrow chains: pipelined generators agree with the reference.
 
-Every chain here runs through the compiled fusion and through the
-list-backed reference evaluation (``tests/oracle``) and must give
-identical results — plus the barriers (caching, raw mapPartitions) and
-metric accounting fusion must respect.
+Every chain here runs through the engine (one generator layer per
+transformation, pipelined inside a task) and through the list-backed
+reference evaluation (``tests/oracle``) and must give identical results
+— plus a raw ``mapPartitions`` layer inside a chain and the
+``records_read`` accounting a chain must keep.
 """
 
 import pytest
 
-from repro import obs
 from repro.sparklet import SparkletContext
-from repro.sparklet.rdd import _FUSED_CODE_CACHE, _compile_ops
 from tests.oracle import ListRDD
 
 
@@ -95,15 +94,6 @@ class TestFusionParity:
 
 
 class TestFusionBarriers:
-    def test_cached_intermediate_is_a_barrier(self, sc):
-        mid = sc.parallelize(DATA, 4).map(lambda x: x * 2).cache()
-        top = mid.filter(lambda x: x % 3 == 0).map(lambda x: x + 1)
-        assert top.collect() == [x * 2 + 1 for x in DATA if x * 2 % 3 == 0]
-        # The cache below the fused chain must still be populated —
-        # fusion may not reach through a cached layer.
-        assert mid.is_fully_cached
-        assert mid.collect() == [x * 2 for x in DATA]
-
     def test_raw_map_partitions_is_a_barrier(self, sc):
         base = sc.parallelize(DATA, 4)
         got = (base.map(lambda x: x + 1)
@@ -125,40 +115,3 @@ class TestFusionBarriers:
                .collect())
         assert out == [len(f"line {i}") for i in range(120) if i % 10 != 7]
         assert sc.metrics.records_read == 120
-
-
-class TestFusionMachinery:
-    def test_codegen_cached_by_shape(self, sc):
-        rdd = (sc.parallelize(DATA, 2)
-               .map(lambda x: x + 1)
-               .filter(lambda x: x % 2 == 0))
-        rdd.collect()
-        key = ("map", "filter")
-        assert key in _FUSED_CODE_CACHE
-        compiled = _FUSED_CODE_CACHE[key]
-        rdd.collect()
-        # A second run with the same shape reuses the compiled function.
-        assert _FUSED_CODE_CACHE[key] is compiled
-
-    def test_compile_ops_matches_hand_evaluation(self):
-        fn = _compile_ops(("map", "filter", "keyby", "mapvalues"))
-        out = fn(iter(range(10)),
-                 lambda x: x + 1,          # map
-                 lambda x: x % 2 == 0,     # filter
-                 lambda x: x % 3,          # keyBy
-                 lambda v: v * 10)         # mapValues
-        assert out == [(k % 3, k * 10) for k in range(1, 11) if k % 2 == 0]
-
-    def test_fusion_counters_advance(self):
-        reg = obs.get_registry()
-        chains = reg.counter("sparklet.fusion.chains")
-        ops = reg.counter("sparklet.fusion.ops_fused")
-        c0, o0 = chains.value, ops.value
-        with SparkletContext(2) as sc:
-            (sc.parallelize(range(100), 2)
-             .map(lambda x: x + 1)
-             .filter(lambda x: x > 10)
-             .map(lambda x: x * 2)
-             .collect())
-        assert chains.value == c0 + 2          # one chain per partition
-        assert ops.value == o0 + 6             # 3 ops x 2 partitions

@@ -93,14 +93,6 @@ class TestAgainstReference:
         for k in (0, 1, 3, len(data)):
             assert rdd.take(k) == data[:k]
 
-    @settings(max_examples=30, deadline=None)
-    @given(data=pairs, n=parts)
-    def test_cache_transparent(self, sc, data, n):
-        rdd = sc.parallelize(data, n).mapValues(lambda v: v + 1).cache()
-        first = rdd.collect()
-        second = rdd.collect()
-        assert first == second == [(k, v + 1) for k, v in data]
-
 
 # One step of a generated lineage: (key, value) int pairs in, (key,
 # value) int pairs out, so any step can follow any other.  ``other()``

@@ -163,22 +163,3 @@ class TestActions:
     def test_collect_as_map_lookup(self, sc):
         rdd = sc.parallelize([("a", 1), ("b", 2), ("a", 3)])
         assert rdd.collectAsMap()["b"] == 2
-
-
-class TestCaching:
-    def test_cache_computes_once(self, sc):
-        calls = sc.accumulator(0)
-
-        def spy(x):
-            calls.add(1)
-            return x
-
-        rdd = sc.parallelize(range(10), 2).map(spy).cache()
-        assert rdd.count() == 10
-        assert rdd.count() == 10
-        assert calls.value == 10  # second action served from cache
-        assert rdd.is_cached
-        rdd.unpersist()
-        assert not rdd.is_cached
-        assert rdd.count() == 10
-        assert calls.value == 20
