@@ -35,11 +35,10 @@ from .errors import (
     UnavailableError,
     WriteTimeoutError,
 )
-from .gossip import GossipRunner, HeartbeatHistory, PhiAccrualDetector
 from .hashring import HashRing, token_for_key
 from .query import Session, normalize_cql, parse_statement
 from .resilience import BreakerState, CircuitBreaker, RetryPolicy
-from .row import Cell, ClusteringBound, Row, merge_rows
+from .row import ClusteringBound, Row, merge_rows
 from .schema import Keyspace, TableSchema
 
 __all__ = [
@@ -48,15 +47,11 @@ __all__ = [
     "BloomFilter",
     "BreakerState",
     "CassDBError",
-    "Cell",
     "CircuitBreaker",
     "Cluster",
     "ClusteringBound",
     "Consistency",
-    "GossipRunner",
     "HashRing",
-    "HeartbeatHistory",
-    "PhiAccrualDetector",
     "InvalidQueryError",
     "Keyspace",
     "NodeDownError",

@@ -264,11 +264,6 @@ class Cluster:
             return self.keyspace.tables[schema.name]
         return self.keyspace.create_table(schema)
 
-    def drop_table(self, name: str) -> None:
-        self.keyspace.drop_table(name)
-        for node in self.nodes.values():
-            node.drop_table(name)
-
     def schema(self, table: str) -> TableSchema:
         return self.keyspace.table(table)
 
@@ -292,21 +287,15 @@ class Cluster:
         self.nodes[node_id].mark_down()
 
     def crash_node(self, node_id: str) -> None:
-        """The node's process dies silently — it stops answering (and,
-        under gossip, stops heartbeating), but coordinators keep routing
-        to it until a failure detector convicts it.  Writes that reach
-        it in the window are hinted by the coordinator."""
+        """The node's process dies silently: it stops answering, but
+        coordinators keep routing to it until :meth:`kill_node` or
+        :meth:`revive_node`; meanwhile its breaker opens.  Writes that
+        reach it in the window are hinted by the coordinator."""
         self.nodes[node_id].crash()
 
-    def convict_node(self, node_id: str) -> None:
-        """Failure-detector conviction: routing stops, hints buffer —
-        the same single source of truth an explicit kill flips."""
-        self.nodes[node_id].convict()
-
     def recover_node(self, node_id: str) -> None:
-        """The process restarts.  Routing liveness (and hint replay)
-        waits for :meth:`revive_node` — under gossip, rehabilitation
-        calls it once fresh heartbeats pull phi back down."""
+        """The process restarts.  Hints buffered for it while it was
+        down wait for :meth:`revive_node`."""
         self.nodes[node_id].recover_process()
 
     def revive_node(self, node_id: str) -> None:
@@ -324,7 +313,7 @@ class Cluster:
                 node.write(hint.table, hint.partition_key, hint.row)
                 self._m_hints_replayed.inc()
             if not peer.process_up:
-                continue  # crashed, not yet convicted: its own revival replays
+                continue  # crashed, still routed: its own revival replays
             for hint in node.drain_hints_for(peer_id):
                 peer.write(hint.table, hint.partition_key, hint.row)
                 self._m_hints_replayed.inc()
@@ -670,7 +659,7 @@ class Cluster:
                 try:
                     self.nodes[replica_id].write_rows(table, share)
                 except NodeDownError:
-                    # Crashed but unconvicted: no ack for any group.
+                    # Crashed but still routed: no ack for any group.
                     self._breaker_failure(replica_id)
                 else:
                     self._breakers[replica_id].record_success()
@@ -1048,7 +1037,7 @@ class Cluster:
             try:
                 return node.read_partition_view(table, partition_key,
                                                 lower, upper)
-            except NodeDownError:  # crashed but unconvicted: next replica
+            except NodeDownError:  # crashed but still routed: next replica
                 continue
         return None
 

@@ -19,14 +19,6 @@ class SchemaError(CassDBError):
     """Table/keyspace definition is invalid or violated by a statement."""
 
 
-class UnknownTableError(SchemaError):
-    """A statement referenced a table that does not exist."""
-
-    def __init__(self, table: str):
-        super().__init__(f"unknown table: {table!r}")
-        self.table = table
-
-
 class InvalidQueryError(CassDBError):
     """A CQL statement could not be parsed or planned."""
 

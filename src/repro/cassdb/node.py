@@ -41,16 +41,14 @@ class Hint:
 class StorageNode:
     """One simulated Cassandra node.
 
-    Liveness is two distinct bits unified in one place (the overlap that
-    used to be split between ``Cluster.kill_node`` and
-    ``GossipRunner.crashed``):
+    Liveness is two distinct bits:
 
     * ``process_up`` — the node's process answers requests.  A crashed
-      node refuses reads and writes immediately, whether or not anyone
-      has noticed yet.
+      node refuses reads and writes immediately, and its replica's
+      breaker opens on the failures.
     * ``routing_up`` — the cluster-visible liveness coordinators route
-      by.  It goes down on an explicit kill or a gossip conviction, and
-      that is the moment hint buffering starts.
+      by.  It goes down only on an explicit kill, and that is the
+      moment hint buffering starts.
 
     ``up`` (the name every coordinator check uses) is the routing bit.
     """
@@ -91,17 +89,13 @@ class StorageNode:
         self.routing_up = True
 
     def crash(self) -> None:
-        """The process dies silently; routing state is untouched until a
-        failure detector convicts it (or an admin kills it)."""
+        """The process dies silently; routing state is untouched until
+        an admin kills it."""
         self.process_up = False
 
     def recover_process(self) -> None:
-        """The process restarts; routing stays down until rehabilitation."""
+        """The process restarts; routing state is untouched."""
         self.process_up = True
-
-    def convict(self) -> None:
-        """Cluster-visible conviction: coordinators stop routing here."""
-        self.routing_up = False
 
     def _check_up(self) -> None:
         if not self.process_up:
@@ -129,9 +123,6 @@ class StorageNode:
         for store in self.tables.values():
             store.flush_hook = hook
 
-    def drop_table(self, table: str) -> None:
-        self.tables.pop(table, None)
-
     # -- replica-local operations -----------------------------------------
 
     def write(self, table: str, partition_key: str, row: Row) -> None:
@@ -149,18 +140,6 @@ class StorageNode:
         with obs.get_tracer().span("cassdb.node.write_rows", node=self.node_id,
                                    table=table, rows=len(items)):
             self.ensure_table(table).write_rows(items)
-
-    def read_partition(
-        self,
-        table: str,
-        partition_key: str,
-        lower: ClusteringBound | None = None,
-        upper: ClusteringBound | None = None,
-        reverse: bool = False,
-        limit: int | None = None,
-    ) -> list[Row]:
-        return self.read_partition_view(
-            table, partition_key, lower, upper, reverse, limit).to_rows()
 
     def read_partition_view(
         self,

@@ -26,30 +26,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Collection, Iterator, Mapping
 
-__all__ = ["Cell", "Row", "ClusteringBound", "merge_rows", "slice_bounds_keys"]
-
-
-@dataclass(frozen=True, slots=True)
-class Cell:
-    """A single column value plus its write timestamp (microseconds).
-
-    The reconciliation value type: what :attr:`Row.cells` hands cold
-    callers (repair digests, tests).  No stored row holds one.
-    """
-
-    value: Any
-    write_ts: int = 0
-
-    def reconcile(self, other: "Cell") -> "Cell":
-        """Last-write-wins; value comparison tie-breaks equal timestamps.
-
-        The tie-break keeps reconciliation commutative and deterministic —
-        two replicas merging in either order agree — matching Cassandra's
-        lexically-greater-value rule for timestamp ties.
-        """
-        if other.write_ts != self.write_ts:
-            return other if other.write_ts > self.write_ts else self
-        return other if repr(other.value) > repr(self.value) else self
+__all__ = ["Row", "ClusteringBound", "merge_rows", "slice_bounds_keys"]
 
 
 @dataclass(slots=True, eq=False)
@@ -77,20 +54,6 @@ class Row:
         cls, clustering: tuple, values: Mapping[str, Any], write_ts: int = 0
     ) -> "Row":
         return cls(tuple(clustering), dict(values), write_ts)
-
-    @classmethod
-    def from_cells(
-        cls, clustering: tuple, cells: Mapping[str, Cell],
-        tombstone_ts: int | None = None,
-    ) -> "Row":
-        """A row from per-column :class:`Cell` objects — the spelling
-        for tests and reference models that think cell by cell."""
-        return cls.from_stamps(
-            tuple(clustering),
-            {name: cell.value for name, cell in cells.items()},
-            [cell.write_ts for cell in cells.values()],
-            tombstone_ts,
-        )
 
     @classmethod
     def from_stamps(
@@ -133,15 +96,6 @@ class Row:
             stamps.update(self.cell_ts)
         return stamps
 
-    @property
-    def cells(self) -> dict[str, Cell]:
-        """Derived, read-only ``column -> Cell`` view, built per call —
-        for cold callers only; the write, flush, merge and scan paths
-        read ``values`` / ``write_ts`` directly."""
-        stamps = self.timestamps()
-        return {name: Cell(val, stamps[name])
-                for name, val in self.values.items()}
-
     def same_cells(self, other: "Row") -> bool:
         """Do both rows hold the same ``(value, write_ts)`` per column?
         (The representation — which timestamp sits on the row and which
@@ -164,7 +118,8 @@ def merge_rows(a: Row, b: Row) -> Row:
     """Reconcile two replica copies of the same row (same clustering key).
 
     Column-wise last-write-wins (equal timestamps break on the greater
-    ``repr(value)``); a row tombstone shadows any cell written at or
+    ``repr(value)``, Cassandra's lexically-greater-value rule, so either
+    merge order agrees); a row tombstone shadows any cell written at or
     before the tombstone's timestamp.
     """
     if a.clustering != b.clustering:

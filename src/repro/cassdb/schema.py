@@ -279,11 +279,6 @@ class Keyspace:
         self.tables[schema.name] = schema
         return schema
 
-    def drop_table(self, name: str) -> None:
-        if name not in self.tables:
-            raise SchemaError(f"no such table: {name!r}")
-        del self.tables[name]
-
     def table(self, name: str) -> TableSchema:
         try:
             return self.tables[name]

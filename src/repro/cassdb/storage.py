@@ -190,16 +190,8 @@ class TableStore:
         reverse: bool = False,
         limit: int | None = None,
     ) -> list[Row]:
-        """All live rows of a partition within clustering bounds.
-
-        Each run that may contain the partition (bloom-filtered) is first
-        bisected down to its in-bounds slice — out-of-range rows are
-        *pruned* before any merge work — then the slices k-way heap-merge
-        (duplicates reconciled by cell timestamp, tombstoned rows
-        dropped) with early termination once *limit* live rows exist.
-        Sealed memtables awaiting their SSTable build count as sources,
-        so an in-flight flush never hides rows.
-        """
+        """:meth:`read_partition_view` as rows.  Nothing in the program
+        calls it; ``benchmarks/e2e/trace.py`` wraps it by name."""
         return self.read_partition_view(partition_key, lower, upper,
                                         reverse, limit).to_rows()
 
@@ -211,18 +203,25 @@ class TableStore:
         reverse: bool = False,
         limit: int | None = None,
     ) -> BlockView:
-        """:meth:`read_partition` as the view the vectorized kernels
-        filter, project and fold.
+        """All live rows of a partition within clustering bounds, as the
+        view the vectorized kernels filter, project and fold.
+
+        Each run that may contain the partition (bloom-filtered) is first
+        bisected down to its in-bounds slice — out-of-range rows are
+        *pruned* before any merge work.  Sealed memtables awaiting their
+        SSTable build count as sources, so an in-flight flush never
+        hides rows.
 
         When one tier alone holds the partition — one SSTable run, the
         steady state after flush/compaction, or one memtable, a
         partition written since the last flush — the view is that
         tier's slice, dead rows dropped: no merge runs and, over a run,
         no ``Row`` is built.  With several sources (memtable deltas,
-        un-compacted runs) the k-way merge reconciles them and the view
-        is over a row-backed block of what it emitted.  Either way dead
-        rows are gone, the block ascends and *reverse*/*limit* are the
-        view's order.
+        un-compacted runs) the k-way heap merge reconciles them
+        (duplicates by cell timestamp, tombstoned rows dropped), stops
+        once *limit* live rows exist, and the view is over a row-backed
+        block of what it emitted.  Either way dead rows are gone, the
+        block ascends and *reverse*/*limit* are the view's order.
         """
         sources = self._slices(partition_key, lower, upper)
         if len(sources) == 1:

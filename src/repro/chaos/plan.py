@@ -37,8 +37,8 @@ class CrashWindow:
     *and* the cluster sees it immediately (hint buffering starts), and
     recovery goes through ``revive_node`` (hint replay).  ``kind="crash"``
     models a silent process death: coordinators keep routing to the node
-    until a failure detector convicts it, and recovery restarts only the
-    process (routing returns via gossip rehabilitation).
+    (its breaker opens on the failures), and recovery restarts only the
+    process.
     """
 
     node: str

@@ -783,8 +783,12 @@ def _cmd_explain(args) -> int:
 
 def _cmd_topology(args) -> int:
     query = args.query
-    loc = (NodeLocation.from_index(int(query)) if query.isdigit()
-           else NodeLocation.from_cname(query))
+    try:
+        loc = (NodeLocation.from_index(int(query)) if query.isdigit()
+               else NodeLocation.from_cname(query))
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     print(json.dumps({
         "cname": loc.cname,
         "index": loc.index,

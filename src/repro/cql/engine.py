@@ -105,6 +105,10 @@ class QueryEngine:
             return Prepared(text=text, ast=stmt, kind="explain",
                             physical=_ExplainExec(plan_json), n_params=0,
                             rules=inner.rules, table=inner.table)
+        if (not isinstance(stmt, CreateTable)
+                and stmt.table not in self.cluster.keyspace.tables):
+            raise CQLPlanningError(f"no such table: {stmt.table!r}",
+                                   token=stmt.table)
         if isinstance(stmt, CreateTable):
             logical = _lower_create(stmt)
             kind, table = "create", stmt.schema.name

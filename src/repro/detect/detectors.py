@@ -3,10 +3,8 @@
 Each detector is a small, independently testable class observing one
 1 s micro-batch at a time: the engine folds a closed streaming window
 into ``{(event_type, cabinet): count}`` and hands it to every detector
-with the window's start time.  Detectors keep *explicit, serializable*
-state (:meth:`state` / :meth:`load_state` round-trip through JSON) so a
-restarted engine resumes where the previous one stopped, and all state
-is bounded — TTL eviction plus a hard key cap, the same discipline
+with the window's start time.  All detector state is in memory and
+bounded — TTL eviction plus a hard key cap, the same discipline
 ``repro.obs``'s registry applies to label cardinality.
 
 Windows with no events are never observed (the streaming graph skips
@@ -76,9 +74,7 @@ class Detector:
     """Base class: the engine-facing contract.
 
     ``observe(window_start, counts)`` sees one closed micro-batch and
-    returns zero or more :class:`~repro.detect.alerts.Alert` records;
-    ``state()``/``load_state()`` round-trip all mutable state through
-    JSON-serializable primitives.
+    returns zero or more :class:`~repro.detect.alerts.Alert` records.
     """
 
     name = "detector"
@@ -90,12 +86,6 @@ class Detector:
 
     def observe(self, window_start: float,
                 counts: Mapping[tuple[str, str], int]) -> list[Alert]:
-        raise NotImplementedError
-
-    def state(self) -> dict:
-        raise NotImplementedError
-
-    def load_state(self, state: Mapping) -> None:
         raise NotImplementedError
 
     @property
@@ -234,23 +224,6 @@ class EWMARateDetector(Detector):
             del self._keys[oldest]
             self.evicted += 1
 
-    def state(self) -> dict:
-        return {
-            "keys": {f"{t}|{c}": list(entry)
-                     for (t, c), entry in sorted(self._keys.items())},
-            "evicted": self.evicted,
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._keys = {}
-        for joined, entry in state.get("keys", {}).items():
-            etype, _, cabinet = joined.partition("|")
-            self._keys[(etype, cabinet)] = [
-                float(entry[0]), float(entry[1]), int(entry[2]),
-                int(entry[3]),
-            ]
-        self.evicted = int(state.get("evicted", 0))
-
 
 class SpatialBurstDetector(Detector):
     """Spatially concentrated surges over the cabinet grid.
@@ -358,23 +331,6 @@ class SpatialBurstDetector(Detector):
                 ))
                 self._last_alert[cabinet] = minute
         return alerts
-
-    def state(self) -> dict:
-        return {
-            "minute": self._minute,
-            "cab_counts": dict(sorted(self._cab_counts.items())),
-            "cab_types": {c: dict(sorted(t.items()))
-                          for c, t in sorted(self._cab_types.items())},
-            "last_alert": dict(sorted(self._last_alert.items())),
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._minute = state.get("minute")
-        self._cab_counts = dict(state.get("cab_counts", {}))
-        self._cab_types = {c: dict(t)
-                           for c, t in state.get("cab_types", {}).items()}
-        self._last_alert = {c: int(m)
-                            for c, m in state.get("last_alert", {}).items()}
 
 
 class LustreStormDetector(Detector):
@@ -506,30 +462,6 @@ class LustreStormDetector(Detector):
     @property
     def in_storm(self) -> bool:
         return self._in_storm
-
-    def state(self) -> dict:
-        return {
-            "baseline": self._baseline,
-            "samples": self._samples,
-            "elevated": [[r, sorted(c)] for r, c in self._elevated],
-            "in_storm": self._in_storm,
-            "storm_start": self._storm_start,
-            "calm_run": self._calm_run,
-            "last_window": self._last_window,
-            "storms_opened": self.storms_opened,
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._baseline = float(state.get("baseline", 0.0))
-        self._samples = int(state.get("samples", 0))
-        self._elevated = deque(
-            ((float(r), frozenset(c)) for r, c in state.get("elevated", [])),
-            maxlen=self.sustain)
-        self._in_storm = bool(state.get("in_storm", False))
-        self._storm_start = state.get("storm_start")
-        self._calm_run = int(state.get("calm_run", 0))
-        self._last_window = state.get("last_window")
-        self.storms_opened = int(state.get("storms_opened", 0))
 
 
 class LeadLagDetector(Detector):
@@ -680,27 +612,6 @@ class LeadLagDetector(Detector):
         if den == 0:
             return 0.0
         return num / den
-
-    def state(self) -> dict:
-        return {
-            "series": {t: list(s) for t, s in sorted(self._series.items())},
-            "windows_seen": self._windows_seen,
-            "checks": self._checks,
-            "last_reported": {f"{a}|{b}": c for (a, b), c
-                              in sorted(self._last_reported.items())},
-            "last_window": self._last_window,
-        }
-
-    def load_state(self, state: Mapping) -> None:
-        self._series = {t: deque((int(x) for x in s), maxlen=self.history)
-                        for t, s in state.get("series", {}).items()}
-        self._windows_seen = int(state.get("windows_seen", 0))
-        self._checks = int(state.get("checks", 0))
-        self._last_reported = {}
-        for joined, check in state.get("last_reported", {}).items():
-            a, _, b = joined.partition("|")
-            self._last_reported[(a, b)] = int(check)
-        self._last_window = state.get("last_window")
 
 
 def default_detectors(topology: TitanTopology, *,

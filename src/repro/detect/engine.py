@@ -96,17 +96,6 @@ class DetectionEngine:
             span.set(window=window_start, keys=len(counts),
                      alerts=len(alerts))
 
-    # -- state round-trip ----------------------------------------------------
-
-    def state(self) -> dict:
-        """All detector state, JSON-serializable (checkpointing)."""
-        return {d.name: d.state() for d in self.detectors}
-
-    def load_state(self, state: dict) -> None:
-        for detector in self.detectors:
-            if detector.name in state:
-                detector.load_state(state[detector.name])
-
 
 class DetectionPipeline:
     """Engine + alert ingest, composed: the whole alerting loop.

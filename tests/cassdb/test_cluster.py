@@ -39,13 +39,6 @@ class TestSchemaManagement:
         with pytest.raises(SchemaError):
             cluster.create_table(EVENTS)
 
-    def test_drop_table(self):
-        cluster = make_cluster()
-        insert_events(cluster)
-        cluster.drop_table("event_by_time")
-        with pytest.raises(SchemaError):
-            cluster.schema("event_by_time")
-
     def test_rf_exceeding_nodes_rejected(self):
         with pytest.raises(ValueError):
             Cluster(2, replication_factor=3)
@@ -190,7 +183,8 @@ class TestFailureModes:
         assert cluster.hinted_writes > 0
         cluster.revive_node(down)
         # The revived node must now hold the partition locally.
-        rows = cluster.nodes[down].read_partition("event_by_time", pk)
+        rows = cluster.nodes[down].read_partition_view(
+            "event_by_time", pk).to_rows()
         assert len(rows) == 10
 
     def test_write_consistency_one_with_node_down(self):
@@ -216,7 +210,8 @@ class TestFailureModes:
         )
         assert len(rows) == 5
         assert cluster.read_repairs > 0
-        stale_now = cluster.nodes[replicas[1]].read_partition("event_by_time", pk)
+        stale_now = cluster.nodes[replicas[1]].read_partition_view(
+            "event_by_time", pk).to_rows()
         assert len(stale_now) == 5
 
 
@@ -251,7 +246,8 @@ class TestDeletesCrossReplicas:
 
     @staticmethod
     def alone(cluster, node_id, pk):
-        return cluster.nodes[node_id].read_partition("event_by_time", pk)
+        return cluster.nodes[node_id].read_partition_view(
+            "event_by_time", pk).to_rows()
 
     def test_quorum_read_does_not_answer_the_deleted_row(self):
         cluster, _pk, _stale = self.missed_delete()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cassdb import Cluster, Session
 from repro.cassdb.memtable import Memtable
-from repro.cassdb.row import Cell, Row
+from repro.cassdb.row import Row
 from repro.cassdb.sstable import SSTable
 from repro.cassdb.vector import (
     BlockHints,
@@ -47,7 +47,7 @@ class TestColumnBlock:
     def test_round_trip_preserves_timestamps(self):
         block, _ = _block()
         row = block.row_at(3)
-        assert row.cells["type"].write_ts == 4
+        assert row.timestamps()["type"] == 4
 
     def test_round_trip_tombstones(self):
         rows = [_row(1.0), _dead(2.0), _row(3.0)]
@@ -63,7 +63,7 @@ class TestColumnBlock:
         rows = [_row(1.0, a=1), _row(2.0, b=2), _row(3.0, a=3, b=4)]
         block = ColumnBlock.from_rows(rows)
         assert block.rows() == rows
-        assert "b" not in block.row_at(0).cells
+        assert "b" not in block.row_at(0).values
 
     def test_auto_dict_encoding(self):
         block, _ = _block()
@@ -104,7 +104,7 @@ class TestSelectRows:
         view = select_rows(BlockView(block), [(("cell", "type"), "=", "warn")],
                            {})
         want = [i for i, r in enumerate(rows)
-                if r.cells["type"].value == "warn"]
+                if r.values["type"] == "warn"]
         assert list(view.order) == want
 
     def test_plain_range(self):
@@ -140,7 +140,7 @@ class TestSelectRows:
         view = select_rows(BlockView(block),
                            [(("cell", "type"), "in", ["error", "info"])], {})
         want = [i for i, r in enumerate(rows)
-                if r.cells["type"].value != "warn"]
+                if r.values["type"] != "warn"]
         assert list(view.order) == want
 
     def test_absent_column_matches_nothing(self):
@@ -302,7 +302,7 @@ class TestFoldView:
         block, rows = _block()
         groups = fold_view(BlockView(block), [], [("cell", "amount")],
                            ["avg"], {})
-        vals = [r.cells["amount"].value for r in rows]
+        vals = [r.values["amount"] for r in rows]
         assert groups[()] == [[sum(vals, 0.0), len(vals)]]
 
     def test_min_max_over_clustering(self):
@@ -352,7 +352,7 @@ class TestMergeViews:
         b = BlockView(ColumnBlock.over_rows(
             [_row(1.0, write_ts=1, v="old"), _row(2.0, write_ts=1, v="x")]))
         out = merge_views([a, b])
-        assert out[0].cells["v"].value == "new"
+        assert out[0].values["v"] == "new"
         assert len(out) == 2
 
     def test_limit_skips_dead_rows(self):
@@ -472,4 +472,4 @@ class TestSSTableColumnar:
         sst = SSTable.from_memtable(mt)
         sst.partitions["pk"] = ColumnBlock.from_rows([_row(2.0, v="b")])
         assert sst.partitions.get("pk").clustering == [(2.0, 0)]
-        assert sst.partitions["pk"].rows()[0].cells["v"].value == "b"
+        assert sst.partitions["pk"].rows()[0].values["v"] == "b"

@@ -73,7 +73,8 @@ def held_by(cluster: Cluster, node_id: str, pk: str) -> set[int]:
     store = cluster.nodes[node_id].tables.get("t")
     if store is None:
         return set()
-    return {row.clustering[0] for row in store.read_partition(ring_key(pk))}
+    return {row.clustering[0]
+            for row in store.read_partition_view(ring_key(pk)).to_rows()}
 
 
 def hints_by_holder(cluster: Cluster) -> dict[str, list]:
@@ -400,7 +401,8 @@ class TestCommitHistories:
                     if p == pk and v is not None]
 
         def alone(nid, pk):
-            return cluster.nodes[nid].read_partition("t", ring_key(pk))
+            return cluster.nodes[nid].read_partition_view(
+                "t", ring_key(pk)).to_rows()
 
         def attempt(call, pks, level):
             raises, written = outcome(pks, level)

@@ -1,7 +1,7 @@
 """Unit tests for the memtable and SSTable layers."""
 
 from repro.cassdb.memtable import Memtable
-from repro.cassdb.row import Cell, ClusteringBound, Row, slice_bounds_keys
+from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
 

@@ -121,7 +121,7 @@ def _read_matches_model(store, model, lower, upper):
             if (lower is None or lower.admits_lower(key))
             and (upper is None or upper.admits_upper(key))}
     got = {r.clustering: r.value("v")
-           for r in store.read_partition("pk", lower, upper)}
+           for r in store.read_partition_view("pk", lower, upper).to_rows()}
     assert got == want
     view = store.read_partition_view("pk", lower, upper)
     assert column_lists(view, _MODEL_SCHEMA, {}, ["k", "v"]) == [

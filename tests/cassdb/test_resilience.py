@@ -235,7 +235,7 @@ class TestHardenedCoordinator:
         cluster.close()
 
     def test_breaker_opens_on_crashed_replica_and_reads_route_around(self):
-        # A crashed (process-down, not yet convicted) replica answers
+        # A crashed (process-down, still routed) replica answers
         # reads with NodeDownError: the breaker opens and later reads
         # deprioritize it, so every read still succeeds.
         policy = RetryPolicy(max_attempts=4, breaker_failures=1,

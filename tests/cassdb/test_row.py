@@ -2,22 +2,37 @@
 
 import pytest
 
-from repro.cassdb.row import Cell, ClusteringBound, Row, merge_rows
+from repro.cassdb.row import ClusteringBound, Row, merge_rows
+
+
+def _row(clustering, cells):
+    """A row from ``column -> (value, write_ts)``."""
+    return Row.from_stamps(clustering,
+                           {name: value for name, (value, _) in cells.items()},
+                           [ts for _, ts in cells.values()])
+
+
+def _cell(value, write_ts):
+    """A one-column row: one cell to reconcile through merge_rows."""
+    return _row((1,), {"x": (value, write_ts)})
 
 
 class TestCell:
     def test_reconcile_newer_wins(self):
-        old, new = Cell("a", 1), Cell("b", 2)
-        assert old.reconcile(new) is new
-        assert new.reconcile(old) is new
+        old, new = _cell("a", 1), _cell("b", 2)
+        for merged in (merge_rows(old, new), merge_rows(new, old)):
+            assert merged.values == {"x": "b"}
+            assert merged.timestamps() == {"x": 2}
 
     def test_reconcile_tie_is_commutative(self):
-        a, b = Cell("x", 5), Cell("y", 5)
-        assert a.reconcile(b) == b.reconcile(a)
+        a, b = _cell("x", 5), _cell("y", 5)
+        assert merge_rows(a, b) == merge_rows(b, a)
+        assert merge_rows(a, b).values == {"x": "y"}
 
     def test_reconcile_identical(self):
-        a = Cell("v", 3)
-        assert a.reconcile(Cell("v", 3)).value == "v"
+        merged = merge_rows(_cell("v", 3), _cell("v", 3))
+        assert merged.values == {"x": "v"}
+        assert merged.timestamps() == {"x": 3}
 
 
 class TestRow:
@@ -25,7 +40,7 @@ class TestRow:
         row = Row.from_values((1.0, 0), {"src": "n1", "amount": 2}, write_ts=9)
         assert row.clustering == (1.0, 0)
         assert row.value("src") == "n1"
-        assert row.cells["amount"].write_ts == 9
+        assert row.timestamps()["amount"] == 9
 
     def test_value_default(self):
         row = Row.from_values((1,), {})
@@ -42,19 +57,19 @@ class TestMergeRows:
             merge_rows(Row.from_values((1,), {}), Row.from_values((2,), {}))
 
     def test_column_wise_lww(self):
-        a = Row.from_cells((1,), {"x": Cell(1, 10), "y": Cell("old", 10)})
-        b = Row.from_cells((1,), {"y": Cell("new", 20), "z": Cell(3, 5)})
+        a = _row((1,), {"x": (1, 10), "y": ("old", 10)})
+        b = _row((1,), {"y": ("new", 20), "z": (3, 5)})
         m = merge_rows(a, b)
         assert m.as_dict() == {"x": 1, "y": "new", "z": 3}
 
     def test_merge_commutative(self):
-        a = Row.from_cells((1,), {"x": Cell(1, 10), "y": Cell(2, 30)})
-        b = Row.from_cells((1,), {"x": Cell(9, 20), "y": Cell(8, 25)})
+        a = _row((1,), {"x": (1, 10), "y": (2, 30)})
+        b = _row((1,), {"x": (9, 20), "y": (8, 25)})
         ab, ba = merge_rows(a, b), merge_rows(b, a)
         assert ab.as_dict() == ba.as_dict()
 
     def test_tombstone_shadows_older_cells(self):
-        data = Row.from_cells((1,), {"x": Cell(1, 10)})
+        data = _row((1,), {"x": (1, 10)})
         tomb = Row((1,), {}, tombstone_ts=15)
         m = merge_rows(data, tomb)
         assert m.tombstone_ts == 15
@@ -62,7 +77,7 @@ class TestMergeRows:
 
     def test_newer_write_survives_tombstone(self):
         tomb = Row((1,), {}, tombstone_ts=15)
-        newer = Row.from_cells((1,), {"x": Cell(7, 20)})
+        newer = _row((1,), {"x": (7, 20)})
         m = merge_rows(tomb, newer)
         assert m.as_dict() == {"x": 7}
         # Row remains marked deleted but the resurrecting cell survives;

@@ -51,43 +51,43 @@ class TestReadPath:
         store = TableStore(flush_threshold=5)
         for i in range(12):
             store.write("pk", _row(float(i)))
-        rows = store.read_partition("pk")
+        rows = store.read_partition_view("pk").to_rows()
         assert [r.clustering[0] for r in rows] == [float(i) for i in range(12)]
 
     def test_read_respects_bounds_and_limit(self):
         store = TableStore(flush_threshold=4)
         for i in range(20):
             store.write("pk", _row(float(i)))
-        rows = store.read_partition(
+        rows = store.read_partition_view(
             "pk", lower=ClusteringBound((5.0,)), limit=3
-        )
+        ).to_rows()
         assert [r.clustering[0] for r in rows] == [5.0, 6.0, 7.0]
 
     def test_read_reverse(self):
         store = TableStore(flush_threshold=4)
         for i in range(10):
             store.write("pk", _row(float(i)))
-        rows = store.read_partition("pk", reverse=True, limit=2)
+        rows = store.read_partition_view("pk", reverse=True, limit=2).to_rows()
         assert [r.clustering[0] for r in rows] == [9.0, 8.0]
 
     def test_newest_value_wins_across_runs(self):
         store = TableStore(flush_threshold=1)
         store.write("pk", Row.from_values((1.0, 0), {"v": "old"}, write_ts=1))
         store.write("pk", Row.from_values((1.0, 0), {"v": "new"}, write_ts=2))
-        rows = store.read_partition("pk")
+        rows = store.read_partition_view("pk").to_rows()
         assert len(rows) == 1
         assert rows[0].value("v") == "new"
 
     def test_absent_partition(self):
         store = TableStore()
         store.write("other", _row(1.0))
-        assert store.read_partition("pk") == []
+        assert store.read_partition_view("pk").to_rows() == []
 
     def test_bloom_skips_counted(self):
         store = TableStore(flush_threshold=1)
         for i in range(5):
             store.write(f"pk{i}", _row(1.0))
-        store.read_partition("pk0")
+        store.read_partition_view("pk0").to_rows()
         assert store.stats.bloom_skips > 0
 
     def test_delete_then_read(self):
@@ -95,7 +95,7 @@ class TestReadPath:
         store.write("pk", _row(1.0, write_ts=1))
         store.write("pk", _row(2.0, write_ts=1))
         store.write("pk", Row((1.0, 0), {}, tombstone_ts=5))
-        rows = store.read_partition("pk")
+        rows = store.read_partition_view("pk").to_rows()
         assert [r.clustering[0] for r in rows] == [2.0]
 
     def test_delete_survives_flush_and_compaction(self):
@@ -104,14 +104,14 @@ class TestReadPath:
         store.write("pk", Row((1.0, 0), {}, tombstone_ts=5))
         store.flush()
         store.compact()
-        assert store.read_partition("pk") == []
+        assert store.read_partition_view("pk").to_rows() == []
 
     def test_insert_after_delete_resurrects(self):
         store = TableStore(flush_threshold=1)
         store.write("pk", Row.from_values((1.0, 0), {"v": 1}, write_ts=1))
         store.write("pk", Row((1.0, 0), {}, tombstone_ts=2))
         store.write("pk", Row.from_values((1.0, 0), {"v": 2}, write_ts=3))
-        rows = store.read_partition("pk")
+        rows = store.read_partition_view("pk").to_rows()
         assert len(rows) == 1
         assert rows[0].value("v") == 2
 
@@ -129,13 +129,15 @@ class TestCompactionEquivalence:
         for i in range(50):
             store.write(f"pk{i % 3}", _row(float(i % 13), seq=i, write_ts=i))
         before = {
-            pk: [(r.clustering, r.as_dict()) for r in store.read_partition(pk)]
+            pk: [(r.clustering, r.as_dict())
+                 for r in store.read_partition_view(pk).to_rows()]
             for pk in store.partition_keys()
         }
         store.flush()
         store.compact()
         after = {
-            pk: [(r.clustering, r.as_dict()) for r in store.read_partition(pk)]
+            pk: [(r.clustering, r.as_dict())
+                 for r in store.read_partition_view(pk).to_rows()]
             for pk in store.partition_keys()
         }
         assert before == after
@@ -154,12 +156,12 @@ class TestBoundsPruning:
 
     def test_bounded_read_prunes_rows(self):
         store = self._loaded_store()
-        full = store.read_partition("pk")
+        full = store.read_partition_view("pk").to_rows()
         assert store.stats.rows_pruned == 0  # full scans prune nothing
-        bounded = store.read_partition(
+        bounded = store.read_partition_view(
             "pk", lower=ClusteringBound((100.0,)),
             upper=ClusteringBound((110.0,)),
-        )
+        ).to_rows()
         assert [r.clustering[0] for r in bounded] == [
             float(i) for i in range(100, 111)]
         assert len(bounded) < len(full)
@@ -169,8 +171,9 @@ class TestBoundsPruning:
 
     def test_reverse_bounded_read_prunes_rows(self):
         store = self._loaded_store()
-        rows = store.read_partition(
-            "pk", lower=ClusteringBound((200.0,)), reverse=True, limit=5)
+        rows = store.read_partition_view(
+            "pk", lower=ClusteringBound((200.0,)), reverse=True,
+            limit=5).to_rows()
         assert [r.clustering[0] for r in rows] == [
             299.0, 298.0, 297.0, 296.0, 295.0]
         assert store.stats.rows_pruned >= 200
@@ -178,8 +181,9 @@ class TestBoundsPruning:
     def test_bounded_equals_filtered_full_scan(self):
         store = self._loaded_store(n=257, flush_threshold=31)
         lower, upper = ClusteringBound((50.0,), False), ClusteringBound((90.0,))
-        bounded = store.read_partition("pk", lower=lower, upper=upper)
-        full = [r for r in store.read_partition("pk")
+        bounded = store.read_partition_view(
+            "pk", lower=lower, upper=upper).to_rows()
+        full = [r for r in store.read_partition_view("pk").to_rows()
                 if 50.0 < r.clustering[0] <= 90.0]
         assert [(r.clustering, r.as_dict()) for r in bounded] == \
             [(r.clustering, r.as_dict()) for r in full]
@@ -190,7 +194,7 @@ class TestBoundsPruning:
             store.write("pk", _row(float(i), seq=i, write_ts=1))
         for i in range(0, 10, 2):
             store.write("pk", Row((float(i), i), {}, tombstone_ts=10))
-        rows = store.read_partition("pk", limit=6)
+        rows = store.read_partition_view("pk", limit=6).to_rows()
         assert [r.clustering[0] for r in rows] == [1.0, 3.0, 5.0, 7.0, 9.0, 10.0]
 
 
@@ -222,14 +226,15 @@ class TestBoundedMemtableRead:
     def _check_every_bound(self, store, buffered):
         """*buffered*: the clustering key of every row a memtable holds,
         tombstones included, once per memtable holding it."""
-        full = [(r.clustering, r.as_dict()) for r in store.read_partition("pk")]
+        full = [(r.clustering, r.as_dict())
+                for r in store.read_partition_view("pk").to_rows()]
         for lower, upper in self.BOUNDS:
             def admitted(key):
                 return ((lower is None or lower.admits_lower(key))
                         and (upper is None or upper.admits_upper(key)))
 
             before = store.stats.rows_pruned
-            bounded = store.read_partition("pk", lower, upper)
+            bounded = store.read_partition_view("pk", lower, upper).to_rows()
             assert [(r.clustering, r.as_dict()) for r in bounded] == [
                 (key, values) for key, values in full if admitted(key)]
             assert store.stats.rows_pruned - before == sum(
@@ -246,7 +251,7 @@ class TestBoundedMemtableRead:
         self._write(store, self.KEYS)
         for key in ((100, 400), (110, 441), (120, 483), (7, 28)):
             store.write("pk", Row(key, {}, tombstone_ts=5))
-        assert len(store.read_partition("pk")) == 996
+        assert len(store.read_partition_view("pk")) == 996
         # A tombstone is a buffered row: pruned when outside, dropped by
         # the merge when inside.
         self._check_every_bound(store, self.KEYS)
@@ -349,11 +354,11 @@ class TestOneReadFace:
             "pk", ClusteringBound((5.0,)), ClusteringBound((9.0,)),
             reverse=True, limit=3)
         assert [r.clustering[0] for r in view.to_rows()] == [9.0, 8.0, 6.0]
-        assert len(store.read_partition("pk")) == 49
-        assert len(store.read_partition("flushed")) == 50  # one run alone
+        assert len(store.read_partition_view("pk")) == 49
+        assert len(store.read_partition_view("flushed")) == 50  # one run alone
         assert merges == []
         store.write("flushed", _row(99.0))                 # memtable + run
-        assert len(store.read_partition("flushed")) == 51
+        assert len(store.read_partition_view("flushed")) == 51
         assert len(merges) == 1
 
     @pytest.mark.parametrize("runs", [0, 1, 3, 6])
@@ -373,7 +378,7 @@ class TestOneReadFace:
         for pk in ("pk", "other", "absent"):
             del probes[:]
             before = store.stats.bloom_skips + store.stats.sstable_probes
-            store.read_partition(pk, ClusteringBound((5.0,)))
+            store.read_partition_view(pk, ClusteringBound((5.0,))).to_rows()
             assert len(probes) == runs
             assert (store.stats.bloom_skips + store.stats.sstable_probes
                     - before) == runs

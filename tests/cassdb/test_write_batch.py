@@ -110,8 +110,8 @@ class TestHintedHandoffMidBatch:
         assert victim_keys == expected
         # Reads served *by* the revived replica see the full partitions.
         for pk in sorted(expected):
-            rows_here = cluster.nodes[victim].read_partition(
-                "event_by_time", pk)
+            rows_here = cluster.nodes[victim].read_partition_view(
+                "event_by_time", pk).to_rows()
             assert len(rows_here) == 10
 
 
@@ -297,7 +297,7 @@ class TestFlushOutsideLock:
         try:
             assert build_started.wait(5.0)
             # Build in flight: the sealed rows stay visible...
-            rows = store.read_partition("pk")
+            rows = store.read_partition_view("pk").to_rows()
             assert [r.clustering[0] for r in rows] == [float(i)
                                                        for i in range(10)]
             # ...and writers commit into the fresh memtable, unstalled.
@@ -309,7 +309,7 @@ class TestFlushOutsideLock:
         assert not flusher.is_alive()
         assert store.stats.flushes == 1
         assert not store.frozen
-        rows = store.read_partition("pk")
+        rows = store.read_partition_view("pk").to_rows()
         assert [r.clustering[0] for r in rows] == [float(i) for i in range(11)]
 
     def test_batch_write_rows_triggers_flush(self):

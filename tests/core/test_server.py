@@ -442,6 +442,21 @@ class TestSimpleOps:
         assert detail["token"] == "~"
         assert detail["message"].startswith("line 1:40:")
 
+    @pytest.mark.parametrize("op, statement", [
+        ("cql", "SELECT * FROM nosuch"),
+        ("cql", "INSERT INTO nosuch (k, v) VALUES (1, 2)"),
+        ("cql", "DELETE FROM nosuch WHERE k = 1"),
+        ("cql", "EXPLAIN SELECT * FROM nosuch"),
+        ("explain", "SELECT * FROM nosuch"),
+    ])
+    def test_unknown_table_is_a_planning_error(self, server, op, statement):
+        r = server.handle_sync({"op": op, "statement": statement})
+        assert not r["ok"]
+        detail = r["error_detail"]
+        assert detail["type"] == "CQLPlanningError"
+        assert detail["token"] == "nosuch"
+        assert detail["message"] == "no such table: 'nosuch'"
+
     def test_non_cql_error_has_no_detail(self, server):
         r = server.handle_sync({"op": "nodeinfo"})
         assert not r["ok"]

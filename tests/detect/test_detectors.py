@@ -1,6 +1,5 @@
 """Unit tests for the online detectors in :mod:`repro.detect.detectors`."""
 
-import json
 import random
 
 import pytest
@@ -87,17 +86,6 @@ class TestEWMARateDetector:
         assert det.tracked_keys == 3
         assert det.evicted == 2
 
-    def test_state_round_trip(self):
-        det = EWMARateDetector()
-        self._warm(det, 40)
-        state = json.loads(json.dumps(det.state()))
-        clone = EWMARateDetector()
-        clone.load_state(state)
-        assert clone.state() == det.state()
-        # The restored detector behaves identically on the next window.
-        assert ([a.to_record() for a in clone.observe(40.0, {self.KEY: 50})]
-                == [a.to_record() for a in det.observe(40.0, {self.KEY: 50})])
-
 
 class TestSpatialBurstDetector:
     @pytest.fixture(scope="class")
@@ -144,17 +132,6 @@ class TestSpatialBurstDetector:
         det = SpatialBurstDetector(TitanTopology(rows=1, cols=2))
         self._burst_minute(det, 0, per_window=100)
         assert det.observe(60.0, {("MCE", "c0-0"): 1}) == []
-
-    def test_state_round_trip(self, topo):
-        det = SpatialBurstDetector(topo)
-        self._burst_minute(det, 0)
-        state = json.loads(json.dumps(det.state()))
-        clone = SpatialBurstDetector(topo)
-        clone.load_state(state)
-        assert clone.state() == det.state()
-        a = det.observe(60.0, {("MCE", "c0-0"): 1})
-        b = clone.observe(60.0, {("MCE", "c0-0"): 1})
-        assert [x.to_record() for x in a] == [x.to_record() for x in b]
 
 
 class TestLustreStormDetector:
@@ -221,19 +198,6 @@ class TestLustreStormDetector:
         # the elevation was not sustained.
         assert det.observe(40.0, self.STORM) == []
 
-    def test_state_round_trip(self):
-        det = LustreStormDetector()
-        self._warm(det)
-        det.observe(35.0, self.STORM)
-        state = json.loads(json.dumps(det.state()))
-        clone = LustreStormDetector()
-        clone.load_state(state)
-        assert clone.state() == det.state()
-        a = det.observe(36.0, self.STORM)
-        b = clone.observe(36.0, self.STORM)
-        assert len(a) == len(b) == 1
-        assert a[0].to_record() == b[0].to_record()
-
 
 class TestLeadLagDetector:
     def _run(self, det, windows, a_phase=0, b_phase=2, period=12):
@@ -281,23 +245,6 @@ class TestLeadLagDetector:
         det = LeadLagDetector(max_types=4)
         det.observe(0.0, {(f"T{i}", "c0-0"): 1 for i in range(10)})
         assert det.tracked_keys == 4
-
-    def test_state_round_trip(self):
-        det = LeadLagDetector(history=120, max_lag=2, check_every=60,
-                              min_occurrences=5)
-        self._run(det, 59)
-        state = json.loads(json.dumps(det.state()))
-        clone = LeadLagDetector(history=120, max_lag=2, check_every=60,
-                                min_occurrences=5)
-        clone.load_state(state)
-        assert clone.state() == det.state()
-        # Drive both two more windows (59 skipped, then the check
-        # window) and require identical behaviour from the state.
-        for w in (60.0, 61.0):
-            a = det.observe(w, {("A", "c0-0"): 3})
-            b = clone.observe(w, {("A", "c0-0"): 3})
-            assert [x.to_record() for x in a] == [x.to_record() for x in b]
-        assert clone.state() == det.state()
 
 
 class _PerPairLeadLag(LeadLagDetector):
@@ -384,28 +331,18 @@ class TestLeadLagMatchesPerPairReference:
         det, ref = LeadLagDetector(), _PerPairLeadLag()
         got, want = [], []
         windows = _lead_lag_windows(seed, 3000)
-        for i, (start, counts) in enumerate(windows):
-            if i == 1500:
-                # Restart both from JSON state, with one series cut
-                # short and one cut to under the look-ahead — lengths a
-                # running detector never produces but load_state accepts.
-                state = json.loads(json.dumps(det.state()))
-                assert state == json.loads(json.dumps(ref.state()))
-                state["series"]["LNET"] = state["series"]["LNET"][40:]
-                state["series"]["OOM"] = state["series"]["OOM"][-20:]
-                det, ref = LeadLagDetector(), _PerPairLeadLag()
-                det.load_state(state)
-                ref.load_state(state)
-                lengths = {len(s) for s in det._series.values()}
-                assert len(lengths) == 3
+        for start, counts in windows:
             got.extend(a.to_record() for a in det.observe(start, counts))
             want.extend(a.to_record() for a in ref.observe(start, counts))
         assert got == want
-        assert det.state() == ref.state()
-        # The stream must exercise the detector on both sides of the
-        # restart, storms included: several distinct pairs, found
-        # before and after window 1500.
-        restart = windows[1500][0]
+        assert det._series == ref._series
+        assert det._last_reported == ref._last_reported
+        assert det._checks == ref._checks
+        assert det._windows_seen == ref._windows_seen
+        # The stream must exercise the detector in both halves, storms
+        # included: several distinct pairs, found before and after
+        # window 1500.
+        middle = windows[1500][0]
         assert len({a["key"] for a in got}) >= 3
-        assert any(a["window_start"] < restart for a in got)
-        assert any(a["window_start"] > restart for a in got)
+        assert any(a["window_start"] < middle for a in got)
+        assert any(a["window_start"] > middle for a in got)

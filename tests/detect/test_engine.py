@@ -123,16 +123,6 @@ class TestDetectionPipeline:
         blob = json.dumps(obs.get_tracer().traces())
         assert "detect.window" in blob
 
-    def test_engine_state_round_trips(self, stormy):
-        _, _, detection, _, _ = stormy
-        state = json.loads(json.dumps(detection.engine.state()))
-        assert set(state) == {"ewma_rate", "spatial_burst",
-                              "lustre_storm", "lead_lag"}
-        from repro.detect import DetectionEngine
-        clone = DetectionEngine(detection.engine.topology, MessageBus())
-        clone.load_state(state)
-        assert json.loads(json.dumps(clone.state())) == state
-
     def test_quiet_traffic_emits_nothing_actionable(self, topo):
         # Quiet = baseline Poisson traffic, nothing injected.  (With
         # the default Weibull burstiness the baseline itself contains

@@ -1,9 +1,8 @@
-"""Integration: gossip-driven failure handling and anti-entropy repair
-under the full framework."""
+"""Integration: node failure handling and anti-entropy repair under the
+full framework."""
 
 import pytest
 
-from repro.cassdb import GossipRunner
 from repro.core import LogAnalyticsFramework
 from repro.genlog import LogGenerator
 from repro.titan import TitanTopology
@@ -20,27 +19,26 @@ def events(topo):
                         storms_per_day=0).generate(6)
 
 
-class TestGossipDrivenOperations:
+class TestNodeFailureAndRepair:
     def test_detected_failure_then_recovery_preserves_analytics(
             self, topo, events):
         fw = LogAnalyticsFramework(topo, db_nodes=4,
                                    replication_factor=2).setup()
-        gossip = GossipRunner(fw.cluster, interval=1.0)
-        gossip.tick(30)
 
         half = len(events) // 2
         fw.ingest_events(events[:half])
         ctx = fw.context(0, 6 * 3600)
         baseline = len(fw.events(ctx))
 
-        # A node silently dies; gossip convicts it; ingestion continues
-        # (hints buffer); the node recovers and hints replay.
-        gossip.crash("node02")
-        gossip.tick(60)
+        # A node silently dies and stays routed until it is killed;
+        # ingestion continues (hints buffer); the node is revived and
+        # hints replay.
+        fw.cluster.crash_node("node02")
+        assert fw.cluster.nodes["node02"].up
+        fw.cluster.kill_node("node02")
         assert not fw.cluster.nodes["node02"].up
         fw.ingest_events(events[half:])
-        gossip.recover("node02")
-        gossip.tick(10)
+        fw.cluster.revive_node("node02")
         assert fw.cluster.nodes["node02"].up
 
         assert len(fw.events(ctx)) == len(events)

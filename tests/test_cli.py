@@ -154,6 +154,15 @@ class TestExplain:
         assert detail["type"] == "CQLSyntaxError"
         assert detail["line"] == 1
 
+    def test_unknown_table_exits_2_with_payload(self, capsys):
+        rc = main(["explain", "SELECT * FROM nosuch"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        detail = json.loads(captured.err)
+        assert detail["type"] == "CQLPlanningError"
+        assert detail["token"] == "nosuch"
+
 
 class TestTopology:
     def test_cname_query(self, capsys):
@@ -169,9 +178,16 @@ class TestTopology:
         assert rc == 0
         assert info["cname"] == "c0-0c0s0n0"
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            main(["topology", "not-a-node"])
+    def test_invalid(self, capsys):
+        for query, message in [
+                ("not-a-node", "not a valid node cname: 'not-a-node'"),
+                ("c99-0c0s0n0", "col out of range: 99"),
+                ("999999", "node index out of range: 999999")]:
+            rc = main(["topology", query])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            assert captured.err.strip() == message
 
 
 class TestTop:
