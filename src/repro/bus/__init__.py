@@ -1,9 +1,11 @@
 """bus — a Kafka-model message bus (in-process).
 
-Topics with partitioned append-only offset logs, keyed publishing,
-consumer groups with rebalancing and committed offsets.  Stands in for
-the OLCF's Kafka/OpenShift deployment in the paper's streaming-ingest
-path (§III-D).
+Topics with partitioned offset logs, each retained from the slowest
+subscribed group's committed offset; keyed publishing; consumer groups
+with rebalancing and committed offsets.  Offsets are absolute, and a
+group that arrives after a truncation starts at the log start.  Stands
+in for the OLCF's Kafka/OpenShift deployment in the paper's
+streaming-ingest path (§III-D).
 """
 
 from .broker import MessageBus, Record, Topic

@@ -5,12 +5,16 @@ Kafka message bus that is available to consumers subscribing to the
 corresponding topic" (paper §III-D).  This broker reproduces the parts
 that matter to the framework:
 
-* named **topics** divided into **partitions** (append-only offset
-  logs), with key-hash partition assignment so all events of one
-  source land in one partition (per-key ordering);
+* named **topics** divided into **partitions** (offset logs retained
+  from the slowest subscribed group's committed offset), with key-hash
+  partition assignment so all events of one source land in one
+  partition (per-key ordering);
 * durable **consumer-group offsets** — consumption is decoupled from
   production, a consumer can crash and resume from its last commit,
-  and independent groups replay the same log.
+  and independent groups read the same log.  A group is subscribed
+  from the moment it is built (or first commits); offsets stay
+  absolute, and a group that arrives after a truncation starts at the
+  log start (Kafka's ``auto.offset.reset=earliest``).
 
 Delivery is pull-based (consumers poll), exactly-once *per commit*
 from the group's perspective: records between the last commit and a
@@ -30,8 +34,7 @@ __all__ = ["Record", "Topic", "MessageBus"]
 
 _M_PUBLISHED = obs.get_registry().counter("bus.published")
 _M_FETCHED = obs.get_registry().counter("bus.fetched_records")
-# Total records retained across every topic of every in-process broker.
-_G_QUEUE_DEPTH = obs.get_registry().gauge("bus.queue_depth")
+_M_TRUNCATED = obs.get_registry().counter("bus.truncated")
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,14 +56,21 @@ class Record:
 
 
 class Topic:
-    """An append-only log per partition."""
+    """A log per partition, retained from the slowest subscribed
+    group's committed offset.  ``partitions[p]`` holds the retained
+    records, the first at absolute offset ``starts[p]``; ``groups`` maps
+    each subscribed group to its committed offset per partition."""
 
     def __init__(self, name: str, num_partitions: int):
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self.name = name
         self.partitions: list[list[Record]] = [[] for _ in range(num_partitions)]
+        self.starts = [0] * num_partitions
+        self.groups: dict[str, list[int]] = {}
         self._rr = 0
+        # Records this topic retains (up on append, down on truncation).
+        self._depth = obs.get_registry().gauge("bus.queue_depth", topic=name)
 
     @property
     def num_partitions(self) -> int:
@@ -76,16 +86,30 @@ class Topic:
                trace: tuple[int, int] | None = None) -> Record:
         part = self.partition_for(key)
         log = self.partitions[part]
-        record = Record(self.name, part, len(log), key, value, timestamp,
-                        trace)
+        record = Record(self.name, part, self.starts[part] + len(log), key,
+                        value, timestamp, trace)
         log.append(record)
+        self._depth.inc()
         return record
 
     def end_offset(self, partition: int) -> int:
-        return len(self.partitions[partition])
+        return self.starts[partition] + len(self.partitions[partition])
 
     def read(self, partition: int, offset: int, max_records: int) -> list[Record]:
-        return self.partitions[partition][offset:offset + max_records]
+        """An offset below the log start reads from the start."""
+        first = max(offset - self.starts[partition], 0)
+        return self.partitions[partition][first:first + max_records]
+
+    def truncate(self, partition: int) -> int:
+        """Drop what every subscribed group has committed past; returns
+        how many records that was."""
+        low = min(offsets[partition] for offsets in self.groups.values())
+        log = self.partitions[partition]
+        dropped = min(low - self.starts[partition], len(log))
+        del log[:dropped]
+        self.starts[partition] += dropped
+        self._depth.dec(dropped)
+        return dropped
 
 
 class MessageBus:
@@ -93,8 +117,6 @@ class MessageBus:
 
     def __init__(self):
         self._topics: dict[str, Topic] = {}
-        # (group, topic, partition) -> committed offset
-        self._offsets: dict[tuple[str, str, int], int] = {}
         self._lock = threading.RLock()
         # Chaos injection point (repro.chaos FaultGate); None — the
         # permanent default — costs one attribute check per op.
@@ -148,7 +170,6 @@ class MessageBus:
                         t.append(key, value, timestamp, trace)
                         copies += 1
         _M_PUBLISHED.inc(copies)
-        _G_QUEUE_DEPTH.inc(copies)
         return record
 
     def fetch(self, topic: str, partition: int, offset: int,
@@ -164,23 +185,38 @@ class MessageBus:
         _M_FETCHED.inc(len(records))
         return records
 
+    def end_offset(self, topic: str, partition: int) -> int:
+        with self._lock:
+            return self.topic(topic).end_offset(partition)
+
     # -- consumer-group offsets --------------------------------------------------
+
+    def subscribe(self, group: str, topic: str) -> list[int]:
+        """Subscribe *group* to *topic*: from now on its committed
+        offsets pin the log.  A new group starts at the log start.
+        Returns the group's committed offset per partition."""
+        with self._lock:
+            t = self.topic(topic)
+            return t.groups.setdefault(group, list(t.starts))
 
     def committed(self, group: str, topic: str, partition: int) -> int:
         with self._lock:
-            return self._offsets.get((group, topic, partition), 0)
+            t = self.topic(topic)
+            return t.groups.get(group, t.starts)[partition]
 
     def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
+        """Commit *group*'s offset, then drop what every subscribed
+        group has committed past."""
         with self._lock:
-            key = (group, topic, partition)
-            if offset < self._offsets.get(key, 0):
+            t = self.topic(topic)
+            offsets = self.subscribe(group, topic)
+            if offset < offsets[partition]:
                 raise ValueError("cannot commit backwards")
-            self._offsets[key] = offset
-            lag = sum(
-                self._topics[topic].end_offset(p)
-                - self._offsets.get((group, topic, p), 0)
-                for p in range(self._topics[topic].num_partitions)
-            )
+            offsets[partition] = offset
+            dropped = t.truncate(partition)
+            lag = sum(t.end_offset(p) - offsets[p]
+                      for p in range(t.num_partitions))
+        _M_TRUNCATED.inc(dropped)
         obs.get_registry().gauge(
             "bus.consumer_lag", group=group, topic=topic).set(lag)
 

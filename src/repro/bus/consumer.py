@@ -25,6 +25,9 @@ class ConsumerGroup:
         self.bus = bus
         self.group_id = group_id
         self.topic = topic
+        # Subscribed from here on: until it commits, the group pins the
+        # log at its start.
+        bus.subscribe(group_id, topic)
         self._members: list["Consumer"] = []
         self.rebalances = 0
         # Per-partition delivery high-water mark (offset + 1 of the
@@ -105,6 +108,15 @@ class Consumer:
                 out.extend(records)
                 budget -= len(records)
         return out
+
+    def unread(self) -> list[int]:
+        """Assigned partitions whose log runs past this member's
+        position: records left there by a capped or dropped fetch."""
+        bus, group = self.group.bus, self.group
+        return [p for p in self._assigned
+                if self._positions.get(
+                    p, bus.committed(group.group_id, group.topic, p))
+                < bus.end_offset(group.topic, p)]
 
     def commit(self) -> None:
         """Commit every polled position (post-processing acknowledgment)."""

@@ -136,7 +136,9 @@ class TopicIngestor:
 
         The logical streaming clock advances to the latest timestamp
         seen, so all batches strictly before it are finalized; records
-        in the still-open batch remain buffered for the next call.
+        in the still-open batch remain buffered for the next call.  A
+        partition the poll left unread holds the clock at the latest
+        timestamp it delivered.
         """
         records = self._consumer.poll(max_records)
         batches = 0
@@ -144,13 +146,19 @@ class TopicIngestor:
             with self._poll_span(records) as span:
                 epoch = self._epoch(records)
                 push = self._input.push
-                latest = 0.0
+                latest: dict[int, float] = {}
                 for record in records:
                     ts = record.timestamp - epoch
                     push(record.value, ts)
-                    latest = max(latest, ts)
+                    if ts > latest.get(record.partition, 0.0):
+                        latest[record.partition] = ts
+                # The clock stops at a partition with records still
+                # unread: they may belong to the windows it would close.
+                clock = max(latest.values(), default=0.0)
+                for p in self._consumer.unread():
+                    clock = min(clock, latest.get(p, 0.0))
                 before = self.ssc.batches_run
-                self.ssc.advance_to(latest)
+                self.ssc.advance_to(clock)
                 batches = self.ssc.batches_run - before
                 self._consumer.commit()
                 span.set(records=len(records), batches=batches)

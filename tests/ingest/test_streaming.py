@@ -167,6 +167,26 @@ class TestStreamingIngestor:
         assert entered[100:] == [int(3 * day)]
         assert ingestor.stats.batches == int(3 * day) + 1
 
+    def test_a_capped_poll_closes_no_window_an_unread_partition_feeds(self):
+        """Keys ``a`` and ``c`` land on partitions 0 and 1.  A poll capped
+        at ten records drains partition 0 alone; the clock may not pass
+        partition 1's unread records, so every window holds both keys."""
+        bus = MessageBus()
+        bus.create_topic("events", num_partitions=2)
+        ingestor = StreamingIngestor(bus, "events", ListSink(),
+                                     SparkletContext(2))
+        windows = []
+        ingestor.add_observer(
+            lambda events: windows.append({e.component for e in events}))
+        LogProducer(bus, "events").publish_events(
+            [_ev(s + 0.5, comp=key) for key in "ac" for s in range(10)])
+        assert {r.partition for p in bus.topic("events").partitions
+                for r in p if r.key == "c"} == {1}
+        ingestor.process_available(max_records=10)
+        ingestor.process_available(max_records=10)
+        ingestor.flush()
+        assert windows == [{"a", "c"}] * 10
+
 
 # -- one contract, three ingestors ------------------------------------------
 

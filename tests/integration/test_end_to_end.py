@@ -9,6 +9,7 @@ design.
 
 import pytest
 
+from repro import obs
 from repro.bus import MessageBus
 from repro.core import AnalyticsServer, LogAnalyticsFramework
 from repro.genlog import JobGenerator, LogGenerator
@@ -102,6 +103,43 @@ class TestStreamingPipeline:
         assert sum(r["amount"] for r in fw.events(ctx)) == sum(
             e.amount for e in events
         )
+        fw.stop()
+
+    def test_a_drain_leaves_the_bus_holding_nothing(self, topo, generator,
+                                                    events):
+        """The bus forgets what it delivered: after a capped, chunked
+        drain with detection attached, every partition of every topic
+        retains exactly its lag, which is zero, and every record
+        published was truncated."""
+        registry = obs.get_registry()
+        published = registry.counter("bus.published")
+        truncated = registry.counter("bus.truncated")
+        published_before, truncated_before = published.value, truncated.value
+        fw = LogAnalyticsFramework(topo, db_nodes=2).setup()
+        bus = MessageBus()
+        producer = LogProducer(bus, "events")
+        ingestor = fw.streaming_ingestor(bus, "events")
+        detection = fw.attach_detection(ingestor, bus)
+        lines = list(generator.raw_lines(events))
+        for first in range(0, len(lines), 2000):
+            producer.publish_lines(lines[first:first + 2000])
+            while ingestor.process_available(max_records=500):
+                pass
+        ingestor.flush()
+        assert detection.drain()["lag"] == 0
+        retained = 0
+        for name in bus.topics():
+            topic = bus.topic(name)
+            assert topic.groups
+            for p in range(topic.num_partitions):
+                kept = len(topic.partitions[p])
+                for group in topic.groups:
+                    lag = topic.end_offset(p) - bus.committed(group, name, p)
+                    assert kept == lag == 0
+                retained += kept
+        sent = published.value - published_before
+        assert sent >= len(events)
+        assert sent == truncated.value - truncated_before + retained
         fw.stop()
 
 
