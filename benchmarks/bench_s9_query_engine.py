@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-from repro.cassdb import Cluster, Session
+from repro.cassdb import Cluster, Session, TableSchema
 
 from conftest import report
 
@@ -45,17 +45,13 @@ def _best(fn, rounds=3):
 
 def build_cluster(hours, rows_per_hour, db_nodes=6):
     cluster = Cluster(db_nodes, replication_factor=2)
-    session = Session(cluster)
-    session.execute(
-        "CREATE TABLE ev (hour int, type text, ts double, seq int,"
-        " source text, amount int, PRIMARY KEY ((hour, type), ts, seq))")
-    insert = session.prepare(
-        "INSERT INTO ev (hour, type, ts, seq, source, amount)"
-        " VALUES (?, ?, ?, ?, ?, ?)")
-    for hour in range(hours):
-        for i in range(rows_per_hour):
-            session.engine.execute(
-                insert, (hour, "MCE", float(i), i, f"n{i % 7}", i % 100))
+    cluster.create_table(TableSchema(
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
+        key_codecs=(("hour", int),)))
+    cluster.insert_many("ev", [
+        {"hour": hour, "type": "MCE", "ts": float(i), "seq": i,
+         "source": f"n{i % 7}", "amount": i % 100}
+        for hour in range(hours) for i in range(rows_per_hour)])
     return cluster
 
 

@@ -36,7 +36,7 @@ from .errors import (
     WriteTimeoutError,
 )
 from .hashring import HashRing, token_for_key
-from .query import Session, normalize_cql, parse_statement
+from .query import Session
 from .resilience import BreakerState, CircuitBreaker, RetryPolicy
 from .row import ClusteringBound, Row, merge_rows
 from .schema import Keyspace, TableSchema
@@ -60,11 +60,9 @@ __all__ = [
     "Row",
     "SchemaError",
     "Session",
-    "normalize_cql",
     "TableSchema",
     "UnavailableError",
     "WriteTimeoutError",
     "merge_rows",
-    "parse_statement",
     "token_for_key",
 ]

@@ -522,7 +522,7 @@ class Cluster:
           **one** ``StorageNode.write_rows`` call (one ``TableStore``
           lock, one span per node, not per group and replica);
         * the table epoch is bumped **once** for the whole batch (the
-          server's result cache sees one invalidation, not one per row);
+          server's result cache sees one epoch change, not one per row);
         * one ``cassdb.write_batch`` trace span and one set of
           ``cassdb.write.batch_*`` observations cover the call.
 

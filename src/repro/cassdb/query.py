@@ -7,12 +7,10 @@ engine — tokenizer, parser, planner, optimizer, physical operators —
 lives in :mod:`repro.cql`; this module keeps the driver-shaped surface
 every caller already uses:
 
-* :class:`Session` — ``execute()`` / ``plan()`` / ``explain()`` plus the
-  bounded LRU plan cache (keyed on :func:`normalize_cql`) whose
-  hit/miss/eviction counters feed the S5 benchmark;
-* the statement AST types (``Select``, ``Insert`` …) and
-  :func:`parse_statement`, re-exported for callers that inspect plans
-  (the server's result-cache gate, tests).
+:class:`Session` — ``prepare()`` / ``execute()`` / ``explain()`` plus
+the bounded LRU plan cache (keyed on :func:`normalize_cql`) whose
+hit/miss/eviction counters feed the S5 benchmark.  The statement AST
+types and :func:`parse_statement` live in :mod:`repro.cql`.
 """
 
 from __future__ import annotations
@@ -26,35 +24,12 @@ from repro import obs
 # Submodule imports (not the repro.cql package) so this module can load
 # while either package is still mid-initialization — repro.cql is
 # layered on repro.cassdb, and repro.cassdb re-exports this facade.
-from repro.cql.ast import (
-    AggregateCall,
-    CreateTable,
-    Delete,
-    Explain,
-    Insert,
-    Param,
-    Predicate,
-    Select,
-)
 from repro.cql.engine import Prepared, QueryEngine
 from repro.cql.lexer import normalize_cql
-from repro.cql.parser import parse_statement
 
 from .cluster import Cluster, Consistency
 
-__all__ = [
-    "AggregateCall",
-    "CreateTable",
-    "Delete",
-    "Explain",
-    "Insert",
-    "Param",
-    "Predicate",
-    "Select",
-    "Session",
-    "normalize_cql",
-    "parse_statement",
-]
+__all__ = ["Session"]
 
 # Plan-cache health, shared across sessions (the frontend pattern is
 # many sessions issuing the same handful of statements).
@@ -116,8 +91,8 @@ class Session:
         return prepared
 
     def plan(self, statement: str):
-        """The (possibly cached) AST for *statement* (back-compat view
-        of :meth:`prepare` — identity is cache identity)."""
+        """``prepare(statement).ast``.  Nothing in the program calls it;
+        ``benchmarks/e2e/trace.py`` wraps it as a ``cql``-layer span."""
         return self.prepare(statement).ast
 
     def clear_plan_cache(self) -> None:

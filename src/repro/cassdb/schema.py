@@ -52,9 +52,6 @@ class TableSchema:
         Sparse-clustering-index density for this table's SSTables: one
         key sampled per this many rows.  Wide telemetry tables can use a
         coarser interval, narrow alert tables a finer one.
-    column_types:
-        Declared ``(column, type)`` pairs from ``CREATE TABLE`` (advisory
-        — the store stays schema-flexible; undeclared columns are legal).
     time_bucket:
         ``(column, width_seconds)`` for a time-bucketed table: the first
         partition-key column is ``floor(ts / width)``, e.g. ``("hour",
@@ -80,7 +77,6 @@ class TableSchema:
     # e.g. (("apid", int),).  Unlisted columns come back as strings.
     key_codecs: tuple[tuple[str, Callable[[str], Any]], ...] = ()
     index_interval: int = 64
-    column_types: tuple[tuple[str, str], ...] = ()
     dict_columns: tuple[str, ...] = ()
     time_bucket: tuple[str, float] | None = None
 

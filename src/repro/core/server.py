@@ -36,8 +36,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import obs
-from repro.cassdb.query import Delete, Insert, Select, normalize_cql
-from repro.cql import CQLError
+from repro.cql import CQLError, Select, normalize_cql
 
 from .context import Context
 from .framework import LogAnalyticsFramework
@@ -308,6 +307,14 @@ class AnalyticsServer:
                 f"{request['op']}: '{field}' must be a non-negative integer")
         return value
 
+    def _statement(self, request: dict[str, Any]) -> str:
+        """The required CQL ``statement``: a string, else a typed error
+        naming the field."""
+        statement = self._require(request, "statement")
+        if not isinstance(statement, str):
+            raise ValueError(f"{request['op']}: 'statement' must be a string")
+        return statement
+
     def _context(self, request: dict[str, Any]) -> Context:
         payload = request.get("context")
         if not isinstance(payload, dict):
@@ -352,17 +359,15 @@ class AnalyticsServer:
         """The cache probe and ``cache`` status stay on the loop (a
         ContextVar set in a thread is lost); a sparklet plan's run
         leaves it as a ``partial``."""
-        statement = self._require(request, "statement")
-        params = tuple(request.get("params", ()))
+        statement = self._statement(request)
+        params = request.get("params")
+        if params is None:
+            params = ()
+        elif not isinstance(params, (list, tuple)):
+            raise ValueError("cql: 'params' must be an array")
+        params = tuple(params)
         prepared = self.framework.session.prepare(statement)
         plan = prepared.ast
-        if isinstance(plan, (Insert, Delete)):
-            result = self.framework.cql(statement, params)
-            # A write through the server promptly frees entries for the
-            # touched table (the epoch check would catch them lazily).
-            self.result_cache.invalidate_table(plan.table)
-            _CACHE_STATUS.set("invalidate")
-            return result
         key = None
         if isinstance(plan, Select) and self.result_cache.enabled:
             try:
@@ -397,8 +402,7 @@ class AnalyticsServer:
     def _op_explain(self, request):
         """The optimized plan for a statement as a stable JSON tree
         (works with or without a leading ``EXPLAIN`` keyword)."""
-        return self.framework.session.explain(
-            self._require(request, "statement"))
+        return self.framework.session.explain(self._statement(request))
 
     # -- observability ops ----------------------------------------------------
 

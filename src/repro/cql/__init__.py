@@ -13,8 +13,8 @@ engine, modeled on the Opteryx pipeline:
     token stream
         │  recursive-descent parse  (parser.py)
         ▼
-    typed AST                       (ast.py — SELECT/INSERT/DELETE/
-        │  lower against schema      CREATE TABLE/EXPLAIN)
+    typed AST                       (ast.py — SELECT/EXPLAIN)
+        │  lower against schema
         ▼
     logical plan                    (logical.py)
         │  rule passes              (optimizer.py — predicate/projection/
@@ -27,6 +27,11 @@ engine, modeled on the Opteryx pipeline:
 
 ``EXPLAIN <stmt>`` returns the optimized plan as a stable JSON tree;
 :func:`render_plan_text` pretty-prints it for the CLI.
+
+CQL is a read language here, as in the paper: the server turns frontend
+queries into reads, and ingest writes straight to the store.  Tables are
+declared as :class:`~repro.cassdb.schema.TableSchema` values and written
+through the :class:`~repro.cassdb.cluster.Cluster` API.
 """
 
 # Load the storage layer first: repro.cassdb.query imports this
@@ -35,16 +40,7 @@ engine, modeled on the Opteryx pipeline:
 # of whether the application imported repro.cql or repro.cassdb first.
 import repro.cassdb  # noqa: F401  (import-order anchor, see above)
 
-from .ast import (
-    AggregateCall,
-    CreateTable,
-    Delete,
-    Explain,
-    Insert,
-    Param,
-    Predicate,
-    Select,
-)
+from .ast import AggregateCall, Explain, Param, Predicate, Select
 from .engine import Prepared, QueryEngine, render_plan_text
 from .errors import CQLError, CQLPlanningError, CQLSyntaxError
 from .lexer import Token, normalize_cql, tokenize
@@ -55,10 +51,7 @@ __all__ = [
     "CQLError",
     "CQLPlanningError",
     "CQLSyntaxError",
-    "CreateTable",
-    "Delete",
     "Explain",
-    "Insert",
     "Param",
     "Predicate",
     "Prepared",

@@ -1,15 +1,12 @@
 """Typed statement ASTs.
 
-Field names deliberately match the pre-engine dataclasses in
-``repro.cassdb.query`` (``Select.columns``, ``Insert.values``,
-``Predicate.op`` …) so every existing caller and test that inspects a
-parsed statement keeps working; new syntax (aggregate calls, ``GROUP
-BY``, ``EXPLAIN``) adds fields rather than reshaping old ones.
+CQL here is a read language: a statement is a ``SELECT`` or an
+``EXPLAIN`` of one.  Tables are declared as :class:`TableSchema` values
+and written through the :class:`Cluster` store API, never through CQL.
 
 Values inside an AST are either plain Python literals or :class:`Param`
 placeholders carrying their 0-based bind index (assigned left-to-right
-across the statement, the same order the old executor consumed
-``params``).  Source positions ride along in ``compare=False`` fields so
+across the statement, the order ``params`` binds them).  Source positions ride along in ``compare=False`` fields so
 equality semantics stay value-based.
 """
 
@@ -18,14 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cassdb.schema import TableSchema
-
 __all__ = [
     "AggregateCall",
-    "CreateTable",
-    "Delete",
     "Explain",
-    "Insert",
     "Param",
     "Predicate",
     "Select",
@@ -90,33 +82,14 @@ class Statement:
 
 
 @dataclass
-class CreateTable(Statement):
-    schema: TableSchema
-    if_not_exists: bool = False
-
-
-@dataclass
-class Insert(Statement):
-    table: str
-    columns: list[str]
-    values: list[Any]  # literals or Param
-
-
-@dataclass
 class Select(Statement):
     table: str
     columns: list[str] | None  # plain (non-aggregate) projection; None == '*'
     predicates: list[Predicate] = field(default_factory=list)
     order_by: tuple[str, str] | None = None  # (column, 'asc'|'desc')
-    limit: Any = None  # literal int or Param
+    limit: int | Param | None = None
     aggregates: list[AggregateCall] | None = None
     group_by: list[str] = field(default_factory=list)
-
-
-@dataclass
-class Delete(Statement):
-    table: str
-    predicates: list[Predicate] = field(default_factory=list)
 
 
 @dataclass

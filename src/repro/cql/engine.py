@@ -25,17 +25,10 @@ from repro import obs
 from repro.cassdb.cluster import Cluster, Consistency
 from repro.cassdb.errors import InvalidQueryError
 
-from .ast import (
-    CreateTable,
-    Delete,
-    Explain,
-    Insert,
-    Select,
-    Statement,
-)
+from .ast import Explain, Select, Statement
 from .errors import CQLPlanningError
 from .lexer import normalize_cql
-from .logical import lower_delete, lower_insert, lower_select
+from .logical import lower_select
 from .optimizer import optimize
 from .parser import parse_statement
 from .physical import PhysicalOp, Runtime, compile_plan
@@ -49,15 +42,15 @@ _TRACER = obs.get_tracer()
 class Prepared:
     """A fully planned statement, safe to share across executions.
 
-    ``ast`` is what :meth:`Session.plan` hands back (the public,
-    inspectable form); ``physical`` is the compiled operator tree;
-    ``rules`` records which optimizer rules fired (and how often) while
-    planning — the same counts EXPLAIN reports.
+    ``ast`` is the public, inspectable form; ``physical`` is the
+    compiled operator tree; ``rules`` records which optimizer rules
+    fired (and how often) while planning — the same counts EXPLAIN
+    reports.
     """
 
     text: str                      # normalized statement text
     ast: Statement
-    kind: str                      # create|insert|select|delete|explain
+    kind: str                      # select|explain
     physical: PhysicalOp
     n_params: int
     rules: dict[str, int] = field(default_factory=dict)
@@ -105,30 +98,17 @@ class QueryEngine:
             return Prepared(text=text, ast=stmt, kind="explain",
                             physical=_ExplainExec(plan_json), n_params=0,
                             rules=inner.rules, table=inner.table)
-        if (not isinstance(stmt, CreateTable)
-                and stmt.table not in self.cluster.keyspace.tables):
+        assert isinstance(stmt, Select)  # the parser emits nothing else
+        if stmt.table not in self.cluster.keyspace.tables:
             raise CQLPlanningError(f"no such table: {stmt.table!r}",
                                    token=stmt.table)
-        if isinstance(stmt, CreateTable):
-            logical = _lower_create(stmt)
-            kind, table = "create", stmt.schema.name
-        elif isinstance(stmt, Insert):
-            logical = lower_insert(stmt)
-            kind, table = "insert", stmt.table
-        elif isinstance(stmt, Delete):
-            logical = lower_delete(stmt, self.cluster.schema(stmt.table))
-            kind, table = "delete", stmt.table
-        elif isinstance(stmt, Select):
-            logical = lower_select(stmt, self.cluster.schema(stmt.table))
-            kind, table = "select", stmt.table
-        else:  # pragma: no cover - parser only emits the types above
-            raise CQLPlanningError(
-                f"unplannable statement {type(stmt).__name__}")
+        logical = lower_select(stmt, self.cluster.schema(stmt.table))
         logical, rules = optimize(logical)
         physical = compile_plan(logical, self.sparklet is not None)
         return Prepared(
-            text=text, ast=stmt, kind=kind, physical=physical,
-            n_params=getattr(stmt, "n_params", 0), rules=rules, table=table,
+            text=text, ast=stmt, kind="select", physical=physical,
+            n_params=getattr(stmt, "n_params", 0), rules=rules,
+            table=stmt.table,
         )
 
     # -- execution ---------------------------------------------------------
@@ -136,10 +116,7 @@ class QueryEngine:
     def execute(self, prepared: Prepared, params: Sequence[Any] = (),
                 consistency: Consistency = Consistency.ONE
                 ) -> list[dict[str, Any]]:
-        if prepared.kind == "create":
-            if params:
-                raise InvalidQueryError("CREATE TABLE takes no parameters")
-        elif len(params) < prepared.n_params:
+        if len(params) < prepared.n_params:
             raise InvalidQueryError("not enough bind parameters")
         elif len(params) > prepared.n_params:
             leftover = len(params) - prepared.n_params
@@ -165,12 +142,6 @@ class QueryEngine:
             assert isinstance(root, _ExplainExec)
             return copy.deepcopy(root.plan_json)
         return self._explain_json(prepared)
-
-
-def _lower_create(stmt: CreateTable):
-    from .logical import LogicalCreate
-
-    return LogicalCreate(stmt.schema, stmt.if_not_exists)
 
 
 # --------------------------------------------------------------------------

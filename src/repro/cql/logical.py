@@ -1,9 +1,9 @@
 """Logical plans: the AST lowered against a :class:`TableSchema`.
 
 Lowering validates everything schema-shaped that does not depend on
-bound values — ORDER BY must name the first clustering column, DELETE
-must cover the full primary key with ``=`` terms, aggregate projections
-must be consistent with GROUP BY — and produces a small operator tree:
+bound values — ORDER BY must name the first clustering column, aggregate
+projections must be consistent with GROUP BY — and produces a small
+operator tree:
 
     Scan → [Filter] → [Aggregate] → [Limit] → [Project]
 
@@ -22,29 +22,16 @@ from typing import Any
 
 from repro.cassdb.schema import TableSchema
 
-from .ast import (
-    AggregateCall,
-    CreateTable,
-    Delete,
-    Insert,
-    Param,
-    Predicate,
-    Select,
-)
+from .ast import AggregateCall, Param, Predicate, Select
 from .errors import CQLPlanningError
 
 __all__ = [
     "LogicalAggregate",
-    "LogicalCreate",
-    "LogicalDelete",
     "LogicalFilter",
-    "LogicalInsert",
     "LogicalLimit",
     "LogicalNode",
     "LogicalProject",
     "LogicalScan",
-    "lower_delete",
-    "lower_insert",
     "lower_select",
 ]
 
@@ -106,26 +93,6 @@ class LogicalProject(LogicalNode):
     child: LogicalNode = None  # type: ignore[assignment]
 
 
-@dataclass
-class LogicalInsert(LogicalNode):
-    table: str
-    columns: list[str]
-    values: list[Any]
-
-
-@dataclass
-class LogicalDelete(LogicalNode):
-    table: str
-    schema: TableSchema
-    assignments: list[tuple[str, Any]]
-
-
-@dataclass
-class LogicalCreate(LogicalNode):
-    schema: TableSchema
-    if_not_exists: bool = False
-
-
 # --------------------------------------------------------------------------
 # Lowering
 # --------------------------------------------------------------------------
@@ -174,23 +141,3 @@ def lower_select(stmt: Select, schema: TableSchema) -> LogicalNode:
     elif stmt.columns is not None:
         plan = LogicalProject(list(stmt.columns), child=plan)
     return plan
-
-
-def lower_insert(stmt: Insert) -> LogicalInsert:
-    return LogicalInsert(stmt.table, list(stmt.columns), list(stmt.values))
-
-
-def lower_delete(stmt: Delete, schema: TableSchema) -> LogicalDelete:
-    assignments: list[tuple[str, Any]] = []
-    for p in stmt.predicates:
-        if p.op != "=":
-            raise CQLPlanningError(
-                "DELETE supports only '=' predicates",
-                line=p.pos[0] if p.pos else None,
-                column=p.pos[1] if p.pos else None, token=p.column)
-        assignments.append((p.column, p.value))
-    needed = set(schema.partition_key) | set(schema.clustering_key)
-    if {c for c, _ in assignments} != needed:
-        raise CQLPlanningError(
-            f"DELETE requires the full primary key {sorted(needed)}")
-    return LogicalDelete(stmt.table, schema, assignments)

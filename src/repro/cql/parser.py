@@ -2,15 +2,16 @@
 
 Grammar (the paper workload's CQL subset, §III):
 
-* ``CREATE TABLE [IF NOT EXISTS] t (col type, ..., PRIMARY KEY
-  ((pk...), ck...)) [WITH CLUSTERING ORDER BY (ck ASC|DESC)]``
-* ``INSERT INTO t (cols...) VALUES (vals...)``
 * ``SELECT * | cols | aggs FROM t [WHERE pred AND ...]
   [GROUP BY cols] [ORDER BY ck [ASC|DESC]] [LIMIT n] [ALLOW FILTERING]``
   where an aggregate is ``COUNT(*)``, ``COUNT(col)`` or
   ``MIN|MAX|AVG|SUM(col)``
-* ``DELETE FROM t WHERE <full primary key>``
 * ``EXPLAIN <statement>``
+
+CQL is a read language here: ``CREATE``, ``INSERT``, ``DELETE`` and the
+rest stay reserved words and fail as ``unsupported statement``.  Tables
+are declared as ``TableSchema`` values and written through the store
+API.
 
 Values are literals (numbers, single-quoted strings, booleans) or ``?``
 placeholders; every syntax error carries the offending token's 1-based
@@ -27,10 +28,7 @@ from typing import Any
 from .ast import (
     AGGREGATE_FNS,
     AggregateCall,
-    CreateTable,
-    Delete,
     Explain,
-    Insert,
     Param,
     Predicate,
     Select,
@@ -41,11 +39,8 @@ from .lexer import KEYWORDS, Token, tokenize
 
 __all__ = ["parse_statement"]
 
-from repro.cassdb.schema import TableSchema
-
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _COMPARISON_OPS = ("=", "<", "<=", ">", ">=")
-_KEY_CODECS = {"int": int, "bigint": int, "float": float, "double": float}
 
 
 class _Parser:
@@ -123,14 +118,8 @@ class _Parser:
     def statement(self) -> Statement:
         head = self.next()
         kind = head.value if head.kind == "word" else None
-        if kind == "create":
-            return self.create_table()
-        if kind == "insert":
-            return self.insert()
         if kind == "select":
             return self.select()
-        if kind == "delete":
-            return self.delete()
         if kind == "explain":
             inner = self.statement()
             if isinstance(inner, Explain):
@@ -138,99 +127,6 @@ class _Parser:
             return Explain(inner)
         raise self.error(
             f"unsupported statement: {head.text.upper()}", head)
-
-    def create_table(self) -> CreateTable:
-        self.expect("table")
-        if_not_exists = False
-        if self.accept("if"):
-            self.expect("not")
-            self.expect("exists")
-            if_not_exists = True
-        name = self.identifier()
-        self.expect("(")
-        partition: list[str] = []
-        clustering: list[str] = []
-        types: list[tuple[str, str]] = []
-        saw_primary = False
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise self.error("unterminated CREATE TABLE column list",
-                                 self.tokens[-1])
-            if tok.value == "primary":
-                self.next()
-                self.expect("key")
-                self.expect("(")
-                if self.accept("("):  # composite partition key
-                    partition.append(self.identifier())
-                    while self.accept(","):
-                        partition.append(self.identifier())
-                    self.expect(")")
-                else:
-                    partition.append(self.identifier())
-                while self.accept(","):
-                    clustering.append(self.identifier())
-                self.expect(")")
-                saw_primary = True
-            else:
-                col = self.identifier()
-                # Column type: advisory — the store stays
-                # schema-flexible; the declared types are kept on
-                # TableSchema.column_types.
-                types.append((col, self.identifier()))
-            if self.accept(")"):
-                break
-            self.expect(",")
-        order = "asc"
-        if self.accept("with"):
-            self.expect("clustering")
-            self.expect("order")
-            self.expect("by")
-            self.expect("(")
-            self.identifier()
-            tok = self.accept("asc", "desc")
-            if tok:
-                order = tok.value
-            self.expect(")")
-        if not saw_primary:
-            raise self.error(f"CREATE TABLE {name}: PRIMARY KEY required")
-        # Partition-key values are parsed back from ring-key strings on
-        # full scans; numeric declared types say how.
-        declared = dict(types)
-        return CreateTable(
-            TableSchema(
-                name=name,
-                partition_key=tuple(partition),
-                clustering_key=tuple(clustering),
-                clustering_order=order,
-                key_codecs=tuple(
-                    (col, _KEY_CODECS[declared[col]]) for col in partition
-                    if declared.get(col) in _KEY_CODECS),
-                column_types=tuple(types),
-            ),
-            if_not_exists=if_not_exists,
-        )
-
-    def insert(self) -> Insert:
-        self.expect("into")
-        table = self.identifier()
-        self.expect("(")
-        columns = [self.identifier()]
-        while self.accept(","):
-            columns.append(self.identifier())
-        self.expect(")")
-        self.expect("values")
-        self.expect("(")
-        values = [self.value()]
-        while self.accept(","):
-            values.append(self.value())
-        self.expect(")")
-        if len(columns) != len(values):
-            raise self.error(
-                f"INSERT INTO {table}: {len(columns)} columns vs "
-                f"{len(values)} values"
-            )
-        return Insert(table, columns, values)
 
     # -- SELECT ------------------------------------------------------------
 
@@ -291,7 +187,15 @@ class _Parser:
             order_by = (col, tok.value if tok else "asc")
         limit = None
         if self.accept("limit"):
+            tok = self.peek()
             limit = self.value()
+            # A ? keeps its planning error; any other limit is a
+            # strictly positive integer literal, as in Cassandra.
+            if not isinstance(limit, Param) and (
+                    tok.kind != "int" or limit < 1):
+                raise self.error(
+                    f"LIMIT must be a strictly positive integer, got "
+                    f"{tok.text!r}", tok)
         self.accept("allow")  # ALLOW FILTERING accepted and ignored
         self.accept("filtering")
         return Select(table, columns, predicates, order_by, limit,
@@ -319,12 +223,6 @@ class _Parser:
             raise self.error(
                 f"unsupported operator {op_tok.text!r}", op_tok)
         return Predicate(column, op_tok.text, self.value(), pos=pos)
-
-    def delete(self) -> Delete:
-        self.expect("from")
-        table = self.identifier()
-        self.expect("where")
-        return Delete(table, self.predicates())
 
 
 def parse_statement(text: str) -> Statement:

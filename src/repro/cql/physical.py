@@ -29,11 +29,8 @@ from .ast import AggregateCall, Param, Predicate, render_value
 from .errors import CQLPlanningError
 
 __all__ = [
-    "CreateTableExec",
-    "DeleteExec",
     "FilterExec",
     "FullScanAggregateExec",
-    "InsertExec",
     "LimitExec",
     "MergePartialsExec",
     "PartialAggregateScanExec",
@@ -525,69 +522,6 @@ class LimitExec(PhysicalOp):
 
 
 # --------------------------------------------------------------------------
-# DML / DDL operators
-# --------------------------------------------------------------------------
-
-class CreateTableExec(PhysicalOp):
-    name = "CreateTable"
-
-    def __init__(self, schema: TableSchema, if_not_exists: bool):
-        self.schema = schema
-        self.if_not_exists = if_not_exists
-
-    def execute(self, rt: Runtime) -> list[dict]:
-        rt.cluster.create_table(self.schema, self.if_not_exists)
-        return []
-
-    def explain_attrs(self) -> dict[str, Any]:
-        return {
-            "table": self.schema.name,
-            "partition_key": list(self.schema.partition_key),
-            "clustering_key": list(self.schema.clustering_key),
-            "if_not_exists": self.if_not_exists,
-        }
-
-
-class InsertExec(PhysicalOp):
-    name = "Insert"
-
-    def __init__(self, table: str, columns: list[str], values: list[Any]):
-        self.table = table
-        self.columns = columns
-        self.values = values
-
-    def execute(self, rt: Runtime) -> list[dict]:
-        bound = dict(zip(self.columns,
-                         (rt.resolve(v) for v in self.values)))
-        rt.cluster.insert(self.table, bound, rt.consistency)
-        return []
-
-    def explain_attrs(self) -> dict[str, Any]:
-        return {"table": self.table, "columns": list(self.columns)}
-
-
-class DeleteExec(PhysicalOp):
-    name = "Delete"
-
-    def __init__(self, table: str, schema: TableSchema,
-                 assignments: list[tuple[str, Any]]):
-        self.table = table
-        self.schema = schema
-        self.assignments = assignments
-
-    def execute(self, rt: Runtime) -> list[dict]:
-        values = {c: rt.resolve(v) for c, v in self.assignments}
-        rt.cluster.delete_row(self.table, values, rt.consistency)
-        return []
-
-    def explain_attrs(self) -> dict[str, Any]:
-        return {
-            "table": self.table,
-            "key": [f"{c} = {render_value(v)}" for c, v in self.assignments],
-        }
-
-
-# --------------------------------------------------------------------------
 # Logical -> physical compilation
 # --------------------------------------------------------------------------
 
@@ -595,10 +529,7 @@ def compile_plan(plan, sparklet_available: bool) -> PhysicalOp:
     """Compile an optimized logical plan into a physical operator tree."""
     from .logical import (
         LogicalAggregate,
-        LogicalCreate,
-        LogicalDelete,
         LogicalFilter,
-        LogicalInsert,
         LogicalLimit,
         LogicalProject,
         LogicalScan,
@@ -623,12 +554,6 @@ def compile_plan(plan, sparklet_available: bool) -> PhysicalOp:
             return LimitExec(node.n, compile_node(node.child))
         if isinstance(node, LogicalProject):
             return ProjectExec(node.columns, compile_node(node.child))
-        if isinstance(node, LogicalInsert):
-            return InsertExec(node.table, node.columns, node.values)
-        if isinstance(node, LogicalDelete):
-            return DeleteExec(node.table, node.schema, node.assignments)
-        if isinstance(node, LogicalCreate):
-            return CreateTableExec(node.schema, node.if_not_exists)
         raise AssertionError(f"unknown logical node {type(node).__name__}")
 
     def compile_aggregate(node) -> PhysicalOp:

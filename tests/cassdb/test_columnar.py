@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cassdb import Cluster, Session
+from repro.cassdb import Cluster, Session, TableSchema
 from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import Row
 from repro.cassdb.sstable import SSTable
@@ -377,15 +377,12 @@ EV_ROWS = [
 
 
 def _seed_session(flush=True):
-    s = Session(Cluster(4, replication_factor=2))
-    s.execute(
-        "CREATE TABLE ev (hour int, type text, ts double, seq int,"
-        " source text, amount int, PRIMARY KEY ((hour, type), ts, seq))"
-    )
-    ins = ("INSERT INTO ev (hour, type, ts, seq, source, amount)"
-           " VALUES (?, ?, ?, ?, ?, ?)")
-    for row in EV_ROWS:
-        s.execute(ins, params=tuple(row.values()))
+    cluster = Cluster(4, replication_factor=2)
+    cluster.create_table(TableSchema(
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
+        key_codecs=(("hour", int),)))
+    cluster.insert_many("ev", EV_ROWS)
+    s = Session(cluster)
     if flush:
         s.cluster.flush_all()
     return s
@@ -439,8 +436,8 @@ class TestColumnarRowParity:
 
     def test_delete_visible_through_columnar_read(self):
         s = _seed_session()
-        s.execute("DELETE FROM ev WHERE hour = 1 AND type = 'console'"
-                  " AND ts = 1000 AND seq = 0")
+        s.cluster.delete_row(
+            "ev", {"hour": 1, "type": "console", "ts": 1000, "seq": 0})
         out = s.execute("SELECT ts FROM ev WHERE hour = 1"
                         " AND type = 'console' AND ts <= 1001")
         assert [r["ts"] for r in out] == [1001.0]

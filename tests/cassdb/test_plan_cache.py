@@ -3,17 +3,17 @@
 import pytest
 
 from repro import obs
-from repro.cassdb import Cluster, Session, normalize_cql, query
+from repro.cassdb import Cluster, Session, TableSchema, query
+from repro.cql import normalize_cql
 
 
 @pytest.fixture
 def session():
-    s = Session(Cluster(2, replication_factor=1))
-    s.execute(
-        "CREATE TABLE ev (hour int, type text, ts double, seq int,"
-        " amount int, PRIMARY KEY ((hour, type), ts, seq))"
-    )
-    return s
+    cluster = Cluster(2, replication_factor=1)
+    cluster.create_table(TableSchema(
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
+        key_codecs=(("hour", int),)))
+    return Session(cluster)
 
 
 class TestNormalize:
@@ -30,23 +30,25 @@ class TestNormalize:
 class TestPlanCache:
     def test_hit_returns_same_ast(self, session):
         q = "SELECT * FROM ev WHERE hour = 1 AND type = 'MCE'"
-        assert session.plan(q) is session.plan(q)
+        assert session.prepare(q) is session.prepare(q)
 
     def test_whitespace_variants_share_one_plan(self, session):
-        a = session.plan("SELECT * FROM ev WHERE hour = 1 AND type = 'MCE'")
-        b = session.plan(
-            "SELECT  *  FROM ev\n WHERE hour = 1  AND type = 'MCE'")
+        a = session.prepare(
+            "SELECT * FROM ev WHERE hour = 1 AND type = 'MCE'").ast
+        b = session.prepare(
+            "SELECT  *  FROM ev\n WHERE hour = 1  AND type = 'MCE'").ast
         assert a is b
-        assert session.plan_cache_len == 2  # CREATE TABLE + this SELECT
+        assert session.plan_cache_len == 1
 
     def test_placeholder_statement_shares_one_plan_across_params(self, session):
-        q = "INSERT INTO ev (hour, type, ts, seq, amount) VALUES (?, ?, ?, ?, ?)"
+        session.cluster.insert_many("ev", [
+            {"hour": i % 2, "type": "MCE", "ts": float(i), "seq": i,
+             "amount": 1} for i in range(10)])
+        q = "SELECT * FROM ev WHERE hour = ? AND type = ?"
         before = session.plan_cache_len
         for i in range(10):
-            session.execute(q, (i % 2, "MCE", float(i), i, 1))
+            rows = session.execute(q, (i % 2, "MCE"))
         assert session.plan_cache_len == before + 1
-        rows = session.execute(
-            "SELECT * FROM ev WHERE hour = ? AND type = ?", (0, "MCE"))
         assert len(rows) == 5
 
     def test_hit_miss_counters(self, session):
@@ -67,20 +69,19 @@ class TestPlanCache:
             "cassdb.query.plan_cache_evictions")
         e0 = evictions.value
         q0 = "SELECT * FROM ev WHERE hour = 0 AND type = 'A'"
-        first = session.plan(q0)
+        first = session.prepare(q0).ast
         for h in range(1, 6):
-            session.plan(f"SELECT * FROM ev WHERE hour = {h} AND type = 'A'")
+            session.prepare(f"SELECT * FROM ev WHERE hour = {h} AND type = 'A'")
         assert session.plan_cache_len == 4
         assert evictions.value > e0
         # q0 was evicted: re-planning builds a fresh AST object.
-        assert session.plan(q0) is not first
+        assert session.prepare(q0).ast is not first
 
     def test_cached_plan_rebinds_cleanly(self, session):
         """The shared AST must not leak bound values between executions."""
         q = "SELECT * FROM ev WHERE hour = ? AND type = ? AND ts >= ?"
-        session.execute(
-            "INSERT INTO ev (hour, type, ts, seq, amount)"
-            " VALUES (7, 'X', 5.0, 0, 1)")
+        session.cluster.insert(
+            "ev", {"hour": 7, "type": "X", "ts": 5.0, "seq": 0, "amount": 1})
         assert session.execute(q, (7, "X", 0.0)) != []
         assert session.execute(q, (7, "X", 9.0)) == []
         assert session.execute(q, (7, "X", 0.0)) != []

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from repro.cassdb.vector import (
     merge_views,
     select_rows,
 )
+from repro.cql import CQLSyntaxError
 
 from tests.oracle import eval_select
 from tests.oracle import row as row_oracle
@@ -304,7 +306,11 @@ class TestSelectProperties:
             f" WHERE {' AND '.join(terms)}"
             + (" ORDER BY ts DESC" if reverse else "")
             + (f" LIMIT {limit}" if limit is not None else ""))
-        assert Session(cluster).execute(statement) == want
+        if limit == 0:  # a CQL LIMIT is strictly positive
+            with pytest.raises(CQLSyntaxError):
+                Session(cluster).execute(statement)
+        else:
+            assert Session(cluster).execute(statement) == want
 
 
     @settings(max_examples=40, deadline=None)

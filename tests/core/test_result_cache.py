@@ -1,16 +1,16 @@
 """Tests for the server-side query-result cache (hot read path, PR 2).
 
 Covers the ResultCache primitive directly plus its wiring into the
-analytics server's ``cql`` op: hits, explicit INSERT/DELETE
-invalidation, epoch-based staleness (writes that bypass the server),
-TTL expiry, and the ``cache`` response field.
+analytics server's ``cql`` op: hits, epoch-based staleness (every write
+reaches the store outside the server), TTL expiry, and the ``cache``
+response field.
 """
 
-import asyncio
 import threading
 
 import pytest
 
+from repro.cassdb import TableSchema
 from repro.core import AnalyticsServer, LogAnalyticsFramework, ResultCache
 from repro.titan import TitanTopology
 
@@ -26,9 +26,9 @@ def small_fw():
 @pytest.fixture
 def server(small_fw):
     srv = AnalyticsServer(small_fw, result_cache_size=8, result_cache_ttl=60.0)
-    small_fw.session.execute(
-        "CREATE TABLE IF NOT EXISTS rc (k int, c int, v int,"
-        " PRIMARY KEY (k, c))")
+    small_fw.cluster.create_table(TableSchema(
+        "rc", partition_key=("k",), clustering_key=("c",),
+        key_codecs=(("k", int),)), if_not_exists=True)
     return srv
 
 
@@ -55,14 +55,6 @@ class TestResultCachePrimitive:
         now[0] = 11.0
         assert cache.get("k") is ResultCache.MISSING
 
-    def test_invalidate_table_only_touches_its_entries(self):
-        cache = ResultCache(max_entries=8, ttl_seconds=60.0)
-        cache.put("a", [1], tables=("t1",))
-        cache.put("b", [2], tables=("t2",))
-        assert cache.invalidate_table("t1") == 1
-        assert cache.get("a") is ResultCache.MISSING
-        assert cache.get("b") == [2]
-
     def test_epoch_mismatch_is_a_miss(self):
         epoch = {"t": 1}
         cache = ResultCache(max_entries=8, ttl_seconds=60.0)
@@ -79,8 +71,8 @@ class TestResultCachePrimitive:
 
 
 class TestServerIntegration:
-    def test_select_hits_after_miss(self, server):
-        _cql(server, "INSERT INTO rc (k, c, v) VALUES (1, 1, 10)")
+    def test_select_hits_after_miss(self, server, small_fw):
+        small_fw.cluster.insert("rc", {"k": 1, "c": 1, "v": 10})
         q = "SELECT * FROM rc WHERE k = ?"
         first = _cql(server, q, (1,))
         second = _cql(server, q, (1,))
@@ -95,33 +87,11 @@ class TestServerIntegration:
         assert _cql(server, q, (42,))["cache"] == "miss"
         assert _cql(server, q, (42,))["cache"] == "hit"
 
-    def test_insert_invalidates_table(self, server):
-        q = "SELECT * FROM rc WHERE k = 2"
-        _cql(server, "INSERT INTO rc (k, c, v) VALUES (2, 1, 1)")
-        assert _cql(server, q)["cache"] == "miss"
-        assert _cql(server, q)["cache"] == "hit"
-        r = _cql(server, "INSERT INTO rc (k, c, v) VALUES (2, 2, 2)")
-        assert r["cache"] == "invalidate"
-        fresh = _cql(server, q)
-        assert fresh["cache"] == "miss"
-        assert len(fresh["result"]) == 2
-
-    def test_delete_invalidates_table(self, server):
-        _cql(server, "INSERT INTO rc (k, c, v) VALUES (3, 1, 1)")
-        q = "SELECT * FROM rc WHERE k = 3"
-        assert len(_cql(server, q)["result"]) == 1
-        assert _cql(server, q)["cache"] == "hit"
-        assert _cql(server, "DELETE FROM rc WHERE k = 3 AND c = 1"
-                    )["cache"] == "invalidate"
-        fresh = _cql(server, q)
-        assert fresh["cache"] == "miss"
-        assert fresh["result"] == []
-
     def test_out_of_band_write_caught_by_epoch(self, server, small_fw):
         """Ingest-style writes bypass the server; the per-table write
         epoch still invalidates the cached SELECT."""
         q = "SELECT * FROM rc WHERE k = 4"
-        _cql(server, "INSERT INTO rc (k, c, v) VALUES (4, 1, 1)")
+        small_fw.cluster.insert("rc", {"k": 4, "c": 1, "v": 1})
         assert _cql(server, q)["cache"] == "miss"
         assert _cql(server, q)["cache"] == "hit"
         small_fw.cluster.insert("rc", {"k": 4, "c": 2, "v": 2})
@@ -131,33 +101,33 @@ class TestServerIntegration:
 
     def test_a_write_during_an_offloaded_scan_leaves_it_stale(
             self, server, small_fw, monkeypatch):
-        """An unrouted SELECT runs in a worker thread while a server
-        write runs on the loop.  The scan reads its rows, the INSERT
-        lands, then the scan is cached: stamped with the epoch read
-        before the scan, the entry is stale and never served."""
+        """An unrouted SELECT runs in a worker thread while an ingest
+        thread writes straight to the cluster.  The scan reads its rows,
+        the insert lands, then the scan is cached: stamped with the
+        epoch read before the scan, the entry is stale and never
+        served."""
         q = "SELECT count(*) FROM rc"
-        scanned, written = threading.Event(), threading.Event()
+        scanned = threading.Event()
         cql = small_fw.cql
 
-        def interleaved(statement, params=()):
-            if statement == q:  # the scan, in its worker thread
-                rows = cql(statement, params)
-                scanned.set()
-                assert written.wait(10)
-                return rows
-            assert scanned.wait(10)  # the write, on the loop
+        def ingest():
+            if scanned.wait(10):
+                small_fw.cluster.insert("rc", {"k": 6, "c": 1, "v": 1})
+
+        def scan_then_wait(statement, params=()):  # in its worker thread
             rows = cql(statement, params)
-            written.set()
+            scanned.set()
+            writer.join(10)
             return rows
 
-        monkeypatch.setattr(small_fw, "cql", interleaved)
-        scan, write = asyncio.run(server.handle_many([
-            {"op": "cql", "statement": q},
-            {"op": "cql",
-             "statement": "INSERT INTO rc (k, c, v) VALUES (6, 1, 1)"}]))
+        writer = threading.Thread(target=ingest)
+        writer.start()
+        monkeypatch.setattr(small_fw, "cql", scan_then_wait)
+        scan = server.handle_sync({"op": "cql", "statement": q})
         monkeypatch.undo()
-        assert scan["ok"] and write["ok"], (scan, write)
-        assert (scan["cache"], write["cache"]) == ("miss", "invalidate")
+        writer.join()
+        assert scan["ok"], scan
+        assert scan["cache"] == "miss"
         fresh = _cql(server, q)
         assert fresh["cache"] == "miss"
         assert fresh["result"] != scan["result"]
@@ -167,12 +137,6 @@ class TestServerIntegration:
         r = _cql(server, "SELECT * FROM rc WHERE k = ?")
         assert not r["ok"] and "bind parameters" in r["error"]
         assert r["cache"] == "miss"
-
-    def test_create_table_bypasses_cache(self, server):
-        r = _cql(server,
-                 "CREATE TABLE IF NOT EXISTS rc2 (k int, PRIMARY KEY (k))")
-        assert r["ok"]
-        assert r["cache"] == "bypass"
 
     def test_non_cql_ops_have_no_cache_field(self, server):
         assert "cache" not in server.handle_sync({"op": "ping"})

@@ -268,6 +268,37 @@ class TestContextNameLists:
             f"ValueError: context requires a numeric '{field}'")
 
 
+class TestCQLRequestFields:
+    """``statement`` is a string and ``params`` a JSON array, or a typed
+    error naming the field: a string of params was bound one character
+    per placeholder, and any other type leaked a bare TypeError."""
+
+    @pytest.mark.parametrize("op", ["cql", "explain"])
+    @pytest.mark.parametrize("value", [
+        5, True, ["SELECT * FROM eventtypes"], {"q": 1}])
+    def test_a_statement_that_is_not_a_string_is_a_value_error(
+            self, server, op, value):
+        r = server.handle_sync({"op": op, "statement": value})
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: {op}: 'statement' must be a string"
+
+    @pytest.mark.parametrize("value", ["12", 5, True, {"0": 1}])
+    def test_params_that_are_not_an_array_are_a_value_error(
+            self, server, value):
+        r = server.handle_sync({
+            "op": "cql", "params": value,
+            "statement": "SELECT * FROM eventtypes WHERE name IN (?, ?)"})
+        assert not r["ok"]
+        assert r["error"] == "ValueError: cql: 'params' must be an array"
+
+    def test_null_params_are_omitted(self, server):
+        r = server.handle_sync({
+            "op": "cql", "params": None,
+            "statement": "SELECT * FROM eventtypes WHERE name = 'x'"})
+        assert r["ok"], r
+        assert r["result"] == []
+
+
 class TestHotspotsOverEverySource:
     """An unfiltered context counts Gemini routers beside the nodes;
     once every node has reported there are more reporting sources than
@@ -444,8 +475,6 @@ class TestSimpleOps:
 
     @pytest.mark.parametrize("op, statement", [
         ("cql", "SELECT * FROM nosuch"),
-        ("cql", "INSERT INTO nosuch (k, v) VALUES (1, 2)"),
-        ("cql", "DELETE FROM nosuch WHERE k = 1"),
         ("cql", "EXPLAIN SELECT * FROM nosuch"),
         ("explain", "SELECT * FROM nosuch"),
     ])
@@ -456,6 +485,21 @@ class TestSimpleOps:
         assert detail["type"] == "CQLPlanningError"
         assert detail["token"] == "nosuch"
         assert detail["message"] == "no such table: 'nosuch'"
+
+    @pytest.mark.parametrize("op, statement", [
+        ("cql", "INSERT INTO nosuch (k, v) VALUES (1, 2)"),
+        ("cql", "DELETE FROM nosuch WHERE k = 1"),
+        ("explain", "CREATE TABLE nosuch (k int, PRIMARY KEY (k))"),
+    ])
+    def test_a_write_statement_is_a_syntax_error(self, server, op, statement):
+        """CQL only reads: a write is refused at its first token."""
+        r = server.handle_sync({"op": op, "statement": statement})
+        assert not r["ok"]
+        verb = statement.split()[0]
+        assert r["error_detail"] == {
+            "type": "CQLSyntaxError",
+            "message": f"line 1:1: unsupported statement: {verb}",
+            "line": 1, "column": 1, "token": verb}
 
     def test_non_cql_error_has_no_detail(self, server):
         r = server.handle_sync({"op": "nodeinfo"})

@@ -1,4 +1,4 @@
-"""``WITH CLUSTERING ORDER BY (ts DESC)`` is the scan's default direction.
+"""``TableSchema(clustering_order="desc")`` is the scan's default direction.
 
 The declared order was parsed, validated and stored, then ignored: a
 ``desc`` table answered ascending and ``LIMIT 1`` the oldest row.  Every
@@ -8,7 +8,7 @@ form is checked against ``tests/oracle/select.py`` on an ``asc`` and a
 
 import pytest
 
-from repro.cassdb import Cluster, Session
+from repro.cassdb import Cluster, Session, TableSchema
 from tests.oracle import eval_select
 
 ROWS = [{"k": k, "ts": float(ts), "v": ts} for k in "ab" for ts in range(3)]
@@ -32,10 +32,10 @@ def order(request):
 @pytest.fixture(params=[False, True], ids=["memtable", "flushed"])
 def session(request, order):
     cluster = Cluster(2, replication_factor=1)
+    cluster.create_table(TableSchema(
+        "t", partition_key=("k",), clustering_key=("ts",),
+        clustering_order=order))
     s = Session(cluster)
-    s.execute("CREATE TABLE t (k text, ts double, v int,"
-              " PRIMARY KEY ((k), ts))"
-              f" WITH CLUSTERING ORDER BY (ts {order.upper()})")
     cluster.insert_many("t", ROWS)
     if request.param:
         cluster.flush_all()

@@ -3,8 +3,8 @@ full-table scans, and engine configuration."""
 
 import pytest
 
-from repro.cassdb import Cluster, InvalidQueryError, Session
-from repro.cql import CQLPlanningError
+from repro.cassdb import Cluster, InvalidQueryError, Session, TableSchema
+from repro.cql import CQLPlanningError, CQLSyntaxError
 from repro.sparklet import SparkletContext
 from tests.oracle import eval_select
 
@@ -26,16 +26,11 @@ def cluster():
 
 @pytest.fixture
 def session(cluster):
-    s = Session(cluster)
-    s.execute(
-        "CREATE TABLE ev (hour int, type text, ts double, seq int,"
-        " source text, amount int, PRIMARY KEY ((hour, type), ts, seq))"
-    )
-    for row in ROWS:
-        s.execute(
-            f"INSERT INTO ev ({', '.join(row)}) VALUES "
-            f"({', '.join('?' * len(row))})", tuple(row.values()))
-    return s
+    cluster.create_table(TableSchema(
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
+        key_codecs=(("hour", int),)))
+    cluster.insert_many("ev", ROWS)
+    return Session(cluster)
 
 
 class TestAggregateExecution:
@@ -198,3 +193,30 @@ class TestEngineConfig:
     def test_explain_statement_executes_to_payload(self, session):
         q = "SELECT ts FROM ev WHERE hour = 0 AND type = 'MCE' LIMIT 2"
         assert session.execute("EXPLAIN " + q) == [session.explain(q)]
+
+
+class TestLimitIsStrictlyPositive:
+    """A LIMIT is an integer literal >= 1, as in Cassandra.  Anything
+    else answered differently per plan shape (``LIMIT -1`` was ``[]``
+    on one partition and every row but the last under ``IN``) or
+    leaked a bare TypeError; now each is a syntax error at its token."""
+
+    SHAPES = {
+        "single": "SELECT * FROM ev WHERE hour = 0 AND type = 'MCE'",
+        "in": "SELECT * FROM ev WHERE hour IN (0) AND type = 'MCE'",
+        "filtered": "SELECT * FROM ev WHERE hour = 0 AND type = 'MCE'"
+                    " AND amount >= 0",
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("limit", ["-1", "-2", "0", "true", "2.5", "'x'"])
+    def test_anything_else_is_a_syntax_error(self, session, shape, limit):
+        query = f"{self.SHAPES[shape]} LIMIT {limit}"
+        column = len(query) - len(limit) + 1
+        with pytest.raises(CQLSyntaxError) as info:
+            session.execute(query)
+        assert info.value.payload() == {
+            "type": "CQLSyntaxError",
+            "message": (f"line 1:{column}: LIMIT must be a strictly"
+                        f" positive integer, got {limit!r}"),
+            "line": 1, "column": column, "token": limit}

@@ -10,7 +10,7 @@ bound as parameters, the partitions in a memtable and in a run.
 
 import pytest
 
-from repro.cassdb import Cluster, Session
+from repro.cassdb import Cluster, Session, TableSchema
 from tests.oracle import eval_select
 
 from .test_clustering_order import _scan
@@ -43,9 +43,10 @@ FORMS = [
 @pytest.fixture(params=[False, True], ids=["memtable", "flushed"])
 def session(request):
     cluster = Cluster(3, replication_factor=1)
+    cluster.create_table(TableSchema(
+        "t", partition_key=("a", "b"), clustering_key=("ts",),
+        key_codecs=(("a", int),)))
     s = Session(cluster)
-    s.execute("CREATE TABLE t (a int, b text, ts double, v int,"
-              " PRIMARY KEY ((a, b), ts))")
     cluster.insert_many("t", ROWS)
     if request.param:
         cluster.flush_all()
@@ -81,17 +82,18 @@ class TestInIsASet:
             _in_order(a_values, b_values), **oracle)
 
     def test_the_reproduction(self, session):
-        session.execute("CREATE TABLE u (k int, ts double, v int,"
-                        " PRIMARY KEY ((k), ts))")
-        for ts in range(3):
-            session.execute("INSERT INTO u (k, ts, v) VALUES (1, ?, ?)",
-                            (float(ts), ts))
+        cluster = session.cluster
+        cluster.create_table(TableSchema(
+            "u", partition_key=("k",), clustering_key=("ts",),
+            key_codecs=(("k", int),)))
+        cluster.insert_many(
+            "u", [{"k": 1, "ts": float(ts), "v": ts} for ts in range(3)])
         assert session.execute(
             "SELECT count(*) FROM u WHERE k IN (?, ?)", (1, 1)
         ) == [{"count": 3}]
         assert session.execute("SELECT ts FROM u WHERE k IN (1, 1)") == [
             {"ts": 0.0}, {"ts": 1.0}, {"ts": 2.0}]
-        session.execute("INSERT INTO u (k, ts, v) VALUES (2, 0.0, 0)")
+        cluster.insert("u", {"k": 2, "ts": 0.0, "v": 0})
         assert session.execute(
             "SELECT count(*), sum(v) FROM u WHERE k IN (1, 1, 2)"
         ) == [{"count": 4, "sum_v": 3}]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.cassdb import Cluster, Consistency, Session
+from repro.cassdb import Cluster, Consistency, Session, TableSchema
 from repro.cassdb.vector import BlockView
 from repro.sparklet import SparkletContext
 from tests.oracle import eval_select
@@ -23,8 +23,9 @@ from tests.oracle import eval_select
 def _ten_rows(flushed):
     """Partitions hour 0 and hour 1, ten rows ``ts = 0…9`` each."""
     cluster = Cluster(2, replication_factor=1)
-    Session(cluster).execute(
-        "CREATE TABLE t (hour int, ts int, v int, PRIMARY KEY ((hour), ts))")
+    cluster.create_table(TableSchema(
+        "t", partition_key=("hour",), clustering_key=("ts",),
+        key_codecs=(("hour", int),)))
     rows = [{"hour": hour, "ts": ts, "v": ts}
             for hour in (0, 1) for ts in range(10)]
     cluster.insert_many("t", rows)
@@ -155,9 +156,9 @@ def _load(state, drawn):
     (absent cells omitted)."""
     killed = state == "replica_killed"
     cluster = Cluster(3, replication_factor=2 if killed else 1)
-    Session(cluster).execute(
-        "CREATE TABLE ev (hour int, kind text, ts int, seq int, src text,"
-        " amount int, PRIMARY KEY ((hour, kind), ts, seq))")
+    cluster.create_table(TableSchema(
+        "ev", partition_key=("hour", "kind"), clustering_key=("ts", "seq"),
+        key_codecs=(("hour", int),)))
     rows = []
     for seq, (hour, kind, ts, src, amount) in enumerate(drawn):
         row = {"hour": hour, "kind": kind, "ts": ts, "seq": seq, "src": src}
@@ -242,9 +243,9 @@ class TestThreeEnginesAgree:
 @pytest.fixture
 def flushed_table():
     cluster = Cluster(4, replication_factor=2)
-    Session(cluster).execute(
-        "CREATE TABLE ev (hour int, kind text, ts int, amount int,"
-        " PRIMARY KEY ((hour, kind), ts))")
+    cluster.create_table(TableSchema(
+        "ev", partition_key=("hour", "kind"), clustering_key=("ts",),
+        key_codecs=(("hour", int),)))
     rows = [{"hour": hour, "kind": kind, "ts": ts, "amount": ts % 5}
             for hour in range(6) for kind in "ab" for ts in range(25)]
     cluster.insert_many("ev", rows)
@@ -406,9 +407,9 @@ class TestAMemtableFaceSurvivesTheRead:
                 return over_rows(rows, clustering)
 
         cluster = Cluster(4, replication_factor=2)
-        Session(cluster).execute(
-            "CREATE TABLE ev (hour int, type text, ts int, amount int,"
-            " PRIMARY KEY ((hour, type), ts))")
+        cluster.create_table(TableSchema(
+            "ev", partition_key=("hour", "type"), clustering_key=("ts",),
+            key_codecs=(("hour", int),)))
         rows = [{"hour": hour, "type": type_, "ts": ts, "amount": 1}
                 for hour in range(6) for type_ in "ab" for ts in range(25)]
         cluster.insert_many("ev", rows)
