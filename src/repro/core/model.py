@@ -180,9 +180,11 @@ class LogDataModel:
         Accepts anything with ``ts/type/component/amount/attrs``
         attributes (generator events, parsed events).  This is the
         batched :class:`~repro.ingest.sink.EventSink` entry point: one
-        call produces one :meth:`~repro.cassdb.Cluster.write_batch` per
-        view table, so the backend sees two batched commits (two epoch
-        bumps) rather than two per-row writes per event.
+        call — one ETL task's events, or everything one streaming poll
+        closed — produces one :meth:`~repro.cassdb.Cluster.write_batch`
+        per view table, so the backend sees two batched commits (two
+        epoch bumps) rather than two per-row writes per event.  ``seq``
+        is assigned in the order the events arrive.
         """
         rows: list[dict[str, Any]] = []
         # Both views bucket by the same hour column.

@@ -1,8 +1,8 @@
 """The DetectionEngine: a second workload on the ingest micro-batches.
 
 The streaming ingestor turns each 1 s window into one coalesced RDD and
-collects it exactly once for the sink batch (`§III-D`'s map →
-reduceByKey graph).  The engine registers a **window observer** on the
+collects it exactly once, staging it for the poll's sink write
+(`§III-D`'s map → reduceByKey graph).  The engine registers a **window observer** on the
 ingestor, so every closed window's coalesced events are handed to it —
 the same objects the sink writes, with no second collect and no extra
 per-window job.  The observer folds the window into per-(event_type,

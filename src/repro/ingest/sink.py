@@ -20,9 +20,10 @@ class EventSink(Protocol):
     Batched contract
     ----------------
     ``write_events`` receives one *batch* — everything an ETL task or a
-    streaming window produced — and is expected to persist it as a
-    batch, not row by row (the model sink turns one call into one
-    ``Cluster.write_batch`` per table).  Implementations must:
+    streaming poll produced (a poll's closed 1 s windows, in window
+    order) — and is expected to persist it as a batch, not row by row
+    (the model sink turns one call into one ``Cluster.write_batch`` per
+    table).  Implementations must:
 
     * accept any iterable and consume it at most once;
     * return the number of events actually persisted *by this call*

@@ -13,9 +13,11 @@ Composition::
     LogProducer(parse raw lines) ──publish──▶ MessageBus topic
                                                  │ poll (consumer group)
     StreamingIngestor ◀──────────────────────────┘
-        └─ InputDStream → map → reduceByKey (1 s window) → sink
+        └─ InputDStream → map → reduceByKey (1 s window) → stage
+                                            poll lands the stage → sink
 
-The poll → push → advance → commit loop is :class:`TopicIngestor`; the
+The poll → push → advance → land → commit loop is :class:`TopicIngestor`;
+coalescing and detection stay per window, the write is one per poll.  The
 event stream, self-ingested telemetry (``repro.obs.export``) and
 detection alerts (``repro.detect.alerts``) are its three subclasses.
 """
@@ -98,10 +100,14 @@ class TopicIngestor:
     Owns the loop every stream rides: a consumer group polls the topic,
     records are pushed onto a :class:`~repro.sparklet.streaming.
     StreamingContext` input stream stamped with their bus timestamp, the
-    logical clock advances to the latest one seen, and offsets commit.
-    What a closed batch *does* is the subclass's business: it registers
-    outputs on ``self._input`` — or, for a topic that lands in
-    time-bucketed tables, calls :meth:`_land` with a record→row mapper.
+    logical clock advances to the latest one seen, what the closed
+    batches staged lands, and offsets commit.  What a closed batch
+    *stages* is the subclass's business: it registers outputs on
+    ``self._input`` that append to ``self._staged`` — or, for a topic
+    that lands in time-bucketed tables, calls :meth:`_land` with a
+    record→row mapper.  :meth:`_write` persists one poll's stage: one
+    ``write_batch`` per :meth:`_land` table, unless a subclass that
+    writes elsewhere overrides it.
     """
 
     def __init__(self, bus: MessageBus, topic: str, sc: "SparkletContext",
@@ -113,6 +119,9 @@ class TopicIngestor:
         self._consumer = self._group.join()
         self.ssc = StreamingContext(sc, batch_interval)
         self._input = self.ssc.input_stream()
+        # What the windows a poll closed produced, in window order;
+        # landed once per poll (and per flush) by _land_staged.
+        self._staged: list = []
 
     # -- what a subclass may say about its stream ---------------------------
 
@@ -132,7 +141,8 @@ class TopicIngestor:
     # -- the loop -----------------------------------------------------------
 
     def process_available(self, max_records: int = 100_000) -> int:
-        """Poll, run every complete batch, commit.  Returns records polled.
+        """Poll, run every complete batch, land what they staged, commit.
+        Returns records polled.
 
         The logical streaming clock advances to the latest timestamp
         seen, so all batches strictly before it are finalized; records
@@ -160,6 +170,7 @@ class TopicIngestor:
                 before = self.ssc.batches_run
                 self.ssc.advance_to(clock)
                 batches = self.ssc.batches_run - before
+                self._land_staged()
                 self._consumer.commit()
                 span.set(records=len(records), batches=batches)
         self._account(len(records), batches)
@@ -170,7 +181,15 @@ class TopicIngestor:
         batching)."""
         before = self.ssc.batches_run
         self.ssc.advance(1)
+        self._land_staged()
         self._account(0, self.ssc.batches_run - before)
+
+    def _land_staged(self) -> None:
+        # Take the stage before writing: a write that raises leaves it
+        # empty and the offsets uncommitted, so nothing lands twice.
+        staged, self._staged = self._staged, []
+        if staged:
+            self._write(staged)
 
     @property
     def lag(self) -> int:
@@ -179,8 +198,9 @@ class TopicIngestor:
     # -- topic → time-bucketed tables ---------------------------------------
 
     def _land(self, cluster: "Cluster", schemas, to_row) -> None:
-        """Land each closed batch in *schemas*' tables (created if
-        absent), one ``write_batch`` per table.
+        """Land *schemas*' tables (created if absent) from this topic:
+        each closed batch stages its rows, and each poll writes them in
+        one ``write_batch`` per table.
 
         ``to_row(record)`` maps a bus record to ``(table, row)``, or
         None to skip it; the row's bucket column is stamped here from
@@ -193,20 +213,25 @@ class TopicIngestor:
         self.cluster = cluster
         self.rows_landed = dict.fromkeys(by_name, 0)
 
-        def write(rdd) -> None:
-            batch: dict[str, list[dict]] = {name: [] for name in by_name}
+        def stage(rdd) -> None:
             for record in rdd.collect():
                 landed = to_row(record)
                 if landed is not None:
                     table, row = landed
                     schema = by_name[table]
                     row[schema.time_bucket[0]] = schema.bucket_of(row["ts"])
-                    batch[table].append(row)
-            for table, rows in batch.items():
-                if rows:
-                    self._landed(table, cluster.write_batch(table, rows))
+                    self._staged.append(landed)
 
-        self._input.foreachRDD(write)
+        self._input.foreachRDD(stage)
+
+    def _write(self, staged: list) -> None:
+        """Persist one poll's stage of ``(table, row)`` pairs."""
+        batch: dict[str, list[dict]] = {name: [] for name in self.rows_landed}
+        for table, row in staged:
+            batch[table].append(row)
+        for table, rows in batch.items():
+            if rows:
+                self._landed(table, self.cluster.write_batch(table, rows))
 
     def _landed(self, table: str, written: int) -> None:
         self.rows_landed[table] += written
@@ -226,43 +251,41 @@ class StreamingIngestor(TopicIngestor):
 
         # Window observers (repro.detect's DetectionEngine): called with
         # each closed window's coalesced, time-sorted events — the exact
-        # list the sink batch writes, collected once and shared, so a
-        # second workload costs no extra per-window job.
+        # list the window stages for the sink, collected once and shared,
+        # so a second workload costs no extra per-window job.
         self._observers: list = []
         # Public: downstream subscribers may also register their own
-        # outputs on this same stream and share the per-batch RDD the
-        # sink write materializes.
+        # outputs on this same stream.
         self.coalesced = (
             self._input
             .map(lambda e: ((e.type, e.component, int(e.ts // interval)), e))
             .reduceByKey(merge_events)
             .map(lambda kv: kv[1])
         )
-        self.coalesced.foreachRDD(self._write_batch)
+        self.coalesced.foreachRDD(self._stage_window)
 
-    def _write_batch(self, rdd) -> None:
-        # One streaming window -> one sink batch (the batched sink
-        # contract): the model sink turns this into one
-        # Cluster.write_batch per table, so a 1 s window costs one
-        # epoch bump and one group-lock round instead of per-row locks.
+    def _stage_window(self, rdd) -> None:
         events = sorted(rdd.collect(), key=lambda e: (e.ts, e.type,
                                                       e.component))
         if events:
             for observer in self._observers:
                 observer(events)
-            written = self.sink.write_events(events)
-            self.stats.written += written
-            registry = obs.get_registry()
-            registry.counter(
-                "ingest.records_written", mode="stream").inc(written)
-            registry.histogram(
-                "ingest.stream.batch_rows",
-                buckets=(10, 100, 1000, 10_000)).observe(written)
+            self._staged.extend(events)
+
+    def _write(self, staged: list) -> None:
+        written = self.sink.write_events(staged)
+        self.stats.written += written
+        registry = obs.get_registry()
+        registry.counter(
+            "ingest.records_written", mode="stream").inc(written)
+        registry.histogram(
+            "ingest.stream.batch_rows",
+            buckets=(10, 100, 1000, 10_000)).observe(written)
 
     def add_observer(self, observer) -> None:
         """Register a per-window callback: ``observer(events)`` with the
-        closed window's coalesced events (time-sorted), before the sink
-        write.  Empty windows are never observed."""
+        closed window's coalesced events (time-sorted), before the poll
+        lands them.  Empty windows are never observed."""
         self._observers.append(observer)
 
     def _poll_span(self, records):

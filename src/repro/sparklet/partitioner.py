@@ -38,5 +38,8 @@ class HashPartitioner(Partitioner):
     """Stable hash partitioning of arbitrary (repr-able) keys."""
 
     def partition(self, key: Any) -> int:
+        # One partition (every streaming window) has nothing to hash.
+        if self.num_partitions == 1:
+            return 0
         return token_for_key(repr(key)) % self.num_partitions
 

@@ -3,12 +3,16 @@
 import pytest
 
 from repro.bus import MessageBus
+from repro.cassdb import Cluster
+from repro.core import LogAnalyticsFramework
+from repro.core.model import LogDataModel
 from repro.genlog import LogGenerator
 from repro.ingest import (
     ListSink,
     LogProducer,
     ParsedEvent,
     StreamingIngestor,
+    coalesce_events,
     serial_ingest,
 )
 from repro.sparklet import SparkletContext
@@ -193,40 +197,48 @@ class TestStreamingIngestor:
 STAMPS = (3.25, 61.0, 125.5)
 
 
-def _events(bus, sc, cluster, base):
-    sink = ListSink()
-    ingestor = StreamingIngestor(bus, "t", sink, sc)
+def _events(bus, sc, cluster, base, stamps=STAMPS):
+    model = LogDataModel(cluster)
+    model.create_tables()
+    ingestor = StreamingIngestor(bus, "t", model, sc)
     LogProducer(bus, "t").publish_events(
-        [_ev(base + ts, comp=f"c0-0c0s0n{i}") for i, ts in enumerate(STAMPS)])
-    return ingestor, lambda: len(sink.events)
+        [_ev(base + ts, comp=f"c0-0c0s0n{i}") for i, ts in enumerate(stamps)])
+    return ingestor, lambda: len(cluster.select_window(
+        "event_by_time", base, base + 200.0, ("MCE",)))
 
 
-def _telemetry(bus, sc, cluster, base):
+def _telemetry(bus, sc, cluster, base, stamps=STAMPS):
     from repro.obs.export import TelemetryIngestor, TelemetryPublisher
 
     ingestor = TelemetryIngestor(bus, "t", cluster, sc)
     TelemetryPublisher(bus, "t").publish([
         {"rtype": "metric", "kind": "gauge", "name": "m", "labels": {},
-         "ts": base + ts, "value": 1.0} for ts in STAMPS])
+         "ts": base + ts, "value": 1.0} for ts in stamps])
     return ingestor, lambda: len(cluster.select_window(
         "metrics_by_time", base, base + 200.0, ("m",)))
 
 
-def _alerts(bus, sc, cluster, base):
+def _alerts(bus, sc, cluster, base, stamps=STAMPS):
     from repro.detect import Alert, AlertIngestor, AlertPublisher
 
     ingestor = AlertIngestor(bus, "t", cluster, sc)
     AlertPublisher(bus, "t").publish([
         Alert(ts=base + ts, severity="info", detector="d", key="k",
               window_start=base + ts - 1.0, window_end=base + ts, score=1.0)
-        for ts in STAMPS])
+        for ts in stamps])
     return ingestor, lambda: len(cluster.select_window(
         "alerts_by_time", base, base + 200.0, ()))
 
 
+# The tables each stream's rows land in.
+LANDS = {_events: {"event_by_time", "event_by_location"},
+         _alerts: {"alerts_by_time"},
+         _telemetry: {"metrics_by_time"}}
+
+
 class TestIngestorContract:
-    """The poll → push → advance → commit loop is one class; each
-    stream must honour the same contract through it."""
+    """The poll → push → advance → land → commit loop is one class;
+    each stream must honour the same contract through it."""
 
     # (builder, timestamp base, rebased?) — only telemetry is wall clock.
     CASES = [(_events, 0.0, False), (_alerts, 0.0, False),
@@ -235,8 +247,6 @@ class TestIngestorContract:
     @pytest.mark.parametrize("build,base,rebased", CASES,
                              ids=["events", "alerts", "telemetry"])
     def test_contract(self, build, base, rebased):
-        from repro.cassdb import Cluster
-
         ingestor, readable = build(
             MessageBus(), SparkletContext(2), Cluster(2), base)
         assert ingestor.lag == len(STAMPS)
@@ -253,3 +263,149 @@ class TestIngestorContract:
         from_first = int((STAMPS[-1] - int(STAMPS[0])) // interval) + 1
         assert ingestor.ssc.batches_run == (
             from_first if rebased else from_zero)
+
+    @pytest.mark.parametrize("build,base,rebased", CASES,
+                             ids=["events", "alerts", "telemetry"])
+    def test_a_poll_lands_once(self, build, base, rebased, monkeypatch):
+        """A poll that closes three windows (the fourth stamp keeps one
+        open) makes one write_batch per table with rows, and bumps each
+        such table's epoch by one."""
+        cluster, sc = Cluster(2), SparkletContext(2)
+        ingestor, readable = build(MessageBus(), sc, cluster, base,
+                                   stamps=STAMPS + (190.0,))
+        tables = LANDS[build]
+        written = []
+        write_batch = cluster.write_batch
+        monkeypatch.setattr(
+            cluster, "write_batch",
+            lambda table, rows, *a, **kw: written.append(table)
+            or write_batch(table, rows, *a, **kw))
+        epochs = {table: cluster.table_epoch(table) for table in tables}
+        jobs = sc.metrics.jobs
+
+        ingestor.process_available()
+        assert sc.metrics.jobs - jobs == len(STAMPS)   # windows closed
+        assert sorted(written) == sorted(tables)
+        assert {table: cluster.table_epoch(table) - epochs[table]
+                for table in tables} == dict.fromkeys(tables, 1)
+        assert readable() == len(STAMPS)
+
+        ingestor.flush()                   # the open window lands alone
+        assert sorted(written) == sorted(list(tables) * 2)
+        assert readable() == len(STAMPS) + 1
+
+
+class _RecordingSink(ListSink):
+    """A ListSink that keeps each ``write_events`` call's batch, and can
+    be told to fail the next one."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[list] = []
+        self.fail = False
+
+    def write_events(self, events):
+        if self.fail:
+            self.fail = False
+            raise RuntimeError("sink down")
+        batch = list(events)
+        self.calls.append(batch)
+        return super().write_events(batch)
+
+
+class TestAPollLandsOnce:
+    """Coalescing and detection stay per 1 s window; the write is one
+    per poll."""
+
+    def _pipeline(self):
+        bus = MessageBus()
+        sink = _RecordingSink()
+        ingestor = StreamingIngestor(bus, "events", sink, SparkletContext(2))
+        return LogProducer(bus, "events"), sink, ingestor
+
+    def test_one_write_events_per_poll_in_window_order(self):
+        producer, sink, ingestor = self._pipeline()
+        observed = []
+        ingestor.add_observer(
+            lambda events: observed.append((len(sink.calls), list(events))))
+        producer.publish_events(
+            [_ev(w + 0.1 * i, comp=f"c0-0c0s0n{i % 3}")
+             for w in (5, 2, 9, 3, 7) for i in range(4)]
+            + [_ev(20.5)])
+        ingestor.process_available()
+        # Observers saw each closed window on its own, in window order,
+        # before anything landed.
+        assert [int(events[0].ts) for _, events in observed] == [2, 3, 5, 7, 9]
+        assert all(landed == 0 for landed, _ in observed)
+        assert all(len({int(e.ts) for e in events}) == 1
+                   for _, events in observed)
+        # The poll landed them in one call, window after window.
+        assert len(sink.calls) == 1
+        (batch,) = sink.calls
+        assert batch == [e for _, events in observed for e in events]
+        assert batch == sorted(
+            batch, key=lambda e: (int(e.ts), e.ts, e.type, e.component))
+        assert ingestor.stats.written == len(batch) == 5 * 3
+
+        assert ingestor.process_available() == 0       # nothing closed
+        assert len(sink.calls) == 1
+        ingestor.flush()                               # the open window
+        assert len(sink.calls) == 2 and len(sink.calls[1]) == 1
+
+    def test_a_failed_landing_propagates_uncommitted_and_lands_nothing_twice(
+            self):
+        producer, sink, ingestor = self._pipeline()
+        first = [_ev(w + 0.5, comp=f"c0-0c0s0n{w % 2}") for w in range(1, 6)]
+        producer.publish_events(first + [_ev(6.5)])
+        sink.fail = True
+        with pytest.raises(RuntimeError, match="sink down"):
+            ingestor.process_available()
+        assert ingestor.lag == len(first) + 1          # nothing committed
+        assert sink.events == []
+
+        producer.publish_events([_ev(w + 0.5) for w in range(7, 10)])
+        assert ingestor.process_available() == 3
+        ingestor.flush()
+        assert ingestor.lag == 0
+        keys = [(e.ts, e.type, e.component) for e in sink.events]
+        assert len(keys) == len(set(keys))
+        # The failed poll's windows are gone with its stage; the window
+        # it left open and everything after it landed once.
+        assert [e.ts for e in sink.events] == [6.5, 7.5, 8.5, 9.5]
+
+    def test_a_framework_drain_stores_what_window_by_window_writes(self):
+        """A seeded drain through ``fw.streaming_ingestor`` with capped
+        polls stores the same rows, ``seq`` included, in both event views
+        as one ``write_events`` per 1 s window of the coalesced stream."""
+        topo = TitanTopology(rows=1, cols=1)
+        gen = LogGenerator(topo, seed=34, rate_multiplier=40)
+        lines = list(gen.raw_lines(gen.generate(2)))
+
+        fw = LogAnalyticsFramework(topo, db_nodes=2).setup()
+        bus = MessageBus()
+        producer = LogProducer(bus, "events")
+        ingestor = fw.streaming_ingestor(bus, "events")
+        for first in range(0, len(lines), 1500):
+            producer.publish_lines(lines[first:first + 1500])
+            while ingestor.process_available(max_records=400):
+                pass
+        ingestor.flush()
+        assert ingestor.lag == 0
+
+        ref = LogAnalyticsFramework(topo, db_nodes=2).setup()
+        parser = producer.parser
+        windows: dict[int, list] = {}
+        for event in coalesce_events(
+                filter(None, map(parser.parse_line, lines))):
+            windows.setdefault(int(event.ts), []).append(event)
+        for second in sorted(windows):
+            ref.model.write_events(windows[second])
+
+        for table in ("event_by_time", "event_by_location"):
+            got = sorted(fw.cluster.scan_table(table), key=lambda r: r["seq"])
+            want = sorted(ref.cluster.scan_table(table),
+                          key=lambda r: r["seq"])
+            assert len(got) == ingestor.stats.written > 100
+            assert got == want
+        fw.stop()
+        ref.stop()

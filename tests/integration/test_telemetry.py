@@ -26,6 +26,9 @@ from repro.titan.events import LogSource
 def loop():
     from repro.obs.profile import SamplingProfiler
 
+    # The trace ring is process-wide: start from an empty one, so the
+    # traces exported here are this loop's, not earlier tests' streams.
+    obs.get_tracer().reset()
     topo = TitanTopology(rows=1, cols=1)
     fw = LogAnalyticsFramework(topo, db_nodes=3).setup()
     fw.ingest_events(

@@ -132,6 +132,23 @@ class TestShuffles:
             assert sum(1 for part in parts
                        if any(kk == k for kk, _ in part)) == 1
 
+    def test_a_one_partition_shuffle_hashes_nothing(self, sc, monkeypatch):
+        """Every streaming window is a one-partition reduceByKey: the
+        key's reduce partition is 0 without an md5 of its repr."""
+        from repro.sparklet import partitioner
+
+        pairs = [((i % 7, f"k{i % 3}"), i) for i in range(60)]
+        wide = sorted(sc.parallelize(pairs, 3)
+                      .reduceByKey(lambda a, b: a + b, 4).collect())
+        hashed = []
+        token_for_key = partitioner.token_for_key
+        monkeypatch.setattr(partitioner, "token_for_key",
+                            lambda key: hashed.append(key)
+                            or token_for_key(key))
+        narrow = sc.parallelize(pairs, 1).reduceByKey(lambda a, b: a + b, 1)
+        assert sorted(narrow.collect()) == wide
+        assert hashed == []
+
 
 class TestActions:
     def test_count(self, sc):
