@@ -268,9 +268,8 @@ class Cluster:
         return self.keyspace.table(table)
 
     def _block_hints_for(self, table: str) -> BlockHints | None:
-        """Schema-derived column-block hints for a node's table store
-        (index interval, dictionary columns); None when the table has
-        no registered schema."""
+        """Schema-derived run hints for a node's table store (the index
+        interval); None when the table has no registered schema."""
         try:
             return self.keyspace.table(table).block_hints
         except SchemaError:

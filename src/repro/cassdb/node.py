@@ -61,9 +61,9 @@ class StorageNode:
         self.routing_up = True
         self._flush_threshold = flush_threshold
         self._max_sstables = max_sstables
-        # Maps table name -> BlockHints (index interval, dictionary
-        # columns) at store creation; the cluster wires this to the
-        # keyspace so schema knobs reach the storage layer.
+        # Maps table name -> BlockHints (the index interval) at store
+        # creation; the cluster wires this to the keyspace so schema
+        # knobs reach the storage layer.
         self._hints_provider = hints_provider
         self._flush_hook: Callable[[], None] | None = None
         self.tables: dict[str, TableStore] = {}

@@ -58,12 +58,6 @@ class TableSchema:
         3600.0)``.  The single source of the bucket width — writers call
         :meth:`bucket_of`, readers :meth:`buckets` — and bucket ids are
         ints, so the column's ring-key codec is implied.
-    dict_columns:
-        Columns to force dictionary encoding for in column blocks,
-        whatever cardinality one block happens to see (event ``type``,
-        ``location``/cabinet, ``component`` — §II-B's categorical
-        fields).  Low-cardinality string columns are auto-detected even
-        when unlisted.
     """
 
     name: str
@@ -77,7 +71,6 @@ class TableSchema:
     # e.g. (("apid", int),).  Unlisted columns come back as strings.
     key_codecs: tuple[tuple[str, Callable[[str], Any]], ...] = ()
     index_interval: int = 64
-    dict_columns: tuple[str, ...] = ()
     time_bucket: tuple[str, float] | None = None
 
     def __post_init__(self):
@@ -110,12 +103,9 @@ class TableSchema:
 
     @cached_property
     def block_hints(self) -> BlockHints:
-        """The per-table knobs the storage layer threads into column
-        blocks (see :class:`~repro.cassdb.vector.BlockHints`)."""
-        return BlockHints(
-            index_interval=self.index_interval,
-            dict_columns=frozenset(self.dict_columns),
-        )
+        """The per-table knobs the storage layer threads into the runs
+        it builds (see :class:`~repro.cassdb.vector.BlockHints`)."""
+        return BlockHints(index_interval=self.index_interval)
 
     # -- time buckets ---------------------------------------------------
 

@@ -6,22 +6,27 @@ absent partitions return without touching the data ("data is retrieved
 by row key and range within a row, which guarantees a fast and efficient
 search" — paper §II-A).
 
-Each partition is physically a
-:class:`~repro.cassdb.vector.ColumnBlock` — per-column value arrays,
-dictionary-encoded low-cardinality strings, a liveness bitmap — and the
-sparse clustering index maps straight onto block offsets.  Scans hand
-out :class:`~repro.cassdb.vector.BlockView` selections that the
-vectorized kernels filter/project/fold without building ``Row`` objects,
-and :attr:`SSTable.partitions` is the plain ``partition key -> block``
-dict (dropping a key is the simulated loss of that partition).  A run
-is built *from* blocks: flush (:meth:`SSTable.from_memtable`) encodes
-each memtable partition's sorted rows, compaction
-(:func:`merge_sstables`) encodes what
-:func:`~repro.cassdb.vector.merge_views` — the same merge a read runs —
-emitted over the runs' blocks, and both hand the constructor the
-finished dict, as a loader of on-disk runs would.  A run and a memtable
-answer a read through one face, ``slice_partition_view(pk, lower,
-upper) -> (BlockView, pruned) | None``.
+A run is physically one :class:`~repro.cassdb.vector.ColumnBlock` —
+per-column value arrays, dictionary-encoded low-cardinality strings
+(one dictionary per run), a liveness bitmap — holding every partition's
+rows next to each other in partition-key order, plus
+:attr:`SSTable.offsets`, the partition index ``partition key -> (start,
+end)`` into it: Cassandra's ``Data.db`` and its ``-Index.db``.  The
+sparse clustering index samples each large partition's stretch of the
+run's clustering array.  A partition read is a
+:class:`~repro.cassdb.vector.BlockView` over that partition's in-bounds
+offset range, which the vectorized kernels filter/project/fold without
+building ``Row`` objects, as they do a memtable's.  Dropping a key from
+``offsets`` is the simulated loss of that partition.
+
+A run is built by one block encode: flush (:meth:`SSTable.from_memtable`)
+encodes the memtable partitions' sorted rows, compaction
+(:func:`merge_sstables`) what :func:`~repro.cassdb.vector.merge_views`
+— the same merge a read runs — emitted per partition, each concatenated
+in partition-key order, and both hand the constructor the block and its
+offsets, as a loader of on-disk runs would.  A run and a memtable answer
+a read through one face, ``slice_partition_view(pk, lower, upper) ->
+(BlockView, pruned) | None``.
 
 SSTables here live in memory (the cluster is simulated in-process) but
 preserve the two properties the rest of the system depends on:
@@ -36,7 +41,7 @@ from typing import Iterable, Iterator
 
 from .bloom import BloomFilter
 from .memtable import Memtable
-from .row import ClusteringBound, slice_bounds_keys
+from .row import ClusteringBound, Row, slice_bounds_keys
 from .vector import BlockHints, BlockView, ColumnBlock, merge_views
 
 __all__ = [
@@ -58,13 +63,14 @@ INDEX_INTERVAL = 64
 class SSTable:
     """One immutable sorted run of a table's data on one node."""
 
-    def __init__(self, partitions: dict[str, ColumnBlock],
+    def __init__(self, block: ColumnBlock,
+                 offsets: dict[str, tuple[int, int]],
                  generation: int | None = None, *,
                  hints: BlockHints | None = None):
-        # Whoever builds a run hands it its blocks (flush, compaction; a
-        # loader, once runs live on disk).  *hints* is what built them:
-        # the sparse index samples at its interval and compaction
-        # inherits it.
+        # Whoever builds a run hands it its block and partition index
+        # (flush, compaction; a loader, once runs live on disk).  *hints*
+        # is what built them: the sparse index samples at its interval
+        # and compaction inherits it.
         self.hints = hints
         self.index_interval = (
             hints.index_interval if hints is not None else INDEX_INTERVAL)
@@ -72,30 +78,44 @@ class SSTable:
         self.generation = (
             generation if generation is not None else next(_generation_counter)
         )
-        self.bloom = BloomFilter.from_keys(partitions.keys())
-        self.partitions = partitions
-        self.row_count = sum(b.n for b in partitions.values())
+        self.bloom = BloomFilter.from_keys(offsets.keys())
+        self.block = block
+        self.offsets = offsets
+        self.row_count = block.n
         # Sparse clustering index: every index_interval-th clustering key
-        # per partition (only for partitions big enough to benefit) — the
-        # role index blocks play in Cassandra's -Index.db component.  The
-        # samples are offsets into the block's key array.
+        # of each partition big enough to benefit — the role index
+        # blocks play in Cassandra's -Index.db component.  Sample k of a
+        # partition sits at run offset start + k * interval.
+        cl = block.clustering
         self.index: dict[str, list[tuple]] = {
-            pk: block.clustering[::interval]
-            for pk, block in partitions.items() if block.n > interval
+            pk: cl[start:end:interval]
+            for pk, (start, end) in offsets.items() if end - start > interval
         }
 
     @classmethod
     def from_memtable(cls, memtable: Memtable, *,
                       hints: BlockHints | None = None) -> "SSTable":
-        """Flush: each partition encoded column-major straight from its
-        sorted rows, not through a read face, so a sealed memtable keeps
-        no face while its flush runs.  The memtable's sorted key list
-        becomes the block's clustering array as it is (the sealed
-        memtable is discarded afterwards)."""
-        return cls({pk: ColumnBlock.from_rows(part.sorted_rows(), hints,
-                                              part.sorted_keys())
-                    for pk, part in memtable.partitions.items()},
-                   hints=hints)
+        """Flush: the partitions' sorted rows, in partition-key order,
+        encoded column-major as one block straight from the rows, not
+        through a read face, so a sealed memtable keeps no face while
+        its flush runs (the sealed memtable is discarded afterwards)."""
+        parts = memtable.partitions
+        return cls._build(((pk, parts[pk].sorted_rows())
+                           for pk in sorted(parts)), hints)
+
+    @classmethod
+    def _build(cls, partitions: Iterable[tuple[str, list[Row]]],
+               hints: BlockHints | None) -> "SSTable":
+        """One run from ``(partition key, sorted rows)`` in key order:
+        the rows concatenated into one block, each partition's stretch
+        of it recorded in ``offsets``.  An empty partition is left out."""
+        rows: list[Row] = []
+        offsets: dict[str, tuple[int, int]] = {}
+        for pk, part in partitions:
+            if part:
+                offsets[pk] = (len(rows), len(rows) + len(part))
+                rows += part
+        return cls(ColumnBlock.from_rows(rows), offsets, hints=hints)
 
     def maybe_contains(self, partition_key: str) -> bool:
         """Bloom-filter check; False means *definitely* absent.  The
@@ -116,16 +136,19 @@ class SSTable:
         so no row is materialized.  ``None`` when the partition is
         absent from this run.
         """
-        block = self.partitions.get(partition_key)
-        if block is None:
+        span = self.offsets.get(partition_key)
+        if span is None:
             return None
-        lo, hi = slice_bounds_keys(block.clustering, lower, upper,
+        start, stop = span
+        lo, hi = slice_bounds_keys(self.block.clustering, lower, upper,
+                                   start=start, stop=stop,
                                    samples=self.index.get(partition_key),
                                    interval=self.index_interval)
-        return BlockView(block, range(lo, hi)), block.n - (hi - lo)
+        return (BlockView(self.block, range(lo, hi)),
+                stop - start - (hi - lo))
 
     def partition_keys(self) -> Iterator[str]:
-        return iter(self.partitions)
+        return iter(self.offsets)
 
     def __len__(self) -> int:
         return self.row_count
@@ -135,9 +158,10 @@ def merge_sstables(tables: Iterable[SSTable], *,
                    hints: BlockHints | None = None) -> SSTable:
     """Compaction: merge several runs into one, reconciling duplicates.
 
-    Each partition is :func:`~repro.cassdb.vector.merge_views` over the
-    runs' full blocks, live rows only: a row whose latest state is a
-    deletion is garbage-collected, its marker with it.  That is safe
+    Each partition is :func:`~repro.cassdb.vector.merge_views` over its
+    stretch of every run's block, live rows only: a row whose latest
+    state is a deletion is garbage-collected, its marker with it.  The
+    merged partitions are encoded as one block.  That is safe
     against the runs — compaction covers *all* of the table's, so no
     older run is left for the tombstone to shadow — but not against a
     write still in a memtable, a hint buffer or another replica and
@@ -154,11 +178,8 @@ def merge_sstables(tables: Iterable[SSTable], *,
         hints = next((t.hints for t in tables if t.hints is not None), None)
     all_keys: set[str] = set()
     for t in tables:
-        all_keys.update(t.partitions)
-    out: dict[str, ColumnBlock] = {}
-    for pk in sorted(all_keys):
-        rows = merge_views([BlockView(block) for t in tables
-                            if (block := t.partitions.get(pk)) is not None])
-        if rows:
-            out[pk] = ColumnBlock.from_rows(rows, hints)
-    return SSTable(out, hints=hints)
+        all_keys.update(t.offsets)
+    return SSTable._build(
+        ((pk, merge_views([BlockView(t.block, range(*span)) for t in tables
+                           if (span := t.offsets.get(pk)) is not None]))
+         for pk in sorted(all_keys)), hints)

@@ -4,9 +4,12 @@ Ties together the write path (memtable → flush → SSTables → compaction)
 and the read path: every tier — the active memtable, sealed ones, each
 run — is asked the same ``slice_partition_view(pk, lower, upper)`` and
 answers a :class:`~repro.cassdb.vector.BlockView`; one answer is served
-as it is, several are merged.  A delete arrives as any write does, as a
-tombstone marker row.  One :class:`TableStore` exists per table per
-storage node.
+as it is, several are merged.  A flush and a compaction each encode
+one block: a run holds all its partitions in one
+:class:`~repro.cassdb.vector.ColumnBlock`, and a partition read of it
+is a view over the partition's offset range.  A delete arrives as any
+write does, as a tombstone marker row.  One :class:`TableStore` exists
+per table per storage node.
 
 Concurrency model: the store lock guards *pointer swaps* (memtable
 upserts, sealing a memtable, publishing an SSTable), never bulk work.
@@ -71,8 +74,8 @@ class TableStore:
 
     flush_threshold: int = 50_000
     max_sstables: int = 8
-    # The table schema's index_interval / dictionary-encoding hints for
-    # the column blocks this store's SSTables are built from.
+    # The table schema's index_interval, for the sparse index of the
+    # runs this store builds.
     hints: BlockHints | None = None
     memtable: Memtable = field(default_factory=Memtable)
     # Sealed memtables whose SSTable build is in flight; readers treat

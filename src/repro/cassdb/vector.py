@@ -2,8 +2,10 @@
 
 A partition read has one shape: a :class:`BlockView` — a
 :class:`ColumnBlock` plus an ordered selection of its row offsets.  An
-SSTable stores each partition *column-major* (an eager block, built at
-flush or compaction and handed to the run); a memtable answers a slice,
+SSTable stores its whole run *column-major* (one eager block, built at
+flush or compaction, every partition's rows next to each other), and a
+partition read of it is a view over that partition's offset range; a
+memtable answers a slice,
 and a merge of several sources (memtable deltas, un-compacted runs, a
 QUORUM reconcile) emits its rows, as a *row-backed* block whose columns
 are transposed out of the rows on first use
@@ -19,8 +21,8 @@ keeps a few percent of the rows it touches, and a pushed-down ``GROUP
 BY`` reduces thousands of rows to a handful of partial states.
 
 Low-cardinality string columns of an eager block (event type,
-cabinet/location, component — §II-B's categorical fields) are
-dictionary-encoded: a predicate is evaluated once per *dictionary
+cabinet/location — §II-B's categorical fields) are dictionary-encoded,
+one dictionary per run: a predicate is evaluated once per *dictionary
 entry*, then rows are matched by integer code.
 
 Row materialization (:meth:`ColumnBlock.row_at`) stays byte-faithful —
@@ -77,16 +79,11 @@ _DICT_MIN_ROWS = 8
 
 @dataclass(frozen=True)
 class BlockHints:
-    """Per-table knobs the storage layer threads into block builds.
-
-    Derived from :class:`~repro.cassdb.schema.TableSchema`; ``dict_columns``
-    forces dictionary encoding for the named columns regardless of
-    cardinality (the schema author knows ``location`` is categorical even
-    if one block happens to see many distinct cabinets).
-    """
+    """Per-table knobs the storage layer threads into run builds,
+    derived from :class:`~repro.cassdb.schema.TableSchema`: the sparse
+    clustering index samples one key per ``index_interval`` rows."""
 
     index_interval: int = 64
-    dict_columns: frozenset[str] = frozenset()
 
 
 class Column:
@@ -140,62 +137,58 @@ class _ColumnBuilder:
         self.present = bytearray(n)
         self.count = 0
 
-    def finalize(self, n: int, force_dict: bool) -> Column:
+    def finalize(self, n: int) -> Column:
         present = None if self.count == n else self.present
         values = self.values
-        encode = force_dict
-        distinct: set | None = None
-        if not encode and n >= _DICT_MIN_ROWS:
+        encode = False
+        if n >= _DICT_MIN_ROWS:
             # Auto-detect: all present values are strings and the
             # cardinality is low enough that code matching wins.
             try:
                 distinct = set(values)
-            except TypeError:
+            except TypeError:  # an unhashable value: stays plain
                 distinct = None
             if distinct is not None:
                 distinct.discard(None)
                 encode = (len(distinct) <= DICT_MAX_CARDINALITY
                           and all(isinstance(v, str) for v in distinct))
-        if encode:
-            try:
-                dictionary: list = []
-                code_of: dict = {}
-                codes = array("l", bytes(n * _CODE_ITEMSIZE))
-                pres = self.present
-                for i, v in enumerate(values):
-                    if not pres[i]:
-                        codes[i] = -1
-                        continue
-                    code = code_of.get(v)
-                    if code is None:
-                        code = len(dictionary)
-                        code_of[v] = code
-                        dictionary.append(v)
-                    codes[i] = code
-            except TypeError:  # unhashable value in a forced column
-                pass
-            else:
-                _M_DICT_COLUMNS.inc()
-                return Column(self.name, None, self.write_ts, present,
-                              codes=codes, dictionary=dictionary,
-                              code_of=code_of)
-        return Column(self.name, values, self.write_ts, present)
+        if not encode:
+            return Column(self.name, values, self.write_ts, present)
+        dictionary: list = []
+        code_of: dict = {}
+        codes = array("l", bytes(n * _CODE_ITEMSIZE))
+        pres = self.present
+        for i, v in enumerate(values):
+            if not pres[i]:
+                codes[i] = -1
+                continue
+            code = code_of.get(v)
+            if code is None:
+                code = len(dictionary)
+                code_of[v] = code
+                dictionary.append(v)
+            codes[i] = code
+        _M_DICT_COLUMNS.inc()
+        return Column(self.name, None, self.write_ts, present,
+                      codes=codes, dictionary=dictionary, code_of=code_of)
 
 
 _CODE_ITEMSIZE = array("l").itemsize
 
 
 class ColumnBlock:
-    """One partition of an SSTable, stored column-major.
+    """Rows stored column-major: a whole SSTable run, or one partition.
 
-    ``clustering`` is the sorted clustering-key array (what the sparse
-    index samples and the merge compares); ``columns`` maps column name
-    to :class:`Column`; ``live`` is a liveness bitmap (``None`` when no
-    row is tombstone-shadowed); ``tombstones`` keeps the sparse
-    ``offset -> tombstone_ts`` map so dead rows round-trip exactly.
+    ``clustering`` is the clustering-key array, ascending within each
+    partition the block holds (what the sparse index samples and the
+    merge compares); ``columns`` maps column name to :class:`Column`;
+    ``live`` is a liveness bitmap (``None`` when no row is
+    tombstone-shadowed); ``tombstones`` keeps the sparse ``offset ->
+    tombstone_ts`` map so dead rows round-trip exactly.
 
     A block is either *eager* (:meth:`from_rows`: every column encoded
-    when the block is built — what an SSTable stores) or *row-backed*
+    when the block is built — an SSTable stores one, every partition's
+    rows next to each other) or *row-backed*
     (:meth:`over_rows`: a memtable partition's face or the rows a
     merge emitted stay the store of record and :meth:`column`
     transposes a column out of them the first time a kernel names it).
@@ -267,13 +260,13 @@ class ColumnBlock:
         return col
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row],
-                  hints: BlockHints | None = None,
-                  clustering: list[tuple] | None = None) -> "ColumnBlock":
-        """Build a block from rows already sorted by clustering key."""
+    def from_rows(cls, rows: Sequence[Row]) -> "ColumnBlock":
+        """Encode *rows* as they are ordered (a partition's, ascending by
+        clustering key; a run's, partition after partition).  Low-
+        cardinality string columns are dictionary-encoded over all of
+        them."""
         n = len(rows)
-        if clustering is None:
-            clustering = [r.clustering for r in rows]
+        clustering = [r.clustering for r in rows]
         builders: dict[str, _ColumnBuilder] = {}
         tombstones: dict[int, int] = {}
         live: bytearray | None = None
@@ -296,9 +289,7 @@ class ColumnBlock:
                                        else cell_ts.get(name, write_ts))
                 builder.present[i] = 1
                 builder.count += 1
-        forced = hints.dict_columns if hints is not None else frozenset()
-        columns = {name: b.finalize(n, name in forced)
-                   for name, b in builders.items()}
+        columns = {name: b.finalize(n) for name, b in builders.items()}
         _M_BLOCK_BUILDS.inc()
         _M_BLOCK_ROWS.inc(n)
         return cls(clustering, columns, live, n_dead, tombstones)
@@ -320,14 +311,6 @@ class ColumnBlock:
         return Row.from_stamps(self.clustering[i], values, stamps,
                                self.tombstones.get(i))
 
-    def rows(self) -> list[Row]:
-        """Full materialization (cached): every row, dead ones included,
-        exactly as a row-form SSTable would store them."""
-        if self._rows is None:
-            self._rows = [self.row_at(i) for i in range(self.n)]
-            _M_ROWS_MATERIALIZED.inc(self.n)
-        return self._rows
-
     def __len__(self) -> int:
         return self.n
 
@@ -340,7 +323,9 @@ def _take(seq, order):
     still a ``range`` (step ±1: bounds, ``reverse`` and ``limit`` only
     ever slice it)."""
     if isinstance(order, range):
-        stop = order.stop if order.stop >= 0 else None  # reversed to 0
+        stop = order.stop
+        if stop < 0 and order:  # reversed down to offset 0
+            stop = None
         return seq[order.start:stop:order.step]
     return [seq[i] for i in order]
 
@@ -726,6 +711,12 @@ def fold_view(view: BlockView,
             return _fold_by_codes(block, order, n, col, agg_sources, fns,
                                   pk_values)
         vals = col.values
+        if all(s is None for s in agg_sources):
+            # count(*)-only: a Counter over the selected values (absent
+            # cells are None in a plain column), no index lists.
+            k = len(fns)
+            return {(v,): [cnt] * k
+                    for v, cnt in Counter(_take(vals, order)).items()}
         buckets: dict[tuple, list] = {}
         for i in order:
             key = (vals[i],)
@@ -762,11 +753,6 @@ def fold_view(view: BlockView,
             for key, idxs in buckets.items()}
 
 
-def _is_full_range(order, block: ColumnBlock) -> bool:
-    return (isinstance(order, range) and order.step == 1
-            and order.start == 0 and order.stop == block.n)
-
-
 def _fold_by_codes(block: ColumnBlock, order, n: int, col: Column,
                    agg_sources: Sequence, fns: Sequence[str],
                    pk_values: Mapping[str, Any]) -> dict[tuple, list]:
@@ -776,11 +762,10 @@ def _fold_by_codes(block: ColumnBlock, order, n: int, col: Column,
     # (None,) group; normalize -1 onto None's code when one exists.
     absent = col.code_of.get(None, -1)
     if all(s is None for s in agg_sources):
-        # count(*)-only: a Counter over the code array, no index lists.
-        if _is_full_range(order, block):
-            counts = Counter(codes)
-        else:
-            counts = Counter(codes[i] for i in order)
+        # count(*)-only: a Counter over the selected codes (one slice
+        # of the code array while the selection is a range), no index
+        # lists.
+        counts = Counter(_take(codes, order))
         if -1 in counts and absent != -1:
             counts[absent] += counts.pop(-1)
         k = len(fns)

@@ -110,6 +110,11 @@ TABLE_SCHEMAS: dict[str, TableSchema] = {
 _BY_TIME = TABLE_SCHEMAS["event_by_time"]
 _RUNS_BY_TIME = TABLE_SCHEMAS["application_by_time"]
 
+# An event's ``attrs`` column: ``json.dumps(attrs, sort_keys=True)``, with
+# the encoder built once (``dumps`` builds one per call when given an
+# argument).
+_attrs_json = json.JSONEncoder(sort_keys=True).encode
+
 _SYNOPSIS_CQL = ("SELECT hour, type, count(*), count(amount), sum(amount)"
                  " FROM event_by_time GROUP BY hour, type")
 
@@ -192,7 +197,7 @@ class LogDataModel:
         for event in events:
             seq = next(self._seq)
             hour = hour_of(event.ts)
-            attrs_json = json.dumps(event.attrs, sort_keys=True) if event.attrs else None
+            attrs_json = _attrs_json(event.attrs) if event.attrs else None
             row = {
                 "ts": float(event.ts),
                 "seq": seq,

@@ -7,7 +7,6 @@ from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import Row
 from repro.cassdb.sstable import SSTable
 from repro.cassdb.vector import (
-    BlockHints,
     BlockView,
     ColumnBlock,
     column_lists,
@@ -31,16 +30,16 @@ TYPES = ["warn", "error", "info", "warn", "error", "warn", "info", "warn",
          "error", "warn"]
 
 
-def _block(hints=None):
+def _block():
     rows = [_row(float(i), write_ts=i + 1, type=TYPES[i], amount=i * 10)
             for i in range(10)]
-    return ColumnBlock.from_rows(rows, hints), rows
+    return ColumnBlock.from_rows(rows), rows
 
 
 class TestColumnBlock:
     def test_round_trip_exact(self):
         block, rows = _block()
-        assert block.rows() == rows
+        assert BlockView(block).to_rows() == rows
         for i, row in enumerate(rows):
             assert block.row_at(i) == row
 
@@ -53,7 +52,7 @@ class TestColumnBlock:
         rows = [_row(1.0), _dead(2.0), _row(3.0)]
         block = ColumnBlock.from_rows(rows)
         assert block.n_dead == 1
-        assert block.rows() == rows
+        assert BlockView(block).to_rows() == rows
         assert not block.row_at(1).is_live
         assert block.row_at(1).tombstone_ts == 9
 
@@ -62,7 +61,7 @@ class TestColumnBlock:
         # absent (not None-valued) after the round trip.
         rows = [_row(1.0, a=1), _row(2.0, b=2), _row(3.0, a=3, b=4)]
         block = ColumnBlock.from_rows(rows)
-        assert block.rows() == rows
+        assert BlockView(block).to_rows() == rows
         assert "b" not in block.row_at(0).values
 
     def test_auto_dict_encoding(self):
@@ -77,11 +76,21 @@ class TestColumnBlock:
         block = ColumnBlock.from_rows(rows)
         assert block.columns["type"].codes is None
 
-    def test_forced_dict_encoding(self):
-        rows = [_row(float(i), type="x") for i in range(3)]
-        hints = BlockHints(dict_columns=frozenset({"type"}))
-        block = ColumnBlock.from_rows(rows, hints)
-        assert block.columns["type"].codes is not None
+    def test_a_run_of_small_partitions_is_encoded(self):
+        # Three 3-row partitions are one 9-row block: its one dictionary
+        # spans them, and each partition reads back through it.
+        mt = Memtable()
+        for pk in ("a", "b", "c"):
+            for i in range(3):
+                mt.upsert(pk, _row(float(i), type=pk + "x"))
+        sst = SSTable.from_memtable(mt)
+        col = sst.block.columns["type"]
+        assert col.codes is not None
+        assert sorted(col.dictionary) == ["ax", "bx", "cx"]
+        for pk in ("a", "b", "c"):
+            view, pruned = sst.slice_partition_view(pk)
+            assert pruned == 0
+            assert [r.values["type"] for r in view.to_rows()] == [pk + "x"] * 3
 
     def test_high_cardinality_not_encoded(self):
         rows = [_row(float(i), msg=f"unique-{i}") for i in range(300)]
@@ -250,6 +259,17 @@ class TestColumnLists:
         amounts.append(0)       # the caller owns what it was handed
         assert block.columns["amount"].values[2:6] == [20, 30, 40, 50]
 
+    def test_an_empty_range_reversed_at_offset_zero_reads_nothing(self):
+        # range(0, 0)[::-1] is range(-1, -1, -1): sliced as it stands it
+        # would be seq[-1::-1], every row backwards.
+        block, _ = _block()
+        view = BlockView(block, range(0, 0)).ordered(reverse=True)
+        assert column_lists(view, self._schema(), self.PK,
+                            ["type", "amount"]) == [[], []]
+        assert view.to_rows() == []
+        assert BlockView(ColumnBlock.over_rows(BlockView(block).to_rows()),
+                         range(0, 0)).ordered(reverse=True).to_rows() == []
+
     def test_counts_cells_not_rows(self):
         from repro.obs import get_registry
         reg = get_registry()
@@ -288,6 +308,25 @@ class TestFoldView:
                                aggs, fns, {})
             assert groups[(None,)] == [2]
             assert groups[("a",)] == [8]
+
+    def test_plain_column_count_star_matches_the_bucket_fold(self):
+        # An int column stays plain.  count(*) alone is a Counter over
+        # the selected values; with a second input it buckets offsets.
+        # Same groups, same order, absent and None together.
+        rows = ([_row(float(i), v=i % 3) for i in range(8)]
+                + [_row(8.0, v=None), _row(9.0, w=1)])
+        block = ColumnBlock.from_rows(rows)
+        assert block.columns["v"].codes is None
+        for order in (None, range(2, 9), range(7, -1, -1), [0, 3, 8, 9]):
+            view = BlockView(block, order)
+            counted = fold_view(view, [("cell", "v")], [None, None],
+                                ["count", "count"], {})
+            bucketed = fold_view(view, [("cell", "v")], [None, ("ck", 0)],
+                                 ["count", "count"], {})
+            assert list(counted.items()) == list(bucketed.items())
+        assert fold_view(BlockView(block), [("cell", "v")], [None],
+                         ["count"], {}) == {
+            (0,): [3], (1,): [3], (2,): [2], (None,): [2]}
 
     def test_constant_pk_key_keep_empty(self):
         block, _ = _block()
@@ -449,24 +488,17 @@ class TestSSTableColumnar:
         for i in range(10):
             mt.upsert("pk", _row(float(i), type=TYPES[i]))
         sst = SSTable.from_memtable(mt)
-        block = sst.partitions.get("pk")
+        assert sst.offsets.get("pk") == (0, 10)
+        block = sst.block
         assert isinstance(block, ColumnBlock)
         assert block.columns["type"].codes is not None
 
     def test_partition_pop_affects_columnar_reads(self):
-        # Anti-entropy repair prunes partitions via the mapping API; the
-        # delete must reach the block store, not just a row cache.
+        # The repair tests lose a partition by dropping its offset; the
+        # loss must reach the read, not just the partition index.
         mt = Memtable()
         mt.upsert("pk", _row(1.0))
         sst = SSTable.from_memtable(mt)
-        sst.partitions.pop("pk", None)
+        sst.offsets.pop("pk", None)
         assert sst.slice_partition_view("pk", None, None) is None
-        assert sst.partitions.get("pk") is None
-
-    def test_partition_setitem_reencodes(self):
-        mt = Memtable()
-        mt.upsert("pk", _row(1.0, v="a"))
-        sst = SSTable.from_memtable(mt)
-        sst.partitions["pk"] = ColumnBlock.from_rows([_row(2.0, v="b")])
-        assert sst.partitions.get("pk").clustering == [(2.0, 0)]
-        assert sst.partitions["pk"].rows()[0].values["v"] == "b"
+        assert sst.offsets.get("pk") is None

@@ -18,6 +18,19 @@ def _row(ts, seq=0, ts_write=1, **cols):
     return Row.from_values((ts, seq), cols or {"v": ts}, write_ts=ts_write)
 
 
+def flushed(partitions, hints=None):
+    """The run a flush builds from ``partition key -> sorted rows``."""
+    memtable = Memtable()
+    for pk, rows in partitions.items():
+        memtable.upsert_many((pk, row) for row in rows)
+    return SSTable.from_memtable(memtable, hints=hints)
+
+
+def _rows(sst, pk):
+    """Every row a run stores for *pk*, dead ones included."""
+    return BlockView(sst.block, range(*sst.offsets[pk])).to_rows()
+
+
 class TestMemtable:
     def test_upsert_and_sorted_rows(self):
         mt = Memtable()
@@ -126,7 +139,7 @@ class TestMemtable:
         sst = SSTable.from_memtable(mt)
         assert calls == []
         assert sst.row_count == 20
-        assert not any(b.row_backed for b in sst.partitions.values())
+        assert not sst.block.row_backed
 
 
 class TestSSTable:
@@ -144,8 +157,8 @@ class TestSSTable:
 
     def test_rows_sorted_within_partition(self):
         sst = self._sstable(50)
-        for block in sst.partitions.values():
-            keys = [r.clustering for r in block.rows()]
+        for pk in sst.offsets:
+            keys = [r.clustering for r in _rows(sst, pk)]
             assert keys == sorted(keys)
 
     def test_bloom_no_false_negative(self):
@@ -155,7 +168,7 @@ class TestSSTable:
     def test_get_absent_partition(self):
         sst = self._sstable(10)
         assert sst.slice_partition_view("definitely-absent-partition") is None
-        assert sst.partitions.get("definitely-absent-partition") is None
+        assert sst.offsets.get("definitely-absent-partition") is None
 
     def test_generations_increase(self):
         a, b = self._sstable(5), self._sstable(5)
@@ -214,7 +227,7 @@ class TestMergeSSTables:
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
-        assert merged.partitions["pk"].rows()[0].value("v") == "new"
+        assert _rows(merged, "pk")[0].value("v") == "new"
 
     def test_union_of_partitions(self):
         mt1, mt2 = Memtable(), Memtable()
@@ -232,7 +245,7 @@ class TestMergeSSTables:
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
-        assert "pk" not in merged.partitions
+        assert "pk" not in merged.offsets
 
     def test_merge_order_independent(self):
         mt1, mt2 = Memtable(), Memtable()
@@ -240,7 +253,7 @@ class TestMergeSSTables:
         mt2.upsert("pk", Row.from_values((1.0, 0), {"v": "b"}, write_ts=3))
         s1, s2 = SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)
         assert (
-            merge_sstables([s1, s2]).partitions["pk"].rows()[0].value("v")
-            == merge_sstables([s2, s1]).partitions["pk"].rows()[0].value("v")
+            _rows(merge_sstables([s1, s2]), "pk")[0].value("v")
+            == _rows(merge_sstables([s2, s1]), "pk")[0].value("v")
             == "a"
         )

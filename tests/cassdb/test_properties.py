@@ -14,7 +14,6 @@ from repro.cassdb.row import ClusteringBound, Row
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import (
-    BlockHints,
     BlockView,
     ColumnBlock,
     column_lists,
@@ -28,7 +27,7 @@ from repro.cql import CQLSyntaxError
 from tests.oracle import eval_select
 from tests.oracle import row as row_oracle
 
-from .test_memtable_sstable import scan_partition
+from .test_memtable_sstable import flushed, scan_partition
 from .test_row_model import merged_rows, to_oracle, to_store
 
 keys = st.text(min_size=1, max_size=20)
@@ -444,7 +443,6 @@ class TestOneBlockShape:
                          clustering_key=("ts", "seq"))
     PK = {"hour": 7}
     COLUMNS = ["hour", "ts", "kind", "amount", "nowhere"]
-    HINTS = BlockHints(dict_columns=frozenset({"kind"}))
     AGGS = [("count", None), ("count", "amount"), ("sum", "amount"),
             ("min", "amount"), ("max", "amount"), ("avg", "amount")]
 
@@ -497,8 +495,12 @@ class TestOneBlockShape:
         want_groups = {
             key: list(eval_select(g, aggregates=self.AGGS)[0].values())
             for key, g in groups.items()}
-        for block in (ColumnBlock.from_rows(rows, self.HINTS),
-                      ColumnBlock.over_rows(rows)):
+        eager = ColumnBlock.from_rows(rows)
+        if n >= 8 and "kind" in eager.columns:
+            # At least 8 rows of at most 256 distinct strings: the coded
+            # kernels answer for the eager block.
+            assert eager.columns["kind"].codes is not None
+        for block in (eager, ColumnBlock.over_rows(rows)):
             whole = BlockView(block, order)
             assert whole.to_rows() == [rows[i] for i in picked]
             assert block.n_dead == sum(d is None for _, d in pairs)
@@ -556,15 +558,15 @@ class TestOneMerge:
     @given(runs=sorted_runs())
     def test_compaction_and_merge_match_the_oracle_fold(self, runs):
         every, live = self._oracle_fold(runs)
-        tables = [SSTable({"pk": ColumnBlock.from_rows(
-                      list(map(to_store, run)))} if run else {})
-                  for run in runs]
+        tables = [flushed({"pk": list(map(to_store, run))}) for run in runs]
         for ordered in (tables, tables[::-1]):
-            compacted = merge_sstables(ordered).partitions.get("pk")
-            assert [to_oracle(row) for row in
-                    (compacted.rows() if compacted else [])] == live
-            views = [BlockView(block) for table in ordered
-                     if (block := table.partitions.get("pk")) is not None]
+            compacted = merge_sstables(ordered)
+            span = compacted.offsets.get("pk")
+            assert [to_oracle(row) for row in (
+                BlockView(compacted.block, range(*span)).to_rows()
+                if span else [])] == live
+            views = [BlockView(table.block, range(*span)) for table in ordered
+                     if (span := table.offsets.get("pk")) is not None]
             assert [to_oracle(row) for row in merge_views(views)] == live
             assert [to_oracle(row) for row in
                     merge_views(views, keep_dead=True)] == every
@@ -588,8 +590,7 @@ class TestOneMerge:
                 memtable.upsert_many(("pk", row) for row in stored[::-1])
                 view, _ = memtable.slice_partition_view("pk")
             elif shape == "run":
-                view, _ = SSTable({"pk": ColumnBlock.from_rows(stored)}
-                                  ).slice_partition_view("pk")
+                view, _ = flushed({"pk": stored}).slice_partition_view("pk")
             else:
                 view = BlockView(ColumnBlock.over_rows(stored))
             sources.append(view)

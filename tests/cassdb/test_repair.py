@@ -19,7 +19,7 @@ class TestAntiEntropyRepair:
         store = cluster.nodes[victim].tables["t"]
         store.memtable.partitions.pop(pk, None)
         for sst in store.sstables:
-            sst.partitions.pop(pk, None)
+            sst.offsets.pop(pk, None)
         return cluster, pk, victim
 
     def test_repair_detects_and_fixes_divergence(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.cassdb import Cluster, TableSchema
 from repro.cassdb.row import Row, merge_rows
 from repro.cassdb.storage import TableStore
-from repro.cassdb.vector import ColumnBlock
+from repro.cassdb.vector import BlockView, ColumnBlock
 
 from tests.oracle import row as oracle
 
@@ -125,7 +125,7 @@ class TestBlockRoundTrip:
     def test_rows_come_back_exactly(self, rows):
         rows = [to_store(r) for r in rows]
         block = ColumnBlock.from_rows(rows)
-        back = block.rows()
+        back = BlockView(block).to_rows()
         assert back == rows
         assert [spelled(r) for r in back] == [spelled(r) for r in rows]
         assert [block.row_at(i).is_live for i in range(block.n)] == [

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
-from repro.cassdb.sstable import SSTable
 from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
+
+from .test_memtable_sstable import flushed
 
 
 def _view(rows):
@@ -15,6 +16,7 @@ def _view(rows):
 
 def _row(ts, seq=0, write_ts=1, **cols):
     return Row.from_values((ts, seq), cols or {"v": ts}, write_ts=write_ts)
+
 
 
 class TestWritePath:
@@ -278,8 +280,7 @@ class TestBoundedMemtableRead:
 class TestSparseIndexAndMerge:
     def test_sparse_index_built_for_large_partitions(self):
         rows = [_row(float(i), seq=i) for i in range(200)]
-        sst = SSTable({"big": ColumnBlock.from_rows(rows),
-                       "small": ColumnBlock.from_rows(rows[:10])})
+        sst = flushed({"big": rows, "small": rows[:10]})
         assert "big" in sst.index
         assert "small" not in sst.index
         assert len(sst.index["big"]) == (200 + sst.index_interval - 1) // \
@@ -288,7 +289,10 @@ class TestSparseIndexAndMerge:
     def test_slice_bounds_with_and_without_samples_agree(self):
         rows = [_row(float(i // 3), seq=i) for i in range(500)]
         keys = [r.clustering for r in rows]
-        sst = SSTable({"pk": ColumnBlock.from_rows(rows)})
+        # A partition ahead of it in the run: "pk"'s stretch starts at 37.
+        sst = flushed({"a": rows[:37], "pk": rows})
+        start, stop = sst.offsets["pk"]
+        assert start == 37
         for lo_v, hi_v, lo_inc, hi_inc in [
             (10.0, 50.0, True, True), (0.0, 0.0, True, True),
             (42.0, 43.0, False, False), (165.0, 900.0, True, True),
@@ -297,10 +301,11 @@ class TestSparseIndexAndMerge:
             lower = ClusteringBound((lo_v,), lo_inc)
             upper = ClusteringBound((hi_v,), hi_inc)
             plain = slice_bounds_keys(keys, lower, upper)
-            indexed = slice_bounds_keys(keys, lower, upper,
+            indexed = slice_bounds_keys(sst.block.clustering, lower, upper,
+                                        start=start, stop=stop,
                                         samples=sst.index["pk"],
                                         interval=sst.index_interval)
-            assert plain == indexed
+            assert (plain[0] + start, plain[1] + start) == indexed
 
     def test_merge_row_slices_reconciles_and_orders(self):
         a = [Row.from_values((float(i), 0), {"v": "a"}, write_ts=1)

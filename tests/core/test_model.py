@@ -1,5 +1,6 @@
 """Tests for the eight-table data model."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -298,3 +299,25 @@ class TestWriteEventsFlexibility:
         assert rows[0]["amount"] == 2
         assert rows[0]["msg"] == "payload text"
         assert "bank" in rows[0]["attrs"]
+
+    def test_attrs_stored_as_sorted_key_json(self):
+        """The stored ``attrs`` string is byte-identical to
+        ``json.dumps(attrs, sort_keys=True)``: nested, non-ASCII, int
+        and float values alike."""
+        cluster = Cluster(2)
+        model = LogDataModel(cluster)
+        model.create_tables()
+        cases = [
+            {"z": 1, "a": {"y": [1, 2.5, None], "b": True}},
+            {"node": "c0-0c0s0n0", "msg": "températur€ 温度"},
+            {"bank": 4, "addr": -17, "big": 2**70},
+            {"rate": 0.1, "temp": 1e-300, "neg": -2.5},
+        ]
+        events = [ParsedEvent(ts=10.0 + i, type="MCE", component="c0-0c0s0n0",
+                              source=LogSource.CONSOLE, amount=1,
+                              attrs=attrs, raw="x")
+                  for i, attrs in enumerate(cases)]
+        assert model.write_events(events) == len(cases)
+        rows = cluster.select_partition("event_by_time", (0, "MCE"))
+        assert [r["attrs"] for r in rows] == [
+            json.dumps(attrs, sort_keys=True) for attrs in cases]
