@@ -8,15 +8,12 @@ in for the OLCF's Kafka/OpenShift deployment in the paper's
 streaming-ingest path (§III-D).
 """
 
-from .broker import MessageBus, Record, Topic
-from .consumer import Consumer, ConsumerGroup
+from .broker import MessageBus
+from .consumer import ConsumerGroup
 from .producer import Producer
 
 __all__ = [
-    "Consumer",
     "ConsumerGroup",
     "MessageBus",
     "Producer",
-    "Record",
-    "Topic",
 ]

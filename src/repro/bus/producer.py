@@ -25,11 +25,11 @@ class Producer:
         self.sent = 0
 
     def send(self, value: Any, *, key: str | None = None,
-             timestamp: float = 0.0, topic: str | None = None) -> Record:
+             timestamp: float = 0.0) -> Record:
         """Publish one message; keyed messages preserve per-key order."""
-        target = topic or self.default_topic
-        if target is None:
-            raise ValueError("no topic given and no default_topic set")
-        record = self.bus.publish(target, value, key=key, timestamp=timestamp)
+        if self.default_topic is None:
+            raise ValueError("no default_topic set")
+        record = self.bus.publish(self.default_topic, value, key=key,
+                                  timestamp=timestamp)
         self.sent += 1
         return record

@@ -22,47 +22,19 @@ Quick use::
     rows = cluster.select_partition("event_by_time", (1, "MCE"))
 """
 
-from .bloom import BloomFilter
 from .cluster import Cluster, Consistency
-from .errors import (
-    BatchUnavailableError,
-    BatchWriteTimeoutError,
-    CassDBError,
-    InvalidQueryError,
-    NodeDownError,
-    ReadTimeoutError,
-    SchemaError,
-    UnavailableError,
-    WriteTimeoutError,
-)
-from .hashring import HashRing, token_for_key
+from .errors import CassDBError
 from .query import Session
-from .resilience import BreakerState, CircuitBreaker, RetryPolicy
-from .row import ClusteringBound, Row, merge_rows
-from .schema import Keyspace, TableSchema
+from .resilience import RetryPolicy
+from .row import ClusteringBound
+from .schema import TableSchema
 
 __all__ = [
-    "BatchUnavailableError",
-    "BatchWriteTimeoutError",
-    "BloomFilter",
-    "BreakerState",
     "CassDBError",
-    "CircuitBreaker",
     "Cluster",
     "ClusteringBound",
     "Consistency",
-    "HashRing",
-    "InvalidQueryError",
-    "Keyspace",
-    "NodeDownError",
-    "ReadTimeoutError",
     "RetryPolicy",
-    "Row",
-    "SchemaError",
     "Session",
     "TableSchema",
-    "UnavailableError",
-    "WriteTimeoutError",
-    "merge_rows",
-    "token_for_key",
 ]

@@ -165,7 +165,7 @@ class Cluster:
         self._write_locks = tuple(
             threading.RLock() for _ in range(DEFAULT_WRITE_STRIPES)
         )
-        # Aggregate coordinator counters (S1 bench reads these).
+        # Aggregate coordinator counters (bench_fig2 reads these).
         self.coordinator_writes = 0
         self.coordinator_reads = 0
         self.hinted_writes = 0
@@ -379,14 +379,12 @@ class Cluster:
         table: str,
         values: Mapping[str, Any],
         consistency: Consistency = Consistency.ONE,
-        write_ts: int | None = None,
     ) -> None:
         """Insert/upsert one row (CQL ``INSERT`` semantics: always upsert)."""
         schema = self.schema(table)
         # Key columns are stored positionally (in the partition key string
         # and clustering tuple); only regular columns become cells.
-        ts = self.next_write_ts() if write_ts is None else write_ts
-        pk, row = schema.row_builder(values, ts)
+        pk, row = schema.row_builder(values, self.next_write_ts())
         self._replicated_write(table, pk, row, consistency)
 
     def insert_many(

@@ -65,7 +65,6 @@ class StorageNode:
         # creation; the cluster wires this to the keyspace so schema
         # knobs reach the storage layer.
         self._hints_provider = hints_provider
-        self._flush_hook: Callable[[], None] | None = None
         self.tables: dict[str, TableStore] = {}
         self.hints: list[Hint] = []  # hinted handoff buffer (held as coordinator)
 
@@ -113,15 +112,7 @@ class StorageNode:
                 max_sstables=self._max_sstables,
                 hints=hints,
             )
-            store.flush_hook = self._flush_hook
         return store
-
-    def set_flush_hook(self, hook: Callable[[], None] | None) -> None:
-        """Install (or clear) a pre-flush hook on every store of this
-        node, present and future — the chaos gate's slow-flush fault."""
-        self._flush_hook = hook
-        for store in self.tables.values():
-            store.flush_hook = hook
 
     # -- replica-local operations -----------------------------------------
 

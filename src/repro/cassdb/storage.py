@@ -87,9 +87,9 @@ class TableStore:
     # coordinator's parallel replica reads; flush/compaction merge work
     # happens outside it, on sealed snapshots.
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-    # Chaos injection point: called (outside the lock) before an SSTable
-    # build, so a fault plan can make this node's flushes slow.  None —
-    # the permanent default — costs one attribute check per flush.
+    # Called (outside the lock) once a memtable is sealed and before its
+    # SSTable build, so a caller can act while the build is in flight.
+    # None — the permanent default — costs one attribute check per flush.
     flush_hook: "Callable[[], None] | None" = field(default=None, repr=False)
 
     # -- write path -----------------------------------------------------

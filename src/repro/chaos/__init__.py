@@ -2,10 +2,10 @@
 
 Chaos engineering for the in-process reproduction: a seeded
 :class:`FaultPlan` schedules node crashes, replica flap, slow reads,
-slow flushes, bus drops/duplicates, task failures and server errors; a
-:class:`FaultGate` arms the plan against live components (which all
-carry a ``chaos_gate = None`` attribute, so an unarmed system pays one
-attribute check per operation); and :class:`ScenarioRunner` drives
+bus drops/duplicates and task failures; a :class:`FaultGate` arms the
+plan against a cluster, bus and worker pool (which all carry a
+``chaos_gate = None`` attribute, so an unarmed system pays one
+attribute check per operation); and the scenario runner drives
 canned workloads through fault schedules while checking the resilience
 invariants (no acked QUORUM write lost, hint replay converges, streams
 lose nothing across drop windows, jobs finish despite failing workers).
@@ -21,29 +21,14 @@ Everything is reproducible: the same seed and workload produce the same
 injected faults, the same retries and the same report, byte for byte.
 """
 
-from .gate import FaultGate, FaultInjected
-from .plan import (
-    BusFaults,
-    CrashWindow,
-    FaultPlan,
-    FlapSpec,
-    LatencySpec,
-    ServerFaults,
-    TaskFaults,
-)
-from .scenarios import SCENARIOS, ScenarioRunner, run_scenarios
+from .gate import FaultGate
+from .plan import FaultPlan, FlapSpec
+from .scenarios import SCENARIOS, run_scenarios
 
 __all__ = [
-    "BusFaults",
-    "CrashWindow",
     "FaultGate",
-    "FaultInjected",
     "FaultPlan",
     "FlapSpec",
-    "LatencySpec",
     "SCENARIOS",
-    "ScenarioRunner",
-    "ServerFaults",
-    "TaskFaults",
     "run_scenarios",
 ]

@@ -3,8 +3,8 @@
 Every hookable component carries a ``chaos_gate`` attribute that is
 ``None`` by default — the hook costs one attribute check when no plan
 is armed, and the production code paths are otherwise untouched.
-:meth:`FaultGate.arm` installs the gate on a cluster, bus, worker pool
-and/or server; :meth:`FaultGate.disarm` restores every ``None``.
+:meth:`FaultGate.arm` installs the gate on a cluster, bus and/or worker
+pool; :meth:`FaultGate.disarm` restores every ``None``.
 
 Determinism contract: every injection decision is a pure function of
 ``(plan.seed, a stable content key, a per-key sequence number)`` via
@@ -36,7 +36,6 @@ _M_RECOVERIES = obs.get_registry().counter("chaos.recoveries")
 _M_BUS_DROPS = obs.get_registry().counter("chaos.bus_drops")
 _M_BUS_DUPS = obs.get_registry().counter("chaos.bus_duplicates")
 _M_TASK_FAILURES = obs.get_registry().counter("chaos.task_failures")
-_M_SERVER_ERRORS = obs.get_registry().counter("chaos.server_errors")
 
 # Crash-window lifecycle states.
 _PENDING, _DOWN, _RECOVERED = 0, 1, 2
@@ -55,7 +54,6 @@ class FaultGate:
         self.op = 0  # logical clock: coordinator operations observed
         self._crash_state = [_PENDING] * len(plan.crashes)
         self._latency = {s.node: s.delay_ms for s in plan.latency}
-        self._slow_flush = dict(plan.slow_flush_ms)
         self._flap_offsets: dict[str, int] = {}
         if plan.flap is not None:
             for node in plan.flap.nodes:
@@ -71,7 +69,6 @@ class FaultGate:
         # call pattern is itself deterministic).
         self.injected: dict[str, int] = {}
         self._armed: list[tuple[str, object]] = []
-        self._hooked_nodes: list[object] = []
 
     # -- deterministic decisions -------------------------------------------
 
@@ -151,16 +148,6 @@ class FaultGate:
             self._inject("latency_stalls")
             time.sleep(delay / 1000.0)
 
-    def _flush_hook_for(self, node_id: str):
-        delay = self._slow_flush.get(node_id, 0.0)
-
-        def hook() -> None:
-            self._inject("slow_flushes")
-            if delay:
-                time.sleep(delay / 1000.0)
-
-        return hook
-
     # -- bus hooks ----------------------------------------------------------
 
     def _bus_topic_applies(self, topic: str) -> bool:
@@ -207,44 +194,19 @@ class FaultGate:
                 f"partition={partition}, attempt={n})"
             )
 
-    # -- server hook --------------------------------------------------------
-
-    def on_request(self, op_name: str) -> None:
-        server = self.plan.server
-        if server is None:
-            return
-        if server.ops is not None and op_name not in server.ops:
-            return
-        if server.delay_ms:
-            self._inject("server_stalls")
-            time.sleep(server.delay_ms / 1000.0)
-        n = self._next_seq(("req", op_name))
-        if self._chance(f"req:{op_name}:{n}", server.error_rate):
-            self._inject("server_errors", _M_SERVER_ERRORS)
-            raise FaultInjected(f"injected server error (op={op_name})")
-
     # -- arming -------------------------------------------------------------
 
-    def arm(self, *, cluster=None, bus=None, pool=None, server=None
-            ) -> "FaultGate":
+    def arm(self, *, cluster=None, bus=None, pool=None) -> "FaultGate":
         """Install this gate on the given components (returns self)."""
         if cluster is not None:
             cluster.chaos_gate = self
             self._armed.append(("chaos_gate", cluster))
-            for node_id in self._slow_flush:
-                node = cluster.nodes.get(node_id)
-                if node is not None:
-                    node.set_flush_hook(self._flush_hook_for(node_id))
-                    self._hooked_nodes.append(node)
         if bus is not None:
             bus.chaos_gate = self
             self._armed.append(("chaos_gate", bus))
         if pool is not None:
             pool.chaos_gate = self
             self._armed.append(("chaos_gate", pool))
-        if server is not None:
-            server.chaos_gate = self
-            self._armed.append(("chaos_gate", server))
         return self
 
     def disarm(self) -> None:
@@ -252,9 +214,6 @@ class FaultGate:
         for attr, target in self._armed:
             setattr(target, attr, None)
         self._armed.clear()
-        for node in self._hooked_nodes:
-            node.set_flush_hook(None)
-        self._hooked_nodes.clear()
 
     def __enter__(self) -> "FaultGate":
         return self

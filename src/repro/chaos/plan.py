@@ -5,7 +5,7 @@ the simulated system.  Time is **logical**: crash windows and flap
 phases are indexed by the coordinator's operation count, not the wall
 clock, so the same plan against the same workload injects the same
 faults at the same points on every run, on any machine.  Probabilistic
-faults (bus drops/duplicates, task failures, server errors) are decided
+faults (bus drops/duplicates, task failures) are decided
 by hashing ``(seed, stable key, sequence number)`` with CRC32 — never
 by ``random`` state shared with the system under test, and never by
 Python's per-process-salted ``hash()``.
@@ -16,7 +16,7 @@ against live components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "CrashWindow",
@@ -24,7 +24,6 @@ __all__ = [
     "LatencySpec",
     "BusFaults",
     "TaskFaults",
-    "ServerFaults",
     "FaultPlan",
 ]
 
@@ -112,16 +111,6 @@ class TaskFaults:
 
 
 @dataclass(frozen=True)
-class ServerFaults:
-    """Analytics-server request faults: injected errors and/or added
-    latency, optionally restricted to specific ops."""
-
-    error_rate: float = 0.0
-    delay_ms: float = 0.0
-    ops: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A complete, seeded fault schedule across every layer."""
 
@@ -129,11 +118,8 @@ class FaultPlan:
     crashes: tuple[CrashWindow, ...] = ()
     flap: FlapSpec | None = None
     latency: tuple[LatencySpec, ...] = ()
-    # (node_id, delay_ms) pairs: memtable flushes on these nodes stall.
-    slow_flush_ms: tuple[tuple[str, float], ...] = ()
     bus: BusFaults | None = None
     tasks: TaskFaults | None = None
-    server: ServerFaults | None = None
 
     def describe(self) -> dict:
         """JSON-friendly summary (CLI/report output; deterministic)."""
@@ -155,8 +141,6 @@ class FaultPlan:
             out["latency"] = [
                 {"node": s.node, "delay_ms": s.delay_ms} for s in self.latency
             ]
-        if self.slow_flush_ms:
-            out["slow_flush_ms"] = [list(p) for p in self.slow_flush_ms]
         if self.bus is not None:
             out["bus"] = {"drop_rate": self.bus.drop_rate,
                           "dup_rate": self.bus.dup_rate,
@@ -164,8 +148,4 @@ class FaultPlan:
         if self.tasks is not None:
             out["tasks"] = {"fail_rate": self.tasks.fail_rate,
                             "workers": list(self.tasks.workers or ())}
-        if self.server is not None:
-            out["server"] = {"error_rate": self.server.error_rate,
-                             "delay_ms": self.server.delay_ms,
-                             "ops": list(self.server.ops or ())}
         return out

@@ -207,11 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand(paths: Sequence[str]) -> list[str]:
+def _log_paths(args) -> list[str] | None:
+    """The files ``args.logs`` names, globs expanded; None, after one
+    line on stderr, when a name matches no file."""
     out: list[str] = []
-    for pattern in paths:
+    for pattern in args.logs:
         matches = sorted(glob.glob(pattern))
-        out.extend(matches if matches else [pattern])
+        if not matches:
+            print(f"{pattern}: no such log file", file=sys.stderr)
+            return None
+        out.extend(matches)
     return out
 
 
@@ -266,9 +271,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    paths = _log_paths(args)
+    if paths is None:
+        return 2
     fw = _framework(args)
-    stats = fw.ingest_batch(_expand(args.logs),
-                            coalesce_seconds=args.coalesce or None)
+    stats = fw.ingest_batch(paths, coalesce_seconds=args.coalesce or None)
     print(f"lines:     {stats.lines}")
     print(f"parsed:    {stats.parsed}")
     print(f"unparsed:  {stats.unparsed}")
@@ -285,8 +292,11 @@ def _data_horizon(fw, t0: float) -> float:
 
 
 def _cmd_analyze(args) -> int:
+    paths = _log_paths(args)
+    if paths is None:
+        return 2
     fw = _framework(args)
-    fw.ingest_batch(_expand(args.logs), coalesce_seconds=None)
+    fw.ingest_batch(paths, coalesce_seconds=None)
     t1 = args.t1
     if t1 is None:
         t1 = _data_horizon(fw, args.t0)
@@ -337,8 +347,11 @@ def _cmd_metrics(args) -> int:
     from repro import obs
     from repro.core import AnalyticsServer
 
+    paths = _log_paths(args)
+    if paths is None:
+        return 2
     fw = _framework(args)
-    fw.ingest_batch(_expand(args.logs), coalesce_seconds=None)
+    fw.ingest_batch(paths, coalesce_seconds=None)
     slow_log = obs.SlowQueryLog(threshold_ms=args.slow_ms)
     server = AnalyticsServer(fw, slow_log=slow_log)
     ctx = fw.context(0.0, _data_horizon(fw, 0.0),

@@ -45,6 +45,10 @@ __all__ = [
     "te_matrix",
 ]
 
+# The surrogate shifts of :func:`te_significance` are seeded, so a
+# p-value is reproducible.
+SHUFFLE_SEED = 7
+
 
 def _bin_counts(ts: np.ndarray, amounts: np.ndarray, t0: float, t1: float,
                 bin_seconds: float) -> np.ndarray:
@@ -161,8 +165,7 @@ def transfer_entropy(x: Sequence[float], y: Sequence[float],
 
 
 def te_significance(x: Sequence[float], y: Sequence[float], *,
-                    levels: int = 2, n_shuffles: int = 200,
-                    seed: int = 7) -> float:
+                    n_shuffles: int = 200) -> float:
     """Permutation p-value for TE(X→Y): fraction of circularly-shifted
     surrogates of X with TE at least the observed value.
 
@@ -170,12 +173,12 @@ def te_significance(x: Sequence[float], y: Sequence[float], *,
     alignment with Y — the standard surrogate for event streams.
     """
     x = np.asarray(x)
-    observed = transfer_entropy(x, y, levels)
-    rng = np.random.default_rng(seed)
+    observed = transfer_entropy(x, y)
+    rng = np.random.default_rng(SHUFFLE_SEED)
     hits = 0
     for _ in range(n_shuffles):
         shift = int(rng.integers(1, max(2, x.size - 1)))
-        if transfer_entropy(np.roll(x, shift), y, levels) >= observed:
+        if transfer_entropy(np.roll(x, shift), y) >= observed:
             hits += 1
     return (hits + 1) / (n_shuffles + 1)
 
@@ -199,7 +202,7 @@ class TransferEntropyResult:
 
 def te_pair(model: "LogDataModel", context: "Context",
             source_type: str, target_type: str, *,
-            bin_seconds: float = 60.0, levels: int = 2,
+            bin_seconds: float = 60.0,
             n_shuffles: int = 200) -> TransferEntropyResult:
     """Fig 7 (top): TE between two event types within a context window."""
     sx = context_series(model, context.with_event_types(source_type),
@@ -209,17 +212,16 @@ def te_pair(model: "LogDataModel", context: "Context",
     return TransferEntropyResult(
         source_type=source_type,
         target_type=target_type,
-        te_forward=transfer_entropy(sx, sy, levels),
-        te_reverse=transfer_entropy(sy, sx, levels),
-        p_value=te_significance(sx, sy, levels=levels,
-                                n_shuffles=n_shuffles),
+        te_forward=transfer_entropy(sx, sy),
+        te_reverse=transfer_entropy(sy, sx),
+        p_value=te_significance(sx, sy, n_shuffles=n_shuffles),
         bins=sx.size,
     )
 
 
 def te_matrix(model: "LogDataModel", context: "Context",
-              types: Sequence[str], *, bin_seconds: float = 60.0,
-              levels: int = 2) -> np.ndarray:
+              types: Sequence[str], *, bin_seconds: float = 60.0
+              ) -> np.ndarray:
     """Pairwise TE(row → column) between event types (no significance)."""
     series = [
         context_series(model, context.with_event_types(t), bin_seconds)
@@ -230,5 +232,5 @@ def te_matrix(model: "LogDataModel", context: "Context",
     for i in range(n):
         for j in range(n):
             if i != j:
-                out[i, j] = transfer_entropy(series[i], series[j], levels)
+                out[i, j] = transfer_entropy(series[i], series[j])
     return out

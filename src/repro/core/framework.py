@@ -27,11 +27,11 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cassdb import Cluster, Consistency, Session
+from repro.cassdb import Cluster, Session
 from repro.genlog.jobs import ApplicationRun
 from repro.ingest import IngestStats, StreamingIngestor, batch_ingest
 from repro.sparklet import SparkletContext
-from repro.titan.events import EventRegistry, default_registry
+from repro.titan.events import default_registry
 from repro.titan.topology import TitanTopology
 
 from . import analytics, correlation, mining, prediction, profiles, textmining
@@ -77,11 +77,11 @@ class LogAnalyticsFramework:
     db_nodes:
         Cassandra-model cluster size (the paper's CADES deployment used
         32 VMs).
-    replication_factor / vnodes / consistency:
-        Backend tuning.
-    placement:
-        sparklet task placement policy (``"locality"`` reproduces the
-        paper's co-located layout).
+    replication_factor:
+        Replicas per row (capped at *db_nodes*).
+
+    Reads run at consistency ONE, and sparklet places tasks by
+    locality: the paper's co-located layout.
     """
 
     def __init__(
@@ -90,26 +90,17 @@ class LogAnalyticsFramework:
         *,
         db_nodes: int = 4,
         replication_factor: int = 2,
-        vnodes: int = 64,
-        registry: EventRegistry | None = None,
-        placement: str = "locality",
-        consistency: Consistency = Consistency.ONE,
-        flush_threshold: int = 50_000,
     ):
         self.topology = topology or TitanTopology(rows=2, cols=2)
-        self.registry = registry or default_registry()
+        self.registry = default_registry()
         self.cluster = Cluster(
-            db_nodes,
-            replication_factor=min(replication_factor, db_nodes),
-            vnodes=vnodes,
-            flush_threshold=flush_threshold,
-        )
+            db_nodes, replication_factor=min(replication_factor, db_nodes))
         self.model = LogDataModel(self.cluster)
-        self.sc = SparkletContext(cluster=self.cluster, placement=placement)
+        self.sc = SparkletContext(cluster=self.cluster)
         # The session gets the sparklet context so unrouted aggregate
         # queries compile to DAG jobs (the paper's query split: simple
         # queries to the store, complex ones to the big-data engine).
-        self.session = Session(self.cluster, consistency, sparklet=self.sc)
+        self.session = Session(self.cluster, sparklet=self.sc)
         self.system_map = PhysicalSystemMap(self.topology)
         self._ready = False
 
@@ -157,20 +148,13 @@ class LogAnalyticsFramework:
         return batch_ingest(self.sc, paths, self.model,
                             coalesce_seconds=coalesce_seconds)
 
-    def streaming_ingestor(self, bus, topic: str, *,
-                           batch_interval: float = 1.0,
-                           group_id: str = "analytics-ingest"
-                           ) -> StreamingIngestor:
-        """Attach a streaming ingest pipeline to a message bus topic."""
+    def streaming_ingestor(self, bus, topic: str) -> StreamingIngestor:
+        """Attach a streaming ingest pipeline (1 s micro-batches) to a
+        message bus topic."""
         self._check_ready()
-        return StreamingIngestor(
-            bus, topic, self.model, self.sc,
-            batch_interval=batch_interval, group_id=group_id,
-        )
+        return StreamingIngestor(bus, topic, self.model, self.sc)
 
-    def telemetry_pipeline(self, bus, *, topic: str | None = None,
-                           interval_s: float = 1.0,
-                           registry=None, tracer=None,
+    def telemetry_pipeline(self, bus, *, interval_s: float = 1.0,
                            group_id: str = "telemetry-ingest",
                            profiler=None):
         """Attach the self-ingestion loop: this framework's own metrics,
@@ -178,37 +162,28 @@ class LogAnalyticsFramework:
         is passed, flame-table sample deltas — exported to *bus* and
         streamed back into its cluster (``metrics_by_time`` /
         ``spans_by_time`` / ``profiles_by_time``)."""
-        from repro.obs.export import TELEMETRY_TOPIC, TelemetryPipeline
+        from repro.obs.export import TelemetryPipeline
 
         self._check_ready()
         return TelemetryPipeline(
             bus, self.cluster, self.sc,
-            registry=registry, tracer=tracer,
-            topic=TELEMETRY_TOPIC if topic is None else topic,
-            interval_s=interval_s, group_id=group_id,
-            profiler=profiler,
+            interval_s=interval_s, group_id=group_id, profiler=profiler,
         )
 
-    def attach_detection(self, ingestor: StreamingIngestor, bus, *,
-                         topic: str | None = None, detectors=None,
-                         group_id: str = "alert-ingest"):
+    def attach_detection(self, ingestor: StreamingIngestor, bus):
         """Attach the anomaly-detection workload (``repro.detect``) to a
         streaming ingestor: a :class:`~repro.detect.DetectionEngine`
         subscribing to its coalesced micro-batches, publishing alerts to
         *bus*, and an alert ingestor landing them in this cluster's
         ``alerts_by_time`` table.  Returns the composed
         :class:`~repro.detect.DetectionPipeline`."""
-        from repro.detect import ALERTS_TOPIC, DetectionEngine, \
-            DetectionPipeline
+        from repro.detect import DetectionEngine, DetectionPipeline
 
         self._check_ready()
-        topic = ALERTS_TOPIC if topic is None else topic
         engine = DetectionEngine(
-            self.topology, bus, topic=topic, detectors=detectors,
-            interval=ingestor.ssc.batch_interval,
+            self.topology, bus, interval=ingestor.ssc.batch_interval,
         ).attach(ingestor)
-        return DetectionPipeline(engine, bus, self.cluster, self.sc,
-                                 topic=topic, group_id=group_id)
+        return DetectionPipeline(engine, bus, self.cluster, self.sc)
 
     @_traced
     def refresh_synopsis(self) -> int:

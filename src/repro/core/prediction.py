@@ -43,6 +43,10 @@ __all__ = [
 
 FATAL_TYPES = ("KERNEL_PANIC", "HEARTBEAT_FAULT", "DRAM_UE", "GPU_DBE",
                "GPU_OFF_BUS", "LBUG")
+# A mined rule must clear both: P(target within window | precursor),
+# and that precision over the target's base rate.
+MIN_PRECISION = 0.2
+MIN_LIFT = 5.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,25 +82,20 @@ def mine_precursors(
     model: "LogDataModel",
     context: "Context",
     *,
-    candidate_types: Sequence[str] | None = None,
-    target_types: Sequence[str] = FATAL_TYPES,
     lead_window: float = 120.0,
     min_support: int = 3,
-    min_precision: float = 0.2,
-    min_lift: float = 5.0,
 ) -> list[PrecursorRule]:
     """Mine (precursor → fatal) rules from a historical window."""
     if lead_window <= 0:
         raise ValueError("lead_window must be positive")
     events = context.events(model)
     duration = context.duration
-    if candidate_types is None:
-        # A fatal event may itself herald another (DRAM_UE precedes the
-        # panic it causes), so fatal types stay eligible as precursors;
-        # only the target itself is excluded (below).
-        candidate_types = sorted({e["type"] for e in events})
+    # A fatal event may itself herald another (DRAM_UE precedes the
+    # panic it causes), so fatal types stay eligible as precursors;
+    # only the target itself is excluded (below).
+    candidate_types = sorted({e["type"] for e in events})
     rules: list[PrecursorRule] = []
-    for target in target_types:
+    for target in FATAL_TYPES:
         target_times = _events_by_component(events, target)
         n_targets = sum(len(v) for v in target_times.values())
         if n_targets == 0:
@@ -124,7 +123,7 @@ def mine_precursors(
                 continue
             precision = hits / total
             lift = precision / max(base, 1e-12)
-            if precision >= min_precision and lift >= min_lift:
+            if precision >= MIN_PRECISION and lift >= MIN_LIFT:
                 rules.append(PrecursorRule(
                     precursor=cand, target=target,
                     lead_window=lead_window, support=hits,
@@ -204,7 +203,6 @@ class PredictionScore:
 def evaluate_predictor(
     predictor: PrecursorPredictor,
     events: Sequence[dict],
-    target_types: Sequence[str] = FATAL_TYPES,
 ) -> PredictionScore:
     """Replay *events* (time-ordered rows) and score the predictor.
 
@@ -224,7 +222,7 @@ def evaluate_predictor(
     useful: set[int] = set()
     predicted_types = {r.target for r in predictor.rules}
     for event in ordered:
-        if event["type"] not in target_types:
+        if event["type"] not in FATAL_TYPES:
             continue
         if event["type"] not in predicted_types:
             continue  # no rule could have fired: out of model scope

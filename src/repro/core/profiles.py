@@ -25,6 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ApplicationProfile", "build_profiles", "RunAnomaly", "score_run"]
 
+# A run's event count is anomalous at a Poisson tail of 10^-3 or less.
+MAX_LOG10_P = -3.0
+
 
 @dataclass
 class ApplicationProfile:
@@ -118,8 +121,7 @@ def _poisson_tail_log10(observed: int, expected: float) -> float:
 
 def score_run(model: "LogDataModel", run: dict,
               profile: ApplicationProfile, *,
-              min_observed: int = 3, max_log10_p: float = -3.0
-              ) -> list[RunAnomaly]:
+              min_observed: int = 3) -> list[RunAnomaly]:
     """Flag event types whose count in *run* is anomalously high
     relative to the app's profiled per-node-hour rates."""
     node_hours = run["num_nodes"] * (run["end"] - run["start"]) / 3600.0
@@ -134,7 +136,7 @@ def score_run(model: "LogDataModel", run: dict,
             continue
         expected = profile.rate(event_type) * node_hours
         log_p = _poisson_tail_log10(observed, expected)
-        if log_p <= max_log10_p:
+        if log_p <= MAX_LOG10_P:
             anomalies.append(RunAnomaly(
                 apid=run["apid"], app=run["app"], event_type=event_type,
                 observed=observed, expected=expected, log10_p=log_p,

@@ -157,9 +157,6 @@ class AnalyticsServer:
         )
         self.requests_served = 0
         self.errors = 0
-        # Chaos injection point (repro.chaos FaultGate); None — the
-        # permanent default — costs one attribute check per request.
-        self.chaos_gate = None
         self._latency_window = latency_window
         # (op, outcome) -> bounded Histogram; every request is timed,
         # failures included, tagged by outcome.  Private to this server
@@ -213,11 +210,6 @@ class AnalyticsServer:
                 entry = _OPS.get(op) if isinstance(op, str) else None
                 if entry is None:
                     raise ValueError(f"unknown op: {op!r}")
-                gate = self.chaos_gate
-                if gate is not None:
-                    # May stall or raise FaultInjected — which flows
-                    # through the normal error-response path below.
-                    gate.on_request(op_name)
                 handler, offload = entry
                 if offload:
                     # The big-data unit's work leaves the event loop free
@@ -307,6 +299,22 @@ class AnalyticsServer:
                 f"{request['op']}: '{field}' must be a non-negative integer")
         return value
 
+    @staticmethod
+    def _number(request: dict[str, Any], field: str, value: Any, *,
+                integer: bool = False) -> Any:
+        """*value* of the numeric *field*: a number (an ``int`` when
+        *integer*), else a typed error naming the field — a bool, a
+        string, a list or a fractional hour is not silently coerced."""
+        if integer:
+            ok = type(value) is int  # bool subclasses int
+        else:
+            ok = (isinstance(value, (int, float))
+                  and not isinstance(value, bool))
+        if not ok:
+            kind = "an integer" if integer else "a number"
+            raise ValueError(f"{request['op']}: '{field}' must be {kind}")
+        return value
+
     def _statement(self, request: dict[str, Any]) -> str:
         """The required CQL ``statement``: a string, else a typed error
         naming the field."""
@@ -351,8 +359,9 @@ class AnalyticsServer:
 
     @_op
     def _op_synopsis(self, request):
+        hour = self._require(request, "hour")
         return self.framework.model.synopsis_for_hour(
-            int(self._require(request, "hour")))
+            self._number(request, "hour", hour, integer=True))
 
     @_op
     def _op_cql(self, request):
@@ -447,12 +456,14 @@ class AnalyticsServer:
     _TELEMETRY_HINT = ("attach a TelemetryPipeline (repro.obs.export) so "
                        "telemetry self-ingests")
 
-    @staticmethod
-    def _telemetry_window(request) -> tuple[float, float]:
+    @classmethod
+    def _telemetry_window(cls, request) -> tuple[float, float]:
         t1 = request.get("t1")
-        t1 = time.time() if t1 is None else float(t1)
+        t1 = (time.time() if t1 is None
+              else float(cls._number(request, "t1", t1)))
         t0 = request.get("t0")
-        t0 = t1 - 900.0 if t0 is None else float(t0)
+        t0 = (t1 - 900.0 if t0 is None
+              else float(cls._number(request, "t0", t0)))
         if t1 <= t0:
             raise ValueError("telemetry window requires t0 < t1")
         return t0, t1
@@ -526,7 +537,8 @@ class AnalyticsServer:
             request, "spans_by_time", (component,) if component else None)
         spans, roots = self._span_forest(rows)
         roots.sort(key=lambda n: -n["duration_ms"])
-        return {"t0": t0, "t1": t1, "spans": spans, "trees": roots[:limit]}
+        return {"t0": t0, "t1": t1, "spans": spans,
+                "trees": roots[:limit] if limit else roots}
 
     @_op
     def _op_profile_flame(self, request):
@@ -719,8 +731,9 @@ class AnalyticsServer:
 
     @_op
     def _op_placement(self, request):
+        ts = self._require(request, "ts")
         runs = self.framework.model.runs_running_at(
-            float(self._require(request, "ts")))
+            float(self._number(request, "ts", ts)))
         return [
             {"apid": r["apid"], "app": r["app"], "user": r["user"],
              "nodes": self.framework.model.run_nodes(r)}

@@ -40,26 +40,14 @@ through the :class:`~repro.cassdb.cluster.Cluster` API.
 # of whether the application imported repro.cql or repro.cassdb first.
 import repro.cassdb  # noqa: F401  (import-order anchor, see above)
 
-from .ast import AggregateCall, Explain, Param, Predicate, Select
-from .engine import Prepared, QueryEngine, render_plan_text
-from .errors import CQLError, CQLPlanningError, CQLSyntaxError
-from .lexer import Token, normalize_cql, tokenize
-from .parser import parse_statement
+from .ast import Select
+from .engine import render_plan_text
+from .errors import CQLError
+from .lexer import normalize_cql
 
 __all__ = [
-    "AggregateCall",
     "CQLError",
-    "CQLPlanningError",
-    "CQLSyntaxError",
-    "Explain",
-    "Param",
-    "Predicate",
-    "Prepared",
-    "QueryEngine",
     "Select",
-    "Token",
     "normalize_cql",
-    "parse_statement",
     "render_plan_text",
-    "tokenize",
 ]

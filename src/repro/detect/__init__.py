@@ -7,39 +7,11 @@ cassdb table, surfaced by the ``alerts``/``alert_summary`` server ops
 and the ``repro alerts`` CLI.  See ``docs/detection.md``.
 """
 
-from .alerts import (
-    ALERT_SCHEMAS,
-    ALERTS_TOPIC,
-    SEVERITIES,
-    Alert,
-    AlertIngestor,
-    AlertPublisher,
-)
-from .detectors import (
-    Detector,
-    EWMARateDetector,
-    LeadLagDetector,
-    LustreStormDetector,
-    SpatialBurstDetector,
-    cabinet_of,
-    default_detectors,
-)
+from .alerts import AlertPublisher
 from .engine import DetectionEngine, DetectionPipeline
 
 __all__ = [
-    "ALERT_SCHEMAS",
-    "ALERTS_TOPIC",
-    "SEVERITIES",
-    "Alert",
-    "AlertIngestor",
     "AlertPublisher",
-    "Detector",
-    "EWMARateDetector",
-    "LeadLagDetector",
-    "LustreStormDetector",
-    "SpatialBurstDetector",
-    "cabinet_of",
-    "default_detectors",
     "DetectionEngine",
     "DetectionPipeline",
 ]

@@ -35,7 +35,7 @@ import math
 import operator
 import re
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.titan.topology import TitanTopology
 
@@ -140,18 +140,15 @@ class EWMARateDetector(Detector):
     """
 
     name = "ewma_rate"
+    alpha = 0.3
+    threshold = 6.0
 
-    def __init__(self, *, interval: float = 1.0, alpha: float = 0.3,
-                 threshold: float = 6.0, min_samples: int = 30,
+    def __init__(self, *, interval: float = 1.0, min_samples: int = 30,
                  min_count: int = 8, ttl_windows: int = 900,
                  max_keys: int = 4096):
         super().__init__(interval=interval)
-        if not (0.0 < alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
         if min_samples < 1:
             raise ValueError("min_samples must be >= 1")
-        self.alpha = alpha
-        self.threshold = threshold
         self.min_samples = min_samples
         self.min_count = min_count
         self.ttl_windows = ttl_windows
@@ -249,15 +246,14 @@ class SpatialBurstDetector(Detector):
     """
 
     name = "spatial_burst"
+    min_share = 0.5
+    lift_threshold = 4.0
 
     def __init__(self, topology: TitanTopology, *, interval: float = 1.0,
-                 min_events: int = 30, min_share: float = 0.5,
-                 lift_threshold: float = 4.0, cooldown_minutes: int = 10):
+                 min_events: int = 30, cooldown_minutes: int = 10):
         super().__init__(interval=interval)
         self.topology = topology
         self.min_events = min_events
-        self.min_share = min_share
-        self.lift_threshold = lift_threshold
         self.cooldown_minutes = cooldown_minutes
         self._minute: int | None = None
         self._cab_counts: dict[str, int] = {}
@@ -349,28 +345,23 @@ class LustreStormDetector(Detector):
     """
 
     name = "lustre_storm"
+    fs_types = frozenset(("LUSTRE_ERR", "DVS_ERR", "LBUG"))
+    baseline_alpha = 0.05
+    rate_multiple = 4.0
+    min_rate = 4.0
+    min_samples = 30
+    sustain = 2
 
-    def __init__(self, *, interval: float = 1.0,
-                 fs_types: Iterable[str] = ("LUSTRE_ERR", "DVS_ERR", "LBUG"),
-                 baseline_alpha: float = 0.05, rate_multiple: float = 4.0,
-                 min_rate: float = 4.0, min_cabinets: int = 2,
-                 min_samples: int = 30, sustain: int = 2, clear: int = 30):
+    def __init__(self, *, interval: float = 1.0, min_cabinets: int = 2,
+                 clear: int = 30):
         super().__init__(interval=interval)
-        if sustain < 1:
-            raise ValueError("sustain must be >= 1")
-        self.fs_types = frozenset(fs_types)
-        self.baseline_alpha = baseline_alpha
-        self.rate_multiple = rate_multiple
-        self.min_rate = min_rate
         self.min_cabinets = min_cabinets
-        self.min_samples = min_samples
-        self.sustain = sustain
         self.clear = clear
         self.storms_opened = 0
         self._baseline = 0.0
         self._samples = 0
         self._elevated: deque[tuple[float, frozenset[str]]] = deque(
-            maxlen=sustain)
+            maxlen=self.sustain)
         self._in_storm = False
         self._storm_start: float | None = None
         self._calm_run = 0
@@ -482,10 +473,11 @@ class LeadLagDetector(Detector):
     """
 
     name = "lead_lag"
+    min_corr = 0.6
 
     def __init__(self, *, interval: float = 1.0, history: int = 300,
                  max_lag: int = 30, check_every: int = 60,
-                 min_corr: float = 0.6, min_occurrences: int = 10,
+                 min_occurrences: int = 10,
                  max_types: int = 32, cooldown_checks: int = 10):
         super().__init__(interval=interval)
         if max_lag >= history:
@@ -493,7 +485,6 @@ class LeadLagDetector(Detector):
         self.history = history
         self.max_lag = max_lag
         self.check_every = check_every
-        self.min_corr = min_corr
         self.min_occurrences = min_occurrences
         self.max_types = max_types
         self.cooldown_checks = cooldown_checks
@@ -616,7 +607,7 @@ class LeadLagDetector(Detector):
 
 def default_detectors(topology: TitanTopology, *,
                       interval: float = 1.0) -> list[Detector]:
-    """The standard bank the engine runs when none is supplied."""
+    """The bank of detectors the engine runs."""
     return [
         EWMARateDetector(interval=interval),
         SpatialBurstDetector(topology, interval=interval),

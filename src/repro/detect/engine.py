@@ -21,7 +21,7 @@ layer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.titan.topology import TitanTopology
@@ -42,15 +42,12 @@ class DetectionEngine:
     """Runs a bank of detectors over the streaming-ingest windows."""
 
     def __init__(self, topology: TitanTopology, bus: "MessageBus", *,
-                 topic: str = ALERTS_TOPIC,
-                 detectors: Sequence[Detector] | None = None,
                  interval: float = 1.0):
         self.topology = topology
         self.interval = interval
-        self.detectors: list[Detector] = (
-            list(detectors) if detectors is not None
-            else default_detectors(topology, interval=interval))
-        self.publisher = AlertPublisher(bus, topic)
+        self.detectors: list[Detector] = default_detectors(
+            topology, interval=interval)
+        self.publisher = AlertPublisher(bus, ALERTS_TOPIC)
         self.windows_seen = 0
         self.alerts_emitted = 0
         self._registry = obs.get_registry()
@@ -106,12 +103,9 @@ class DetectionPipeline:
     """
 
     def __init__(self, engine: DetectionEngine, bus: "MessageBus",
-                 cluster: "Cluster", sc: "SparkletContext", *,
-                 topic: str = ALERTS_TOPIC,
-                 group_id: str = "alert-ingest"):
+                 cluster: "Cluster", sc: "SparkletContext"):
         self.engine = engine
-        self.ingestor = AlertIngestor(bus, topic, cluster, sc,
-                                      group_id=group_id)
+        self.ingestor = AlertIngestor(bus, ALERTS_TOPIC, cluster, sc)
 
     def drain(self) -> dict[str, int]:
         """Land every published alert; returns counts for dashboards."""

@@ -6,22 +6,12 @@ hot components, Lustre storms and causal cascades, raw-line rendering
 through realistic templates, and a synthetic job history.
 """
 
-from .generator import GeneratedEvent, GroundTruth, LogGenerator, StormInfo
-from .jobs import ApplicationRun, JobGenerator
-from .processes import hotspot_weights, poisson_arrivals, weibull_arrivals
-from .templates import EPOCH, iso_ts, render_line
+from .generator import LogGenerator
+from .jobs import JobGenerator
+from .templates import render_line
 
 __all__ = [
-    "ApplicationRun",
-    "EPOCH",
-    "GeneratedEvent",
-    "GroundTruth",
     "JobGenerator",
     "LogGenerator",
-    "StormInfo",
-    "hotspot_weights",
-    "iso_ts",
-    "poisson_arrivals",
     "render_line",
-    "weibull_arrivals",
 ]

@@ -96,11 +96,12 @@ class LogGenerator:
         RNG seed; generation is fully deterministic given it.
     rate_multiplier:
         Scales every base rate (use >1 to densify small experiments).
-    hot_node_fraction / hot_multiplier:
-        Fraction of nodes boosted and their rate multiplier, for the
+    hot_node_fraction:
+        Fraction of nodes boosted ``hot_multiplier``-fold, for the
         hot-spot types (MCE, DRAM_CE, GPU_SBE).
-    storms_per_day / storm_node_fraction / storm_events_per_node:
-        Lustre-storm schedule and intensity.
+    storms_per_day / storm_events_per_node:
+        Lustre-storm schedule and intensity; a storm afflicts
+        ``storm_node_fraction`` of the nodes.
     cascade_prob:
         Probability a DRAM_UE develops into the panic/heartbeat cascade.
     weibull_shape:
@@ -108,6 +109,8 @@ class LogGenerator:
     """
 
     HOT_TYPES = ("MCE", "DRAM_CE", "GPU_SBE")
+    hot_multiplier = 25.0
+    storm_node_fraction = 0.8
 
     def __init__(
         self,
@@ -117,9 +120,7 @@ class LogGenerator:
         seed: int = 2017,
         rate_multiplier: float = 1.0,
         hot_node_fraction: float = 0.02,
-        hot_multiplier: float = 25.0,
         storms_per_day: float = 1.0,
-        storm_node_fraction: float = 0.8,
         storm_events_per_node: float = 4.0,
         cascade_prob: float = 0.6,
         weibull_shape: float = 0.7,
@@ -136,9 +137,7 @@ class LogGenerator:
         self.seed = seed
         self.rate_multiplier = rate_multiplier
         self.hot_node_fraction = hot_node_fraction
-        self.hot_multiplier = hot_multiplier
         self.storms_per_day = storms_per_day
-        self.storm_node_fraction = storm_node_fraction
         self.storm_events_per_node = storm_events_per_node
         self.cascade_prob = cascade_prob
         self.weibull_shape = weibull_shape

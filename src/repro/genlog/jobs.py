@@ -57,40 +57,29 @@ class JobGenerator:
     ----------
     topology:
         The machine being scheduled.
-    num_users / num_apps:
+    num_users:
         Size of the synthetic community; users have a preferred subset
-        of applications (realistic app/user correlation for the Fig-2
-        per-user and per-app views).
-    jobs_per_hour:
-        Arrival rate of job submissions.
-    abort_fraction:
-        Fraction of completed runs that end in ABORT (failed exit
-        status); a smaller fraction end in NODE_FAIL.
+        of the ``num_apps`` applications (realistic app/user correlation
+        for the Fig-2 per-user and per-app views).
     seed:
         Determinism knob.
+
+    Submissions arrive at ``jobs_per_hour``; ``abort_fraction`` of the
+    completed runs end in ABORT (failed exit status) and
+    ``node_fail_fraction`` in NODE_FAIL.
     """
 
-    def __init__(
-        self,
-        topology: TitanTopology,
-        *,
-        num_users: int = 20,
-        num_apps: int = 10,
-        jobs_per_hour: float = 30.0,
-        mean_duration_hours: float = 1.5,
-        abort_fraction: float = 0.10,
-        node_fail_fraction: float = 0.03,
-        seed: int = 4242,
-    ):
-        if num_apps > len(_APP_NAMES):
-            num_apps = len(_APP_NAMES)
+    num_apps = 10
+    jobs_per_hour = 30.0
+    mean_duration_hours = 1.5
+    abort_fraction = 0.10
+    node_fail_fraction = 0.03
+
+    def __init__(self, topology: TitanTopology, *, num_users: int = 20,
+                 seed: int = 4242):
         self.topology = topology
         self.users = [f"user{i:03d}" for i in range(num_users)]
-        self.apps = _APP_NAMES[:num_apps]
-        self.jobs_per_hour = jobs_per_hour
-        self.mean_duration_hours = mean_duration_hours
-        self.abort_fraction = abort_fraction
-        self.node_fail_fraction = node_fail_fraction
+        self.apps = _APP_NAMES[:self.num_apps]
         self.seed = seed
 
     def generate(self, hours: float) -> list[ApplicationRun]:

@@ -7,17 +7,15 @@ coalescing.  Streaming mode: bus subscription → 1-second micro-batches
 
 from .batch import IngestStats, batch_ingest, coalesce_events, serial_ingest
 from .parsers import LineParser, ParsedEvent, default_parser
-from .sink import EventSink, ListSink
-from .streaming import LogProducer, StreamStats, StreamingIngestor
+from .sink import ListSink
+from .streaming import LogProducer, StreamingIngestor
 
 __all__ = [
-    "EventSink",
     "IngestStats",
     "LineParser",
     "ListSink",
     "LogProducer",
     "ParsedEvent",
-    "StreamStats",
     "StreamingIngestor",
     "batch_ingest",
     "coalesce_events",

@@ -116,22 +116,20 @@ def serial_ingest(paths: Sequence[str], sink: EventSink,
 
 
 def batch_ingest(sc: "SparkletContext", paths: Sequence[str], sink: EventSink,
-                 coalesce_seconds: float | None = None,
-                 min_partitions: int | None = None) -> IngestStats:
+                 coalesce_seconds: float | None = None) -> IngestStats:
     """Engine-parallel ETL over one or more raw log files."""
     start = time.perf_counter()
     span = obs.get_tracer().span("ingest.batch", files=len(paths))
     with span:
-        stats = _batch_ingest_traced(sc, paths, sink, coalesce_seconds,
-                                     min_partitions)
+        stats = _batch_ingest_traced(sc, paths, sink, coalesce_seconds)
         span.set(lines=stats.lines, written=stats.written)
     _record_ingest(stats, "batch", time.perf_counter() - start)
     return stats
 
 
 def _batch_ingest_traced(sc: "SparkletContext", paths: Sequence[str],
-                         sink: EventSink, coalesce_seconds: float | None,
-                         min_partitions: int | None) -> IngestStats:
+                         sink: EventSink, coalesce_seconds: float | None
+                         ) -> IngestStats:
     parsed_acc = sc.accumulator(0)
     unparsed_acc = sc.accumulator(0)
     lines_acc = sc.accumulator(0)
@@ -157,7 +155,7 @@ def _batch_ingest_traced(sc: "SparkletContext", paths: Sequence[str],
             written_acc.add(sink.write_events(batch))
         return ()
 
-    rdds = [sc.textFile(p, min_partitions) for p in paths]
+    rdds = [sc.textFile(p) for p in paths]
     events_rdd = sc.union(rdds).mapPartitions(parse_partition)
 
     if coalesce_seconds:

@@ -29,44 +29,22 @@ Quick use::
     print(obs.get_registry().snapshot())
 """
 
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import Histogram, MetricsRegistry
 from .slowlog import SlowQueryLog
-from .trace import NULL_SPAN, NullSpan, Span, Tracer
+from .trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
-    "DEFAULT_LATENCY_BUCKETS_MS",
     "NULL_SPAN",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullSpan",
-    "SamplingProfiler",
     "SlowQueryLog",
     "Span",
     "Tracer",
-    "critical_path",
     "get_registry",
     "get_slow_log",
     "get_tracer",
     "reset_observability",
 ]
-
-
-def __getattr__(name):
-    # Lazy: profile.py late-imports repro.obs for its default registry/
-    # tracer, so exposing it eagerly here would be a cycle at load time.
-    if name in ("SamplingProfiler", "critical_path"):
-        from . import profile
-
-        return getattr(profile, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 _DEFAULT_REGISTRY = MetricsRegistry()
 _DEFAULT_TRACER = Tracer()

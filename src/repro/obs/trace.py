@@ -197,8 +197,7 @@ class Tracer:
 
     def __init__(self, *, enabled: bool = True, max_traces: int = 32,
                  max_children: int = 128, max_spans_per_trace: int = 2000,
-                 max_attrs: int = 32, record_durations: bool = True,
-                 registry=None):
+                 max_attrs: int = 32, registry=None):
         self.enabled = enabled
         self.max_children = max_children
         self.max_spans_per_trace = max_spans_per_trace
@@ -207,7 +206,6 @@ class Tracer:
         # every span exit: component latency distributions exist without
         # per-callsite instrumentation.  *registry* is late-bound to the
         # process default when None (avoids an import cycle at load).
-        self.record_durations = record_durations
         self._registry = registry
         self._duration_hists: dict[str, Any] = {}
         self._lock = threading.Lock()
@@ -284,8 +282,6 @@ class Tracer:
         }
 
     def _observe_duration(self, span: Span) -> None:
-        if not self.record_durations:
-            return
         component = span.name.split(".", 1)[0]
         hist = self._duration_hists.get(component)
         if hist is None:

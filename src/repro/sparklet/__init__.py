@@ -20,25 +20,8 @@ Quick use::
     )
 """
 
-from .accumulator import Accumulator
 from .context import SparkletContext
-from .executor import TaskContext, TaskMetrics, WorkerPool
-from .partitioner import HashPartitioner, Partitioner
-from .rdd import RDD
-from .scheduler import DAGScheduler, EngineMetrics
-from .sources import CassandraTableRDD, TextFileRDD
 
 __all__ = [
-    "Accumulator",
-    "CassandraTableRDD",
-    "DAGScheduler",
-    "EngineMetrics",
-    "HashPartitioner",
-    "Partitioner",
-    "RDD",
     "SparkletContext",
-    "TaskContext",
-    "TaskMetrics",
-    "TextFileRDD",
-    "WorkerPool",
 ]

@@ -5,40 +5,12 @@ blades, node pairs on Gemini routers; Cray cnames) and the registry of
 monitored event types, both per paper §II-B.
 """
 
-from .events import (
-    EventRegistry,
-    EventType,
-    LogSource,
-    Severity,
-    default_registry,
-)
-from .topology import (
-    CAGES_PER_CABINET,
-    COLS,
-    NODES_PER_CABINET,
-    NODES_PER_SLOT,
-    ROWS,
-    SLOTS_PER_CAGE,
-    TOTAL_CABINETS,
-    TOTAL_NODES,
-    NodeLocation,
-    TitanTopology,
-)
+from .events import LogSource
+from .topology import TOTAL_NODES, NodeLocation, TitanTopology
 
 __all__ = [
-    "CAGES_PER_CABINET",
-    "COLS",
-    "EventRegistry",
-    "EventType",
     "LogSource",
-    "NODES_PER_CABINET",
-    "NODES_PER_SLOT",
     "NodeLocation",
-    "ROWS",
-    "SLOTS_PER_CAGE",
-    "Severity",
-    "TOTAL_CABINETS",
     "TOTAL_NODES",
     "TitanTopology",
-    "default_registry",
 ]

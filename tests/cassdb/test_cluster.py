@@ -4,14 +4,8 @@ import threading
 
 import pytest
 
-from repro.cassdb import (
-    Cluster,
-    ClusteringBound,
-    Consistency,
-    SchemaError,
-    TableSchema,
-    UnavailableError,
-)
+from repro.cassdb import Cluster, ClusteringBound, Consistency, TableSchema
+from repro.cassdb.errors import SchemaError, UnavailableError
 
 EVENTS = TableSchema(
     "event_by_time", partition_key=("hour", "type"), clustering_key=("ts", "seq")

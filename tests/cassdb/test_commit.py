@@ -27,13 +27,16 @@ from repro.cassdb import (
     CassDBError,
     Cluster,
     Consistency,
-    ReadTimeoutError,
     RetryPolicy,
     TableSchema,
+)
+from repro.cassdb.errors import (
+    BatchUnavailableError,
+    BatchWriteTimeoutError,
+    ReadTimeoutError,
     UnavailableError,
     WriteTimeoutError,
 )
-from repro.cassdb.errors import BatchUnavailableError, BatchWriteTimeoutError
 from repro.cassdb.node import StorageNode
 from repro.chaos import FaultGate, FaultPlan, FlapSpec
 

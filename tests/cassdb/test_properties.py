@@ -22,7 +22,7 @@ from repro.cassdb.vector import (
     merge_views,
     select_rows,
 )
-from repro.cql import CQLSyntaxError
+from repro.cql.errors import CQLSyntaxError
 
 from tests.oracle import eval_select
 from tests.oracle import row as row_oracle

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cassdb import Cluster, InvalidQueryError, Session, TableSchema
-from repro.cql import Select, parse_statement
+from repro.cassdb import Cluster, Session, TableSchema
+from repro.cassdb.errors import InvalidQueryError
+from repro.cql import Select
+from repro.cql.parser import parse_statement
 
 
 @pytest.fixture

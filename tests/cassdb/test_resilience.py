@@ -8,16 +8,11 @@ import time
 import pytest
 
 from repro import obs
-from repro.cassdb import (
-    BreakerState,
-    CircuitBreaker,
-    Cluster,
-    Consistency,
-    RetryPolicy,
-    TableSchema,
-    UnavailableError,
-)
-from repro.chaos import FaultGate, FaultPlan, FlapSpec, LatencySpec
+from repro.cassdb import Cluster, Consistency, RetryPolicy, TableSchema
+from repro.cassdb.errors import UnavailableError
+from repro.cassdb.resilience import BreakerState, CircuitBreaker
+from repro.chaos import FaultGate, FaultPlan, FlapSpec
+from repro.chaos.plan import LatencySpec
 
 SCHEMA = TableSchema("t", partition_key=("pk",), clustering_key=("ck",))
 

@@ -21,14 +21,8 @@ import threading
 import pytest
 
 from repro import obs
-from repro.cassdb import (
-    Cluster,
-    Consistency,
-    RetryPolicy,
-    TableSchema,
-    UnavailableError,
-    WriteTimeoutError,
-)
+from repro.cassdb import Cluster, Consistency, RetryPolicy, TableSchema
+from repro.cassdb.errors import UnavailableError, WriteTimeoutError
 from repro.cassdb.row import Row
 from repro.cassdb.sstable import SSTable
 from repro.cassdb.storage import TableStore

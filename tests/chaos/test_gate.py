@@ -4,16 +4,9 @@ import pytest
 
 from repro.bus import ConsumerGroup, MessageBus
 from repro.cassdb import Cluster, Consistency, TableSchema
-from repro.chaos import (
-    BusFaults,
-    CrashWindow,
-    FaultGate,
-    FaultInjected,
-    FaultPlan,
-    FlapSpec,
-    ServerFaults,
-    TaskFaults,
-)
+from repro.chaos import FaultGate, FaultPlan, FlapSpec
+from repro.chaos.gate import FaultInjected
+from repro.chaos.plan import BusFaults, CrashWindow, TaskFaults
 
 SCHEMA = TableSchema("t", partition_key=("pk",), clustering_key=("ck",))
 
@@ -137,20 +130,13 @@ class TestBusFaults:
         assert gate.injected_snapshot().get("bus_drops", 0) > 0
 
 
-class TestTaskAndServerFaults:
+class TestTaskFaults:
     def test_task_fault_targets_named_workers_only(self):
         g = FaultGate(FaultPlan(seed=1, tasks=TaskFaults(
             fail_rate=1.0, workers=("worker01",))))
         g.on_task("worker00", 0)  # untargeted: no raise
         with pytest.raises(FaultInjected):
             g.on_task("worker01", 0)
-
-    def test_server_fault_targets_named_ops_only(self):
-        g = FaultGate(FaultPlan(seed=1, server=ServerFaults(
-            error_rate=1.0, ops=("heatmap",))))
-        g.on_request("ping")
-        with pytest.raises(FaultInjected):
-            g.on_request("heatmap")
 
 
 class TestArming:

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.chaos import SCENARIOS, ScenarioRunner, run_scenarios
+from repro.chaos import SCENARIOS, run_scenarios
+from repro.chaos.scenarios import ScenarioRunner
 from repro.cli import main as cli_main
 
 

@@ -4,7 +4,9 @@ import operator
 
 import pytest
 
-from repro.chaos import FaultGate, FaultPlan, FaultInjected, TaskFaults
+from repro.chaos import FaultGate, FaultPlan
+from repro.chaos.gate import FaultInjected
+from repro.chaos.plan import TaskFaults
 from repro.sparklet import SparkletContext
 
 

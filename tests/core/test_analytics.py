@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import detect_hotspots, group_key, heatmap_engine
-from repro.core.analytics import Hotspot
+from repro.core import detect_hotspots, heatmap_engine
+from repro.core.analytics import Hotspot, group_key
 
 from .conftest import HORIZON
 

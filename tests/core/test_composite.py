@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core import (
-    GPU_RETIREMENT,
-    NODE_DEATH_SEQUENCE,
-    CompositeEventDef,
-    detect_composites,
-)
-from repro.titan import Severity
+from repro.core import GPU_RETIREMENT, NODE_DEATH_SEQUENCE, detect_composites
+from repro.core.composite import CompositeEventDef
+from repro.titan.events import Severity
 
 from .conftest import HORIZON
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Context
+from repro.core.context import Context
 
 from .conftest import HORIZON
 

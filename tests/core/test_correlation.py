@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    binned_series,
-    cross_correlation,
-    te_matrix,
-    te_pair,
-    te_significance,
-    transfer_entropy,
-)
+from repro.core import binned_series, te_matrix, transfer_entropy
+from repro.core.correlation import cross_correlation, te_pair, te_significance
 
 from .conftest import HORIZON
 

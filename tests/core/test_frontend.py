@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core.frontend import (
     PhysicalSystemMap,
     render_histogram,
     render_table,

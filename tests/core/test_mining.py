@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import apriori, association_rules
-from repro.core.mining import Rule, window_baskets
+from repro.core.mining import Rule, apriori, association_rules, window_baskets
 
 from .conftest import HORIZON
 

@@ -5,12 +5,14 @@ from collections import Counter
 
 import pytest
 
-from repro.cassdb import Cluster, ClusteringBound, SchemaError
-from repro.core import TABLE_SCHEMAS, LogDataModel
+from repro.cassdb import Cluster, ClusteringBound
+from repro.cassdb.errors import SchemaError
+from repro.core.model import TABLE_SCHEMAS, LogDataModel
 from repro.core.model import LogDataModel as _LDM
 from repro.genlog.jobs import ApplicationRun
 from repro.ingest import ParsedEvent
-from repro.titan import LogSource, TitanTopology, default_registry
+from repro.titan import LogSource, TitanTopology
+from repro.titan.events import default_registry
 
 from .conftest import HORIZON
 

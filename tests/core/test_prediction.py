@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import (
+from repro.core.prediction import (
     PrecursorPredictor,
     PrecursorRule,
     evaluate_predictor,

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core import ApplicationProfile, build_profiles, score_run
-from repro.core.profiles import _poisson_tail_log10
+from repro.core.profiles import (
+    ApplicationProfile,
+    _poisson_tail_log10,
+    build_profiles,
+    score_run,
+)
 
 from .conftest import HORIZON
 

@@ -11,20 +11,17 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cassdb import Consistency
 from repro.core import (
-    Context,
     LogAnalyticsFramework,
-    apriori,
-    association_rules,
     binned_series,
-    cross_correlation,
     detect_hotspots,
-    group_key,
-    tokenize,
     transfer_entropy,
 )
-from repro.core.correlation import context_series
+from repro.core.analytics import group_key
+from repro.core.context import Context
+from repro.core.correlation import context_series, cross_correlation
 from repro.core.frontend import render_event_type_map
-from repro.core.mining import window_baskets
+from repro.core.mining import apriori, association_rules, window_baskets
+from repro.core.textmining import tokenize
 from repro.core.server import _PreSerialized, _jsonable
 from repro.genlog.jobs import ApplicationRun
 from repro.titan import TitanTopology

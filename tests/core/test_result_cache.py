@@ -11,7 +11,8 @@ import threading
 import pytest
 
 from repro.cassdb import TableSchema
-from repro.core import AnalyticsServer, LogAnalyticsFramework, ResultCache
+from repro.core import AnalyticsServer, LogAnalyticsFramework
+from repro.core.result_cache import ResultCache
 from repro.titan import TitanTopology
 
 

@@ -7,8 +7,12 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core import AnalyticsServer
+from repro.core import AnalyticsServer, LogAnalyticsFramework
 from repro.core.server import _OPS, _jsonable
+from repro.detect.alerts import ALERT_SCHEMAS
+from repro.genlog import LogGenerator
+from repro.obs.export import TELEMETRY_SCHEMAS
+from repro.titan import TitanTopology
 
 from .conftest import HORIZON
 
@@ -16,6 +20,33 @@ from .conftest import HORIZON
 @pytest.fixture(scope="module")
 def server(fw):
     return AnalyticsServer(fw)
+
+
+@pytest.fixture(scope="module")
+def windowed():
+    """A server over a small store whose first hour holds events and
+    three each of alerts, span trees and profiled functions."""
+    fw = LogAnalyticsFramework(TitanTopology(rows=1, cols=1),
+                               db_nodes=1).setup(load_nodeinfos=False)
+    fw.ingest_events(LogGenerator(fw.topology, seed=3,
+                                  rate_multiplier=50).generate(1))
+    cluster = fw.cluster
+    for schema in (*ALERT_SCHEMAS.values(), *TELEMETRY_SCHEMAS.values()):
+        cluster.create_table(schema)
+    for i in range(3):
+        ts = 10.0 + i
+        cluster.insert("alerts_by_time", {
+            "minute_bucket": 0, "ts": ts, "seq": i, "severity": "info",
+            "detector": "d", "key": f"k{i}", "evidence": ""})
+        cluster.insert("spans_by_time", {
+            "minute_bucket": 0, "component": "server", "ts": ts,
+            "span_id": i, "name": "server.request",
+            "duration_ms": float(i)})
+        cluster.insert("profiles_by_time", {
+            "minute_bucket": 0, "component": "server", "ts": ts, "seq": i,
+            "stack": f"main;f{i}", "samples": i + 1})
+    yield AnalyticsServer(fw)
+    fw.stop()
 
 
 # The ops whose work is the big-data unit's — a sparklet job, or
@@ -212,13 +243,24 @@ class TestRowCountFields:
         assert r["error"] == (
             f"ValueError: {op}: '{field}' must be a non-negative integer")
 
-    def test_zero_still_means_every_event(self, server, fw):
-        request = {"op": "events", "context": _ctx(fw, **_MCE)}
-        every = server.handle_sync(request)["result"]
+    # op -> (row-count field, the answer's list, what a count of 1 keeps)
+    _ANSWERS = {
+        "events": ("limit", lambda r: r, slice(None, 1)),
+        "alerts": ("limit", lambda r: r["alerts"], slice(-1, None)),
+        "telemetry_spans": ("limit", lambda r: r["trees"], slice(None, 1)),
+        "profile_flame": ("top", lambda r: r["hot"], slice(None, 1)),
+    }
+
+    @pytest.mark.parametrize("op", sorted(_ANSWERS))
+    def test_zero_still_means_every_event(self, windowed, op):
+        field, answer, one = self._ANSWERS[op]
+        request = {"op": op, "context": {"t0": 0.0, "t1": 3600.0},
+                   "t0": 0.0, "t1": 3600.0}
+        every = answer(windowed.handle_sync(request)["result"])
         assert len(every) > 1
-        assert server.handle_sync({**request, "limit": 0})["result"] == every
-        assert (server.handle_sync({**request, "limit": 1})["result"]
-                == every[:1])
+        for count, want in ((0, every), (1, every[one])):
+            r = windowed.handle_sync({**request, field: count})
+            assert answer(r["result"]) == want, (op, count)
 
 
 class TestContextNameLists:
@@ -297,6 +339,45 @@ class TestCQLRequestFields:
             "statement": "SELECT * FROM eventtypes WHERE name = 'x'"})
         assert r["ok"], r
         assert r["result"] == []
+
+
+class TestNumericRequestFields:
+    """``synopsis.hour`` is an integer, and ``placement.ts`` and a
+    window's ``t0``/``t1`` are numbers, or a typed error naming the
+    field: a list leaked a TypeError, a bool or a fractional hour was
+    truncated to an hour, and a numeric string was accepted."""
+
+    @pytest.mark.parametrize("value", [[1], True, 1.9, "1", {"h": 1}])
+    def test_synopsis_hour_is_an_integer(self, server, value):
+        r = server.handle_sync({"op": "synopsis", "hour": value})
+        assert not r["ok"]
+        assert r["error"] == (
+            "ValueError: synopsis: 'hour' must be an integer")
+
+    @pytest.mark.parametrize("value", [[0], True, "3600", {"t": 1}])
+    def test_placement_ts_is_a_number(self, server, value):
+        r = server.handle_sync({"op": "placement", "ts": value})
+        assert not r["ok"]
+        assert r["error"] == "ValueError: placement: 'ts' must be a number"
+
+    @pytest.mark.parametrize("value", [[0], True, "0"])
+    @pytest.mark.parametrize("field", ["t0", "t1"])
+    @pytest.mark.parametrize("op", [
+        "telemetry_series", "telemetry_spans", "profile_flame",
+        "critical_path", "alerts", "alert_summary"])
+    def test_window_bounds_are_numbers(self, windowed, op, field, value):
+        # critical_path reads the window for a trace not in the ring.
+        request = {"op": op, "name": "m", "trace_id": -1,
+                   "t0": 0.0, "t1": 3600.0, field: value}
+        r = windowed.handle_sync(request)
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: {op}: '{field}' must be a number"
+
+    def test_numbers_are_still_read(self, windowed):
+        assert windowed.handle_sync({"op": "synopsis", "hour": 1})["ok"]
+        assert windowed.handle_sync({"op": "placement", "ts": 60})["ok"]
+        r = windowed.handle_sync({"op": "alerts", "t0": 0, "t1": 3600})
+        assert r["ok"] and r["result"]["total"] == 3
 
 
 class TestHotspotsOverEverySource:

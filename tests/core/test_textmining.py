@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import storm_keywords, tokenize, top_terms
+from repro.core import storm_keywords
+from repro.core.textmining import tokenize, top_terms
 from repro.genlog.templates import render_line
 from repro.sparklet import SparkletContext
 

@@ -3,8 +3,9 @@ full-table scans, and engine configuration."""
 
 import pytest
 
-from repro.cassdb import Cluster, InvalidQueryError, Session, TableSchema
-from repro.cql import CQLPlanningError, CQLSyntaxError
+from repro.cassdb import Cluster, Session, TableSchema
+from repro.cassdb.errors import InvalidQueryError
+from repro.cql.errors import CQLPlanningError, CQLSyntaxError
 from repro.sparklet import SparkletContext
 from tests.oracle import eval_select
 

@@ -5,7 +5,9 @@ import string
 import pytest
 
 from repro.cassdb.errors import InvalidQueryError
-from repro.cql import CQLSyntaxError, normalize_cql, tokenize
+from repro.cql import normalize_cql
+from repro.cql.errors import CQLSyntaxError
+from repro.cql.lexer import tokenize
 
 
 class TestTokenize:

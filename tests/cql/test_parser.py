@@ -3,14 +3,10 @@
 import pytest
 
 from repro.cassdb.errors import InvalidQueryError
-from repro.cql import (
-    AggregateCall,
-    CQLSyntaxError,
-    Explain,
-    Param,
-    Select,
-    parse_statement,
-)
+from repro.cql import Select
+from repro.cql.ast import AggregateCall, Explain, Param
+from repro.cql.errors import CQLSyntaxError
+from repro.cql.parser import parse_statement
 
 
 class TestAggregates:

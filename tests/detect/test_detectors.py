@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.detect import (
+from repro.detect.detectors import (
     EWMARateDetector,
     LeadLagDetector,
     LustreStormDetector,

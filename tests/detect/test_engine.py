@@ -10,7 +10,8 @@ import pytest
 from repro import obs
 from repro.bus import MessageBus
 from repro.core import AnalyticsServer, LogAnalyticsFramework
-from repro.detect import Alert, AlertIngestor, AlertPublisher
+from repro.detect import AlertPublisher
+from repro.detect.alerts import Alert, AlertIngestor
 from repro.genlog import LogGenerator
 from repro.ingest import LogProducer
 from repro.ingest.parsers import ParsedEvent

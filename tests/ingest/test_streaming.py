@@ -219,7 +219,8 @@ def _telemetry(bus, sc, cluster, base, stamps=STAMPS):
 
 
 def _alerts(bus, sc, cluster, base, stamps=STAMPS):
-    from repro.detect import Alert, AlertIngestor, AlertPublisher
+    from repro.detect import AlertPublisher
+    from repro.detect.alerts import Alert, AlertIngestor
 
     ingestor = AlertIngestor(bus, "t", cluster, sc)
     AlertPublisher(bus, "t").publish([

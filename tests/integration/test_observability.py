@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.core import AnalyticsServer, LogAnalyticsFramework
 from repro.genlog import LogGenerator
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS
 from repro.titan import TitanTopology
 
 
@@ -149,5 +150,4 @@ class TestBoundedUnderLoad:
         hist = server.registry.snapshot()[
             "server.latency_ms{op=ping,outcome=ok}"]
         assert hist["count"] >= 9_900  # buckets keep the full tally
-        assert len(hist["buckets"]) == len(
-            obs.DEFAULT_LATENCY_BUCKETS_MS) + 1
+        assert len(hist["buckets"]) == len(DEFAULT_LATENCY_BUCKETS_MS) + 1

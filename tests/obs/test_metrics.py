@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge
 
 
 class TestCounter:

@@ -4,7 +4,9 @@ accumulators."""
 import pytest
 
 from repro.cassdb import Cluster, TableSchema
-from repro.sparklet import HashPartitioner, SparkletContext, WorkerPool
+from repro.sparklet import SparkletContext
+from repro.sparklet.executor import WorkerPool
+from repro.sparklet.partitioner import HashPartitioner
 
 
 class TestPartitioners:
@@ -84,7 +86,7 @@ class TestSchedulerMetrics:
         # groupByKey also combines map-side into lists here, so equal —
         # but partitionBy (no aggregator) writes every record.
         sc3 = SparkletContext(2)
-        from repro.sparklet import HashPartitioner
+        from repro.sparklet.partitioner import HashPartitioner
 
         sc3.parallelize(data, 4).partitionBy(HashPartitioner(2)).collect()
         raw = sc3.metrics.shuffle_records_written

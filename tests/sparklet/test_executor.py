@@ -7,7 +7,9 @@ import time
 import pytest
 
 from repro import obs
-from repro.chaos import FaultGate, FaultInjected, FaultPlan, TaskFaults
+from repro.chaos import FaultGate, FaultPlan
+from repro.chaos.gate import FaultInjected
+from repro.chaos.plan import TaskFaults
 from repro.sparklet import SparkletContext
 from repro.sparklet.executor import WorkerPool
 

@@ -120,7 +120,7 @@ class TestShuffles:
         assert got[2] == ([], ["y"])
 
     def test_partition_by_routes_same_key_together(self, sc):
-        from repro.sparklet import HashPartitioner
+        from repro.sparklet.partitioner import HashPartitioner
 
         rdd = sc.parallelize([(i % 5, i) for i in range(50)], 4).partitionBy(
             HashPartitioner(3)

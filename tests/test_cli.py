@@ -64,6 +64,28 @@ class TestIngest:
         assert rc == 1
 
 
+class TestMissingLogFile:
+    """A log name that matches no file is one line on stderr and exit
+    status 2, before anything is deployed — not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["ingest"], ["analyze", "--view", "heatmap"], ["metrics"]])
+    def test_one_line_and_exit_2(self, log_dir, tmp_path, capsys, command):
+        missing = str(tmp_path / "nope" / "x.log")
+        rc = main([*command, "--rows", "1", "--cols", "1",
+                   str(log_dir / "console.log"), missing])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"{missing}: no such log file\n"
+
+    def test_a_glob_matching_nothing(self, tmp_path, capsys):
+        pattern = str(tmp_path / "*.log")
+        rc = main(["ingest", "--rows", "1", "--cols", "1", pattern])
+        assert rc == 2
+        assert capsys.readouterr().err == f"{pattern}: no such log file\n"
+
+
 class TestAnalyze:
     def test_heatmap_text(self, log_dir, capsys):
         rc = main([

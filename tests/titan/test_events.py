@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.titan import (
+from repro.titan import LogSource
+from repro.titan.events import (
     EventRegistry,
     EventType,
-    LogSource,
     Severity,
     default_registry,
 )

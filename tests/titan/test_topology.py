@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.titan import (
-    NODES_PER_CABINET,
-    TOTAL_CABINETS,
-    TOTAL_NODES,
-    NodeLocation,
-    TitanTopology,
-)
+from repro.titan import TOTAL_NODES, NodeLocation, TitanTopology
+from repro.titan.topology import NODES_PER_CABINET, TOTAL_CABINETS
 
 
 class TestConstants:
