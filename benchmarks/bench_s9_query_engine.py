@@ -46,8 +46,7 @@ def _best(fn, rounds=3):
 def build_cluster(hours, rows_per_hour, db_nodes=6):
     cluster = Cluster(db_nodes, replication_factor=2)
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
     cluster.insert_many("ev", [
         {"hour": hour, "type": "MCE", "ts": float(i), "seq": i,
          "source": f"n{i % 7}", "amount": i % 100}

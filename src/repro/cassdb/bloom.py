@@ -9,7 +9,9 @@ tests pin down.
 The implementation is a classic k-hash bit array.  The two hash values
 are derived from a single MD5 digest (Kirsch–Mitzenmacher double
 hashing: ``h_i = h1 + i * h2``), which matches how production filters
-avoid k independent hash computations.
+avoid k independent hash computations.  A partition key is a tuple of
+values; the filter hashes its :func:`key_bytes` — never ``hash()``,
+which ``PYTHONHASHSEED`` changes from run to run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import hashlib
 import math
 from typing import Iterable
 
-__all__ = ["BloomFilter"]
+__all__ = ["BloomFilter", "key_bytes"]
+
+
+def key_bytes(key: tuple) -> bytes:
+    """A partition key as a run's filter holds it: its ``repr``, which
+    tells ``1`` from ``'1'``.  A read makes it once for every run."""
+    return repr(key).encode("utf-8")
 
 
 class BloomFilter:
@@ -45,7 +53,7 @@ class BloomFilter:
         self._count = 0
 
     @classmethod
-    def from_keys(cls, keys: Iterable[str], fp_rate: float = 0.01) -> "BloomFilter":
+    def from_keys(cls, keys: Iterable[bytes | str], fp_rate: float = 0.01) -> "BloomFilter":
         """Build a filter sized to an already-materialized key set."""
         keys = list(keys)
         bf = cls(len(keys) or 1, fp_rate)
@@ -53,24 +61,26 @@ class BloomFilter:
             bf.add(key)
         return bf
 
-    def _hash_pair(self, key: str) -> tuple[int, int]:
-        digest = hashlib.md5(key.encode("utf-8")).digest()
+    def _hash_pair(self, key: bytes | str) -> tuple[int, int]:
+        if isinstance(key, str):
+            key = key.encode("utf-8")
+        digest = hashlib.md5(key).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full period
         return h1, h2
 
-    def _positions(self, key: str):
+    def _positions(self, key: bytes | str):
         h1, h2 = self._hash_pair(key)
         for i in range(self.num_hashes):
             yield (h1 + i * h2) % self.num_bits
 
-    def add(self, key: str) -> None:
+    def add(self, key: bytes | str) -> None:
         """Insert *key*; afterwards ``key in self`` is always True."""
         for pos in self._positions(key):
             self._bits[pos >> 3] |= 1 << (pos & 7)
         self._count += 1
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: bytes | str) -> bool:
         return all(
             self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key)
         )

@@ -55,7 +55,7 @@ from .errors import (
 from .hashring import HashRing
 from .node import Hint, StorageNode
 from .resilience import BreakerState, CircuitBreaker, RetryPolicy
-from .row import ClusteringBound, Row
+from .row import ClusteringBound, Row, in_partition_order
 from .schema import Keyspace, TableSchema
 from .vector import (
     BlockHints,
@@ -90,18 +90,6 @@ class Consistency(Enum):
         if self is Consistency.QUORUM:
             return replication_factor // 2 + 1
         return replication_factor
-
-
-def _partition_of(
-    schema: TableSchema, partition_values: Sequence[Any] | Mapping[str, Any]
-) -> tuple[str, dict[str, Any]]:
-    """Ring key and ``column -> value`` mapping of one partition, from
-    positional or named partition-key values."""
-    if isinstance(partition_values, Mapping):
-        return (schema.partition_key_of(partition_values),
-                {c: partition_values[c] for c in schema.partition_key})
-    return (schema.partition_key_from_tuple(partition_values),
-            dict(zip(schema.partition_key, partition_values)))
 
 
 # ``fold(partition_values, view)``: what a replica-side read returns for
@@ -154,8 +142,8 @@ class Cluster:
             for nid in node_ids
         }
         self._write_ts = itertools.count(_now_us())
-        # Write-path coordination is *striped*: each (table, partition)
-        # hashes to one of DEFAULT_WRITE_STRIPES locks, so writers to
+        # Write-path coordination is *striped*: each (table, partition
+        # key) hashes to one of DEFAULT_WRITE_STRIPES locks, so writers to
         # disjoint partitions commit concurrently while replica-set
         # application + hint buffering stays atomic per partition.  The
         # *read* path runs lock-free at this layer — each TableStore
@@ -382,10 +370,10 @@ class Cluster:
     ) -> None:
         """Insert/upsert one row (CQL ``INSERT`` semantics: always upsert)."""
         schema = self.schema(table)
-        # Key columns are stored positionally (in the partition key string
-        # and clustering tuple); only regular columns become cells.
+        # Key columns are stored positionally (in the partition key and
+        # clustering tuples); only regular columns become cells.
         pk, row = schema.row_builder(values, self.next_write_ts())
-        self._replicated_write(table, pk, row, consistency)
+        self._replicated_write(schema, pk, row, consistency)
 
     def insert_many(
         self,
@@ -409,18 +397,11 @@ class Cluster:
     ) -> None:
         """Delete one row identified by its full primary key."""
         schema = self.schema(table)
-        pk = schema.partition_key_of(values)
-        clustering = schema.clustering_of(values)
-        ts = self.next_write_ts()
-        marker = Row(clustering, {}, tombstone_ts=ts)
-        self._replicated_write(table, pk, marker, consistency)
+        pk, row = schema.row_builder(values, 0)
+        marker = Row(row.clustering, {}, tombstone_ts=self.next_write_ts())
+        self._replicated_write(schema, pk, marker, consistency)
 
     # -- write-lock striping -------------------------------------------------
-
-    def _stripe_index(self, partition_key: str) -> int:
-        # The ring key folds the table name in, so this stripes by
-        # (table, partition) as the batched-commit design requires.
-        return hash(partition_key) % len(self._write_locks)
 
     def _all_write_locks(self) -> contextlib.ExitStack:
         """Acquire every stripe in index order (repair's full barrier)."""
@@ -471,13 +452,16 @@ class Cluster:
                 attempt += 1
 
     def _replicated_write(
-        self, table: str, partition_key: str, row: Row, consistency: Consistency
+        self, schema: TableSchema, partition_key: tuple, row: Row,
+        consistency: Consistency,
     ) -> None:
         """Commit one row (or tombstone marker) as a batch of one group."""
         start = time.perf_counter()
-        pending = [(tuple(self.ring.replicas(partition_key)),
+        table = schema.name
+        ring_key = schema.ring_key(partition_key)
+        pending = [(tuple(self.ring.replicas(ring_key)),
                     [(partition_key, row)])]
-        stripes = [self._stripe_index(partition_key)]
+        stripes = [hash((table, partition_key)) % len(self._write_locks)]
 
         def attempt() -> None:
             failed = self._commit_groups(table, pending, stripes, consistency)
@@ -486,7 +470,7 @@ class Cluster:
                 raise error(required, got)
 
         with obs.get_tracer().span(
-            "cassdb.write", table=table, partition=partition_key
+            "cassdb.write", table=table, partition=ring_key
         ):
             self._retrying("write", attempt)
         with self._counter_lock:
@@ -533,32 +517,35 @@ class Cluster:
         """
         schema = self.schema(table)
         build = schema.row_builder
+        ring_key = schema.ring_key
         next_ts = self.next_write_ts
         n_stripes = len(self._write_locks)
-        # replica-set tuple -> items.  Per-pk routing (ring lookup +
-        # stripe hash) runs once per *distinct* partition; ``items_of``
-        # jumps straight from pk to the group's item list for every
-        # later row of that partition.
-        groups: dict[tuple[str, ...], list[tuple[str, Row]]] = {}
-        items_of: dict[str, list[tuple[str, Row]]] = {}
+        # replica-set tuple -> partition keys.  Per-pk routing (ring
+        # lookup + stripe hash) runs once per *distinct* partition;
+        # ``rows_of`` jumps straight from pk to its rows for every later
+        # row of that partition.
+        groups: dict[tuple[str, ...], list[tuple]] = {}
+        rows_of: dict[tuple, list[Row]] = {}
         stripes: set[int] = set()
         n = 0
         for values in rows:
             pk, row = build(values, next_ts())
-            items = items_of.get(pk)
-            if items is None:
-                replicas = tuple(self.ring.replicas(pk))
-                items = groups.get(replicas)
-                if items is None:
-                    items = groups[replicas] = []
-                items_of[pk] = items
-                stripes.add(hash(pk) % n_stripes)
-            items.append((pk, row))
+            part = rows_of.get(pk)
+            if part is None:
+                part = rows_of[pk] = []
+                replicas = tuple(self.ring.replicas(ring_key(pk)))
+                groups.setdefault(replicas, []).append(pk)
+                stripes.add(hash((table, pk)) % n_stripes)
+            part.append(row)
             n += 1
         if not n:
             return 0
         start = time.perf_counter()
-        pending = list(groups.items())
+        # A group's items are its partitions' rows in partition order,
+        # so a node's share is a few sorted runs for its sort to merge.
+        pending = [(replicas, [(pk, row) for pk in in_partition_order(keys)
+                               for row in rows_of[pk]])
+                   for replicas, keys in groups.items()]
         ordered = sorted(stripes)
         gate = self.chaos_gate
         if gate is not None:
@@ -597,7 +584,7 @@ class Cluster:
     def _commit_groups(
         self,
         table: str,
-        pending: list[tuple[tuple[str, ...], list[tuple[str, Row]]]],
+        pending: list[tuple[tuple[str, ...], list[tuple[tuple, Row]]]],
         stripes: list[int],
         consistency: Consistency,
     ) -> "tuple[tuple, type[CassDBError], int, int] | None":
@@ -638,7 +625,7 @@ class Cluster:
                     return group, UnavailableError, required, len(routed)
                 routes.append((routed, required))
             # Apply: each node's share of every group in one call.
-            shares: dict[str, list[tuple[str, Row]]] = {}
+            shares: dict[str, list[tuple[tuple, Row]]] = {}
             for (_replica_ids, items), (routed, _) in zip(pending, routes):
                 for replica_id in routed:
                     share = shares.get(replica_id)
@@ -652,9 +639,9 @@ class Cluster:
                 # into runs (memtable bulk-upsert locality); write
                 # timestamps, not application order, decide
                 # last-write-wins, so this is safe.
-                share.sort(key=itemgetter(0))
                 try:
-                    self.nodes[replica_id].write_rows(table, share)
+                    self.nodes[replica_id].write_rows(
+                        table, in_partition_order(share, itemgetter(0)))
                 except NodeDownError:
                     # Crashed but still routed: no ack for any group.
                     self._breaker_failure(replica_id)
@@ -704,7 +691,7 @@ class Cluster:
     def select_partition(
         self,
         table: str,
-        partition_values: Sequence[Any] | Mapping[str, Any],
+        partition_values: tuple,
         *,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
@@ -717,7 +704,8 @@ class Cluster:
         """Read rows of one partition as plain dicts, in clustering order.
 
         This is *the* fast path the data model is built around: a context
-        query (hour+type, hour+source, …) touches exactly one partition.
+        query (hour+type, hour+source, …) touches exactly one partition,
+        named by its key tuple, e.g. ``(3, "MCE")``.
 
         ``columns`` is the projection-pushdown hook: when set, only those
         columns are materialized out of the row (absent cells are simply
@@ -730,12 +718,13 @@ class Cluster:
         matching rows.
         """
         schema = self.schema(table)
-        pk, pk_values = _partition_of(schema, partition_values)
+        pk_values = dict(zip(schema.partition_key, partition_values))
         # A limit must count post-filter rows, so it cannot be pushed to
         # the replica read when predicates will drop some of them.
         store_limit = None if predicates else limit
         view = self._replicated_read(
-            table, pk, lower, upper, reverse, store_limit, consistency)
+            schema, partition_values, lower, upper, reverse, store_limit,
+            consistency)
         if predicates:
             view = select_rows(
                 view,
@@ -749,7 +738,7 @@ class Cluster:
     def select_partitions(
         self,
         table: str,
-        partition_values_list: Sequence[Sequence[Any] | Mapping[str, Any]],
+        partition_values_list: Sequence[tuple],
         *,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
@@ -781,12 +770,13 @@ class Cluster:
         rest: Sequence[Any] | None = None,
     ) -> tuple[list[tuple], ClusteringBound, ClusteringBound]:
         """What a read of ``[t0, t1)`` touches in a time-bucketed table:
-        the partition-key tuples, in (bucket, partition) order, and the
+        the partition-key tuples, in partition order, and the
         ``ts >= t0`` / ``ts < t1`` clustering bounds that make the store
         prune instead of the caller filtering.
 
         *rest* is the partition-key values after the bucket column;
-        ``None`` names every partition present in the covered buckets.
+        ``None`` names every partition present in the covered buckets —
+        the keys whose ``key[0]`` is one of them.
         The table must declare ``time_bucket`` and cluster on ``ts``
         first — the column its buckets are stamped from.
         """
@@ -804,12 +794,9 @@ class Cluster:
         if rest is not None:
             partitions = [(bucket, *rest) for bucket in buckets]
         else:
-            partitions = sorted(
-                values for values in (
-                    tuple(schema.partition_values_from_key(pk).values())
-                    for pk in self.partition_keys(table)
-                ) if values[0] in buckets
-            )
+            partitions = in_partition_order(
+                key for key in self.partition_keys(table)
+                if key[0] in buckets)
         return (partitions, ClusteringBound((t0,)),
                 ClusteringBound((t1,), inclusive=False))
 
@@ -836,7 +823,7 @@ class Cluster:
     def aggregate_partitions(
         self,
         table: str,
-        partition_values_list: Sequence[Sequence[Any] | Mapping[str, Any]],
+        partition_values_list: Sequence[tuple],
         *,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
@@ -857,18 +844,18 @@ class Cluster:
         MergePartials operator).
         """
         schema = self.schema(table)
+        names = schema.partition_key
         self._m_agg_pushdown_partitions.inc(len(partition_values_list))
         partials = []
-        for pv in partition_values_list:
-            pk, pk_values = _partition_of(schema, pv)
-            partials.append(fold(pk_values, self._replicated_read(
-                table, pk, lower, upper, False, None, consistency)))
+        for key in partition_values_list:
+            partials.append(fold(dict(zip(names, key)), self._replicated_read(
+                schema, key, lower, upper, False, None, consistency)))
         return partials
 
     def _replicated_read(
         self,
-        table: str,
-        partition_key: str,
+        schema: TableSchema,
+        partition_key: tuple,
         lower: ClusteringBound | None,
         upper: ClusteringBound | None,
         reverse: bool,
@@ -876,11 +863,13 @@ class Cluster:
         consistency: Consistency,
     ) -> BlockView:
         start = time.perf_counter()
+        table = schema.name
+        ring_key = schema.ring_key(partition_key)
         with obs.get_tracer().span(
-            "cassdb.read", table=table, partition=partition_key
+            "cassdb.read", table=table, partition=ring_key
         ) as span:
             rows = self._retrying("read", lambda: self._coordinate_read(
-                table, partition_key, lower, upper, reverse, limit,
+                table, ring_key, partition_key, lower, upper, reverse, limit,
                 consistency,
             ))
             span.set(rows=len(rows))
@@ -890,7 +879,8 @@ class Cluster:
     def _coordinate_read(
         self,
         table: str,
-        partition_key: str,
+        ring_key: str,
+        partition_key: tuple,
         lower: ClusteringBound | None,
         upper: ClusteringBound | None,
         reverse: bool,
@@ -903,7 +893,7 @@ class Cluster:
         gate = self.chaos_gate
         if gate is not None:
             gate.on_coordinator_op(self)
-        replicas = self.ring.replicas(partition_key)
+        replicas = self.ring.replicas(ring_key)
         required = consistency.required(len(replicas))
         alive = [r for r in replicas if self._replica_up(r)]
         if len(alive) < required:
@@ -994,7 +984,7 @@ class Cluster:
         return merged_view.live().ordered(reverse, limit)
 
     def _reconcile_copies(
-        self, table: str, partition_key: str, copies: dict[str, list[Row]]
+        self, table: str, partition_key: tuple, copies: dict[str, list[Row]]
     ) -> tuple[list[Row], int]:
         """Merge the replicas' exchanged copies of a partition (cell-level
         last-write-wins, tombstone markers kept) and push back to each
@@ -1021,13 +1011,12 @@ class Cluster:
     # -- full scans & placement introspection ---------------------------------
 
     def _first_alive_view(
-        self, table: str, partition_key: str,
-        lower: ClusteringBound | None = None,
-        upper: ClusteringBound | None = None,
+        self, table: str, ring_key: str, partition_key: tuple,
+        lower: ClusteringBound | None, upper: ClusteringBound | None,
     ) -> BlockView | None:
         """One partition, within clustering bounds, as its first alive
         replica holds it; None when every replica is down."""
-        for replica_id in self.ring.replicas(partition_key):
+        for replica_id in self.ring.replicas(ring_key):
             node = self.nodes[replica_id]
             if not node.up:
                 continue
@@ -1068,21 +1057,23 @@ class Cluster:
         The serial analog of :meth:`aggregate_partitions` for unrouted
         aggregates — each partition is folded, within the clustering
         bounds, at its first alive replica and only the partials are
-        yielded, in sorted partition-key order.
+        yielded, in partition order.
         """
         schema = self.schema(table)
-        for pk in sorted(self.partition_keys(table)):
-            source = self._first_alive_view(table, pk, lower, upper)
+        names = schema.partition_key
+        for key in in_partition_order(self.partition_keys(table)):
+            source = self._first_alive_view(
+                table, schema.ring_key(key), key, lower, upper)
             if source is not None:
-                yield fold(schema.partition_values_from_key(pk), source)
+                yield fold(dict(zip(names, key)), source)
 
-    def partition_keys(self, table: str) -> set[str]:
-        keys: set[str] = set()
+    def partition_keys(self, table: str) -> set[tuple]:
+        keys: set[tuple] = set()
         for node in self.nodes.values():
             keys.update(node.partition_keys(table))
         return keys
 
-    def partitions_by_node(self, table: str) -> dict[str, set[str]]:
+    def partitions_by_node(self, table: str) -> dict[str, set[tuple]]:
         """Map node id -> partition keys whose *primary* replica it holds.
 
         The sparklet scheduler uses this to co-locate tasks with data
@@ -1090,34 +1081,36 @@ class Cluster:
         local Spark worker, the big data processing unit performs
         analytics efficiently").
         """
-        out: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        for pk in self.partition_keys(table):
-            out[self.ring.primary(pk)].add(pk)
+        ring_key = self.schema(table).ring_key
+        out: dict[str, set[tuple]] = {nid: set() for nid in self.nodes}
+        for key in self.partition_keys(table):
+            out[self.ring.primary(ring_key(key))].add(key)
         return out
 
     def read_partition_raw(
-        self, table: str, partition_key: str, *,
+        self, table: str, partition_key: tuple, *,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
         fold: PartitionFold | None = None,
     ) -> Any:
-        """Locality read (sparklet task input): one partition by ring
-        key, within clustering bounds, folded as its first alive replica
+        """Locality read (sparklet task input): one partition by its key
+        tuple, within clustering bounds, folded as its first alive replica
         holds it — ``fold(partition_values, view)`` as in
         :meth:`aggregate_partitions`; by default the :meth:`row_fold`."""
         start = time.perf_counter()
         self._m_locality_reads.inc()
+        schema = self.schema(table)
+        ring_key = schema.ring_key(partition_key)
         with obs.get_tracer().span(
-            "cassdb.read", table=table, partition=partition_key, locality=True
+            "cassdb.read", table=table, partition=ring_key, locality=True
         ) as span:
-            schema = self.schema(table)
-            source = self._first_alive_view(table, partition_key,
+            source = self._first_alive_view(table, ring_key, partition_key,
                                             lower, upper)
             if source is None:
                 raise UnavailableError(1, 0)
             span.set(rows=len(source))
             value = (fold or self.row_fold(table))(
-                schema.partition_values_from_key(partition_key), source)
+                dict(zip(schema.partition_key, partition_key)), source)
         self._m_read_latency.observe((time.perf_counter() - start) * 1000.0)
         return value
 
@@ -1152,11 +1145,12 @@ class Cluster:
         Unlike read repair this covers data nobody has queried —
         Cassandra's ``nodetool repair``.
         """
+        ring_key = self.schema(table).ring_key
         with self._all_write_locks():
             repaired = 0
-            for pk in sorted(self.partition_keys(table)):
+            for pk in in_partition_order(self.partition_keys(table)):
                 replicas = [
-                    rid for rid in self.ring.replicas(pk)
+                    rid for rid in self.ring.replicas(ring_key(pk))
                     if self.nodes[rid].up and self.nodes[rid].process_up
                 ]
                 if len(replicas) < 2:

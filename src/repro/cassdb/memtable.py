@@ -99,26 +99,25 @@ class Memtable:
     """Write buffer for one table on one storage node."""
 
     def __init__(self):
-        self.partitions: dict[str, MemPartition] = {}
+        self.partitions: dict[tuple, MemPartition] = {}
         self._row_count = 0
 
-    def upsert(self, partition_key: str, row: Row) -> None:
+    def upsert(self, partition_key: tuple, row: Row) -> None:
         part = self.partitions.get(partition_key)
         if part is None:
             part = self.partitions[partition_key] = MemPartition()
         self._row_count += part.upsert(row)
 
-    def upsert_many(self, items: Iterable[tuple[str, Row]]) -> None:
+    def upsert_many(self, items: Iterable[tuple[tuple, Row]]) -> None:
         """Bulk upsert of ``(partition key, row)`` pairs.
 
         One method call for a node's share of a write batch; the
         per-pair work is the same as :meth:`upsert` with the partition
-        lookup hoisted for runs of pairs sharing a key (batched ingest
-        writes whole per-(hour, type) groups at once, pre-sorted by
-        partition key).
+        lookup hoisted for runs of pairs sharing a key (a node's share
+        of a batch arrives sorted by partition key).
         """
         partitions = self.partitions
-        last_key: str | None = None
+        last_key: tuple | None = None
         part: MemPartition | None = None
         count = 0
         for partition_key, row in items:
@@ -132,7 +131,7 @@ class Memtable:
 
     def slice_partition_view(
         self,
-        partition_key: str,
+        partition_key: tuple,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
     ) -> tuple[BlockView, int] | None:
@@ -150,7 +149,7 @@ class Memtable:
         lo, hi = slice_bounds_keys(face.clustering, lower, upper)
         return BlockView(face, range(lo, hi)), face.n - (hi - lo)
 
-    def partition_keys(self) -> Iterator[str]:
+    def partition_keys(self) -> Iterator[tuple]:
         return iter(self.partitions)
 
     @property

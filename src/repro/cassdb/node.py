@@ -34,7 +34,7 @@ class Hint:
 
     target_node: str
     table: str
-    partition_key: str
+    partition_key: tuple
     row: Row
 
 
@@ -116,14 +116,15 @@ class StorageNode:
 
     # -- replica-local operations -----------------------------------------
 
-    def write(self, table: str, partition_key: str, row: Row) -> None:
+    def write(self, table: str, partition_key: tuple, row: Row) -> None:
         self._check_up()
         _M_NODE_WRITES.inc()
         with obs.get_tracer().span("cassdb.node.write", node=self.node_id,
                                    table=table):
             self.ensure_table(table).write(partition_key, row)
 
-    def write_rows(self, table: str, items: Sequence[tuple[str, Row]]) -> None:
+    def write_rows(self, table: str,
+                   items: Sequence[tuple[tuple, Row]]) -> None:
         """Apply this node's share of a write batch: one table lookup,
         one store-lock acquisition and one trace span for all of it."""
         self._check_up()
@@ -135,7 +136,7 @@ class StorageNode:
     def read_partition_view(
         self,
         table: str,
-        partition_key: str,
+        partition_key: tuple,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
         reverse: bool = False,
@@ -156,7 +157,7 @@ class StorageNode:
             span.set(rows=len(view))
         return view
 
-    def exchange_partition(self, table: str, partition_key: str,
+    def exchange_partition(self, table: str, partition_key: tuple,
                            lower: ClusteringBound | None = None,
                            upper: ClusteringBound | None = None) -> list[Row]:
         """This replica's copy of one partition as replicas exchange it
@@ -173,7 +174,7 @@ class StorageNode:
             span.set(rows=len(rows))
         return rows
 
-    def partition_keys(self, table: str) -> set[str]:
+    def partition_keys(self, table: str) -> set[tuple]:
         """Partitions of *table* replicated on this node (liveness ignored:
         used for placement introspection, not serving reads)."""
         store = self.tables.get(table)

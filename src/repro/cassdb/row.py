@@ -1,8 +1,10 @@
 """Row and cell model for the column-oriented store.
 
-A *partition* (paper Fig 1) is a wide data row addressed by a hashed
-partition key; inside it live many CQL rows ordered by clustering key
-(for the event tables, the event timestamp).  Each row is a flexible
+A *partition* (paper Fig 1) is a wide data row addressed by its
+partition key — the tuple of its key columns' values, as written;
+inside it live many CQL rows ordered by clustering key (for the event
+tables, the event timestamp).  :func:`in_partition_order` is the one
+order partitions are walked in.  Each row is a flexible
 mapping of column name to value — flexible because, as §II-B notes,
 "each application run may include columns unique to it".
 
@@ -25,9 +27,25 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any, Collection, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
-__all__ = ["Row", "ClusteringBound", "merge_rows", "slice_bounds_keys"]
+__all__ = ["Row", "ClusteringBound", "in_partition_order", "merge_rows",
+           "slice_bounds_keys"]
+
+
+def in_partition_order(items: Iterable, key: Callable | None = None) -> list:
+    """*items* — partition keys, or entries whose *key* is one — in the
+    order every walk over partitions takes: the keys' natural order
+    (hour 9 before hour 10).  A column holding both ``1`` and ``'1'``
+    has none, so then each value is paired with its type's name: ints
+    sort apart from strings, the same way on every run."""
+    items = list(items)
+    try:
+        items.sort(key=key)
+    except TypeError:
+        get = key or (lambda item: item)
+        items.sort(key=lambda item: [(type(v).__name__, v) for v in get(item)])
+    return items
 
 
 @dataclass(slots=True, eq=False)

@@ -4,9 +4,10 @@ The paper's data model (§II-B, Figs 1–2) hinges on *which columns form
 the partition key* — ``(hour, type)`` for ``event_by_time``,
 ``(hour, source)`` for ``event_by_location`` — and on clustering rows by
 timestamp inside each partition.  A :class:`TableSchema` captures exactly
-that: it extracts the partition key string (the unit of distribution over
-the ring) and the clustering tuple (the in-partition sort order) from a
-plain column mapping.
+that: it extracts the partition key (the unit of distribution over the
+ring: the key columns' values, in schema order, as written) and the
+clustering tuple (the in-partition sort order) from a plain column
+mapping.
 
 Regular columns are intentionally *not* enumerated: the store is
 schema-flexible like Cassandra's wide rows, so new event types with new
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .errors import SchemaError
 from .row import Row
@@ -27,7 +28,7 @@ from .vector import BlockHints
 
 __all__ = ["TableSchema", "Keyspace"]
 
-_KEY_SEPARATOR = "\x1f"  # unit separator: cannot collide with log text fields
+_KEY_SEPARATOR = "\x1f"  # ring keys only: a clash shares replicas
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,7 @@ class TableSchema:
     name:
         Table name, unique within a keyspace.
     partition_key:
-        Column names whose values are concatenated (order-sensitive) into
-        the partition key hashed onto the ring.
+        Column names whose values, in this order, are a partition's key.
     clustering_key:
         Column names forming the in-partition sort order.  May be empty
         for single-row-per-partition tables (e.g. ``nodeinfos``).
@@ -57,7 +57,7 @@ class TableSchema:
         partition-key column is ``floor(ts / width)``, e.g. ``("hour",
         3600.0)``.  The single source of the bucket width — writers call
         :meth:`bucket_of`, readers :meth:`buckets` — and bucket ids are
-        ints, so the column's ring-key codec is implied.
+        ints.
     """
 
     name: str
@@ -65,11 +65,6 @@ class TableSchema:
     clustering_key: tuple[str, ...] = ()
     clustering_order: str = "asc"
     description: str = ""
-    # Optional converters applied when a partition key is *parsed back*
-    # from its ring-key string (full scans, locality reads).  Keys are
-    # partition-key column names, values are callables str -> value,
-    # e.g. (("apid", int),).  Unlisted columns come back as strings.
-    key_codecs: tuple[tuple[str, Callable[[str], Any]], ...] = ()
     index_interval: int = 64
     time_bucket: tuple[str, float] | None = None
 
@@ -132,53 +127,33 @@ class TableSchema:
             return ("ck", self.clustering_key.index(column))
         return ("cell", column)
 
-    # -- key extraction -------------------------------------------------
+    # -- keys -----------------------------------------------------------
 
-    def partition_key_of(self, values: Mapping[str, Any]) -> str:
-        """Build the ring key for a row's column values.
+    def ring_key(self, key: tuple) -> str:
+        """The string a partition's replicas are placed by: the table
+        name and the key's values, ``str``-joined.
 
         The table name is folded in so identical key tuples in different
         tables land on different (statistically independent) ring
-        positions, as separate Cassandra tables do.
+        positions, as separate Cassandra tables do.  Only the ring reads
+        it: two keys that join alike share replicas, not a partition.
         """
-        parts = [self.name]
-        for col in self.partition_key:
-            if col not in values:
-                raise SchemaError(
-                    f"table {self.name!r}: missing partition key column {col!r}"
-                )
-            parts.append(str(values[col]))
-        return _KEY_SEPARATOR.join(parts)
-
-    def partition_key_from_tuple(self, key_values: Sequence[Any]) -> str:
-        """Ring key from positional partition-key values (planner path)."""
-        if len(key_values) != len(self.partition_key):
+        if len(key) != len(self.partition_key):
             raise SchemaError(
                 f"table {self.name!r}: expected {len(self.partition_key)} "
-                f"partition key values, got {len(key_values)}"
+                f"partition key values, got {len(key)}"
             )
-        return _KEY_SEPARATOR.join([self.name, *map(str, key_values)])
-
-    def clustering_of(self, values: Mapping[str, Any]) -> tuple:
-        """Build the in-partition clustering tuple for a row."""
-        out = []
-        for col in self.clustering_key:
-            if col not in values:
-                raise SchemaError(
-                    f"table {self.name!r}: missing clustering key column {col!r}"
-                )
-            out.append(values[col])
-        return tuple(out)
+        return _KEY_SEPARATOR.join([self.name, *map(str, key)])
 
     @cached_property
     def row_builder(
         self,
-    ) -> Callable[[Mapping[str, Any], int], tuple[str, Row]]:
-        """Precompiled ``(values, write_ts) -> (ring key, Row)``.
+    ) -> Callable[[Mapping[str, Any], int], tuple[tuple, Row]]:
+        """Precompiled ``(values, write_ts) -> (partition key, Row)``.
 
-        The per-row unit of work on the hot write path (``insert`` and
-        ``write_batch``): the column tuples, key-column set and
-        separator are bound into the closure up front instead of being
+        The per-row unit of work on the hot write path (``insert``,
+        ``write_batch``, a delete's marker): the column getters and the
+        key-column set are bound into the closure up front instead of being
         re-derived from the schema on every call, and the non-key
         columns go into the row's ``values`` dict in a single
         comprehension — no per-column object, and a dict of scalars is
@@ -192,21 +167,16 @@ class TableSchema:
         pk_cols = self.partition_key
         ck_cols = self.clustering_key
         key_cols = frozenset(pk_cols) | frozenset(ck_cols)
-        sep = _KEY_SEPARATOR
-        prefix = name + sep
         # itemgetter runs the column lookups in C; arity 1 returns a
-        # bare value, 2+ a tuple, hence the three shapes below.
+        # bare value, 2+ a tuple (the key itself), hence the shapes below.
         pk_get = itemgetter(*pk_cols)
         single_pk = len(pk_cols) == 1
         ck_get = itemgetter(*ck_cols) if ck_cols else None
         single_ck = len(ck_cols) == 1
 
-        def build(values: Mapping[str, Any], write_ts: int) -> tuple[str, Row]:
+        def build(values: Mapping[str, Any], write_ts: int) -> tuple[tuple, Row]:
             try:
-                if single_pk:
-                    pk = prefix + str(pk_get(values))
-                else:
-                    pk = prefix + sep.join(map(str, pk_get(values)))
+                pk = (pk_get(values),) if single_pk else pk_get(values)
                 if ck_get is None:
                     clustering: tuple = ()
                 elif single_ck:
@@ -231,23 +201,6 @@ class TableSchema:
         out = dict(partition_values)
         out.update(zip(self.clustering_key, clustering))
         out.update(cells)
-        return out
-
-    def partition_values_from_key(self, ring_key: str) -> dict[str, Any]:
-        """Invert :meth:`partition_key_of`.
-
-        Values come back as strings unless a codec was declared for the
-        column in ``key_codecs``; the ``time_bucket`` column is an int.
-        """
-        parts = ring_key.split(_KEY_SEPARATOR)
-        if parts[0] != self.name or len(parts) != len(self.partition_key) + 1:
-            raise SchemaError(f"ring key {ring_key!r} is not from table {self.name!r}")
-        out: dict[str, Any] = dict(zip(self.partition_key, parts[1:]))
-        for col, codec in self.key_codecs:
-            if col in out:
-                out[col] = codec(out[col])
-        if self.time_bucket is not None:
-            out[self.time_bucket[0]] = int(out[self.time_bucket[0]])
         return out
 
 

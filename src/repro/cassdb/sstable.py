@@ -9,7 +9,7 @@ search" — paper §II-A).
 A run is physically one :class:`~repro.cassdb.vector.ColumnBlock` —
 per-column value arrays, dictionary-encoded low-cardinality strings
 (one dictionary per run), a liveness bitmap — holding every partition's
-rows next to each other in partition-key order, plus
+rows next to each other in partition order, plus
 :attr:`SSTable.offsets`, the partition index ``partition key -> (start,
 end)`` into it: Cassandra's ``Data.db`` and its ``-Index.db``.  The
 sparse clustering index samples each large partition's stretch of the
@@ -23,7 +23,7 @@ A run is built by one block encode: flush (:meth:`SSTable.from_memtable`)
 encodes the memtable partitions' sorted rows, compaction
 (:func:`merge_sstables`) what :func:`~repro.cassdb.vector.merge_views`
 — the same merge a read runs — emitted per partition, each concatenated
-in partition-key order, and both hand the constructor the block and its
+in that order, and both hand the constructor the block and its
 offsets, as a loader of on-disk runs would.  A run and a memtable answer
 a read through one face, ``slice_partition_view(pk, lower, upper) ->
 (BlockView, pruned) | None``.
@@ -39,9 +39,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .bloom import BloomFilter
+from .bloom import BloomFilter, key_bytes
 from .memtable import Memtable
-from .row import ClusteringBound, Row, slice_bounds_keys
+from .row import ClusteringBound, Row, in_partition_order, slice_bounds_keys
 from .vector import BlockHints, BlockView, ColumnBlock, merge_views
 
 __all__ = [
@@ -64,7 +64,7 @@ class SSTable:
     """One immutable sorted run of a table's data on one node."""
 
     def __init__(self, block: ColumnBlock,
-                 offsets: dict[str, tuple[int, int]],
+                 offsets: dict[tuple, tuple[int, int]],
                  generation: int | None = None, *,
                  hints: BlockHints | None = None):
         # Whoever builds a run hands it its block and partition index
@@ -78,7 +78,7 @@ class SSTable:
         self.generation = (
             generation if generation is not None else next(_generation_counter)
         )
-        self.bloom = BloomFilter.from_keys(offsets.keys())
+        self.bloom = BloomFilter.from_keys(map(key_bytes, offsets))
         self.block = block
         self.offsets = offsets
         self.row_count = block.n
@@ -87,7 +87,7 @@ class SSTable:
         # blocks play in Cassandra's -Index.db component.  Sample k of a
         # partition sits at run offset start + k * interval.
         cl = block.clustering
-        self.index: dict[str, list[tuple]] = {
+        self.index: dict[tuple, list[tuple]] = {
             pk: cl[start:end:interval]
             for pk, (start, end) in offsets.items() if end - start > interval
         }
@@ -95,36 +95,31 @@ class SSTable:
     @classmethod
     def from_memtable(cls, memtable: Memtable, *,
                       hints: BlockHints | None = None) -> "SSTable":
-        """Flush: the partitions' sorted rows, in partition-key order,
+        """Flush: the partitions' sorted rows, in partition order,
         encoded column-major as one block straight from the rows, not
         through a read face, so a sealed memtable keeps no face while
         its flush runs (the sealed memtable is discarded afterwards)."""
         parts = memtable.partitions
         return cls._build(((pk, parts[pk].sorted_rows())
-                           for pk in sorted(parts)), hints)
+                           for pk in in_partition_order(parts)), hints)
 
     @classmethod
-    def _build(cls, partitions: Iterable[tuple[str, list[Row]]],
+    def _build(cls, partitions: Iterable[tuple[tuple, list[Row]]],
                hints: BlockHints | None) -> "SSTable":
         """One run from ``(partition key, sorted rows)`` in key order:
         the rows concatenated into one block, each partition's stretch
         of it recorded in ``offsets``.  An empty partition is left out."""
         rows: list[Row] = []
-        offsets: dict[str, tuple[int, int]] = {}
+        offsets: dict[tuple, tuple[int, int]] = {}
         for pk, part in partitions:
             if part:
                 offsets[pk] = (len(rows), len(rows) + len(part))
                 rows += part
         return cls(ColumnBlock.from_rows(rows), offsets, hints=hints)
 
-    def maybe_contains(self, partition_key: str) -> bool:
-        """Bloom-filter check; False means *definitely* absent.  The
-        store asks once per read and slices only the runs that pass."""
-        return partition_key in self.bloom
-
     def slice_partition_view(
         self,
-        partition_key: str,
+        partition_key: tuple,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
     ) -> tuple[BlockView, int] | None:
@@ -147,7 +142,7 @@ class SSTable:
         return (BlockView(self.block, range(lo, hi)),
                 stop - start - (hi - lo))
 
-    def partition_keys(self) -> Iterator[str]:
+    def partition_keys(self) -> Iterator[tuple]:
         return iter(self.offsets)
 
     def __len__(self) -> int:
@@ -168,7 +163,7 @@ def merge_sstables(tables: Iterable[SSTable], *,
     stamped at or before the tombstone: delivered after this
     compaction, it resurrects the row (there is no ``gc_grace``).
 
-    The output is built in sorted partition-key order, so the merged
+    The output is built in partition order, so the merged
     run's partition iteration order (``partition_keys()``, full scans)
     is deterministic whatever order the inputs arrived in.  Hints are
     inherited from the inputs unless overridden.
@@ -176,10 +171,10 @@ def merge_sstables(tables: Iterable[SSTable], *,
     tables = list(tables)
     if hints is None:
         hints = next((t.hints for t in tables if t.hints is not None), None)
-    all_keys: set[str] = set()
+    all_keys: set[tuple] = set()
     for t in tables:
         all_keys.update(t.offsets)
     return SSTable._build(
         ((pk, merge_views([BlockView(t.block, range(*span)) for t in tables
                            if (span := t.offsets.get(pk)) is not None]))
-         for pk in sorted(all_keys)), hints)
+         for pk in in_partition_order(all_keys)), hints)

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro import obs
 
+from .bloom import key_bytes
 from .memtable import Memtable
 from .row import ClusteringBound, Row
 from .sstable import SSTable, merge_sstables
@@ -94,7 +95,7 @@ class TableStore:
 
     # -- write path -----------------------------------------------------
 
-    def write(self, partition_key: str, row: Row) -> None:
+    def write(self, partition_key: tuple, row: Row) -> None:
         with self.lock:
             self.memtable.upsert(partition_key, row)
             self.stats.writes += 1
@@ -102,7 +103,7 @@ class TableStore:
         if sealed is not None:
             self._build_sstable(sealed)
 
-    def write_rows(self, items: Sequence[tuple[str, Row]]) -> None:
+    def write_rows(self, items: Sequence[tuple[tuple, Row]]) -> None:
         """Apply a node's share of a write batch: one lock acquisition
         for all rows.
 
@@ -187,7 +188,7 @@ class TableStore:
 
     def read_partition(
         self,
-        partition_key: str,
+        partition_key: tuple,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
         reverse: bool = False,
@@ -200,7 +201,7 @@ class TableStore:
 
     def read_partition_view(
         self,
-        partition_key: str,
+        partition_key: tuple,
         lower: ClusteringBound | None = None,
         upper: ClusteringBound | None = None,
         reverse: bool = False,
@@ -235,7 +236,7 @@ class TableStore:
             rows.reverse()
         return BlockView(ColumnBlock.over_rows(rows)).ordered(reverse)
 
-    def exchange_partition(self, partition_key: str,
+    def exchange_partition(self, partition_key: tuple,
                            lower: ClusteringBound | None = None,
                            upper: ClusteringBound | None = None) -> list[Row]:
         """This node's copy of a partition within clustering bounds, as
@@ -246,19 +247,21 @@ class TableStore:
         return merge_views(self._slices(partition_key, lower, upper),
                            keep_dead=True)
 
-    def _slices(self, partition_key: str, lower: ClusteringBound | None,
+    def _slices(self, partition_key: tuple, lower: ClusteringBound | None,
                 upper: ClusteringBound | None) -> list[BlockView]:
         """Every tier's non-empty in-bounds slice of a partition, newest
         tier first.  Memtables (active, then sealed ones awaiting their
         build) and runs answer the same ``slice_partition_view``; a run
-        is asked only if its bloom filter — probed once — lets it be."""
+        is asked only if its bloom filter — probed once, with the key's
+        byte form made once for all runs — lets it be."""
         sources: list[BlockView] = []
         pruned = 0
         with self.lock:
             self.stats.reads += 1
             tiers: list[Memtable | SSTable] = [self.memtable, *self.frozen]
+            probe = key_bytes(partition_key) if self.sstables else None
             for sst in self.sstables:
-                if sst.maybe_contains(partition_key):
+                if probe in sst.bloom:
                     self.stats.sstable_probes += 1
                     _M_SSTABLE_PROBES.inc()
                     tiers.append(sst)
@@ -278,7 +281,7 @@ class TableStore:
             _M_ROWS_PRUNED.inc(pruned)
         return sources
 
-    def partition_keys(self) -> set[str]:
+    def partition_keys(self) -> set[tuple]:
         """Every partition key present on this node (memtable + runs)."""
         with self.lock:
             keys = set(self.memtable.partition_keys())

@@ -86,8 +86,10 @@ class Context:
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "Context":
         """``t0``/``t1`` are numbers; ``event_types``/``sources`` are
-        lists (``[]``/null: "any").  Anything else is a typed error — a
-        bare string is not one name per character."""
+        lists of strings (``[]``/null: "any"); ``app``/``user`` are
+        strings or null.  Anything else is a typed error — a bare string
+        is not one name per character, and a list or an object is not a
+        name."""
         bounds = {}
         for field in ("t0", "t1"):
             value = payload.get(field)
@@ -99,9 +101,16 @@ class Context:
             value = payload.get(field)
             if value is not None and type(value) is not list:
                 raise ValueError(f"context '{field}' must be a list")
+            if value and not all(isinstance(v, str) for v in value):
+                raise ValueError(
+                    f"context '{field}' must be a list of strings")
             names[field] = tuple(value) if value else None
-        return cls(app=payload.get("app"), user=payload.get("user"),
-                   **bounds, **names)
+        for field in ("app", "user"):
+            value = payload.get(field)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"context '{field}' must be a string")
+            names[field] = value
+        return cls(**bounds, **names)
 
     # -- resolution against the data model --------------------------------------
 

@@ -315,13 +315,14 @@ class AnalyticsServer:
             raise ValueError(f"{request['op']}: '{field}' must be {kind}")
         return value
 
-    def _statement(self, request: dict[str, Any]) -> str:
-        """The required CQL ``statement``: a string, else a typed error
-        naming the field."""
-        statement = self._require(request, "statement")
-        if not isinstance(statement, str):
-            raise ValueError(f"{request['op']}: 'statement' must be a string")
-        return statement
+    @classmethod
+    def _string(cls, request: dict[str, Any], field: str) -> str:
+        """The required string *field* (a CQL statement, a name a key is
+        made of), else a typed error naming the field."""
+        value = cls._require(request, field)
+        if not isinstance(value, str):
+            raise ValueError(f"{request['op']}: '{field}' must be a string")
+        return value
 
     def _context(self, request: dict[str, Any]) -> Context:
         payload = request.get("context")
@@ -341,7 +342,7 @@ class AnalyticsServer:
 
     @_op
     def _op_nodeinfo(self, request):
-        cname = self._require(request, "cname")
+        cname = self._string(request, "cname")
         info = self.framework.model.nodeinfo(cname)
         if info is None:
             raise KeyError(f"unknown node: {cname}")
@@ -368,7 +369,7 @@ class AnalyticsServer:
         """The cache probe and ``cache`` status stay on the loop (a
         ContextVar set in a thread is lost); a sparklet plan's run
         leaves it as a ``partial``."""
-        statement = self._statement(request)
+        statement = self._string(request, "statement")
         params = request.get("params")
         if params is None:
             params = ()
@@ -411,7 +412,8 @@ class AnalyticsServer:
     def _op_explain(self, request):
         """The optimized plan for a statement as a stable JSON tree
         (works with or without a leading ``EXPLAIN`` keyword)."""
-        return self.framework.session.explain(self._statement(request))
+        return self.framework.session.explain(
+            self._string(request, "statement"))
 
     # -- observability ops ----------------------------------------------------
 
@@ -485,6 +487,13 @@ class AnalyticsServer:
             del row[bucket]
         return t0, t1, rows
 
+    @classmethod
+    def _component(cls, request) -> tuple[str] | None:
+        """The key rest a ``component`` filter names (omitted: all)."""
+        if request.get("component") in (None, ""):
+            return None
+        return (cls._string(request, "component"),)
+
     @staticmethod
     def _span_forest(rows: list[dict]) -> tuple[int, list[dict]]:
         """Re-link span rows into trees via their parent ids; returns
@@ -507,10 +516,12 @@ class AnalyticsServer:
     @_op
     def _op_telemetry_series(self, request):
         """Time-windowed series of one metric from ``metrics_by_time``."""
-        name = self._require(request, "name")
+        name = self._string(request, "name")
+        want = request.get("labels") or {}
+        if not isinstance(want, dict):
+            raise ValueError("telemetry_series: 'labels' must be an object")
         t0, t1, rows = self._window_rows(
             request, "metrics_by_time", (name,))
-        want = request.get("labels") or {}
         points = []
         for point in rows:
             del point["metric_name"]
@@ -532,9 +543,8 @@ class AnalyticsServer:
         """Slowest spans in a window from ``spans_by_time``,
         reconstructed as trees via their parent links."""
         limit = self._count(request, "limit", 20)
-        component = request.get("component")
         t0, t1, rows = self._window_rows(
-            request, "spans_by_time", (component,) if component else None)
+            request, "spans_by_time", self._component(request))
         spans, roots = self._span_forest(rows)
         roots.sort(key=lambda n: -n["duration_ms"])
         return {"t0": t0, "t1": t1, "spans": spans,
@@ -547,10 +557,9 @@ class AnalyticsServer:
         functions by exclusive samples."""
         from repro.obs.profile import hot_functions
 
-        component = request.get("component")
         top = self._count(request, "top", 10)
         t0, t1, rows = self._window_rows(
-            request, "profiles_by_time", (component,) if component else None)
+            request, "profiles_by_time", self._component(request))
         by_stack: dict[tuple[str, str], int] = {}
         for row in rows:
             key = (row["component"], row["stack"])
@@ -583,7 +592,7 @@ class AnalyticsServer:
             if trace is None:
                 raise LookupError("no completed traces yet")
             return critical_path(trace)
-        trace_id = int(trace_id)
+        trace_id = self._number(request, "trace_id", trace_id, integer=True)
         for trace in reversed(self.tracer.traces()):
             if trace.get("trace_id") == trace_id:
                 return critical_path(trace)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.cassdb.row import in_partition_order
+
 from .rdd import RDD
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,10 +73,10 @@ class CassandraTableRDD(RDD):
         self.lower = lower
         self.upper = upper
         # Snapshot placement at construction: each split is (node_id,
-        # [partition keys]) with keys sorted for determinism.
-        self._splits: list[tuple[str, list[str]]] = []
+        # [partition key tuples]) in partition order, for determinism.
+        self._splits: list[tuple[str, list[tuple]]] = []
         for node_id, pks in sorted(cluster.partitions_by_node(table).items()):
-            ordered = sorted(pks)
+            ordered = in_partition_order(pks)
             if not ordered:
                 continue
             chunk = -(-len(ordered) // split_factor)  # ceil division

@@ -62,14 +62,6 @@ class TestWriteReadRoundtrip:
         )
         assert [r["ts"] for r in rows] == [5.0, 6.0, 7.0, 8.0]
 
-    def test_select_mapping_partition_values(self):
-        cluster = make_cluster()
-        insert_events(cluster, 5)
-        rows = cluster.select_partition(
-            "event_by_time", {"hour": 0, "type": "MCE"}, limit=2
-        )
-        assert len(rows) == 2
-
     def test_select_absent_partition(self):
         cluster = make_cluster()
         insert_events(cluster, 5)
@@ -141,7 +133,7 @@ class TestFailureModes:
     def test_unavailable_when_all_replicas_down(self):
         cluster = make_cluster(4, rf=2)
         insert_events(cluster, 1)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
+        pk = cluster.schema("event_by_time").ring_key((0, "MCE"))
         for replica in cluster.ring.replicas(pk):
             cluster.kill_node(replica)
         with pytest.raises(UnavailableError):
@@ -150,7 +142,7 @@ class TestFailureModes:
     def test_read_one_succeeds_with_one_replica_down(self):
         cluster = make_cluster(4, rf=2)
         insert_events(cluster, 10)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
+        pk = cluster.schema("event_by_time").ring_key((0, "MCE"))
         cluster.kill_node(cluster.ring.replicas(pk)[0])
         rows = cluster.select_partition(
             "event_by_time", (0, "MCE"), consistency=Consistency.ONE
@@ -160,7 +152,7 @@ class TestFailureModes:
     def test_quorum_read_fails_with_majority_down(self):
         cluster = make_cluster(4, rf=3)
         insert_events(cluster, 5)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
+        pk = cluster.schema("event_by_time").ring_key((0, "MCE"))
         for replica in cluster.ring.replicas(pk)[:2]:
             cluster.kill_node(replica)
         with pytest.raises(UnavailableError):
@@ -170,8 +162,9 @@ class TestFailureModes:
 
     def test_hinted_handoff_replays_on_revive(self):
         cluster = make_cluster(4, rf=2)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
-        down = cluster.ring.replicas(pk)[1]
+        pk = (0, "MCE")
+        down = cluster.ring.replicas(
+            cluster.schema("event_by_time").ring_key(pk))[1]
         cluster.kill_node(down)
         insert_events(cluster, 10)  # hints buffered for `down`
         assert cluster.hinted_writes > 0
@@ -183,7 +176,7 @@ class TestFailureModes:
 
     def test_write_consistency_one_with_node_down(self):
         cluster = make_cluster(4, rf=2)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
+        pk = cluster.schema("event_by_time").ring_key((0, "MCE"))
         cluster.kill_node(cluster.ring.replicas(pk)[0])
         cluster.insert(
             "event_by_time",
@@ -193,8 +186,9 @@ class TestFailureModes:
 
     def test_read_repair_fixes_stale_replica(self):
         cluster = make_cluster(4, rf=2)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
-        replicas = cluster.ring.replicas(pk)
+        pk = (0, "MCE")
+        replicas = cluster.ring.replicas(
+            cluster.schema("event_by_time").ring_key(pk))
         cluster.kill_node(replicas[1])
         insert_events(cluster, 5)
         cluster.nodes[replicas[1]].mark_up()  # revive WITHOUT hint replay
@@ -217,15 +211,15 @@ class TestDeletesCrossReplicas:
     KEY = {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0}
 
     def missed_delete(self, hint="holder down"):
-        """(cluster, ring key, the replica still holding the row): a row
+        """(cluster, partition key, the replica still holding the row): a row
         written at ALL, deleted at QUORUM while one replica was down,
         which came back without its hint — the hint's holder is down
         too, or (``hint="dropped"``) the buffer was lost."""
         cluster = make_cluster(4, rf=3)
         cluster.insert("event_by_time", {**self.KEY, "amount": 1},
                        Consistency.ALL)
-        pk = EVENTS.partition_key_of(self.KEY)
-        stale, *others = cluster.ring.replicas(pk)
+        pk = (self.KEY["hour"], self.KEY["type"])
+        stale, *others = cluster.ring.replicas(EVENTS.ring_key(pk))
         cluster.kill_node(stale)
         cluster.delete_row("event_by_time", self.KEY, Consistency.QUORUM)
         holders = [rid for rid in others if cluster.nodes[rid].hints]
@@ -259,7 +253,7 @@ class TestDeletesCrossReplicas:
         cluster, pk, _stale = self.missed_delete()
         assert cluster.repair("event_by_time") == 1
         assert cluster.repair("event_by_time") == 0
-        for node_id in cluster.ring.replicas(pk):
+        for node_id in cluster.ring.replicas(EVENTS.ring_key(pk)):
             if cluster.nodes[node_id].up:
                 assert self.alone(cluster, node_id, pk) == []
 
@@ -308,8 +302,7 @@ class TestScansAndPlacement:
     def test_read_partition_raw(self):
         cluster = make_cluster()
         insert_events(cluster, 4)
-        pk = cluster.schema("event_by_time").partition_key_from_tuple((0, "MCE"))
-        rows = cluster.read_partition_raw("event_by_time", pk)
+        rows = cluster.read_partition_raw("event_by_time", (0, "MCE"))
         assert len(rows) == 4
         assert rows[0]["type"] == "MCE"
 

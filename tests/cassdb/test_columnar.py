@@ -418,8 +418,7 @@ EV_ROWS = [
 def _seed_session(flush=True):
     cluster = Cluster(4, replication_factor=2)
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
     cluster.insert_many("ev", EV_ROWS)
     s = Session(cluster)
     if flush:

@@ -52,7 +52,7 @@ def make_cluster(**kw) -> Cluster:
 
 
 def ring_key(pk: str) -> str:
-    return SCHEMA.partition_key_of({"pk": pk})
+    return SCHEMA.ring_key((pk,))
 
 
 def partitions_with_victim_at(cluster: Cluster, position: int | None,
@@ -77,7 +77,7 @@ def held_by(cluster: Cluster, node_id: str, pk: str) -> set[int]:
     if store is None:
         return set()
     return {row.clustering[0]
-            for row in store.read_partition_view(ring_key(pk)).to_rows()}
+            for row in store.read_partition_view((pk,)).to_rows()}
 
 
 def hints_by_holder(cluster: Cluster) -> dict[str, list]:
@@ -107,7 +107,8 @@ class TestHintHolder:
         for holder, hints in hints_by_holder(cluster).items():
             for hint in hints:
                 assert hint.target_node == VICTIM
-                assert holder in cluster.ring.replicas(hint.partition_key)
+                assert holder in cluster.ring.replicas(
+                    SCHEMA.ring_key(hint.partition_key))
         cluster.recover_node(VICTIM)
         cluster.revive_node(VICTIM)
         assert not hints_by_holder(cluster)
@@ -240,7 +241,8 @@ class TestFaultMatrix:
         assert sum(map(len, hints.values())) == (rows_hit if acked else 0)
         for holder, held in hints.items():
             for hint in held:
-                replicas = cluster.ring.replicas(hint.partition_key)
+                replicas = cluster.ring.replicas(
+                    SCHEMA.ring_key(hint.partition_key))
                 assert hint.target_node == VICTIM
                 assert holder in replicas and holder != VICTIM
         # Every acked row is on a healthy replica now, so readable (a
@@ -271,7 +273,7 @@ class TestFaultMatrix:
         clear = partitions_with_victim_at(cluster, None, 6)
         rows = [{"pk": pk, "ck": 0} for pk in clear + hit]
         cluster.crash_node(VICTIM)
-        sent: list[list[str]] = []
+        sent: list[list[tuple]] = []
         real = StorageNode.write_rows
 
         def spy(node, table, items):
@@ -287,8 +289,8 @@ class TestFaultMatrix:
         # The victim-free groups went out once, to both replicas; the
         # short groups went to their healthy replica on every attempt.
         sends = Counter(key for keys in sent for key in keys)
-        assert {sends[ring_key(pk)] for pk in clear} == {2}
-        assert {sends[ring_key(pk)] for pk in hit} == {3}
+        assert {sends[(pk,)] for pk in clear} == {2}
+        assert {sends[(pk,)] for pk in hit} == {3}
 
 
 class TestOneApplyPerNode:
@@ -405,7 +407,7 @@ class TestCommitHistories:
 
         def alone(nid, pk):
             return cluster.nodes[nid].read_partition_view(
-                "t", ring_key(pk)).to_rows()
+                "t", (pk,)).to_rows()
 
         def attempt(call, pks, level):
             raises, written = outcome(pks, level)
@@ -487,7 +489,7 @@ class TestCommitHistories:
                     for other in others:
                         cluster.nodes[other].mark_down()
                     assert cluster.read_partition_raw(
-                        "t", ring_key(pk)) == rows, (pk, nid)
+                        "t", (pk,)) == rows, (pk, nid)
                     for other in others:
                         cluster.nodes[other].mark_up()
             assert cluster.repair("t") == 0

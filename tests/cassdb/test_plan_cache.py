@@ -11,8 +11,7 @@ from repro.cql import normalize_cql
 def session():
     cluster = Cluster(2, replication_factor=1)
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
     return Session(cluster)
 
 

@@ -13,7 +13,7 @@ def session():
     cluster = Cluster(4, replication_factor=2)
     cluster.create_table(TableSchema(
         "event_by_time", partition_key=("hour", "type"),
-        clustering_key=("ts", "seq"), key_codecs=(("hour", int),)))
+        clustering_key=("ts", "seq")))
     return Session(cluster)
 
 

@@ -14,8 +14,8 @@ class TestAntiEntropyRepair:
         for i in range(20):
             cluster.insert("t", {"k": f"p{i % 4}", "c": i, "v": i})
         # Corrupt: silently drop one replica's copy of one partition.
-        pk = cluster.schema("t").partition_key_from_tuple(("p1",))
-        victim = cluster.ring.replicas(pk)[1]
+        pk = ("p1",)
+        victim = cluster.ring.replicas(cluster.schema("t").ring_key(pk))[1]
         store = cluster.nodes[victim].tables["t"]
         store.memtable.partitions.pop(pk, None)
         for sst in store.sstables:
@@ -48,8 +48,8 @@ class TestAntiEntropyRepair:
         cluster = Cluster(4, replication_factor=2)
         cluster.create_table(SCHEMA)
         cluster.insert("t", {"k": "a", "c": 0, "v": 0})
-        pk = cluster.schema("t").partition_key_from_tuple(("a",))
-        down = cluster.ring.replicas(pk)[1]
+        pk = ("a",)
+        down = cluster.ring.replicas(cluster.schema("t").ring_key(pk))[1]
         cluster.kill_node(down)
         for i in range(1, 10):
             cluster.insert("t", {"k": "a", "c": i, "v": i})

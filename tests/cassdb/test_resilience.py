@@ -208,8 +208,8 @@ class TestHardenedCoordinator:
 
         def where(position):
             return [f"p{i}" for i in range(200)
-                    if cluster.ring.replicas(SCHEMA.partition_key_of(
-                        {"pk": f"p{i}"}))[position] == victim]
+                    if cluster.ring.replicas(SCHEMA.ring_key(
+                        (f"p{i}",)))[position] == victim]
 
         leads, second = where(0), where(1)
         for pk in leads + second:

@@ -99,7 +99,7 @@ class TestHintedHandoffMidBatch:
         victim_keys = cluster.nodes[victim].partition_keys("event_by_time")
         expected = {
             pk for pk in cluster.partition_keys("event_by_time")
-            if victim in cluster.ring.replicas(pk)
+            if victim in cluster.ring.replicas(EVENTS.ring_key(pk))
         }
         assert victim_keys == expected
         # Reads served *by* the revived replica see the full partitions.
@@ -246,8 +246,8 @@ class TestSingleRowGroupCommit:
         cluster = make_cluster(4, rf=2, retry_policy=(
             RetryPolicy(max_attempts=1) if fault == "crash_node"
             else RetryPolicy()))
-        pk = EVENTS.partition_key_of(self.VALUES)
-        survivor, victim = cluster.ring.replicas(pk)
+        pk = (self.VALUES["hour"], self.VALUES["type"])
+        survivor, victim = cluster.ring.replicas(EVENTS.ring_key(pk))
         getattr(cluster, fault)(victim)
         write = getattr(cluster, op)
         if error is None:

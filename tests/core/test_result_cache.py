@@ -28,8 +28,7 @@ def small_fw():
 def server(small_fw):
     srv = AnalyticsServer(small_fw, result_cache_size=8, result_cache_ttl=60.0)
     small_fw.cluster.create_table(TableSchema(
-        "rc", partition_key=("k",), clustering_key=("c",),
-        key_codecs=(("k", int),)), if_not_exists=True)
+        "rc", partition_key=("k",), clustering_key=("c",)), if_not_exists=True)
     return srv
 
 

@@ -380,6 +380,76 @@ class TestNumericRequestFields:
         assert r["ok"] and r["result"]["total"] == 3
 
 
+class TestNamedRequestFields:
+    """The fields a partition key is made of are strings, or a typed
+    error naming the field: a list or an object in them answered ``[]``,
+    an empty tree or a leaked ``KeyError``."""
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("event_types", [["x"]], "a list of strings"),
+        ("sources", ["c0-0c0s0n0", {"a": 1}], "a list of strings"),
+        ("app", ["a"], "a string"),
+        ("user", {"a": 1}, "a string")])
+    def test_context_names_are_strings(self, server, field, value, kind):
+        r = server.handle_sync({"op": "events", "context": {
+            "t0": 0.0, "t1": HORIZON, field: value}})
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: context '{field}' must be {kind}"
+
+    @pytest.mark.parametrize("value", [["c0-0c0s0n0"], {"a": 1}, 7])
+    def test_nodeinfo_cname_is_a_string(self, server, value):
+        r = server.handle_sync({"op": "nodeinfo", "cname": value})
+        assert not r["ok"]
+        assert r["error"] == "ValueError: nodeinfo: 'cname' must be a string"
+
+    @pytest.mark.parametrize("value", [["m"], {"a": 1}, 3])
+    def test_telemetry_series_name_is_a_string(self, windowed, value):
+        r = windowed.handle_sync({"op": "telemetry_series", "name": value,
+                                  "t0": 0.0, "t1": 3600.0})
+        assert not r["ok"]
+        assert r["error"] == (
+            "ValueError: telemetry_series: 'name' must be a string")
+
+    @pytest.mark.parametrize("value", [{"a": 1}, ["server"], 3])
+    @pytest.mark.parametrize("op", ["telemetry_spans", "profile_flame"])
+    def test_component_is_a_string(self, windowed, op, value):
+        r = windowed.handle_sync({"op": op, "component": value,
+                                  "t0": 0.0, "t1": 3600.0})
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: {op}: 'component' must be a string"
+
+
+class TestLeakedRequestFields:
+    """``telemetry_series.labels`` is an object and
+    ``critical_path.trace_id`` an integer, or a typed error naming the
+    field: a list of labels leaked an ``AttributeError``, a listed trace
+    id a ``TypeError``, and ``true`` was read as trace 1."""
+
+    @pytest.fixture(scope="class")
+    def labelled(self, windowed):
+        windowed.framework.cluster.insert("metrics_by_time", {
+            "minute_bucket": 0, "metric_name": "labelled", "ts": 10.0,
+            "seq": 0, "value": 1.0, "labels": json.dumps({"a": "b"})})
+        return windowed
+
+    @pytest.mark.parametrize("value", [["a"], "a=b", 1])
+    def test_labels_are_an_object(self, labelled, value):
+        r = labelled.handle_sync({"op": "telemetry_series",
+                                  "name": "labelled", "labels": value,
+                                  "t0": 0.0, "t1": 3600.0})
+        assert not r["ok"]
+        assert r["error"] == (
+            "ValueError: telemetry_series: 'labels' must be an object")
+
+    @pytest.mark.parametrize("value", [[1], "abc", True, 1.5])
+    def test_trace_id_is_an_integer(self, windowed, value):
+        r = windowed.handle_sync({"op": "critical_path", "trace_id": value,
+                                  "t0": 0.0, "t1": 3600.0})
+        assert not r["ok"]
+        assert r["error"] == (
+            "ValueError: critical_path: 'trace_id' must be an integer")
+
+
 class TestHotspotsOverEverySource:
     """An unfiltered context counts Gemini routers beside the nodes;
     once every node has reported there are more reporting sources than

@@ -28,8 +28,7 @@ def cluster():
 @pytest.fixture
 def session(cluster):
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
     cluster.insert_many("ev", ROWS)
     return Session(cluster)
 

@@ -44,8 +44,7 @@ FORMS = [
 def session(request):
     cluster = Cluster(3, replication_factor=1)
     cluster.create_table(TableSchema(
-        "t", partition_key=("a", "b"), clustering_key=("ts",),
-        key_codecs=(("a", int),)))
+        "t", partition_key=("a", "b"), clustering_key=("ts",)))
     s = Session(cluster)
     cluster.insert_many("t", ROWS)
     if request.param:
@@ -84,8 +83,7 @@ class TestInIsASet:
     def test_the_reproduction(self, session):
         cluster = session.cluster
         cluster.create_table(TableSchema(
-            "u", partition_key=("k",), clustering_key=("ts",),
-            key_codecs=(("k", int),)))
+            "u", partition_key=("k",), clustering_key=("ts",)))
         cluster.insert_many(
             "u", [{"k": 1, "ts": float(ts), "v": ts} for ts in range(3)])
         assert session.execute(

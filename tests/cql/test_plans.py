@@ -33,8 +33,7 @@ def _ops(node):
 def session():
     cluster = Cluster(2, replication_factor=1)
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
     s = Session(cluster)
     yield s
     s.cluster.close()

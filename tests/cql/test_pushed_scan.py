@@ -24,8 +24,7 @@ def _ten_rows(flushed):
     """Partitions hour 0 and hour 1, ten rows ``ts = 0…9`` each."""
     cluster = Cluster(2, replication_factor=1)
     cluster.create_table(TableSchema(
-        "t", partition_key=("hour",), clustering_key=("ts",),
-        key_codecs=(("hour", int),)))
+        "t", partition_key=("hour",), clustering_key=("ts",)))
     rows = [{"hour": hour, "ts": ts, "v": ts}
             for hour in (0, 1) for ts in range(10)]
     cluster.insert_many("t", rows)
@@ -157,8 +156,7 @@ def _load(state, drawn):
     killed = state == "replica_killed"
     cluster = Cluster(3, replication_factor=2 if killed else 1)
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "kind"), clustering_key=("ts", "seq"),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "kind"), clustering_key=("ts", "seq")))
     rows = []
     for seq, (hour, kind, ts, src, amount) in enumerate(drawn):
         row = {"hour": hour, "kind": kind, "ts": ts, "seq": seq, "src": src}
@@ -244,8 +242,7 @@ class TestThreeEnginesAgree:
 def flushed_table():
     cluster = Cluster(4, replication_factor=2)
     cluster.create_table(TableSchema(
-        "ev", partition_key=("hour", "kind"), clustering_key=("ts",),
-        key_codecs=(("hour", int),)))
+        "ev", partition_key=("hour", "kind"), clustering_key=("ts",)))
     rows = [{"hour": hour, "kind": kind, "ts": ts, "amount": ts % 5}
             for hour in range(6) for kind in "ab" for ts in range(25)]
     cluster.insert_many("ev", rows)
@@ -408,8 +405,7 @@ class TestAMemtableFaceSurvivesTheRead:
 
         cluster = Cluster(4, replication_factor=2)
         cluster.create_table(TableSchema(
-            "ev", partition_key=("hour", "type"), clustering_key=("ts",),
-            key_codecs=(("hour", int),)))
+            "ev", partition_key=("hour", "type"), clustering_key=("ts",)))
         rows = [{"hour": hour, "type": type_, "ts": ts, "amount": 1}
                 for hour in range(6) for type_ in "ab" for ts in range(25)]
         cluster.insert_many("ev", rows)

@@ -204,7 +204,7 @@ class TestCassandraTableRDD:
     def test_where_pushdown(self):
         cluster = _event_cluster()
         sc = SparkletContext(cluster=cluster)
-        n = sc.cassandraTable("ev", where=lambda r: r["hour"] == "3").count()
+        n = sc.cassandraTable("ev", where=lambda r: r["hour"] == 3).count()
         assert n == 10
 
     @pytest.mark.parametrize("placement", ["locality", "random"])
@@ -235,7 +235,7 @@ class TestCassandraTableRDD:
         rows = sc.cassandraTable(
             "ev", lower=ClusteringBound((3600.0 + 5,)),
             upper=ClusteringBound((2 * 3600.0 + 5,), inclusive=False),
-            where=lambda r: r["hour"] == "2").collect()
+            where=lambda r: r["hour"] == 2).collect()
         assert [r["ts"] for r in rows] == [7200.0 + i for i in range(5)]
         # Rows outside the bounds never left the store.
         assert sc.metrics.records_read == 5 + 5

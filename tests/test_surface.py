@@ -147,6 +147,7 @@ _RETIRED = {
     "repro.ingest.batch:batch_ingest": ("min_partitions",),
     "repro.obs.trace:Tracer.__init__": ("record_durations",),
     "repro.cassdb.cluster:Cluster.insert": ("write_ts",),
+    "repro.cassdb.schema:TableSchema.__init__": ("key_codecs",),
     "repro.bus.producer:Producer.send": ("topic",),
 }
 
