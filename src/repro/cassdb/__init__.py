@@ -2,9 +2,9 @@
 
 Implements the backend of the paper's framework: a masterless
 consistent-hash ring of storage nodes, each running an LSM engine
-(memtable → SSTables with bloom filters → compaction), with replication,
-tunable consistency, hinted handoff, read repair, and a CQL-subset query
-layer.
+(memtable → SSTables indexed by partition offsets → compaction), with
+replication, tunable consistency, hinted handoff, read repair, and a
+CQL-subset query layer.
 
 Quick use::
 

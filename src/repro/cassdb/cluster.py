@@ -58,7 +58,6 @@ from .resilience import BreakerState, CircuitBreaker, RetryPolicy
 from .row import ClusteringBound, Row, in_partition_order
 from .schema import Keyspace, TableSchema
 from .vector import (
-    BlockHints,
     BlockView,
     ColumnBlock,
     materialize_dicts,
@@ -137,7 +136,6 @@ class Cluster:
             nid: StorageNode(
                 nid, flush_threshold=flush_threshold,
                 max_sstables=max_sstables,
-                hints_provider=self._block_hints_for,
             )
             for nid in node_ids
         }
@@ -254,14 +252,6 @@ class Cluster:
 
     def schema(self, table: str) -> TableSchema:
         return self.keyspace.table(table)
-
-    def _block_hints_for(self, table: str) -> BlockHints | None:
-        """Schema-derived run hints for a node's table store (the index
-        interval); None when the table has no registered schema."""
-        try:
-            return self.keyspace.table(table).block_hints
-        except SchemaError:
-            return None
 
     # -- membership / failure simulation -----------------------------------
 

@@ -11,14 +11,14 @@ must replay to peers that were down (hinted handoff).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import obs
 
 from .errors import NodeDownError
 from .row import ClusteringBound, Row
 from .storage import TableStore
-from .vector import BlockHints, BlockView, ColumnBlock
+from .vector import BlockView, ColumnBlock
 
 __all__ = ["Hint", "StorageNode"]
 
@@ -54,17 +54,12 @@ class StorageNode:
     """
 
     def __init__(self, node_id: str, *, flush_threshold: int = 50_000,
-                 max_sstables: int = 8,
-                 hints_provider: "Callable[[str], BlockHints | None] | None" = None):
+                 max_sstables: int = 8):
         self.node_id = node_id
         self.process_up = True
         self.routing_up = True
         self._flush_threshold = flush_threshold
         self._max_sstables = max_sstables
-        # Maps table name -> BlockHints (the index interval) at store
-        # creation; the cluster wires this to the keyspace so schema
-        # knobs reach the storage layer.
-        self._hints_provider = hints_provider
         self.tables: dict[str, TableStore] = {}
         self.hints: list[Hint] = []  # hinted handoff buffer (held as coordinator)
 
@@ -105,12 +100,9 @@ class StorageNode:
     def ensure_table(self, table: str) -> TableStore:
         store = self.tables.get(table)
         if store is None:
-            hints = (self._hints_provider(table)
-                     if self._hints_provider is not None else None)
             store = self.tables[table] = TableStore(
                 flush_threshold=self._flush_threshold,
                 max_sstables=self._max_sstables,
-                hints=hints,
             )
         return store
 

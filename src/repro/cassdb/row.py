@@ -18,9 +18,9 @@ writes made at different times names the cells that differ
 dict of scalars, which the cyclic collector does not track.
 
 A range read names a lower and an upper :class:`ClusteringBound`;
-:func:`slice_bounds_keys` applies them to a sorted clustering-key
-array (a run's: the range of it one partition occupies), which is how
-every tier — memtable and run — cuts its slice.
+:func:`slice_bounds_keys` applies them, one bisect per bound, to a
+sorted clustering-key array (a run's: the range of it one partition
+occupies), which is how every tier — memtable and run — cuts its slice.
 """
 
 from __future__ import annotations
@@ -195,17 +195,6 @@ class ClusteringBound:
         return self.inclusive
 
 
-def _narrowed(samples: list[tuple] | None, key: tuple, interval: int,
-              start: int, stop: int, right: bool) -> tuple[int, int]:
-    """Bisect the sparse samples to confine the exact bisect to one
-    sample block: ``[blo, bhi)``."""
-    if not samples:
-        return start, stop
-    j = (bisect.bisect_right if right else bisect.bisect_left)(samples, key)
-    return (max(start, start + (j - 1) * interval),
-            min(stop, start + j * interval))
-
-
 def slice_bounds_keys(
     keys: list[tuple],
     lower: ClusteringBound | None = None,
@@ -213,8 +202,6 @@ def slice_bounds_keys(
     *,
     start: int = 0,
     stop: int | None = None,
-    samples: list[tuple] | None = None,
-    interval: int = 0,
 ) -> tuple[int, int]:
     """The ``[lo, hi)`` index range of sorted clustering *keys* admitted
     by the bounds, within ``keys[start:stop]``.
@@ -222,29 +209,21 @@ def slice_bounds_keys(
     Bisects the key array (a memtable partition's sorted key list, or a
     run's clustering array between one partition's offsets), then
     applies the (prefix-aware) bound predicates to the edge elements
-    only — O(log n + edge) for the probe.  With *samples* (a run's
-    sparse clustering index of the partition: every *interval*-th key
-    from *start*, both given) each bisect is first narrowed to a single
-    sample block, so it inspects O(log(n/interval) + log(interval))
-    keys of a large partition.
+    only — O(log n + edge) for the probe.
     """
     n = len(keys) if stop is None else stop
     lo, hi = start, n
     if lo >= n:
         return lo, lo
     if lower is not None:
-        blo, bhi = _narrowed(samples, lower.key, interval, start, n,
-                             right=False)
-        lo = bisect.bisect_left(keys, lower.key, blo, bhi)
+        lo = bisect.bisect_left(keys, lower.key, start, n)
         while lo < n and not lower.admits_lower(keys[lo]):
             lo += 1
     if upper is not None:
         # Pad the bound so that every clustering tuple sharing the prefix
         # sorts below the sentinel, then walk back over rejected edges.
         padded = upper.key + (_Greatest(),)
-        blo, bhi = _narrowed(samples, padded, interval, start, n,
-                             right=True)
-        hi = bisect.bisect_right(keys, padded, blo, bhi)
+        hi = bisect.bisect_right(keys, padded, start, n)
         while hi > lo and not upper.admits_upper(keys[hi - 1]):
             hi -= 1
     return lo, max(lo, hi)

@@ -24,7 +24,6 @@ from typing import Any, Callable, Mapping
 
 from .errors import SchemaError
 from .row import Row
-from .vector import BlockHints
 
 __all__ = ["TableSchema", "Keyspace"]
 
@@ -48,10 +47,6 @@ class TableSchema:
         ``"asc"`` or ``"desc"``: the direction a CQL ``SELECT`` without
         ``ORDER BY`` reads a partition in (rows are stored ascending
         either way); the event tables use ascending timestamp.
-    index_interval:
-        Sparse-clustering-index density for this table's SSTables: one
-        key sampled per this many rows.  Wide telemetry tables can use a
-        coarser interval, narrow alert tables a finer one.
     time_bucket:
         ``(column, width_seconds)`` for a time-bucketed table: the first
         partition-key column is ``floor(ts / width)``, e.g. ``("hour",
@@ -65,7 +60,6 @@ class TableSchema:
     clustering_key: tuple[str, ...] = ()
     clustering_order: str = "asc"
     description: str = ""
-    index_interval: int = 64
     time_bucket: tuple[str, float] | None = None
 
     def __post_init__(self):
@@ -76,10 +70,6 @@ class TableSchema:
         if self.clustering_order not in ("asc", "desc"):
             raise SchemaError(
                 f"table {self.name!r}: clustering_order must be 'asc' or 'desc'"
-            )
-        if self.index_interval < 1:
-            raise SchemaError(
-                f"table {self.name!r}: index_interval must be >= 1"
             )
         if self.time_bucket is not None and (
             self.time_bucket[0] != self.partition_key[0]
@@ -95,12 +85,6 @@ class TableSchema:
                 f"table {self.name!r}: columns {sorted(overlap)} appear in both "
                 "partition and clustering keys"
             )
-
-    @cached_property
-    def block_hints(self) -> BlockHints:
-        """The per-table knobs the storage layer threads into the runs
-        it builds (see :class:`~repro.cassdb.vector.BlockHints`)."""
-        return BlockHints(index_interval=self.index_interval)
 
     # -- time buckets ---------------------------------------------------
 

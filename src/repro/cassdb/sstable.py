@@ -1,10 +1,8 @@
-"""Immutable sorted runs (SSTables) with bloom filters, stored columnar.
+"""Immutable sorted runs (SSTables), stored columnar.
 
 An SSTable is a frozen snapshot of a memtable: every partition's rows in
-clustering order, plus a bloom filter over partition keys so reads for
-absent partitions return without touching the data ("data is retrieved
-by row key and range within a row, which guarantees a fast and efficient
-search" — paper §II-A).
+clustering order ("data is retrieved by row key and range within a row,
+which guarantees a fast and efficient search" — paper §II-A).
 
 A run is physically one :class:`~repro.cassdb.vector.ColumnBlock` —
 per-column value arrays, dictionary-encoded low-cardinality strings
@@ -12,10 +10,12 @@ per-column value arrays, dictionary-encoded low-cardinality strings
 rows next to each other in partition order, plus
 :attr:`SSTable.offsets`, the partition index ``partition key -> (start,
 end)`` into it: Cassandra's ``Data.db`` and its ``-Index.db``.  The
-sparse clustering index samples each large partition's stretch of the
-run's clustering array.  A partition read is a
-:class:`~repro.cassdb.vector.BlockView` over that partition's in-bounds
-offset range, which the vectorized kernels filter/project/fold without
+offsets answer both questions a read asks of a run: does it hold the
+partition (a dict lookup, exact), and which of its rows fall inside the
+clustering bounds (one bisect over the partition's stretch of the
+run's clustering array).  A partition read is a
+:class:`~repro.cassdb.vector.BlockView` over that in-bounds offset
+range, which the vectorized kernels filter/project/fold without
 building ``Row`` objects, as they do a memtable's.  Dropping a key from
 ``offsets`` is the simulated loss of that partition.
 
@@ -36,76 +36,42 @@ immutability (compaction builds new tables, never edits) and sortedness
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator
 
-from .bloom import BloomFilter, key_bytes
 from .memtable import Memtable
 from .row import ClusteringBound, Row, in_partition_order, slice_bounds_keys
-from .vector import BlockHints, BlockView, ColumnBlock, merge_views
+from .vector import BlockView, ColumnBlock, merge_views
 
 __all__ = [
-    "INDEX_INTERVAL",
     "SSTable",
     "merge_sstables",
 ]
-
-_generation_counter = itertools.count(1)
-
-# One clustering key is sampled into the sparse index every this many
-# rows; a bounds probe bisects the samples first, so the exact bisect
-# only ever inspects one sample block instead of the whole partition.
-# Per-table tuning lives in TableSchema.index_interval (threaded here
-# via BlockHints); this module constant is only the fallback default.
-INDEX_INTERVAL = 64
 
 
 class SSTable:
     """One immutable sorted run of a table's data on one node."""
 
     def __init__(self, block: ColumnBlock,
-                 offsets: dict[tuple, tuple[int, int]],
-                 generation: int | None = None, *,
-                 hints: BlockHints | None = None):
+                 offsets: dict[tuple, tuple[int, int]]):
         # Whoever builds a run hands it its block and partition index
-        # (flush, compaction; a loader, once runs live on disk).  *hints*
-        # is what built them: the sparse index samples at its interval
-        # and compaction inherits it.
-        self.hints = hints
-        self.index_interval = (
-            hints.index_interval if hints is not None else INDEX_INTERVAL)
-        interval = self.index_interval
-        self.generation = (
-            generation if generation is not None else next(_generation_counter)
-        )
-        self.bloom = BloomFilter.from_keys(map(key_bytes, offsets))
+        # (flush, compaction; a loader, once runs live on disk).
         self.block = block
         self.offsets = offsets
         self.row_count = block.n
-        # Sparse clustering index: every index_interval-th clustering key
-        # of each partition big enough to benefit — the role index
-        # blocks play in Cassandra's -Index.db component.  Sample k of a
-        # partition sits at run offset start + k * interval.
-        cl = block.clustering
-        self.index: dict[tuple, list[tuple]] = {
-            pk: cl[start:end:interval]
-            for pk, (start, end) in offsets.items() if end - start > interval
-        }
 
     @classmethod
-    def from_memtable(cls, memtable: Memtable, *,
-                      hints: BlockHints | None = None) -> "SSTable":
+    def from_memtable(cls, memtable: Memtable) -> "SSTable":
         """Flush: the partitions' sorted rows, in partition order,
         encoded column-major as one block straight from the rows, not
         through a read face, so a sealed memtable keeps no face while
         its flush runs (the sealed memtable is discarded afterwards)."""
         parts = memtable.partitions
-        return cls._build(((pk, parts[pk].sorted_rows())
-                           for pk in in_partition_order(parts)), hints)
+        return cls._build((pk, parts[pk].sorted_rows())
+                          for pk in in_partition_order(parts))
 
     @classmethod
-    def _build(cls, partitions: Iterable[tuple[tuple, list[Row]]],
-               hints: BlockHints | None) -> "SSTable":
+    def _build(cls, partitions: Iterable[tuple[tuple, list[Row]]]
+               ) -> "SSTable":
         """One run from ``(partition key, sorted rows)`` in key order:
         the rows concatenated into one block, each partition's stretch
         of it recorded in ``offsets``.  An empty partition is left out."""
@@ -115,7 +81,7 @@ class SSTable:
             if part:
                 offsets[pk] = (len(rows), len(rows) + len(part))
                 rows += part
-        return cls(ColumnBlock.from_rows(rows), offsets, hints=hints)
+        return cls(ColumnBlock.from_rows(rows), offsets)
 
     def slice_partition_view(
         self,
@@ -126,19 +92,17 @@ class SSTable:
         """The in-bounds slice of a partition plus the pruned-row count —
         the read face a memtable shares.
 
-        Bisected into the block via the sparse clustering index; the
-        result is a :class:`BlockView` over the in-bounds offset range,
-        so no row is materialized.  ``None`` when the partition is
-        absent from this run.
+        One bisect over the partition's stretch of the run's clustering
+        array; the result is a :class:`BlockView` over the in-bounds
+        offset range, so no row is materialized.  ``None`` when the
+        partition is absent from this run.
         """
         span = self.offsets.get(partition_key)
         if span is None:
             return None
         start, stop = span
         lo, hi = slice_bounds_keys(self.block.clustering, lower, upper,
-                                   start=start, stop=stop,
-                                   samples=self.index.get(partition_key),
-                                   interval=self.index_interval)
+                                   start=start, stop=stop)
         return (BlockView(self.block, range(lo, hi)),
                 stop - start - (hi - lo))
 
@@ -149,8 +113,7 @@ class SSTable:
         return self.row_count
 
 
-def merge_sstables(tables: Iterable[SSTable], *,
-                   hints: BlockHints | None = None) -> SSTable:
+def merge_sstables(tables: Iterable[SSTable]) -> SSTable:
     """Compaction: merge several runs into one, reconciling duplicates.
 
     Each partition is :func:`~repro.cassdb.vector.merge_views` over its
@@ -165,16 +128,13 @@ def merge_sstables(tables: Iterable[SSTable], *,
 
     The output is built in partition order, so the merged
     run's partition iteration order (``partition_keys()``, full scans)
-    is deterministic whatever order the inputs arrived in.  Hints are
-    inherited from the inputs unless overridden.
+    is deterministic whatever order the inputs arrived in.
     """
     tables = list(tables)
-    if hints is None:
-        hints = next((t.hints for t in tables if t.hints is not None), None)
     all_keys: set[tuple] = set()
     for t in tables:
         all_keys.update(t.offsets)
     return SSTable._build(
         ((pk, merge_views([BlockView(t.block, range(*span)) for t in tables
                            if (span := t.offsets.get(pk)) is not None]))
-         for pk in in_partition_order(all_keys)), hints)
+         for pk in in_partition_order(all_keys)))

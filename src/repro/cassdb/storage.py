@@ -7,9 +7,11 @@ answers a :class:`~repro.cassdb.vector.BlockView`; one answer is served
 as it is, several are merged.  A flush and a compaction each encode
 one block: a run holds all its partitions in one
 :class:`~repro.cassdb.vector.ColumnBlock`, and a partition read of it
-is a view over the partition's offset range.  A delete arrives as any
-write does, as a tombstone marker row.  One :class:`TableStore` exists
-per table per storage node.
+is a view over the partition's offset range.  A run holds a partition
+exactly when its ``offsets`` name it, so a read skips every other run
+with one dict lookup.  A delete arrives as any write does, as a
+tombstone marker row.  One :class:`TableStore` exists per table per
+storage node.
 
 Concurrency model: the store lock guards *pointer swaps* (memtable
 upserts, sealing a memtable, publishing an SSTable), never bulk work.
@@ -28,16 +30,17 @@ from typing import Callable, Iterable, Sequence
 
 from repro import obs
 
-from .bloom import key_bytes
 from .memtable import Memtable
 from .row import ClusteringBound, Row
 from .sstable import SSTable, merge_sstables
-from .vector import BlockHints, BlockView, ColumnBlock, merge_views
+from .vector import BlockView, ColumnBlock, merge_views
 
 __all__ = ["StoreStats", "TableStore"]
 
-# Shared across every TableStore: the LSM-health counters the bloom-hit
-# -rate and flush/compaction dashboards are built from.
+# Shared across every TableStore: the LSM-health counters the run-skip
+# rate and flush/compaction dashboards are built from.  A read counts
+# each run once: ``sstable_probes`` if its offsets hold the partition,
+# ``bloom_skips`` (the name dashboards know) if they do not.
 _M_FLUSHES = obs.get_registry().counter("cassdb.store.flushes")
 _M_COMPACTIONS = obs.get_registry().counter("cassdb.store.compactions")
 _M_BLOOM_SKIPS = obs.get_registry().counter("cassdb.store.bloom_skips")
@@ -55,7 +58,7 @@ class StoreStats:
     reads: int = 0
     flushes: int = 0
     compactions: int = 0
-    bloom_skips: int = 0  # SSTable reads avoided by the bloom filter
+    bloom_skips: int = 0  # runs a read skipped: their offsets lack the key
     sstable_probes: int = 0
     rows_pruned: int = 0  # rows excluded by clustering bounds before merge
 
@@ -75,9 +78,6 @@ class TableStore:
 
     flush_threshold: int = 50_000
     max_sstables: int = 8
-    # The table schema's index_interval, for the sparse index of the
-    # runs this store builds.
-    hints: BlockHints | None = None
     memtable: Memtable = field(default_factory=Memtable)
     # Sealed memtables whose SSTable build is in flight; readers treat
     # them as sources so pre-flush rows stay visible during the build.
@@ -147,7 +147,7 @@ class TableStore:
         if hook is not None:
             hook()
         with obs.get_tracer().span("cassdb.store.flush", rows=flushed_rows):
-            sst = SSTable.from_memtable(sealed, hints=self.hints)
+            sst = SSTable.from_memtable(sealed)
         with self.lock:
             self.frozen.remove(sealed)
             self.sstables.append(sst)
@@ -176,7 +176,7 @@ class TableStore:
         if len(runs) <= 1:
             return
         with obs.get_tracer().span("cassdb.store.compact", runs=len(runs)):
-            merged = merge_sstables(runs, hints=self.hints)
+            merged = merge_sstables(runs)
         with self.lock:
             if self.sstables[:len(runs)] != runs:
                 return  # lost the race to a concurrent compaction
@@ -210,9 +210,9 @@ class TableStore:
         """All live rows of a partition within clustering bounds, as the
         view the vectorized kernels filter, project and fold.
 
-        Each run that may contain the partition (bloom-filtered) is first
-        bisected down to its in-bounds slice — out-of-range rows are
-        *pruned* before any merge work.  Sealed memtables awaiting their
+        Each run whose offsets hold the partition is first bisected
+        down to its in-bounds slice — out-of-range rows are *pruned*
+        before any merge work.  Sealed memtables awaiting their
         SSTable build count as sources, so an in-flight flush never
         hides rows.
 
@@ -252,16 +252,14 @@ class TableStore:
         """Every tier's non-empty in-bounds slice of a partition, newest
         tier first.  Memtables (active, then sealed ones awaiting their
         build) and runs answer the same ``slice_partition_view``; a run
-        is asked only if its bloom filter — probed once, with the key's
-        byte form made once for all runs — lets it be."""
+        is asked only if its ``offsets`` hold the partition key."""
         sources: list[BlockView] = []
         pruned = 0
         with self.lock:
             self.stats.reads += 1
             tiers: list[Memtable | SSTable] = [self.memtable, *self.frozen]
-            probe = key_bytes(partition_key) if self.sstables else None
             for sst in self.sstables:
-                if probe in sst.bloom:
+                if partition_key in sst.offsets:
                     self.stats.sstable_probes += 1
                     _M_SSTABLE_PROBES.inc()
                     tiers.append(sst)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.obs import get_registry
@@ -44,7 +43,6 @@ from repro.obs import get_registry
 from .row import Row, merge_rows
 
 __all__ = [
-    "BlockHints",
     "BlockView",
     "Column",
     "ColumnBlock",
@@ -75,15 +73,6 @@ DICT_MAX_CARDINALITY = 256
 # Auto-detection also requires the block to be at least this tall —
 # encoding a 3-row block buys nothing and costs a dict build.
 _DICT_MIN_ROWS = 8
-
-
-@dataclass(frozen=True)
-class BlockHints:
-    """Per-table knobs the storage layer threads into run builds,
-    derived from :class:`~repro.cassdb.schema.TableSchema`: the sparse
-    clustering index samples one key per ``index_interval`` rows."""
-
-    index_interval: int = 64
 
 
 class Column:
@@ -180,7 +169,7 @@ class ColumnBlock:
     """Rows stored column-major: a whole SSTable run, or one partition.
 
     ``clustering`` is the clustering-key array, ascending within each
-    partition the block holds (what the sparse index samples and the
+    partition the block holds (what a bounds probe bisects and the
     merge compares); ``columns`` maps column name to :class:`Column`;
     ``live`` is a liveness bitmap (``None`` when no row is
     tombstone-shadowed); ``tombstones`` keeps the sparse ``offset ->

@@ -276,13 +276,32 @@ class AnalyticsServer:
             raise ValueError(f"{request['op']} requires '{field}'")
         return value
 
-    @staticmethod
-    def _given(request: dict[str, Any], *fields: str) -> dict[str, Any]:
-        """The optional *fields* the request carries, as keyword
+    @classmethod
+    def _given(cls, request: dict[str, Any], **kinds: type) -> dict[str, Any]:
+        """The optional fields the request carries, as keyword
         arguments: an omitted (or null) one is not forwarded, so its
-        default is the framework's, declared once."""
-        return {f: request[f] for f in fields
-                if request.get(f) is not None}
+        default is the framework's, declared once.  Each is checked to
+        be of its kind, else a typed error naming it: ``int`` a count
+        (:meth:`_count`), ``float`` a number, ``str`` a string, ``bool``
+        true or false."""
+        given = {}
+        for field, kind in kinds.items():
+            value = request.get(field)
+            if value is None:
+                continue
+            if kind is int:
+                cls._count(request, field)
+            elif kind is float:
+                cls._number(request, field, value)
+            elif kind is str:
+                if not isinstance(value, str):
+                    raise ValueError(
+                        f"{request['op']}: '{field}' must be a string")
+            elif type(value) is not bool:
+                raise ValueError(
+                    f"{request['op']}: '{field}' must be true or false")
+            given[field] = value
+        return given
 
     @staticmethod
     def _count(request: dict[str, Any], field: str,
@@ -316,10 +335,12 @@ class AnalyticsServer:
         return value
 
     @classmethod
-    def _string(cls, request: dict[str, Any], field: str) -> str:
-        """The required string *field* (a CQL statement, a name a key is
-        made of), else a typed error naming the field."""
-        value = cls._require(request, field)
+    def _string(cls, request: dict[str, Any], field: str,
+                source: dict[str, Any] | None = None) -> str:
+        """The required string *field* of the request or of *source* (a
+        CQL statement, a name a key is made of), else a typed error
+        naming the field."""
+        value = cls._require(request, field, source)
         if not isinstance(value, str):
             raise ValueError(f"{request['op']}: '{field}' must be a string")
         return value
@@ -420,7 +441,7 @@ class AnalyticsServer:
     @_op
     def _op_metrics(self, request):
         """Prometheus-style snapshot of every metric series."""
-        prefix = request.get("prefix")
+        prefix = self._given(request, prefix=str).get("prefix")
         snapshot = self.registry.snapshot()
         if prefix:
             snapshot = {k: v for k, v in snapshot.items()
@@ -704,7 +725,7 @@ class AnalyticsServer:
     @_op
     def _op_heatmap(self, request):
         return self.framework.heatmap(
-            self._context(request), **self._given(request, "granularity"))
+            self._context(request), **self._given(request, granularity=str))
 
     @_op
     def _op_heatmap_grid(self, request):
@@ -714,7 +735,7 @@ class AnalyticsServer:
     @_op
     def _op_distribution(self, request):
         return self.framework.distribution(
-            self._context(request), **self._given(request, "granularity"))
+            self._context(request), **self._given(request, granularity=str))
 
     @_op
     def _op_distribution_by_application(self, request):
@@ -725,14 +746,14 @@ class AnalyticsServer:
     @_op
     def _op_histogram(self, request):
         edges, counts = self.framework.time_histogram(
-            self._context(request), **self._given(request, "num_bins"))
+            self._context(request), **self._given(request, num_bins=int))
         return {"edges": edges, "counts": counts}
 
     @_op
     def _op_hotspots(self, request):
         hotspots = self.framework.hotspots(
             self._context(request),
-            **self._given(request, "granularity", "z_threshold"))
+            **self._given(request, granularity=str, z_threshold=float))
         # Four scalar fields: asdict() would deep-copy each of them.
         return [{"component": h.component, "count": h.count,
                  "expected": h.expected, "z_score": h.z_score}
@@ -755,31 +776,31 @@ class AnalyticsServer:
     def _op_transfer_entropy(self, request):
         result = self.framework.transfer_entropy(
             self._context(request),
-            self._require(request, "source_type"),
-            self._require(request, "target_type"),
-            **self._given(request, "bin_seconds", "n_shuffles"))
+            self._string(request, "source_type"),
+            self._string(request, "target_type"),
+            **self._given(request, bin_seconds=float, n_shuffles=int))
         return asdict(result)
 
     @_op(offload=True)
     def _op_cross_correlation(self, request):
         return self.framework.cross_correlation(
             self._context(request),
-            self._require(request, "type_a"),
-            self._require(request, "type_b"),
-            **self._given(request, "bin_seconds", "max_lag"))
+            self._string(request, "type_a"),
+            self._string(request, "type_b"),
+            **self._given(request, bin_seconds=float, max_lag=int))
 
     @_op(offload=True)
     def _op_keywords(self, request):
         return self.framework.keywords(
             self._context(request),
-            **self._given(request, "n", "use_tf_idf"))
+            **self._given(request, n=int, use_tf_idf=bool))
 
     @_op(offload=True)
     def _op_association_rules(self, request):
         rules = self.framework.association_rules(
             self._context(request),
-            **self._given(request, "window_seconds", "min_support",
-                          "min_confidence"))
+            **self._given(request, window_seconds=float, min_support=float,
+                          min_confidence=float))
         return [asdict(r) for r in rules]
 
     @_op(offload=True)
@@ -790,7 +811,7 @@ class AnalyticsServer:
     def _op_mine_precursors(self, request):
         rules = self.framework.mine_precursors(
             self._context(request),
-            **self._given(request, "lead_window", "min_support"))
+            **self._given(request, lead_window=float, min_support=float))
         return [asdict(r) for r in rules]
 
     @_op(offload=True)
@@ -803,16 +824,25 @@ class AnalyticsServer:
     def _op_materialize_composites(self, request):
         from .composite import CompositeEventDef
 
-        definitions = [
-            CompositeEventDef(
-                name=self._require(request, "name", d),
-                sequence=tuple(self._require(request, "sequence", d)),
-                window=float(self._require(request, "window", d)),
-            )
-            for d in self._require(request, "definitions")
-        ]
+        definitions = self._require(request, "definitions")
+        if not (isinstance(definitions, list)
+                and all(isinstance(d, dict) for d in definitions)):
+            raise ValueError(
+                f"{request['op']}: 'definitions' must be a list of objects")
+        composites = []
+        for d in definitions:
+            sequence = self._require(request, "sequence", d)
+            if not (isinstance(sequence, list)
+                    and all(isinstance(t, str) for t in sequence)):
+                raise ValueError(
+                    f"{request['op']}: 'sequence' must be a list of strings")
+            window = self._require(request, "window", d)
+            composites.append(CompositeEventDef(
+                name=self._string(request, "name", d),
+                sequence=tuple(sequence),
+                window=float(self._number(request, "window", window))))
         matches = self.framework.materialize_composites(
-            self._context(request), definitions)
+            self._context(request), composites)
         return [
             {"type": m.type, "component": m.component, "ts": m.ts,
              "span": m.span}

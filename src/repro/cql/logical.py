@@ -48,8 +48,8 @@ class LogicalScan(LogicalNode):
 
     * ``key_specs`` — per partition-key column ``('=', value)`` or
       ``('in', [values...])`` routing constraints (partition routing);
-    * ``lower``/``upper`` — clustering bounds handed to the sparse-index
-      SSTable slice scans (predicate pushdown);
+    * ``lower``/``upper`` — clustering bounds handed to the memtable
+      and SSTable slice bisects (predicate pushdown);
     * ``columns`` — the only columns materialized (projection pushdown);
     * ``limit`` — per-partition row cap (limit pushdown);
     * ``full_scan`` — no partition routing possible; only aggregate

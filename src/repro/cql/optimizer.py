@@ -11,8 +11,8 @@ regressions show up in metrics, not just in the golden tests.
   full table scan, which compiles to a sparklet DAG job — the paper's
   "simple queries to Cassandra, complex ones to Spark" split.
 * ``predicate_pushdown`` — range/equality terms on the first clustering
-  column become clustering bounds, feeding the sparse-index SSTable
-  slice scans (out-of-range rows are pruned before any merge work) —
+  column become clustering bounds, feeding the memtable and SSTable
+  slice bisects (out-of-range rows are pruned before any merge work) —
   of a routed scan and of an unrouted aggregate's full scan alike.  At
   most one lower and one upper bound are pushed; further terms on the
   column stay in the residual filter.

@@ -1,6 +1,5 @@
 """Unit tests for the memtable and SSTable layers."""
 
-from repro.cassdb.bloom import key_bytes
 from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
 from repro.cassdb.sstable import SSTable, merge_sstables
@@ -19,12 +18,12 @@ def _row(ts, seq=0, ts_write=1, **cols):
     return Row.from_values((ts, seq), cols or {"v": ts}, write_ts=ts_write)
 
 
-def flushed(partitions, hints=None):
+def flushed(partitions):
     """The run a flush builds from ``partition key -> sorted rows``."""
     memtable = Memtable()
     for pk, rows in partitions.items():
         memtable.upsert_many((pk, row) for row in rows)
-    return SSTable.from_memtable(memtable, hints=hints)
+    return SSTable.from_memtable(memtable)
 
 
 def _rows(sst, pk):
@@ -162,18 +161,10 @@ class TestSSTable:
             keys = [r.clustering for r in _rows(sst, pk)]
             assert keys == sorted(keys)
 
-    def test_bloom_no_false_negative(self):
-        sst = self._sstable(50)
-        assert all(key_bytes(pk) in sst.bloom for pk in sst.partition_keys())
-
     def test_get_absent_partition(self):
         sst = self._sstable(10)
         assert sst.slice_partition_view("definitely-absent-partition") is None
         assert sst.offsets.get("definitely-absent-partition") is None
-
-    def test_generations_increase(self):
-        a, b = self._sstable(5), self._sstable(5)
-        assert b.generation > a.generation
 
 
 class TestScanPartition:

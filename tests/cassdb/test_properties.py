@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cassdb import Cluster, Consistency, Session, TableSchema
-from repro.cassdb.bloom import BloomFilter
 from repro.cassdb.hashring import HashRing
 from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import ClusteringBound, Row
@@ -57,13 +56,6 @@ class TestRingProperties:
         assert r1.primary(key) == r2.primary(key)
 
 
-class TestBloomProperties:
-    @given(st.lists(keys, max_size=200))
-    def test_never_false_negative(self, items):
-        bf = BloomFilter.from_keys(items)
-        assert all(k in bf for k in items)
-
-
 class TestScanProperties:
     ts_lists = st.lists(
         st.integers(min_value=-50, max_value=50), min_size=0, max_size=60,
@@ -99,64 +91,77 @@ class TestScanProperties:
 # so a memtable face kept since that read is what answers it.
 bounds = st.one_of(st.none(), st.builds(
     ClusteringBound, st.tuples(st.integers(-1, 16)), st.booleans()))
-ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("write"), st.integers(0, 15), st.integers(0, 99)),
-        st.tuples(st.just("delete"), st.integers(0, 15), st.just(0)),
-        st.tuples(st.just("flush"), st.just(0), st.just(0)),
-        st.tuples(st.just("compact"), st.just(0), st.just(0)),
-        st.tuples(st.just("read"),
-                  st.one_of(st.none(), st.tuples(bounds, bounds)), st.just(0)),
-    ),
-    max_size=60,
+_op = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 15), st.integers(0, 99)),
+    st.tuples(st.just("delete"), st.integers(0, 15), st.just(0)),
+    st.tuples(st.just("flush"), st.just(0), st.just(0)),
+    st.tuples(st.just("compact"), st.just(0), st.just(0)),
+    st.tuples(st.just("read"),
+              st.one_of(st.none(), st.tuples(bounds, bounds)), st.just(0)),
 )
+ops = st.lists(_op, max_size=60)
+# The same histories over three partitions: each op names the one it
+# writes, deletes or reads, so runs hold some of them and not others.
+_PARTITIONS = ("pk", "pk1", "pk2")
+partition_ops = st.lists(st.tuples(st.sampled_from(_PARTITIONS), _op),
+                         max_size=60)
 
 _MODEL_SCHEMA = TableSchema("t", partition_key=("p",), clustering_key=("k",))
 
 
-def _read_matches_model(store, model, lower, upper):
+def _read_matches_model(store, model, lower, upper, pk="pk"):
     """The store's read of *bounds* is the model's: the rows, and the
     ``v`` column a kernel transposes out of the same read (a stale
-    column would not show in the rows)."""
+    column would not show in the rows).  The read looks *pk* up in
+    every run's offsets: a run that holds it is probed, the rest are
+    skipped, each counted once."""
     want = {key: val for key, val in sorted(model.items())
             if (lower is None or lower.admits_lower(key))
             and (upper is None or upper.admits_upper(key))}
+    stats = store.stats
+    holding = sum(pk in sst.offsets for sst in store.sstables)
+    probes, skips = stats.sstable_probes, stats.bloom_skips
     got = {r.clustering: r.value("v")
-           for r in store.read_partition_view("pk", lower, upper).to_rows()}
+           for r in store.read_partition_view(pk, lower, upper).to_rows()}
+    assert stats.sstable_probes - probes == holding
+    assert stats.bloom_skips - skips == len(store.sstables) - holding
     assert got == want
-    view = store.read_partition_view("pk", lower, upper)
+    view = store.read_partition_view(pk, lower, upper)
     assert column_lists(view, _MODEL_SCHEMA, {}, ["k", "v"]) == [
         [key[0] for key in want], list(want.values())]
 
 
 class TestStorageModel:
     @settings(max_examples=60, deadline=None)
-    @given(ops=ops)
+    @given(ops=partition_ops)
     def test_lsm_equivalent_to_dict(self, ops):
         """Reads between the writes, flushes and compactions of a
-        history, and at its end, answer what the model holds."""
+        history over three partitions, and at its end, answer what the
+        model holds, and count each run as probed or skipped."""
         store = TableStore(flush_threshold=5, max_sstables=3)
-        model: dict[tuple, int] = {}
+        models: dict[str, dict[tuple, int]] = {pk: {} for pk in _PARTITIONS}
         read_bounds = (None, None)
         ts = 0
-        for op, key, val in ops:
+        for pk, (op, key, val) in ops:
             ts += 1
+            model = models[pk]
             if op == "write":
-                store.write("pk", Row.from_values((key,), {"v": val}, write_ts=ts))
+                store.write(pk, Row.from_values((key,), {"v": val}, write_ts=ts))
                 model[(key,)] = val
             elif op == "delete":
-                store.write("pk", Row((key,), {}, tombstone_ts=ts))
+                store.write(pk, Row((key,), {}, tombstone_ts=ts))
                 model.pop((key,), None)
             elif op == "read":
                 if key is not None:
                     read_bounds = key
-                _read_matches_model(store, model, *read_bounds)
+                _read_matches_model(store, model, *read_bounds, pk=pk)
             elif op == "flush":
                 store.flush()
             else:
                 store.flush()
                 store.compact()
-        _read_matches_model(store, model, None, None)
+        for pk, model in models.items():
+            _read_matches_model(store, model, None, None, pk=pk)
 
     @settings(max_examples=60, deadline=None)
     @given(ops=ops, data=st.data())

@@ -12,7 +12,6 @@ from repro.cassdb.memtable import Memtable
 from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.vector import (
-    BlockHints,
     BlockView,
     ColumnBlock,
     column_lists,
@@ -103,11 +102,9 @@ class TestARunAnswersLikeItsPartitions:
     that partition's rows alone, and the reference's."""
 
     @settings(max_examples=60, deadline=None)
-    @given(partitions=memtables(), interval=st.sampled_from([2, 5, 64]),
-           data=st.data())
-    def test_every_partition_reads_as_its_own_block(
-            self, partitions, interval, data):
-        run = flushed(partitions, BlockHints(index_interval=interval))
+    @given(partitions=memtables(), data=st.data())
+    def test_every_partition_reads_as_its_own_block(self, partitions, data):
+        run = flushed(partitions)
         assert list(run.offsets) == sorted(partitions)
         assert run.block.n == sum(map(len, partitions.values()))
         for pk, rows in partitions.items():

@@ -1,8 +1,8 @@
 """Edge cases for slice bisection and slice merging.
 
-Covers the hazards the sparse clustering index and the lazy k-way merge
-are most likely to get wrong: duplicate clustering prefixes straddling a
-sample-block boundary, reverse-with-limit scans that hit tombstones, and
+Covers the hazards the bounds bisect and the lazy k-way merge are most
+likely to get wrong: runs of duplicate clustering prefixes, bounds on
+the last key, reverse-with-limit scans that hit tombstones, and
 degenerate empty inputs.
 """
 
@@ -23,17 +23,10 @@ def _dead(ts, seq=0, tombstone_ts=9):
     return Row((ts, seq), {}, tombstone_ts=tombstone_ts)
 
 
-def _samples(keys, interval):
-    return keys[::interval] if len(keys) > interval else None
-
-
-def _check(rows, lower, upper, interval):
-    """slice_bounds_keys with a sparse index must equal the brute-force
-    scan."""
+def _check(rows, lower, upper):
+    """slice_bounds_keys must equal the brute-force scan."""
     keys = [r.clustering for r in rows]
-    samples = _samples(keys, interval)
-    lo, hi = slice_bounds_keys(keys, lower, upper, samples=samples,
-                               interval=interval)
+    lo, hi = slice_bounds_keys(keys, lower, upper)
     want = [
         k for k in keys
         if (lower is None or lower.admits_lower(k))
@@ -43,13 +36,12 @@ def _check(rows, lower, upper, interval):
 
 
 class TestDuplicatePrefixStraddlingSampleBlocks:
-    """A run of equal clustering *prefixes* (same ts, many seqs) that
-    crosses a sample boundary: the narrowed bisect must not clip the run
-    to the sample block it starts in."""
+    """A run of equal clustering *prefixes* (same ts, many seqs): the
+    bisect must take the whole run, whichever bound meets it, and no
+    row of its neighbours."""
 
     def _rows(self):
-        # 4 rows of ts=1.0, then 6 of ts=2.0 (seq 0..5), then 6 of 3.0:
-        # with interval=4 the ts=2.0 run spans sample blocks 1 and 2.
+        # 4 rows of ts=1.0, then 6 of ts=2.0 (seq 0..5), then 6 of 3.0.
         rows = [_row(1.0, seq=s) for s in range(4)]
         rows += [_row(2.0, seq=s) for s in range(6)]
         rows += [_row(3.0, seq=s) for s in range(6)]
@@ -58,40 +50,25 @@ class TestDuplicatePrefixStraddlingSampleBlocks:
     def test_prefix_equality_crosses_boundary(self):
         rows = self._rows()
         eq = ClusteringBound((2.0,))
-        _check(rows, eq, eq, interval=4)
+        _check(rows, eq, eq)
 
     def test_exclusive_lower_skips_whole_run(self):
         rows = self._rows()
-        _check(rows, ClusteringBound((2.0,), inclusive=False), None,
-               interval=4)
+        _check(rows, ClusteringBound((2.0,), inclusive=False), None)
 
     def test_exclusive_upper_stops_before_run(self):
         rows = self._rows()
-        _check(rows, None, ClusteringBound((2.0,), inclusive=False),
-               interval=4)
-
-    def test_every_interval_agrees(self):
-        rows = self._rows()
-        for interval in (1, 2, 3, 4, 5, 7, 16, 64):
-            for lower, upper in [
-                (ClusteringBound((2.0,)), ClusteringBound((2.0,))),
-                (ClusteringBound((1.0,), inclusive=False),
-                 ClusteringBound((3.0,), inclusive=False)),
-                (None, ClusteringBound((2.0,))),
-                (ClusteringBound((2.0,)), None),
-            ]:
-                _check(rows, lower, upper, interval)
+        _check(rows, None, ClusteringBound((2.0,), inclusive=False))
 
     def test_duplicate_run_longer_than_a_sample_block(self):
         rows = [_row(5.0, seq=s) for s in range(40)]
         eq = ClusteringBound((5.0,))
-        _check(rows, eq, eq, interval=8)
+        _check(rows, eq, eq)
 
     def test_bound_on_last_sample_boundary(self):
         rows = [_row(float(i)) for i in range(16)]
-        _check(rows, ClusteringBound((12.0,)), ClusteringBound((12.0,)),
-               interval=4)
-        _check(rows, ClusteringBound((15.0,)), None, interval=4)
+        _check(rows, ClusteringBound((12.0,)), ClusteringBound((12.0,)))
+        _check(rows, ClusteringBound((15.0,)), None)
 
 
 class TestReverseLimitWithTombstones:

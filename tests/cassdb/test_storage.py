@@ -278,14 +278,6 @@ class TestBoundedMemtableRead:
 
 
 class TestSparseIndexAndMerge:
-    def test_sparse_index_built_for_large_partitions(self):
-        rows = [_row(float(i), seq=i) for i in range(200)]
-        sst = flushed({"big": rows, "small": rows[:10]})
-        assert "big" in sst.index
-        assert "small" not in sst.index
-        assert len(sst.index["big"]) == (200 + sst.index_interval - 1) // \
-            sst.index_interval
-
     def test_slice_bounds_with_and_without_samples_agree(self):
         rows = [_row(float(i // 3), seq=i) for i in range(500)]
         keys = [r.clustering for r in rows]
@@ -301,11 +293,9 @@ class TestSparseIndexAndMerge:
             lower = ClusteringBound((lo_v,), lo_inc)
             upper = ClusteringBound((hi_v,), hi_inc)
             plain = slice_bounds_keys(keys, lower, upper)
-            indexed = slice_bounds_keys(sst.block.clustering, lower, upper,
-                                        start=start, stop=stop,
-                                        samples=sst.index["pk"],
-                                        interval=sst.index_interval)
-            assert (plain[0] + start, plain[1] + start) == indexed
+            in_run = slice_bounds_keys(sst.block.clustering, lower, upper,
+                                       start=start, stop=stop)
+            assert (plain[0] + start, plain[1] + start) == in_run
 
     def test_merge_row_slices_reconciles_and_orders(self):
         a = [Row.from_values((float(i), 0), {"v": "a"}, write_ts=1)
@@ -327,10 +317,20 @@ class TestSparseIndexAndMerge:
         assert [r.clustering[0] for r in out] == [19.0, 18.0, 17.0, 16.0]
 
 
+class _CountedOffsets(dict):
+    """A run's offsets that count the membership tests made of them."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        self.tests += 1
+        return super().__contains__(key)
+
+
 class TestOneReadFace:
     """Every tier answers ``slice_partition_view``; the mechanism, held
     as counts: a partition one tier alone holds is served with no merge,
-    and a read probes each run's bloom filter exactly once."""
+    and a read looks the key up in each run's offsets exactly once."""
 
     @staticmethod
     def _count_calls(monkeypatch, owner, name):
@@ -367,9 +367,7 @@ class TestOneReadFace:
         assert len(merges) == 1
 
     @pytest.mark.parametrize("runs", [0, 1, 3, 6])
-    def test_a_read_over_k_runs_tests_k_bloom_filters(self, monkeypatch, runs):
-        from repro.cassdb.bloom import BloomFilter
-
+    def test_a_read_over_k_runs_looks_up_k_offsets(self, runs):
         store = TableStore(max_sstables=64)
         for run in range(runs):
             # Even runs hold the partition read below, odd ones do not.
@@ -379,11 +377,15 @@ class TestOneReadFace:
             store.flush()
         store.write("pk", _row(1000.0))
         assert len(store.sstables) == runs
-        probes = self._count_calls(monkeypatch, BloomFilter, "__contains__")
+        for sst in store.sstables:
+            sst.offsets = _CountedOffsets(sst.offsets)
+        stats = store.stats
         for pk in ("pk", "other", "absent"):
-            del probes[:]
-            before = store.stats.bloom_skips + store.stats.sstable_probes
+            holding = sum(pk in sst.offsets for sst in store.sstables)
+            for sst in store.sstables:
+                sst.offsets.tests = 0
+            probes, skips = stats.sstable_probes, stats.bloom_skips
             store.read_partition_view(pk, ClusteringBound((5.0,))).to_rows()
-            assert len(probes) == runs
-            assert (store.stats.bloom_skips + store.stats.sstable_probes
-                    - before) == runs
+            assert [sst.offsets.tests for sst in store.sstables] == [1] * runs
+            assert stats.sstable_probes - probes == holding
+            assert stats.bloom_skips - skips == runs - holding

@@ -450,6 +450,68 @@ class TestLeakedRequestFields:
             "ValueError: critical_path: 'trace_id' must be an integer")
 
 
+_COUNT = "a non-negative integer"
+_TE = {"source_type": "MCE", "target_type": "LUSTRE", "n_shuffles": 5}
+_XC = {"type_a": "MCE", "type_b": "LUSTRE"}
+
+
+class TestForwardedFieldsAreTyped:
+    """Every field an op forwards to the framework is of its kind, or a
+    ``ValueError`` naming it: these leaked a ``TypeError`` from deep in
+    the analytics, or answered wrongly — ``n: -1`` every keyword but the
+    last, ``use_tf_idf: "no"`` read as true, a numeric ``type_a`` a
+    series of zeros.  The same request without the bad value
+    answers."""
+
+    @pytest.mark.parametrize("op, base, field, value, kind", [
+        ("metrics", {}, "prefix", 5, "a string"),
+        ("histogram", {}, "num_bins", "a", _COUNT),
+        ("histogram", {}, "num_bins", 2.5, _COUNT),
+        ("histogram", {}, "num_bins", True, _COUNT),
+        ("hotspots", {}, "z_threshold", "a", "a number"),
+        ("keywords", {}, "n", "a", _COUNT),
+        ("keywords", {}, "n", 2.5, _COUNT),
+        ("keywords", {}, "n", -1, _COUNT),
+        ("keywords", {}, "use_tf_idf", "no", "true or false"),
+        ("association_rules", {}, "window_seconds", "x", "a number"),
+        ("association_rules", {}, "min_support", "x", "a number"),
+        ("mine_precursors", {}, "lead_window", "x", "a number"),
+        ("mine_precursors", {}, "min_support", [1], "a number"),
+        ("transfer_entropy", _TE, "source_type", ["MCE"], "a string"),
+        ("transfer_entropy", _TE, "n_shuffles", "x", _COUNT),
+        ("transfer_entropy", _TE, "bin_seconds", "x", "a number"),
+        ("cross_correlation", _XC, "max_lag", "x", _COUNT),
+        ("cross_correlation", _XC, "max_lag", 2.5, _COUNT),
+        ("cross_correlation", _XC, "type_a", 5, "a string"),
+    ])
+    def test_a_field_is_of_its_kind(self, windowed, op, base, field, value,
+                                    kind):
+        request = {"op": op, **base, "context": {"t0": 0.0, "t1": 3600.0}}
+        r = windowed.handle_sync({**request, field: value})
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: {op}: '{field}' must be {kind}"
+        assert windowed.handle_sync(request)["ok"]
+
+    @pytest.mark.parametrize("definitions, error", [
+        (["abc"], "'definitions' must be a list of objects"),
+        ({"a": 1}, "'definitions' must be a list of objects"),
+        ([{"name": "X", "sequence": "MCE", "window": 60}],
+         "'sequence' must be a list of strings"),
+        ([{"name": 5, "sequence": ["MCE", "LUSTRE"], "window": 60}],
+         "'name' must be a string"),
+    ])
+    def test_a_composite_definition_is_typed(self, windowed, definitions,
+                                             error):
+        # A composite named 5 was registered as an event type, and every
+        # later event_types request leaked a TypeError sorting the names.
+        r = windowed.handle_sync({"op": "materialize_composites",
+                                  "context": {"t0": 0.0, "t1": 3600.0},
+                                  "definitions": definitions})
+        assert not r["ok"]
+        assert r["error"] == f"ValueError: materialize_composites: {error}"
+        assert windowed.handle_sync({"op": "event_types"})["ok"]
+
+
 class TestHotspotsOverEverySource:
     """An unfiltered context counts Gemini routers beside the nodes;
     once every node has reported there are more reporting sources than

@@ -147,7 +147,11 @@ _RETIRED = {
     "repro.ingest.batch:batch_ingest": ("min_partitions",),
     "repro.obs.trace:Tracer.__init__": ("record_durations",),
     "repro.cassdb.cluster:Cluster.insert": ("write_ts",),
-    "repro.cassdb.schema:TableSchema.__init__": ("key_codecs",),
+    "repro.cassdb.schema:TableSchema.__init__": (
+        "key_codecs", "index_interval"),
+    "repro.cassdb.node:StorageNode.__init__": ("hints_provider",),
+    "repro.cassdb.sstable:SSTable.__init__": ("hints", "generation"),
+    "repro.cassdb.sstable:merge_sstables": ("hints",),
     "repro.bus.producer:Producer.send": ("topic",),
 }
 
