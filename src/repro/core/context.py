@@ -18,6 +18,7 @@ look at two of them and do not care about order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Any, TYPE_CHECKING
@@ -85,15 +86,17 @@ class Context:
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "Context":
-        """``t0``/``t1`` are numbers; ``event_types``/``sources`` are
-        lists of strings (``[]``/null: "any"); ``app``/``user`` are
+        """``t0``/``t1`` are finite numbers; ``event_types``/``sources``
+        are lists of strings (``[]``/null: "any"); ``app``/``user`` are
         strings or null.  Anything else is a typed error — a bare string
-        is not one name per character, and a list or an object is not a
-        name."""
+        is not one name per character, a list or an object is not a
+        name, and NaN, ±Infinity (Python's json reads them) or an int
+        too large for a float is not a bound."""
         bounds = {}
         for field in ("t0", "t1"):
             value = payload.get(field)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not -sys.float_info.max <= value <= sys.float_info.max):
                 raise ValueError(f"context requires a numeric '{field}'")
             bounds[field] = float(value)
         names = {}

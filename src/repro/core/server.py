@@ -14,8 +14,10 @@ Only work for the big-data unit — a sparklet job, or statistics and
 mining over what a request read — leaves the loop through
 ``asyncio.to_thread``, the non-blocking property Tornado gives the real
 system for "numerous users, who may require long-lived connections".
-Which ops exist, what serves each and whether it leaves the loop is one
-table, filled by ``@_op``; a ``cql`` request goes by its prepared plan.
+Which ops exist, what serves each, which request fields it takes and
+whether it leaves the loop is one table, filled by ``@_op``: ``handle``
+checks an op's declared fields before it dispatches and hands the
+handler typed values; a ``cql`` request goes by its prepared plan.
 
 Responses are JSON-serializable dicts: ``{"ok": true, "result": …,
 "elapsed_ms": …}`` — "Query results are sent in JSON object format to
@@ -27,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
+import sys
 import time
 from dataclasses import asdict
 from functools import partial
@@ -50,19 +53,84 @@ __all__ = ["AnalyticsServer"]
 _CACHE_STATUS: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "server_cache_status", default=None)
 
-# op name -> (handler, offload): the one entry ``handle`` reads for
-# whether an op exists, what serves it, and whether it hands its work
-# to the big-data unit and so leaves the event loop.
-_OPS: dict[str, tuple[Callable, bool]] = {}
+_FLOAT_MAX = sys.float_info.max
+
+# A request field's kind -> (the phrase its error names, whether a value
+# is of it).  Membership is by ``type()``: ``True`` is not a count.  A
+# number is finite — Python's json reads NaN and Infinity (they fail the
+# range), and an int too large for a float is no bound.  A ``context``
+# is then parsed by ``Context.from_json``.
+_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "count": ("a non-negative integer",
+              lambda v: type(v) is int and v >= 0),
+    "integer": ("an integer", lambda v: type(v) is int),
+    "number": ("a number", lambda v: type(v) in (int, float)
+               and -_FLOAT_MAX <= v <= _FLOAT_MAX),
+    "string": ("a string", lambda v: type(v) is str),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "object": ("an object", lambda v: type(v) is dict),
+    "array": ("an array", lambda v: type(v) is list),
+    "strings": ("a list of strings", lambda v: type(v) is list
+                and all(type(s) is str for s in v)),
+    "objects": ("a list of objects", lambda v: type(v) is list
+                and all(type(d) is dict for d in v)),
+    "context": ("an object", lambda v: type(v) is dict),
+}
 
 
-def _op(handler: Callable | None = None, *, offload: bool = False):
-    """Enter ``_op_<name>`` in the op table; ``@_op(offload=True)`` for
-    an op whose work is the big-data unit's."""
+def _declared(**specs: str) -> dict[str, tuple[str, bool]]:
+    """Field -> (kind, required) from ``field="kind"`` specs, where a
+    trailing ``!`` marks a required field."""
+    return {field: (spec.removesuffix("!"), spec.endswith("!"))
+            for field, spec in specs.items()}
+
+
+def _typed(op: str, fields: dict[str, tuple[str, bool]],
+           source: dict[str, Any]) -> dict[str, Any]:
+    """The declared *fields* of *source* (a request, or an object nested
+    in it), checked, as keyword arguments.  An absent or null field is
+    not passed, so its default is the handler's — or, forwarded, the
+    framework's — declared once.  A required field absent, null, ``""``
+    or ``[]``, and a field not of its kind, is a ValueError naming it."""
+    given = {}
+    for field, (kind, required) in fields.items():
+        value = source.get(field)
+        if value is None or required and (value == "" or value == []):
+            if required:
+                raise ValueError(f"{op} requires '{field}'")
+            continue
+        phrase, is_kind = _KINDS[kind]
+        if not is_kind(value):
+            raise ValueError(f"{op}: '{field}' must be {phrase}")
+        given[field] = Context.from_json(value) if kind == "context" else value
+    return given
+
+
+# op name -> (handler, offload, fields): the one entry ``handle`` reads
+# for whether an op exists, what serves it, the request fields it takes,
+# and whether it hands its work to the big-data unit and so leaves the
+# event loop.
+_OPS: dict[str, tuple[Callable, bool, dict[str, tuple[str, bool]]]] = {}
+
+
+def _op(handler: Callable | None = None, *, offload: bool = False,
+        **fields: str):
+    """Enter ``_op_<name>`` in the op table with its request fields,
+    each declared once as ``field="kind"`` (a kind of :data:`_KINDS`;
+    a trailing ``!``: required) and passed to the handler as a keyword
+    argument; ``offload=True`` for an op whose work is the big-data
+    unit's."""
     if handler is None:
-        return lambda fn: _op(fn, offload=offload)
-    _OPS[handler.__name__.removeprefix("_op_")] = (handler, offload)
+        return lambda fn: _op(fn, offload=offload, **fields)
+    _OPS[handler.__name__.removeprefix("_op_")] = (
+        handler, offload, _declared(**fields))
     return handler
+
+
+# A composite event definition, an object in materialize_composites'
+# ``definitions``.
+_DEFINITION = _declared(name="string!", sequence="strings!",
+                        window="number!")
 
 
 class _PreSerialized:
@@ -210,7 +278,8 @@ class AnalyticsServer:
                 entry = _OPS.get(op) if isinstance(op, str) else None
                 if entry is None:
                     raise ValueError(f"unknown op: {op!r}")
-                handler, offload = entry
+                handler, offload, fields = entry
+                given = _typed(op, fields, request)
                 if offload:
                     # The big-data unit's work leaves the event loop free
                     # (Tornado's non-blocking I/O property); to_thread
@@ -219,9 +288,9 @@ class AnalyticsServer:
                     # run as truly concurrent jobs: the DAG scheduler
                     # admits them in parallel and materializes any
                     # shared shuffle lineage exactly once.
-                    result = await asyncio.to_thread(handler, self, request)
+                    result = await asyncio.to_thread(handler, self, **given)
                 else:
-                    result = handler(self, request)
+                    result = handler(self, **given)
                 if isinstance(result, partial):  # a cql sparklet plan's run
                     result = await asyncio.to_thread(result)
                 response = {"ok": True, "result": _jsonable(result)}
@@ -264,138 +333,40 @@ class AnalyticsServer:
         """Serve a batch concurrently (long-poll style clients)."""
         return list(await asyncio.gather(*(self.handle(r) for r in requests)))
 
-    # -- helpers --------------------------------------------------------------
-
-    @staticmethod
-    def _require(request: dict[str, Any], field: str,
-                 source: dict[str, Any] | None = None) -> Any:
-        """The required *field* of the request (or of *source*, an
-        object nested in it); absent, None or empty is a typed error."""
-        value = (request if source is None else source).get(field)
-        if value is None or value == "" or value == []:
-            raise ValueError(f"{request['op']} requires '{field}'")
-        return value
-
-    @classmethod
-    def _given(cls, request: dict[str, Any], **kinds: type) -> dict[str, Any]:
-        """The optional fields the request carries, as keyword
-        arguments: an omitted (or null) one is not forwarded, so its
-        default is the framework's, declared once.  Each is checked to
-        be of its kind, else a typed error naming it: ``int`` a count
-        (:meth:`_count`), ``float`` a number, ``str`` a string, ``bool``
-        true or false."""
-        given = {}
-        for field, kind in kinds.items():
-            value = request.get(field)
-            if value is None:
-                continue
-            if kind is int:
-                cls._count(request, field)
-            elif kind is float:
-                cls._number(request, field, value)
-            elif kind is str:
-                if not isinstance(value, str):
-                    raise ValueError(
-                        f"{request['op']}: '{field}' must be a string")
-            elif type(value) is not bool:
-                raise ValueError(
-                    f"{request['op']}: '{field}' must be true or false")
-            given[field] = value
-        return given
-
-    @staticmethod
-    def _count(request: dict[str, Any], field: str,
-               default: int | None = None) -> int | None:
-        """The optional row-count *field* (``limit``, ``top``): *default*
-        when omitted or null, else a non-negative ``int`` — a negative,
-        a bool, a string or a float is a typed error naming the field,
-        not a wrong slice."""
-        value = request.get(field)
-        if value is None:
-            return default
-        if type(value) is not int or value < 0:  # bool subclasses int
-            raise ValueError(
-                f"{request['op']}: '{field}' must be a non-negative integer")
-        return value
-
-    @staticmethod
-    def _number(request: dict[str, Any], field: str, value: Any, *,
-                integer: bool = False) -> Any:
-        """*value* of the numeric *field*: a number (an ``int`` when
-        *integer*), else a typed error naming the field — a bool, a
-        string, a list or a fractional hour is not silently coerced."""
-        if integer:
-            ok = type(value) is int  # bool subclasses int
-        else:
-            ok = (isinstance(value, (int, float))
-                  and not isinstance(value, bool))
-        if not ok:
-            kind = "an integer" if integer else "a number"
-            raise ValueError(f"{request['op']}: '{field}' must be {kind}")
-        return value
-
-    @classmethod
-    def _string(cls, request: dict[str, Any], field: str,
-                source: dict[str, Any] | None = None) -> str:
-        """The required string *field* of the request or of *source* (a
-        CQL statement, a name a key is made of), else a typed error
-        naming the field."""
-        value = cls._require(request, field, source)
-        if not isinstance(value, str):
-            raise ValueError(f"{request['op']}: '{field}' must be a string")
-        return value
-
-    def _context(self, request: dict[str, Any]) -> Context:
-        payload = request.get("context")
-        if not isinstance(payload, dict):
-            raise ValueError("request requires a 'context' object")
-        return Context.from_json(payload)
-
     # -- metadata, context reads, CQL ------------------------------------------
 
     @_op
-    def _op_ping(self, request):
+    def _op_ping(self):
         return "pong"
 
     @_op
-    def _op_event_types(self, request):
+    def _op_event_types(self):
         return self.framework.model.event_types()
 
-    @_op
-    def _op_nodeinfo(self, request):
-        cname = self._string(request, "cname")
+    @_op(cname="string!")
+    def _op_nodeinfo(self, cname):
         info = self.framework.model.nodeinfo(cname)
         if info is None:
-            raise KeyError(f"unknown node: {cname}")
+            raise LookupError(f"unknown node: {cname}")
         return info
 
-    @_op
-    def _op_events(self, request):
-        limit = self._count(request, "limit")
-        rows = self.framework.events(self._context(request))
-        return rows[:limit] if limit else rows
+    @_op(limit="count", context="context!")
+    def _op_events(self, context, limit=None):
+        return self.framework.events(context)[:limit or None]
 
-    @_op
-    def _op_runs(self, request):
-        return self.framework.runs(self._context(request))
+    @_op(context="context!")
+    def _op_runs(self, context):
+        return self.framework.runs(context)
 
-    @_op
-    def _op_synopsis(self, request):
-        hour = self._require(request, "hour")
-        return self.framework.model.synopsis_for_hour(
-            self._number(request, "hour", hour, integer=True))
+    @_op(hour="integer!")
+    def _op_synopsis(self, hour):
+        return self.framework.model.synopsis_for_hour(hour)
 
-    @_op
-    def _op_cql(self, request):
+    @_op(statement="string!", params="array")
+    def _op_cql(self, statement, params=()):
         """The cache probe and ``cache`` status stay on the loop (a
         ContextVar set in a thread is lost); a sparklet plan's run
         leaves it as a ``partial``."""
-        statement = self._string(request, "statement")
-        params = request.get("params")
-        if params is None:
-            params = ()
-        elif not isinstance(params, (list, tuple)):
-            raise ValueError("cql: 'params' must be an array")
         params = tuple(params)
         prepared = self.framework.session.prepare(statement)
         plan = prepared.ast
@@ -429,44 +400,42 @@ class AnalyticsServer:
             return _PreSerialized(payload)
         return partial(execute) if prepared.physical.on_sparklet else execute()
 
-    @_op
-    def _op_explain(self, request):
+    @_op(statement="string!")
+    def _op_explain(self, statement):
         """The optimized plan for a statement as a stable JSON tree
         (works with or without a leading ``EXPLAIN`` keyword)."""
-        return self.framework.session.explain(
-            self._string(request, "statement"))
+        return self.framework.session.explain(statement)
 
     # -- observability ops ----------------------------------------------------
 
-    @_op
-    def _op_metrics(self, request):
+    @_op(prefix="string")
+    def _op_metrics(self, prefix=""):
         """Prometheus-style snapshot of every metric series."""
-        prefix = self._given(request, prefix=str).get("prefix")
         snapshot = self.registry.snapshot()
         if prefix:
             snapshot = {k: v for k, v in snapshot.items()
                         if k.startswith(prefix)}
         return snapshot
 
-    @_op
-    def _op_trace(self, request):
+    @_op(all="bool")
+    def _op_trace(self, all=False):
         """The most recently *completed* trace (this request's own trace
         finishes after the handler returns, so it is never included)."""
-        if request.get("all"):
+        if all:
             return self.tracer.traces()
         trace = self.tracer.last_trace()
         if trace is None:
             raise LookupError("no completed traces yet")
         return trace
 
-    @_op
-    def _op_slow_queries(self, request):
+    @_op(stable="bool")
+    def _op_slow_queries(self, stable=False):
         """The slow-query ring; ``stable: true`` strips the wall-clock,
         timing and trace-id fields (trace ids are process-global
         counters) so two dumps of the same deterministic workload diff
         clean in CI."""
         entries = self.slow_log.entries()
-        if request.get("stable"):
+        if stable:
             entries = [
                 {k: v for k, v in e.items()
                  if k not in ("wall_time", "elapsed_ms", "trace_id")}
@@ -479,26 +448,19 @@ class AnalyticsServer:
     _TELEMETRY_HINT = ("attach a TelemetryPipeline (repro.obs.export) so "
                        "telemetry self-ingests")
 
-    @classmethod
-    def _telemetry_window(cls, request) -> tuple[float, float]:
-        t1 = request.get("t1")
-        t1 = (time.time() if t1 is None
-              else float(cls._number(request, "t1", t1)))
-        t0 = request.get("t0")
-        t0 = (t1 - 900.0 if t0 is None
-              else float(cls._number(request, "t0", t0)))
+    def _window_rows(self, t0: float | None, t1: float | None, table: str,
+                     rest=None, *, hint: str = _TELEMETRY_HINT
+                     ) -> tuple[float, float, list[dict]]:
+        """The window ``[t0, t1)`` — by default the last 15 wall-clock
+        minutes, telemetry being stamped in wall time — and the rows of
+        time-bucketed *table* in it (bucket column dropped): one
+        partition read per covered bucket, exactly how event contexts
+        read ``event_by_time``.  *rest* as in
+        ``Cluster.window_partitions``."""
+        t1 = time.time() if t1 is None else float(t1)
+        t0 = t1 - 900.0 if t0 is None else float(t0)
         if t1 <= t0:
             raise ValueError("telemetry window requires t0 < t1")
-        return t0, t1
-
-    def _window_rows(self, request, table: str, rest=None, *,
-                     hint: str = _TELEMETRY_HINT
-                     ) -> tuple[float, float, list[dict]]:
-        """The request's ``[t0, t1)`` and the rows of time-bucketed
-        *table* in it (bucket column dropped) — one partition read per
-        covered bucket, exactly how event contexts read
-        ``event_by_time``.  *rest* as in ``Cluster.window_partitions``."""
-        t0, t1 = self._telemetry_window(request)
         cluster = self.framework.cluster
         if table not in cluster.keyspace.tables:
             raise LookupError(f"{table} not provisioned — {hint}")
@@ -507,13 +469,6 @@ class AnalyticsServer:
         for row in rows:
             del row[bucket]
         return t0, t1, rows
-
-    @classmethod
-    def _component(cls, request) -> tuple[str] | None:
-        """The key rest a ``component`` filter names (omitted: all)."""
-        if request.get("component") in (None, ""):
-            return None
-        return (cls._string(request, "component"),)
 
     @staticmethod
     def _span_forest(rows: list[dict]) -> tuple[int, list[dict]]:
@@ -534,23 +489,18 @@ class AnalyticsServer:
             node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
         return len(by_id), roots
 
-    @_op
-    def _op_telemetry_series(self, request):
+    @_op(name="string!", labels="object", t0="number", t1="number")
+    def _op_telemetry_series(self, name, labels=None, t0=None, t1=None):
         """Time-windowed series of one metric from ``metrics_by_time``."""
-        name = self._string(request, "name")
-        want = request.get("labels") or {}
-        if not isinstance(want, dict):
-            raise ValueError("telemetry_series: 'labels' must be an object")
-        t0, t1, rows = self._window_rows(
-            request, "metrics_by_time", (name,))
+        t0, t1, rows = self._window_rows(t0, t1, "metrics_by_time", (name,))
         points = []
         for point in rows:
             del point["metric_name"]
-            labels = json.loads(point.pop("labels", None) or "{}")
-            if want and any(labels.get(k) != v for k, v in want.items()):
+            stored = json.loads(point.pop("labels", None) or "{}")
+            if labels and any(stored.get(k) != v for k, v in labels.items()):
                 continue
-            if labels:
-                point["labels"] = labels
+            if stored:
+                point["labels"] = stored
             if point.get("exemplars"):
                 # Stored JSON-encoded; surface as structured objects
                 # so dashboards can link straight to the trace.
@@ -559,28 +509,26 @@ class AnalyticsServer:
         points.sort(key=lambda p: (p["ts"], p.get("seq", 0)))
         return {"name": name, "t0": t0, "t1": t1, "points": points}
 
-    @_op
-    def _op_telemetry_spans(self, request):
+    @_op(limit="count", component="string", t0="number", t1="number")
+    def _op_telemetry_spans(self, limit=20, component="", t0=None, t1=None):
         """Slowest spans in a window from ``spans_by_time``,
         reconstructed as trees via their parent links."""
-        limit = self._count(request, "limit", 20)
         t0, t1, rows = self._window_rows(
-            request, "spans_by_time", self._component(request))
+            t0, t1, "spans_by_time", (component,) if component else None)
         spans, roots = self._span_forest(rows)
         roots.sort(key=lambda n: -n["duration_ms"])
         return {"t0": t0, "t1": t1, "spans": spans,
-                "trees": roots[:limit] if limit else roots}
+                "trees": roots[:limit or None]}
 
-    @_op
-    def _op_profile_flame(self, request):
+    @_op(top="count", component="string", t0="number", t1="number")
+    def _op_profile_flame(self, top=10, component="", t0=None, t1=None):
         """Windowed flame data from ``profiles_by_time``: folded stacks
         (flamegraph.pl-compatible, component-rooted) plus the top hot
         functions by exclusive samples."""
         from repro.obs.profile import hot_functions
 
-        top = self._count(request, "top", 10)
         t0, t1, rows = self._window_rows(
-            request, "profiles_by_time", self._component(request))
+            t0, t1, "profiles_by_time", (component,) if component else None)
         by_stack: dict[tuple[str, str], int] = {}
         for row in rows:
             key = (row["component"], row["stack"])
@@ -597,8 +545,8 @@ class AnalyticsServer:
             "hot": hot_functions(by_stack, top=top),
         }
 
-    @_op
-    def _op_critical_path(self, request):
+    @_op(trace_id="integer", t0="number", t1="number")
+    def _op_critical_path(self, trace_id=None, t0=None, t1=None):
         """Per-component exclusive-time attribution for one request.
 
         Finds the trace — by ``trace_id`` in the tracer's ring, the
@@ -607,40 +555,34 @@ class AnalyticsServer:
         runs :func:`repro.obs.profile.critical_path` over its tree."""
         from repro.obs.profile import critical_path
 
-        trace_id = request.get("trace_id")
         if trace_id is None:
             trace = self.tracer.last_trace()
             if trace is None:
                 raise LookupError("no completed traces yet")
             return critical_path(trace)
-        trace_id = self._number(request, "trace_id", trace_id, integer=True)
         for trace in reversed(self.tracer.traces()):
             if trace.get("trace_id") == trace_id:
                 return critical_path(trace)
         # Aged out of the in-process ring: rebuild the tree from the
         # self-ingested span rows (the same reconstruction
         # telemetry_spans does, filtered to one trace).
-        tree = self._trace_from_store(request, trace_id)
-        if tree is None:
-            raise LookupError(f"trace {trace_id} not found")
-        return critical_path(tree)
-
-    def _trace_from_store(self, request, trace_id: int):
-        _, _, rows = self._window_rows(request, "spans_by_time")
+        _, _, rows = self._window_rows(t0, t1, "spans_by_time")
         _, roots = self._span_forest(
             [row for row in rows if row.get("trace_id") == trace_id])
-        return max(roots, key=lambda n: n["duration_ms"], default=None)
+        if not roots:
+            raise LookupError(f"trace {trace_id} not found")
+        return critical_path(max(roots, key=lambda n: n["duration_ms"]))
 
     # -- detection alerts (repro.detect) --------------------------------------
 
-    def _alert_rows(self, request) -> tuple[float, float, list[dict]]:
-        """Windowed rows of ``alerts_by_time``, with optional
-        severity/detector equality filters."""
+    def _alert_rows(self, t0: float, t1: float, severity: str = "",
+                    detector: str = "") -> tuple[float, float, list[dict]]:
+        """Rows of ``alerts_by_time`` in ``[t0, t1)`` — a window the
+        request names, alerts being stamped in event time — with
+        optional severity/detector equality filters."""
         t0, t1, rows = self._window_rows(
-            request, "alerts_by_time", (),
+            t0, t1, "alerts_by_time", (),
             hint="attach a DetectionPipeline (repro.detect) so alerts land")
-        severity = request.get("severity")
-        detector = request.get("detector")
         alerts = []
         for alert in rows:
             if severity and alert.get("severity") != severity:
@@ -653,19 +595,19 @@ class AnalyticsServer:
         alerts.sort(key=lambda a: (a["ts"], a.get("seq", 0)))
         return t0, t1, alerts
 
-    @_op
-    def _op_alerts(self, request):
+    @_op(limit="count", t0="number!", t1="number!", severity="string",
+         detector="string")
+    def _op_alerts(self, limit=100, **window):
         """Tail of the alert stream in a window (newest last)."""
-        limit = self._count(request, "limit", 100)
-        t0, t1, rows = self._alert_rows(request)
+        t0, t1, rows = self._alert_rows(**window)
         return {"t0": t0, "t1": t1, "total": len(rows),
                 "alerts": rows[-limit:] if limit else rows}
 
-    @_op
-    def _op_alert_summary(self, request):
+    @_op(t0="number!", t1="number!", severity="string", detector="string")
+    def _op_alert_summary(self, **window):
         """Aggregate alert picture for a window: counts by severity and
         detector, the busiest keys, and the newest alert's timestamp."""
-        t0, t1, rows = self._alert_rows(request)
+        t0, t1, rows = self._alert_rows(**window)
         by_severity: dict[str, int] = {}
         by_detector: dict[str, int] = {}
         by_key: dict[str, int] = {}
@@ -685,7 +627,7 @@ class AnalyticsServer:
         }
 
     @_op
-    def _op_health(self, request):
+    def _op_health(self):
         """Per-node liveness/breaker state plus a ring summary — the
         one-op answer to "is the backend healthy right now?"."""
         cluster = self.framework.cluster
@@ -722,48 +664,38 @@ class AnalyticsServer:
 
     # -- coordinator folds (on the loop, like the context reads) -------------
 
-    @_op
-    def _op_heatmap(self, request):
-        return self.framework.heatmap(
-            self._context(request), **self._given(request, granularity=str))
+    @_op(context="context!", granularity="string")
+    def _op_heatmap(self, **given):
+        return self.framework.heatmap(**given)
 
-    @_op
-    def _op_heatmap_grid(self, request):
-        counts = self.framework.heatmap(self._context(request), "node")
+    @_op(context="context!")
+    def _op_heatmap_grid(self, context):
+        counts = self.framework.heatmap(context, "node")
         return self.framework.system_map.to_json(counts)
 
-    @_op
-    def _op_distribution(self, request):
-        return self.framework.distribution(
-            self._context(request), **self._given(request, granularity=str))
+    @_op(context="context!", granularity="string")
+    def _op_distribution(self, **given):
+        return self.framework.distribution(**given)
 
-    @_op
-    def _op_distribution_by_application(self, request):
-        return self.framework.distribution_by_application(
-            self._context(request)
-        )
+    @_op(context="context!")
+    def _op_distribution_by_application(self, context):
+        return self.framework.distribution_by_application(context)
 
-    @_op
-    def _op_histogram(self, request):
-        edges, counts = self.framework.time_histogram(
-            self._context(request), **self._given(request, num_bins=int))
+    @_op(context="context!", num_bins="count")
+    def _op_histogram(self, **given):
+        edges, counts = self.framework.time_histogram(**given)
         return {"edges": edges, "counts": counts}
 
-    @_op
-    def _op_hotspots(self, request):
-        hotspots = self.framework.hotspots(
-            self._context(request),
-            **self._given(request, granularity=str, z_threshold=float))
+    @_op(context="context!", granularity="string", z_threshold="number")
+    def _op_hotspots(self, **given):
         # Four scalar fields: asdict() would deep-copy each of them.
         return [{"component": h.component, "count": h.count,
                  "expected": h.expected, "z_score": h.z_score}
-                for h in hotspots]
+                for h in self.framework.hotspots(**given)]
 
-    @_op
-    def _op_placement(self, request):
-        ts = self._require(request, "ts")
-        runs = self.framework.model.runs_running_at(
-            float(self._number(request, "ts", ts)))
+    @_op(ts="number!")
+    def _op_placement(self, ts):
+        runs = self.framework.model.runs_running_at(float(ts))
         return [
             {"apid": r["apid"], "app": r["app"], "user": r["user"],
              "nodes": self.framework.model.run_nodes(r)}
@@ -772,77 +704,50 @@ class AnalyticsServer:
 
     # -- the big-data processing unit (off the loop) --------------------------
 
-    @_op(offload=True)
-    def _op_transfer_entropy(self, request):
-        result = self.framework.transfer_entropy(
-            self._context(request),
-            self._string(request, "source_type"),
-            self._string(request, "target_type"),
-            **self._given(request, bin_seconds=float, n_shuffles=int))
-        return asdict(result)
+    @_op(offload=True, context="context!", source_type="string!",
+         target_type="string!", bin_seconds="number", n_shuffles="count")
+    def _op_transfer_entropy(self, **given):
+        return asdict(self.framework.transfer_entropy(**given))
+
+    @_op(offload=True, context="context!", type_a="string!",
+         type_b="string!", bin_seconds="number", max_lag="count")
+    def _op_cross_correlation(self, **given):
+        return self.framework.cross_correlation(**given)
+
+    @_op(offload=True, context="context!", n="count", use_tf_idf="bool")
+    def _op_keywords(self, **given):
+        return self.framework.keywords(**given)
+
+    @_op(offload=True, context="context!", window_seconds="number",
+         min_support="number", min_confidence="number")
+    def _op_association_rules(self, **given):
+        return [asdict(r) for r in self.framework.association_rules(**given)]
 
     @_op(offload=True)
-    def _op_cross_correlation(self, request):
-        return self.framework.cross_correlation(
-            self._context(request),
-            self._string(request, "type_a"),
-            self._string(request, "type_b"),
-            **self._given(request, bin_seconds=float, max_lag=int))
-
-    @_op(offload=True)
-    def _op_keywords(self, request):
-        return self.framework.keywords(
-            self._context(request),
-            **self._given(request, n=int, use_tf_idf=bool))
-
-    @_op(offload=True)
-    def _op_association_rules(self, request):
-        rules = self.framework.association_rules(
-            self._context(request),
-            **self._given(request, window_seconds=float, min_support=float,
-                          min_confidence=float))
-        return [asdict(r) for r in rules]
-
-    @_op(offload=True)
-    def _op_refresh_synopsis(self, request):
+    def _op_refresh_synopsis(self):
         return self.framework.refresh_synopsis()
 
-    @_op(offload=True)
-    def _op_mine_precursors(self, request):
-        rules = self.framework.mine_precursors(
-            self._context(request),
-            **self._given(request, lead_window=float, min_support=float))
-        return [asdict(r) for r in rules]
+    @_op(offload=True, context="context!", lead_window="number",
+         min_support="number")
+    def _op_mine_precursors(self, **given):
+        return [asdict(r) for r in self.framework.mine_precursors(**given)]
 
-    @_op(offload=True)
-    def _op_application_profiles(self, request):
-        profiles = self.framework.application_profiles(
-            self._context(request))
+    @_op(offload=True, context="context!")
+    def _op_application_profiles(self, context):
+        profiles = self.framework.application_profiles(context)
         return {app: p.as_dict() for app, p in profiles.items()}
 
-    @_op(offload=True)
-    def _op_materialize_composites(self, request):
+    @_op(offload=True, definitions="objects!", context="context!")
+    def _op_materialize_composites(self, definitions, context):
         from .composite import CompositeEventDef
 
-        definitions = self._require(request, "definitions")
-        if not (isinstance(definitions, list)
-                and all(isinstance(d, dict) for d in definitions)):
-            raise ValueError(
-                f"{request['op']}: 'definitions' must be a list of objects")
         composites = []
         for d in definitions:
-            sequence = self._require(request, "sequence", d)
-            if not (isinstance(sequence, list)
-                    and all(isinstance(t, str) for t in sequence)):
-                raise ValueError(
-                    f"{request['op']}: 'sequence' must be a list of strings")
-            window = self._require(request, "window", d)
+            d = _typed("materialize_composites", _DEFINITION, d)
             composites.append(CompositeEventDef(
-                name=self._string(request, "name", d),
-                sequence=tuple(sequence),
-                window=float(self._number(request, "window", window))))
-        matches = self.framework.materialize_composites(
-            self._context(request), composites)
+                name=d["name"], sequence=tuple(d["sequence"]),
+                window=float(d["window"])))
+        matches = self.framework.materialize_composites(context, composites)
         return [
             {"type": m.type, "component": m.component, "ts": m.ts,
              "span": m.span}

@@ -98,8 +98,9 @@ def _fold(side: int, messages: Iterable[str]) -> list[tuple]:
 
 def top_terms(scores: dict[str, float], n: int = 10
               ) -> list[tuple[str, float]]:
-    """Highest-scoring terms, ties broken alphabetically."""
-    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
+    """The *n* highest-scoring terms (``n=0``: every term, as a zero
+    ``limit`` or ``top`` is every row), ties broken alphabetically."""
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:n or None]
 
 
 def storm_keywords(sc: "SparkletContext", messages: Sequence[str],

@@ -23,7 +23,6 @@ from typing import Any, Sequence
 
 from repro import obs
 from repro.cassdb.cluster import Cluster, Consistency
-from repro.cassdb.errors import InvalidQueryError
 
 from .ast import Explain, Select, Statement
 from .errors import CQLPlanningError
@@ -117,10 +116,13 @@ class QueryEngine:
                 consistency: Consistency = Consistency.ONE
                 ) -> list[dict[str, Any]]:
         if len(params) < prepared.n_params:
-            raise InvalidQueryError("not enough bind parameters")
+            raise CQLPlanningError("not enough bind parameters")
         elif len(params) > prepared.n_params:
             leftover = len(params) - prepared.n_params
-            raise InvalidQueryError(f"{leftover} unused bind parameters")
+            raise CQLPlanningError(f"{leftover} unused bind parameters")
+        for i, value in enumerate(params, 1):
+            if isinstance(value, (list, dict)):  # a placeholder is a value
+                raise CQLPlanningError(f"bind parameter {i} is not a value")
         rt = Runtime(cluster=self.cluster, sparklet=self.sparklet,
                      params=tuple(params), consistency=consistency)
         return prepared.physical.execute(rt)

@@ -6,9 +6,11 @@ from collections import Counter
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalyticsServer, LogAnalyticsFramework
-from repro.core.server import _OPS, _jsonable
+from repro.core.server import _DEFINITION, _OPS, _jsonable
 from repro.detect.alerts import ALERT_SCHEMAS
 from repro.genlog import LogGenerator
 from repro.obs.export import TELEMETRY_SCHEMAS
@@ -22,8 +24,7 @@ def server(fw):
     return AnalyticsServer(fw)
 
 
-@pytest.fixture(scope="module")
-def windowed():
+def _windowed_server():
     """A server over a small store whose first hour holds events and
     three each of alerts, span trees and profiled functions."""
     fw = LogAnalyticsFramework(TitanTopology(rows=1, cols=1),
@@ -49,6 +50,11 @@ def windowed():
     fw.stop()
 
 
+@pytest.fixture(scope="module")
+def windowed():
+    yield from _windowed_server()
+
+
 # The ops whose work is the big-data unit's — a sparklet job, or
 # statistics and mining computed over what the request read — and
 # that alone leave the event loop.
@@ -59,6 +65,10 @@ _THREAD_OPS = {"keywords", "refresh_synopsis", "transfer_entropy",
 
 def _ctx(fw, **kw):
     return fw.context(0, HORIZON, **kw).to_json()
+
+
+# What Python's json reads for NaN, Infinity and -Infinity.
+_NAN, _INF = float("nan"), float("inf")
 
 
 class TestRouting:
@@ -82,9 +92,11 @@ class TestRouting:
         handlers = {name.removeprefix("_op_"): fn
                     for name, fn in vars(AnalyticsServer).items()
                     if name.startswith("_op_")}
-        assert {op: fn for op, (fn, _offload) in _OPS.items()} == handlers
-        assert {type(offload) for _fn, offload in _OPS.values()} == {bool}
-        assert {op for op, (_fn, offload) in _OPS.items()
+        assert {op: fn for op, (fn, _offload, _fields) in _OPS.items()
+                } == handlers
+        assert {type(offload) for _fn, offload, _fields in _OPS.values()
+                } == {bool}
+        assert {op for op, (_fn, offload, _fields) in _OPS.items()
                 if offload} == _THREAD_OPS
 
     @pytest.mark.parametrize("request_", ["ping", ["ping"], None, 7],
@@ -124,6 +136,12 @@ _MISSING_FIELD_CASES = [
     ({"op": "cross_correlation", "type_b": "OOM"}, "type_a"),
     ({"op": "cross_correlation", "type_a": "MCE"}, "type_b"),
     ({"op": "materialize_composites", "definitions": []}, "definitions"),
+    # Alerts are stamped in event time: a window defaulted from the
+    # wall clock answered nothing, or millions of empty minute buckets.
+    ({"op": "alerts"}, "t0"),
+    ({"op": "alerts", "t0": 0.0}, "t1"),
+    ({"op": "alert_summary"}, "t0"),
+    ({"op": "alert_summary", "t0": 0.0}, "t1"),
 ] + [
     ({"op": "materialize_composites", "definitions": [
         {k: v for k, v in _DEFN.items() if k != missing}]}, missing)
@@ -249,14 +267,18 @@ class TestRowCountFields:
         "alerts": ("limit", lambda r: r["alerts"], slice(-1, None)),
         "telemetry_spans": ("limit", lambda r: r["trees"], slice(None, 1)),
         "profile_flame": ("top", lambda r: r["hot"], slice(None, 1)),
+        "keywords": ("n", lambda r: r, slice(None, 1)),
     }
 
     @pytest.mark.parametrize("op", sorted(_ANSWERS))
     def test_zero_still_means_every_event(self, windowed, op):
+        # keywords n 0 answered no term.  Every row is what a count
+        # above any answer's length keeps (n's default, 10, keeps fewer).
         field, answer, one = self._ANSWERS[op]
         request = {"op": op, "context": {"t0": 0.0, "t1": 3600.0},
                    "t0": 0.0, "t1": 3600.0}
-        every = answer(windowed.handle_sync(request)["result"])
+        every = answer(windowed.handle_sync(
+            {**request, field: 10**6})["result"])
         assert len(every) > 1
         for count, want in ((0, every), (1, every[one])):
             r = windowed.handle_sync({**request, field: count})
@@ -296,7 +318,7 @@ class TestContextNameLists:
 
     @pytest.mark.parametrize("field", ["t0", "t1"])
     @pytest.mark.parametrize("value", [
-        "missing", None, True, [1], "0", {"at": 0}])
+        "missing", None, True, [1], "0", {"at": 0}, _NAN, _INF, -_INF])
     def test_a_bound_that_is_not_a_number_is_a_value_error(
             self, server, field, value):
         context = {"t0": 0.0, "t1": HORIZON}
@@ -333,6 +355,21 @@ class TestCQLRequestFields:
         assert not r["ok"]
         assert r["error"] == "ValueError: cql: 'params' must be an array"
 
+    @pytest.mark.parametrize("params,message", [
+        ([], "not enough bind parameters"),
+        (["MCE", "OOM"], "1 unused bind parameters"),
+        ([["MCE"]], "bind parameter 1 is not a value"),
+        ([{"a": 1}], "bind parameter 1 is not a value")])
+    def test_a_bind_mismatch_is_a_planning_error(
+            self, server, params, message):
+        # A count mismatch was the base InvalidQueryError, with no
+        # error_detail; a list or an object leaked a TypeError.
+        r = server.handle_sync({
+            "op": "cql", "params": params,
+            "statement": "SELECT * FROM eventtypes WHERE name = ?"})
+        assert r["error"] == f"CQLPlanningError: {message}"
+        assert r["error_detail"]["type"] == "CQLPlanningError"
+
     def test_null_params_are_omitted(self, server):
         r = server.handle_sync({
             "op": "cql", "params": None,
@@ -360,7 +397,7 @@ class TestNumericRequestFields:
         assert not r["ok"]
         assert r["error"] == "ValueError: placement: 'ts' must be a number"
 
-    @pytest.mark.parametrize("value", [[0], True, "0"])
+    @pytest.mark.parametrize("value", [[0], True, "0", _NAN, _INF, -_INF])
     @pytest.mark.parametrize("field", ["t0", "t1"])
     @pytest.mark.parametrize("op", [
         "telemetry_series", "telemetry_spans", "profile_flame",
@@ -451,6 +488,7 @@ class TestLeakedRequestFields:
 
 
 _COUNT = "a non-negative integer"
+_HOUR = {"t0": 0.0, "t1": 3600.0}
 _TE = {"source_type": "MCE", "target_type": "LUSTRE", "n_shuffles": 5}
 _XC = {"type_a": "MCE", "type_b": "LUSTRE"}
 
@@ -483,6 +521,14 @@ class TestForwardedFieldsAreTyped:
         ("cross_correlation", _XC, "max_lag", "x", _COUNT),
         ("cross_correlation", _XC, "max_lag", 2.5, _COUNT),
         ("cross_correlation", _XC, "type_a", 5, "a string"),
+        ("hotspots", {}, "z_threshold", _NAN, "a number"),
+        ("trace", {}, "all", "no", "true or false"),
+        ("slow_queries", {}, "stable", "no", "true or false"),
+    ] + [
+        (op, _HOUR, field, value, "a string")
+        for op in ("alerts", "alert_summary")
+        for field in ("severity", "detector")
+        for value in (5, ["info"], {"a": 1})
     ])
     def test_a_field_is_of_its_kind(self, windowed, op, base, field, value,
                                     kind):
@@ -632,6 +678,7 @@ class TestSimpleOps:
     def test_nodeinfo_unknown(self, server):
         r = server.handle_sync({"op": "nodeinfo", "cname": "c9-9c9s9n9"})
         assert not r["ok"]
+        assert r["error"] == "LookupError: unknown node: c9-9c9s9n9"
 
     def test_events_with_limit(self, server, fw):
         r = server.handle_sync({
@@ -642,7 +689,8 @@ class TestSimpleOps:
         assert len(r["result"]) == 5
 
     def test_events_requires_context(self, server):
-        assert not server.handle_sync({"op": "events"})["ok"]
+        r = server.handle_sync({"op": "events"})
+        assert r["error"] == "ValueError: events requires 'context'"
 
     def test_runs(self, server, fw, runs):
         r = server.handle_sync({
@@ -1060,3 +1108,97 @@ class TestOneTracePerRequest:
         assert traces[0]["spans"] == 1 + len(opened)
         assert all(s.trace_id == traces[0]["trace_id"] and s.end is not None
                    for s in opened)
+
+
+# -- every op's declared fields, drawn ---------------------------------------
+
+# What a request field holds when it is not of its kind: null (an
+# omitted field), bools, strings, lists, objects and the non-finite
+# numbers Python's json reads — never a number of its kind that is
+# merely large.
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)),
+             max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+    st.sampled_from([_NAN, _INF, -_INF]))
+_NAMES = st.sampled_from([
+    "MCE", "OOM", "LUSTRE_ERR", "server", "c0-0c0s0n0", "node", "blade",
+    "rack", "info", "d", "", "x"])
+# Bounds on what one request costs (window widths and per-request sizes
+# are not bounded by the server yet): times in the stored two hours,
+# bin and window widths no finer than half a second, counts <= 50.
+_T0, _T1 = st.floats(0.0, 3600.0), st.floats(1800.0, 7200.0)
+_WIDTH = st.sampled_from([0.5, 1.0, 60.0, 600.0])
+_BY_FIELD = {
+    "t0": _T0, "t1": _T1, "ts": _T1, "hour": st.integers(-1, 3),
+    "granularity": st.sampled_from(["node", "blade", "cabinet", "rack"]),
+    "bin_seconds": _WIDTH, "window_seconds": _WIDTH, "lead_window": _WIDTH,
+    "window": _WIDTH,
+    "statement": st.one_of(st.sampled_from([
+        _ROUTED, _UNROUTED, "SELECT name FROM eventtypes WHERE name = ?",
+        "SELECT * FROM nosuch", "EXPLAIN " + _ROUTED]), st.text(max_size=8)),
+}
+
+
+@st.composite
+def _fields(draw, fields):
+    """A request of *fields* (``_OPS``' declarations): at most one of
+    them junk, the rest of their kind or, when optional, omitted.  ``t1``
+    is always a time, so no window is defaulted to end at the wall
+    clock."""
+    junk = draw(st.none() | st.sampled_from([*fields])) if fields else None
+    request = {}
+    for field, (kind, required) in fields.items():
+        valid = _BY_FIELD.get(field, _OF_KIND[kind])
+        if field == junk and field != "t1":
+            request[field] = draw(_JUNK)
+        elif required or field == "t1":
+            request[field] = draw(valid)
+        else:
+            request[field] = draw(st.one_of(st.none(), valid))
+    return request
+
+
+_OF_KIND = {
+    "count": st.integers(0, 50),
+    "integer": st.integers(-1, 5),
+    "number": st.floats(-1.0, 10.0),
+    "string": st.one_of(_NAMES, st.text(max_size=6)),
+    "bool": st.booleans(),
+    "object": st.dictionaries(st.text(max_size=3), st.text(max_size=3),
+                              max_size=2),
+    "array": st.lists(_JUNK, max_size=3),
+    "strings": st.lists(_NAMES, max_size=3),
+    "objects": st.lists(st.deferred(lambda: _fields(_DEFINITION)),
+                        min_size=1, max_size=2),
+    "context": st.builds(
+        lambda t0, span, names: {"t0": t0, "t1": t0 + span, **names},
+        _T0, st.floats(0.5, 3600.0), st.fixed_dictionaries({}, optional={
+            "event_types": st.lists(_NAMES, max_size=2),
+            "sources": st.lists(_NAMES, max_size=2),
+            "app": _NAMES, "user": _NAMES})),
+}
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    """The ``windowed`` store, private: drawn requests write composites."""
+    yield from _windowed_server()
+
+
+class TestEveryDeclaredField:
+    """Whatever an op's declared fields hold, the reply is an answer or
+    a typed error (ValueError, LookupError, a CQL error) — never a raw
+    TypeError, KeyError or AttributeError from behind the boundary."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_reply_is_an_answer_or_a_typed_error(self, drawn, data):
+        op = data.draw(st.sampled_from(sorted(_OPS)), label="op")
+        request = data.draw(_fields(_OPS[op][2]), label="fields")
+        r = drawn.handle_sync({"op": op, **request})
+        if not r["ok"]:
+            kind = r["error"].split(":")[0]
+            assert (kind in ("ValueError", "LookupError")
+                    or kind.startswith("CQL")), (op, request, r["error"])

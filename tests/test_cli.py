@@ -151,6 +151,24 @@ class TestMetrics:
         assert any(e["op"] == "heatmap" for e in payload["slow_queries"])
 
 
+    def test_every_op_choice_is_an_op_of_one_context(self):
+        # metrics sends {"op": <choice>, "context": …} and nothing else.
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.core.server import _OPS
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = next(a.choices for a in sub.choices["metrics"]._actions
+                       if a.dest == "op")
+        assert choices
+        for op in choices:
+            _handler, _offload, fields = _OPS[op]
+            assert [f for f, (_kind, required) in fields.items()
+                    if required] == ["context"], op
+
+
 class TestExplain:
     STATEMENT = "SELECT name FROM eventtypes WHERE name = 'MCE'"
 
