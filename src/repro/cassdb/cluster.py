@@ -97,6 +97,18 @@ class Consistency(Enum):
 PartitionFold = Callable[[dict[str, Any], BlockView], Any]
 
 
+# What Cluster.recording_reads collects (None outside it); to_thread, the
+# replica pool and sparklet tasks copy the context, so it follows reads.
+_READ_EPOCHS: contextvars.ContextVar[dict[tuple, int] | None] = (
+    contextvars.ContextVar("cassdb_read_epochs", default=None))
+
+
+def _epoch_key(schema: TableSchema, partition_key: tuple) -> tuple:
+    """(table, time bucket), the bucket None in a table without one."""
+    return (schema.name,
+            partition_key[0] if schema.time_bucket is not None else None)
+
+
 # What a failed group of ``write_batch`` raises, by the per-row error
 # ``_commit_groups`` names.
 _BATCH_ERRORS = {
@@ -157,11 +169,12 @@ class Cluster:
         self.hinted_writes = 0
         self.read_repairs = 0
         self._counter_lock = threading.Lock()
-        # Monotonic per-table write epochs: bumped on every *successful*
-        # coordinated write (once per batch), so layered caches (the
+        # Monotonic write epochs by (table, bucket), and (table, None) for
+        # the whole table: bumped once per commit landing rows there (a
+        # batch, a hint replay, a repair push), so layered caches (the
         # server's result cache) can detect staleness without
         # subscribing to individual writes.
-        self._table_epochs: dict[str, int] = {}
+        self._epochs: dict[tuple, int] = {}
         self._epoch_lock = threading.Lock()
         # The replica-read executor, created by the first read that asks
         # more than one replica (see _replica_pool).
@@ -283,17 +296,21 @@ class Cluster:
         order converges without anti-entropy repair."""
         node = self.nodes[node_id]
         node.mark_up()
+        landed: list[Hint] = []
         for peer_id, peer in self.nodes.items():
             if peer is node or not peer.up:
                 continue
             for hint in peer.drain_hints_for(node_id):
                 node.write(hint.table, hint.partition_key, hint.row)
-                self._m_hints_replayed.inc()
+                landed.append(hint)
             if not peer.process_up:
                 continue  # crashed, still routed: its own revival replays
             for hint in node.drain_hints_for(peer_id):
                 peer.write(hint.table, hint.partition_key, hint.row)
-                self._m_hints_replayed.inc()
+                landed.append(hint)
+        self._m_hints_replayed.inc(len(landed))
+        for hint in landed:
+            self._bump_epochs(hint.table, (hint.partition_key,))
 
     def _replica_up(self, node_id: str) -> bool:
         """Routing liveness as the coordinator sees it, including any
@@ -400,15 +417,44 @@ class Cluster:
             stack.enter_context(lock)
         return stack
 
-    def _bump_epoch(self, table: str) -> None:
+    def _bump_epochs(self, table: str, partition_keys: Iterable[tuple]
+                     ) -> None:
+        """Advance the epochs of *table* and of the buckets of
+        *partition_keys*, once each, after their rows landed."""
+        schema = self.schema(table)
+        keys = {(table, None), *(_epoch_key(schema, pk)
+                                 for pk in partition_keys)}
         with self._epoch_lock:
-            self._table_epochs[table] = self._table_epochs.get(table, 0) + 1
+            for key in keys:
+                self._epochs[key] = self._epochs.get(key, 0) + 1
+
+    def epoch(self, key: tuple) -> int:
+        """The write epoch of a ``(table, bucket)``, or ``(table, None)``
+        for the whole table: a cache token."""
+        return self._epochs.get(key, 0)
 
     def table_epoch(self, table: str) -> int:
-        """Monotonic count of coordinated write *commits* to *table*
-        (cache token; a whole batch counts once)."""
-        with self._epoch_lock:
-            return self._table_epochs.get(table, 0)
+        """Monotonic count of commits that landed rows in *table*."""
+        return self.epoch((table, None))
+
+    @contextlib.contextmanager
+    def recording_reads(self):
+        """Within the block, each read records the ``(table, bucket)`` it
+        touches — a partition listing, ``(table, None)`` — into the dict
+        yielded, with its epoch as it was before the first read of it."""
+        seen: dict[tuple, int] = {}
+        token = _READ_EPOCHS.set(seen)
+        try:
+            yield seen
+        finally:
+            _READ_EPOCHS.reset(token)
+
+    def _saw(self, key: tuple) -> None:
+        # Threads of one request may race: setdefault keeps the first
+        # epoch, read before any of them read the key's data.
+        seen = _READ_EPOCHS.get()
+        if seen is not None and key not in seen:
+            seen.setdefault(key, self._epochs.get(key, 0))
 
     def _retrying(self, kind: str, fn):
         """Run *fn* under the retry policy.
@@ -466,7 +512,7 @@ class Cluster:
         with self._counter_lock:
             self.coordinator_writes += 1
         self._m_writes.inc()
-        self._bump_epoch(table)
+        self._bump_epochs(table, (partition_key,))
         self._m_write_latency.observe((time.perf_counter() - start) * 1000.0)
 
     # -- batched write path --------------------------------------------------
@@ -492,8 +538,9 @@ class Cluster:
           then applies each storage node's share of all groups with
           **one** ``StorageNode.write_rows`` call (one ``TableStore``
           lock, one span per node, not per group and replica);
-        * the table epoch is bumped **once** for the whole batch (the
-          server's result cache sees one epoch change, not one per row);
+        * the epochs of the table and of each bucket it wrote are
+          bumped **once** for the whole batch (the server's result
+          cache sees one epoch change, not one per row);
         * one ``cassdb.write_batch`` trace span and one set of
           ``cassdb.write.batch_*`` observations cover the call.
 
@@ -502,7 +549,7 @@ class Cluster:
         like Cassandra's unlogged ``BATCH``, per replica-set group: when
         a replica refuses its share and a group ends short of its acks
         (:class:`BatchWriteTimeoutError`), the groups that met their
-        level stay committed — and the epoch still advances so caches
+        level stay committed — and the epochs still advance so caches
         never serve the partial batch as fresh.
         """
         schema = self.schema(table)
@@ -563,7 +610,7 @@ class Cluster:
                 with self._counter_lock:
                     self.coordinator_writes += applied
                 self._m_writes.inc(applied)
-                self._bump_epoch(table)
+                self._bump_epochs(table, rows_of)
                 self._m_batches.inc()
                 self._m_batch_rows.observe(applied)
                 self._m_batch_groups.observe(len(groups))
@@ -595,8 +642,8 @@ class Cluster:
         runs for every group before anything is applied (nothing was
         applied, nothing pruned); :class:`WriteTimeoutError` when a
         routed-to replica refused its share and left the group short of
-        acks — rows may sit on the replicas that did apply, so the table
-        epoch advances and layered caches drop what is now stale.
+        acks — rows may sit on the replicas that did apply, so the
+        epochs advance and layered caches drop what is now stale.
         """
         gate = self.chaos_gate
         with contextlib.ExitStack() as stack:
@@ -670,7 +717,8 @@ class Cluster:
             if short:
                 self._m_consistency_failures.inc(len(short))
                 if partial:
-                    self._bump_epoch(table)
+                    self._bump_epochs(table, (pk for _replicas, items in short
+                                              for pk, _row in items))
                 pending[:] = short
             else:
                 pending.clear()
@@ -855,6 +903,7 @@ class Cluster:
         start = time.perf_counter()
         table = schema.name
         ring_key = schema.ring_key(partition_key)
+        self._saw(_epoch_key(schema, partition_key))
         with obs.get_tracer().span(
             "cassdb.read", table=table, partition=ring_key
         ) as span:
@@ -980,7 +1029,8 @@ class Cluster:
         last-write-wins, tombstone markers kept) and push back to each
         replica every row it lacks or holds stale.  Returns the merged
         rows, ascending, dead ones included, and the count pushed —
-        read repair and :meth:`repair` are this one loop."""
+        read repair and :meth:`repair` are this one loop.  A push bumps
+        the partition's epochs."""
         merged = merge_views(
             [BlockView(ColumnBlock.over_rows(rows))
              for rows in copies.values()], keep_dead=True)
@@ -996,16 +1046,20 @@ class Cluster:
                     except NodeDownError:
                         break  # crashed after answering; repair later
                     pushed += 1
+        if pushed:
+            self._bump_epochs(table, (partition_key,))
         return merged, pushed
 
     # -- full scans & placement introspection ---------------------------------
 
     def _first_alive_view(
-        self, table: str, ring_key: str, partition_key: tuple,
+        self, schema: TableSchema, ring_key: str, partition_key: tuple,
         lower: ClusteringBound | None, upper: ClusteringBound | None,
     ) -> BlockView | None:
         """One partition, within clustering bounds, as its first alive
         replica holds it; None when every replica is down."""
+        table = schema.name
+        self._saw(_epoch_key(schema, partition_key))
         for replica_id in self.ring.replicas(ring_key):
             node = self.nodes[replica_id]
             if not node.up:
@@ -1053,11 +1107,12 @@ class Cluster:
         names = schema.partition_key
         for key in in_partition_order(self.partition_keys(table)):
             source = self._first_alive_view(
-                table, schema.ring_key(key), key, lower, upper)
+                schema, schema.ring_key(key), key, lower, upper)
             if source is not None:
                 yield fold(dict(zip(names, key)), source)
 
     def partition_keys(self, table: str) -> set[tuple]:
+        self._saw((table, None))
         keys: set[tuple] = set()
         for node in self.nodes.values():
             keys.update(node.partition_keys(table))
@@ -1094,7 +1149,7 @@ class Cluster:
         with obs.get_tracer().span(
             "cassdb.read", table=table, partition=ring_key, locality=True
         ) as span:
-            source = self._first_alive_view(table, ring_key, partition_key,
+            source = self._first_alive_view(schema, ring_key, partition_key,
                                             lower, upper)
             if source is None:
                 raise UnavailableError(1, 0)

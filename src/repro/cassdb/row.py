@@ -29,6 +29,8 @@ import bisect
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
+from .errors import InvalidQueryError
+
 __all__ = ["Row", "ClusteringBound", "in_partition_order", "merge_rows",
            "slice_bounds_keys"]
 
@@ -204,7 +206,8 @@ def slice_bounds_keys(
     stop: int | None = None,
 ) -> tuple[int, int]:
     """The ``[lo, hi)`` index range of sorted clustering *keys* admitted
-    by the bounds, within ``keys[start:stop]``.
+    by the bounds, within ``keys[start:stop]``; a bound that does not
+    compare with them is an InvalidQueryError.
 
     Bisects the key array (a memtable partition's sorted key list, or a
     run's clustering array between one partition's offsets), then
@@ -215,17 +218,23 @@ def slice_bounds_keys(
     lo, hi = start, n
     if lo >= n:
         return lo, lo
-    if lower is not None:
-        lo = bisect.bisect_left(keys, lower.key, start, n)
-        while lo < n and not lower.admits_lower(keys[lo]):
-            lo += 1
-    if upper is not None:
-        # Pad the bound so that every clustering tuple sharing the prefix
-        # sorts below the sentinel, then walk back over rejected edges.
-        padded = upper.key + (_Greatest(),)
-        hi = bisect.bisect_right(keys, padded, start, n)
-        while hi > lo and not upper.admits_upper(keys[hi - 1]):
-            hi -= 1
+    try:
+        if lower is not None:
+            lo = bisect.bisect_left(keys, lower.key, start, n)
+            while lo < n and not lower.admits_lower(keys[lo]):
+                lo += 1
+        if upper is not None:
+            # Pad the bound so that every clustering tuple sharing the
+            # prefix sorts below the sentinel, then walk back over
+            # rejected edges.
+            padded = upper.key + (_Greatest(),)
+            hi = bisect.bisect_right(keys, padded, start, n)
+            while hi > lo and not upper.admits_upper(keys[hi - 1]):
+                hi -= 1
+    except TypeError:
+        raise InvalidQueryError("a clustering bound does not compare with "
+                                f"the stored keys, e.g. {keys[start]!r}"
+                                ) from None
     return lo, max(lo, hi)
 
 

@@ -353,7 +353,8 @@ def _cmd_metrics(args) -> int:
     fw = _framework(args)
     fw.ingest_batch(paths, coalesce_seconds=None)
     slow_log = obs.SlowQueryLog(threshold_ms=args.slow_ms)
-    server = AnalyticsServer(fw, slow_log=slow_log)
+    # --repeat times the op itself: every repeat reads the store.
+    server = AnalyticsServer(fw, slow_log=slow_log, result_cache_size=0)
     ctx = fw.context(0.0, _data_horizon(fw, 0.0),
                      event_types=(args.event_type,))
     request = {"op": args.op, "context": ctx.to_json()}

@@ -1,16 +1,17 @@
 """Server-side query-result cache: bounded LRU with TTL and staleness checks.
 
-The frontend's maps are redrawn from the same point-in-time SELECTs over
-and over (paper §III: every pan/zoom re-issues the context query), so
-the analytics server memoizes SELECT results keyed on ``(normalized
-statement, params)``.  Staleness has one mechanism, **epoch
-validation**: each entry records the backend's per-table write epoch
-read at the miss, and a lookup whose epoch no longer matches is treated
-as a miss.  Every write reaches the store outside the server (batch and
-streaming ingestion straight into the cluster; CQL only reads), and the
-epoch advances once per *commit* — a whole ``Cluster.write_batch`` bumps
-it once, and a failed (Unavailable) write not at all — so a micro-batch
-of 10k rows advances it once, not 10k times.
+The frontend's maps are redrawn from the same context queries over and
+over (paper §III: every pan/zoom re-issues the context query), so the
+analytics server memoizes every op it answers on the event loop from its
+request and the store, keyed on ``(op, canonical declared fields)``.
+Staleness has one mechanism, **epoch validation**: an entry holds the
+write epoch of each ``(table, bucket)`` its reads touched, recorded
+before they read its data (``(table, None)``: an unbucketed table, or a
+listing of a table's partitions), and a lookup whose epochs no longer
+all match is a miss.  Every write reaches the store outside the server,
+and an epoch advances once per commit landing rows in its bucket (a
+``write_batch``, a hint replay, a repair push), so a write into the live
+hour leaves replies over closed hours current.
 
 A TTL backs it up.  All state is bounded (LRU beyond ``max_entries``)
 and every outcome is counted in ``server.result_cache.*`` metrics.
@@ -22,7 +23,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 from repro import obs
 
@@ -35,7 +36,7 @@ _MISSING = object()
 class _Entry:
     value: Any
     expires_at: float
-    epochs: dict[str, int]  # table -> backend write epoch at the miss
+    epochs: dict[Hashable, int]  # (table, bucket) -> epoch before the read
 
 
 class ResultCache:
@@ -70,13 +71,10 @@ class ResultCache:
     # -- public API ------------------------------------------------------
 
     def get(self, key: Hashable,
-            epoch_of: Callable[[str], int] | None = None) -> Any:
-        """The cached value, or ``ResultCache.MISSING`` when absent/stale.
-
-        *epoch_of* maps a table name to the backend's current write
-        epoch; any mismatch with the entry's fill-time epochs means data
-        changed underneath the cache and the entry is discarded.
-        """
+            epoch_of: Callable[[Hashable], int] | None = None) -> Any:
+        """The cached value, or ``ResultCache.MISSING`` when absent or
+        stale — past its TTL, or an epoch it holds is no longer what
+        *epoch_of* (epoch key -> current epoch) answers."""
         if not self.enabled:
             return _MISSING
         with self._lock:
@@ -84,7 +82,7 @@ class ResultCache:
             if entry is not None:
                 stale = self._clock() >= entry.expires_at or (
                     epoch_of is not None
-                    and any(epoch_of(t) != e for t, e in entry.epochs.items())
+                    and any(epoch_of(k) != e for k, e in entry.epochs.items())
                 )
                 if stale:
                     del self._entries[key]
@@ -96,14 +94,12 @@ class ResultCache:
         self._m_misses.inc()
         return _MISSING
 
-    def put(self, key: Hashable, value: Any, *,
-            tables: Iterable[str],
-            epoch_of: Callable[[str], int] | None = None) -> None:
+    def put(self, key: Hashable, value: Any,
+            epochs: dict[Hashable, int]) -> None:
+        """Store *value*, current while every epoch in *epochs* (epoch
+        key -> the epoch it had before the value's reads) still is."""
         if not self.enabled:
             return
-        epochs = {
-            t: (epoch_of(t) if epoch_of is not None else 0) for t in tables
-        }
         with self._lock:
             self._entries.pop(key, None)  # re-filled: newest in LRU order
             self._entries[key] = _Entry(

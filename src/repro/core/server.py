@@ -14,10 +14,14 @@ Only work for the big-data unit — a sparklet job, or statistics and
 mining over what a request read — leaves the loop through
 ``asyncio.to_thread``, the non-blocking property Tornado gives the real
 system for "numerous users, who may require long-lived connections".
-Which ops exist, what serves each, which request fields it takes and
-whether it leaves the loop is one table, filled by ``@_op``: ``handle``
-checks an op's declared fields before it dispatches and hands the
-handler typed values; a ``cql`` request goes by its prepared plan.
+Which ops exist, what serves each, which request fields it takes,
+whether it leaves the loop and whether its reply is memoized is one
+table, filled by ``@_op``: ``handle`` checks an op's declared fields
+before it dispatches and hands the handler typed values; a ``cql``
+request goes by its prepared plan.  ``handle`` memoizes every op on the
+loop but those marked ``memo=False`` (their replies read process state
+or the clock): a reply is served again until a row lands in a
+``(table, bucket)`` it read (:mod:`repro.core.result_cache`).
 
 Responses are JSON-serializable dicts: ``{"ok": true, "result": …,
 "elapsed_ms": …}`` — "Query results are sent in JSON object format to
@@ -27,7 +31,6 @@ avoid data format conversion at the frontend."
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import json
 import sys
 import time
@@ -39,19 +42,13 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import obs
-from repro.cql import CQLError, Select, normalize_cql
+from repro.cql import CQLError, normalize_cql
 
 from .context import Context
 from .framework import LogAnalyticsFramework
 from .result_cache import ResultCache
 
 __all__ = ["AnalyticsServer"]
-
-# Per-request cache outcome for the response's "cache" field.  A
-# ContextVar (not an instance attribute) because handle_many interleaves
-# requests on the event loop; each asyncio task sees only its own value.
-_CACHE_STATUS: contextvars.ContextVar[str | None] = contextvars.ContextVar(
-    "server_cache_status", default=None)
 
 _FLOAT_MAX = sys.float_info.max
 
@@ -106,24 +103,25 @@ def _typed(op: str, fields: dict[str, tuple[str, bool]],
     return given
 
 
-# op name -> (handler, offload, fields): the one entry ``handle`` reads
-# for whether an op exists, what serves it, the request fields it takes,
-# and whether it hands its work to the big-data unit and so leaves the
-# event loop.
-_OPS: dict[str, tuple[Callable, bool, dict[str, tuple[str, bool]]]] = {}
+# op name -> (handler, offload, fields, memo): the one entry ``handle``
+# reads for whether an op exists, what serves it, the request fields it
+# takes, whether it hands its work to the big-data unit and so leaves
+# the event loop, and whether its reply is memoized.
+_OPS: dict[str, tuple[Callable, bool, dict[str, tuple[str, bool]], bool]] = {}
 
 
 def _op(handler: Callable | None = None, *, offload: bool = False,
-        **fields: str):
+        memo: bool = True, **fields: str):
     """Enter ``_op_<name>`` in the op table with its request fields,
     each declared once as ``field="kind"`` (a kind of :data:`_KINDS`;
     a trailing ``!``: required) and passed to the handler as a keyword
     argument; ``offload=True`` for an op whose work is the big-data
-    unit's."""
+    unit's, never memoized; ``memo=False`` for an op whose reply
+    depends on more than its request and the store."""
     if handler is None:
-        return lambda fn: _op(fn, offload=offload, **fields)
+        return lambda fn: _op(fn, offload=offload, memo=memo, **fields)
     _OPS[handler.__name__.removeprefix("_op_")] = (
-        handler, offload, _declared(**fields))
+        handler, offload, _declared(**fields), memo and not offload)
     return handler
 
 
@@ -131,21 +129,6 @@ def _op(handler: Callable | None = None, *, offload: bool = False,
 # ``definitions``.
 _DEFINITION = _declared(name="string!", sequence="strings!",
                         window="number!")
-
-
-class _PreSerialized:
-    """A handler result that already went through :func:`_jsonable`.
-
-    Cached SELECT payloads are stored post-conversion so a cache hit
-    skips the O(rows) re-serialization; the payload object is shared
-    with the cache, so response consumers must treat it as read-only
-    (real transports json-dump it immediately).
-    """
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        self.payload = payload
 
 
 # Exact types that are JSON as they stand.  Membership is by ``type()``,
@@ -188,8 +171,6 @@ def _jsonable(value: Any) -> Any:
 
 
 def _rebuild(value: Any) -> Any:
-    if isinstance(value, _PreSerialized):
-        return value.payload
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.integer,)):
@@ -269,7 +250,7 @@ class AnalyticsServer:
         op = request.get("op") if isinstance(request, dict) else None
         op_name = op if isinstance(op, str) else "<invalid>"
         outcome = "ok"
-        cache_token = _CACHE_STATUS.set(None)
+        cache_status = None
         with self.tracer.root_span("server.request", op=op_name) as span:
             try:
                 if not isinstance(request, dict):
@@ -278,22 +259,23 @@ class AnalyticsServer:
                 entry = _OPS.get(op) if isinstance(op, str) else None
                 if entry is None:
                     raise ValueError(f"unknown op: {op!r}")
-                handler, offload, fields = entry
-                given = _typed(op, fields, request)
-                if offload:
-                    # The big-data unit's work leaves the event loop free
-                    # (Tornado's non-blocking I/O property); to_thread
-                    # copies the context, so the span tree follows.
-                    # Concurrent requests that reach the sparklet engine
-                    # run as truly concurrent jobs: the DAG scheduler
-                    # admits them in parallel and materializes any
-                    # shared shuffle lineage exactly once.
-                    result = await asyncio.to_thread(handler, self, **given)
+                handler, offload, fields, memo = entry
+                run = partial(self._run, handler, offload,
+                              _typed(op, fields, request))
+                key = self._memo_key(op, fields, request) if memo else None
+                if key is None:
+                    result = await run()
                 else:
-                    result = handler(self, **given)
-                if isinstance(result, partial):  # a cql sparklet plan's run
-                    result = await asyncio.to_thread(result)
-                response = {"ok": True, "result": _jsonable(result)}
+                    cluster = self.framework.cluster
+                    result = self.result_cache.get(key, cluster.epoch)
+                    cache_status = "hit"
+                    if result is ResultCache.MISSING:
+                        cache_status = "miss"
+                        with cluster.recording_reads() as read:
+                            result = await run()
+                        if read:  # a reply that read nothing is not kept
+                            self.result_cache.put(key, result, read)
+                response = {"ok": True, "result": result}
             except Exception as exc:  # noqa: BLE001 - server boundary
                 outcome = "error"
                 self.errors += 1
@@ -307,8 +289,6 @@ class AnalyticsServer:
                     response["error_detail"] = exc.payload()
                 span.mark_error(response["error"])
             span.set(outcome=outcome)
-        cache_status = _CACHE_STATUS.get()
-        _CACHE_STATUS.reset(cache_token)
         if cache_status is not None:
             response["cache"] = cache_status
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -324,6 +304,38 @@ class AnalyticsServer:
                              trace_id=trace_id)
         return response
 
+    async def _run(self, handler: Callable, offload: bool,
+                   given: dict[str, Any]) -> Any:
+        """The handler's reply, as JSON.  The big-data unit's work
+        leaves the event loop free (Tornado's non-blocking I/O
+        property); to_thread copies the context, so the span tree and
+        the read recording follow."""
+        if offload:
+            result = await asyncio.to_thread(handler, self, **given)
+        else:
+            result = handler(self, **given)
+        if isinstance(result, partial):  # a cql sparklet plan's run
+            result = await asyncio.to_thread(result)
+        return _jsonable(result)
+
+    def _memo_key(self, op: str, fields: dict[str, tuple[str, bool]],
+                  request: dict[str, Any]) -> tuple[str, str] | None:
+        """A memoized request's cache key: the op and its declared
+        fields as canonical JSON, a cql statement whitespace-normalized;
+        None — served uncached, with no ``cache`` field — with the cache
+        off or a value that is not JSON."""
+        if not self.result_cache.enabled:
+            return None
+        declared = {f: request[f] for f in fields
+                    if request.get(f) is not None}
+        if op == "cql":
+            declared["statement"] = normalize_cql(declared["statement"])
+            declared["params"] = request.get("params") or []
+        try:
+            return op, json.dumps(declared, sort_keys=True)
+        except (TypeError, ValueError):
+            return None
+
     def handle_sync(self, request: dict[str, Any]) -> dict[str, Any]:
         """Blocking convenience wrapper (tests, benches, scripts)."""
         return asyncio.run(self.handle(request))
@@ -335,7 +347,7 @@ class AnalyticsServer:
 
     # -- metadata, context reads, CQL ------------------------------------------
 
-    @_op
+    @_op(memo=False)
     def _op_ping(self):
         return "pong"
 
@@ -364,43 +376,13 @@ class AnalyticsServer:
 
     @_op(statement="string!", params="array")
     def _op_cql(self, statement, params=()):
-        """The cache probe and ``cache`` status stay on the loop (a
-        ContextVar set in a thread is lost); a sparklet plan's run
-        leaves it as a ``partial``."""
-        params = tuple(params)
-        prepared = self.framework.session.prepare(statement)
-        plan = prepared.ast
-        key = None
-        if isinstance(plan, Select) and self.result_cache.enabled:
-            try:
-                key = (normalize_cql(statement), params)
-                hash(key)
-            except TypeError:  # unhashable params: serve uncached
-                key = None
-        if key is None:
-            _CACHE_STATUS.set("bypass")
-        else:
-            epoch_of = self.framework.cluster.table_epoch
-            cached = self.result_cache.get(key, epoch_of=epoch_of)
-            if cached is not ResultCache.MISSING:
-                _CACHE_STATUS.set("hit")
-                return _PreSerialized(cached)
-            _CACHE_STATUS.set("miss")
-            # Read before the run: a write landing while an offloaded
-            # scan runs leaves the entry stale, never stamped current.
-            epoch = epoch_of(plan.table)
+        """A sparklet plan's run leaves the loop as a ``partial``."""
+        run = partial(self.framework.cql, statement, tuple(params))
+        on_sparklet = self.framework.session.prepare(
+            statement).physical.on_sparklet
+        return run if on_sparklet else run()
 
-        def execute():
-            result = self.framework.cql(statement, params)
-            if key is None:
-                return result
-            payload = _jsonable(result)
-            self.result_cache.put(key, payload, tables=(plan.table,),
-                                  epoch_of=lambda _table: epoch)
-            return _PreSerialized(payload)
-        return partial(execute) if prepared.physical.on_sparklet else execute()
-
-    @_op(statement="string!")
+    @_op(memo=False, statement="string!")
     def _op_explain(self, statement):
         """The optimized plan for a statement as a stable JSON tree
         (works with or without a leading ``EXPLAIN`` keyword)."""
@@ -408,7 +390,7 @@ class AnalyticsServer:
 
     # -- observability ops ----------------------------------------------------
 
-    @_op(prefix="string")
+    @_op(memo=False, prefix="string")
     def _op_metrics(self, prefix=""):
         """Prometheus-style snapshot of every metric series."""
         snapshot = self.registry.snapshot()
@@ -417,7 +399,7 @@ class AnalyticsServer:
                         if k.startswith(prefix)}
         return snapshot
 
-    @_op(all="bool")
+    @_op(memo=False, all="bool")
     def _op_trace(self, all=False):
         """The most recently *completed* trace (this request's own trace
         finishes after the handler returns, so it is never included)."""
@@ -428,7 +410,7 @@ class AnalyticsServer:
             raise LookupError("no completed traces yet")
         return trace
 
-    @_op(stable="bool")
+    @_op(memo=False, stable="bool")
     def _op_slow_queries(self, stable=False):
         """The slow-query ring; ``stable: true`` strips the wall-clock,
         timing and trace-id fields (trace ids are process-global
@@ -489,7 +471,8 @@ class AnalyticsServer:
             node["children"].sort(key=lambda n: (n["ts"], n["span_id"]))
         return len(by_id), roots
 
-    @_op(name="string!", labels="object", t0="number", t1="number")
+    @_op(memo=False, name="string!", labels="object", t0="number",
+         t1="number")
     def _op_telemetry_series(self, name, labels=None, t0=None, t1=None):
         """Time-windowed series of one metric from ``metrics_by_time``."""
         t0, t1, rows = self._window_rows(t0, t1, "metrics_by_time", (name,))
@@ -509,7 +492,8 @@ class AnalyticsServer:
         points.sort(key=lambda p: (p["ts"], p.get("seq", 0)))
         return {"name": name, "t0": t0, "t1": t1, "points": points}
 
-    @_op(limit="count", component="string", t0="number", t1="number")
+    @_op(memo=False, limit="count", component="string", t0="number",
+         t1="number")
     def _op_telemetry_spans(self, limit=20, component="", t0=None, t1=None):
         """Slowest spans in a window from ``spans_by_time``,
         reconstructed as trees via their parent links."""
@@ -520,7 +504,8 @@ class AnalyticsServer:
         return {"t0": t0, "t1": t1, "spans": spans,
                 "trees": roots[:limit or None]}
 
-    @_op(top="count", component="string", t0="number", t1="number")
+    @_op(memo=False, top="count", component="string", t0="number",
+         t1="number")
     def _op_profile_flame(self, top=10, component="", t0=None, t1=None):
         """Windowed flame data from ``profiles_by_time``: folded stacks
         (flamegraph.pl-compatible, component-rooted) plus the top hot
@@ -545,7 +530,7 @@ class AnalyticsServer:
             "hot": hot_functions(by_stack, top=top),
         }
 
-    @_op(trace_id="integer", t0="number", t1="number")
+    @_op(memo=False, trace_id="integer", t0="number", t1="number")
     def _op_critical_path(self, trace_id=None, t0=None, t1=None):
         """Per-component exclusive-time attribution for one request.
 
@@ -626,7 +611,7 @@ class AnalyticsServer:
             "latest_ts": rows[-1]["ts"] if rows else None,
         }
 
-    @_op
+    @_op(memo=False)
     def _op_health(self):
         """Per-node liveness/breaker state plus a ring summary — the
         one-op answer to "is the backend healthy right now?"."""

@@ -40,14 +40,12 @@ through the :class:`~repro.cassdb.cluster.Cluster` API.
 # of whether the application imported repro.cql or repro.cassdb first.
 import repro.cassdb  # noqa: F401  (import-order anchor, see above)
 
-from .ast import Select
 from .engine import render_plan_text
 from .errors import CQLError
 from .lexer import normalize_cql
 
 __all__ = [
     "CQLError",
-    "Select",
     "normalize_cql",
     "render_plan_text",
 ]

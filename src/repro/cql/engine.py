@@ -23,6 +23,7 @@ from typing import Any, Sequence
 
 from repro import obs
 from repro.cassdb.cluster import Cluster, Consistency
+from repro.cassdb.errors import InvalidQueryError
 
 from .ast import Explain, Select, Statement
 from .errors import CQLPlanningError
@@ -125,7 +126,12 @@ class QueryEngine:
                 raise CQLPlanningError(f"bind parameter {i} is not a value")
         rt = Runtime(cluster=self.cluster, sparklet=self.sparklet,
                      params=tuple(params), consistency=consistency)
-        return prepared.physical.execute(rt)
+        try:
+            return prepared.physical.execute(rt)
+        except InvalidQueryError as exc:  # a bound the store cannot compare
+            column = self.cluster.schema(prepared.table).clustering_key[0]
+            raise CQLPlanningError(f"range bound on {column!r}: {exc}",
+                                   token=column) from None
 
     # -- EXPLAIN -----------------------------------------------------------
 

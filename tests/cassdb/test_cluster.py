@@ -265,6 +265,70 @@ class TestDeletesCrossReplicas:
         assert cluster.repair("event_by_time") == 0
 
 
+class TestEpochsFollowEveryRowThatLands:
+    """Every commit that lands a row on a replica — a coordinated write,
+    a hint replay, a read repair, an anti-entropy repair — advances the
+    epoch of the table and of the (table, bucket) it wrote, and of no
+    other bucket.  A cached reply is checked against these, so a row a
+    lagging replica receives late still retires what it served."""
+
+    HOURLY = TableSchema("hourly", partition_key=("hour", "type"),
+                         clustering_key=("ts",), time_bucket=("hour", 3600.0))
+
+    def lagging(self):
+        """A 2-node RF 2 cluster where one replica missed a row of hour
+        1, its hint still held by the other, and the other row of hour 0
+        everywhere."""
+        cluster = Cluster(2, replication_factor=2)
+        cluster.create_table(self.HOURLY)
+        cluster.insert("hourly", {"hour": 0, "type": "MCE", "ts": 1.0})
+        stale, holder = cluster.ring.replicas(
+            self.HOURLY.ring_key((1, "MCE")))
+        cluster.kill_node(stale)
+        cluster.insert("hourly", {"hour": 1, "type": "MCE", "ts": 3601.0})
+        assert len(cluster.nodes[holder].hints) == 1
+        return cluster, stale, holder
+
+    @staticmethod
+    def epochs(cluster):
+        return (cluster.table_epoch("hourly"), cluster.epoch(("hourly", 0)),
+                cluster.epoch(("hourly", 1)))
+
+    def lost_hint(self):
+        cluster, stale, holder = self.lagging()
+        cluster.nodes[holder].hints.clear()
+        cluster.nodes[stale].mark_up()  # back without the replay
+        return cluster, self.epochs(cluster)
+
+    def test_a_write_advances_its_bucket_and_the_table(self):
+        cluster = Cluster(2, replication_factor=2)
+        cluster.create_table(self.HOURLY)
+        cluster.write_batch("hourly", [
+            {"hour": 1, "type": t, "ts": 3600.0 + i}
+            for i, t in enumerate(["MCE", "LBUG", "MCE"])])
+        assert self.epochs(cluster) == (1, 0, 1)
+
+    def test_a_hint_replay_advances_the_epochs(self):
+        cluster, stale, _holder = self.lagging()
+        table, hour0, hour1 = self.epochs(cluster)
+        cluster.revive_node(stale)
+        assert self.epochs(cluster) == (table + 1, hour0, hour1 + 1)
+
+    def test_a_read_repair_advances_the_epochs(self):
+        cluster, (table, hour0, hour1) = self.lost_hint()
+        rows = cluster.select_partition("hourly", (1, "MCE"),
+                                        consistency=Consistency.ALL)
+        assert len(rows) == 1 and cluster.read_repairs == 1
+        assert self.epochs(cluster) == (table + 1, hour0, hour1 + 1)
+
+    def test_a_repair_advances_the_epochs(self):
+        cluster, (table, hour0, hour1) = self.lost_hint()
+        assert cluster.repair("hourly") == 1
+        assert self.epochs(cluster) == (table + 1, hour0, hour1 + 1)
+        assert cluster.repair("hourly") == 0
+        assert self.epochs(cluster) == (table + 1, hour0, hour1 + 1)
+
+
 class TestConsistencyRequired:
     @pytest.mark.parametrize(
         "cl,rf,expected",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
 from repro.cassdb.errors import InvalidQueryError
-from repro.cql import Select
+from repro.cql.ast import Select
 from repro.cql.parser import parse_statement
 
 

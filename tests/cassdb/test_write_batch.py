@@ -123,8 +123,8 @@ class TestEpochAndResultCache:
         cluster = make_cluster()
         cluster.write_batch("event_by_time", event_rows(10))
         cache = ResultCache(ttl_seconds=3600.0)
-        cache.put("q", ["payload"], tables=("event_by_time",),
-                  epoch_of=cluster.table_epoch)
+        cache.put("q", ["payload"], {"event_by_time": cluster.table_epoch(
+            "event_by_time")})
         assert cache.get("q", epoch_of=cluster.table_epoch) == ["payload"]
         cluster.write_batch("event_by_time", event_rows(10, hour=5))
         assert cache.get(
@@ -163,8 +163,8 @@ class TestFailedWriteLeavesNoTrace:
         cluster = make_cluster(4, rf=2)
         cluster.write_batch("event_by_time", event_rows(10))
         cache = ResultCache(ttl_seconds=3600.0)
-        cache.put("q", ["payload"], tables=("event_by_time",),
-                  epoch_of=cluster.table_epoch)
+        cache.put("q", ["payload"], {"event_by_time": cluster.table_epoch(
+            "event_by_time")})
         for nid in cluster.nodes:
             cluster.kill_node(nid)
         with pytest.raises(UnavailableError):

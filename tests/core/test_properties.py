@@ -22,7 +22,7 @@ from repro.core.correlation import context_series, cross_correlation
 from repro.core.frontend import render_event_type_map
 from repro.core.mining import apriori, association_rules, window_baskets
 from repro.core.textmining import tokenize
-from repro.core.server import _PreSerialized, _jsonable
+from repro.core.server import _jsonable
 from repro.genlog.jobs import ApplicationRun
 from repro.titan import TitanTopology
 
@@ -328,8 +328,6 @@ class TestFoldsMatchTheRowLoops:
 def _jsonable_reference(value):
     """The cell-by-cell walk ``_jsonable`` was before it learned to hand
     plain containers back untouched."""
-    if isinstance(value, _PreSerialized):
-        return value.payload
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.integer,)):

@@ -62,6 +62,13 @@ _THREAD_OPS = {"keywords", "refresh_synopsis", "transfer_entropy",
                "cross_correlation", "association_rules", "mine_precursors",
                "application_profiles", "materialize_composites"}
 
+# The ops on the loop whose reply depends on more than the request and
+# the store — the process's own state or the wall clock — and so are
+# not memoized.  Every other op on the loop is.
+_UNMEMOIZED_OPS = {"ping", "metrics", "trace", "slow_queries", "health",
+                   "explain", "critical_path", "telemetry_series",
+                   "telemetry_spans", "profile_flame"}
+
 
 def _ctx(fw, **kw):
     return fw.context(0, HORIZON, **kw).to_json()
@@ -88,16 +95,18 @@ class TestRouting:
     def test_ops_partitioned(self):
         # One table: it names exactly the ``_op_*`` handlers, each either
         # inline or offloaded — and the offloaded ones are exactly the
-        # big-data unit's, so a new op is placed on purpose.
+        # big-data unit's, so a new op is placed on purpose; likewise
+        # every op on the loop is memoized but the declared few.
         handlers = {name.removeprefix("_op_"): fn
                     for name, fn in vars(AnalyticsServer).items()
                     if name.startswith("_op_")}
-        assert {op: fn for op, (fn, _offload, _fields) in _OPS.items()
-                } == handlers
-        assert {type(offload) for _fn, offload, _fields in _OPS.values()
+        assert {op: fn for op, (fn, *_) in _OPS.items()} == handlers
+        assert {type(offload) for _fn, offload, *_ in _OPS.values()
                 } == {bool}
-        assert {op for op, (_fn, offload, _fields) in _OPS.items()
+        assert {op for op, (_fn, offload, *_) in _OPS.items()
                 if offload} == _THREAD_OPS
+        assert {op for op, (*_, memo) in _OPS.items() if not memo
+                } == _THREAD_OPS | _UNMEMOIZED_OPS
 
     @pytest.mark.parametrize("request_", ["ping", ["ping"], None, 7],
                              ids=["str", "list", "null", "int"])

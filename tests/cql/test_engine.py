@@ -220,3 +220,49 @@ class TestLimitIsStrictlyPositive:
             "message": (f"line 1:{column}: LIMIT must be a strictly"
                         f" positive integer, got {limit!r}"),
             "line": 1, "column": column, "token": limit}
+
+
+class TestARangeBoundOfTheWrongType:
+    """A clustering range bound that does not compare with the stored
+    keys — ``ts > 'x'`` over float timestamps, written as a literal or
+    bound to a placeholder — is a planning error naming the column on
+    every plan shape; it leaked a TypeError from the slice's bisect."""
+
+    SHAPES = {
+        "single": "SELECT * FROM ev WHERE hour = 0 AND type = 'MCE'"
+                  " AND ts > {}",
+        "in": "SELECT * FROM ev WHERE hour IN (0, 1) AND type = 'MCE'"
+              " AND ts > {}",
+        "upper": "SELECT * FROM ev WHERE hour = 0 AND type = 'MCE'"
+                 " AND ts >= 1.0 AND ts < {}",
+        "aggregate": "SELECT count(*) FROM ev WHERE hour = 0"
+                     " AND type = 'MCE' AND ts > {}",
+        "full_scan": "SELECT count(*) FROM ev WHERE ts > {}",
+    }
+
+    @staticmethod
+    def planning_error(session, statement, params=()):
+        with pytest.raises(CQLPlanningError) as info:
+            session.execute(statement, params)
+        assert "range bound on 'ts'" in str(info.value)
+        assert info.value.token == "ts"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_literal(self, session, shape):
+        self.planning_error(session, self.SHAPES[shape].format("'x'"))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_placeholder(self, session, shape):
+        self.planning_error(session, self.SHAPES[shape].format("?"), ("x",))
+
+    def test_a_sparklet_scan(self, cluster, session):
+        sc = SparkletContext(cluster=cluster)
+        try:
+            self.planning_error(Session(cluster, sparklet=sc),
+                                self.SHAPES["full_scan"].format("?"), ("x",))
+        finally:
+            sc.stop()
+
+    def test_a_bound_of_the_stored_type_still_answers(self, session):
+        rows = session.execute(self.SHAPES["single"].format("?"), (9,))
+        assert [r["ts"] for r in rows] == [10.0, 11.0]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cassdb.errors import InvalidQueryError
-from repro.cql import Select
+from repro.cql.ast import Select
 from repro.cql.ast import AggregateCall, Explain, Param
 from repro.cql.errors import CQLSyntaxError
 from repro.cql.parser import parse_statement

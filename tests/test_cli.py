@@ -164,7 +164,7 @@ class TestMetrics:
                        if a.dest == "op")
         assert choices
         for op in choices:
-            _handler, _offload, fields = _OPS[op]
+            fields = _OPS[op][2]
             assert [f for f, (_kind, required) in fields.items()
                     if required] == ["context"], op
 
