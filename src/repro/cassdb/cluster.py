@@ -5,9 +5,11 @@ architecture (Fig 3).  A :class:`Cluster` owns the ring, the storage
 nodes and the keyspace, and implements the coordinator logic every
 Cassandra node runs:
 
-* writes go to all replicas of the partition key; the coordinator waits
-  for ``consistency`` acks and buffers *hints* for replicas that are
-  down (hinted handoff, replayed when the replica recovers);
+* every write is a batch (an ``insert`` of one row, a ``delete_row`` of
+  one tombstone marker) sent to all replicas of each partition key; the
+  coordinator waits for ``consistency`` acks and buffers *hints* for
+  replicas that are down (hinted handoff, replayed when the replica
+  recovers);
 * reads query ``consistency`` replicas; more than one are asked at
   once on the replica pool and answer with their whole in-bounds copy,
   tombstone markers kept, the coordinator reconciles the copies by cell
@@ -35,6 +37,7 @@ import itertools
 import random
 import threading
 import time
+from collections import defaultdict
 from operator import itemgetter
 from concurrent.futures import ThreadPoolExecutor, as_completed, wait
 from enum import Enum
@@ -107,14 +110,6 @@ def _epoch_key(schema: TableSchema, partition_key: tuple) -> tuple:
     """(table, time bucket), the bucket None in a table without one."""
     return (schema.name,
             partition_key[0] if schema.time_bucket is not None else None)
-
-
-# What a failed group of ``write_batch`` raises, by the per-row error
-# ``_commit_groups`` names.
-_BATCH_ERRORS = {
-    UnavailableError: BatchUnavailableError,
-    WriteTimeoutError: BatchWriteTimeoutError,
-}
 
 
 def _now_us() -> int:
@@ -296,21 +291,35 @@ class Cluster:
         order converges without anti-entropy repair."""
         node = self.nodes[node_id]
         node.mark_up()
-        landed: list[Hint] = []
+        # table -> target node -> its hints, each with the node holding it.
+        landing: dict[str, dict[str, list[tuple[StorageNode, Hint]]]] = {}
         for peer_id, peer in self.nodes.items():
             if peer is node or not peer.up:
                 continue
-            for hint in peer.drain_hints_for(node_id):
-                node.write(hint.table, hint.partition_key, hint.row)
-                landed.append(hint)
-            if not peer.process_up:
-                continue  # crashed, still routed: its own revival replays
-            for hint in node.drain_hints_for(peer_id):
-                peer.write(hint.table, hint.partition_key, hint.row)
-                landed.append(hint)
-        self._m_hints_replayed.inc(len(landed))
-        for hint in landed:
-            self._bump_epochs(hint.table, (hint.partition_key,))
+            held = [(peer, hint) for hint in peer.drain_hints_for(node_id)]
+            # A crashed peer, still routed, replays at its own revival.
+            if peer.process_up:
+                held += [(node, hint) for hint in node.drain_hints_for(peer_id)]
+            for holder, hint in held:
+                landing.setdefault(hint.table, {}).setdefault(
+                    hint.target_node, []).append((holder, hint))
+        for table, shares in landing.items():
+            landed: list[tuple] = []
+            for target, held in shares.items():
+                try:
+                    self.nodes[target].write_rows(
+                        table, [(hint.partition_key, hint.row)
+                                for _holder, hint in held])
+                except NodeDownError:
+                    # The target crashed since the drain: its holders
+                    # keep its hints for its next revival.
+                    for holder, hint in held:
+                        holder.buffer_hints((hint,))
+                    continue
+                self._m_hints_replayed.inc(len(held))
+                landed.extend(hint.partition_key for _holder, hint in held)
+            if landed:
+                self._bump_epochs(table, landed)
 
     def _replica_up(self, node_id: str) -> bool:
         """Routing liveness as the coordinator sees it, including any
@@ -375,12 +384,9 @@ class Cluster:
         values: Mapping[str, Any],
         consistency: Consistency = Consistency.ONE,
     ) -> None:
-        """Insert/upsert one row (CQL ``INSERT`` semantics: always upsert)."""
-        schema = self.schema(table)
-        # Key columns are stored positionally (in the partition key and
-        # clustering tuples); only regular columns become cells.
-        pk, row = schema.row_builder(values, self.next_write_ts())
-        self._replicated_write(schema, pk, row, consistency)
+        """Insert/upsert one row (CQL ``INSERT`` semantics: always
+        upsert): a :meth:`write_batch` of one row."""
+        self.write_batch(table, (values,), consistency)
 
     def insert_many(
         self,
@@ -388,12 +394,7 @@ class Cluster:
         rows: Iterable[Mapping[str, Any]],
         consistency: Consistency = Consistency.ONE,
     ) -> int:
-        """Bulk upsert; returns the number of rows written.
-
-        Routed through :meth:`write_batch`: rows are grouped by replica
-        set and applied with one lock acquisition per storage node, not
-        one per row.
-        """
+        """:meth:`write_batch` (``benchmarks/e2e/trace.py`` wraps it)."""
         return self.write_batch(table, rows, consistency)
 
     def delete_row(
@@ -402,11 +403,12 @@ class Cluster:
         values: Mapping[str, Any],
         consistency: Consistency = Consistency.ONE,
     ) -> None:
-        """Delete one row identified by its full primary key."""
+        """Delete one row identified by its full primary key: the commit
+        of one tombstone marker."""
         schema = self.schema(table)
         pk, row = schema.row_builder(values, 0)
         marker = Row(row.clustering, {}, tombstone_ts=self.next_write_ts())
-        self._replicated_write(schema, pk, marker, consistency)
+        self._commit(schema, {pk: [marker]}, consistency)
 
     # -- write-lock striping -------------------------------------------------
 
@@ -487,34 +489,6 @@ class Cluster:
                     time.sleep(delay_ms / 1000.0)
                 attempt += 1
 
-    def _replicated_write(
-        self, schema: TableSchema, partition_key: tuple, row: Row,
-        consistency: Consistency,
-    ) -> None:
-        """Commit one row (or tombstone marker) as a batch of one group."""
-        start = time.perf_counter()
-        table = schema.name
-        ring_key = schema.ring_key(partition_key)
-        pending = [(tuple(self.ring.replicas(ring_key)),
-                    [(partition_key, row)])]
-        stripes = [hash((table, partition_key)) % len(self._write_locks)]
-
-        def attempt() -> None:
-            failed = self._commit_groups(table, pending, stripes, consistency)
-            if failed is not None:
-                _group, error, required, got = failed
-                raise error(required, got)
-
-        with obs.get_tracer().span(
-            "cassdb.write", table=table, partition=ring_key
-        ):
-            self._retrying("write", attempt)
-        with self._counter_lock:
-            self.coordinator_writes += 1
-        self._m_writes.inc()
-        self._bump_epochs(table, (partition_key,))
-        self._m_write_latency.observe((time.perf_counter() - start) * 1000.0)
-
     # -- batched write path --------------------------------------------------
 
     def write_batch(
@@ -554,39 +528,38 @@ class Cluster:
         """
         schema = self.schema(table)
         build = schema.row_builder
-        ring_key = schema.ring_key
         next_ts = self.next_write_ts
-        n_stripes = len(self._write_locks)
-        # replica-set tuple -> partition keys.  Per-pk routing (ring
-        # lookup + stripe hash) runs once per *distinct* partition;
-        # ``rows_of`` jumps straight from pk to its rows for every later
-        # row of that partition.
-        groups: dict[tuple[str, ...], list[tuple]] = {}
-        rows_of: dict[tuple, list[Row]] = {}
-        stripes: set[int] = set()
-        n = 0
+        rows_of: dict[tuple, list[Row]] = defaultdict(list)
         for values in rows:
             pk, row = build(values, next_ts())
-            part = rows_of.get(pk)
-            if part is None:
-                part = rows_of[pk] = []
-                replicas = tuple(self.ring.replicas(ring_key(pk)))
-                groups.setdefault(replicas, []).append(pk)
-                stripes.add(hash((table, pk)) % n_stripes)
-            part.append(row)
-            n += 1
+            rows_of[pk].append(row)
+        return self._commit(schema, rows_of, consistency)
+
+    def _commit(self, schema: TableSchema, rows_of: dict[tuple, list[Row]],
+                consistency: Consistency) -> int:
+        """Commit *rows_of* (partition key -> its rows) as
+        :meth:`write_batch` describes: every write lands here."""
+        n = sum(map(len, rows_of.values()))
         if not n:
             return 0
         start = time.perf_counter()
+        table = schema.name
+        ring_key = schema.ring_key
+        n_stripes = len(self._write_locks)
+        # replica-set tuple -> partition keys: the unit availability,
+        # acks and hints are decided for.
+        groups: dict[tuple[str, ...], list[tuple]] = {}
+        stripes: set[int] = set()
+        for pk in rows_of:
+            replicas = tuple(self.ring.replicas(ring_key(pk)))
+            groups.setdefault(replicas, []).append(pk)
+            stripes.add(hash((table, pk)) % n_stripes)
         # A group's items are its partitions' rows in partition order,
         # so a node's share is a few sorted runs for its sort to merge.
         pending = [(replicas, [(pk, row) for pk in in_partition_order(keys)
                                for row in rows_of[pk]])
                    for replicas, keys in groups.items()]
         ordered = sorted(stripes)
-        gate = self.chaos_gate
-        if gate is not None:
-            gate.on_coordinator_op(self)
 
         def committed() -> int:
             return n - sum(len(items) for _replicas, items in pending)
@@ -595,7 +568,7 @@ class Cluster:
             failed = self._commit_groups(table, pending, ordered, consistency)
             if failed is not None:
                 (replicas, items), error, required, got = failed
-                raise _BATCH_ERRORS[error](
+                raise error(
                     required, got, table=table, group=replicas,
                     group_rows=len(items), applied_rows=committed())
 
@@ -626,21 +599,21 @@ class Cluster:
         consistency: Consistency,
     ) -> "tuple[tuple, type[CassDBError], int, int] | None":
         """Commit replica-set groups: route by set, apply by node — the
-        one place rows reach a replica, acks are counted and hints are
-        buffered (a single-row write is one group of one row).
+        one place a write's rows reach a replica, acks are counted and
+        hints are buffered (an insert is one group of one row).
 
         *pending* is ``(replica ids, items)`` per group and is pruned in
         place of every group that met its consistency level, so a retry
         re-sends only the rest.  *stripes* is the sorted set of stripe
         indices the partitions hash to; acquiring them in index order
-        keeps lock ordering total across concurrent batches, per-row
-        writes and repair.
+        keeps lock ordering total across concurrent commits and
+        repair.
 
         Returns None when every group committed, else ``(group, error
         class, required, got)`` for the first group that did not:
-        :class:`UnavailableError` from the availability check, which
+        :class:`BatchUnavailableError` from the availability check, which
         runs for every group before anything is applied (nothing was
-        applied, nothing pruned); :class:`WriteTimeoutError` when a
+        applied, nothing pruned); :class:`BatchWriteTimeoutError` when a
         routed-to replica refused its share and left the group short of
         acks — rows may sit on the replicas that did apply, so the
         epochs advance and layered caches drop what is now stale.
@@ -659,7 +632,7 @@ class Cluster:
                 required = consistency.required(len(replica_ids))
                 if len(routed) < required:
                     self._m_consistency_failures.inc()
-                    return group, UnavailableError, required, len(routed)
+                    return group, BatchUnavailableError, required, len(routed)
                 routes.append((routed, required))
             # Apply: each node's share of every group in one call.
             shares: dict[str, list[tuple[tuple, Row]]] = {}
@@ -708,7 +681,7 @@ class Cluster:
                     short.append(group)
                     partial = partial or bool(acked)
                     if failed is None:
-                        failed = (group, WriteTimeoutError, required,
+                        failed = (group, BatchWriteTimeoutError, required,
                                   len(acked))
             if hinted:
                 with self._counter_lock:
@@ -1029,23 +1002,24 @@ class Cluster:
         last-write-wins, tombstone markers kept) and push back to each
         replica every row it lacks or holds stale.  Returns the merged
         rows, ascending, dead ones included, and the count pushed —
-        read repair and :meth:`repair` are this one loop.  A push bumps
-        the partition's epochs."""
+        read repair and :meth:`repair` are this one loop, one
+        ``write_rows`` per replica.  A push bumps the partition's
+        epochs."""
         merged = merge_views(
             [BlockView(ColumnBlock.over_rows(rows))
              for rows in copies.values()], keep_dead=True)
         pushed = 0
         for replica_id, rows in copies.items():
             have = {row.clustering: row for row in rows}
-            node = self.nodes[replica_id]
-            for row in merged:
-                mine = have.get(row.clustering)
-                if mine is None or mine != row:
-                    try:
-                        node.write(table, partition_key, row)
-                    except NodeDownError:
-                        break  # crashed after answering; repair later
-                    pushed += 1
+            missing = [(partition_key, row) for row in merged
+                       if have.get(row.clustering) != row]
+            if not missing:
+                continue
+            try:
+                self.nodes[replica_id].write_rows(table, missing)
+            except NodeDownError:
+                continue  # crashed after answering; repair later
+            pushed += len(missing)
         if pushed:
             self._bump_epochs(table, (partition_key,))
         return merged, pushed

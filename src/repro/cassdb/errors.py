@@ -20,7 +20,12 @@ class SchemaError(CassDBError):
 
 
 class InvalidQueryError(CassDBError):
-    """A CQL statement could not be parsed or planned."""
+    """A CQL statement could not be parsed or planned, or holds a value
+    that does not compare with the stored ones.  ``source`` is then the
+    filtered ``(kind, ref)`` column source when a filter raised it, None
+    for a clustering bound."""
+
+    source: tuple | None = None
 
 
 class UnavailableError(CassDBError):

@@ -18,7 +18,8 @@ first read after a write and dropped by the next write.  A read bisects
 the face's clustering array and answers a view over the in-bounds range,
 so a column a kernel transposed stays for the next read.  A flush
 encodes each partition straight from its sorted rows and keeps no face.
-A delete is not a separate entry point: it is the upsert of a marker row
+Rows arrive one way, :meth:`Memtable.upsert_many`.  A delete is not a
+separate entry point: it is an ``upsert_many`` of a marker row
 (``Row(ck, {}, tombstone_ts=ts)``), which
 :func:`~repro.cassdb.row.merge_rows` lets shadow what it covers.
 """
@@ -39,9 +40,9 @@ class MemPartition:
 
     The face is a row-backed :class:`ColumnBlock` over every row in
     clustering order.  :meth:`face` builds it on the first read after a
-    write and :meth:`upsert` drops it — a new key, a merge into an
-    existing key and a tombstone marker alike — so a column a kernel
-    transposes out of it serves every read until the next write.
+    write and :meth:`Memtable.upsert_many` drops it — a new key, a merge
+    into an existing key and a tombstone marker alike — so a column a
+    kernel transposes out of it serves every read until the next write.
 
     Concurrency: reads and upserts both run under the store lock, so a
     face is built and dropped under it.  A view taken before a write
@@ -58,18 +59,6 @@ class MemPartition:
         self._sorted_keys: list[tuple] = []
         self._dirty = False
         self._face: ColumnBlock | None = None
-
-    def upsert(self, row: Row) -> int:
-        """Insert/merge one row; returns the row-count delta (0 or 1)."""
-        self._face = None
-        rows = self.rows
-        existing = rows.get(row.clustering)
-        if existing is None:
-            rows[row.clustering] = row
-            self._dirty = True
-            return 1
-        rows[row.clustering] = merge_rows(existing, row)
-        return 0
 
     def sorted_keys(self) -> list[tuple]:
         if self._dirty or len(self._sorted_keys) != len(self.rows):
@@ -102,31 +91,29 @@ class Memtable:
         self.partitions: dict[tuple, MemPartition] = {}
         self._row_count = 0
 
-    def upsert(self, partition_key: tuple, row: Row) -> None:
-        part = self.partitions.get(partition_key)
-        if part is None:
-            part = self.partitions[partition_key] = MemPartition()
-        self._row_count += part.upsert(row)
-
     def upsert_many(self, items: Iterable[tuple[tuple, Row]]) -> None:
-        """Bulk upsert of ``(partition key, row)`` pairs.
-
-        One method call for a node's share of a write batch; the
-        per-pair work is the same as :meth:`upsert` with the partition
-        lookup hoisted for runs of pairs sharing a key (a node's share
-        of a batch arrives sorted by partition key).
-        """
+        """Insert or merge ``(partition key, row)`` pairs — the
+        memtable's one write entry.  The partition lookup is hoisted
+        for runs of pairs sharing a key (a node's share of a batch
+        arrives sorted by partition key)."""
         partitions = self.partitions
         last_key: tuple | None = None
-        part: MemPartition | None = None
         count = 0
         for partition_key, row in items:
             if partition_key != last_key:
                 part = partitions.get(partition_key)
                 if part is None:
                     part = partitions[partition_key] = MemPartition()
+                part._face = None  # the next read rebuilds it
+                rows = part.rows
                 last_key = partition_key
-            count += part.upsert(row)
+            existing = rows.get(row.clustering)
+            if existing is None:
+                rows[row.clustering] = row
+                part._dirty = True
+                count += 1
+            else:
+                rows[row.clustering] = merge_rows(existing, row)
         self._row_count += count
 
     def slice_partition_view(

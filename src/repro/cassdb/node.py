@@ -5,7 +5,8 @@ master-slave architecture gives an identical role to each node"); any
 node can coordinate any request.  A node owns one :class:`TableStore`
 per table for the replicas placed on it, plus a liveness flag the
 cluster flips to simulate failures, and a hint buffer for writes it
-must replay to peers that were down (hinted handoff).
+must replay to peers that were down (hinted handoff).  Rows arrive one
+way, :meth:`StorageNode.write_rows`, however many there are.
 """
 
 from __future__ import annotations
@@ -95,35 +96,23 @@ class StorageNode:
         if not self.process_up:
             raise NodeDownError(self.node_id)
 
-    # -- table management ------------------------------------------------
+    # -- replica-local operations -----------------------------------------
 
-    def ensure_table(self, table: str) -> TableStore:
+    def write_rows(self, table: str,
+                   items: Sequence[tuple[tuple, Row]]) -> None:
+        """Apply rows to this replica — its share of a write batch, the
+        hints replayed to it, a repair's push: one table lookup, one
+        store-lock acquisition and one trace span for all of them."""
+        self._check_up()
+        _M_NODE_WRITES.inc(len(items))
         store = self.tables.get(table)
         if store is None:
             store = self.tables[table] = TableStore(
                 flush_threshold=self._flush_threshold,
-                max_sstables=self._max_sstables,
-            )
-        return store
-
-    # -- replica-local operations -----------------------------------------
-
-    def write(self, table: str, partition_key: tuple, row: Row) -> None:
-        self._check_up()
-        _M_NODE_WRITES.inc()
-        with obs.get_tracer().span("cassdb.node.write", node=self.node_id,
-                                   table=table):
-            self.ensure_table(table).write(partition_key, row)
-
-    def write_rows(self, table: str,
-                   items: Sequence[tuple[tuple, Row]]) -> None:
-        """Apply this node's share of a write batch: one table lookup,
-        one store-lock acquisition and one trace span for all of it."""
-        self._check_up()
-        _M_NODE_WRITES.inc(len(items))
+                max_sstables=self._max_sstables)
         with obs.get_tracer().span("cassdb.node.write_rows", node=self.node_id,
                                    table=table, rows=len(items)):
-            self.ensure_table(table).write_rows(items)
+            store.write_rows(items)
 
     def read_partition_view(
         self,

@@ -9,9 +9,9 @@ one block: a run holds all its partitions in one
 :class:`~repro.cassdb.vector.ColumnBlock`, and a partition read of it
 is a view over the partition's offset range.  A run holds a partition
 exactly when its ``offsets`` name it, so a read skips every other run
-with one dict lookup.  A delete arrives as any write does, as a
-tombstone marker row.  One :class:`TableStore` exists per table per
-storage node.
+with one dict lookup.  Rows arrive one way, :meth:`TableStore.write_rows`,
+a delete as a tombstone marker row among them.  One :class:`TableStore`
+exists per table per storage node.
 
 Concurrency model: the store lock guards *pointer swaps* (memtable
 upserts, sealing a memtable, publishing an SSTable), never bulk work.
@@ -95,34 +95,23 @@ class TableStore:
 
     # -- write path -----------------------------------------------------
 
-    def write(self, partition_key: tuple, row: Row) -> None:
-        with self.lock:
-            self.memtable.upsert(partition_key, row)
-            self.stats.writes += 1
-            sealed = self._maybe_seal_locked()
-        if sealed is not None:
-            self._build_sstable(sealed)
-
     def write_rows(self, items: Sequence[tuple[tuple, Row]]) -> None:
-        """Apply a node's share of a write batch: one lock acquisition
-        for all rows.
+        """Apply ``(partition key, row)`` pairs — the one write entry:
+        one lock acquisition for all rows.
 
-        The batched coordinator path lands here — the store lock is
-        taken once per batch instead of once per row, and the flush
-        check runs once after it (the memtable may overshoot the
-        threshold by up to one batch; the next one flushes it).
+        Every write lands here, a batch of one row included — the store
+        lock is taken once per call, and the flush check runs once
+        after it (the memtable may overshoot the threshold by up to one
+        batch; the next one flushes it).
         """
         with self.lock:
             self.memtable.upsert_many(items)
             self.stats.writes += len(items)
-            sealed = self._maybe_seal_locked()
+            sealed = (self._seal_locked()
+                      if self.memtable.row_count >= self.flush_threshold
+                      else None)
         if sealed is not None:
             self._build_sstable(sealed)
-
-    def _maybe_seal_locked(self) -> Memtable | None:
-        if self.memtable.row_count >= self.flush_threshold:
-            return self._seal_locked()
-        return None
 
     def _seal_locked(self) -> Memtable | None:
         """Swap the active memtable onto the frozen list (O(1), under

@@ -40,6 +40,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.obs import get_registry
 
+from .errors import InvalidQueryError
 from .row import Row, merge_rows
 
 __all__ = [
@@ -405,28 +406,37 @@ def select_rows(view: BlockView,
     columns evaluate the predicate once per dictionary entry and then
     match rows by integer code; plain columns use a None-guarded sweep.
     Predicates short-circuit left to right over a shrinking selection.
+    A value that does not compare with the stored ones is an
+    :class:`InvalidQueryError` whose ``source`` is the column's.
     """
     _M_FILTER_SCANS.inc()
     block = view.block
     order = view.order
-    for (kind, ref), op, value in predicates:
+    for source, op, value in predicates:
         if not len(order):
             break
-        if kind == "pk":
-            if not scalar_matches(pk_values.get(ref), op, value):
-                order = _EMPTY_ORDER
-        elif kind == "ck":
-            cl = block.clustering
-            order = [i for i in order
-                     if scalar_matches(cl[i][ref], op, value)]
-        else:
-            col = block.column(ref)
-            if col is None:
-                order = _EMPTY_ORDER
-            elif col.codes is not None:
-                order = _match_codes(col, order, op, value)
+        kind, ref = source
+        try:
+            if kind == "pk":
+                if not scalar_matches(pk_values.get(ref), op, value):
+                    order = _EMPTY_ORDER
+            elif kind == "ck":
+                cl = block.clustering
+                order = [i for i in order
+                         if scalar_matches(cl[i][ref], op, value)]
             else:
-                order = _match_plain(col, order, op, value)
+                col = block.column(ref)
+                if col is None:
+                    order = _EMPTY_ORDER
+                elif col.codes is not None:
+                    order = _match_codes(col, order, op, value)
+                else:
+                    order = _match_plain(col, order, op, value)
+        except TypeError:
+            error = InvalidQueryError(
+                f"{value!r} does not compare with the stored values")
+            error.source = source
+            raise error from None
     _M_ROWS_SELECTED.inc(len(order))
     return BlockView(block, order)
 

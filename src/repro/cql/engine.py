@@ -128,9 +128,15 @@ class QueryEngine:
                      params=tuple(params), consistency=consistency)
         try:
             return prepared.physical.execute(rt)
-        except InvalidQueryError as exc:  # a bound the store cannot compare
-            column = self.cluster.schema(prepared.table).clustering_key[0]
-            raise CQLPlanningError(f"range bound on {column!r}: {exc}",
+        except InvalidQueryError as exc:  # a value the store cannot compare
+            schema = self.cluster.schema(prepared.table)
+            if exc.source is None:
+                column, what = schema.clustering_key[0], "range bound"
+            else:
+                kind, ref = exc.source
+                column = schema.clustering_key[ref] if kind == "ck" else ref
+                what = "filter"
+            raise CQLPlanningError(f"{what} on {column!r}: {exc}",
                                    token=column) from None
 
     # -- EXPLAIN -----------------------------------------------------------

@@ -82,7 +82,7 @@ class TestColumnBlock:
         mt = Memtable()
         for pk in ("a", "b", "c"):
             for i in range(3):
-                mt.upsert(pk, _row(float(i), type=pk + "x"))
+                mt.upsert_many([(pk, _row(float(i), type=pk + "x"))])
         sst = SSTable.from_memtable(mt)
         col = sst.block.columns["type"]
         assert col.codes is not None
@@ -485,7 +485,7 @@ class TestSSTableColumnar:
     def test_from_memtable_builds_blocks(self):
         mt = Memtable()
         for i in range(10):
-            mt.upsert("pk", _row(float(i), type=TYPES[i]))
+            mt.upsert_many([("pk", _row(float(i), type=TYPES[i]))])
         sst = SSTable.from_memtable(mt)
         assert sst.offsets.get("pk") == (0, 10)
         block = sst.block
@@ -496,7 +496,7 @@ class TestSSTableColumnar:
         # The repair tests lose a partition by dropping its offset; the
         # loss must reach the read, not just the partition index.
         mt = Memtable()
-        mt.upsert("pk", _row(1.0))
+        mt.upsert_many([("pk", _row(1.0))])
         sst = SSTable.from_memtable(mt)
         sst.offsets.pop("pk", None)
         assert sst.slice_partition_view("pk", None, None) is None

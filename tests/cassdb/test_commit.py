@@ -1,9 +1,11 @@
 """The batch commit: route by replica set, apply by node.
 
-``Cluster._commit_groups`` is the one place rows reach a replica, acks
-are counted and hints are buffered, for ``write_batch`` and for
-single-row ``insert`` / ``delete_row`` alike.  What a caller can observe
-of it:
+Every write is a batch: ``insert`` is a ``write_batch`` of one row and
+``delete_row`` commits one tombstone marker the same way.
+``Cluster._commit_groups`` is the one place their rows reach a replica,
+acks are counted and hints are buffered; hint replay and repair land a
+replica's rows with one ``StorageNode.write_rows`` too.  What a caller
+can observe of it:
 
 * hints sit on a replica that *applied* the write — never on the
   replica they are for, where no revival would replay them;
@@ -33,6 +35,7 @@ from repro.cassdb import (
 from repro.cassdb.errors import (
     BatchUnavailableError,
     BatchWriteTimeoutError,
+    NodeDownError,
     ReadTimeoutError,
     UnavailableError,
     WriteTimeoutError,
@@ -313,6 +316,156 @@ class TestOneApplyPerNode:
         assert all(len(sizes) == 1 for sizes in calls.values())
         assert sum(sizes[0] for sizes in calls.values()) == 2 * n_rows
         assert cluster.total_rows("t") == n_rows
+
+
+class TestOneWritePerReplica:
+    """Hint replay and repair land a replica's rows the way a batch
+    does: one ``StorageNode.write_rows`` per (replica, table), one epoch
+    bump per table — counted as calls, not timed."""
+
+    @staticmethod
+    def spy_writes(monkeypatch) -> list[tuple[str, str, int]]:
+        calls: list[tuple[str, str, int]] = []
+        real = StorageNode.write_rows
+
+        def spy(node, table, items):
+            calls.append((node.node_id, table, len(items)))
+            return real(node, table, items)
+
+        monkeypatch.setattr(StorageNode, "write_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    @pytest.mark.parametrize("holder", ["peers", "revived"])
+    def test_revival_lands_each_targets_hints_at_once(self, monkeypatch, k,
+                                                      holder):
+        cluster = make_cluster()
+        pks = partitions_with_victim_at(cluster, 1, k)
+        partner = cluster.ring.replicas(ring_key(pks[0]))[0]
+        pks = [pk for pk in pks
+               if cluster.ring.replicas(ring_key(pk))[0] == partner]
+        cluster.kill_node(VICTIM)
+        cluster.write_batch("t", [{"pk": pk, "ck": 0} for pk in pks])
+        target, revived = VICTIM, partner
+        if holder == "peers":
+            revived = VICTIM      # the partner holds hints for it
+        else:
+            cluster.kill_node(partner)   # it holds hints for the victim
+            cluster.revive_node(VICTIM)  # the partner is down: none land
+        assert [len(node.hints) for node in cluster.nodes.values()
+                if node.hints] == [len(pks)]
+        epoch = cluster.table_epoch("t")
+        calls = self.spy_writes(monkeypatch)
+        cluster.revive_node(revived)
+        assert calls == [(target, "t", len(pks))]
+        assert cluster.table_epoch("t") == epoch + 1
+        assert all(held_by(cluster, target, pk) == {0} for pk in pks)
+
+    @pytest.mark.parametrize("doomed", ["revived", "peer"])
+    def test_a_target_that_crashes_mid_revival_keeps_its_hints(
+            self, monkeypatch, doomed):
+        cluster = make_cluster()
+        by_other: dict[str, list[str]] = {}
+        for i in range(200):
+            replicas = cluster.ring.replicas(ring_key(f"p{i}"))
+            if VICTIM in replicas:
+                by_other.setdefault(
+                    next(r for r in replicas if r != VICTIM), []).append(f"p{i}")
+        (peer, for_victim), (other, for_other) = list(by_other.items())[:2]
+        for_victim, for_other = for_victim[:3], for_other[:3]
+        cluster.crash_node(other)  # the victim holds hints for it
+        cluster.write_batch("t", [{"pk": pk, "ck": 0} for pk in for_other])
+        cluster.recover_node(other)
+        cluster.kill_node(VICTIM)  # the peer holds hints for the victim
+        cluster.write_batch("t", [{"pk": pk, "ck": 0} for pk in for_victim])
+        assert {nid: [h.target_node for h in hints] for nid, hints
+                in hints_by_holder(cluster).items()} == {
+            VICTIM: [other] * 3, peer: [VICTIM] * 3}
+        doomed_id = VICTIM if doomed == "revived" else other
+        real = StorageNode.write_rows
+
+        def crashes_on_arrival(node, table, items):
+            if node.node_id == doomed_id:
+                node.crash()  # as if on another thread, after the drain
+            return real(node, table, items)
+
+        monkeypatch.setattr(StorageNode, "write_rows", crashes_on_arrival)
+        epoch = cluster.table_epoch("t")
+        cluster.revive_node(VICTIM)
+        monkeypatch.undo()
+        # The share that landed moved the epoch; the other went back to
+        # the node that held it.
+        assert cluster.table_epoch("t") == epoch + 1
+        if doomed == "revived":
+            assert [h.target_node for h in cluster.nodes[peer].hints] == [
+                VICTIM] * 3
+            assert not cluster.nodes[VICTIM].hints
+            assert all(held_by(cluster, other, pk) == {0} for pk in for_other)
+        else:
+            assert [h.target_node for h in cluster.nodes[VICTIM].hints] == [
+                other] * 3
+            assert not cluster.nodes[peer].hints
+            assert all(held_by(cluster, VICTIM, pk) == {0}
+                       for pk in for_victim)
+        cluster.recover_node(doomed_id)
+        cluster.revive_node(doomed_id)
+        assert not hints_by_holder(cluster)
+        assert all(held_by(cluster, VICTIM, pk) == {0} for pk in for_victim)
+        assert all(held_by(cluster, other, pk) == {0} for pk in for_other)
+
+    # replica position -> the extra rows written straight into it
+    HOLDS = {
+        "one_lacks": {1: (10, 11, 12), 2: (10, 11, 12)},
+        "two_lack": {2: (10, 11, 12)},
+        "each_lacks": {0: (10,), 1: (11,), 2: (12,)},
+    }
+
+    @pytest.mark.parametrize("case", HOLDS)
+    def test_repair_pushes_each_lacking_replica_once(self, monkeypatch,
+                                                     case):
+        cluster = Cluster(4, replication_factor=3)
+        cluster.create_table(SCHEMA)
+        replicas = cluster.ring.replicas(ring_key("p0"))
+        cluster.write_batch("t", [{"pk": "p0", "ck": ck} for ck in range(4)],
+                            Consistency.ALL)
+        extra = {ck: SCHEMA.row_builder({"pk": "p0", "ck": ck, "v": ck},
+                                        cluster.next_write_ts())[1]
+                 for ck in (10, 11, 12)}
+        holds = self.HOLDS[case]
+        for position, cks in holds.items():
+            cluster.nodes[replicas[position]].write_rows(
+                "t", [(("p0",), extra[ck]) for ck in cks])
+        calls = self.spy_writes(monkeypatch)
+        assert cluster.repair("t") == 1
+        lacked = {rid: 3 - len(holds.get(position, ()))
+                  for position, rid in enumerate(replicas)}
+        assert sorted(calls) == sorted((rid, "t", n)
+                                       for rid, n in lacked.items() if n)
+        assert cluster.repair("t") == 0
+
+    def test_a_replica_that_fails_its_push_counts_none(self, monkeypatch):
+        cluster = Cluster(4, replication_factor=3)
+        cluster.create_table(SCHEMA)
+        first, second, third = cluster.ring.replicas(ring_key("p0"))
+        rows = [SCHEMA.row_builder({"pk": "p0", "ck": ck},
+                                   cluster.next_write_ts())[1]
+                for ck in range(5)]
+        cluster.nodes[first].write_rows("t", [(("p0",), r) for r in rows])
+        real = StorageNode.write_rows
+
+        def crashed_after_answering(node, table, items):
+            if node.node_id == second:
+                raise NodeDownError(second)
+            return real(node, table, items)
+
+        monkeypatch.setattr(StorageNode, "write_rows",
+                            crashed_after_answering)
+        served = cluster.select_partition("t", ("p0",),
+                                          consistency=Consistency.ALL)
+        assert len(served) == 5
+        assert cluster.read_repairs == 5  # the third replica's rows only
+        assert held_by(cluster, third, "p0") == set(range(5))
+        assert held_by(cluster, second, "p0") == set()
 
 
 # -- generated histories ----------------------------------------------------

@@ -35,7 +35,7 @@ class TestMemtable:
     def test_upsert_and_sorted_rows(self):
         mt = Memtable()
         for ts in (5.0, 1.0, 3.0):
-            mt.upsert("pk", _row(ts))
+            mt.upsert_many([("pk", _row(ts))])
         view, pruned = mt.slice_partition_view("pk")
         keys = view.block.clustering
         assert [r.clustering for r in view.to_rows()] == keys
@@ -44,30 +44,32 @@ class TestMemtable:
 
     def test_upsert_same_key_merges(self):
         mt = Memtable()
-        mt.upsert("pk", Row.from_values((1.0, 0), {"a": 1}, write_ts=1))
-        mt.upsert("pk", Row.from_values((1.0, 0), {"b": 2}, write_ts=2))
+        mt.upsert_many([("pk", Row.from_values((1.0, 0), {"a": 1},
+                                               write_ts=1))])
+        mt.upsert_many([("pk", Row.from_values((1.0, 0), {"b": 2},
+                                               write_ts=2))])
         assert mt.row_count == 1
         row = mt.partitions["pk"].rows[(1.0, 0)]
         assert row.as_dict() == {"a": 1, "b": 2}
 
     def test_row_count_across_partitions(self):
         mt = Memtable()
-        mt.upsert("p1", _row(1.0))
-        mt.upsert("p2", _row(1.0))
-        mt.upsert("p2", _row(2.0))
+        mt.upsert_many([("p1", _row(1.0))])
+        mt.upsert_many([("p2", _row(1.0))])
+        mt.upsert_many([("p2", _row(2.0))])
         assert mt.row_count == 3
         assert len(mt) == 3
 
     def test_delete_writes_tombstone(self):
         mt = Memtable()
-        mt.upsert("pk", _row(1.0, ts_write=1))
-        mt.upsert("pk", Row((1.0, 0), {}, tombstone_ts=2))
+        mt.upsert_many([("pk", _row(1.0, ts_write=1))])
+        mt.upsert_many([("pk", Row((1.0, 0), {}, tombstone_ts=2))])
         row = mt.partitions["pk"].rows[(1.0, 0)]
         assert not row.is_live
 
     def test_delete_before_insert(self):
         mt = Memtable()
-        mt.upsert("pk", Row((9.0, 0), {}, tombstone_ts=5))
+        mt.upsert_many([("pk", Row((9.0, 0), {}, tombstone_ts=5))])
         assert mt.row_count == 1
         assert not mt.partitions["pk"].rows[(9.0, 0)].is_live
 
@@ -76,16 +78,16 @@ class TestMemtable:
 
     def test_sorted_keys_cache_invalidation(self):
         mt = Memtable()
-        mt.upsert("pk", _row(2.0))
+        mt.upsert_many([("pk", _row(2.0))])
         part = mt.partitions["pk"]
         assert part.sorted_keys() == [(2.0, 0)]
-        mt.upsert("pk", _row(1.0))
+        mt.upsert_many([("pk", _row(1.0))])
         assert part.sorted_keys() == [(1.0, 0), (2.0, 0)]
 
     def test_reads_between_writes_share_one_face(self):
         mt = Memtable()
         for ts in range(10):
-            mt.upsert("pk", _row(float(ts)))
+            mt.upsert_many([("pk", _row(float(ts)))])
         first, _ = mt.slice_partition_view("pk", ClusteringBound((2.0,)))
         column = first.block.column("v")
         second, pruned = mt.slice_partition_view(
@@ -98,12 +100,12 @@ class TestMemtable:
 
     def test_every_kind_of_write_drops_the_face(self):
         mt = Memtable()
-        mt.upsert("pk", _row(1.0))
+        mt.upsert_many([("pk", _row(1.0))])
         for write in (_row(2.0),                              # new key
                       _row(1.0, ts_write=2, w=7),             # merge
                       Row((2.0, 0), {}, tombstone_ts=3)):     # marker
             before, _ = mt.slice_partition_view("pk")
-            mt.upsert("pk", write)
+            mt.upsert_many([("pk", write)])
             after, _ = mt.slice_partition_view("pk")
             assert after.block is not before.block
         assert [r.as_dict() for r in after.live().to_rows()] == [
@@ -111,12 +113,12 @@ class TestMemtable:
 
     def test_a_view_taken_before_a_write_keeps_its_rows(self):
         mt = Memtable()
-        mt.upsert("pk", _row(1.0))
-        mt.upsert("pk", _row(2.0))
+        mt.upsert_many([("pk", _row(1.0))])
+        mt.upsert_many([("pk", _row(2.0))])
         view, _ = mt.slice_partition_view("pk")
-        mt.upsert("pk", _row(0.0))
-        mt.upsert("pk", _row(1.0, ts_write=2, v=-1))
-        mt.upsert("pk", Row((2.0, 0), {}, tombstone_ts=3))
+        mt.upsert_many([("pk", _row(0.0))])
+        mt.upsert_many([("pk", _row(1.0, ts_write=2, v=-1))])
+        mt.upsert_many([("pk", Row((2.0, 0), {}, tombstone_ts=3))])
         assert [(r.clustering[0], r.value("v")) for r in view.to_rows()] == [
             (1.0, 1.0), (2.0, 2.0)]
         assert view.block.column("v").values == [1.0, 2.0]
@@ -126,7 +128,7 @@ class TestMemtable:
     def test_a_flush_builds_no_row_backed_block(self, monkeypatch):
         mt = Memtable()
         for i in range(20):
-            mt.upsert(f"pk{i % 3}", _row(float(i)))
+            mt.upsert_many([(f"pk{i % 3}", _row(float(i)))])
         mt.slice_partition_view("pk0")  # a face a read left behind
         calls = []
         over_rows = ColumnBlock.over_rows
@@ -146,7 +148,7 @@ class TestSSTable:
     def _sstable(self, n=100):
         mt = Memtable()
         for i in range(n):
-            mt.upsert(f"pk{i % 5}", _row(float(i)))
+            mt.upsert_many([(f"pk{i % 5}", _row(float(i)))])
         return SSTable.from_memtable(mt)
 
     def test_from_memtable_counts(self):
@@ -214,8 +216,10 @@ class TestScanPartition:
 class TestMergeSSTables:
     def test_duplicates_reconciled_by_timestamp(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert("pk", Row.from_values((1.0, 0), {"v": "old"}, write_ts=1))
-        mt2.upsert("pk", Row.from_values((1.0, 0), {"v": "new"}, write_ts=2))
+        mt1.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "old"},
+                                                write_ts=1))])
+        mt2.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "new"},
+                                                write_ts=2))])
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
@@ -223,8 +227,8 @@ class TestMergeSSTables:
 
     def test_union_of_partitions(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert("a", _row(1.0))
-        mt2.upsert("b", _row(1.0))
+        mt1.upsert_many([("a", _row(1.0))])
+        mt2.upsert_many([("b", _row(1.0))])
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
@@ -232,8 +236,9 @@ class TestMergeSSTables:
 
     def test_tombstones_collected(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert("pk", Row.from_values((1.0, 0), {"v": 1}, write_ts=1))
-        mt2.upsert("pk", Row((1.0, 0), {}, tombstone_ts=2))
+        mt1.upsert_many([("pk", Row.from_values((1.0, 0), {"v": 1},
+                                                write_ts=1))])
+        mt2.upsert_many([("pk", Row((1.0, 0), {}, tombstone_ts=2))])
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
@@ -241,8 +246,10 @@ class TestMergeSSTables:
 
     def test_merge_order_independent(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert("pk", Row.from_values((1.0, 0), {"v": "a"}, write_ts=9))
-        mt2.upsert("pk", Row.from_values((1.0, 0), {"v": "b"}, write_ts=3))
+        mt1.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "a"},
+                                                write_ts=9))])
+        mt2.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "b"},
+                                                write_ts=3))])
         s1, s2 = SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)
         assert (
             _rows(merge_sstables([s1, s2]), "pk")[0].value("v")

@@ -146,10 +146,11 @@ class TestStorageModel:
             ts += 1
             model = models[pk]
             if op == "write":
-                store.write(pk, Row.from_values((key,), {"v": val}, write_ts=ts))
+                store.write_rows([(pk, Row.from_values((key,), {"v": val},
+                                                       write_ts=ts))])
                 model[(key,)] = val
             elif op == "delete":
-                store.write(pk, Row((key,), {}, tombstone_ts=ts))
+                store.write_rows([(pk, Row((key,), {}, tombstone_ts=ts))])
                 model.pop((key,), None)
             elif op == "read":
                 if key is not None:
@@ -193,10 +194,11 @@ class TestStorageModel:
         for op, key, val in ops:
             ts += 1
             if op == "write":
-                store.write("pk", Row.from_values((key,), {"v": val}, write_ts=ts))
+                store.write_rows([("pk", Row.from_values((key,), {"v": val},
+                                                         write_ts=ts))])
                 model[(key,)] = val
             elif op == "delete":
-                store.write("pk", Row((key,), {}, tombstone_ts=ts))
+                store.write_rows([("pk", Row((key,), {}, tombstone_ts=ts))])
                 model.pop((key,), None)
             elif op == "read":
                 check()

@@ -173,14 +173,15 @@ class TestStoreMatchesFoldedReference:
             if op[0] == "upsert":
                 _, pk, ck, tick, cells = op
                 clock += tick
-                store.write(pk, Row.from_values((ck,), dict(cells), clock))
+                store.write_rows([(pk, Row.from_values((ck,), dict(cells),
+                                                       clock))])
                 remember(pk, oracle.Row(
                     (ck,), {c: oracle.Cell(v, clock)
                             for c, v in dict(cells).items()}))
             elif op[0] == "delete":
                 _, pk, ck = op
                 clock += 1
-                store.write(pk, Row((ck,), {}, tombstone_ts=clock))
+                store.write_rows([(pk, Row((ck,), {}, tombstone_ts=clock))])
                 remember(pk, oracle.Row((ck,), {}, clock))
                 clock += 1
             elif op[0] == "flush":

@@ -173,8 +173,8 @@ def _memtable(k: int, rows: int = 10) -> Memtable:
     memtable = Memtable()
     for p in range(k):
         for ts in range(rows):
-            memtable.upsert(f"pk{p}", Row((float(ts), 0),
-                                          {"v": ts, "kind": "x"}, 1))
+            memtable.upsert_many([(f"pk{p}", Row((float(ts), 0),
+                                                 {"v": ts, "kind": "x"}, 1))])
     return memtable
 
 

@@ -23,7 +23,7 @@ class TestWritePath:
     def test_flush_at_threshold(self):
         store = TableStore(flush_threshold=10)
         for i in range(25):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
         assert store.stats.flushes == 2
         assert store.memtable.row_count == 5
         assert sum(len(s) for s in store.sstables) == 20
@@ -37,14 +37,14 @@ class TestWritePath:
     def test_compaction_at_max_sstables(self):
         store = TableStore(flush_threshold=1, max_sstables=3)
         for i in range(8):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
         assert store.stats.compactions >= 1
         assert len(store.sstables) <= 4
 
     def test_row_count(self):
         store = TableStore(flush_threshold=5)
         for i in range(12):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
         assert store.row_count == 12
 
 
@@ -52,14 +52,14 @@ class TestReadPath:
     def test_read_spans_memtable_and_sstables(self):
         store = TableStore(flush_threshold=5)
         for i in range(12):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
         rows = store.read_partition_view("pk").to_rows()
         assert [r.clustering[0] for r in rows] == [float(i) for i in range(12)]
 
     def test_read_respects_bounds_and_limit(self):
         store = TableStore(flush_threshold=4)
         for i in range(20):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
         rows = store.read_partition_view(
             "pk", lower=ClusteringBound((5.0,)), limit=3
         ).to_rows()
@@ -68,60 +68,64 @@ class TestReadPath:
     def test_read_reverse(self):
         store = TableStore(flush_threshold=4)
         for i in range(10):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
         rows = store.read_partition_view("pk", reverse=True, limit=2).to_rows()
         assert [r.clustering[0] for r in rows] == [9.0, 8.0]
 
     def test_newest_value_wins_across_runs(self):
         store = TableStore(flush_threshold=1)
-        store.write("pk", Row.from_values((1.0, 0), {"v": "old"}, write_ts=1))
-        store.write("pk", Row.from_values((1.0, 0), {"v": "new"}, write_ts=2))
+        store.write_rows([("pk", Row.from_values((1.0, 0), {"v": "old"},
+                                                 write_ts=1))])
+        store.write_rows([("pk", Row.from_values((1.0, 0), {"v": "new"},
+                                                 write_ts=2))])
         rows = store.read_partition_view("pk").to_rows()
         assert len(rows) == 1
         assert rows[0].value("v") == "new"
 
     def test_absent_partition(self):
         store = TableStore()
-        store.write("other", _row(1.0))
+        store.write_rows([("other", _row(1.0))])
         assert store.read_partition_view("pk").to_rows() == []
 
     def test_bloom_skips_counted(self):
         store = TableStore(flush_threshold=1)
         for i in range(5):
-            store.write(f"pk{i}", _row(1.0))
+            store.write_rows([(f"pk{i}", _row(1.0))])
         store.read_partition_view("pk0").to_rows()
         assert store.stats.bloom_skips > 0
 
     def test_delete_then_read(self):
         store = TableStore(flush_threshold=2)
-        store.write("pk", _row(1.0, write_ts=1))
-        store.write("pk", _row(2.0, write_ts=1))
-        store.write("pk", Row((1.0, 0), {}, tombstone_ts=5))
+        store.write_rows([("pk", _row(1.0, write_ts=1))])
+        store.write_rows([("pk", _row(2.0, write_ts=1))])
+        store.write_rows([("pk", Row((1.0, 0), {}, tombstone_ts=5))])
         rows = store.read_partition_view("pk").to_rows()
         assert [r.clustering[0] for r in rows] == [2.0]
 
     def test_delete_survives_flush_and_compaction(self):
         store = TableStore(flush_threshold=1, max_sstables=2)
-        store.write("pk", _row(1.0, write_ts=1))
-        store.write("pk", Row((1.0, 0), {}, tombstone_ts=5))
+        store.write_rows([("pk", _row(1.0, write_ts=1))])
+        store.write_rows([("pk", Row((1.0, 0), {}, tombstone_ts=5))])
         store.flush()
         store.compact()
         assert store.read_partition_view("pk").to_rows() == []
 
     def test_insert_after_delete_resurrects(self):
         store = TableStore(flush_threshold=1)
-        store.write("pk", Row.from_values((1.0, 0), {"v": 1}, write_ts=1))
-        store.write("pk", Row((1.0, 0), {}, tombstone_ts=2))
-        store.write("pk", Row.from_values((1.0, 0), {"v": 2}, write_ts=3))
+        store.write_rows([("pk", Row.from_values((1.0, 0), {"v": 1},
+                                                 write_ts=1))])
+        store.write_rows([("pk", Row((1.0, 0), {}, tombstone_ts=2))])
+        store.write_rows([("pk", Row.from_values((1.0, 0), {"v": 2},
+                                                 write_ts=3))])
         rows = store.read_partition_view("pk").to_rows()
         assert len(rows) == 1
         assert rows[0].value("v") == 2
 
     def test_partition_keys_union(self):
         store = TableStore(flush_threshold=2)
-        store.write("a", _row(1.0))
-        store.write("b", _row(1.0))  # triggers flush
-        store.write("c", _row(1.0))  # in memtable
+        store.write_rows([("a", _row(1.0))])
+        store.write_rows([("b", _row(1.0))])  # triggers flush
+        store.write_rows([("c", _row(1.0))])  # in memtable
         assert store.partition_keys() == {"a", "b", "c"}
 
 
@@ -129,7 +133,8 @@ class TestCompactionEquivalence:
     def test_reads_identical_before_and_after_compaction(self):
         store = TableStore(flush_threshold=7, max_sstables=100)
         for i in range(50):
-            store.write(f"pk{i % 3}", _row(float(i % 13), seq=i, write_ts=i))
+            store.write_rows([(f"pk{i % 3}", _row(float(i % 13), seq=i,
+                                                  write_ts=i))])
         before = {
             pk: [(r.clustering, r.as_dict())
                  for r in store.read_partition_view(pk).to_rows()]
@@ -153,7 +158,7 @@ class TestBoundsPruning:
     def _loaded_store(n=300, flush_threshold=40):
         store = TableStore(flush_threshold=flush_threshold)
         for i in range(n):
-            store.write("pk", _row(float(i), seq=i))
+            store.write_rows([("pk", _row(float(i), seq=i))])
         return store
 
     def test_bounded_read_prunes_rows(self):
@@ -193,9 +198,9 @@ class TestBoundsPruning:
     def test_limit_early_termination_counts_live_rows_only(self):
         store = TableStore(flush_threshold=5)
         for i in range(30):
-            store.write("pk", _row(float(i), seq=i, write_ts=1))
+            store.write_rows([("pk", _row(float(i), seq=i, write_ts=1))])
         for i in range(0, 10, 2):
-            store.write("pk", Row((float(i), i), {}, tombstone_ts=10))
+            store.write_rows([("pk", Row((float(i), i), {}, tombstone_ts=10))])
         rows = store.read_partition_view("pk", limit=6).to_rows()
         assert [r.clustering[0] for r in rows] == [1.0, 3.0, 5.0, 7.0, 9.0, 10.0]
 
@@ -252,7 +257,7 @@ class TestBoundedMemtableRead:
         store = TableStore()
         self._write(store, self.KEYS)
         for key in ((100, 400), (110, 441), (120, 483), (7, 28)):
-            store.write("pk", Row(key, {}, tombstone_ts=5))
+            store.write_rows([("pk", Row(key, {}, tombstone_ts=5))])
         assert len(store.read_partition_view("pk")) == 996
         # A tombstone is a buffered row: pruned when outside, dropped by
         # the merge when inside.
@@ -349,11 +354,11 @@ class TestOneReadFace:
 
         store = TableStore()
         for i in range(50):
-            store.write("flushed", _row(float(i)))
+            store.write_rows([("flushed", _row(float(i)))])
         store.flush()
         for i in range(50):
-            store.write("pk", _row(float(i), seq=i))
-        store.write("pk", Row((7.0, 7), {}, tombstone_ts=5))
+            store.write_rows([("pk", _row(float(i), seq=i))])
+        store.write_rows([("pk", Row((7.0, 7), {}, tombstone_ts=5))])
         merges = self._count_calls(monkeypatch, storage, "merge_views")
         view = store.read_partition_view(
             "pk", ClusteringBound((5.0,)), ClusteringBound((9.0,)),
@@ -362,7 +367,7 @@ class TestOneReadFace:
         assert len(store.read_partition_view("pk")) == 49
         assert len(store.read_partition_view("flushed")) == 50  # one run alone
         assert merges == []
-        store.write("flushed", _row(99.0))                 # memtable + run
+        store.write_rows([("flushed", _row(99.0))])         # memtable + run
         assert len(store.read_partition_view("flushed")) == 51
         assert len(merges) == 1
 
@@ -373,9 +378,9 @@ class TestOneReadFace:
             # Even runs hold the partition read below, odd ones do not.
             pk = "pk" if run % 2 == 0 else "other"
             for i in range(10):
-                store.write(pk, _row(float(run * 10 + i)))
+                store.write_rows([(pk, _row(float(run * 10 + i)))])
             store.flush()
-        store.write("pk", _row(1000.0))
+        store.write_rows([("pk", _row(1000.0))])
         assert len(store.sstables) == runs
         for sst in store.sstables:
             sst.offsets = _CountedOffsets(sst.offsets)

@@ -10,8 +10,9 @@ PR 3's write-path contract in one place:
   result cache untouched;
 * writers to disjoint partitions commit concurrently (striped locks,
   no cluster-wide lock);
-* a single-row ``insert`` / ``delete_row`` commits as a write group of
-  one, with per-row counters, epochs, typed errors and hints;
+* a single-row ``insert`` / ``delete_row`` is a batch of one row: one
+  group of one, with the batch's counters, epochs, typed errors
+  (``Batch*``, ``group_rows`` 1) and hints;
 * a memtable flush builds its SSTable outside the store lock — readers
   see the sealed rows for the whole build, writers keep committing.
 """
@@ -22,7 +23,11 @@ import pytest
 
 from repro import obs
 from repro.cassdb import Cluster, Consistency, RetryPolicy, TableSchema
-from repro.cassdb.errors import UnavailableError, WriteTimeoutError
+from repro.cassdb.errors import (
+    BatchUnavailableError,
+    BatchWriteTimeoutError,
+    UnavailableError,
+)
 from repro.cassdb.row import Row
 from repro.cassdb.sstable import SSTable
 from repro.cassdb.storage import TableStore
@@ -221,8 +226,9 @@ class TestConcurrentDisjointWriters:
 
 
 class TestSingleRowGroupCommit:
-    """``insert`` / ``delete_row`` ride the batch path's group commit;
-    what a caller can observe under faults is the per-row contract."""
+    """``insert`` / ``delete_row`` commit as a batch of one row; what a
+    caller can observe under faults is the batch contract for one
+    group of one row."""
 
     VALUES = {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0, "v": 1}
     # fault on one replica, consistency -> error, hinted, writes, epochs
@@ -230,10 +236,12 @@ class TestSingleRowGroupCommit:
         "down_replica_at_one":
             ("kill_node", Consistency.ONE, None, 1, 1, 1),
         "too_few_replicas_at_quorum":
-            ("kill_node", Consistency.QUORUM, UnavailableError, 0, 0, 0),
+            ("kill_node", Consistency.QUORUM, BatchUnavailableError,
+             0, 0, 0),
         # Routed to, refuses the write: one ack short, partially applied.
         "crashed_unconvicted_replica":
-            ("crash_node", Consistency.QUORUM, WriteTimeoutError, 1, 0, 1),
+            ("crash_node", Consistency.QUORUM, BatchWriteTimeoutError,
+             1, 0, 1),
     }
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -255,7 +263,9 @@ class TestSingleRowGroupCommit:
         else:
             with pytest.raises(error) as raised:
                 write("event_by_time", self.VALUES, consistency)
-            assert type(raised.value) is error  # not a Batch* subclass
+            assert type(raised.value) is error
+            assert raised.value.group_rows == 1
+            assert raised.value.applied_rows == 0
         assert cluster.hinted_writes == hinted
         assert cluster.coordinator_writes == writes
         assert cluster.table_epoch("event_by_time") == epochs
@@ -274,7 +284,7 @@ class TestFlushOutsideLock:
     def test_readers_and_writers_during_sstable_build(self, monkeypatch):
         store = TableStore(flush_threshold=1_000)
         for i in range(10):
-            store.write("pk", _row(float(i)))
+            store.write_rows([("pk", _row(float(i)))])
 
         build_started = threading.Event()
         release_build = threading.Event()
@@ -295,7 +305,7 @@ class TestFlushOutsideLock:
             assert [r.clustering[0] for r in rows] == [float(i)
                                                        for i in range(10)]
             # ...and writers commit into the fresh memtable, unstalled.
-            store.write("pk", _row(10.0))
+            store.write_rows([("pk", _row(10.0))])
             assert store.memtable.row_count == 1
         finally:
             release_build.set()

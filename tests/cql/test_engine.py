@@ -266,3 +266,54 @@ class TestARangeBoundOfTheWrongType:
     def test_a_bound_of_the_stored_type_still_answers(self, session):
         rows = session.execute(self.SHAPES["single"].format("?"), (9,))
         assert [r["ts"] for r in rows] == [10.0, 11.0]
+
+
+class TestAFilterValueOfTheWrongType:
+    """A residual filter whose value does not compare with the stored
+    cells — ``amount > 'x'`` over integer amounts, a literal or a bound
+    placeholder — is a planning error naming the column on every plan
+    shape; it leaked a TypeError from the filter kernel."""
+
+    SHAPES = {
+        "single": "SELECT * FROM ev WHERE hour = 0 AND type = 'MCE'"
+                  " AND amount > {} ALLOW FILTERING",
+        "aggregate": "SELECT count(*) FROM ev WHERE hour = 0"
+                     " AND type = 'MCE' AND amount > {} ALLOW FILTERING",
+        "full_scan": "SELECT count(*) FROM ev WHERE amount > {}"
+                     " ALLOW FILTERING",
+    }
+
+    @staticmethod
+    def planning_error(session, statement, params=(), column="amount"):
+        with pytest.raises(CQLPlanningError) as info:
+            session.execute(statement, params)
+        assert f"filter on {column!r}" in str(info.value)
+        assert info.value.token == column
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_literal(self, session, shape):
+        self.planning_error(session, self.SHAPES[shape].format("'x'"))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_a_placeholder(self, session, shape):
+        self.planning_error(session, self.SHAPES[shape].format("?"), ("x",))
+
+    def test_a_dictionary_column_in_a_run(self, cluster, session):
+        # Flushed, 'source' is dictionary-encoded: the value is compared
+        # once per dictionary entry, not per row.
+        cluster.flush_all()
+        self.planning_error(
+            session, "SELECT * FROM ev WHERE hour = 0 AND type = 'MCE'"
+                     " AND source > 1 ALLOW FILTERING", column="source")
+
+    def test_a_sparklet_scan(self, cluster, session):
+        sc = SparkletContext(cluster=cluster)
+        try:
+            self.planning_error(Session(cluster, sparklet=sc),
+                                self.SHAPES["full_scan"].format("?"), ("x",))
+        finally:
+            sc.stop()
+
+    def test_a_value_of_the_stored_type_still_answers(self, session):
+        rows = session.execute(self.SHAPES["aggregate"].format("?"), (80,))
+        assert rows == [{"count": 2}]
