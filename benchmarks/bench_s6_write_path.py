@@ -36,6 +36,7 @@ import time
 import pytest
 
 from repro.cassdb import Cluster
+from repro.cassdb.row import columns_of
 from repro.core.model import TABLE_SCHEMAS, LogDataModel
 from repro.genlog import LogGenerator
 from repro.titan import TitanTopology
@@ -90,7 +91,8 @@ def run_batched_vs_per_row(rows, rounds=3):
     def batched():
         cluster = _fresh_cluster()
         for i in range(0, len(rows), BATCH_ROWS):
-            cluster.write_batch("event_by_time", rows[i:i + BATCH_ROWS])
+            cluster.write_batch("event_by_time",
+                                columns_of(rows[i:i + BATCH_ROWS]))
 
     t_row = _best(per_row, rounds)
     t_batch = _best(batched, rounds)
@@ -132,8 +134,8 @@ def run_concurrent_disjoint(rows, threads=6, rounds=3):
 
     def batched():
         cluster = _fresh_cluster()
-        _run_threads(
-            lambda share: cluster.write_batch("event_by_time", share))
+        _run_threads(lambda share: cluster.write_batch(
+            "event_by_time", columns_of(share)))
 
     t_row = _best(per_row, rounds)
     t_batch = _best(batched, rounds)

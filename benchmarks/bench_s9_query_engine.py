@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
+from repro.cassdb.row import columns_of
 
 from conftest import report
 
@@ -47,10 +48,10 @@ def build_cluster(hours, rows_per_hour, db_nodes=6):
     cluster = Cluster(db_nodes, replication_factor=2)
     cluster.create_table(TableSchema(
         "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
-    cluster.insert_many("ev", [
+    cluster.insert_many("ev", columns_of(
         {"hour": hour, "type": "MCE", "ts": float(i), "seq": i,
          "source": f"n{i % 7}", "amount": i % 100}
-        for hour in range(hours) for i in range(rows_per_hour)])
+        for hour in range(hours) for i in range(rows_per_hour)))
     return cluster
 
 

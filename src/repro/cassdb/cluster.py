@@ -5,8 +5,9 @@ architecture (Fig 3).  A :class:`Cluster` owns the ring, the storage
 nodes and the keyspace, and implements the coordinator logic every
 Cassandra node runs:
 
-* every write is a batch (an ``insert`` of one row, a ``delete_row`` of
-  one tombstone marker) sent to all replicas of each partition key; the
+* every write is a batch of columns (an ``insert`` of one row, a
+  ``delete_row`` of one tombstone marker) sent to all replicas of each
+  partition key, no per-row object on the way; the
   coordinator waits for ``consistency`` acks and buffers *hints* for
   replicas that are down (hinted handoff, replayed when the replica
   recovers);
@@ -37,7 +38,7 @@ import itertools
 import random
 import threading
 import time
-from collections import defaultdict
+from array import array
 from operator import itemgetter
 from concurrent.futures import ThreadPoolExecutor, as_completed, wait
 from enum import Enum
@@ -56,12 +57,14 @@ from .errors import (
     WriteTimeoutError,
 )
 from .hashring import HashRing
+from .memtable import Batch
 from .node import Hint, StorageNode
 from .resilience import BreakerState, CircuitBreaker, RetryPolicy
-from .row import ClusteringBound, Row, in_partition_order
+from .row import UNSET, ClusteringBound, Row, columns_of, in_partition_order
 from .schema import Keyspace, TableSchema
 from .vector import (
     BlockView,
+    Column,
     ColumnBlock,
     materialize_dicts,
     merge_views,
@@ -307,9 +310,9 @@ class Cluster:
             landed: list[tuple] = []
             for target, held in shares.items():
                 try:
-                    self.nodes[target].write_rows(
-                        table, [(hint.partition_key, hint.row)
-                                for _holder, hint in held])
+                    self.nodes[target].write_rows(table, Batch.of_rows(
+                        (hint.partition_key, hint.row)
+                        for _holder, hint in held))
                 except NodeDownError:
                     # The target crashed since the drain: its holders
                     # keep its hints for its next revival.
@@ -386,16 +389,16 @@ class Cluster:
     ) -> None:
         """Insert/upsert one row (CQL ``INSERT`` semantics: always
         upsert): a :meth:`write_batch` of one row."""
-        self.write_batch(table, (values,), consistency)
+        self.write_batch(table, columns_of((values,)), consistency)
 
     def insert_many(
         self,
         table: str,
-        rows: Iterable[Mapping[str, Any]],
+        columns: Mapping[str, Sequence[Any]],
         consistency: Consistency = Consistency.ONE,
     ) -> int:
         """:meth:`write_batch` (``benchmarks/e2e/trace.py`` wraps it)."""
-        return self.write_batch(table, rows, consistency)
+        return self.write_batch(table, columns, consistency)
 
     def delete_row(
         self,
@@ -406,9 +409,11 @@ class Cluster:
         """Delete one row identified by its full primary key: the commit
         of one tombstone marker."""
         schema = self.schema(table)
-        pk, row = schema.row_builder(values, 0)
-        marker = Row(row.clustering, {}, tombstone_ts=self.next_write_ts())
-        self._commit(schema, {pk: [marker]}, consistency)
+        block, rows_of = self._block(schema, columns_of((values,)), ())
+        marker = Row(block.clustering[0], {},
+                     tombstone_ts=self.next_write_ts())
+        self._commit(schema, ColumnBlock.transposed([marker]),
+                     dict.fromkeys(rows_of, [0]), consistency)
 
     # -- write-lock striping -------------------------------------------------
 
@@ -494,19 +499,22 @@ class Cluster:
     def write_batch(
         self,
         table: str,
-        rows: Iterable[Mapping[str, Any]],
+        columns: Mapping[str, Sequence[Any]],
         consistency: Consistency = Consistency.ONE,
     ) -> int:
-        """Bulk upsert one table; returns rows written.
+        """Bulk upsert one table from *columns* — column name -> its
+        values, one per row, :data:`~repro.cassdb.row.UNSET` where a row
+        leaves the cell unwritten; returns rows written.
 
         The batched commit the ingest pipelines ride (§III-D: Spark
         micro-batches into the backend) — routed by replica set,
         applied by node:
 
-        * rows are built by the schema's precompiled
-          :attr:`~repro.cassdb.schema.TableSchema.row_builder` and
-          grouped by replica set — the unit availability, acks and
-          hints are decided for;
+        * the columns become one plain block, each row stamped with the
+          next write timestamp in column order, and row offsets are
+          grouped by partition key — no per-row object;
+        * partitions are grouped by replica set — the unit
+          availability, acks and hints are decided for;
         * the batch takes the union of its stripe locks once, checks
           every group's availability before anything is applied, and
           then applies each storage node's share of all groups with
@@ -527,18 +535,57 @@ class Cluster:
         never serve the partial batch as fresh.
         """
         schema = self.schema(table)
-        build = schema.row_builder
-        next_ts = self.next_write_ts
-        rows_of: dict[tuple, list[Row]] = defaultdict(list)
-        for values in rows:
-            pk, row = build(values, next_ts())
-            rows_of[pk].append(row)
-        return self._commit(schema, rows_of, consistency)
+        n = len(next(iter(columns.values()), ()))
+        if not n:
+            return 0
+        stamps = array("q", itertools.islice(self._write_ts, n))
+        return self._commit(schema, *self._block(schema, columns, stamps),
+                            consistency)
 
-    def _commit(self, schema: TableSchema, rows_of: dict[tuple, list[Row]],
+    @staticmethod
+    def _block(schema: TableSchema, columns: Mapping[str, Sequence[Any]],
+               stamps: array) -> tuple[ColumnBlock, dict[tuple, list[int]]]:
+        """*columns* as a plain block, row ``i`` stamped ``stamps[i]``,
+        and partition key -> the offsets of its rows.  A key column that
+        is missing, or unset in a row, is a :class:`SchemaError`."""
+        n = len(next(iter(columns.values())))
+        if any(len(values) != n for values in columns.values()):
+            raise SchemaError(f"table {schema.name!r}: columns of unequal "
+                              "length")
+        key_columns = schema.partition_key + schema.clustering_key
+        for name in key_columns:
+            if UNSET in columns.get(name, (UNSET,)):
+                raise SchemaError(
+                    f"table {schema.name!r}: missing key column {name!r}")
+        rows_of: dict[tuple, list[int]] = {}
+        for i, pk in enumerate(zip(*[columns[c]
+                                     for c in schema.partition_key])):
+            rows = rows_of.get(pk)
+            if rows is None:
+                rows_of[pk] = [i]
+            else:
+                rows.append(i)
+        cells: dict[str, Column] = {}
+        for name, values in columns.items():
+            if name in key_columns:
+                continue
+            present = None
+            if UNSET in values:
+                present = bytearray(v is not UNSET for v in values)
+                if not any(present):
+                    continue
+                values = [None if v is UNSET else v for v in values]
+            cells[name] = Column(name, values, stamps, present)
+        clustering = (list(zip(*[columns[c] for c in schema.clustering_key]))
+                      if schema.clustering_key else [()] * n)
+        return ColumnBlock(clustering, cells, {}), rows_of
+
+    def _commit(self, schema: TableSchema, block: ColumnBlock,
+                rows_of: dict[tuple, list[int]],
                 consistency: Consistency) -> int:
-        """Commit *rows_of* (partition key -> its rows) as
-        :meth:`write_batch` describes: every write lands here."""
+        """Commit *block*'s rows, *rows_of* naming each partition key's
+        offsets, as :meth:`write_batch` describes: every write lands
+        here."""
         n = sum(map(len, rows_of.values()))
         if not n:
             return 0
@@ -554,10 +601,9 @@ class Cluster:
             replicas = tuple(self.ring.replicas(ring_key(pk)))
             groups.setdefault(replicas, []).append(pk)
             stripes.add(hash((table, pk)) % n_stripes)
-        # A group's items are its partitions' rows in partition order,
-        # so a node's share is a few sorted runs for its sort to merge.
-        pending = [(replicas, [(pk, row) for pk in in_partition_order(keys)
-                               for row in rows_of[pk]])
+        # A group's items are its partitions' rows in partition order.
+        pending = [(replicas, Batch(block, [(pk, rows_of[pk]) for pk
+                                            in in_partition_order(keys)]))
                    for replicas, keys in groups.items()]
         ordered = sorted(stripes)
 
@@ -594,7 +640,7 @@ class Cluster:
     def _commit_groups(
         self,
         table: str,
-        pending: list[tuple[tuple[str, ...], list[tuple[tuple, Row]]]],
+        pending: list[tuple[tuple[str, ...], Batch]],
         stripes: list[int],
         consistency: Consistency,
     ) -> "tuple[tuple, type[CassDBError], int, int] | None":
@@ -635,7 +681,8 @@ class Cluster:
                     return group, BatchUnavailableError, required, len(routed)
                 routes.append((routed, required))
             # Apply: each node's share of every group in one call.
-            shares: dict[str, list[tuple[tuple, Row]]] = {}
+            shares: dict[str, list[tuple[tuple, list[int]]]] = {}
+            block = pending[0][1].block
             for (_replica_ids, items), (routed, _) in zip(pending, routes):
                 for replica_id in routed:
                     share = shares.get(replica_id)
@@ -645,13 +692,9 @@ class Cluster:
                         share.extend(items)
             applied: set[str] = set()
             for replica_id, share in shares.items():
-                # Sorting by partition key groups same-partition rows
-                # into runs (memtable bulk-upsert locality); write
-                # timestamps, not application order, decide
-                # last-write-wins, so this is safe.
                 try:
-                    self.nodes[replica_id].write_rows(
-                        table, in_partition_order(share, itemgetter(0)))
+                    self.nodes[replica_id].write_rows(table, Batch(
+                        block, in_partition_order(share, itemgetter(0))))
                 except NodeDownError:
                     # Crashed but still routed: no ack for any group.
                     self._breaker_failure(replica_id)
@@ -674,8 +717,8 @@ class Cluster:
                     for replica_id in replica_ids:
                         if replica_id not in acked:
                             holder.buffer_hints(
-                                Hint(replica_id, table, pk, row)
-                                for pk, row in items)
+                                Hint(replica_id, table, pk, block.row_at(i))
+                                for pk, offsets in items for i in offsets)
                             hinted += len(items)
                 if len(acked) < required:
                     short.append(group)
@@ -1016,7 +1059,8 @@ class Cluster:
             if not missing:
                 continue
             try:
-                self.nodes[replica_id].write_rows(table, missing)
+                self.nodes[replica_id].write_rows(
+                    table, Batch.of_rows(missing))
             except NodeDownError:
                 continue  # crashed after answering; repair later
             pushed += len(missing)

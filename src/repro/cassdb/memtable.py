@@ -2,119 +2,250 @@
 
 "When data is written to Cassandra, each data record is sorted and
 written sequentially to disk" (paper §II-A).  The memtable is where that
-sort happens: rows accumulate per partition in clustering-key order, and
-when the memtable grows past a threshold the storage engine flushes it
-into an immutable :class:`~repro.cassdb.sstable.SSTable`.
+sort happens; a flush writes it out as one immutable SSTable.
 
-Rows within a partition are kept as a dict keyed by clustering tuple plus
-a lazily-sorted key list — upserts are O(1), and the sort runs once per
-read or flush after a write instead of on every write, which matches the
-write-heavy access pattern of log ingestion.
+A memtable is an append-only log of rows kept as column lists —
+clustering keys, each cell column's values, write timestamps and
+presence, tombstone markers — plus, per partition, the log positions
+of its rows.  :meth:`Memtable.append`, the one write entry, gathers a
+:class:`Batch`'s rows onto the log with ``itemgetter`` and extends each
+partition's positions: no per-row object, and one object per list for
+the cyclic collector.  A hinted or repaired ``Row`` becomes a batch
+first (:meth:`Batch.of_rows`).
 
-A memtable is read through the face a run has,
-:meth:`Memtable.slice_partition_view`.  Each partition keeps one *face*:
-a row-backed block over all its rows in clustering order, built by the
-first read after a write and dropped by the next write.  A read bisects
-the face's clustering array and answers a view over the in-bounds range,
-so a column a kernel transposed stays for the next read.  A flush
-encodes each partition straight from its sorted rows and keeps no face.
-Rows arrive one way, :meth:`Memtable.upsert_many`.  A delete is not a
-separate entry point: it is an ``upsert_many`` of a marker row
-(``Row(ck, {}, tombstone_ts=ts)``), which
-:func:`~repro.cassdb.row.merge_rows` lets shadow what it covers.
+Last-write-wins is resolved when a read or a flush needs a partition
+(:meth:`Memtable.resolved`).  Logs arrive in time order, so appended
+keys usually ascend already and nothing is sorted; otherwise one sort
+of the positions by clustering key brings a key's writes together and
+:func:`~repro.cassdb.row.merge_rows` — the tie rule and the marker
+shadowing of every other merge — reconciles them into one row appended
+to the log.  A partition keeps one read *face*, its resolved rows
+gathered into a plain block, from the first read after a write until the
+next write; :meth:`Memtable.slice_partition_view` bisects it as a run's
+block is bisected.  A flush gathers every partition's resolved rows in
+partition order and keeps no face.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import threading
+from array import array
+from functools import reduce
+from itertools import chain, groupby, islice
+from operator import itemgetter, lt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .row import ClusteringBound, Row, merge_rows, slice_bounds_keys
-from .vector import BlockView, ColumnBlock
+from .vector import BlockView, Column, ColumnBlock
 
-__all__ = ["MemPartition", "Memtable"]
+__all__ = ["Batch", "MemPartition", "Memtable"]
+
+
+class Batch:
+    """A write's rows for one store: a plain block of rows and, per
+    partition key, the offsets of its rows in the block.  Iterating
+    yields the ``(partition key, offsets)`` pairs; ``len()`` is the row
+    count."""
+
+    __slots__ = ("block", "parts", "_rows")
+
+    def __init__(self, block: ColumnBlock,
+                 parts: list[tuple[tuple, Sequence[int]]]):
+        self.block = block
+        self.parts = parts
+        self._rows = sum(len(offsets) for _pk, offsets in parts)
+
+    def __iter__(self) -> Iterator[tuple[tuple, Sequence[int]]]:
+        return iter(self.parts)
+
+    def __len__(self) -> int:
+        return self._rows
+
+    @classmethod
+    def of_rows(cls, items: Iterable[tuple[tuple, Row]]) -> "Batch":
+        """``(partition key, row)`` pairs as a batch: where a hinted or
+        repaired row becomes columns."""
+        rows: list[Row] = []
+        parts: dict[tuple, list[int]] = {}
+        for pk, row in items:
+            parts.setdefault(pk, []).append(len(rows))
+            rows.append(row)
+        return cls(ColumnBlock.transposed(rows), list(parts.items()))
+
+
+def _gather(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function taking the items at *positions* of a sequence, as a
+    tuple (``itemgetter``, which returns a bare item for one position)."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        at = positions[0]
+        return lambda seq: (seq[at],)
+    return lambda seq: ()
+
+
+class _Stamps:
+    """A log column's write timestamps at a block's positions, read on
+    demand: only ``row_at`` and a run's encode read a face's stamps."""
+
+    __slots__ = ("log", "positions")
+
+    def __init__(self, log: list, positions: Sequence[int]):
+        self.log, self.positions = log, positions
+
+    def __getitem__(self, i: int) -> int:
+        return self.log[self.positions[i]]
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.log.__getitem__, self.positions)
 
 
 class MemPartition:
-    """Mutable partition: clustering key -> row, sorted on demand, read
-    through one kept face.
+    """One partition of a memtable: the log positions of its rows — in
+    append order past ``resolved``, in clustering order, one per key,
+    before it — and its kept read face."""
 
-    The face is a row-backed :class:`ColumnBlock` over every row in
-    clustering order.  :meth:`face` builds it on the first read after a
-    write and :meth:`Memtable.upsert_many` drops it — a new key, a merge
-    into an existing key and a tombstone marker alike — so a column a
-    kernel transposes out of it serves every read until the next write.
-
-    Concurrency: reads and upserts both run under the store lock, so a
-    face is built and dropped under it.  A view taken before a write
-    keeps its snapshot: nothing edits the face's row list, and
-    ``BlockView.to_rows`` copies.  Two kernels may transpose the same
-    lazy column at once; they compute equal values, and the store into
-    the block's column dict is atomic.
-    """
-
-    __slots__ = ("rows", "_sorted_keys", "_dirty", "_face")
+    __slots__ = ("positions", "resolved", "face")
 
     def __init__(self):
-        self.rows: dict[tuple, Row] = {}
-        self._sorted_keys: list[tuple] = []
-        self._dirty = False
-        self._face: ColumnBlock | None = None
-
-    def sorted_keys(self) -> list[tuple]:
-        if self._dirty or len(self._sorted_keys) != len(self.rows):
-            self._sorted_keys = sorted(self.rows)
-            self._dirty = False
-        return self._sorted_keys
-
-    def sorted_rows(self) -> list[Row]:
-        rows = self.rows
-        return [rows[k] for k in self.sorted_keys()]
-
-    def face(self) -> ColumnBlock:
-        """The row-backed block over every row, kept until the next
-        upsert.  (The sorted key list is shared, not copied: a re-sort
-        replaces it and nothing edits it.)"""
-        face = self._face
-        if face is None:
-            face = self._face = ColumnBlock.over_rows(self.sorted_rows(),
-                                                      self.sorted_keys())
-        return face
+        self.positions = array("q")
+        self.resolved = 0
+        self.face: ColumnBlock | None = None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.positions)
 
 
 class Memtable:
-    """Write buffer for one table on one storage node."""
+    """Write buffer for one table on one storage node.
+
+    Concurrency: appends run under the store lock, and so does every
+    read of an active memtable.  A sealed memtable is never appended
+    to, but a read of it and its flush may resolve partitions at once;
+    resolving takes the memtable's own lock.
+    """
 
     def __init__(self):
         self.partitions: dict[tuple, MemPartition] = {}
+        # The log: one entry per row appended, as column lists; a batch's
+        # stamps are gathered once and shared by its columns.
+        self.clustering: list[tuple] = []
+        self.columns: dict[str, Column] = {}
+        self.tombstones: dict[int, int] = {}
         self._row_count = 0
+        self._lock = threading.Lock()
 
-    def upsert_many(self, items: Iterable[tuple[tuple, Row]]) -> None:
-        """Insert or merge ``(partition key, row)`` pairs — the
-        memtable's one write entry.  The partition lookup is hoisted
-        for runs of pairs sharing a key (a node's share of a batch
-        arrives sorted by partition key)."""
+    def append(self, batch: Batch) -> None:
+        """Append *batch*'s rows to the log, partition after partition,
+        and their positions to each partition — the one write entry."""
+        n = self._extend(batch.block, list(chain.from_iterable(
+            offsets for _pk, offsets in batch)))
         partitions = self.partitions
-        last_key: tuple | None = None
-        count = 0
-        for partition_key, row in items:
-            if partition_key != last_key:
-                part = partitions.get(partition_key)
-                if part is None:
-                    part = partitions[partition_key] = MemPartition()
-                part._face = None  # the next read rebuilds it
-                rows = part.rows
-                last_key = partition_key
-            existing = rows.get(row.clustering)
-            if existing is None:
-                rows[row.clustering] = row
-                part._dirty = True
-                count += 1
-            else:
-                rows[row.clustering] = merge_rows(existing, row)
-        self._row_count += count
+        for pk, offsets in batch:
+            part = partitions.get(pk)
+            if part is None:
+                part = partitions[pk] = MemPartition()
+            part.positions.extend(range(n, n + len(offsets)))
+            part.face = None
+            n += len(offsets)
+        self._row_count += len(batch)
+
+    def _extend(self, block: ColumnBlock, rows: Sequence[int]) -> int:
+        """Put *block*'s *rows* at the end of the log; returns the first
+        position.  A column the block lacks is absent in those rows, one
+        it brings is absent in the rows before."""
+        take = _gather(rows)
+        n, k = len(self.clustering), len(rows)
+        self.clustering += take(block.clustering)
+        columns = self.columns
+        stamps: dict[int, tuple] = {}  # one gather per stamp array
+        for name, cells in block.columns.items():
+            col = columns.get(name)
+            if col is None:
+                col = columns[name] = Column(name, [None] * n, [0] * n,
+                                             bytearray(n) if n else None)
+            col.values += take(cells.values)
+            key = id(cells.write_ts)
+            if key not in stamps:
+                stamps[key] = take(cells.write_ts)
+            col.write_ts += stamps[key]
+            if cells.present is not None:
+                if col.present is None:
+                    col.present = bytearray(b"\x01" * n)
+                col.present += bytes(take(cells.present))
+            elif col.present is not None:
+                col.present += b"\x01" * k
+        for name, col in columns.items():
+            if name not in block.columns:
+                col.values += [None] * k
+                col.write_ts += [0] * k
+                if col.present is None:
+                    col.present = bytearray(b"\x01" * n)
+                col.present += bytes(k)
+        if block.tombstones:
+            for at, i in enumerate(rows, n):
+                if i in block.tombstones:
+                    self.tombstones[at] = block.tombstones[i]
+        return n
+
+    def resolved(self, partition_key: tuple) -> array:
+        """The log positions of a partition's rows, ascending by
+        clustering key, one per key with each cell its last write."""
+        part = self.partitions[partition_key]
+        with self._lock:
+            positions = part.positions
+            if part.resolved < len(positions):
+                keys = _gather(positions[max(part.resolved - 1, 0):])(
+                    self.clustering)
+                if not all(map(lt, keys, islice(keys, 1, None))):
+                    appended = len(positions)
+                    positions = part.positions = self._sort(positions)
+                    self._row_count -= appended - len(positions)
+                part.resolved = len(positions)
+            return positions
+
+    def _sort(self, positions: array) -> array:
+        """*positions* in clustering order; a key written more than once
+        is replaced by its writes merged, appended to the log."""
+        keys = self.clustering
+        order = sorted(positions, key=keys.__getitem__)
+        ordered = [keys[i] for i in order]
+        if all(map(lt, ordered, islice(ordered, 1, None))):
+            return array("q", order)
+        log = ColumnBlock(keys, self.columns, self.tombstones)
+        kept: list[int | None] = []
+        merged: list[Row] = []
+        for _key, group in groupby(order, keys.__getitem__):
+            group = list(group)
+            kept.append(group[0] if len(group) == 1 else None)
+            if len(group) > 1:
+                merged.append(reduce(merge_rows, map(log.row_at, group)))
+        first = self._extend(ColumnBlock.transposed(merged),
+                             range(len(merged)))
+        fresh = iter(range(first, first + len(merged)))
+        return array("q", [next(fresh) if at is None else at for at in kept])
+
+    def gather(self, positions: Sequence[int]) -> ColumnBlock:
+        """The log's rows at *positions*, in that order, as a plain
+        block (a column absent from all of them is left out)."""
+        take = _gather(positions)
+        columns: dict[str, Column] = {}
+        for name, col in self.columns.items():
+            present = None
+            if col.present is not None:
+                present = bytearray(take(col.present))
+                if 1 not in present:
+                    continue
+                if 0 not in present:
+                    present = None
+            columns[name] = Column(name, list(take(col.values)),
+                                   _Stamps(col.write_ts, positions), present)
+        tombstones: dict[int, int] = {}
+        if self.tombstones:
+            get = self.tombstones.get
+            tombstones = {at: ts for at, i in enumerate(positions)
+                          if (ts := get(i)) is not None}
+        return ColumnBlock(list(take(self.clustering)), columns, tombstones)
 
     def slice_partition_view(
         self,
@@ -132,7 +263,9 @@ class Memtable:
         part = self.partitions.get(partition_key)
         if part is None:
             return None
-        face = part.face()
+        face = part.face
+        if face is None:
+            face = part.face = self.gather(self.resolved(partition_key))
         lo, hi = slice_bounds_keys(face.clustering, lower, upper)
         return BlockView(face, range(lo, hi)), face.n - (hi - lo)
 
@@ -141,7 +274,9 @@ class Memtable:
 
     @property
     def row_count(self) -> int:
-        """Total live+tombstone rows buffered (flush trigger metric)."""
+        """Rows buffered, tombstone markers included (the flush
+        trigger): a key written twice counts twice until a read
+        resolves its partition."""
         return self._row_count
 
     def __len__(self) -> int:

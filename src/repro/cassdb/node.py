@@ -6,17 +6,19 @@ node can coordinate any request.  A node owns one :class:`TableStore`
 per table for the replicas placed on it, plus a liveness flag the
 cluster flips to simulate failures, and a hint buffer for writes it
 must replay to peers that were down (hinted handoff).  Rows arrive one
-way, :meth:`StorageNode.write_rows`, however many there are.
+way, :meth:`StorageNode.write_rows`, as a column
+:class:`~repro.cassdb.memtable.Batch`, however many there are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro import obs
 
 from .errors import NodeDownError
+from .memtable import Batch
 from .row import ClusteringBound, Row
 from .storage import TableStore
 from .vector import BlockView, ColumnBlock
@@ -98,21 +100,20 @@ class StorageNode:
 
     # -- replica-local operations -----------------------------------------
 
-    def write_rows(self, table: str,
-                   items: Sequence[tuple[tuple, Row]]) -> None:
-        """Apply rows to this replica — its share of a write batch, the
-        hints replayed to it, a repair's push: one table lookup, one
+    def write_rows(self, table: str, batch: Batch) -> None:
+        """Apply *batch* to this replica — its share of a write batch,
+        the hints replayed to it, a repair's push: one table lookup, one
         store-lock acquisition and one trace span for all of them."""
         self._check_up()
-        _M_NODE_WRITES.inc(len(items))
+        _M_NODE_WRITES.inc(len(batch))
         store = self.tables.get(table)
         if store is None:
             store = self.tables[table] = TableStore(
                 flush_threshold=self._flush_threshold,
                 max_sstables=self._max_sstables)
         with obs.get_tracer().span("cassdb.node.write_rows", node=self.node_id,
-                                   table=table, rows=len(items)):
-            store.write_rows(items)
+                                   table=table, rows=len(batch)):
+            store.write_rows(batch)
 
     def read_partition_view(
         self,

@@ -31,8 +31,22 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import InvalidQueryError
 
-__all__ = ["Row", "ClusteringBound", "in_partition_order", "merge_rows",
-           "slice_bounds_keys"]
+__all__ = ["UNSET", "Row", "ClusteringBound", "columns_of",
+           "in_partition_order", "merge_rows", "slice_bounds_keys"]
+
+
+#: A cell a write leaves unwritten, in the column lists a batch carries
+#: (the role of the Cassandra driver's ``UNSET_VALUE``): the row has no
+#: such cell, where ``None`` would be a stored value.
+UNSET: Any = type("Unset", (), {"__repr__": lambda self: "UNSET"})()
+
+
+def columns_of(rows: Iterable[Mapping[str, Any]]) -> dict[str, list]:
+    """Row mappings as the columns a write batch takes: column name ->
+    one value per row, :data:`UNSET` where a row lacks the column."""
+    rows = list(rows)
+    names = dict.fromkeys(name for row in rows for name in row)
+    return {name: [row.get(name, UNSET) for row in rows] for name in names}
 
 
 def in_partition_order(items: Iterable, key: Callable | None = None) -> list:

@@ -4,10 +4,9 @@ The paper's data model (§II-B, Figs 1–2) hinges on *which columns form
 the partition key* — ``(hour, type)`` for ``event_by_time``,
 ``(hour, source)`` for ``event_by_location`` — and on clustering rows by
 timestamp inside each partition.  A :class:`TableSchema` captures exactly
-that: it extracts the partition key (the unit of distribution over the
-ring: the key columns' values, in schema order, as written) and the
-clustering tuple (the in-partition sort order) from a plain column
-mapping.
+that: it names the columns whose values, in schema order, are a
+row's partition key (the unit of distribution over the ring) and its
+clustering tuple (the in-partition sort order).
 
 Regular columns are intentionally *not* enumerated: the store is
 schema-flexible like Cassandra's wide rows, so new event types with new
@@ -18,12 +17,9 @@ fields need no migration (the "Flexibility" design consideration of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .errors import SchemaError
-from .row import Row
 
 __all__ = ["TableSchema", "Keyspace"]
 
@@ -128,56 +124,6 @@ class TableSchema:
                 f"partition key values, got {len(key)}"
             )
         return _KEY_SEPARATOR.join([self.name, *map(str, key)])
-
-    @cached_property
-    def row_builder(
-        self,
-    ) -> Callable[[Mapping[str, Any], int], tuple[tuple, Row]]:
-        """Precompiled ``(values, write_ts) -> (partition key, Row)``.
-
-        The per-row unit of work on the hot write path (``insert``,
-        ``write_batch``, a delete's marker): the column getters and the
-        key-column set are bound into the closure up front instead of being
-        re-derived from the schema on every call, and the non-key
-        columns go into the row's ``values`` dict in a single
-        comprehension — no per-column object, and a dict of scalars is
-        invisible to the cyclic collector.  A missing key column is a
-        :class:`SchemaError`.
-
-        (``cached_property`` writes straight into ``__dict__``, which a
-        frozen dataclass permits — only ``__setattr__`` is blocked.)
-        """
-        name = self.name
-        pk_cols = self.partition_key
-        ck_cols = self.clustering_key
-        key_cols = frozenset(pk_cols) | frozenset(ck_cols)
-        # itemgetter runs the column lookups in C; arity 1 returns a
-        # bare value, 2+ a tuple (the key itself), hence the shapes below.
-        pk_get = itemgetter(*pk_cols)
-        single_pk = len(pk_cols) == 1
-        ck_get = itemgetter(*ck_cols) if ck_cols else None
-        single_ck = len(ck_cols) == 1
-
-        def build(values: Mapping[str, Any], write_ts: int) -> tuple[tuple, Row]:
-            try:
-                pk = (pk_get(values),) if single_pk else pk_get(values)
-                if ck_get is None:
-                    clustering: tuple = ()
-                elif single_ck:
-                    clustering = (ck_get(values),)
-                else:
-                    clustering = ck_get(values)
-            except KeyError as exc:
-                raise SchemaError(
-                    f"table {name!r}: missing key column {exc.args[0]!r}"
-                ) from None
-            return pk, Row(
-                clustering,
-                {k: v for k, v in values.items() if k not in key_cols},
-                write_ts,
-            )
-
-        return build
 
     def rehydrate(self, partition_values: Mapping[str, Any], clustering: tuple,
                   cells: Mapping[str, Any]) -> dict[str, Any]:

@@ -19,14 +19,16 @@ range, which the vectorized kernels filter/project/fold without
 building ``Row`` objects, as they do a memtable's.  Dropping a key from
 ``offsets`` is the simulated loss of that partition.
 
-A run is built by one block encode: flush (:meth:`SSTable.from_memtable`)
-encodes the memtable partitions' sorted rows, compaction
-(:func:`merge_sstables`) what :func:`~repro.cassdb.vector.merge_views`
-— the same merge a read runs — emitted per partition, each concatenated
-in that order, and both hand the constructor the block and its
-offsets, as a loader of on-disk runs would.  A run and a memtable answer
-a read through one face, ``slice_partition_view(pk, lower, upper) ->
-(BlockView, pruned) | None``.
+A run is built by one block encode (:meth:`ColumnBlock.encoded`) in
+partition order: a flush (:meth:`SSTable.from_memtable`) encodes every
+memtable partition's resolved rows gathered off the memtable's column
+lists, with no per-row object; compaction (:func:`merge_sstables`)
+what :func:`~repro.cassdb.vector.merge_views` — the same merge a read
+runs — emitted per partition.  Both hand the
+constructor the block and its offsets, as a loader of on-disk runs
+would.  A run and a memtable answer a read through one face,
+``slice_partition_view(pk, lower, upper) -> (BlockView, pruned) |
+None``.
 
 SSTables here live in memory (the cluster is simulated in-process) but
 preserve the two properties the rest of the system depends on:
@@ -61,27 +63,17 @@ class SSTable:
 
     @classmethod
     def from_memtable(cls, memtable: Memtable) -> "SSTable":
-        """Flush: the partitions' sorted rows, in partition order,
-        encoded column-major as one block straight from the rows, not
-        through a read face, so a sealed memtable keeps no face while
-        its flush runs (the sealed memtable is discarded afterwards)."""
-        parts = memtable.partitions
-        return cls._build((pk, parts[pk].sorted_rows())
-                          for pk in in_partition_order(parts))
-
-    @classmethod
-    def _build(cls, partitions: Iterable[tuple[tuple, list[Row]]]
-               ) -> "SSTable":
-        """One run from ``(partition key, sorted rows)`` in key order:
-        the rows concatenated into one block, each partition's stretch
-        of it recorded in ``offsets``.  An empty partition is left out."""
-        rows: list[Row] = []
+        """Flush: every partition's resolved rows, in partition order,
+        gathered off the memtable's log columns and encoded as one block
+        — no per-row object, and no read face (the sealed memtable is
+        discarded afterwards)."""
+        order: list[int] = []
         offsets: dict[tuple, tuple[int, int]] = {}
-        for pk, part in partitions:
-            if part:
-                offsets[pk] = (len(rows), len(rows) + len(part))
-                rows += part
-        return cls(ColumnBlock.from_rows(rows), offsets)
+        for pk in in_partition_order(memtable.partitions):
+            positions = memtable.resolved(pk)
+            offsets[pk] = (len(order), len(order) + len(positions))
+            order += positions
+        return cls(memtable.gather(order).encoded(), offsets)
 
     def slice_partition_view(
         self,
@@ -131,10 +123,12 @@ def merge_sstables(tables: Iterable[SSTable]) -> SSTable:
     is deterministic whatever order the inputs arrived in.
     """
     tables = list(tables)
-    all_keys: set[tuple] = set()
-    for t in tables:
-        all_keys.update(t.offsets)
-    return SSTable._build(
-        ((pk, merge_views([BlockView(t.block, range(*span)) for t in tables
-                           if (span := t.offsets.get(pk)) is not None]))
-         for pk in in_partition_order(all_keys)))
+    rows: list[Row] = []
+    offsets: dict[tuple, tuple[int, int]] = {}
+    for pk in in_partition_order({pk for t in tables for pk in t.offsets}):
+        merged = merge_views([BlockView(t.block, range(*span)) for t in tables
+                              if (span := t.offsets.get(pk)) is not None])
+        if merged:  # else every row of the partition was dead
+            offsets[pk] = (len(rows), len(rows) + len(merged))
+            rows += merged
+    return SSTable(ColumnBlock.transposed(rows).encoded(), offsets)

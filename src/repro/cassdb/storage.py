@@ -10,11 +10,12 @@ one block: a run holds all its partitions in one
 is a view over the partition's offset range.  A run holds a partition
 exactly when its ``offsets`` name it, so a read skips every other run
 with one dict lookup.  Rows arrive one way, :meth:`TableStore.write_rows`,
-a delete as a tombstone marker row among them.  One :class:`TableStore`
-exists per table per storage node.
+as a :class:`~repro.cassdb.memtable.Batch` of column cells, a delete as
+a tombstone marker among them.  One :class:`TableStore` exists per table
+per storage node.
 
 Concurrency model: the store lock guards *pointer swaps* (memtable
-upserts, sealing a memtable, publishing an SSTable), never bulk work.
+appends, sealing a memtable, publishing an SSTable), never bulk work.
 A flush seals the active memtable under the lock — an O(1) swap onto
 the ``frozen`` list — and builds the SSTable outside it, so concurrent
 writers keep committing into the fresh memtable and readers keep seeing
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from repro import obs
 
-from .memtable import Memtable
+from .memtable import Batch, Memtable
 from .row import ClusteringBound, Row
 from .sstable import SSTable, merge_sstables
 from .vector import BlockView, ColumnBlock, merge_views
@@ -84,7 +85,7 @@ class TableStore:
     frozen: list[Memtable] = field(default_factory=list)
     sstables: list[SSTable] = field(default_factory=list)
     stats: StoreStats = field(default_factory=StoreStats)
-    # Guards pointer swaps (memtable upserts, seal/publish) against the
+    # Guards pointer swaps (memtable appends, seal/publish) against the
     # coordinator's parallel replica reads; flush/compaction merge work
     # happens outside it, on sealed snapshots.
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
@@ -95,9 +96,9 @@ class TableStore:
 
     # -- write path -----------------------------------------------------
 
-    def write_rows(self, items: Sequence[tuple[tuple, Row]]) -> None:
-        """Apply ``(partition key, row)`` pairs — the one write entry:
-        one lock acquisition for all rows.
+    def write_rows(self, batch: Batch) -> None:
+        """Append *batch* to the memtable — the one write entry: one
+        lock acquisition for all its rows.
 
         Every write lands here, a batch of one row included — the store
         lock is taken once per call, and the flush check runs once
@@ -105,8 +106,8 @@ class TableStore:
         batch; the next one flushes it).
         """
         with self.lock:
-            self.memtable.upsert_many(items)
-            self.stats.writes += len(items)
+            self.memtable.append(batch)
+            self.stats.writes += len(batch)
             sealed = (self._seal_locked()
                       if self.memtable.row_count >= self.flush_threshold
                       else None)

@@ -3,15 +3,14 @@
 A partition read has one shape: a :class:`BlockView` — a
 :class:`ColumnBlock` plus an ordered selection of its row offsets.  An
 SSTable stores its whole run *column-major* (one eager block, built at
-flush or compaction, every partition's rows next to each other), and a
-partition read of it is a view over that partition's offset range; a
-memtable answers a slice,
-and a merge of several sources (memtable deltas, un-compacted runs, a
-QUORUM reconcile) emits its rows, as a *row-backed* block whose columns
-are transposed out of the rows on first use
-(:meth:`ColumnBlock.over_rows`).  Both kinds report their dead rows the
-same way, so :func:`merge_views` takes views and nothing else.  Either
-way pushed-down predicates, projections and aggregate folds run one
+flush or compaction, every partition's rows next to each other) and a
+memtable gathers a partition's rows from its column lists; a read of
+either is a view over an offset range.  A merge of several sources
+(memtable deltas, un-compacted runs, a QUORUM reconcile) emits rows, as
+a *row-backed* block whose columns are transposed out of them on first
+use (:meth:`ColumnBlock.over_rows`).  Every kind reports its dead rows
+the same way, so :func:`merge_views` takes views and nothing else.
+Either way pushed-down predicates, projections and aggregate folds run one
 column at a time over the selection (:func:`select_rows`,
 :func:`materialize_dicts`, :func:`fold_view`, :func:`column_lists`), so
 result dicts are built only for the survivors — and for aggregates and
@@ -117,50 +116,38 @@ class Column:
         return self.values[i]
 
 
-class _ColumnBuilder:
-    __slots__ = ("name", "values", "write_ts", "present", "count")
-
-    def __init__(self, name: str, n: int):
-        self.name = name
-        self.values: list = [None] * n
-        self.write_ts = array("q", bytes(8 * n))
-        self.present = bytearray(n)
-        self.count = 0
-
-    def finalize(self, n: int) -> Column:
-        present = None if self.count == n else self.present
-        values = self.values
-        encode = False
-        if n >= _DICT_MIN_ROWS:
-            # Auto-detect: all present values are strings and the
-            # cardinality is low enough that code matching wins.
-            try:
-                distinct = set(values)
-            except TypeError:  # an unhashable value: stays plain
-                distinct = None
-            if distinct is not None:
-                distinct.discard(None)
-                encode = (len(distinct) <= DICT_MAX_CARDINALITY
-                          and all(isinstance(v, str) for v in distinct))
-        if not encode:
-            return Column(self.name, values, self.write_ts, present)
-        dictionary: list = []
-        code_of: dict = {}
-        codes = array("l", bytes(n * _CODE_ITEMSIZE))
-        pres = self.present
-        for i, v in enumerate(values):
-            if not pres[i]:
-                codes[i] = -1
-                continue
-            code = code_of.get(v)
-            if code is None:
-                code = len(dictionary)
-                code_of[v] = code
-                dictionary.append(v)
-            codes[i] = code
-        _M_DICT_COLUMNS.inc()
-        return Column(self.name, None, self.write_ts, present,
-                      codes=codes, dictionary=dictionary, code_of=code_of)
+def _encoded(col: Column, n: int) -> Column:
+    """A plain column of an *n*-row run, dictionary-encoded when it
+    qualifies: at least ``_DICT_MIN_ROWS`` rows whose present values are
+    at most ``DICT_MAX_CARDINALITY`` distinct strings."""
+    values = col.values
+    if n < _DICT_MIN_ROWS:
+        return col
+    try:
+        distinct = set(values)
+    except TypeError:  # an unhashable value: stays plain
+        return col
+    distinct.discard(None)
+    if (len(distinct) > DICT_MAX_CARDINALITY
+            or not all(isinstance(v, str) for v in distinct)):
+        return col
+    dictionary: list = []
+    code_of: dict = {}
+    codes = array("l", bytes(n * _CODE_ITEMSIZE))
+    pres = col.present
+    for i, v in enumerate(values):
+        if pres is not None and not pres[i]:
+            codes[i] = -1
+            continue
+        code = code_of.get(v)
+        if code is None:
+            code = len(dictionary)
+            code_of[v] = code
+            dictionary.append(v)
+        codes[i] = code
+    _M_DICT_COLUMNS.inc()
+    return Column(col.name, None, col.write_ts, pres,
+                  codes=codes, dictionary=dictionary, code_of=code_of)
 
 
 _CODE_ITEMSIZE = array("l").itemsize
@@ -176,62 +163,50 @@ class ColumnBlock:
     tombstone-shadowed); ``tombstones`` keeps the sparse ``offset ->
     tombstone_ts`` map so dead rows round-trip exactly.
 
-    A block is either *eager* (:meth:`from_rows`: every column encoded
-    when the block is built — an SSTable stores one, every partition's
-    rows next to each other) or *row-backed*
-    (:meth:`over_rows`: a memtable partition's face or the rows a
-    merge emitted stay the store of record and :meth:`column`
+    A block is *eager* — plain (:meth:`transposed`: a write's rows; a
+    memtable partition's face) or dictionary-encoded (:meth:`encoded`:
+    an SSTable's run) — or *row-backed* (:meth:`over_rows`: rows a
+    merge emitted stay the store of record, and :meth:`column`
     transposes a column out of them the first time a kernel names it).
-    Kernels see the same :class:`Column`, and the merge the same
-    ``live``/``n_dead``, either way.
+    Kernels see the same :class:`Column` either way.
     """
 
-    __slots__ = ("_clustering", "n", "columns", "live", "n_dead",
+    __slots__ = ("clustering", "n", "columns", "live", "n_dead",
                  "tombstones", "_rows", "row_backed")
 
     def __init__(self, clustering: list[tuple], columns: dict[str, Column],
-                 live: bytearray | None, n_dead: int,
                  tombstones: dict[int, int]):
-        self._clustering = clustering
-        self.n = len(clustering)
+        self.clustering = clustering  # ascending within each partition
+        self.n = n = len(clustering)
         self.columns = columns
-        self.live = live
-        self.n_dead = n_dead
         self.tombstones = tombstones
+        # A row is dead when a tombstone marks it and no cell survives.
+        dead = [i for i in tombstones
+                if not any(c.present is None or c.present[i]
+                           for c in columns.values())]
+        self.live = None
+        if dead:
+            self.live = bytearray(b"\x01" * n)
+            for i in dead:
+                self.live[i] = 0
+        self.n_dead = len(dead)
         self._rows: list[Row] | None = None
         self.row_backed = False
 
     @classmethod
-    def over_rows(cls, rows: list[Row],
-                  clustering: list[tuple] | None = None) -> "ColumnBlock":
+    def over_rows(cls, rows: list[Row]) -> "ColumnBlock":
         """A block over *rows* as they are, in ascending clustering
-        order: a memtable partition's face (which passes its sorted key
-        list as *clustering*), what :func:`merge_views` emitted, a
-        copy replicas exchanged.  Dead rows are reported as an eager
-        block reports them (``n_dead``/``live``); nothing is encoded, and
-        a read that names no cell column (a count, a rehydration) never
-        transposes one."""
-        n = len(rows)
-        dead = [i for i, r in enumerate(rows)
-                if not r.values and r.tombstone_ts is not None]
-        live = None
-        if dead:
-            live = bytearray(b"\x01" * n)
-            for i in dead:
-                live[i] = 0
-        block = cls((), {}, live, len(dead), {})
-        block._clustering = clustering  # None: read off the rows when named
-        block.n = n
+        order: what :func:`merge_views` emitted, a copy replicas
+        exchanged.  Dead rows are reported as an eager block reports
+        them (``n_dead``/``live``); nothing is encoded, and a read that
+        names no cell column (a count, a rehydration) never transposes
+        one."""
+        block = cls([r.clustering for r in rows], {},
+                    {i: r.tombstone_ts for i, r in enumerate(rows)
+                     if not r.values and r.tombstone_ts is not None})
         block._rows = rows
         block.row_backed = True
         return block
-
-    @property
-    def clustering(self) -> list[tuple]:
-        """The ascending clustering-key array."""
-        if self._clustering is None:
-            self._clustering = [r.clustering for r in self._rows]
-        return self._clustering
 
     def column(self, name: str) -> Column | None:
         """The cell column *name*; None when an eager block stores no
@@ -250,39 +225,50 @@ class ColumnBlock:
         return col
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Row]) -> "ColumnBlock":
-        """Encode *rows* as they are ordered (a partition's, ascending by
-        clustering key; a run's, partition after partition).  Low-
-        cardinality string columns are dictionary-encoded over all of
-        them."""
+    def transposed(cls, rows: Sequence[Row]) -> "ColumnBlock":
+        """A plain eager block of *rows*, in their order: every cell
+        with its write timestamp, every tombstone marker — what a hint
+        replay or a repair push appends to a memtable."""
         n = len(rows)
-        clustering = [r.clustering for r in rows]
-        builders: dict[str, _ColumnBuilder] = {}
+        columns: dict[str, Column] = {}
         tombstones: dict[int, int] = {}
-        live: bytearray | None = None
-        n_dead = 0
         for i, row in enumerate(rows):
             if row.tombstone_ts is not None:
                 tombstones[i] = row.tombstone_ts
-                if not row.values:
-                    if live is None:
-                        live = bytearray(b"\x01" * n)
-                    live[i] = 0
-                    n_dead += 1
             write_ts, cell_ts = row.write_ts, row.cell_ts
             for name, value in row.values.items():
-                builder = builders.get(name)
-                if builder is None:
-                    builder = builders[name] = _ColumnBuilder(name, n)
-                builder.values[i] = value
-                builder.write_ts[i] = (write_ts if cell_ts is None
-                                       else cell_ts.get(name, write_ts))
-                builder.present[i] = 1
-                builder.count += 1
-        columns = {name: b.finalize(n) for name, b in builders.items()}
+                col = columns.get(name)
+                if col is None:
+                    col = columns[name] = Column(
+                        name, [None] * n, array("q", bytes(8 * n)),
+                        bytearray(n))
+                col.values[i] = value
+                col.write_ts[i] = (write_ts if cell_ts is None
+                                   else cell_ts.get(name, write_ts))
+                col.present[i] = 1
+        for col in columns.values():
+            if 0 not in col.present:
+                col.present = None
+        return cls([r.clustering for r in rows], columns, tombstones)
+
+    def encoded(self) -> "ColumnBlock":
+        """This plain block with its low-cardinality string columns
+        dictionary-encoded over all its rows: a run's block."""
         _M_BLOCK_BUILDS.inc()
-        _M_BLOCK_ROWS.inc(n)
-        return cls(clustering, columns, live, n_dead, tombstones)
+        _M_BLOCK_ROWS.inc(self.n)
+        return ColumnBlock(self.clustering,
+                           {name: _encoded(Column(name, col.values,
+                                                  array("q", col.write_ts),
+                                                  col.present), self.n)
+                            for name, col in self.columns.items()},
+                           self.tombstones)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row]) -> "ColumnBlock":
+        """The encoded block of *rows* as they are ordered (a
+        partition's, ascending by clustering key; a run's, partition
+        after partition)."""
+        return cls.transposed(rows).encoded()
 
     def row_at(self, i: int) -> Row:
         """Materialize the exact Row stored at offset *i* (timestamps,

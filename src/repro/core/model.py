@@ -40,6 +40,7 @@ import json
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.cassdb import Cluster, ClusteringBound, TableSchema
+from repro.cassdb.row import UNSET, columns_of
 from repro.cassdb.vector import column_lists
 from repro.genlog.jobs import ApplicationRun
 from repro.genlog.templates import render_line
@@ -148,13 +149,12 @@ class LogDataModel:
 
     def load_nodeinfos(self, topology: TitanTopology) -> int:
         return self.cluster.insert_many(
-            "nodeinfos", topology.nodeinfo_rows()
-        )
+            "nodeinfos", columns_of(topology.nodeinfo_rows()))
 
     def load_eventtypes(self, registry: EventRegistry) -> int:
         return self.cluster.insert_many(
             "eventtypes",
-            (
+            columns_of(
                 {
                     "name": t.name,
                     "category": t.category,
@@ -180,49 +180,45 @@ class LogDataModel:
     # -- event ingestion (EventSink protocol) -------------------------------------
 
     def write_events(self, events: Iterable) -> int:
-        """Persist events into both dual views (Fig 1) as one batch each.
+        """Persist events into both dual views (Fig 1) as one batch each;
+        returns events written.
 
         Accepts anything with ``ts/type/component/amount/attrs``
         attributes (generator events, parsed events).  This is the
         batched :class:`~repro.ingest.sink.EventSink` entry point: one
         call — one ETL task's events, or everything one streaming poll
-        closed — produces one :meth:`~repro.cassdb.Cluster.write_batch`
-        per view table, so the backend sees two batched commits (two
-        epoch bumps) rather than two per-row writes per event.  ``seq``
-        is assigned in the order the events arrive.
+        closed — becomes one list per column, and the dual views share
+        those lists: one :meth:`~repro.cassdb.Cluster.write_batch` per
+        view table, each extracting its own partition key, so the
+        backend sees two batched commits (two epoch bumps) and no
+        per-event object.  ``seq`` is assigned in the order the events
+        arrive; an event without ``attrs`` leaves that cell unset.
         """
-        rows: list[dict[str, Any]] = []
+        columns: dict[str, list] = {name: [] for name in (
+            "ts", "seq", "amount", "hour", "type", "source", "attrs", "msg")}
+        ts, seq, amount, hour, types, source, attrs, msg = columns.values()
         # Both views bucket by the same hour column.
         hour_of = _BY_TIME.bucket_of
+        next_seq = self._seq.__next__
         for event in events:
-            seq = next(self._seq)
-            hour = hour_of(event.ts)
-            attrs_json = _attrs_json(event.attrs) if event.attrs else None
-            row = {
-                "ts": float(event.ts),
-                "seq": seq,
-                "amount": int(getattr(event, "amount", 1)),
-                "hour": hour,
-                "type": event.type,
-                "source": event.component,
-            }
-            if attrs_json:
-                row["attrs"] = attrs_json
+            ts.append(float(event.ts))
+            seq.append(next_seq())
+            amount.append(int(getattr(event, "amount", 1)))
+            hour.append(hour_of(event.ts))
+            types.append(event.type)
+            source.append(event.component)
+            attrs.append(_attrs_json(event.attrs) if event.attrs else UNSET)
             # Retain the raw message (semi-structured retention, §II-A);
             # generator events are rendered on the fly so text mining has
             # a corpus either way.
             raw = getattr(event, "raw", None)
             if raw is None:
                 raw = render_line(event).split(": ", 1)[-1]
-            row["msg"] = raw
-            rows.append(row)
-        if not rows:
+            msg.append(raw)
+        if not ts:
             return 0
-        # The dual views share the same column set — (hour, type) and
-        # (hour, source) both appear in every row; each schema extracts
-        # its own partition key from the shared dicts.
-        n = self.cluster.write_batch("event_by_time", rows)
-        self.cluster.write_batch("event_by_location", rows)
+        n = self.cluster.write_batch("event_by_time", columns)
+        self.cluster.write_batch("event_by_location", columns)
         return n
 
     # -- application ingestion --------------------------------------------------------
@@ -257,9 +253,12 @@ class LogDataModel:
                 by_location.append({**common, "source": cname})
             n += 1
         if n:
-            self.cluster.write_batch("application_by_time", by_time)
-            self.cluster.write_batch("application_by_user", by_user)
-            self.cluster.write_batch("application_by_location", by_location)
+            self.cluster.write_batch("application_by_time",
+                                     columns_of(by_time))
+            self.cluster.write_batch("application_by_user",
+                                     columns_of(by_user))
+            self.cluster.write_batch("application_by_location",
+                                     columns_of(by_location))
         return n
 
     # -- event queries ------------------------------------------------------------
@@ -361,12 +360,12 @@ class LogDataModel:
         written."""
         # An event without an ``amount`` cell counts once, as in
         # :func:`event_amounts`.
-        return self.cluster.insert_many("eventsynopsis", [
+        return self.cluster.insert_many("eventsynopsis", columns_of(
             {"hour": r["hour"], "type": r["type"],
              "occurrences": r["count"],
              "total_amount": ((r["sum_amount"] or 0)
                               + r["count"] - r["count_amount"])}
-            for r in session.execute(_SYNOPSIS_CQL)])
+            for r in session.execute(_SYNOPSIS_CQL)))
 
     def synopsis_for_hour(self, hour: int) -> list[dict[str, Any]]:
         return self.cluster.select_partition("eventsynopsis", (hour,))

@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro import obs
 from repro.bus import ConsumerGroup, MessageBus, Producer
+from repro.cassdb.row import columns_of
 
 from .batch import merge_events
 from .parsers import LineParser, ParsedEvent, default_parser
@@ -231,7 +232,8 @@ class TopicIngestor:
             batch[table].append(row)
         for table, rows in batch.items():
             if rows:
-                self._landed(table, self.cluster.write_batch(table, rows))
+                self._landed(table, self.cluster.write_batch(
+                    table, columns_of(rows)))
 
     def _landed(self, table: str, written: int) -> None:
         self.rows_landed[table] += written

@@ -5,9 +5,10 @@ time goes, not merely count events.  Metrics (PR 1) count; traces
 (PR 5) time individual requests; this module closes the remaining gap
 — **which code is hot right now?** — with the standard low-overhead
 answer: a dedicated sampler thread walks ``sys._current_frames()`` at
-a configurable rate (default 50 Hz), folds each thread's Python stack
-into a flamegraph-style ``root;...;leaf`` string, and accumulates
-counts in bounded per-component flame tables.
+a configurable rate (default 50 Hz), counts each thread's Python stack
+as its tuple of code objects in bounded per-component flame tables,
+and a read of the tables names and joins each stack into a
+flamegraph-style ``root;...;leaf`` string.
 
 Attribution rides the existing :class:`~repro.obs.trace.Tracer`: spans
 register themselves per thread on entry (``Tracer.thread_components``),
@@ -18,8 +19,8 @@ outside any trace fold under :data:`IDLE_COMPONENT`.
 Cost and boundedness discipline (the MetricsRegistry rules):
 
 * sampling cost is independent of request volume — one
-  ``sys._current_frames()`` call plus cached per-code-object name
-  lookups per tick, whatever the load;
+  ``sys._current_frames()`` call and a walk of each stack's code
+  objects per tick, whatever the load; naming happens at read;
 * flame tables are cardinality-capped (*max_components* components,
   *max_stacks_per_component* distinct stacks each); overflow folds
   into an ``(overflow)`` bucket and increments the
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from types import CodeType, FrameType
+from types import CodeType
 from typing import Any, Iterable, Mapping
 
 __all__ = [
@@ -55,6 +56,9 @@ IDLE_COMPONENT = "idle"
 
 #: Reserved flame-table key absorbing samples past the cardinality cap.
 OVERFLOW_KEY = "(overflow)"
+
+# Root-side frame of a stack cut to ``max_depth``.
+_TRUNCATED = "(truncated)"
 
 
 def component_of(span_name: str) -> str:
@@ -91,12 +95,13 @@ class SamplingProfiler:
         self._m_samples = self.registry.counter("obs.profile.samples")
         self._m_dropped = self.registry.counter("obs.profile.dropped_frames")
         self._lock = threading.Lock()
-        # component -> folded stack -> cumulative sample count
-        self._tables: dict[str, dict[str, int]] = {}
-        # code object -> rendered "module.qualname" (bounded cache; code
-        # objects are hashable and long-lived, so keying by them is both
-        # correct and GC-friendly enough at this cap).
+        # component -> stack (code objects, or a folded string) ->
+        # cumulative sample count
+        self._tables: dict[str, dict[tuple | str, int]] = {}
+        # code object -> rendered "module.qualname" (bounded cache), and
+        # source file -> module name: filled when a table is read.
         self._code_names: dict[CodeType, str] = {}
+        self._modules: dict[str | None, str] = {}
         self.samples = 0
         self.dropped_frames = 0
         self._thread: threading.Thread | None = None
@@ -146,41 +151,34 @@ class SamplingProfiler:
 
     # -- sampling --------------------------------------------------------
 
-    def _frame_name(self, code: CodeType, frame: FrameType) -> str:
-        name = self._code_names.get(code)
-        if name is None:
-            module = frame.f_globals.get("__name__", "?")
-            name = f"{module}.{code.co_qualname}"
-            if len(self._code_names) >= 4096:  # bounded cache
-                self._code_names.clear()
-            self._code_names[code] = name
-        return name
-
-    def _fold(self, frame: FrameType | None) -> str:
-        parts: list[str] = []
-        while frame is not None:
-            parts.append(self._frame_name(frame.f_code, frame))
-            frame = frame.f_back
-        parts.reverse()  # root first, leaf last (flamegraph order)
-        if len(parts) > self.max_depth:  # keep the leaf side: it names
-            parts = ["(truncated)"] + parts[-self.max_depth:]  # the hot code
-        return ";".join(parts)
-
     def sample_once(self) -> int:
-        """Walk every thread's stack once; returns samples recorded."""
+        """Walk every thread's stack once; returns samples recorded.
+
+        A sample is its code objects, leaf first, cut to ``max_depth``
+        on the leaf side (a ``(truncated)`` marker stands for the rest):
+        nothing is named until a table is read (:meth:`tables`)."""
         components = self.tracer.thread_components()
         frames = sys._current_frames()
+        depth = self.max_depth
         recorded = 0
         for tid, frame in frames.items():
             if tid == self._sampler_tid:
                 continue
-            self.record(components.get(tid, IDLE_COMPONENT),
-                        self._fold(frame))
+            codes: list = []
+            while frame is not None:
+                if len(codes) == depth:
+                    codes.append(_TRUNCATED)
+                    break
+                codes.append(frame.f_code)
+                frame = frame.f_back
+            self.record(components.get(tid, IDLE_COMPONENT), tuple(codes))
             recorded += 1
         return recorded
 
-    def record(self, component: str, folded: str, n: int = 1) -> bool:
-        """Fold *n* samples of one stack into a component's flame table.
+    def record(self, component: str, stack: tuple | str, n: int = 1) -> bool:
+        """Count *n* samples of one stack — code objects leaf first, or
+        an already folded ``root;...;leaf`` string — in a component's
+        flame table.
 
         Returns False when a cardinality cap redirected the samples
         into an ``(overflow)`` bucket (they are still counted there —
@@ -204,7 +202,7 @@ class SamplingProfiler:
                     self._m_samples.inc(n)
                     return False
                 table = self._tables[component] = {}
-            if folded not in table:
+            if stack not in table:
                 # Same reservation per table: distinct stacks plus the
                 # overflow bucket never exceed max_stacks_per_component.
                 limit = self.max_stacks_per_component - 1 + (
@@ -216,7 +214,7 @@ class SamplingProfiler:
                     self.samples += n
                     self._m_samples.inc(n)
                     return False
-            table[folded] = table.get(folded, 0) + n
+            table[stack] = table.get(stack, 0) + n
             self.samples += n
             self._m_samples.inc(n)
             return True
@@ -224,10 +222,38 @@ class SamplingProfiler:
     # -- export ----------------------------------------------------------
 
     def tables(self) -> dict[str, dict[str, int]]:
-        """Cumulative flame tables: component → folded stack → samples."""
+        """Cumulative flame tables: component → folded stack → samples.
+        Stacks that name alike (two code objects of one function, or
+        stacks alike below a truncation) add up."""
         with self._lock:
-            return {comp: dict(stacks)
-                    for comp, stacks in self._tables.items()}
+            held = [(comp, list(stacks.items()))
+                    for comp, stacks in self._tables.items()]
+        out: dict[str, dict[str, int]] = {}
+        for comp, stacks in held:
+            table = out[comp] = {}
+            for stack, count in stacks:
+                if not isinstance(stack, str):
+                    stack = ";".join(code if isinstance(code, str)
+                                     else self._name(code)
+                                     for code in reversed(stack))
+                table[stack] = table.get(stack, 0) + count
+        return out
+
+    def _name(self, code: CodeType) -> str:
+        """``module.qualname`` of a code object, its module the loaded
+        one whose file the code came from ("?" for none)."""
+        name = self._code_names.get(code)
+        if name is None:
+            if code.co_filename not in self._modules:  # loaded since?
+                self._modules = {getattr(mod, "__file__", None): mod_name
+                                 for mod_name, mod
+                                 in reversed(list(sys.modules.items()))}
+            name = (f"{self._modules.get(code.co_filename, '?')}."
+                    f"{code.co_qualname}")
+            if len(self._code_names) >= 4096:  # bounded cache
+                self._code_names.clear()
+            self._code_names[code] = name
+        return name
 
     def stack_count(self) -> int:
         """Distinct stacks currently held (the boundedness witness)."""

@@ -169,10 +169,12 @@ class TextFileRDD(RDD):
         with open(self.path, "rb") as fh:
             fh.seek(start)
             count = 0
-            while fh.tell() < end:
-                line = fh.readline()
-                if not line:
+            # Count the bytes read instead of asking tell() per line: a
+            # tell() is an lseek that gives up the GIL.
+            for line in fh:
+                if start >= end:
                     break
+                start += len(line)
                 count += 1
                 yield line.decode("utf-8", errors="replace").rstrip("\n")
             tc.metrics.records_read += count

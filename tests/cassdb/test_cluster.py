@@ -6,6 +6,7 @@ import pytest
 
 from repro.cassdb import Cluster, ClusteringBound, Consistency, TableSchema
 from repro.cassdb.errors import SchemaError, UnavailableError
+from repro.cassdb.row import columns_of
 
 EVENTS = TableSchema(
     "event_by_time", partition_key=("hour", "type"), clustering_key=("ts", "seq")
@@ -99,7 +100,7 @@ class TestWriteReadRoundtrip:
         cluster = make_cluster()
         n = cluster.insert_many(
             "event_by_time",
-            ({"hour": 0, "type": "T", "ts": float(i), "seq": 0} for i in range(7)),
+            columns_of(({"hour": 0, "type": "T", "ts": float(i), "seq": 0} for i in range(7))),
         )
         assert n == 7
 
@@ -303,9 +304,9 @@ class TestEpochsFollowEveryRowThatLands:
     def test_a_write_advances_its_bucket_and_the_table(self):
         cluster = Cluster(2, replication_factor=2)
         cluster.create_table(self.HOURLY)
-        cluster.write_batch("hourly", [
+        cluster.write_batch("hourly", columns_of([
             {"hour": 1, "type": t, "ts": 3600.0 + i}
-            for i, t in enumerate(["MCE", "LBUG", "MCE"])])
+            for i, t in enumerate(["MCE", "LBUG", "MCE"])]))
         assert self.epochs(cluster) == (1, 0, 1)
 
     def test_a_hint_replay_advances_the_epochs(self):
@@ -420,9 +421,9 @@ class TestScatterGather:
             clustering_key=("ts", "seq"), time_bucket=("bucket", 60.0))
         cluster = Cluster(4, replication_factor=2)
         cluster.create_table(windowed)
-        cluster.write_batch("w", [
+        cluster.write_batch("w", columns_of([
             {"bucket": b, "part": "a", "ts": b * 60.0 + i, "seq": i, "v": i}
-            for b in range(8) for i in range(3)])
+            for b in range(8) for i in range(3)]))
         keys = [(b, "a") for b in range(8)]
         threads = set(threading.enumerate())
         assert [len(rows) for rows in

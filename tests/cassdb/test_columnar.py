@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
-from repro.cassdb.memtable import Memtable
-from repro.cassdb.row import Row
+from repro.cassdb.memtable import Batch, Memtable
+from repro.cassdb.row import Row, columns_of
 from repro.cassdb.sstable import SSTable
 from repro.cassdb.vector import (
     BlockView,
@@ -82,7 +82,7 @@ class TestColumnBlock:
         mt = Memtable()
         for pk in ("a", "b", "c"):
             for i in range(3):
-                mt.upsert_many([(pk, _row(float(i), type=pk + "x"))])
+                mt.append(Batch.of_rows([(pk, _row(float(i), type=pk + "x"))]))
         sst = SSTable.from_memtable(mt)
         col = sst.block.columns["type"]
         assert col.codes is not None
@@ -419,7 +419,7 @@ def _seed_session(flush=True):
     cluster = Cluster(4, replication_factor=2)
     cluster.create_table(TableSchema(
         "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
-    cluster.insert_many("ev", EV_ROWS)
+    cluster.insert_many("ev", columns_of(EV_ROWS))
     s = Session(cluster)
     if flush:
         s.cluster.flush_all()
@@ -485,7 +485,7 @@ class TestSSTableColumnar:
     def test_from_memtable_builds_blocks(self):
         mt = Memtable()
         for i in range(10):
-            mt.upsert_many([("pk", _row(float(i), type=TYPES[i]))])
+            mt.append(Batch.of_rows([("pk", _row(float(i), type=TYPES[i]))]))
         sst = SSTable.from_memtable(mt)
         assert sst.offsets.get("pk") == (0, 10)
         block = sst.block
@@ -496,7 +496,7 @@ class TestSSTableColumnar:
         # The repair tests lose a partition by dropping its offset; the
         # loss must reach the read, not just the partition index.
         mt = Memtable()
-        mt.upsert_many([("pk", _row(1.0))])
+        mt.append(Batch.of_rows([("pk", _row(1.0))]))
         sst = SSTable.from_memtable(mt)
         sst.offsets.pop("pk", None)
         assert sst.slice_partition_view("pk", None, None) is None

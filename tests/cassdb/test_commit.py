@@ -40,7 +40,9 @@ from repro.cassdb.errors import (
     UnavailableError,
     WriteTimeoutError,
 )
+from repro.cassdb.memtable import Batch
 from repro.cassdb.node import StorageNode
+from repro.cassdb.row import Row, columns_of
 from repro.chaos import FaultGate, FaultPlan, FlapSpec
 
 SCHEMA = TableSchema("t", partition_key=("pk",), clustering_key=("ck",))
@@ -101,7 +103,7 @@ class TestHintHolder:
         cluster.crash_node(VICTIM)
         rows = [{"pk": pk, "ck": 0, "v": pk} for pk in pks]
         if op == "write_batch":
-            cluster.write_batch("t", rows, Consistency.ONE)
+            cluster.write_batch("t", columns_of(rows), Consistency.ONE)
         else:
             for values in rows:
                 cluster.insert("t", values, Consistency.ONE)
@@ -202,7 +204,7 @@ class TestFaultMatrix:
         heal = _inject(cluster, fault)
         error = None
         try:
-            cluster.write_batch("t", rows, level)
+            cluster.write_batch("t", columns_of(rows), level)
         except CassDBError as exc:
             error = exc
 
@@ -286,7 +288,7 @@ class TestFaultMatrix:
 
         monkeypatch.setattr(StorageNode, "write_rows", spy)
         with pytest.raises(BatchWriteTimeoutError) as raised:
-            cluster.write_batch("t", rows, Consistency.QUORUM)
+            cluster.write_batch("t", columns_of(rows), Consistency.QUORUM)
         assert raised.value.applied_rows == len(clear)
         assert cluster.coordinator_writes == len(clear)
         # The victim-free groups went out once, to both replicas; the
@@ -312,7 +314,7 @@ class TestOneApplyPerNode:
 
         monkeypatch.setattr(StorageNode, "write_rows", spy)
         rows = [{"pk": f"p{i % 97}", "ck": i, "v": i} for i in range(n_rows)]
-        assert cluster.write_batch("t", rows) == n_rows
+        assert cluster.write_batch("t", columns_of(rows)) == n_rows
         assert all(len(sizes) == 1 for sizes in calls.values())
         assert sum(sizes[0] for sizes in calls.values()) == 2 * n_rows
         assert cluster.total_rows("t") == n_rows
@@ -345,7 +347,8 @@ class TestOneWritePerReplica:
         pks = [pk for pk in pks
                if cluster.ring.replicas(ring_key(pk))[0] == partner]
         cluster.kill_node(VICTIM)
-        cluster.write_batch("t", [{"pk": pk, "ck": 0} for pk in pks])
+        cluster.write_batch("t", columns_of(
+            [{"pk": pk, "ck": 0} for pk in pks]))
         target, revived = VICTIM, partner
         if holder == "peers":
             revived = VICTIM      # the partner holds hints for it
@@ -374,10 +377,12 @@ class TestOneWritePerReplica:
         (peer, for_victim), (other, for_other) = list(by_other.items())[:2]
         for_victim, for_other = for_victim[:3], for_other[:3]
         cluster.crash_node(other)  # the victim holds hints for it
-        cluster.write_batch("t", [{"pk": pk, "ck": 0} for pk in for_other])
+        cluster.write_batch("t", columns_of(
+            [{"pk": pk, "ck": 0} for pk in for_other]))
         cluster.recover_node(other)
         cluster.kill_node(VICTIM)  # the peer holds hints for the victim
-        cluster.write_batch("t", [{"pk": pk, "ck": 0} for pk in for_victim])
+        cluster.write_batch("t", columns_of(
+            [{"pk": pk, "ck": 0} for pk in for_victim]))
         assert {nid: [h.target_node for h in hints] for nid, hints
                 in hints_by_holder(cluster).items()} == {
             VICTIM: [other] * 3, peer: [VICTIM] * 3}
@@ -426,15 +431,14 @@ class TestOneWritePerReplica:
         cluster = Cluster(4, replication_factor=3)
         cluster.create_table(SCHEMA)
         replicas = cluster.ring.replicas(ring_key("p0"))
-        cluster.write_batch("t", [{"pk": "p0", "ck": ck} for ck in range(4)],
+        cluster.write_batch("t", columns_of([{"pk": "p0", "ck": ck} for ck in range(4)]),
                             Consistency.ALL)
-        extra = {ck: SCHEMA.row_builder({"pk": "p0", "ck": ck, "v": ck},
-                                        cluster.next_write_ts())[1]
+        extra = {ck: Row((ck,), {"v": ck}, cluster.next_write_ts())
                  for ck in (10, 11, 12)}
         holds = self.HOLDS[case]
         for position, cks in holds.items():
             cluster.nodes[replicas[position]].write_rows(
-                "t", [(("p0",), extra[ck]) for ck in cks])
+                "t", Batch.of_rows([(("p0",), extra[ck]) for ck in cks]))
         calls = self.spy_writes(monkeypatch)
         assert cluster.repair("t") == 1
         lacked = {rid: 3 - len(holds.get(position, ()))
@@ -447,10 +451,9 @@ class TestOneWritePerReplica:
         cluster = Cluster(4, replication_factor=3)
         cluster.create_table(SCHEMA)
         first, second, third = cluster.ring.replicas(ring_key("p0"))
-        rows = [SCHEMA.row_builder({"pk": "p0", "ck": ck},
-                                   cluster.next_write_ts())[1]
-                for ck in range(5)]
-        cluster.nodes[first].write_rows("t", [(("p0",), r) for r in rows])
+        rows = [Row((ck,), {}, cluster.next_write_ts()) for ck in range(5)]
+        cluster.nodes[first].write_rows("t", Batch.of_rows(
+            [(("p0",), r) for r in rows]))
         real = StorageNode.write_rows
 
         def crashed_after_answering(node, table, items):
@@ -591,7 +594,8 @@ class TestCommitHistories:
                     rows = [{"pk": pk, "ck": ck, "v": v}
                             for pk, ck, v in cells]
                     written = attempt(
-                        lambda: cluster.write_batch("t", rows, level),
+                        lambda: cluster.write_batch("t", columns_of(
+                            rows), level),
                         [pk for pk, _, _ in cells], level)
                     for pk, ck, v in cells:
                         if pk in written:

@@ -1,6 +1,9 @@
 """Unit tests for the memtable and SSTable layers."""
 
-from repro.cassdb.memtable import Memtable
+import sys
+import threading
+
+from repro.cassdb.memtable import Batch, Memtable
 from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
@@ -22,7 +25,7 @@ def flushed(partitions):
     """The run a flush builds from ``partition key -> sorted rows``."""
     memtable = Memtable()
     for pk, rows in partitions.items():
-        memtable.upsert_many((pk, row) for row in rows)
+        memtable.append(Batch.of_rows((pk, row) for row in rows))
     return SSTable.from_memtable(memtable)
 
 
@@ -35,7 +38,7 @@ class TestMemtable:
     def test_upsert_and_sorted_rows(self):
         mt = Memtable()
         for ts in (5.0, 1.0, 3.0):
-            mt.upsert_many([("pk", _row(ts))])
+            mt.append(Batch.of_rows([("pk", _row(ts))]))
         view, pruned = mt.slice_partition_view("pk")
         keys = view.block.clustering
         assert [r.clustering for r in view.to_rows()] == keys
@@ -44,50 +47,51 @@ class TestMemtable:
 
     def test_upsert_same_key_merges(self):
         mt = Memtable()
-        mt.upsert_many([("pk", Row.from_values((1.0, 0), {"a": 1},
-                                               write_ts=1))])
-        mt.upsert_many([("pk", Row.from_values((1.0, 0), {"b": 2},
-                                               write_ts=2))])
-        assert mt.row_count == 1
-        row = mt.partitions["pk"].rows[(1.0, 0)]
+        mt.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"a": 1},
+                                               write_ts=1))]))
+        mt.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"b": 2},
+                                               write_ts=2))]))
+        (row,) = mt.slice_partition_view("pk")[0].to_rows()
         assert row.as_dict() == {"a": 1, "b": 2}
+        assert mt.row_count == 1
 
     def test_row_count_across_partitions(self):
         mt = Memtable()
-        mt.upsert_many([("p1", _row(1.0))])
-        mt.upsert_many([("p2", _row(1.0))])
-        mt.upsert_many([("p2", _row(2.0))])
+        mt.append(Batch.of_rows([("p1", _row(1.0))]))
+        mt.append(Batch.of_rows([("p2", _row(1.0))]))
+        mt.append(Batch.of_rows([("p2", _row(2.0))]))
         assert mt.row_count == 3
         assert len(mt) == 3
 
     def test_delete_writes_tombstone(self):
         mt = Memtable()
-        mt.upsert_many([("pk", _row(1.0, ts_write=1))])
-        mt.upsert_many([("pk", Row((1.0, 0), {}, tombstone_ts=2))])
-        row = mt.partitions["pk"].rows[(1.0, 0)]
+        mt.append(Batch.of_rows([("pk", _row(1.0, ts_write=1))]))
+        mt.append(Batch.of_rows([("pk", Row((1.0, 0), {}, tombstone_ts=2))]))
+        (row,) = mt.slice_partition_view("pk")[0].to_rows()
         assert not row.is_live
 
     def test_delete_before_insert(self):
         mt = Memtable()
-        mt.upsert_many([("pk", Row((9.0, 0), {}, tombstone_ts=5))])
+        mt.append(Batch.of_rows([("pk", Row((9.0, 0), {}, tombstone_ts=5))]))
         assert mt.row_count == 1
-        assert not mt.partitions["pk"].rows[(9.0, 0)].is_live
+        (row,) = mt.slice_partition_view("pk")[0].to_rows()
+        assert row.clustering == (9.0, 0) and not row.is_live
 
     def test_missing_partition(self):
         assert Memtable().slice_partition_view("nope") is None
 
     def test_sorted_keys_cache_invalidation(self):
         mt = Memtable()
-        mt.upsert_many([("pk", _row(2.0))])
-        part = mt.partitions["pk"]
-        assert part.sorted_keys() == [(2.0, 0)]
-        mt.upsert_many([("pk", _row(1.0))])
-        assert part.sorted_keys() == [(1.0, 0), (2.0, 0)]
+        mt.append(Batch.of_rows([("pk", _row(2.0))]))
+        assert mt.slice_partition_view("pk")[0].block.clustering == [(2.0, 0)]
+        mt.append(Batch.of_rows([("pk", _row(1.0))]))
+        assert mt.slice_partition_view("pk")[0].block.clustering == [
+            (1.0, 0), (2.0, 0)]
 
     def test_reads_between_writes_share_one_face(self):
         mt = Memtable()
         for ts in range(10):
-            mt.upsert_many([("pk", _row(float(ts)))])
+            mt.append(Batch.of_rows([("pk", _row(float(ts)))]))
         first, _ = mt.slice_partition_view("pk", ClusteringBound((2.0,)))
         column = first.block.column("v")
         second, pruned = mt.slice_partition_view(
@@ -100,12 +104,12 @@ class TestMemtable:
 
     def test_every_kind_of_write_drops_the_face(self):
         mt = Memtable()
-        mt.upsert_many([("pk", _row(1.0))])
+        mt.append(Batch.of_rows([("pk", _row(1.0))]))
         for write in (_row(2.0),                              # new key
                       _row(1.0, ts_write=2, w=7),             # merge
                       Row((2.0, 0), {}, tombstone_ts=3)):     # marker
             before, _ = mt.slice_partition_view("pk")
-            mt.upsert_many([("pk", write)])
+            mt.append(Batch.of_rows([("pk", write)]))
             after, _ = mt.slice_partition_view("pk")
             assert after.block is not before.block
         assert [r.as_dict() for r in after.live().to_rows()] == [
@@ -113,12 +117,12 @@ class TestMemtable:
 
     def test_a_view_taken_before_a_write_keeps_its_rows(self):
         mt = Memtable()
-        mt.upsert_many([("pk", _row(1.0))])
-        mt.upsert_many([("pk", _row(2.0))])
+        mt.append(Batch.of_rows([("pk", _row(1.0))]))
+        mt.append(Batch.of_rows([("pk", _row(2.0))]))
         view, _ = mt.slice_partition_view("pk")
-        mt.upsert_many([("pk", _row(0.0))])
-        mt.upsert_many([("pk", _row(1.0, ts_write=2, v=-1))])
-        mt.upsert_many([("pk", Row((2.0, 0), {}, tombstone_ts=3))])
+        mt.append(Batch.of_rows([("pk", _row(0.0))]))
+        mt.append(Batch.of_rows([("pk", _row(1.0, ts_write=2, v=-1))]))
+        mt.append(Batch.of_rows([("pk", Row((2.0, 0), {}, tombstone_ts=3))]))
         assert [(r.clustering[0], r.value("v")) for r in view.to_rows()] == [
             (1.0, 1.0), (2.0, 2.0)]
         assert view.block.column("v").values == [1.0, 2.0]
@@ -128,7 +132,7 @@ class TestMemtable:
     def test_a_flush_builds_no_row_backed_block(self, monkeypatch):
         mt = Memtable()
         for i in range(20):
-            mt.upsert_many([(f"pk{i % 3}", _row(float(i)))])
+            mt.append(Batch.of_rows([(f"pk{i % 3}", _row(float(i)))]))
         mt.slice_partition_view("pk0")  # a face a read left behind
         calls = []
         over_rows = ColumnBlock.over_rows
@@ -144,11 +148,72 @@ class TestMemtable:
         assert not sst.block.row_backed
 
 
+class TestASealedMemtableResolvesOnce:
+    """A flush and reads resolve one sealed memtable at the same time:
+    every partition written out of order, each key three times.  Under a
+    tiny switch interval every read and the run answer the last
+    writes."""
+
+    PARTITIONS = 24
+
+    def _memtable(self):
+        mt = Memtable()
+        for rnd in range(3):
+            mt.append(Batch.of_rows(
+                (f"pk{p}", _row(float(k), ts_write=rnd + 1,
+                                v=rnd * 1000 + p * 100 + k))
+                for p in range(self.PARTITIONS)
+                for k in range(60, -1, -3)))
+        return mt
+
+    def test_a_flush_and_reads_agree(self):
+        def want(p):
+            return [(float(k), 2000 + p * 100 + k) for k in range(0, 61, 3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _trial in range(5):
+                mt = self._memtable()
+                reads, runs, errors = {}, [], []
+
+                def read(order, mt=mt, reads=reads, errors=errors):
+                    try:
+                        for p in order:
+                            view, _ = mt.slice_partition_view(f"pk{p}")
+                            reads[p] = [(r.clustering[0], r.value("v"))
+                                        for r in view.to_rows()]
+                    except Exception as exc:  # surfaced below
+                        errors.append(exc)
+
+                parts = list(range(self.PARTITIONS))
+                threads = [threading.Thread(target=read, args=(order,))
+                           for order in (parts, parts[::-1],
+                                         parts[1::2] + parts[::2])]
+                threads.insert(1, threading.Thread(
+                    target=lambda mt=mt, runs=runs: runs.append(
+                        SSTable.from_memtable(mt))))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                assert reads == {p: want(p) for p in range(self.PARTITIONS)}
+                (run,) = runs
+                assert {pk: [(r.clustering[0], r.value("v"))
+                             for r in _rows(run, pk)] for pk in run.offsets
+                        } == {f"pk{p}": want(p)
+                              for p in range(self.PARTITIONS)}
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestSSTable:
     def _sstable(self, n=100):
         mt = Memtable()
         for i in range(n):
-            mt.upsert_many([(f"pk{i % 5}", _row(float(i)))])
+            mt.append(Batch.of_rows([(f"pk{i % 5}", _row(float(i)))]))
         return SSTable.from_memtable(mt)
 
     def test_from_memtable_counts(self):
@@ -216,10 +281,10 @@ class TestScanPartition:
 class TestMergeSSTables:
     def test_duplicates_reconciled_by_timestamp(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "old"},
-                                                write_ts=1))])
-        mt2.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "new"},
-                                                write_ts=2))])
+        mt1.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": "old"},
+                                                write_ts=1))]))
+        mt2.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": "new"},
+                                                write_ts=2))]))
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
@@ -227,8 +292,8 @@ class TestMergeSSTables:
 
     def test_union_of_partitions(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert_many([("a", _row(1.0))])
-        mt2.upsert_many([("b", _row(1.0))])
+        mt1.append(Batch.of_rows([("a", _row(1.0))]))
+        mt2.append(Batch.of_rows([("b", _row(1.0))]))
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
@@ -236,9 +301,9 @@ class TestMergeSSTables:
 
     def test_tombstones_collected(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert_many([("pk", Row.from_values((1.0, 0), {"v": 1},
-                                                write_ts=1))])
-        mt2.upsert_many([("pk", Row((1.0, 0), {}, tombstone_ts=2))])
+        mt1.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": 1},
+                                                write_ts=1))]))
+        mt2.append(Batch.of_rows([("pk", Row((1.0, 0), {}, tombstone_ts=2))]))
         merged = merge_sstables(
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
@@ -246,10 +311,10 @@ class TestMergeSSTables:
 
     def test_merge_order_independent(self):
         mt1, mt2 = Memtable(), Memtable()
-        mt1.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "a"},
-                                                write_ts=9))])
-        mt2.upsert_many([("pk", Row.from_values((1.0, 0), {"v": "b"},
-                                                write_ts=3))])
+        mt1.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": "a"},
+                                                write_ts=9))]))
+        mt2.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": "b"},
+                                                write_ts=3))]))
         s1, s2 = SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)
         assert (
             _rows(merge_sstables([s1, s2]), "pk")[0].value("v")

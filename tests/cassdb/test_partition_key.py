@@ -11,6 +11,7 @@ import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
 from repro.cassdb.errors import SchemaError
+from repro.cassdb.row import columns_of
 from repro.core.model import TABLE_SCHEMAS
 from repro.sparklet import SparkletContext
 
@@ -33,7 +34,8 @@ class TestTypesSurviveEveryRead:
     @pytest.fixture
     def cluster(self):
         cluster = _cluster(INT_KEYED)
-        cluster.insert_many("t", [{"k": 1, "c": c, "v": c} for c in range(3)])
+        cluster.insert_many("t", columns_of(
+            [{"k": 1, "c": c, "v": c} for c in range(3)]))
         yield cluster
         cluster.close()
 
@@ -101,8 +103,8 @@ class TestOneAndTheStringOne:
         cluster = _cluster(INT_KEYED, max_sstables=1)
         try:
             for c in range(3):
-                cluster.insert_many("t", [{"k": 1, "c": c, "v": "int"},
-                                          {"k": "1", "c": c, "v": "str"}])
+                cluster.insert_many("t", columns_of([{"k": 1, "c": c, "v": "int"},
+                                          {"k": "1", "c": c, "v": "str"}]))
                 cluster.flush_all()  # the second flush on a node compacts
             stores = [node.tables["t"] for node in cluster.nodes.values()
                       if "t" in node.tables]

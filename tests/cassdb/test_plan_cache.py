@@ -4,6 +4,7 @@ import pytest
 
 from repro import obs
 from repro.cassdb import Cluster, Session, TableSchema, query
+from repro.cassdb.row import columns_of
 from repro.cql import normalize_cql
 
 
@@ -40,9 +41,9 @@ class TestPlanCache:
         assert session.plan_cache_len == 1
 
     def test_placeholder_statement_shares_one_plan_across_params(self, session):
-        session.cluster.insert_many("ev", [
+        session.cluster.insert_many("ev", columns_of([
             {"hour": i % 2, "type": "MCE", "ts": float(i), "seq": i,
-             "amount": 1} for i in range(10)])
+             "amount": 1} for i in range(10)]))
         q = "SELECT * FROM ev WHERE hour = ? AND type = ?"
         before = session.plan_cache_len
         for i in range(10):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.cassdb import Cluster, Consistency, Session, TableSchema
 from repro.cassdb.hashring import HashRing
-from repro.cassdb.memtable import Memtable
-from repro.cassdb.row import ClusteringBound, Row
+from repro.cassdb.memtable import Batch, Memtable
+from repro.cassdb.row import ClusteringBound, Row, columns_of, merge_rows
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import (
@@ -131,6 +131,29 @@ def _read_matches_model(store, model, lower, upper, pk="pk"):
         [key[0] for key in want], list(want.values())]
 
 
+# Column-store histories: batches of writes that may repeat a key inside
+# one batch and across batches, set different cells of one key and share
+# stamps (1-6, so ties are common); tombstone markers; hint replays (an
+# earlier write again) and repair pushes (a key's merged row, cell stamps
+# and marker included); flushes; reads at either bound kind, in reverse
+# and with a limit.
+_cells = st.dictionaries(st.sampled_from("abc"), st.integers(0, 3),
+                         max_size=3)
+_stamped_write = st.tuples(st.integers(0, 7), _cells, st.integers(1, 6))
+_column_op = st.one_of(
+    st.tuples(st.just("batch"), st.lists(_stamped_write, min_size=1,
+                                         max_size=6)),
+    st.tuples(st.just("delete"), st.tuples(st.integers(0, 7),
+                                           st.integers(1, 6))),
+    st.tuples(st.just("hint"), st.integers(0, 50)),
+    st.tuples(st.just("repair"), st.integers(0, 7)),
+    st.tuples(st.just("flush"), st.none()),
+    st.tuples(st.just("read"), st.tuples(
+        bounds, bounds, st.booleans(),
+        st.one_of(st.none(), st.integers(1, 5)))),
+)
+
+
 class TestStorageModel:
     @settings(max_examples=60, deadline=None)
     @given(ops=partition_ops)
@@ -146,11 +169,12 @@ class TestStorageModel:
             ts += 1
             model = models[pk]
             if op == "write":
-                store.write_rows([(pk, Row.from_values((key,), {"v": val},
-                                                       write_ts=ts))])
+                store.write_rows(Batch.of_rows([(pk, Row.from_values((key,), {"v": val},
+                                                       write_ts=ts))]))
                 model[(key,)] = val
             elif op == "delete":
-                store.write_rows([(pk, Row((key,), {}, tombstone_ts=ts))])
+                store.write_rows(Batch.of_rows(
+                    [(pk, Row((key,), {}, tombstone_ts=ts))]))
                 model.pop((key,), None)
             elif op == "read":
                 if key is not None:
@@ -163,6 +187,57 @@ class TestStorageModel:
                 store.compact()
         for pk, model in models.items():
             _read_matches_model(store, model, None, None, pk=pk)
+
+    @settings(max_examples=100, deadline=None)
+    @given(history=st.lists(_column_op, max_size=40))
+    def test_columns_answer_like_merge_rows(self, history):
+        """The store's columnar memtable, its flushes and the merges
+        over them answer every read as :func:`merge_rows` folding each
+        key's writes, in any order, answers it.  (No compaction: it
+        drops a marker a later write stamped before it still needs —
+        the resurrection the other ``max_sstables=64`` guards avoid.)"""
+        store = TableStore(flush_threshold=12, max_sstables=64)
+        written: list[Row] = []
+        model: dict[tuple, Row] = {}
+
+        def write(rows):
+            store.write_rows(Batch.of_rows(("pk", row) for row in rows))
+            for row in rows:
+                kept = model.get(row.clustering)
+                model[row.clustering] = (row if kept is None
+                                         else merge_rows(kept, row))
+
+        for op, arg in history:
+            if op == "batch":
+                rows = [Row((key,), dict(cells), stamp)
+                        for key, cells, stamp in arg]
+                written += rows
+                write(rows)
+            elif op == "delete":
+                key, stamp = arg
+                write([Row((key,), {}, tombstone_ts=stamp)])
+            elif op == "hint":
+                if written:
+                    write([written[arg % len(written)]])
+            elif op == "repair":
+                if (arg,) in model:
+                    write([model[(arg,)]])
+            elif op == "flush":
+                store.flush()
+            else:
+                lower, upper, reverse, limit = arg
+                want = [row for key, row in sorted(model.items())
+                        if row.is_live
+                        and (lower is None or lower.admits_lower(key))
+                        and (upper is None or upper.admits_upper(key))]
+                if reverse:
+                    want.reverse()
+                got = store.read_partition_view("pk", lower, upper,
+                                                reverse, limit).to_rows()
+                assert got == want[:limit]
+        got = store.read_partition_view("pk").to_rows()
+        assert got == [row for _key, row in sorted(model.items())
+                       if row.is_live]
 
     @settings(max_examples=60, deadline=None)
     @given(ops=ops, data=st.data())
@@ -194,11 +269,12 @@ class TestStorageModel:
         for op, key, val in ops:
             ts += 1
             if op == "write":
-                store.write_rows([("pk", Row.from_values((key,), {"v": val},
-                                                         write_ts=ts))])
+                store.write_rows(Batch.of_rows([("pk", Row.from_values((key,), {"v": val},
+                                                         write_ts=ts))]))
                 model[(key,)] = val
             elif op == "delete":
-                store.write_rows([("pk", Row((key,), {}, tombstone_ts=ts))])
+                store.write_rows(Batch.of_rows(
+                    [("pk", Row((key,), {}, tombstone_ts=ts))]))
                 model.pop((key,), None)
             elif op == "read":
                 check()
@@ -594,7 +670,8 @@ class TestOneMerge:
                 ["memtable", "run", "exchanged"])) if stored else "exchanged"
             if shape == "memtable":
                 memtable = Memtable()
-                memtable.upsert_many(("pk", row) for row in stored[::-1])
+                memtable.append(Batch.of_rows(
+                    ("pk", row) for row in stored[::-1]))
                 view, _ = memtable.slice_partition_view("pk")
             elif shape == "run":
                 view, _ = flushed({"pk": stored}).slice_partition_view("pk")
@@ -675,7 +752,7 @@ class TestWindowProperties:
              "part": data.draw(st.sampled_from(["a", "b"]))}
             for seq, ts in enumerate(stamps)
         ]
-        cluster.write_batch("w", rows)
+        cluster.write_batch("w", columns_of(rows))
         if flush:
             cluster.flush_all()
         rows.sort(key=lambda r: (r["bucket"], r["part"], r["ts"], r["seq"]))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
 from repro.cassdb.errors import InvalidQueryError
+from repro.cassdb.row import columns_of
 from repro.cql.ast import Select
 from repro.cql.parser import parse_statement
 
@@ -68,10 +69,10 @@ class TestParser:
 
 class TestExecution:
     def _load(self, session, n=10):
-        session.cluster.insert_many("event_by_time", [
+        session.cluster.insert_many("event_by_time", columns_of([
             {"hour": 0, "type": "MCE", "ts": float(i), "seq": 0,
              "source": f"n{i % 3}", "amount": i}
-            for i in range(n)])
+            for i in range(n)]))
 
     def test_range_and_limit(self, session):
         self._load(session)
@@ -180,9 +181,9 @@ class TestExecution:
         assert rows == [{"count": 0}]
 
     def test_in_on_partition_key(self, session):
-        session.cluster.insert_many("event_by_time", [
+        session.cluster.insert_many("event_by_time", columns_of([
             {"hour": hour, "type": "MCE", "ts": float(i), "seq": i}
-            for hour in (0, 1, 2) for i in range(3)])
+            for hour in (0, 1, 2) for i in range(3)]))
         rows = session.execute(
             "SELECT ts FROM event_by_time"
             " WHERE hour IN (0, 2) AND type = 'MCE'"

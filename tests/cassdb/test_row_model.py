@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cassdb import Cluster, TableSchema
-from repro.cassdb.row import Row, merge_rows
+from repro.cassdb.memtable import Batch
+from repro.cassdb.row import Row, columns_of, merge_rows
 from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import BlockView, ColumnBlock
 
@@ -173,15 +174,16 @@ class TestStoreMatchesFoldedReference:
             if op[0] == "upsert":
                 _, pk, ck, tick, cells = op
                 clock += tick
-                store.write_rows([(pk, Row.from_values((ck,), dict(cells),
-                                                       clock))])
+                store.write_rows(Batch.of_rows([(pk, Row.from_values((ck,), dict(cells),
+                                                       clock))]))
                 remember(pk, oracle.Row(
                     (ck,), {c: oracle.Cell(v, clock)
                             for c, v in dict(cells).items()}))
             elif op[0] == "delete":
                 _, pk, ck = op
                 clock += 1
-                store.write_rows([(pk, Row((ck,), {}, tombstone_ts=clock))])
+                store.write_rows(Batch.of_rows(
+                    [(pk, Row((ck,), {}, tombstone_ts=clock))]))
                 remember(pk, oracle.Row((ck,), {}, clock))
                 clock += 1
             elif op[0] == "flush":
@@ -198,6 +200,10 @@ class TestStoreMatchesFoldedReference:
 
 class TestWrittenRowIsOneObject:
     def test_write_batch_builds_no_cells_and_untracked_values(self):
+        """A batch lands as column lists: a thousand rows on two
+        replicas leave the collector a few objects per partition copy
+        and per store, none per row: no ``Row``, and every cell in a log
+        list beside its stamp."""
         schema = TableSchema("event_by_time", partition_key=("hour", "type"),
                              clustering_key=("ts", "seq"))
         cluster = Cluster(4, replication_factor=2)
@@ -207,21 +213,35 @@ class TestWrittenRowIsOneObject:
                  "ts": 1000.0 + i, "seq": i, "source": f"c0-0c0s{i % 8}n0",
                  "amount": 1 + i % 5, "msg": f"line {i}", "extra": None}
                 for i in range(n)]
-        cluster.write_batch("event_by_time", rows[:1])     # warm every path
+        columns = columns_of(rows)
+        cluster.write_batch("event_by_time", columns_of(rows[:1]))
         gc.collect()
-        tracked_before = len(gc.get_objects())
-        cluster.write_batch("event_by_time", rows)
+        objects = gc.get_objects()
+        tracked_before = len(objects)
+        rows_before = sum(isinstance(o, Row) for o in objects)
+        del objects
+        cluster.write_batch("event_by_time", columns)
         gc.collect()
         objects = gc.get_objects()
         try:
-            assert len(objects) - tracked_before < 2 * n
-            stored = [row for node in cluster.nodes.values()
-                      for part in node.tables["event_by_time"]
-                      .memtable.partitions.values()
-                      for row in part.rows.values()]
-            assert len(stored) == 2 * n
-            assert not any(gc.is_tracked(row.values) for row in stored)
-            assert all(row.cell_ts is None for row in stored)
+            assert sum(isinstance(o, Row) for o in objects) == rows_before
+            memtables = [node.tables["event_by_time"].memtable
+                         for node in cluster.nodes.values()
+                         if "event_by_time" in node.tables]
+            n_parts = sum(len(m.partitions) for m in memtables)
+            assert n_parts == 2 * 6
+            # Per partition copy its positions; per store its log lists.
+            assert (len(objects) - tracked_before
+                    < 2 * n_parts + 20 * len(memtables))
+            for m in memtables:
+                assert set(m.columns) == {"source", "amount", "msg", "extra"}
+                for col in m.columns.values():
+                    assert (len(col.values) == len(col.write_ts)
+                            == len(m.clustering))
+                    assert col.present is None
+            # (the warm-up row is rows[0] again: one key, merged)
+            assert sum(len(m.resolved(pk)) for m in memtables
+                       for pk in m.partitions) == 2 * n
         finally:
             del objects
             cluster.close()

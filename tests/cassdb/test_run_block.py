@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.cassdb.memtable import Memtable
+from repro.cassdb.memtable import Batch, Memtable
 from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
 from repro.cassdb.sstable import SSTable, merge_sstables
 from repro.cassdb.vector import (
@@ -173,8 +173,8 @@ def _memtable(k: int, rows: int = 10) -> Memtable:
     memtable = Memtable()
     for p in range(k):
         for ts in range(rows):
-            memtable.upsert_many([(f"pk{p}", Row((float(ts), 0),
-                                                 {"v": ts, "kind": "x"}, 1))])
+            memtable.append(Batch.of_rows([(f"pk{p}", Row((float(ts), 0),
+                                                 {"v": ts, "kind": "x"}, 1))]))
     return memtable
 
 

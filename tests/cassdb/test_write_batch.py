@@ -28,7 +28,8 @@ from repro.cassdb.errors import (
     BatchWriteTimeoutError,
     UnavailableError,
 )
-from repro.cassdb.row import Row
+from repro.cassdb.memtable import Batch
+from repro.cassdb.row import Row, columns_of
 from repro.cassdb.sstable import SSTable
 from repro.cassdb.storage import TableStore
 from repro.core.result_cache import ResultCache
@@ -56,7 +57,8 @@ class TestBatchEqualsPerRow:
     def test_roundtrip_parity(self):
         batched, per_row = make_cluster(), make_cluster()
         rows = event_rows(30) + event_rows(30, hour=1) + event_rows(5, type_="OOM")
-        assert batched.write_batch("event_by_time", rows) == len(rows)
+        assert batched.write_batch("event_by_time", columns_of(
+            rows)) == len(rows)
         for values in rows:
             per_row.insert("event_by_time", values)
         for key in ((0, "MCE"), (1, "MCE"), (0, "OOM")):
@@ -68,7 +70,8 @@ class TestBatchEqualsPerRow:
         cluster = make_cluster()
         batches = obs.get_registry().counter("cassdb.write.batches")
         before = batches.value
-        n = cluster.insert_many("event_by_time", iter(event_rows(25)))
+        n = cluster.insert_many("event_by_time", columns_of(
+            iter(event_rows(25))))
         assert n == 25
         assert batches.value == before + 1
         assert cluster.coordinator_writes == 25
@@ -76,15 +79,15 @@ class TestBatchEqualsPerRow:
     def test_empty_batch_is_noop(self):
         cluster = make_cluster()
         e0 = cluster.table_epoch("event_by_time")
-        assert cluster.write_batch("event_by_time", []) == 0
+        assert cluster.write_batch("event_by_time", columns_of([])) == 0
         assert cluster.table_epoch("event_by_time") == e0
 
     def test_duplicate_keys_last_write_wins(self):
         cluster = make_cluster()
-        cluster.write_batch("event_by_time", [
+        cluster.write_batch("event_by_time", columns_of([
             {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0, "v": 1},
             {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0, "v": 2},
-        ])
+        ]))
         rows = cluster.select_partition("event_by_time", (0, "MCE"))
         assert len(rows) == 1
         assert rows[0]["v"] == 2
@@ -96,7 +99,7 @@ class TestHintedHandoffMidBatch:
         victim = "node03"
         cluster.kill_node(victim)
         rows = [r for h in range(8) for r in event_rows(10, hour=h)]
-        cluster.write_batch("event_by_time", rows, Consistency.ONE)
+        cluster.write_batch("event_by_time", columns_of(rows), Consistency.ONE)
         assert cluster.hinted_writes > 0
         # The victim holds nothing it replicates until hints replay.
         assert not cluster.nodes[victim].partition_keys("event_by_time")
@@ -118,7 +121,7 @@ class TestEpochAndResultCache:
     def test_one_epoch_bump_per_batch(self):
         cluster = make_cluster()
         e0 = cluster.table_epoch("event_by_time")
-        cluster.write_batch("event_by_time", event_rows(50))
+        cluster.write_batch("event_by_time", columns_of(event_rows(50)))
         assert cluster.table_epoch("event_by_time") == e0 + 1
         cluster.insert("event_by_time",
                        {"hour": 9, "type": "MCE", "ts": 0.0, "seq": 0})
@@ -126,12 +129,13 @@ class TestEpochAndResultCache:
 
     def test_batch_invalidates_cached_results(self):
         cluster = make_cluster()
-        cluster.write_batch("event_by_time", event_rows(10))
+        cluster.write_batch("event_by_time", columns_of(event_rows(10)))
         cache = ResultCache(ttl_seconds=3600.0)
         cache.put("q", ["payload"], {"event_by_time": cluster.table_epoch(
             "event_by_time")})
         assert cache.get("q", epoch_of=cluster.table_epoch) == ["payload"]
-        cluster.write_batch("event_by_time", event_rows(10, hour=5))
+        cluster.write_batch("event_by_time", columns_of(
+            event_rows(10, hour=5)))
         assert cache.get(
             "q", epoch_of=cluster.table_epoch) is ResultCache.MISSING
 
@@ -160,13 +164,13 @@ class TestFailedWriteLeavesNoTrace:
         e0 = cluster.table_epoch("event_by_time")
         w0 = cluster.coordinator_writes
         with pytest.raises(UnavailableError):
-            cluster.write_batch("event_by_time", event_rows(10))
+            cluster.write_batch("event_by_time", columns_of(event_rows(10)))
         assert cluster.table_epoch("event_by_time") == e0
         assert cluster.coordinator_writes == w0
 
     def test_cached_entry_survives_failed_write(self):
         cluster = make_cluster(4, rf=2)
-        cluster.write_batch("event_by_time", event_rows(10))
+        cluster.write_batch("event_by_time", columns_of(event_rows(10)))
         cache = ResultCache(ttl_seconds=3600.0)
         cache.put("q", ["payload"], {"event_by_time": cluster.table_epoch(
             "event_by_time")})
@@ -208,7 +212,8 @@ class TestConcurrentDisjointWriters:
 
         def worker(hour):
             try:
-                cluster.write_batch("event_by_time", event_rows(100, hour=hour))
+                cluster.write_batch("event_by_time", columns_of(
+                    event_rows(100, hour=hour)))
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
@@ -284,7 +289,7 @@ class TestFlushOutsideLock:
     def test_readers_and_writers_during_sstable_build(self, monkeypatch):
         store = TableStore(flush_threshold=1_000)
         for i in range(10):
-            store.write_rows([("pk", _row(float(i)))])
+            store.write_rows(Batch.of_rows([("pk", _row(float(i)))]))
 
         build_started = threading.Event()
         release_build = threading.Event()
@@ -305,7 +310,7 @@ class TestFlushOutsideLock:
             assert [r.clustering[0] for r in rows] == [float(i)
                                                        for i in range(10)]
             # ...and writers commit into the fresh memtable, unstalled.
-            store.write_rows([("pk", _row(10.0))])
+            store.write_rows(Batch.of_rows([("pk", _row(10.0))]))
             assert store.memtable.row_count == 1
         finally:
             release_build.set()
@@ -319,7 +324,7 @@ class TestFlushOutsideLock:
     def test_batch_write_rows_triggers_flush(self):
         store = TableStore(flush_threshold=10)
         items = [("pk", _row(float(i))) for i in range(25)]
-        store.write_rows(items)
+        store.write_rows(Batch.of_rows(items))
         # Bulk application checks the threshold once per group.
         assert store.stats.flushes == 1
         assert store.row_count == 25

@@ -1,16 +1,21 @@
 """Tests for the eight-table data model."""
 
+import gc
 import json
 from collections import Counter
 
 import pytest
 
+from repro.bus import MessageBus
 from repro.cassdb import Cluster, ClusteringBound
 from repro.cassdb.errors import SchemaError
+from repro.cassdb.row import Row
+from repro.core import LogAnalyticsFramework
 from repro.core.model import TABLE_SCHEMAS, LogDataModel
 from repro.core.model import LogDataModel as _LDM
+from repro.genlog import LogGenerator, render_line
 from repro.genlog.jobs import ApplicationRun
-from repro.ingest import ParsedEvent
+from repro.ingest import LogProducer, ParsedEvent
 from repro.titan import LogSource, TitanTopology
 from repro.titan.events import default_registry
 
@@ -323,3 +328,72 @@ class TestWriteEventsFlexibility:
         rows = cluster.select_partition("event_by_time", (0, "MCE"))
         assert [r["attrs"] for r in rows] == [
             json.dumps(attrs, sort_keys=True) for attrs in cases]
+
+
+class TestAnEventLandsAsColumns:
+    """An ingested event lands as column cells, held as counts: a
+    streaming micro-batch and an ``ingest_batch`` call construct no
+    ``Row``, and an ETL the size of the end-to-end benchmark's leaves no
+    ``Row`` on the heap."""
+
+    @staticmethod
+    def _rows_made(monkeypatch) -> list:
+        made: list = []
+        init = Row.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Row, "__init__", counting)
+        return made
+
+    def test_a_micro_batch_builds_no_row(self, topo, events, monkeypatch):
+        fw = LogAnalyticsFramework(topo, db_nodes=4,
+                                   replication_factor=2).setup()
+        try:
+            bus = MessageBus()
+            producer = LogProducer(bus, "events")
+            ingestor = fw.streaming_ingestor(bus, "events")
+            made = self._rows_made(monkeypatch)
+            producer.publish_lines(render_line(e) for e in events[:3000])
+            ingestor.process_available()
+            ingestor.flush()
+            assert ingestor.stats.written > 1000
+            assert made == []
+        finally:
+            fw.stop()
+
+    def test_an_ingest_batch_builds_no_row(self, topo, generator, events,
+                                          tmp_path, monkeypatch):
+        fw = LogAnalyticsFramework(topo, db_nodes=4,
+                                   replication_factor=2).setup()
+        try:
+            paths = generator.write_log_files(tmp_path, events[:3000])
+            made = self._rows_made(monkeypatch)
+            stats = fw.ingest_batch(sorted(paths.values()))
+            assert stats.written > 1000
+            assert made == []
+        finally:
+            fw.stop()
+
+    def test_an_etl_leaves_no_row_on_the_heap(self, tmp_path):
+        # The benchmark's ETL inputs: 12 sets of 0.15 h at 1500x on a
+        # four-cabinet slice, about 29 k lines.
+        topo = TitanTopology(rows=1, cols=4)
+        gen = LogGenerator(topo, seed=4601, rate_multiplier=1500,
+                           storms_per_day=0.0)
+        events = gen.generate(12 * 0.15)
+        paths = gen.write_log_files(tmp_path, events)
+        fw = LogAnalyticsFramework(topo, db_nodes=4,
+                                   replication_factor=2).setup()
+        try:
+            gc.collect()
+            before = sum(isinstance(o, Row) for o in gc.get_objects())
+            stats = fw.ingest_batch(sorted(paths.values()))
+            gc.collect()
+            after = sum(isinstance(o, Row) for o in gc.get_objects())
+            assert stats.lines > 20_000
+            assert after == before
+        finally:
+            fw.stop()

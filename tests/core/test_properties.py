@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.cassdb import Consistency
+from repro.cassdb.row import columns_of
 from repro.core import (
     LogAnalyticsFramework,
     binned_series,
@@ -206,11 +207,11 @@ def _loaded_framework(tuples, layout):
     views = ("event_by_time", "event_by_location")
     half = len(rows) // 2 if layout in ("half-flushed", "quorum") else 0
     for table in views:
-        cluster.write_batch(table, rows[:half])
+        cluster.write_batch(table, columns_of(rows[:half]))
     if half:
         cluster.flush_all()
     for table in views:
-        cluster.write_batch(table, rows[half:])
+        cluster.write_batch(table, columns_of(rows[half:]))
     for row, spec in zip(rows, tuples):
         if spec[4]:
             for table in views:

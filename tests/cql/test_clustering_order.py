@@ -9,6 +9,7 @@ form is checked against ``tests/oracle/select.py`` on an ``asc`` and a
 import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
+from repro.cassdb.row import columns_of
 from tests.oracle import eval_select
 
 ROWS = [{"k": k, "ts": float(ts), "v": ts} for k in "ab" for ts in range(3)]
@@ -36,7 +37,7 @@ def session(request, order):
         "t", partition_key=("k",), clustering_key=("ts",),
         clustering_order=order))
     s = Session(cluster)
-    cluster.insert_many("t", ROWS)
+    cluster.insert_many("t", columns_of(ROWS))
     if request.param:
         cluster.flush_all()
     yield s

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
 from repro.cassdb.errors import InvalidQueryError
+from repro.cassdb.row import columns_of
 from repro.cql.errors import CQLPlanningError, CQLSyntaxError
 from repro.sparklet import SparkletContext
 from tests.oracle import eval_select
@@ -29,7 +30,7 @@ def cluster():
 def session(cluster):
     cluster.create_table(TableSchema(
         "ev", partition_key=("hour", "type"), clustering_key=("ts", "seq")))
-    cluster.insert_many("ev", ROWS)
+    cluster.insert_many("ev", columns_of(ROWS))
     return Session(cluster)
 
 

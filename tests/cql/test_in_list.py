@@ -11,6 +11,7 @@ bound as parameters, the partitions in a memtable and in a run.
 import pytest
 
 from repro.cassdb import Cluster, Session, TableSchema
+from repro.cassdb.row import columns_of
 from tests.oracle import eval_select
 
 from .test_clustering_order import _scan
@@ -46,7 +47,7 @@ def session(request):
     cluster.create_table(TableSchema(
         "t", partition_key=("a", "b"), clustering_key=("ts",)))
     s = Session(cluster)
-    cluster.insert_many("t", ROWS)
+    cluster.insert_many("t", columns_of(ROWS))
     if request.param:
         cluster.flush_all()
     yield s
@@ -85,7 +86,7 @@ class TestInIsASet:
         cluster.create_table(TableSchema(
             "u", partition_key=("k",), clustering_key=("ts",)))
         cluster.insert_many(
-            "u", [{"k": 1, "ts": float(ts), "v": ts} for ts in range(3)])
+            "u", columns_of([{"k": 1, "ts": float(ts), "v": ts} for ts in range(3)]))
         assert session.execute(
             "SELECT count(*) FROM u WHERE k IN (?, ?)", (1, 1)
         ) == [{"count": 3}]

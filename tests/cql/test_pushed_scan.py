@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cassdb import Cluster, Consistency, Session, TableSchema
+from repro.cassdb.row import columns_of
 from repro.cassdb.vector import BlockView
 from repro.sparklet import SparkletContext
 from tests.oracle import eval_select
@@ -27,7 +28,7 @@ def _ten_rows(flushed):
         "t", partition_key=("hour",), clustering_key=("ts",)))
     rows = [{"hour": hour, "ts": ts, "v": ts}
             for hour in (0, 1) for ts in range(10)]
-    cluster.insert_many("t", rows)
+    cluster.insert_many("t", columns_of(rows))
     if flushed:
         cluster.flush_all()
     return cluster, rows
@@ -164,10 +165,10 @@ def _load(state, drawn):
             row["amount"] = amount
         rows.append(row)
     half = len(rows) // 2 if state == "half_flushed" else len(rows)
-    cluster.insert_many("ev", rows[:half])
+    cluster.insert_many("ev", columns_of(rows[:half]))
     if state != "unflushed":
         cluster.flush_all()
-    cluster.insert_many("ev", rows[half:])
+    cluster.insert_many("ev", columns_of(rows[half:]))
     if state == "tombstones":
         # Deleted after the flush: the tombstone sits in the memtable
         # and shadows a row of the column block.
@@ -245,7 +246,7 @@ def flushed_table():
         "ev", partition_key=("hour", "kind"), clustering_key=("ts",)))
     rows = [{"hour": hour, "kind": kind, "ts": ts, "amount": ts % 5}
             for hour in range(6) for kind in "ab" for ts in range(25)]
-    cluster.insert_many("ev", rows)
+    cluster.insert_many("ev", columns_of(rows))
     cluster.flush_all()
     sc = SparkletContext(cluster=cluster)
     yield cluster, sc, rows
@@ -384,41 +385,40 @@ class TestHalfFlushedFoldMechanism:
 
 class TestAMemtableFaceSurvivesTheRead:
     """A memtable partition keeps its read face until it is written,
-    held as a count of faces built (row-backed blocks the memtable
-    builds): a full scan over unflushed partitions builds one face per
-    partition it reads, the same scan again builds none, and a write
-    batch into one partition makes the next scan build exactly one."""
+    held as a count of faces built (partitions the memtable gathers
+    for a read): a full scan over unflushed partitions builds one face
+    per partition it reads, the same scan again builds none, and a
+    write batch into one partition makes the next scan build exactly
+    one."""
 
     QUERY = "SELECT type, count(*) FROM ev GROUP BY type"
 
     def test_a_repeated_scan_builds_no_face(self, monkeypatch):
-        from repro.cassdb import memtable
+        from repro.cassdb.memtable import Memtable
 
         built = []
-        over_rows = memtable.ColumnBlock.over_rows
+        gather = Memtable.gather
 
-        class CountingBlock:
-            @staticmethod
-            def over_rows(rows, clustering=None):
-                built.append(len(rows))
-                return over_rows(rows, clustering)
+        def counting(memtable, positions):
+            built.append(len(positions))
+            return gather(memtable, positions)
 
         cluster = Cluster(4, replication_factor=2)
         cluster.create_table(TableSchema(
             "ev", partition_key=("hour", "type"), clustering_key=("ts",)))
         rows = [{"hour": hour, "type": type_, "ts": ts, "amount": 1}
                 for hour in range(6) for type_ in "ab" for ts in range(25)]
-        cluster.insert_many("ev", rows)
+        cluster.insert_many("ev", columns_of(rows))
         sc = SparkletContext(cluster=cluster)
         session = Session(cluster, sparklet=sc)
-        monkeypatch.setattr(memtable, "ColumnBlock", CountingBlock)
+        monkeypatch.setattr(Memtable, "gather", counting)
         try:
             builds = []
             answers = []
             for batch in ([], [], [{"hour": 0, "type": "a", "ts": 99,
                                     "amount": 1}]):
                 if batch:
-                    cluster.write_batch("ev", batch)
+                    cluster.write_batch("ev", columns_of(batch))
                 del built[:]
                 answers.append(session.execute(self.QUERY))
                 builds.append(len(built))

@@ -64,7 +64,7 @@ class TestNodeFailureAndRepair:
         assert store is not None
         dropped = 0
         for pk in list(store.memtable.partitions)[:3]:
-            dropped += len(store.memtable.partitions.pop(pk).rows)
+            dropped += len(store.memtable.partitions.pop(pk))
         assert dropped > 0
         repaired = fw.cluster.repair("event_by_time")
         assert repaired >= 1

@@ -222,6 +222,35 @@ class TestSampling:
             make_profiler(registry, hz=0)
 
 
+class TestASampleIsItsCodeObjects:
+    """``sample_once`` counts each stack as its code objects and names
+    nothing; a read of the tables names every frame it shows, and the
+    samples are all there."""
+
+    def test_sampling_names_no_frame(self, registry, monkeypatch):
+        tracer = Tracer(registry=registry)
+        prof = SamplingProfiler(tracer=tracer, registry=registry)
+        named = []
+        name = SamplingProfiler._name
+
+        def counting(self, code):
+            named.append(code)
+            return name(self, code)
+
+        monkeypatch.setattr(SamplingProfiler, "_name", counting)
+        with tracer.root_span("server.sampled"):
+            for _ in range(20):
+                prof.sample_once()
+        assert named == []
+        assert all(isinstance(stack, tuple)
+                   for stacks in prof._tables.values() for stack in stacks)
+        lines = prof.folded("server")
+        assert named
+        assert any("test_sampling_names_no_frame" in line for line in lines)
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in prof.folded()
+                   ) == prof.samples
+
+
 class TestHotFunctions:
     def test_ranks_by_exclusive_leaf_samples(self):
         flat = {

@@ -297,6 +297,75 @@ class TestTextFileRDD:
         assert sc.textFile(str(path), 1).collect() == ["a", "b"]
 
 
+class TestATextSplitReadsEachLineOnce:
+    """Every line of a file is read exactly once across the splits, as
+    a plain ``rstrip("\\n")`` of the file split on newlines, for every
+    split count — and a split is read without a ``tell()`` per line."""
+
+    CASES = {
+        "no_trailing_newline": b"alpha\nbeta\ngamma",
+        "crlf": b"alpha\r\nbeta\r\n\r\ngamma\r\n",
+        "multibyte_at_cuts": "\n".join(
+            "\u00e9\u65e5\u672c" * (i % 5 + 1) for i in range(40)
+        ).encode() + b"\n",
+        "empty": b"",
+        "one_line": b"only one line\n",
+    }
+
+    @staticmethod
+    def expected(data: bytes) -> list[str]:
+        *whole, last = data.split(b"\n")
+        lines = [line + b"\n" for line in whole] + ([last] if last else [])
+        return [line.decode("utf-8", errors="replace").rstrip("\n")
+                for line in lines]
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("splits", [1, 2, 3, 7, 16])
+    def test_each_line_once_across_cuts(self, tmp_path, case, splits):
+        path = tmp_path / "log.txt"
+        path.write_bytes(self.CASES[case])
+        sc = SparkletContext(4)
+        rdd = sc.textFile(str(path), splits)
+        parts = rdd.mapPartitions(lambda it: [list(it)]).collect()
+        assert [line for part in parts for line in part] == self.expected(
+            self.CASES[case])
+
+    def test_a_split_makes_no_tell_per_line(self, tmp_path, monkeypatch):
+        from repro.sparklet import sources
+
+        path = tmp_path / "log.txt"
+        path.write_text("".join(f"line {i}\n" for i in range(500)))
+        sc = SparkletContext(4)
+        rdd = sc.textFile(str(path), 4)
+        tells = []
+
+        class CountingFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def tell(self):
+                tells.append(1)
+                return self._fh.tell()
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+            def __iter__(self):
+                return iter(self._fh)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        monkeypatch.setattr(sources, "open",
+                            lambda *a, **kw: CountingFile(open(*a, **kw)),
+                            raising=False)
+        assert len(rdd.collect()) == 500
+        assert tells == []
+
+
 class TestSharedVariables:
     def test_accumulator_default_add(self):
         sc = SparkletContext(2)
