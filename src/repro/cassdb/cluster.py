@@ -409,11 +409,14 @@ class Cluster:
         """Delete one row identified by its full primary key: the commit
         of one tombstone marker."""
         schema = self.schema(table)
-        block, rows_of = self._block(schema, columns_of((values,)), ())
-        marker = Row(block.clustering[0], {},
-                     tombstone_ts=self.next_write_ts())
-        self._commit(schema, ColumnBlock.transposed([marker]),
-                     dict.fromkeys(rows_of, [0]), consistency)
+        try:
+            pk = tuple(values[c] for c in schema.partition_key)
+            ck = tuple(values[c] for c in schema.clustering_key)
+        except KeyError as exc:
+            raise SchemaError(f"table {table!r}: missing key column "
+                              f"{exc.args[0]!r}") from None
+        marker = Row(ck, {}, tombstone_ts=self.next_write_ts())
+        self._commit(schema, Batch.of_rows([(pk, marker)]), consistency)
 
     # -- write-lock striping -------------------------------------------------
 
@@ -539,15 +542,16 @@ class Cluster:
         if not n:
             return 0
         stamps = array("q", itertools.islice(self._write_ts, n))
-        return self._commit(schema, *self._block(schema, columns, stamps),
+        return self._commit(schema, self._batch(schema, columns, stamps),
                             consistency)
 
     @staticmethod
-    def _block(schema: TableSchema, columns: Mapping[str, Sequence[Any]],
-               stamps: array) -> tuple[ColumnBlock, dict[tuple, list[int]]]:
-        """*columns* as a plain block, row ``i`` stamped ``stamps[i]``,
-        and partition key -> the offsets of its rows.  A key column that
-        is missing, or unset in a row, is a :class:`SchemaError`."""
+    def _batch(schema: TableSchema, columns: Mapping[str, Sequence[Any]],
+               stamps: array) -> Batch:
+        """*columns* as a batch: a plain block, row ``i`` stamped
+        ``stamps[i]``, and per partition key the offsets of its rows.  A
+        key column that is missing, or unset in a row, is a
+        :class:`SchemaError`."""
         n = len(next(iter(columns.values())))
         if any(len(values) != n for values in columns.values()):
             raise SchemaError(f"table {schema.name!r}: columns of unequal "
@@ -578,33 +582,33 @@ class Cluster:
             cells[name] = Column(name, values, stamps, present)
         clustering = (list(zip(*[columns[c] for c in schema.clustering_key]))
                       if schema.clustering_key else [()] * n)
-        return ColumnBlock(clustering, cells, {}), rows_of
+        return Batch(ColumnBlock(clustering, cells, {}),
+                     list(rows_of.items()))
 
-    def _commit(self, schema: TableSchema, block: ColumnBlock,
-                rows_of: dict[tuple, list[int]],
+    def _commit(self, schema: TableSchema, batch: Batch,
                 consistency: Consistency) -> int:
-        """Commit *block*'s rows, *rows_of* naming each partition key's
-        offsets, as :meth:`write_batch` describes: every write lands
-        here."""
-        n = sum(map(len, rows_of.values()))
+        """Commit *batch*'s rows as :meth:`write_batch` describes: every
+        write lands here."""
+        n = len(batch)
         if not n:
             return 0
         start = time.perf_counter()
         table = schema.name
         ring_key = schema.ring_key
         n_stripes = len(self._write_locks)
-        # replica-set tuple -> partition keys: the unit availability,
-        # acks and hints are decided for.
-        groups: dict[tuple[str, ...], list[tuple]] = {}
+        # replica-set tuple -> its partitions' row offsets: the unit
+        # availability, acks and hints are decided for.
+        groups: dict[tuple[str, ...], list[tuple[tuple, list[int]]]] = {}
         stripes: set[int] = set()
-        for pk in rows_of:
+        for part in batch:
+            pk = part[0]
             replicas = tuple(self.ring.replicas(ring_key(pk)))
-            groups.setdefault(replicas, []).append(pk)
+            groups.setdefault(replicas, []).append(part)
             stripes.add(hash((table, pk)) % n_stripes)
         # A group's items are its partitions' rows in partition order.
-        pending = [(replicas, Batch(block, [(pk, rows_of[pk]) for pk
-                                            in in_partition_order(keys)]))
-                   for replicas, keys in groups.items()]
+        pending = [(replicas, Batch(batch.block, in_partition_order(
+                        parts, itemgetter(0))))
+                   for replicas, parts in groups.items()]
         ordered = sorted(stripes)
 
         def committed() -> int:
@@ -629,7 +633,7 @@ class Cluster:
                 with self._counter_lock:
                     self.coordinator_writes += applied
                 self._m_writes.inc(applied)
-                self._bump_epochs(table, rows_of)
+                self._bump_epochs(table, (pk for pk, _rows in batch))
                 self._m_batches.inc()
                 self._m_batch_rows.observe(applied)
                 self._m_batch_groups.observe(len(groups))
@@ -681,20 +685,18 @@ class Cluster:
                     return group, BatchUnavailableError, required, len(routed)
                 routes.append((routed, required))
             # Apply: each node's share of every group in one call.
-            shares: dict[str, list[tuple[tuple, list[int]]]] = {}
-            block = pending[0][1].block
+            shares: dict[str, list[Batch]] = {}
             for (_replica_ids, items), (routed, _) in zip(pending, routes):
                 for replica_id in routed:
-                    share = shares.get(replica_id)
-                    if share is None:
-                        shares[replica_id] = list(items)
-                    else:
-                        share.extend(items)
+                    shares.setdefault(replica_id, []).append(items)
             applied: set[str] = set()
             for replica_id, share in shares.items():
+                if len(share) > 1:  # one batch, its parts in order
+                    share = [Batch(share[0].block, in_partition_order(
+                        [part for items in share for part in items],
+                        itemgetter(0)))]
                 try:
-                    self.nodes[replica_id].write_rows(table, Batch(
-                        block, in_partition_order(share, itemgetter(0))))
+                    self.nodes[replica_id].write_rows(table, share[0])
                 except NodeDownError:
                     # Crashed but still routed: no ack for any group.
                     self._breaker_failure(replica_id)
@@ -717,7 +719,8 @@ class Cluster:
                     for replica_id in replica_ids:
                         if replica_id not in acked:
                             holder.buffer_hints(
-                                Hint(replica_id, table, pk, block.row_at(i))
+                                Hint(replica_id, table, pk,
+                                     items.block.row_at(i))
                                 for pk, offsets in items for i in offsets)
                             hinted += len(items)
                 if len(acked) < required:

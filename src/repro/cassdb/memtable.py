@@ -8,32 +8,36 @@ A memtable is an append-only log of rows kept as column lists —
 clustering keys, each cell column's values, write timestamps and
 presence, tombstone markers — plus, per partition, the log positions
 of its rows.  :meth:`Memtable.append`, the one write entry, gathers a
-:class:`Batch`'s rows onto the log with ``itemgetter`` and extends each
-partition's positions: no per-row object, and one object per list for
-the cyclic collector.  A hinted or repaired ``Row`` becomes a batch
-first (:meth:`Batch.of_rows`).
+:class:`Batch`'s rows onto the log and extends each partition's
+positions: no per-row object, and one object per list for the cyclic
+collector.  One log, not lists per partition: a node's share of the
+ingest batches spreads over many partitions of a few rows
+each, and one gather per column per batch costs far less than one
+extend per column per partition.  A hinted or repaired ``Row`` becomes
+a batch first (:meth:`Batch.of_rows`).
 
-Last-write-wins is resolved when a read or a flush needs a partition
+Last-write-wins is resolved when a read or the seal needs a partition
 (:meth:`Memtable.resolved`).  Logs arrive in time order, so appended
 keys usually ascend already and nothing is sorted; otherwise one sort
 of the positions by clustering key brings a key's writes together and
 :func:`~repro.cassdb.row.merge_rows` — the tie rule and the marker
 shadowing of every other merge — reconciles them into one row appended
-to the log.  A partition keeps one read *face*, its resolved rows
-gathered into a plain block, from the first read after a write until the
-next write; :meth:`Memtable.slice_partition_view` bisects it as a run's
-block is bisected.  A flush gathers every partition's resolved rows in
-partition order and keeps no face.
+to the log.  Nothing is removed from the log before the flush, so
+``row_count`` — the flush trigger — counts every row it holds.  A
+partition keeps one read *face*, its resolved rows gathered into a
+plain block, from the first read after a write until the next write;
+:meth:`Memtable.slice_partition_view` bisects it as a run's block is
+bisected.  A flush gathers every partition's resolved rows in partition
+order and keeps no face.
 """
 
 from __future__ import annotations
 
-import threading
 from array import array
 from functools import reduce
 from itertools import chain, groupby, islice
-from operator import itemgetter, lt
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import lt
+from typing import Iterable, Iterator, Sequence
 
 from .row import ClusteringBound, Row, merge_rows, slice_bounds_keys
 from .vector import BlockView, Column, ColumnBlock
@@ -73,20 +77,10 @@ class Batch:
         return cls(ColumnBlock.transposed(rows), list(parts.items()))
 
 
-def _gather(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A function taking the items at *positions* of a sequence, as a
-    tuple (``itemgetter``, which returns a bare item for one position)."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        at = positions[0]
-        return lambda seq: (seq[at],)
-    return lambda seq: ()
-
-
 class _Stamps:
     """A log column's write timestamps at a block's positions, read on
-    demand: only ``row_at`` and a run's encode read a face's stamps."""
+    demand: only ``row_at`` and a run's encode read a face's stamps
+    (the log is append-only, so they never change)."""
 
     __slots__ = ("log", "positions")
 
@@ -119,10 +113,10 @@ class MemPartition:
 class Memtable:
     """Write buffer for one table on one storage node.
 
-    Concurrency: appends run under the store lock, and so does every
-    read of an active memtable.  A sealed memtable is never appended
-    to, but a read of it and its flush may resolve partitions at once;
-    resolving takes the memtable's own lock.
+    Concurrency: appends, reads of the active memtable and the seal
+    run under the store lock.  The seal resolves every partition, so a
+    sealed memtable is only read — by readers and its flush at once; a
+    read sets a partition's face, one attribute store.
     """
 
     def __init__(self):
@@ -132,8 +126,6 @@ class Memtable:
         self.clustering: list[tuple] = []
         self.columns: dict[str, Column] = {}
         self.tombstones: dict[int, int] = {}
-        self._row_count = 0
-        self._lock = threading.Lock()
 
     def append(self, batch: Batch) -> None:
         """Append *batch*'s rows to the log, partition after partition,
@@ -148,31 +140,31 @@ class Memtable:
             part.positions.extend(range(n, n + len(offsets)))
             part.face = None
             n += len(offsets)
-        self._row_count += len(batch)
 
     def _extend(self, block: ColumnBlock, rows: Sequence[int]) -> int:
         """Put *block*'s *rows* at the end of the log; returns the first
         position.  A column the block lacks is absent in those rows, one
         it brings is absent in the rows before."""
-        take = _gather(rows)
         n, k = len(self.clustering), len(rows)
-        self.clustering += take(block.clustering)
+        self.clustering += [block.clustering[i] for i in rows]
         columns = self.columns
-        stamps: dict[int, tuple] = {}  # one gather per stamp array
+        stamps: dict[int, list] = {}  # one gather per stamp array
         for name, cells in block.columns.items():
             col = columns.get(name)
             if col is None:
                 col = columns[name] = Column(name, [None] * n, [0] * n,
                                              bytearray(n) if n else None)
-            col.values += take(cells.values)
+            values = cells.values
+            col.values += [values[i] for i in rows]
             key = id(cells.write_ts)
             if key not in stamps:
-                stamps[key] = take(cells.write_ts)
+                stamps[key] = [cells.write_ts[i] for i in rows]
             col.write_ts += stamps[key]
             if cells.present is not None:
                 if col.present is None:
                     col.present = bytearray(b"\x01" * n)
-                col.present += bytes(take(cells.present))
+                present = cells.present
+                col.present += bytes([present[i] for i in rows])
             elif col.present is not None:
                 col.present += b"\x01" * k
         for name, col in columns.items():
@@ -192,17 +184,20 @@ class Memtable:
         """The log positions of a partition's rows, ascending by
         clustering key, one per key with each cell its last write."""
         part = self.partitions[partition_key]
-        with self._lock:
-            positions = part.positions
-            if part.resolved < len(positions):
-                keys = _gather(positions[max(part.resolved - 1, 0):])(
-                    self.clustering)
-                if not all(map(lt, keys, islice(keys, 1, None))):
-                    appended = len(positions)
-                    positions = part.positions = self._sort(positions)
-                    self._row_count -= appended - len(positions)
-                part.resolved = len(positions)
-            return positions
+        positions = part.positions
+        if part.resolved < len(positions):
+            log = self.clustering
+            keys = [log[i] for i in positions[max(part.resolved - 1, 0):]]
+            if not all(map(lt, keys, islice(keys, 1, None))):
+                positions = part.positions = self._sort(positions)
+            part.resolved = len(positions)
+        return positions
+
+    def seal(self) -> None:
+        """Resolve every partition: from here on the memtable is only
+        read."""
+        for pk in self.partitions:
+            self.resolved(pk)
 
     def _sort(self, positions: array) -> array:
         """*positions* in clustering order; a key written more than once
@@ -228,24 +223,26 @@ class Memtable:
     def gather(self, positions: Sequence[int]) -> ColumnBlock:
         """The log's rows at *positions*, in that order, as a plain
         block (a column absent from all of them is left out)."""
-        take = _gather(positions)
         columns: dict[str, Column] = {}
         for name, col in self.columns.items():
             present = None
             if col.present is not None:
-                present = bytearray(take(col.present))
+                log = col.present
+                present = bytearray([log[i] for i in positions])
                 if 1 not in present:
                     continue
                 if 0 not in present:
                     present = None
-            columns[name] = Column(name, list(take(col.values)),
+            values = col.values
+            columns[name] = Column(name, [values[i] for i in positions],
                                    _Stamps(col.write_ts, positions), present)
         tombstones: dict[int, int] = {}
         if self.tombstones:
             get = self.tombstones.get
             tombstones = {at: ts for at, i in enumerate(positions)
                           if (ts := get(i)) is not None}
-        return ColumnBlock(list(take(self.clustering)), columns, tombstones)
+        log = self.clustering
+        return ColumnBlock([log[i] for i in positions], columns, tombstones)
 
     def slice_partition_view(
         self,
@@ -274,10 +271,10 @@ class Memtable:
 
     @property
     def row_count(self) -> int:
-        """Rows buffered, tombstone markers included (the flush
-        trigger): a key written twice counts twice until a read
-        resolves its partition."""
-        return self._row_count
+        """Rows the log holds, tombstone markers included (the flush
+        trigger): a key written twice counts twice, and the row a read
+        merges them into once more."""
+        return len(self.clustering)
 
     def __len__(self) -> int:
-        return self._row_count
+        return len(self.clustering)

@@ -14,13 +14,16 @@ as a :class:`~repro.cassdb.memtable.Batch` of column cells, a delete as
 a tombstone marker among them.  One :class:`TableStore` exists per table
 per storage node.
 
-Concurrency model: the store lock guards *pointer swaps* (memtable
-appends, sealing a memtable, publishing an SSTable), never bulk work.
-A flush seals the active memtable under the lock — an O(1) swap onto
-the ``frozen`` list — and builds the SSTable outside it, so concurrent
-writers keep committing into the fresh memtable and readers keep seeing
-the sealed rows (via ``frozen``) while the build runs.  Compaction
-merges a snapshot of the runs outside the lock the same way.
+Concurrency model: the store lock guards memtable appends, sealing a
+memtable and publishing an SSTable; a run's encode and a compaction's
+merge run outside it.  A flush seals the active memtable under the
+lock — it resolves each partition's writes since its last read (a scan
+of their keys; a sort only where they arrived out of order) and swaps
+the memtable onto the ``frozen`` list — and builds the SSTable outside
+it, so concurrent writers keep committing into the fresh memtable and
+readers keep seeing the sealed rows (via ``frozen``) while the build
+runs.  Compaction merges a snapshot of the runs outside the lock the
+same way.
 """
 
 from __future__ import annotations
@@ -115,11 +118,12 @@ class TableStore:
             self._build_sstable(sealed)
 
     def _seal_locked(self) -> Memtable | None:
-        """Swap the active memtable onto the frozen list (O(1), under
-        lock).  Returns the sealed memtable, or None when empty."""
+        """Resolve the active memtable and swap it onto the frozen list
+        (under lock).  Returns the sealed memtable, or None when empty."""
         if not self.memtable.row_count:
             return None
         sealed = self.memtable
+        sealed.seal()  # from here readers and the build only read it
         self.frozen.append(sealed)
         self.memtable = Memtable()
         return sealed

@@ -60,6 +60,10 @@ OVERFLOW_KEY = "(overflow)"
 # Root-side frame of a stack cut to ``max_depth``.
 _TRUNCATED = "(truncated)"
 
+# Code objects whose module is noted before the map is pruned to those
+# the flame tables hold.
+_MAX_CODES = 4096
+
 
 def component_of(span_name: str) -> str:
     """The Fig-3 layer a span belongs to: its dotted-name prefix
@@ -98,10 +102,11 @@ class SamplingProfiler:
         # component -> stack (code objects, or a folded string) ->
         # cumulative sample count
         self._tables: dict[str, dict[tuple | str, int]] = {}
-        # code object -> rendered "module.qualname" (bounded cache), and
-        # source file -> module name: filled when a table is read.
-        self._code_names: dict[CodeType, str] = {}
-        self._modules: dict[str | None, str] = {}
+        # code object -> the ``__name__`` of its frame's globals, taken
+        # the first time the code is sampled; pruned to the code objects
+        # the tables hold once it passes ``_codes_cap``.
+        self._modules: dict[CodeType, str] = {}
+        self._codes_cap = _MAX_CODES
         self.samples = 0
         self.dropped_frames = 0
         self._thread: threading.Thread | None = None
@@ -156,10 +161,12 @@ class SamplingProfiler:
 
         A sample is its code objects, leaf first, cut to ``max_depth``
         on the leaf side (a ``(truncated)`` marker stands for the rest):
-        nothing is named until a table is read (:meth:`tables`)."""
+        nothing is named until a table is read (:meth:`tables`); a code
+        object seen for the first time has its module noted."""
         components = self.tracer.thread_components()
         frames = sys._current_frames()
         depth = self.max_depth
+        modules = self._modules
         recorded = 0
         for tid, frame in frames.items():
             if tid == self._sampler_tid:
@@ -169,11 +176,27 @@ class SamplingProfiler:
                 if len(codes) == depth:
                     codes.append(_TRUNCATED)
                     break
-                codes.append(frame.f_code)
+                code = frame.f_code
+                if code not in modules:
+                    modules[code] = frame.f_globals.get("__name__", "?")
+                codes.append(code)
                 frame = frame.f_back
             self.record(components.get(tid, IDLE_COMPONENT), tuple(codes))
             recorded += 1
+        if len(modules) > self._codes_cap:
+            self._forget_codes()
         return recorded
+
+    def _forget_codes(self) -> None:
+        """Keep the modules of the code objects the tables hold; the map
+        may grow to twice that before the next pass."""
+        with self._lock:
+            held = {code for stacks in self._tables.values()
+                    for stack in stacks if not isinstance(stack, str)
+                    for code in stack}
+        self._modules = {code: module for code, module
+                         in self._modules.items() if code in held}
+        self._codes_cap = max(_MAX_CODES, 2 * len(self._modules))
 
     def record(self, component: str, stack: tuple | str, n: int = 1) -> bool:
         """Count *n* samples of one stack — code objects leaf first, or
@@ -229,31 +252,21 @@ class SamplingProfiler:
             held = [(comp, list(stacks.items()))
                     for comp, stacks in self._tables.items()]
         out: dict[str, dict[str, int]] = {}
+        names: dict[CodeType | str, str] = {_TRUNCATED: _TRUNCATED}
         for comp, stacks in held:
             table = out[comp] = {}
             for stack, count in stacks:
                 if not isinstance(stack, str):
-                    stack = ";".join(code if isinstance(code, str)
-                                     else self._name(code)
-                                     for code in reversed(stack))
+                    for code in stack:
+                        if code not in names:
+                            names[code] = self._name(code)
+                    stack = ";".join(map(names.__getitem__, reversed(stack)))
                 table[stack] = table.get(stack, 0) + count
         return out
 
     def _name(self, code: CodeType) -> str:
-        """``module.qualname`` of a code object, its module the loaded
-        one whose file the code came from ("?" for none)."""
-        name = self._code_names.get(code)
-        if name is None:
-            if code.co_filename not in self._modules:  # loaded since?
-                self._modules = {getattr(mod, "__file__", None): mod_name
-                                 for mod_name, mod
-                                 in reversed(list(sys.modules.items()))}
-            name = (f"{self._modules.get(code.co_filename, '?')}."
-                    f"{code.co_qualname}")
-            if len(self._code_names) >= 4096:  # bounded cache
-                self._code_names.clear()
-            self._code_names[code] = name
-        return name
+        """``module.qualname`` of a sampled code object."""
+        return f"{self._modules.get(code, '?')}.{code.co_qualname}"
 
     def stack_count(self) -> int:
         """Distinct stacks currently held (the boundedness witness)."""

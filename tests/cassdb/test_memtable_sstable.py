@@ -6,6 +6,7 @@ import threading
 from repro.cassdb.memtable import Batch, Memtable
 from repro.cassdb.row import ClusteringBound, Row, slice_bounds_keys
 from repro.cassdb.sstable import SSTable, merge_sstables
+from repro.cassdb.storage import TableStore
 from repro.cassdb.vector import BlockView, ColumnBlock, merge_views
 
 
@@ -51,9 +52,29 @@ class TestMemtable:
                                                write_ts=1))]))
         mt.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"b": 2},
                                                write_ts=2))]))
+        assert mt.row_count == 2  # the log holds both writes
         (row,) = mt.slice_partition_view("pk")[0].to_rows()
         assert row.as_dict() == {"a": 1, "b": 2}
-        assert mt.row_count == 1
+        assert mt.row_count == 3  # and the row the read merged them into
+
+    def test_the_log_is_the_flush_trigger(self):
+        """A key rewritten and read between writes grows the log by the
+        write and the merge; the flush trigger counts both, so the store
+        flushes and no memtable holds more than the threshold."""
+        mt = Memtable()
+        for ts in range(1, 50):
+            mt.append(Batch.of_rows([("pk", _row(1.0, ts_write=ts, v=ts))]))
+            (row,) = mt.slice_partition_view("pk")[0].to_rows()
+            assert row.value("v") == ts
+        assert mt.row_count == len(mt.clustering) == 1 + 2 * 48
+        store = TableStore(flush_threshold=10)
+        for ts in range(1, 200):
+            store.write_rows(Batch.of_rows([("pk", _row(1.0, ts_write=ts,
+                                                        v=ts))]))
+            (row,) = store.read_partition_view("pk").to_rows()
+            assert row.value("v") == ts
+            assert len(store.memtable.clustering) < 10
+        assert store.stats.flushes >= 199 // 10
 
     def test_row_count_across_partitions(self):
         mt = Memtable()
@@ -148,10 +169,11 @@ class TestMemtable:
         assert not sst.block.row_backed
 
 
-class TestASealedMemtableResolvesOnce:
-    """A flush and reads resolve one sealed memtable at the same time:
-    every partition written out of order, each key three times.  Under a
-    tiny switch interval every read and the run answer the last
+class TestASealedMemtableIsOnlyRead:
+    """The seal resolves every partition — each written out of order,
+    each key three times — and then a flush and reads use the sealed
+    memtable at the same time, as a store's flush and its readers do.
+    Under a tiny switch interval every read and the run answer the last
     writes."""
 
     PARTITIONS = 24
@@ -164,6 +186,7 @@ class TestASealedMemtableResolvesOnce:
                                 v=rnd * 1000 + p * 100 + k))
                 for p in range(self.PARTITIONS)
                 for k in range(60, -1, -3)))
+        mt.seal()
         return mt
 
     def test_a_flush_and_reads_agree(self):

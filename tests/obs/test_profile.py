@@ -250,6 +250,33 @@ class TestASampleIsItsCodeObjects:
         assert sum(int(line.rsplit(" ", 1)[1]) for line in prof.folded()
                    ) == prof.samples
 
+    def test_a_frame_is_named_by_its_globals(self, registry, monkeypatch):
+        """Code whose file is no module's — run by ``exec`` here — is
+        named by its frame's ``__name__``, as every frame is; and the
+        noted modules shrink to the code objects the tables hold once
+        they pass the cap."""
+        from repro.obs import profile
+
+        monkeypatch.setattr(profile, "_MAX_CODES", 16)
+        tracer = Tracer(registry=registry)
+        prof = SamplingProfiler(tracer=tracer, registry=registry,
+                                max_stacks_per_component=8)
+        with tracer.root_span("server.sampled"):
+            for i in range(40):
+                scope = {"__name__": "generated", "prof": prof}
+                exec(compile(f"def job_{i}():\n    prof.sample_once()\n",
+                             "<generated>", "exec"), scope)
+                scope[f"job_{i}"]()
+        lines = prof.folded("server")
+        assert any(";generated.job_0;" in line for line in lines)
+        assert not any("?." in line for line in lines)
+        held = {code for stacks in prof._tables.values()
+                for stack in stacks if not isinstance(stack, str)
+                for code in stack}
+        assert len(prof._modules) <= max(16, 2 * len(held))
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in prof.folded()
+                   ) == prof.samples
+
 
 class TestHotFunctions:
     def test_ranks_by_exclusive_leaf_samples(self):
