@@ -5,17 +5,15 @@ architecture (Fig 3).  A :class:`Cluster` owns the ring, the storage
 nodes and the keyspace, and implements the coordinator logic every
 Cassandra node runs:
 
-* every write is a batch of columns (an ``insert`` of one row, a
-  ``delete_row`` of one tombstone marker) sent to all replicas of each
-  partition key, no per-row object on the way; the
-  coordinator waits for ``consistency`` acks and buffers *hints* for
-  replicas that are down (hinted handoff, replayed when the replica
-  recovers);
+* every write is a batch of columns (an ``insert`` is a batch of one
+  row) sent to all replicas of each partition key, no per-row object on
+  the way; the coordinator waits for ``consistency`` acks and buffers
+  *hints* for replicas that are down (hinted handoff, replayed when the
+  replica recovers);
 * reads query ``consistency`` replicas; more than one are asked at
   once on the replica pool and answer with their whole in-bounds copy,
-  tombstone markers kept, the coordinator reconciles the copies by cell
-  timestamp and writes back what a replica lacks — a missed delete
-  included (read repair);
+  the coordinator reconciles the copies by cell timestamp and writes
+  back what a replica lacks — a write it missed (read repair);
 * a read of several partitions (an ``IN`` list, a time window) walks
   them on the calling thread, in order: the network is a method call,
   so there is no round-trip for a fan-out to save.
@@ -400,24 +398,6 @@ class Cluster:
         """:meth:`write_batch` (``benchmarks/e2e/trace.py`` wraps it)."""
         return self.write_batch(table, columns, consistency)
 
-    def delete_row(
-        self,
-        table: str,
-        values: Mapping[str, Any],
-        consistency: Consistency = Consistency.ONE,
-    ) -> None:
-        """Delete one row identified by its full primary key: the commit
-        of one tombstone marker."""
-        schema = self.schema(table)
-        try:
-            pk = tuple(values[c] for c in schema.partition_key)
-            ck = tuple(values[c] for c in schema.clustering_key)
-        except KeyError as exc:
-            raise SchemaError(f"table {table!r}: missing key column "
-                              f"{exc.args[0]!r}") from None
-        marker = Row(ck, {}, tombstone_ts=self.next_write_ts())
-        self._commit(schema, Batch.of_rows([(pk, marker)]), consistency)
-
     # -- write-lock striping -------------------------------------------------
 
     def _all_write_locks(self) -> contextlib.ExitStack:
@@ -582,7 +562,7 @@ class Cluster:
             cells[name] = Column(name, values, stamps, present)
         clustering = (list(zip(*[columns[c] for c in schema.clustering_key]))
                       if schema.clustering_key else [()] * n)
-        return Batch(ColumnBlock(clustering, cells, {}),
+        return Batch(ColumnBlock(clustering, cells),
                      list(rows_of.items()))
 
     def _commit(self, schema: TableSchema, batch: Batch,
@@ -960,9 +940,8 @@ class Cluster:
         targets, spares = self._read_targets(alive, required)
         if len(targets) == 1:
             # The CL=ONE steady state: hand the replica's view straight
-            # through — the store already dropped dead rows and applied
-            # reverse/limit, and a single response needs no
-            # reconciliation.
+            # through — the store already applied reverse/limit, and a
+            # single response needs no reconciliation.
             rid = targets[0]
             g = self.chaos_gate
             if g is not None:
@@ -984,11 +963,10 @@ class Cluster:
             if g is not None:
                 g.before_replica_read(replica_id)
             try:
-                # The whole in-bounds copy, markers kept: *limit* is
-                # applied after the reconcile, never below it.
-                rows = self.nodes[replica_id].exchange_partition(
-                    table, partition_key, lower, upper
-                )
+                # The whole in-bounds copy: *limit* is applied after the
+                # reconcile, never below it.
+                rows = self.nodes[replica_id].read_partition_view(
+                    table, partition_key, lower, upper).to_rows()
             except NodeDownError:  # raced with a kill; treat as no response
                 self._breaker_failure(replica_id)
                 return None
@@ -1030,30 +1008,27 @@ class Cluster:
         if len(responses) < required:
             self._m_consistency_failures.inc()
             raise ReadTimeoutError(required, len(responses))
-        # Read repair rides the reconcile; what is served is the live
-        # part of it, ordered and limited here.
+        # Read repair rides the reconcile; what is served is ordered and
+        # limited here.
         merged, pushed = self._reconcile_copies(
             table, partition_key, responses)
         if pushed:
             with self._counter_lock:
                 self.read_repairs += pushed
             self._m_read_repairs.inc(pushed)
-        merged_view = BlockView(ColumnBlock.over_rows(merged))
-        return merged_view.live().ordered(reverse, limit)
+        return BlockView(ColumnBlock.over_rows(merged)).ordered(reverse, limit)
 
     def _reconcile_copies(
         self, table: str, partition_key: tuple, copies: dict[str, list[Row]]
     ) -> tuple[list[Row], int]:
-        """Merge the replicas' exchanged copies of a partition (cell-level
-        last-write-wins, tombstone markers kept) and push back to each
-        replica every row it lacks or holds stale.  Returns the merged
-        rows, ascending, dead ones included, and the count pushed —
-        read repair and :meth:`repair` are this one loop, one
-        ``write_rows`` per replica.  A push bumps the partition's
-        epochs."""
-        merged = merge_views(
-            [BlockView(ColumnBlock.over_rows(rows))
-             for rows in copies.values()], keep_dead=True)
+        """Merge the replicas' copies of a partition (cell-level
+        last-write-wins) and push back to each replica every row it
+        lacks or holds stale.  Returns the merged rows, ascending, and
+        the count pushed — read repair and :meth:`repair` are this one
+        loop, one ``write_rows`` per replica.  A push bumps the
+        partition's epochs."""
+        merged = merge_views([BlockView(ColumnBlock.over_rows(rows))
+                              for rows in copies.values()])
         pushed = 0
         for replica_id, rows in copies.items():
             have = {row.clustering: row for row in rows}
@@ -1191,7 +1166,6 @@ class Cluster:
         h = hashlib.md5()
         for row in rows:
             h.update(repr(row.clustering).encode())
-            h.update(repr(row.tombstone_ts).encode())
             stamps = row.timestamps()
             for name in sorted(row.values):
                 h.update(name.encode())
@@ -1203,11 +1177,10 @@ class Cluster:
         """Full anti-entropy repair of one table.
 
         For every partition, compare the content digests of all live
-        replicas' copies — tombstone markers included, so a delete one
-        replica missed is a divergence; where they diverge, merge every
-        copy and push each replica what it lacks
-        (:meth:`_reconcile_copies`).  Returns the number of partitions
-        that needed repair.
+        replicas' copies — a write one replica missed is a divergence;
+        where they diverge, merge every copy and push each replica what
+        it lacks (:meth:`_reconcile_copies`).  Returns the number of
+        partitions that needed repair.
         Unlike read repair this covers data nobody has queried —
         Cassandra's ``nodetool repair``.
         """
@@ -1222,7 +1195,8 @@ class Cluster:
                 if len(replicas) < 2:
                     continue
                 copies = {
-                    rid: self.nodes[rid].exchange_partition(table, pk)
+                    rid: self.nodes[rid].read_partition_view(
+                        table, pk).to_rows()
                     for rid in replicas
                 }
                 if len({self._partition_digest(rows)

@@ -6,8 +6,8 @@ sort happens; a flush writes it out as one immutable SSTable.
 
 A memtable is an append-only log of rows kept as column lists —
 clustering keys, each cell column's values, write timestamps and
-presence, tombstone markers — plus, per partition, the log positions
-of its rows.  :meth:`Memtable.append`, the one write entry, gathers a
+presence — plus, per partition, the log positions of its rows.
+:meth:`Memtable.append`, the one write entry, gathers a
 :class:`Batch`'s rows onto the log and extends each partition's
 positions: no per-row object, and one object per list for the cyclic
 collector.  One log, not lists per partition: a node's share of the
@@ -20,10 +20,10 @@ Last-write-wins is resolved when a read or the seal needs a partition
 (:meth:`Memtable.resolved`).  Logs arrive in time order, so appended
 keys usually ascend already and nothing is sorted; otherwise one sort
 of the positions by clustering key brings a key's writes together and
-:func:`~repro.cassdb.row.merge_rows` — the tie rule and the marker
-shadowing of every other merge — reconciles them into one row appended
-to the log.  Nothing is removed from the log before the flush, so
-``row_count`` — the flush trigger — counts every row it holds.  A
+:func:`~repro.cassdb.row.merge_rows` — the tie rule of every other
+merge — reconciles them into one row appended to the log.  Nothing
+is removed from the log before the flush, so ``row_count`` — the
+flush trigger — counts every row it holds.  A
 partition keeps one read *face*, its resolved rows gathered into a
 plain block, from the first read after a write until the next write;
 :meth:`Memtable.slice_partition_view` bisects it as a run's block is
@@ -125,7 +125,6 @@ class Memtable:
         # stamps are gathered once and shared by its columns.
         self.clustering: list[tuple] = []
         self.columns: dict[str, Column] = {}
-        self.tombstones: dict[int, int] = {}
 
     def append(self, batch: Batch) -> None:
         """Append *batch*'s rows to the log, partition after partition,
@@ -174,10 +173,6 @@ class Memtable:
                 if col.present is None:
                     col.present = bytearray(b"\x01" * n)
                 col.present += bytes(k)
-        if block.tombstones:
-            for at, i in enumerate(rows, n):
-                if i in block.tombstones:
-                    self.tombstones[at] = block.tombstones[i]
         return n
 
     def resolved(self, partition_key: tuple) -> array:
@@ -207,7 +202,7 @@ class Memtable:
         ordered = [keys[i] for i in order]
         if all(map(lt, ordered, islice(ordered, 1, None))):
             return array("q", order)
-        log = ColumnBlock(keys, self.columns, self.tombstones)
+        log = ColumnBlock(keys, self.columns)
         kept: list[int | None] = []
         merged: list[Row] = []
         for _key, group in groupby(order, keys.__getitem__):
@@ -236,13 +231,8 @@ class Memtable:
             values = col.values
             columns[name] = Column(name, [values[i] for i in positions],
                                    _Stamps(col.write_ts, positions), present)
-        tombstones: dict[int, int] = {}
-        if self.tombstones:
-            get = self.tombstones.get
-            tombstones = {at: ts for at, i in enumerate(positions)
-                          if (ts := get(i)) is not None}
         log = self.clustering
-        return ColumnBlock([log[i] for i in positions], columns, tombstones)
+        return ColumnBlock([log[i] for i in positions], columns)
 
     def slice_partition_view(
         self,
@@ -271,8 +261,7 @@ class Memtable:
 
     @property
     def row_count(self) -> int:
-        """Rows the log holds, tombstone markers included (the flush
-        trigger): a key written twice counts twice, and the row a read
+        """Rows the log holds (the flush trigger): a key written twice counts twice, and the row a read
         merges them into once more."""
         return len(self.clustering)
 

@@ -124,7 +124,7 @@ class StorageNode:
         reverse: bool = False,
         limit: int | None = None,
     ) -> BlockView:
-        """The live rows of one partition within clustering bounds, as
+        """The rows of one partition within clustering bounds, as
         the view :meth:`TableStore.read_partition_view` answers (the
         empty view when this node has no such table)."""
         self._check_up()
@@ -138,23 +138,6 @@ class StorageNode:
                                              reverse, limit)
             span.set(rows=len(view))
         return view
-
-    def exchange_partition(self, table: str, partition_key: tuple,
-                           lower: ClusteringBound | None = None,
-                           upper: ClusteringBound | None = None) -> list[Row]:
-        """This replica's copy of one partition as replicas exchange it
-        (:meth:`TableStore.exchange_partition`: tombstone markers kept),
-        for a coordinator that reconciles copies."""
-        self._check_up()
-        _M_NODE_READS.inc()
-        store = self.tables.get(table)
-        if store is None:
-            return []
-        with obs.get_tracer().span("cassdb.node.read", node=self.node_id,
-                                   table=table) as span:
-            rows = store.exchange_partition(partition_key, lower, upper)
-            span.set(rows=len(rows))
-        return rows
 
     def partition_keys(self, table: str) -> set[tuple]:
         """Partitions of *table* replicated on this node (liveness ignored:

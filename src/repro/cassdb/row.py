@@ -26,7 +26,7 @@ occupies), which is how every tier — memtable and run — cuts its slice.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import InvalidQueryError
@@ -81,8 +81,7 @@ class Row:
     clustering: tuple
     values: dict[str, Any]
     write_ts: int = 0
-    tombstone_ts: int | None = None  # row-level deletion marker
-    cell_ts: dict[str, int] | None = None
+    cell_ts: dict[str, int] | None = field(default=None, kw_only=True)
 
     @classmethod
     def from_values(
@@ -93,7 +92,7 @@ class Row:
     @classmethod
     def from_stamps(
         cls, clustering: tuple, values: dict[str, Any],
-        stamps: Collection[int], tombstone_ts: int | None = None,
+        stamps: Collection[int],
     ) -> "Row":
         """A row from values and their write timestamps, aligned with
         ``values``' iteration order.  The one spelling of a
@@ -104,15 +103,7 @@ class Row:
         if stamps and min(stamps) != write_ts:
             cell_ts = {name: ts for name, ts in zip(values, stamps)
                        if ts != write_ts}
-        return cls(clustering, values, write_ts, tombstone_ts, cell_ts)
-
-    @property
-    def is_live(self) -> bool:
-        """A row is served by reads if it has cells newer than any
-        tombstone (after :func:`merge_rows`, surviving cells are exactly
-        those) or was never deleted.  A later INSERT therefore resurrects
-        a deleted row, as in Cassandra."""
-        return bool(self.values) or self.tombstone_ts is None
+        return cls(clustering, values, write_ts, cell_ts=cell_ts)
 
     def value(self, column: str, default: Any = None) -> Any:
         return self.values.get(column, default)
@@ -145,7 +136,6 @@ class Row:
         if other.__class__ is not Row:
             return NotImplemented
         return (self.clustering == other.clustering
-                and self.tombstone_ts == other.tombstone_ts
                 and self.same_cells(other))
 
 
@@ -154,13 +144,10 @@ def merge_rows(a: Row, b: Row) -> Row:
 
     Column-wise last-write-wins (equal timestamps break on the greater
     ``repr(value)``, Cassandra's lexically-greater-value rule, so either
-    merge order agrees); a row tombstone shadows any cell written at or
-    before the tombstone's timestamp.
+    merge order agrees).
     """
     if a.clustering != b.clustering:
         raise ValueError("cannot merge rows with different clustering keys")
-    ta, tb = a.tombstone_ts, b.tombstone_ts
-    tombstone = ta if tb is None else tb if ta is None else max(ta, tb)
     values = dict(a.values)
     stamps = a.timestamps()
     theirs = b.timestamps()
@@ -173,10 +160,7 @@ def merge_rows(a: Row, b: Row) -> Row:
                 continue
         values[name] = val
         stamps[name] = ts
-    if tombstone is not None:
-        for name in [n for n, ts in stamps.items() if ts <= tombstone]:
-            del values[name], stamps[name]
-    return Row.from_stamps(a.clustering, values, stamps.values(), tombstone)
+    return Row.from_stamps(a.clustering, values, stamps.values())
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,7 +6,7 @@ which guarantees a fast and efficient search" — paper §II-A).
 
 A run is physically one :class:`~repro.cassdb.vector.ColumnBlock` —
 per-column value arrays, dictionary-encoded low-cardinality strings
-(one dictionary per run), a liveness bitmap — holding every partition's
+(one dictionary per run) — holding every partition's
 rows next to each other in partition order, plus
 :attr:`SSTable.offsets`, the partition index ``partition key -> (start,
 end)`` into it: Cassandra's ``Data.db`` and its ``-Index.db``.  The
@@ -109,14 +109,8 @@ def merge_sstables(tables: Iterable[SSTable]) -> SSTable:
     """Compaction: merge several runs into one, reconciling duplicates.
 
     Each partition is :func:`~repro.cassdb.vector.merge_views` over its
-    stretch of every run's block, live rows only: a row whose latest
-    state is a deletion is garbage-collected, its marker with it.  The
-    merged partitions are encoded as one block.  That is safe
-    against the runs — compaction covers *all* of the table's, so no
-    older run is left for the tombstone to shadow — but not against a
-    write still in a memtable, a hint buffer or another replica and
-    stamped at or before the tombstone: delivered after this
-    compaction, it resurrects the row (there is no ``gc_grace``).
+    stretch of every run's block; the merged partitions are encoded as
+    one block.
 
     The output is built in partition order, so the merged
     run's partition iteration order (``partition_keys()``, full scans)
@@ -128,7 +122,6 @@ def merge_sstables(tables: Iterable[SSTable]) -> SSTable:
     for pk in in_partition_order({pk for t in tables for pk in t.offsets}):
         merged = merge_views([BlockView(t.block, range(*span)) for t in tables
                               if (span := t.offsets.get(pk)) is not None])
-        if merged:  # else every row of the partition was dead
-            offsets[pk] = (len(rows), len(rows) + len(merged))
-            rows += merged
+        offsets[pk] = (len(rows), len(rows) + len(merged))
+        rows += merged
     return SSTable(ColumnBlock.transposed(rows).encoded(), offsets)

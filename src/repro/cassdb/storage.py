@@ -10,9 +10,8 @@ one block: a run holds all its partitions in one
 is a view over the partition's offset range.  A run holds a partition
 exactly when its ``offsets`` name it, so a read skips every other run
 with one dict lookup.  Rows arrive one way, :meth:`TableStore.write_rows`,
-as a :class:`~repro.cassdb.memtable.Batch` of column cells, a delete as
-a tombstone marker among them.  One :class:`TableStore` exists per table
-per storage node.
+as a :class:`~repro.cassdb.memtable.Batch` of column cells.  One
+:class:`TableStore` exists per table per storage node.
 
 Concurrency model: the store lock guards memtable appends, sealing a
 memtable and publishing an SSTable; a run's encode and a compaction's
@@ -160,7 +159,7 @@ class TableStore:
             self._build_sstable(sealed)
 
     def compact(self) -> None:
-        """Merge all runs into one, dropping shadowed data and tombstones.
+        """Merge all runs into one, dropping shadowed cells.
 
         The merge runs on a snapshot outside the lock; runs flushed
         while it was merging are kept alongside the merged result.
@@ -201,7 +200,7 @@ class TableStore:
         reverse: bool = False,
         limit: int | None = None,
     ) -> BlockView:
-        """All live rows of a partition within clustering bounds, as the
+        """All rows of a partition within clustering bounds, as the
         view the vectorized kernels filter, project and fold.
 
         Each run whose offsets hold the partition is first bisected
@@ -213,33 +212,21 @@ class TableStore:
         When one tier alone holds the partition — one SSTable run, the
         steady state after flush/compaction, or one memtable, a
         partition written since the last flush — the view is that
-        tier's slice, dead rows dropped: no merge runs and, over a run,
-        no ``Row`` is built.  With several sources (memtable deltas,
-        un-compacted runs) the k-way heap merge reconciles them
-        (duplicates by cell timestamp, tombstoned rows dropped), stops
-        once *limit* live rows exist, and the view is over a row-backed
-        block of what it emitted.  Either way dead rows are gone, the
-        block ascends and *reverse*/*limit* are the view's order.
+        tier's slice: no merge runs and, over a run, no ``Row`` is
+        built.  With several sources (memtable deltas, un-compacted
+        runs) the k-way heap merge reconciles them (duplicates by cell
+        timestamp), stops once *limit* rows exist, and the view is over
+        a row-backed block of what it emitted.  Either way the block
+        ascends and *reverse*/*limit* are the view's order.
         """
         sources = self._slices(partition_key, lower, upper)
         if len(sources) == 1:
-            return sources[0].live().ordered(reverse, limit)
+            return sources[0].ordered(reverse, limit)
         # The merge stops at *limit* and, reversed, emits descending.
         rows = merge_views(sources, reverse=reverse, limit=limit)
         if reverse:
             rows.reverse()
         return BlockView(ColumnBlock.over_rows(rows)).ordered(reverse)
-
-    def exchange_partition(self, partition_key: tuple,
-                           lower: ClusteringBound | None = None,
-                           upper: ClusteringBound | None = None) -> list[Row]:
-        """This node's copy of a partition within clustering bounds, as
-        replicas exchange it: memtables and runs reconciled, ascending,
-        dead rows *kept* — a delete reaches a replica that missed it
-        only as the tombstone marker.  No *reverse*/*limit*: a limit cut
-        below a reconcile across replicas is a short read."""
-        return merge_views(self._slices(partition_key, lower, upper),
-                           keep_dead=True)
 
     def _slices(self, partition_key: tuple, lower: ClusteringBound | None,
                 upper: ClusteringBound | None) -> list[BlockView]:

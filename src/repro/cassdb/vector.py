@@ -8,13 +8,12 @@ memtable gathers a partition's rows from its column lists; a read of
 either is a view over an offset range.  A merge of several sources
 (memtable deltas, un-compacted runs, a QUORUM reconcile) emits rows, as
 a *row-backed* block whose columns are transposed out of them on first
-use (:meth:`ColumnBlock.over_rows`).  Every kind reports its dead rows
-the same way, so :func:`merge_views` takes views and nothing else.
-Either way pushed-down predicates, projections and aggregate folds run one
-column at a time over the selection (:func:`select_rows`,
-:func:`materialize_dicts`, :func:`fold_view`, :func:`column_lists`), so
-result dicts are built only for the survivors — and for aggregates and
-column reads, never at all.  For analytics scans — the workload the
+use (:meth:`ColumnBlock.over_rows`), so :func:`merge_views` takes views
+and nothing else.  Either way pushed-down predicates, projections and
+aggregate folds run one column at a time over the selection
+(:func:`select_rows`, :func:`materialize_dicts`, :func:`fold_view`,
+:func:`column_lists`), so result dicts are built only for the survivors
+— and for aggregates and column reads, never at all.  For analytics scans — the workload the
 paper cares about — that is almost all of the work: a filtered scan
 keeps a few percent of the rows it touches, and a pushed-down ``GROUP
 BY`` reduces thousands of rows to a handful of partial states.
@@ -25,9 +24,9 @@ one dictionary per run: a predicate is evaluated once per *dictionary
 entry*, then rows are matched by integer code.
 
 Row materialization (:meth:`ColumnBlock.row_at`) stays byte-faithful —
-every cell keeps its write timestamp, tombstones their deletion marker —
-so writes, hinted handoff, read repair, and compaction reconcile
-columnar and row-form data interchangeably.
+every cell keeps its write timestamp — so writes, hinted handoff, read
+repair, and compaction reconcile columnar and row-form data
+interchangeably.
 """
 
 from __future__ import annotations
@@ -158,10 +157,7 @@ class ColumnBlock:
 
     ``clustering`` is the clustering-key array, ascending within each
     partition the block holds (what a bounds probe bisects and the
-    merge compares); ``columns`` maps column name to :class:`Column`;
-    ``live`` is a liveness bitmap (``None`` when no row is
-    tombstone-shadowed); ``tombstones`` keeps the sparse ``offset ->
-    tombstone_ts`` map so dead rows round-trip exactly.
+    merge compares); ``columns`` maps column name to :class:`Column`.
 
     A block is *eager* — plain (:meth:`transposed`: a write's rows; a
     memtable partition's face) or dictionary-encoded (:meth:`encoded`:
@@ -171,39 +167,22 @@ class ColumnBlock:
     Kernels see the same :class:`Column` either way.
     """
 
-    __slots__ = ("clustering", "n", "columns", "live", "n_dead",
-                 "tombstones", "_rows", "row_backed")
+    __slots__ = ("clustering", "n", "columns", "_rows", "row_backed")
 
-    def __init__(self, clustering: list[tuple], columns: dict[str, Column],
-                 tombstones: dict[int, int]):
+    def __init__(self, clustering: list[tuple], columns: dict[str, Column]):
         self.clustering = clustering  # ascending within each partition
-        self.n = n = len(clustering)
+        self.n = len(clustering)
         self.columns = columns
-        self.tombstones = tombstones
-        # A row is dead when a tombstone marks it and no cell survives.
-        dead = [i for i in tombstones
-                if not any(c.present is None or c.present[i]
-                           for c in columns.values())]
-        self.live = None
-        if dead:
-            self.live = bytearray(b"\x01" * n)
-            for i in dead:
-                self.live[i] = 0
-        self.n_dead = len(dead)
         self._rows: list[Row] | None = None
         self.row_backed = False
 
     @classmethod
     def over_rows(cls, rows: list[Row]) -> "ColumnBlock":
         """A block over *rows* as they are, in ascending clustering
-        order: what :func:`merge_views` emitted, a copy replicas
-        exchanged.  Dead rows are reported as an eager block reports
-        them (``n_dead``/``live``); nothing is encoded, and a read that
-        names no cell column (a count, a rehydration) never transposes
-        one."""
-        block = cls([r.clustering for r in rows], {},
-                    {i: r.tombstone_ts for i, r in enumerate(rows)
-                     if not r.values and r.tombstone_ts is not None})
+        order: what :func:`merge_views` emitted, a copy a replica sent.
+        Nothing is encoded, and a read that names no cell
+        column (a count, a rehydration) never transposes one."""
+        block = cls([r.clustering for r in rows], {})
         block._rows = rows
         block.row_backed = True
         return block
@@ -227,14 +206,11 @@ class ColumnBlock:
     @classmethod
     def transposed(cls, rows: Sequence[Row]) -> "ColumnBlock":
         """A plain eager block of *rows*, in their order: every cell
-        with its write timestamp, every tombstone marker — what a hint
-        replay or a repair push appends to a memtable."""
+        with its write timestamp — what a hint replay or a repair push
+        appends to a memtable."""
         n = len(rows)
         columns: dict[str, Column] = {}
-        tombstones: dict[int, int] = {}
         for i, row in enumerate(rows):
-            if row.tombstone_ts is not None:
-                tombstones[i] = row.tombstone_ts
             write_ts, cell_ts = row.write_ts, row.cell_ts
             for name, value in row.values.items():
                 col = columns.get(name)
@@ -249,7 +225,7 @@ class ColumnBlock:
         for col in columns.values():
             if 0 not in col.present:
                 col.present = None
-        return cls([r.clustering for r in rows], columns, tombstones)
+        return cls([r.clustering for r in rows], columns)
 
     def encoded(self) -> "ColumnBlock":
         """This plain block with its low-cardinality string columns
@@ -260,8 +236,7 @@ class ColumnBlock:
                            {name: _encoded(Column(name, col.values,
                                                   array("q", col.write_ts),
                                                   col.present), self.n)
-                            for name, col in self.columns.items()},
-                           self.tombstones)
+                            for name, col in self.columns.items()})
 
     @classmethod
     def from_rows(cls, rows: Sequence[Row]) -> "ColumnBlock":
@@ -271,9 +246,9 @@ class ColumnBlock:
         return cls.transposed(rows).encoded()
 
     def row_at(self, i: int) -> Row:
-        """Materialize the exact Row stored at offset *i* (timestamps,
-        tombstone marker and all) — the compatibility boundary for
-        repair, hints, and compaction."""
+        """Materialize the exact Row stored at offset *i*, every cell
+        with its timestamp — the compatibility boundary for repair,
+        hints, and compaction."""
         if self._rows is not None:
             return self._rows[i]
         values: dict[str, Any] = {}
@@ -284,8 +259,7 @@ class ColumnBlock:
                 values[col.name] = (col.values[i] if col.codes is None
                                     else col.dictionary[col.codes[i]])
                 stamps.append(col.write_ts[i])
-        return Row.from_stamps(self.clustering[i], values, stamps,
-                               self.tombstones.get(i))
+        return Row.from_stamps(self.clustering[i], values, stamps)
 
     def __len__(self) -> int:
         return self.n
@@ -323,14 +297,6 @@ class BlockView:
 
     def __len__(self) -> int:
         return len(self.order)
-
-    def live(self) -> "BlockView":
-        """Drop tombstone-shadowed rows (no-op when none are dead)."""
-        block = self.block
-        if block.n_dead == 0:
-            return self
-        alive = block.live
-        return BlockView(block, [i for i in self.order if alive[i]])
 
     def ordered(self, reverse: bool = False,
                 limit: int | None = None) -> "BlockView":
@@ -797,32 +763,25 @@ def _entries(view: "BlockView", reverse: bool):
 
 
 def merge_views(sources: list[BlockView], reverse: bool = False,
-                limit: int | None = None, *,
-                keep_dead: bool = False) -> list[Row]:
+                limit: int | None = None) -> list[Row]:
     """The store's one reconcile: k-way merge of sorted copies of a
     partition, each a :class:`BlockView` — a memtable's slice, a run's
-    slice, a copy a replica exchanged (the coordinator wraps it with
+    slice, a copy a replica sent (the coordinator wraps it with
     :meth:`ColumnBlock.over_rows`).
 
     Compares on the blocks' clustering arrays and materializes a Row
     only for keys that collide across sources or reach the output —
     with a ``LIMIT k`` the trailing rows of every run are never decoded.
-    Equal keys reconcile via :func:`merge_rows` (a tombstone in any one
-    copy shadows the rest).  A serving read
-    (``TableStore.read_partition_view``) and compaction
-    (``merge_sstables``) take live rows only: dead ones are skipped —
-    on the liveness bitmap, undecoded, where one block alone holds the
-    key — and do not count toward *limit*.  An exchange
-    (``TableStore.exchange_partition``; the coordinator over replicas'
-    slices for a QUORUM/ALL read and ``repair``) fixes ``keep_dead=True``
-    where it calls: a delete reaches a copy that missed it only as the
-    tombstone marker.
+    Equal keys reconcile via :func:`merge_rows`; a key one source alone
+    holds is its :meth:`ColumnBlock.row_at`.  A serving read
+    (``TableStore.read_partition_view``), compaction (``merge_sstables``)
+    and the coordinator over replicas' copies for a QUORUM/ALL read and
+    ``repair`` all run it.
     """
     if limit is not None and limit <= 0:
         return []
     if len(sources) == 1:
-        source = sources[0] if keep_dead else sources[0].live()
-        return source.ordered(reverse, limit).to_rows()
+        return sources[0].ordered(reverse, limit).to_rows()
     make_key = _RevKey if reverse else (lambda k: k)
     blocks = [source.block for source in sources]
     heap = []
@@ -838,27 +797,13 @@ def merge_views(sources: list[BlockView], reverse: bool = False,
         nxt = next(it, None)
         if nxt is not None:
             heapq.heappush(heap, (make_key(nxt[0]), sid, nxt[1], it))
-        block = blocks[sid]
-        if heap and heap[0][0] == key:
-            # Collision: reconcile every source's copy before liveness —
-            # a tombstone in one run may shadow the others' cells.
-            row = block.row_at(i)
-            while heap and heap[0][0] == key:
-                _k, sid2, i2, it2 = heapq.heappop(heap)
-                row = merge_rows(row, blocks[sid2].row_at(i2))
-                nxt = next(it2, None)
-                if nxt is not None:
-                    heapq.heappush(
-                        heap, (make_key(nxt[0]), sid2, nxt[1], it2))
-            if not row.is_live and not keep_dead:
-                continue
-        else:
-            # Sole owner of this key: check liveness on the bitmap and
-            # materialize only if the row is emitted.
-            if (block.live is not None and not block.live[i]
-                    and not keep_dead):
-                continue
-            row = block.row_at(i)
+        row = blocks[sid].row_at(i)
+        while heap and heap[0][0] == key:  # every other source's copy
+            _k, sid2, i2, it2 = heapq.heappop(heap)
+            row = merge_rows(row, blocks[sid2].row_at(i2))
+            nxt = next(it2, None)
+            if nxt is not None:
+                heapq.heappush(heap, (make_key(nxt[0]), sid2, nxt[1], it2))
         out.append(row)
         if limit is not None and len(out) >= limit:
             break

@@ -87,15 +87,6 @@ class TestWriteReadRoundtrip:
         assert len(rows) == 1
         assert rows[0]["v"] == 2
 
-    def test_delete_row(self):
-        cluster = make_cluster()
-        insert_events(cluster, 3)
-        cluster.delete_row(
-            "event_by_time", {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0}
-        )
-        rows = cluster.select_partition("event_by_time", (0, "MCE"))
-        assert [r["ts"] for r in rows] == [0.0, 2.0]
-
     def test_insert_many(self):
         cluster = make_cluster()
         n = cluster.insert_many(
@@ -204,25 +195,24 @@ class TestFailureModes:
         assert len(stale_now) == 5
 
 
-class TestDeletesCrossReplicas:
-    """A delete that one of three replicas missed reaches it by
-    reconciliation: replicas exchange tombstone markers, so R + W > N
-    holds for deletes as it does for writes."""
+class TestMissedWritesCrossReplicas:
+    """A write one of three replicas missed reaches it by
+    reconciliation when its hint cannot: R + W > N holds whichever
+    replicas answer, and read repair and ``repair()`` deliver the row."""
 
     KEY = {"hour": 0, "type": "MCE", "ts": 1.0, "seq": 0}
 
-    def missed_delete(self, hint="holder down"):
-        """(cluster, partition key, the replica still holding the row): a row
-        written at ALL, deleted at QUORUM while one replica was down,
-        which came back without its hint — the hint's holder is down
-        too, or (``hint="dropped"``) the buffer was lost."""
+    def missed_write(self, hint="holder down"):
+        """(cluster, partition key, the replica lacking the row): a row
+        written at QUORUM while one replica was down, which came back
+        without its hint — the hint's holder is down too, or
+        (``hint="dropped"``) the buffer was lost."""
         cluster = make_cluster(4, rf=3)
-        cluster.insert("event_by_time", {**self.KEY, "amount": 1},
-                       Consistency.ALL)
         pk = (self.KEY["hour"], self.KEY["type"])
         stale, *others = cluster.ring.replicas(EVENTS.ring_key(pk))
         cluster.kill_node(stale)
-        cluster.delete_row("event_by_time", self.KEY, Consistency.QUORUM)
+        cluster.insert("event_by_time", {**self.KEY, "amount": 1},
+                       Consistency.QUORUM)
         holders = [rid for rid in others if cluster.nodes[rid].hints]
         assert len(holders) == 1
         if hint == "dropped":
@@ -230,7 +220,7 @@ class TestDeletesCrossReplicas:
         else:
             cluster.kill_node(holders[0])
         cluster.revive_node(stale)
-        assert len(self.alone(cluster, stale, pk)) == 1
+        assert self.alone(cluster, stale, pk) == []
         return cluster, pk, stale
 
     @staticmethod
@@ -238,31 +228,37 @@ class TestDeletesCrossReplicas:
         return cluster.nodes[node_id].read_partition_view(
             "event_by_time", pk).to_rows()
 
-    def test_quorum_read_does_not_answer_the_deleted_row(self):
-        cluster, _pk, _stale = self.missed_delete()
-        assert cluster.select_partition(
-            "event_by_time", (0, "MCE"), consistency=Consistency.QUORUM) == []
+    @staticmethod
+    def served(cluster, level):
+        return [(r["ts"], r["amount"]) for r in cluster.select_partition(
+            "event_by_time", (0, "MCE"), consistency=level)]
 
-    def test_quorum_read_repair_delivers_the_tombstone(self):
-        cluster, pk, stale = self.missed_delete()
-        cluster.select_partition(
-            "event_by_time", (0, "MCE"), consistency=Consistency.QUORUM)
+    def test_quorum_read_answers_the_missed_row(self):
+        cluster, _pk, _stale = self.missed_write()
+        assert self.served(cluster, Consistency.QUORUM) == [(1.0, 1)]
+
+    def test_quorum_read_repair_delivers_the_row_once(self):
+        cluster, pk, stale = self.missed_write()
+        self.served(cluster, Consistency.QUORUM)
         assert cluster.read_repairs == 1
-        assert self.alone(cluster, stale, pk) == []
+        assert [r.values for r in self.alone(cluster, stale, pk)] == [
+            {"amount": 1}]
+        self.served(cluster, Consistency.QUORUM)
+        assert cluster.read_repairs == 1
 
-    def test_repair_delivers_the_delete_once(self):
-        cluster, pk, _stale = self.missed_delete()
+    def test_repair_delivers_the_write_once(self):
+        cluster, pk, _stale = self.missed_write()
         assert cluster.repair("event_by_time") == 1
         assert cluster.repair("event_by_time") == 0
         for node_id in cluster.ring.replicas(EVENTS.ring_key(pk)):
             if cluster.nodes[node_id].up:
-                assert self.alone(cluster, node_id, pk) == []
+                assert len(self.alone(cluster, node_id, pk)) == 1
 
     def test_at_all_with_the_hint_dropped_and_every_replica_up(self):
-        cluster, pk, stale = self.missed_delete(hint="dropped")
-        assert cluster.select_partition(
-            "event_by_time", (0, "MCE"), consistency=Consistency.ALL) == []
-        assert self.alone(cluster, stale, pk) == []
+        cluster, pk, stale = self.missed_write(hint="dropped")
+        assert self.served(cluster, Consistency.ALL) == [(1.0, 1)]
+        assert cluster.read_repairs == 1
+        assert len(self.alone(cluster, stale, pk)) == 1
         assert cluster.repair("event_by_time") == 0
 
 
@@ -444,10 +440,6 @@ class TestScatterGather:
         insert_events(cluster, 3, hour=0)
         e1 = cluster.table_epoch("event_by_time")
         assert e1 == e0 + 3
-        cluster.delete_row(
-            "event_by_time",
-            {"hour": 0, "type": "MCE", "ts": 0.0, "seq": 0})
-        assert cluster.table_epoch("event_by_time") == e1 + 1
 
     def test_quorum_scatter_survives_node_failure(self):
         cluster = make_cluster(4, rf=3)

@@ -22,10 +22,6 @@ def _row(ts, seq=0, write_ts=1, **cols):
     return Row.from_values((ts, seq), cols, write_ts=write_ts)
 
 
-def _dead(ts, seq=0, tombstone_ts=9):
-    return Row((ts, seq), {}, tombstone_ts=tombstone_ts)
-
-
 TYPES = ["warn", "error", "info", "warn", "error", "warn", "info", "warn",
          "error", "warn"]
 
@@ -47,14 +43,6 @@ class TestColumnBlock:
         block, _ = _block()
         row = block.row_at(3)
         assert row.timestamps()["type"] == 4
-
-    def test_round_trip_tombstones(self):
-        rows = [_row(1.0), _dead(2.0), _row(3.0)]
-        block = ColumnBlock.from_rows(rows)
-        assert block.n_dead == 1
-        assert BlockView(block).to_rows() == rows
-        assert not block.row_at(1).is_live
-        assert block.row_at(1).tombstone_ts == 9
 
     def test_ragged_columns(self):
         # Schema-flexible rows: columns missing from some rows stay
@@ -213,7 +201,7 @@ class TestColumnLists:
 
     def _block(self):
         # type: dictionary, every cell present; tag: dictionary with
-        # absent cells; load: plain with absent cells; one dead row.
+        # absent cells; load: plain with absent cells.
         rows = []
         for i in range(12):
             cols = {"type": TYPES[i % 10], "amount": i * 10}
@@ -222,7 +210,6 @@ class TestColumnLists:
             if i % 4 == 0:
                 cols["load"] = i / 2
             rows.append(_row(float(i), write_ts=i + 1, **cols))
-        rows[6] = _dead(6.0)
         block = ColumnBlock.from_rows(rows)
         assert block.columns["tag"].codes is not None
         assert block.columns["tag"].present is not None
@@ -242,7 +229,7 @@ class TestColumnLists:
         None, range(2, 9), range(5, 5), [1, 4, 5, 8, 11]])
     def test_block_rows_and_oracle_agree(self, order, predicates):
         schema = self._schema()
-        view = BlockView(self._block(), order).live()
+        view = BlockView(self._block(), order)
         got = column_lists(view, schema, self.PK, self.COLUMNS, predicates)
         row_backed = BlockView(ColumnBlock.over_rows(view.to_rows()))
         assert got == column_lists(row_backed, schema, self.PK,
@@ -370,21 +357,10 @@ class TestMergeViews:
         block = ColumnBlock.from_rows(rows)
         return BlockView(block)
 
-    def test_single_view_drops_dead(self):
-        view = self._view([_row(1.0), _dead(2.0), _row(3.0)])
-        out = merge_views([view])
-        assert [r.clustering[0] for r in out] == [1.0, 3.0]
-
     def test_reverse_and_limit(self):
         view = self._view([_row(float(i)) for i in range(5)])
         out = merge_views([view], reverse=True, limit=2)
         assert [r.clustering[0] for r in out] == [4.0, 3.0]
-
-    def test_tombstone_in_one_source_shadows_other(self):
-        newer = self._view([_dead(1.0, tombstone_ts=5)])
-        older = self._view([_row(1.0, write_ts=1, v=1), _row(2.0, v=2)])
-        out = merge_views([newer, older])
-        assert [r.clustering[0] for r in out] == [2.0]
 
     def test_collision_reconciled_by_timestamp(self):
         a = self._view([_row(1.0, write_ts=5, v="new")])
@@ -393,11 +369,6 @@ class TestMergeViews:
         out = merge_views([a, b])
         assert out[0].values["v"] == "new"
         assert len(out) == 2
-
-    def test_limit_skips_dead_rows(self):
-        a = self._view([_dead(1.0), _row(2.0), _row(3.0)])
-        out = merge_views([a], limit=2)
-        assert [r.clustering[0] for r in out] == [2.0, 3.0]
 
     def test_mixed_view_and_row_sources_interleave(self):
         a = self._view([_row(1.0), _row(4.0)])
@@ -471,14 +442,6 @@ class TestColumnarRowParity:
         expected = eval_select(EV_ROWS, **self.QUERIES[query])
         assert _seed_session(flush=True).execute(query) == expected
         assert _seed_session(flush=False).execute(query) == expected
-
-    def test_delete_visible_through_columnar_read(self):
-        s = _seed_session()
-        s.cluster.delete_row(
-            "ev", {"hour": 1, "type": "console", "ts": 1000, "seq": 0})
-        out = s.execute("SELECT ts FROM ev WHERE hour = 1"
-                        " AND type = 'console' AND ts <= 1001")
-        assert [r["ts"] for r in out] == [1001.0]
 
 
 class TestSSTableColumnar:

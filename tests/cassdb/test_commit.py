@@ -1,7 +1,6 @@
 """The batch commit: route by replica set, apply by node.
 
-Every write is a batch: ``insert`` is a ``write_batch`` of one row and
-``delete_row`` commits one tombstone marker the same way.
+Every write is a batch: ``insert`` is a ``write_batch`` of one row.
 ``Cluster._commit_groups`` is the one place their rows reach a replica,
 acks are counted and hints are buffered; hint replay and repair land a
 replica's rows with one ``StorageNode.write_rows`` too.  What a caller
@@ -13,7 +12,7 @@ can observe of it:
   {ONE, QUORUM, ALL} × the victim first or second in its replica lists;
 * one ``write_batch`` enters ``StorageNode.write_rows`` at most once per
   node, whatever the batch size;
-* generated histories of writes, deletes, batches, flushes, reads,
+* generated histories of writes, batches, flushes, compactions, reads,
   repairs and node failures agree with a dict of last-write-wins: at
   every read whose level overlaps every write's acks (R + W > N), and
   on every replica once every node is back.
@@ -482,25 +481,24 @@ _read_levels = st.sampled_from(
     [Consistency.ONE, Consistency.QUORUM, Consistency.ALL])
 _ops = st.one_of(
     st.tuples(st.just("insert"), _pks, _cks, _vals, _levels),
-    st.tuples(st.just("delete"), _pks, _cks, _levels),
     st.tuples(st.just("batch"),
               st.lists(st.tuples(_pks, _cks, _vals), min_size=1, max_size=8),
               _levels),
     st.tuples(st.just("flush")),
+    st.tuples(st.just("compact")),
     st.tuples(st.just("read"), _pks, _read_levels),
     st.tuples(st.just("repair")),
     st.tuples(st.just("kill"), _nodes),
     st.tuples(st.just("crash"), _nodes),
     st.tuples(st.just("heal"), _nodes),
 )
-# A delete one of three replicas misses, its hint held by a replica that
+# A write one of three replicas misses, its hint held by a replica that
 # is down when it comes back: only reconciliation can deliver it.
 _MISSED, _HOLDER, _ = Cluster(4, replication_factor=3).ring.replicas(
     ring_key("p0"))
-_MISSED_DELETE = [
-    ("insert", "p0", 0, 1, Consistency.QUORUM),
+_MISSED_WRITE = [
     ("kill", _MISSED),
-    ("delete", "p0", 0, Consistency.QUORUM),
+    ("insert", "p0", 0, 1, Consistency.QUORUM),
     ("kill", _HOLDER),
     ("heal", _MISSED),
     ("read", "p0", Consistency.QUORUM),
@@ -509,7 +507,7 @@ _MISSED_DELETE = [
 
 
 class TestCommitHistories:
-    """insert / delete_row / write_batch / flush_all / select_partition
+    """insert / write_batch / flush_all / compaction / select_partition
     / repair under kills and silent crashes, over two or three replicas
     a partition, against a dict of last-write-wins.
 
@@ -519,22 +517,20 @@ class TestCommitHistories:
     failed, but its hints still carry the rows to the others).  And one
     thing about a read: it answers the reference whenever its level and
     the fewest acks any write to the partition got add up to more than
-    the replica count — deletes included, whichever replicas answer."""
+    the replica count, whichever replicas answer."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(ops=st.lists(_ops, min_size=1, max_size=40), retry=st.booleans(),
            rf=st.sampled_from([2, 3]))
-    @example(ops=_MISSED_DELETE, retry=False, rf=3)
-    @example(ops=_MISSED_DELETE[:5] + _MISSED_DELETE[6:], retry=False, rf=3)
+    @example(ops=_MISSED_WRITE, retry=False, rf=3)
+    @example(ops=_MISSED_WRITE[:4] + _MISSED_WRITE[5:], retry=False, rf=3)
     def test_replicas_converge_on_the_reference(self, ops, retry, rf):
         policy = RetryPolicy(max_attempts=2 if retry else 1,
                              base_delay_ms=0.0, jitter=0.0)
-        # No compaction: it collects tombstones one replica at a time.
-        cluster = Cluster(4, replication_factor=rf, retry_policy=policy,
-                          max_sstables=64)
+        cluster = Cluster(4, replication_factor=rf, retry_policy=policy)
         cluster.create_table(SCHEMA)
-        reference: dict[tuple[str, int], int | None] = {}
+        reference: dict[tuple[str, int], int] = {}
         fewest_acks: dict[str, int] = {}    # over a partition's writes
         killed: set[str] = set()
         crashed: set[str] = set()
@@ -559,7 +555,7 @@ class TestCommitHistories:
         def expected(pk):
             return [{"pk": pk, "ck": ck, "v": v}
                     for (p, ck), v in sorted(reference.items())
-                    if p == pk and v is not None]
+                    if p == pk]
 
         def alone(nid, pk):
             return cluster.nodes[nid].read_partition_view(
@@ -584,11 +580,6 @@ class TestCommitHistories:
                             "t", {"pk": pk, "ck": ck, "v": v}, level),
                             [pk], level):
                         reference[pk, ck] = v
-                elif kind == "delete":
-                    _, pk, ck, level = op
-                    if attempt(lambda: cluster.delete_row(
-                            "t", {"pk": pk, "ck": ck}, level), [pk], level):
-                        reference[pk, ck] = None
                 elif kind == "batch":
                     _, cells, level = op
                     rows = [{"pk": pk, "ck": ck, "v": v}
@@ -602,6 +593,10 @@ class TestCommitHistories:
                             reference[pk, ck] = v
                 elif kind == "flush":
                     cluster.flush_all()
+                elif kind == "compact":
+                    for node in cluster.nodes.values():
+                        for store in node.tables.values():
+                            store.compact()
                 elif kind == "read":
                     _, pk, level = op
                     try:

@@ -31,7 +31,7 @@ def flushed(partitions):
 
 
 def _rows(sst, pk):
-    """Every row a run stores for *pk*, dead ones included."""
+    """Every row a run stores for *pk*."""
     return BlockView(sst.block, range(*sst.offsets[pk])).to_rows()
 
 
@@ -84,20 +84,6 @@ class TestMemtable:
         assert mt.row_count == 3
         assert len(mt) == 3
 
-    def test_delete_writes_tombstone(self):
-        mt = Memtable()
-        mt.append(Batch.of_rows([("pk", _row(1.0, ts_write=1))]))
-        mt.append(Batch.of_rows([("pk", Row((1.0, 0), {}, tombstone_ts=2))]))
-        (row,) = mt.slice_partition_view("pk")[0].to_rows()
-        assert not row.is_live
-
-    def test_delete_before_insert(self):
-        mt = Memtable()
-        mt.append(Batch.of_rows([("pk", Row((9.0, 0), {}, tombstone_ts=5))]))
-        assert mt.row_count == 1
-        (row,) = mt.slice_partition_view("pk")[0].to_rows()
-        assert row.clustering == (9.0, 0) and not row.is_live
-
     def test_missing_partition(self):
         assert Memtable().slice_partition_view("nope") is None
 
@@ -127,14 +113,13 @@ class TestMemtable:
         mt = Memtable()
         mt.append(Batch.of_rows([("pk", _row(1.0))]))
         for write in (_row(2.0),                              # new key
-                      _row(1.0, ts_write=2, w=7),             # merge
-                      Row((2.0, 0), {}, tombstone_ts=3)):     # marker
+                      _row(1.0, ts_write=2, w=7)):            # merge
             before, _ = mt.slice_partition_view("pk")
             mt.append(Batch.of_rows([("pk", write)]))
             after, _ = mt.slice_partition_view("pk")
             assert after.block is not before.block
-        assert [r.as_dict() for r in after.live().to_rows()] == [
-            {"v": 1.0, "w": 7}]
+        assert [r.as_dict() for r in after.to_rows()] == [
+            {"v": 1.0, "w": 7}, {"v": 2.0}]
 
     def test_a_view_taken_before_a_write_keeps_its_rows(self):
         mt = Memtable()
@@ -143,12 +128,11 @@ class TestMemtable:
         view, _ = mt.slice_partition_view("pk")
         mt.append(Batch.of_rows([("pk", _row(0.0))]))
         mt.append(Batch.of_rows([("pk", _row(1.0, ts_write=2, v=-1))]))
-        mt.append(Batch.of_rows([("pk", Row((2.0, 0), {}, tombstone_ts=3))]))
         assert [(r.clustering[0], r.value("v")) for r in view.to_rows()] == [
             (1.0, 1.0), (2.0, 2.0)]
         assert view.block.column("v").values == [1.0, 2.0]
         now, _ = mt.slice_partition_view("pk")
-        assert [r.value("v") for r in now.live().to_rows()] == [0.0, -1]
+        assert [r.value("v") for r in now.to_rows()] == [0.0, -1, 2.0]
 
     def test_a_flush_builds_no_row_backed_block(self, monkeypatch):
         mt = Memtable()
@@ -321,16 +305,6 @@ class TestMergeSSTables:
             [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
         )
         assert set(merged.partition_keys()) == {"a", "b"}
-
-    def test_tombstones_collected(self):
-        mt1, mt2 = Memtable(), Memtable()
-        mt1.append(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": 1},
-                                                write_ts=1))]))
-        mt2.append(Batch.of_rows([("pk", Row((1.0, 0), {}, tombstone_ts=2))]))
-        merged = merge_sstables(
-            [SSTable.from_memtable(mt1), SSTable.from_memtable(mt2)]
-        )
-        assert "pk" not in merged.offsets
 
     def test_merge_order_independent(self):
         mt1, mt2 = Memtable(), Memtable()

@@ -93,7 +93,6 @@ bounds = st.one_of(st.none(), st.builds(
     ClusteringBound, st.tuples(st.integers(-1, 16)), st.booleans()))
 _op = st.one_of(
     st.tuples(st.just("write"), st.integers(0, 15), st.integers(0, 99)),
-    st.tuples(st.just("delete"), st.integers(0, 15), st.just(0)),
     st.tuples(st.just("flush"), st.just(0), st.just(0)),
     st.tuples(st.just("compact"), st.just(0), st.just(0)),
     st.tuples(st.just("read"),
@@ -101,7 +100,7 @@ _op = st.one_of(
 )
 ops = st.lists(_op, max_size=60)
 # The same histories over three partitions: each op names the one it
-# writes, deletes or reads, so runs hold some of them and not others.
+# writes or reads, so runs hold some of them and not others.
 _PARTITIONS = ("pk", "pk1", "pk2")
 partition_ops = st.lists(st.tuples(st.sampled_from(_PARTITIONS), _op),
                          max_size=60)
@@ -133,21 +132,20 @@ def _read_matches_model(store, model, lower, upper, pk="pk"):
 
 # Column-store histories: batches of writes that may repeat a key inside
 # one batch and across batches, set different cells of one key and share
-# stamps (1-6, so ties are common); tombstone markers; hint replays (an
-# earlier write again) and repair pushes (a key's merged row, cell stamps
-# and marker included); flushes; reads at either bound kind, in reverse
-# and with a limit.
+# stamps (1-6, so ties are common); hint replays (an earlier write
+# again) and repair pushes (a key's merged row, cell stamps included);
+# flushes and compactions; reads at either bound kind, in reverse and
+# with a limit.
 _cells = st.dictionaries(st.sampled_from("abc"), st.integers(0, 3),
                          max_size=3)
 _stamped_write = st.tuples(st.integers(0, 7), _cells, st.integers(1, 6))
 _column_op = st.one_of(
     st.tuples(st.just("batch"), st.lists(_stamped_write, min_size=1,
                                          max_size=6)),
-    st.tuples(st.just("delete"), st.tuples(st.integers(0, 7),
-                                           st.integers(1, 6))),
     st.tuples(st.just("hint"), st.integers(0, 50)),
     st.tuples(st.just("repair"), st.integers(0, 7)),
     st.tuples(st.just("flush"), st.none()),
+    st.tuples(st.just("compact"), st.none()),
     st.tuples(st.just("read"), st.tuples(
         bounds, bounds, st.booleans(),
         st.one_of(st.none(), st.integers(1, 5)))),
@@ -172,10 +170,6 @@ class TestStorageModel:
                 store.write_rows(Batch.of_rows([(pk, Row.from_values((key,), {"v": val},
                                                        write_ts=ts))]))
                 model[(key,)] = val
-            elif op == "delete":
-                store.write_rows(Batch.of_rows(
-                    [(pk, Row((key,), {}, tombstone_ts=ts))]))
-                model.pop((key,), None)
             elif op == "read":
                 if key is not None:
                     read_bounds = key
@@ -191,12 +185,11 @@ class TestStorageModel:
     @settings(max_examples=100, deadline=None)
     @given(history=st.lists(_column_op, max_size=40))
     def test_columns_answer_like_merge_rows(self, history):
-        """The store's columnar memtable, its flushes and the merges
-        over them answer every read as :func:`merge_rows` folding each
-        key's writes, in any order, answers it.  (No compaction: it
-        drops a marker a later write stamped before it still needs —
-        the resurrection the other ``max_sstables=64`` guards avoid.)"""
-        store = TableStore(flush_threshold=12, max_sstables=64)
+        """The store's columnar memtable, its flushes, its compactions —
+        asked for, and on its own past two runs — and the merges over
+        them answer every read as :func:`merge_rows` folding each key's
+        writes, in any order, answers it."""
+        store = TableStore(flush_threshold=12, max_sstables=2)
         written: list[Row] = []
         model: dict[tuple, Row] = {}
 
@@ -213,9 +206,6 @@ class TestStorageModel:
                         for key, cells, stamp in arg]
                 written += rows
                 write(rows)
-            elif op == "delete":
-                key, stamp = arg
-                write([Row((key,), {}, tombstone_ts=stamp)])
             elif op == "hint":
                 if written:
                     write([written[arg % len(written)]])
@@ -224,11 +214,13 @@ class TestStorageModel:
                     write([model[(arg,)]])
             elif op == "flush":
                 store.flush()
+            elif op == "compact":
+                store.flush()
+                store.compact()
             else:
                 lower, upper, reverse, limit = arg
                 want = [row for key, row in sorted(model.items())
-                        if row.is_live
-                        and (lower is None or lower.admits_lower(key))
+                        if (lower is None or lower.admits_lower(key))
                         and (upper is None or upper.admits_upper(key))]
                 if reverse:
                     want.reverse()
@@ -236,8 +228,7 @@ class TestStorageModel:
                                                 reverse, limit).to_rows()
                 assert got == want[:limit]
         got = store.read_partition_view("pk").to_rows()
-        assert got == [row for _key, row in sorted(model.items())
-                       if row.is_live]
+        assert got == [row for _key, row in sorted(model.items())]
 
     @settings(max_examples=60, deadline=None)
     @given(ops=ops, data=st.data())
@@ -245,9 +236,8 @@ class TestStorageModel:
         """One read face.  At every read, before every flush and
         compaction of a history, and at its end, the active memtable's slice for random
         bounds is the slice of the run a flush would build from it —
-        the same rows, markers included, the same live rows, the same
-        pruned count — and the store's read of those bounds is the
-        model's."""
+        the same rows, the same pruned count — and the store's read of
+        those bounds is the model's."""
         store = TableStore(flush_threshold=1000, max_sstables=3)
         model: dict[tuple, int] = {}
 
@@ -261,8 +251,6 @@ class TestStorageModel:
             if mine is not None:
                 assert mine[1] == theirs[1]
                 assert mine[0].to_rows() == theirs[0].to_rows()
-                assert (mine[0].live().to_rows()
-                        == theirs[0].live().to_rows())
             _read_matches_model(store, model, lower, upper)
 
         ts = 0
@@ -272,10 +260,6 @@ class TestStorageModel:
                 store.write_rows(Batch.of_rows([("pk", Row.from_values((key,), {"v": val},
                                                          write_ts=ts))]))
                 model[(key,)] = val
-            elif op == "delete":
-                store.write_rows(Batch.of_rows(
-                    [("pk", Row((key,), {}, tombstone_ts=ts))]))
-                model.pop((key,), None)
             elif op == "read":
                 check()
             else:
@@ -438,8 +422,7 @@ class TestSelectProperties:
     @settings(max_examples=40, deadline=None)
     @given(
         writes=st.lists(
-            st.tuples(st.integers(0, 5),
-                      st.one_of(st.none(), st.integers(0, 5)),  # None: delete
+            st.tuples(st.integers(0, 5), st.integers(0, 5),
                       st.one_of(st.none(), st.integers(0, 2))),  # missed by
             min_size=1, max_size=20),
         limit=st.integers(1, 4),
@@ -447,11 +430,11 @@ class TestSelectProperties:
     )
     def test_reverse_limit_over_diverged_replicas(self, writes, limit, level):
         """``reverse=True`` + ``limit`` where the replicas disagree: each
-        write or delete at QUORUM may be missed by one of the three (it
-        was down, its hint was lost).  A limit cut replica by replica
-        would answer rows another replica holds a tombstone for, or too
-        few; the reconcile takes whole copies and the limit cuts what it
-        leaves."""
+        write at QUORUM may be missed by one of the three (it was down,
+        its hint was lost).  A limit cut replica by replica would answer
+        a stale value another replica holds a newer write for, or too
+        few rows; the reconcile takes whole copies and the limit cuts
+        what it leaves."""
         cluster = Cluster(3, replication_factor=3)
         cluster.create_table(TableSchema(
             "t", partition_key=("hour",), clustering_key=("ts", "seq")))
@@ -460,14 +443,9 @@ class TestSelectProperties:
         for ts, amount, misses in writes:
             if misses is not None:
                 cluster.kill_node(nodes[misses])
-            key = {"hour": 0, "ts": ts, "seq": 0}
-            if amount is None:
-                cluster.delete_row("t", key, Consistency.QUORUM)
-                reference.pop(ts, None)
-            else:
-                cluster.insert("t", {**key, "amount": amount},
-                               Consistency.QUORUM)
-                reference[ts] = {**key, "amount": amount}
+            row = {"hour": 0, "ts": ts, "seq": 0, "amount": amount}
+            cluster.insert("t", row, Consistency.QUORUM)
+            reference[ts] = row
             if misses is not None:
                 for node in cluster.nodes.values():
                     node.hints.clear()
@@ -484,19 +462,11 @@ _ABSENT = object()  # a cell the row does not have (None is a stored null)
 
 @st.composite
 def partition_rows(draw):
-    """Rows ``ts = 0…n-1`` of one partition as (Row, result dict) pairs,
-    the dict ``None`` for a dead row.  Live rows: ``kind``/``amount``
-    cells absent, null or valued; one write timestamp a row or an older
-    one on ``kind``; some deleted and then rewritten (a tombstone older
-    than every cell).  Dead rows are tombstone markers, as a delete
-    writes them and as a memtable or an exchanged copy holds them."""
+    """Rows ``ts = 0…n-1`` of one partition as (Row, result dict) pairs:
+    ``kind``/``amount`` cells absent, null or valued; one write
+    timestamp a row or an older one on ``kind``."""
     out = []
     for ts in range(draw(st.integers(0, 20))):
-        if draw(st.integers(0, 4)) == 0:
-            marker = Row((ts, 0), {}, tombstone_ts=draw(st.integers(1, 9)))
-            assert not marker.is_live
-            out.append((marker, None))
-            continue
         values = {}
         kind = draw(st.sampled_from([_ABSENT, None, "a", "b", "c"]))
         if kind is not _ABSENT:
@@ -507,20 +477,16 @@ def partition_rows(draw):
             values["amount"] = amount
         write_ts = draw(st.integers(2, 9))
         mixed = "kind" in values and draw(st.booleans())
-        rewritten = bool(values) and draw(st.booleans())
         row = Row((ts, 0), values, write_ts,
-                  draw(st.integers(0, write_ts - 2)) if rewritten else None,
-                  {"kind": write_ts - 1} if mixed else None)
-        assert row.is_live
+                  cell_ts={"kind": write_ts - 1} if mixed else None)
         out.append((row, {"hour": 7, "ts": ts, "seq": 0, **values}))
     return out
 
 
 class TestOneBlockShape:
     """What a kernel answers does not depend on which block backs the
-    view: an eager block, a row-backed block over the same rows — dead
-    markers among them, as in a memtable's slice — and the reference
-    SELECT agree."""
+    view: an eager block, a row-backed block over the same rows and the
+    reference SELECT agree."""
 
     SCHEMA = TableSchema("t", partition_key=("hour",),
                          clustering_key=("ts", "seq"))
@@ -561,7 +527,7 @@ class TestOneBlockShape:
                  "reversed": range(n)[::-1],
                  "holes": [i for i in range(n) if i % 3 != 1]}[selection]
         picked = list(range(n) if order is None else order)
-        dicts = [pairs[i][1] for i in picked if pairs[i][1] is not None]
+        dicts = [pairs[i][1] for i in picked]
         sources = [(schema.column_source(c), op, v)
                    for c, op, v in predicates]
         kept = eval_select(dicts, predicates)
@@ -584,13 +550,8 @@ class TestOneBlockShape:
             # kernels answer for the eager block.
             assert eager.columns["kind"].codes is not None
         for block in (eager, ColumnBlock.over_rows(rows)):
-            whole = BlockView(block, order)
-            assert whole.to_rows() == [rows[i] for i in picked]
-            assert block.n_dead == sum(d is None for _, d in pairs)
-            assert (block.live is None) == (block.n_dead == 0)
-            view = whole.live()
-            assert view.to_rows() == [rows[i] for i in picked
-                                      if rows[i].is_live]
+            view = BlockView(block, order)
+            assert view.to_rows() == [rows[i] for i in picked]
             selected = select_rows(view, sources, pk)
             assert materialize_dicts(selected, schema, pk, None) == kept
             # Exactly the cells each row has: a stored null is there,
@@ -611,8 +572,7 @@ class TestOneBlockShape:
 @st.composite
 def sorted_runs(draw):
     """Up to four runs of one partition: overlapping keys, rows that
-    merged writes of different stamps, tombstones older and newer than
-    a row's cells (``test_row_model.merged_rows``)."""
+    merged writes of different stamps (``test_row_model.merged_rows``)."""
     runs = []
     for _ in range(draw(st.integers(1, 4))):
         keys = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
@@ -627,34 +587,31 @@ class TestOneMerge:
 
     @staticmethod
     def _oracle_fold(runs):
-        """(every row, the live ones): the runs folded key by key."""
+        """The runs folded key by key."""
         folded: dict[tuple, row_oracle.Row] = {}
         for run in runs:
             for row in run:
                 seen = folded.get(row.clustering)
                 folded[row.clustering] = (
                     row if seen is None else row_oracle.merge_rows(seen, row))
-        every = [folded[key] for key in sorted(folded)]
-        return every, [row for row in every if row.is_live]
+        return [folded[key] for key in sorted(folded)]
 
     @settings(max_examples=150, deadline=None)
     @given(runs=sorted_runs())
     def test_compaction_and_merge_match_the_oracle_fold(self, runs):
-        every, live = self._oracle_fold(runs)
+        want = self._oracle_fold(runs)
         tables = [flushed({"pk": list(map(to_store, run))}) for run in runs]
         for ordered in (tables, tables[::-1]):
             compacted = merge_sstables(ordered)
             span = compacted.offsets.get("pk")
             assert [to_oracle(row) for row in (
                 BlockView(compacted.block, range(*span)).to_rows()
-                if span else [])] == live
+                if span else [])] == want
             views = [BlockView(table.block, range(*span)) for table in ordered
                      if (span := table.offsets.get("pk")) is not None]
-            assert [to_oracle(row) for row in merge_views(views)] == live
+            assert [to_oracle(row) for row in merge_views(views)] == want
             assert [to_oracle(row) for row in
-                    merge_views(views, keep_dead=True)] == every
-            assert [to_oracle(row) for row in
-                    merge_views(views, reverse=True)] == live[::-1]
+                    merge_views(views, reverse=True)] == want[::-1]
 
     @settings(max_examples=100, deadline=None)
     @given(runs=sorted_runs(), data=st.data())
@@ -662,7 +619,7 @@ class TestOneMerge:
         """The merge takes views and nothing else: a memtable's slice, a
         run's slice and a copy a replica exchanged reconcile alike,
         whichever order they arrive in."""
-        every, live = self._oracle_fold(runs)
+        want = self._oracle_fold(runs)
         sources = []
         for run in runs:
             stored = list(map(to_store, run))
@@ -681,12 +638,9 @@ class TestOneMerge:
         limit = data.draw(st.integers(1, 6))
         for ordered in itertools.permutations(sources):
             views = list(ordered)
-            for keep_dead, want in ((False, live), (True, every)):
-                assert [to_oracle(row) for row in merge_views(
-                    views, keep_dead=keep_dead)] == want
-                assert [to_oracle(row) for row in merge_views(
-                    views, reverse=True, limit=limit, keep_dead=keep_dead)
-                    ] == want[::-1][:limit]
+            assert [to_oracle(row) for row in merge_views(views)] == want
+            assert [to_oracle(row) for row in merge_views(
+                views, reverse=True, limit=limit)] == want[::-1][:limit]
 
 
 @st.composite

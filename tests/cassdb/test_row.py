@@ -50,6 +50,13 @@ class TestRow:
         row = Row.from_values((1,), {"a": 1, "b": "x"})
         assert row.as_dict() == {"a": 1, "b": "x"}
 
+    def test_cell_stamps_are_named(self):
+        # A fourth positional argument has no field to land in.
+        with pytest.raises(TypeError):
+            Row((1,), {"a": 1}, 9, {"a": 5})
+        assert Row((1,), {"a": 1}, 9, cell_ts={"a": 5}).timestamps() == {
+            "a": 5}
+
 
 class TestMergeRows:
     def test_different_clustering_rejected(self):
@@ -67,22 +74,6 @@ class TestMergeRows:
         b = _row((1,), {"x": (9, 20), "y": (8, 25)})
         ab, ba = merge_rows(a, b), merge_rows(b, a)
         assert ab.as_dict() == ba.as_dict()
-
-    def test_tombstone_shadows_older_cells(self):
-        data = _row((1,), {"x": (1, 10)})
-        tomb = Row((1,), {}, tombstone_ts=15)
-        m = merge_rows(data, tomb)
-        assert m.tombstone_ts == 15
-        assert m.as_dict() == {}
-
-    def test_newer_write_survives_tombstone(self):
-        tomb = Row((1,), {}, tombstone_ts=15)
-        newer = _row((1,), {"x": (7, 20)})
-        m = merge_rows(tomb, newer)
-        assert m.as_dict() == {"x": 7}
-        # Row remains marked deleted but the resurrecting cell survives;
-        # the read path keeps rows with live cells.
-        assert m.tombstone_ts == 15
 
 
 class TestClusteringBound:

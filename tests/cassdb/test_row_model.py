@@ -23,8 +23,8 @@ from repro.cassdb.vector import BlockView, ColumnBlock
 from tests.oracle import row as oracle
 
 COLUMNS = ["a", "b", "c", "d"]
-# Few distinct stamps: ties between copies (the repr tie-break) and
-# tombstones older than, equal to and newer than cells are the rule.
+# Few distinct stamps: ties between copies (the repr tie-break) are the
+# rule.
 stamps = st.integers(0, 5)
 values = st.one_of(st.none(), st.integers(-3, 3),
                    st.sampled_from(["", "x", "y", "10", "9"]))
@@ -33,9 +33,7 @@ values = st.one_of(st.none(), st.integers(-3, 3),
 @st.composite
 def base_rows(draw, clustering=(1,)):
     """What one write leaves: an upsert stamped throughout with one
-    timestamp, or a row tombstone."""
-    if draw(st.integers(0, 3)) == 0:
-        return oracle.Row(clustering, {}, draw(stamps))
+    timestamp."""
     ts = draw(stamps)
     cols = draw(st.lists(st.sampled_from(COLUMNS), unique=True, max_size=4))
     return oracle.Row(clustering,
@@ -56,22 +54,19 @@ def to_store(row: oracle.Row) -> Row:
     return Row.from_stamps(
         row.clustering,
         {name: c.value for name, c in row.cells.items()},
-        [c.write_ts for c in row.cells.values()],
-        row.tombstone_ts)
+        [c.write_ts for c in row.cells.values()])
 
 
 def to_oracle(row: Row) -> oracle.Row:
     ts = row.timestamps()
     return oracle.Row(
         row.clustering,
-        {name: oracle.Cell(val, ts[name]) for name, val in row.values.items()},
-        row.tombstone_ts)
+        {name: oracle.Cell(val, ts[name]) for name, val in row.values.items()})
 
 
 def spelled(row: Row) -> tuple:
     """Every field, representation included."""
-    return (row.clustering, row.values, row.write_ts, row.cell_ts,
-            row.tombstone_ts)
+    return row.clustering, row.values, row.write_ts, row.cell_ts
 
 
 class TestMergeMatchesReference:
@@ -79,7 +74,6 @@ class TestMergeMatchesReference:
     def test_cell_for_cell(self, a, b):
         got = merge_rows(to_store(a), to_store(b))
         assert to_oracle(got) == oracle.merge_rows(a, b)
-        assert got.is_live == oracle.merge_rows(a, b).is_live
         # Only cells that differ from the row's own stamp are named.
         assert got.cell_ts is None or (
             got.cell_ts and got.write_ts not in got.cell_ts.values()
@@ -114,7 +108,7 @@ class TestMergeMatchesReference:
         other = Row((1,), {"y": 2, "x": 1}, 4, cell_ts={"x": 9})
         assert canonical == other
         assert canonical != Row((1,), {"x": 1, "y": 2}, 9)
-        assert Row((1,), {}, 0, 5) == Row((1,), {}, 7, 5)
+        assert Row((1,), {}, 0) == Row((1,), {}, 7)
         assert to_oracle(canonical).cells == {"x": oracle.Cell(1, 9),
                                               "y": oracle.Cell(2, 4)}
 
@@ -129,9 +123,6 @@ class TestBlockRoundTrip:
         back = BlockView(block).to_rows()
         assert back == rows
         assert [spelled(r) for r in back] == [spelled(r) for r in rows]
-        assert [block.row_at(i).is_live for i in range(block.n)] == [
-            block.live is None or bool(block.live[i])
-            for i in range(block.n)]
 
 
 _store_ops = st.lists(st.one_of(
@@ -139,8 +130,6 @@ _store_ops = st.lists(st.one_of(
               st.integers(0, 4), st.booleans(),
               st.lists(st.tuples(st.sampled_from(COLUMNS), values),
                        min_size=1, max_size=3)),
-    st.tuples(st.just("delete"), st.sampled_from(["p", "q"]),
-              st.integers(0, 4)),
     st.tuples(st.just("flush")),
     st.tuples(st.just("compact")),
 ), max_size=40)
@@ -151,17 +140,12 @@ class TestStoreMatchesFoldedReference:
     over everything written, whatever was flushed or compacted when.
 
     Write stamps never run backwards; neighbouring upserts may tie (the
-    ``repr`` tie-break then decides across runs), but a tombstone's
-    stamp is its own and every upsert carries a cell.  Compaction
-    collects tombstones from the runs it merges, so a write stamped at
-    or before one — or a row with no stamp at all — would come back in
-    the store while the reference still shadows it: Cassandra's
-    gc_grace problem, not this model's."""
+    ``repr`` tie-break then decides across runs)."""
 
     @settings(deadline=None)
     @given(ops=_store_ops)
     def test_read_equals_reference(self, ops):
-        store = TableStore(flush_threshold=10_000, max_sstables=64)
+        store = TableStore(flush_threshold=10_000)
         reference: dict[tuple[str, int], oracle.Row] = {}
         clock = 1
 
@@ -179,20 +163,13 @@ class TestStoreMatchesFoldedReference:
                 remember(pk, oracle.Row(
                     (ck,), {c: oracle.Cell(v, clock)
                             for c, v in dict(cells).items()}))
-            elif op[0] == "delete":
-                _, pk, ck = op
-                clock += 1
-                store.write_rows(Batch.of_rows(
-                    [(pk, Row((ck,), {}, tombstone_ts=clock))]))
-                remember(pk, oracle.Row((ck,), {}, clock))
-                clock += 1
             elif op[0] == "flush":
                 store.flush()
             else:
                 store.compact()
         for pk in ("p", "q"):
             want = [row for (p, _ck), row in sorted(reference.items())
-                    if p == pk and row.is_live]
+                    if p == pk]
             got = store.read_partition_view(pk).to_rows()
             assert [(r.clustering, to_oracle(r).cells) for r in got] == [
                 (r.clustering, r.cells) for r in want]

@@ -35,9 +35,9 @@ _WIDE_ROWS = 300  # > DICT_MAX_CARDINALITY distinct messages
 
 
 def _partition(rnd, wide: bool) -> list[Row]:
-    """One partition's sorted rows.  About one in five is a tombstone
-    marker; a live row's ``kind`` is absent, null or one of three
-    strings, its ``amount`` absent, null or an int, and its ``msg``
+    """One partition's sorted rows.  A row's ``kind`` is absent, null
+    or one of three strings, its ``amount`` absent, null or an int, and
+    its ``msg``
     absent or text — one of two words, or (*wide*) its own line, so
     the run's ``msg`` column has too many distinct values to encode."""
     if wide:
@@ -47,9 +47,6 @@ def _partition(rnd, wide: bool) -> list[Row]:
                                   for seq in range(2)], rnd.randint(1, 12)))
     rows = []
     for ts, seq in keys:
-        if rnd.randrange(5) == 0:
-            rows.append(Row((ts, seq), {}, tombstone_ts=rnd.randint(1, 9)))
-            continue
         cells = {
             "kind": rnd.choice([_ABSENT, None, "a", "b", "c"]),
             "amount": rnd.choice([_ABSENT, None, 0, 3, 5]),
@@ -59,10 +56,8 @@ def _partition(rnd, wide: bool) -> list[Row]:
         values = {k: v for k, v in cells.items() if v is not _ABSENT}
         write_ts = rnd.randint(2, 9)
         mixed = "kind" in values and rnd.random() < 0.5
-        rewritten = bool(values) and rnd.random() < 0.5
         rows.append(Row((ts, seq), values, write_ts,
-                        rnd.randint(0, write_ts - 2) if rewritten else None,
-                        {"kind": write_ts - 1} if mixed else None))
+                        cell_ts={"kind": write_ts - 1} if mixed else None))
     return rows
 
 
@@ -117,13 +112,13 @@ class TestARunAnswersLikeItsPartitions:
                 rows, _oracle_bound(lower), _oracle_bound(upper))
             assert view.to_rows() == mine.to_rows() == want
             assert pruned == len(rows) - (hi - lo) == want_pruned
-            served = view.live().ordered(reverse, limit)
+            served = view.ordered(reverse, limit)
             assert served.to_rows() == run_oracle.read_partition(
                 rows, _oracle_bound(lower), _oracle_bound(upper),
                 reverse, limit)
             # The kernels read the run's columns (coded or plain for the
             # whole run) as the partition's own.
-            alone_served = mine.live().ordered(reverse, limit)
+            alone_served = mine.ordered(reverse, limit)
             assert (column_lists(served, _SCHEMA, {"p": pk}, _COLUMNS)
                     == column_lists(alone_served, _SCHEMA, {"p": pk},
                                     _COLUMNS))

@@ -2,7 +2,7 @@
 
 Covers the hazards the bounds bisect and the lazy k-way merge are most
 likely to get wrong: runs of duplicate clustering prefixes, bounds on
-the last key, reverse-with-limit scans that hit tombstones, and
+the last key, reverse-with-limit scans over overlapping slices, and
 degenerate empty inputs.
 """
 
@@ -17,10 +17,6 @@ def _view(rows):
 
 def _row(ts, seq=0, write_ts=1, **cols):
     return Row.from_values((ts, seq), cols or {"v": ts}, write_ts=write_ts)
-
-
-def _dead(ts, seq=0, tombstone_ts=9):
-    return Row((ts, seq), {}, tombstone_ts=tombstone_ts)
 
 
 def _check(rows, lower, upper):
@@ -71,24 +67,15 @@ class TestDuplicatePrefixStraddlingSampleBlocks:
         _check(rows, ClusteringBound((15.0,)), None)
 
 
-class TestReverseLimitWithTombstones:
-    def test_dead_rows_do_not_consume_limit(self):
-        # Reverse scan: newest-first hits the tombstoned tail rows before
-        # any live row; they must be skipped, not counted.
-        live = [_row(float(i)) for i in range(5)]
-        dead = [_dead(float(i)) for i in range(5, 8)]
-        out = merge_views([_view(live + dead)], reverse=True, limit=2)
-        assert [r.clustering[0] for r in out] == [4.0, 3.0]
-
+class TestReverseLimit:
     def test_reverse_limit_with_cross_slice_shadowing(self):
+        # The newest key sits in both slices: it is emitted once, with
+        # the newer write's cell, and counts once toward the limit.
         older = [_row(1.0, v=1), _row(2.0, v=2), _row(3.0, v=3)]
-        newer = [_dead(3.0, tombstone_ts=8)]
+        newer = [_row(3.0, write_ts=8, v=30)]
         out = merge_views([_view(newer), _view(older)], reverse=True, limit=2)
-        assert [r.clustering[0] for r in out] == [2.0, 1.0]
-
-    def test_all_rows_dead_yields_nothing(self):
-        out = merge_views([_view([_dead(1.0), _dead(2.0)])], reverse=True, limit=5)
-        assert out == []
+        assert [(r.clustering[0], r.value("v")) for r in out] == [
+            (3.0, 30), (2.0, 2)]
 
     def test_limit_zero(self):
         assert merge_views([_view([_row(1.0)])], limit=0) == []

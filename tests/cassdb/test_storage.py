@@ -95,36 +95,6 @@ class TestReadPath:
         store.read_partition_view("pk0").to_rows()
         assert store.stats.bloom_skips > 0
 
-    def test_delete_then_read(self):
-        store = TableStore(flush_threshold=2)
-        store.write_rows(Batch.of_rows([("pk", _row(1.0, write_ts=1))]))
-        store.write_rows(Batch.of_rows([("pk", _row(2.0, write_ts=1))]))
-        store.write_rows(Batch.of_rows(
-            [("pk", Row((1.0, 0), {}, tombstone_ts=5))]))
-        rows = store.read_partition_view("pk").to_rows()
-        assert [r.clustering[0] for r in rows] == [2.0]
-
-    def test_delete_survives_flush_and_compaction(self):
-        store = TableStore(flush_threshold=1, max_sstables=2)
-        store.write_rows(Batch.of_rows([("pk", _row(1.0, write_ts=1))]))
-        store.write_rows(Batch.of_rows(
-            [("pk", Row((1.0, 0), {}, tombstone_ts=5))]))
-        store.flush()
-        store.compact()
-        assert store.read_partition_view("pk").to_rows() == []
-
-    def test_insert_after_delete_resurrects(self):
-        store = TableStore(flush_threshold=1)
-        store.write_rows(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": 1},
-                                                 write_ts=1))]))
-        store.write_rows(Batch.of_rows(
-            [("pk", Row((1.0, 0), {}, tombstone_ts=2))]))
-        store.write_rows(Batch.of_rows([("pk", Row.from_values((1.0, 0), {"v": 2},
-                                                 write_ts=3))]))
-        rows = store.read_partition_view("pk").to_rows()
-        assert len(rows) == 1
-        assert rows[0].value("v") == 2
-
     def test_partition_keys_union(self):
         store = TableStore(flush_threshold=2)
         store.write_rows(Batch.of_rows([("a", _row(1.0))]))
@@ -199,17 +169,6 @@ class TestBoundsPruning:
         assert [(r.clustering, r.as_dict()) for r in bounded] == \
             [(r.clustering, r.as_dict()) for r in full]
 
-    def test_limit_early_termination_counts_live_rows_only(self):
-        store = TableStore(flush_threshold=5)
-        for i in range(30):
-            store.write_rows(Batch.of_rows(
-                [("pk", _row(float(i), seq=i, write_ts=1))]))
-        for i in range(0, 10, 2):
-            store.write_rows(Batch.of_rows(
-                [("pk", Row((float(i), i), {}, tombstone_ts=10))]))
-        rows = store.read_partition_view("pk", limit=6).to_rows()
-        assert [r.clustering[0] for r in rows] == [1.0, 3.0, 5.0, 7.0, 9.0, 10.0]
-
 
 class TestBoundedMemtableRead:
     """A bounded read bisects a memtable partition's key list and builds
@@ -238,7 +197,7 @@ class TestBoundedMemtableRead:
 
     def _check_every_bound(self, store, buffered):
         """*buffered*: the clustering key of every row a memtable holds,
-        tombstones included, once per memtable holding it."""
+        once per memtable holding it."""
         full = [(r.clustering, r.as_dict())
                 for r in store.read_partition_view("pk").to_rows()]
         for lower, upper in self.BOUNDS:
@@ -257,17 +216,6 @@ class TestBoundedMemtableRead:
         store = TableStore()
         self._write(store, self.KEYS)
         assert not store.sstables and store.memtable.row_count == 1000
-        self._check_every_bound(store, self.KEYS)
-
-    def test_tombstoned_row_inside_the_window(self):
-        store = TableStore()
-        self._write(store, self.KEYS)
-        for key in ((100, 400), (110, 441), (120, 483), (7, 28)):
-            store.write_rows(Batch.of_rows(
-                [("pk", Row(key, {}, tombstone_ts=5))]))
-        assert len(store.read_partition_view("pk")) == 996
-        # A tombstone is a buffered row: pruned when outside, dropped by
-        # the merge when inside.
         self._check_every_bound(store, self.KEYS)
 
     def test_frozen_memtable_beside_the_live_one(self):
@@ -365,14 +313,12 @@ class TestOneReadFace:
         store.flush()
         for i in range(50):
             store.write_rows(Batch.of_rows([("pk", _row(float(i), seq=i))]))
-        store.write_rows(Batch.of_rows(
-            [("pk", Row((7.0, 7), {}, tombstone_ts=5))]))
         merges = self._count_calls(monkeypatch, storage, "merge_views")
         view = store.read_partition_view(
             "pk", ClusteringBound((5.0,)), ClusteringBound((9.0,)),
             reverse=True, limit=3)
-        assert [r.clustering[0] for r in view.to_rows()] == [9.0, 8.0, 6.0]
-        assert len(store.read_partition_view("pk")) == 49
+        assert [r.clustering[0] for r in view.to_rows()] == [9.0, 8.0, 7.0]
+        assert len(store.read_partition_view("pk")) == 50
         assert len(store.read_partition_view("flushed")) == 50  # one run alone
         assert merges == []
         store.write_rows(Batch.of_rows(
@@ -382,7 +328,7 @@ class TestOneReadFace:
 
     @pytest.mark.parametrize("runs", [0, 1, 3, 6])
     def test_a_read_over_k_runs_looks_up_k_offsets(self, runs):
-        store = TableStore(max_sstables=64)
+        store = TableStore()
         for run in range(runs):
             # Even runs hold the partition read below, odd ones do not.
             pk = "pk" if run % 2 == 0 else "other"

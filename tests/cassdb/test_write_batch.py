@@ -10,7 +10,7 @@ PR 3's write-path contract in one place:
   result cache untouched;
 * writers to disjoint partitions commit concurrently (striped locks,
   no cluster-wide lock);
-* a single-row ``insert`` / ``delete_row`` is a batch of one row: one
+* a single-row ``insert`` is a batch of one row: one
   group of one, with the batch's counters, epochs, typed errors
   (``Batch*``, ``group_rows`` 1) and hints;
 * a memtable flush builds its SSTable outside the store lock — readers
@@ -231,7 +231,7 @@ class TestConcurrentDisjointWriters:
 
 
 class TestSingleRowGroupCommit:
-    """``insert`` / ``delete_row`` commit as a batch of one row; what a
+    """``insert`` commits as a batch of one row; what a
     caller can observe under faults is the batch contract for one
     group of one row."""
 
@@ -250,8 +250,7 @@ class TestSingleRowGroupCommit:
     }
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
-    @pytest.mark.parametrize("op", ["insert", "delete_row"])
-    def test_fault_accounting(self, op, scenario):
+    def test_fault_accounting(self, scenario):
         fault, consistency, error, hinted, writes, epochs = (
             self.SCENARIOS[scenario])
         # A retry re-sends the row to the crashed replica and re-buffers
@@ -262,12 +261,11 @@ class TestSingleRowGroupCommit:
         pk = (self.VALUES["hour"], self.VALUES["type"])
         survivor, victim = cluster.ring.replicas(EVENTS.ring_key(pk))
         getattr(cluster, fault)(victim)
-        write = getattr(cluster, op)
         if error is None:
-            write("event_by_time", self.VALUES, consistency)
+            cluster.insert("event_by_time", self.VALUES, consistency)
         else:
             with pytest.raises(error) as raised:
-                write("event_by_time", self.VALUES, consistency)
+                cluster.insert("event_by_time", self.VALUES, consistency)
             assert type(raised.value) is error
             assert raised.value.group_rows == 1
             assert raised.value.applied_rows == 0
@@ -275,10 +273,10 @@ class TestSingleRowGroupCommit:
         assert cluster.coordinator_writes == writes
         assert cluster.table_epoch("event_by_time") == epochs
         hints = [(nid, h.target_node, h.table, h.partition_key,
-                  h.row.clustering, h.row.is_live)
+                  h.row.clustering, h.row.values)
                  for nid, node in cluster.nodes.items() for h in node.hints]
         assert hints == ([(survivor, victim, "event_by_time", pk, (1.0, 0),
-                           op == "insert")] if hinted else [])
+                           {"v": 1})] if hinted else [])
 
 
 def _row(ts, seq=0, write_ts=1, **cols):

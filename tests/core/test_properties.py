@@ -160,14 +160,13 @@ RUNS = [
     ApplicationRun(3, "appA", "u2", 7200.0, 8000.0, tuple(NODES[4:5]), "OK"),
 ]
 
-# (ts, type, source, amount or None = no such cell, deleted); timestamps
-# on the quarter-hour grid tie and sit on hour edges.
+# (ts, type, source, amount or None = no such cell); timestamps on the
+# quarter-hour grid tie and sit on hour edges.
 event_tuples = st.lists(st.tuples(
     st.one_of(st.integers(0, 12).map(lambda q: q * QUARTER),
               st.floats(0.0, 3 * 3600.0 - 1.0)),
     st.sampled_from(TYPES), st.sampled_from(NODES),
     st.one_of(st.none(), st.integers(1, 5)),
-    st.sampled_from([False] * 7 + [True]),
 ), max_size=40)
 
 
@@ -198,7 +197,7 @@ def _loaded_framework(tuples, layout):
     cluster = fw.cluster
     fw.ingest_applications(RUNS)
     rows = []
-    for seq, (ts, etype, source, amount, _deleted) in enumerate(tuples):
+    for seq, (ts, etype, source, amount) in enumerate(tuples):
         row = {"hour": int(ts // 3600), "type": etype, "source": source,
                "ts": ts, "seq": seq, "msg": f"{etype} on {source} #{seq}"}
         if amount is not None:
@@ -212,17 +211,13 @@ def _loaded_framework(tuples, layout):
         cluster.flush_all()
     for table in views:
         cluster.write_batch(table, columns_of(rows[half:]))
-    for row, spec in zip(rows, tuples):
-        if spec[4]:
-            for table in views:
-                cluster.delete_row(table, row)
     if layout == "flushed":
         cluster.flush_all()
     if layout == "quorum":
         for read in ("select_partition", "aggregate_partitions"):
             setattr(cluster, read, functools.partial(
                 getattr(cluster, read), consistency=Consistency.QUORUM))
-    return fw, [row for row, spec in zip(rows, tuples) if not spec[4]]
+    return fw, rows
 
 
 def _in_context(rows, ctx, model):

@@ -127,8 +127,7 @@ class TestExplain:
 
 # -- three engines, generated ------------------------------------------------
 
-STATES = ["unflushed", "flushed", "half_flushed", "tombstones",
-          "replica_killed"]
+STATES = ["unflushed", "flushed", "half_flushed", "replica_killed"]
 AGGREGATES = [("count", None), ("count", "amount"), ("sum", "amount"),
               ("min", "amount"), ("max", "amount"), ("avg", "amount"),
               ("min", "ts"), ("max", "ts"), ("count", "src")]
@@ -152,7 +151,7 @@ residuals = st.lists(st.one_of(
 
 
 def _load(state, drawn):
-    """The cluster in *state*, and the live rows as the oracle sees them
+    """The cluster in *state*, and the rows as the oracle sees them
     (absent cells omitted)."""
     killed = state == "replica_killed"
     cluster = Cluster(3, replication_factor=2 if killed else 1)
@@ -169,12 +168,6 @@ def _load(state, drawn):
     if state != "unflushed":
         cluster.flush_all()
     cluster.insert_many("ev", columns_of(rows[half:]))
-    if state == "tombstones":
-        # Deleted after the flush: the tombstone sits in the memtable
-        # and shadows a row of the column block.
-        for row in rows[::3]:
-            cluster.delete_row("ev", row)
-        rows = [r for i, r in enumerate(rows) if i % 3]
     if killed:
         cluster.kill_node(sorted(cluster.nodes)[0])
     return cluster, rows

@@ -1,8 +1,9 @@
 """Reference row model: one ``Cell(value, write_ts)`` per column.
 
 The store's row model as it stood before a row carried its write
-timestamp itself — ``Cell``, ``Row`` and ``merge_rows`` kept verbatim —
-so the store's reconciliation can be compared cell for cell (value *and*
+timestamp itself — ``Cell``, ``Row`` and ``merge_rows`` kept as they
+were, less the row tombstone the store no longer has — so the store's
+reconciliation can be compared cell for cell (value *and*
 timestamp) with the definition it replaced.
 """
 
@@ -32,25 +33,15 @@ class Row:
 
     clustering: tuple
     cells: dict[str, Cell] = field(default_factory=dict)
-    tombstone_ts: int | None = None  # row-level deletion marker
-
-    @property
-    def is_live(self) -> bool:
-        return bool(self.cells) or self.tombstone_ts is None
 
 
 def merge_rows(a: Row, b: Row) -> Row:
     """Reconcile two replica copies of the same row (same clustering key).
 
-    Column-wise last-write-wins; a row tombstone shadows any cell written
-    at or before the tombstone's timestamp.
+    Column-wise last-write-wins.
     """
     if a.clustering != b.clustering:
         raise ValueError("cannot merge rows with different clustering keys")
-    tombstone = max(
-        (ts for ts in (a.tombstone_ts, b.tombstone_ts) if ts is not None),
-        default=None,
-    )
     merged: dict[str, Cell] = {}
     for name in a.cells.keys() | b.cells.keys():
         ca, cb = a.cells.get(name), b.cells.get(name)
@@ -61,6 +52,5 @@ def merge_rows(a: Row, b: Row) -> Row:
         else:
             cell = ca.reconcile(cb)
         assert cell is not None
-        if tombstone is None or cell.write_ts > tombstone:
-            merged[name] = cell
-    return Row(clustering=a.clustering, cells=merged, tombstone_ts=tombstone)
+        merged[name] = cell
+    return Row(clustering=a.clustering, cells=merged)

@@ -4,7 +4,7 @@ filtered by clustering bounds one key at a time.
 A bound is ``(key, inclusive)`` or ``None``.  A bound shorter than the
 clustering key compares on the shared prefix, as CQL's ``WHERE ts >= x``
 does on a ``(ts, seq)`` clustering key.  Rows are anything with a
-``clustering`` tuple and an ``is_live`` flag.
+``clustering`` tuple.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ def slice_partition(rows: list, lower=None, upper=None) -> tuple[list, int]:
 
 def read_partition(rows: list, lower=None, upper=None, reverse: bool = False,
                    limit: int | None = None) -> list:
-    """The live in-bounds rows, descending when *reverse*, the first
-    *limit* of them."""
-    live = [row for row in slice_partition(rows, lower, upper)[0]
-            if row.is_live]
+    """The in-bounds rows, descending when *reverse*, the first *limit*
+    of them."""
+    kept = slice_partition(rows, lower, upper)[0]
     if reverse:
-        live.reverse()
-    return live if limit is None else live[:max(limit, 0)]
+        kept.reverse()
+    return kept if limit is None else kept[:max(limit, 0)]
